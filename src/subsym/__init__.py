@@ -11,7 +11,6 @@ verification suites over all of it.
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, RATIONAL_BACKEND, gr, rat
 from .rings import LaurentPoly, Ring, RingMismatchError, UnknownGeneratorError
 from .weyl import WeylOperator, weyl_apply, weyl_commutator, weyl_compose
-from .linalg import ExactMatrix
 
 __all__ = [
     "GaussianRational",
@@ -29,7 +28,6 @@ __all__ = [
     "weyl_apply",
     "weyl_compose",
     "weyl_commutator",
-    "ExactMatrix",
 ]
 
 __version__ = "0.1.0"

@@ -385,7 +385,10 @@ def _suite_decompose(params, rep: VerificationReport):
     piece_rep = seven_pieces_check(max(3, min(N, 4)))
     rep.add(
         f"seven pieces of sl({piece_rep['N']}) (x) sl({piece_rep['N']}): complete and consistent",
-        piece_rep["complete"] and piece_rep["bracket_is_adjoint"] and piece_rep["killing_is_line"],
+        piece_rep["complete"]
+        and piece_rep["bracket_is_adjoint"]
+        and piece_rep["adjoint_is_sl"]
+        and piece_rep["killing_is_line"],
         str(piece_rep["pieces"]),
     )
     return rep

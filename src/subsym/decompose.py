@@ -310,13 +310,9 @@ def _contraction_columns(M):
     return trace_rows, cross_rows
 
 
-@lru_cache(maxsize=None)
-def trace_free_block_kernel(k, N, weight):
-    """Kernel basis of all contractions on one weight block.
-
-    Returns (block multisets, kernel vectors as coefficient lists).
-    """
-    block = weight_blocks(k, N)[weight]
+def _contraction_matrix(block):
+    """Dense matrix of all contractions on one weight block: one row per
+    contraction target, one column per block multiset."""
     rows = {}
     for j, M in enumerate(block):
         trace_rows, cross_rows = _contraction_columns(M)
@@ -332,6 +328,17 @@ def trace_free_block_kernel(k, N, weight):
         for j, c in rows[key].items():
             r[j] = rat(c)
         dense.append(r)
+    return dense
+
+
+@lru_cache(maxsize=None)
+def trace_free_block_kernel(k, N, weight):
+    """Kernel basis of all contractions on one weight block.
+
+    Returns (block multisets, kernel vectors as coefficient lists).
+    """
+    block = weight_blocks(k, N)[weight]
+    dense = _contraction_matrix(block)
     if not dense:
         kern = [[rat(1) if i == j else RZERO for i in range(len(block))]
                 for j in range(len(block))]
@@ -997,11 +1004,13 @@ def seven_pieces_check(N):
                     out[keys2[(D, A)]] = out[keys2[(D, A)]] + vec[i]
         return out
 
-    # symmetric part: trace-free = the two Cartan pieces; contraction image = adj + C
-    rank_c_sym = linalg.span_rank([_contract_vec(v) for v in sym_basis]) or 0
+    # symmetric part: trace-free = the two Cartan pieces; contraction image =
+    # adjoint + Killing, the Killing line being the image of the full contraction
+    c_sym = [_contract_vec(v) for v in sym_basis]
+    rank_c_sym = linalg.span_rank(c_sym)
     p1 = isotypic_rank((2,), 2, N)
     p2 = isotypic_rank((1, 1), 2, N)
-    p4 = 1
+    p4 = linalg.span_rank([[sum(v[keys2[(X, X)]] for X in range(N))] for v in c_sym])
     p3 = rank_c_sym - p4
 
     # antisymmetric part
@@ -1009,7 +1018,7 @@ def seven_pieces_check(N):
     p7 = linalg.span_rank(cmat) or 0
     # trace-free part of the antisymmetric block, split by lower-pair symmetry:
     # coefficients c with sum_r c_r * cmat[r] = 0 span the trace-free part
-    coeff_kernel = linalg.kernel_basis(_transpose(cmat), len(alt_basis)) if cmat else []
+    coeff_kernel = linalg.kernel_basis(list(zip(*cmat)), len(alt_basis)) if cmat else []
     tf_alt = []
     for coeffs in coeff_kernel:
         vec = [RZERO] * len(keys4)
@@ -1056,10 +1065,7 @@ def seven_pieces_check(N):
         and p5 + p6 + p7 == dim_alt
         and total + 2 * dim_sl + 1 == N**4,
         "bracket_is_adjoint": p7 == dim_sl,
+        "adjoint_is_sl": p3 == dim_sl,
         "killing_is_line": p4 == 1,
     }
     return report
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]

@@ -1,81 +1,112 @@
-"""Exact dense linear algebra by fraction-preserving Gaussian elimination.
+"""Exact dense linear algebra by fraction-free (Bareiss) elimination.
 
-Works over any exact field whose elements support +, -, *, / and truthiness
-(GaussianRational, Fraction, gmpy2.mpq).  No pivoting heuristics beyond
-first-nonzero: exactness makes numerical stability a non-issue.
+Each row is scaled by the lcm of its denominators, which keeps the row space,
+so rank, pivots and the reduced row echelon form do not change.  One loop then
+applies Bareiss's update a_ij <- (p * a_ij - a_ic * a_rj) / d, with p the
+current pivot and d the previous one (E. H. Bareiss, Math. Comp. 22, 1968).
+Every entry stays a minor of the scaled matrix, so the division is exact and
+no fraction is formed until the end.  Entries are ints, or Gaussian integers
+held as GaussianRational when some input entry has a nonzero imaginary part.
+Results are GaussianRational when an input entry is one, else the backend
+rational.
 """
 
 from __future__ import annotations
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from math import lcm, prod
+from operator import floordiv, truediv
+
+from .scalars import GR_ONE, GR_ZERO, RZERO, GaussianRational, rat
 
 
-class ExactMatrix:
-    """Rectangular matrix of exact field elements (rows of equal length)."""
+def _integral(rows):
+    """Integral copies of `rows`, each scaled by the lcm of its denominators.
 
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("matrix rows must have equal length")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
+    Returns (rows, scales, div, lift): `div` is exact division in the ring of
+    the copies and `lift(n, d)` is n/d in the input's element type.
+    """
+    has_gr = GaussianRational in {type(x) for r in rows for x in r}
+    gaussian = has_gr and any(x.im for r in rows for x in r if type(x) is GaussianRational)
+    m, scales = [], []
+    for r in rows:
+        if gaussian:
+            r = [GR_ONE * x for x in r]
+            s = lcm(*(int(q.denominator) for x in r for q in (x.re, x.im)))
+            m.append([x * s for x in r])
+        else:
+            if has_gr:
+                r = [x.re if type(x) is GaussianRational else x for x in r]
+            # most entries of the contraction blocks are zero
+            s = lcm(*(int(q.denominator) for q in r if q))
+            m.append([int(q.numerator) * (s // int(q.denominator)) if q else 0 for q in r])
+        scales.append(s)
+    if gaussian:
+        return m, scales, truediv, lambda n, d: GR_ONE * n / d
+    if has_gr:
+        return m, scales, floordiv, lambda n, d: GaussianRational(rat(n, d), RZERO)
+    return m, scales, floordiv, rat
 
-    @staticmethod
-    def identity(n, one=GR_ONE, zero=GR_ZERO):
-        return ExactMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self.rows)] if self.rows else [])
+def _eliminate(m, div, reduce):
+    """Bareiss elimination of the integral rows `m`, in place.
 
-    def rank(self) -> int:
-        _, pivots = rref(self.rows)
-        return len(pivots)
-
-    def kernel_basis(self):
-        return kernel_basis(self.rows, self.ncols)
-
-    def solve(self, b):
-        return solve(self.rows, b)
+    Forward only, unless `reduce` also clears the rows above each pivot
+    (fraction-free Gauss-Jordan); then every pivot ends equal to the last one.
+    Returns (pivot columns, last pivot, sign of the row permutation).
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots, d, sign, r = [], 1, 1, 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        rr = m[r]
+        p = rr[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            ri = m[i]
+            f = ri[c]
+            # zeros are skipped, not computed; a row with f = 0 is still
+            # rescaled by p/d so that its entries stay minors
+            if f:
+                m[i] = [div(p * a - f * b, d) if a or b else a for a, b in zip(ri, rr)]
+            elif p != d:
+                m[i] = [div(p * a, d) if a else a for a in ri]
+        pivots.append(c)
+        d = p
+        r += 1
+        if r == nrows:
+            break
+    return pivots, d, sign
 
 
 def rref(rows):
     """Reduced row echelon form; returns (new rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        if piv != 1:
-            inv_row = m[r]
-            m[r] = [x / piv for x in inv_row]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                ri, rr = m[i], m[r]
-                m[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    m, _, div, lift = _integral(rows)
+    pivots, d, _ = _eliminate(m, div, reduce=True)
+    zero = lift(0, 1)
+    return [[lift(x, d) if x else zero for x in r] for r in m], pivots
 
 
 def rank(rows) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
+    m, _, div, _ = _integral(rows)
+    return len(_eliminate(m, div, reduce=False)[0])
+
+
+def det(rows):
+    """Exact determinant of a square matrix."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    m, scales, div, lift = _integral(rows)
+    pivots, d, sign = _eliminate(m, div, reduce=False)
+    # the last pivot is the determinant of the row-permuted, row-scaled matrix
+    return lift(sign * d if len(pivots) == n else 0, prod(scales))
 
 
 def kernel_basis(rows, ncols=None):
@@ -84,16 +115,16 @@ def kernel_basis(rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        rows = []
     m, pivots = rref(rows)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    # 0 in the element type of the result; GaussianRational when it has no entries
+    zero = next((x - x for r in m for x in r), GR_ZERO)
     basis = []
-    zero, one = _zero_one_like(rows)
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
         v = [zero] * ncols
-        v[fc] = one
+        v[fc] = zero + 1
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
         basis.append(v)
@@ -109,31 +140,17 @@ def solve(rows, b):
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0])
-    aug = [list(r) + [bv] for r, bv in zip(rows, b)]
-    m, pivots = rref(aug)
+    m, pivots = rref([list(r) + [bv] for r, bv in zip(rows, b)])
     # inconsistent iff a pivot lands in the augmented column
     if ncols in pivots:
         return None
-    zero, one = _zero_one_like(rows)
-    x = [zero] * ncols
+    x = [m[0][ncols] * 0] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = m[r][ncols]
-    kern = kernel_basis(rows, ncols)
-    return x, kern
-
-
-def _zero_one_like(rows):
-    for r in rows:
-        for x in r:
-            if isinstance(x, GaussianRational):
-                return GR_ZERO, GR_ONE
-            return x - x, (x - x) + 1
-    return GR_ZERO, GR_ONE
+    return x, kernel_basis(rows, ncols)
 
 
 def span_rank(vectors, ncols=None) -> int:
     """Rank of the span of a list of coordinate vectors."""
     vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return 0
-    return rank(vecs)
+    return rank(vecs) if vecs else 0

@@ -1,10 +1,9 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
 All computations in this package are exact.  The rational backend is
-``gmpy2.mpq`` when available (noticeably faster on the large elimination
-kernels) and ``fractions.Fraction`` otherwise.  Set the environment
-variable ``SUBSYM_RATIONAL_BACKEND`` to ``gmpy2`` or ``fraction`` to force
-a choice; the default ``auto`` prefers gmpy2.
+``gmpy2.mpq`` when available and ``fractions.Fraction`` otherwise.  Set the
+environment variable ``SUBSYM_RATIONAL_BACKEND`` to ``gmpy2`` or ``fraction``
+to force a choice; the default ``auto`` prefers gmpy2.
 
 A :class:`GaussianRational` is a + b*i with exact rational a, b.  Both
 components are kept in lowest terms with positive denominator (the backend

@@ -502,33 +502,8 @@ def pascal_identity_check(s_max: int):
     return bad
 
 
-def _det(rows):
-    """Exact determinant by fraction-preserving elimination."""
-    n = len(rows)
-    m = [[rat(x) for x in r] for r in rows]
-    det = rat(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return rat(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
 def a_matrix_det(s: int):
-    return _det([[a_coeff(s, r, i) for i in range(1, s + 1)] for r in range(1, s + 1)])
+    return linalg.det([[a_coeff(s, r, i) for i in range(1, s + 1)] for r in range(1, s + 1)])
 
 
 def type_count(d: int, s: int, i: int) -> int:

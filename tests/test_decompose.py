@@ -288,6 +288,7 @@ def test_seven_pieces():
         rep = seven_pieces_check(N)
         assert rep["complete"], rep
         assert rep["bracket_is_adjoint"]
+        assert rep["adjoint_is_sl"]
         assert rep["killing_is_line"]
         assert rep["total_with_complement"] == N**4
     rep4 = seven_pieces_check(4)
@@ -300,6 +301,20 @@ def test_seven_pieces():
         "mixed_skew_sym": 45,
         "bracket": 15,
     }
+
+
+def test_seven_pieces_killing_line_is_computed(monkeypatch):
+    # The Killing form vanishes on the strictly upper-triangular subalgebra, so
+    # there the full double contraction of the symmetric part is zero.
+    import subsym.decompose as dec
+
+    full = dec._sl_basis
+    monkeypatch.setattr(
+        dec, "_sl_basis", lambda n: [m for m in full(n) if all(i < j for i, j in m)]
+    )
+    for N in (3, 4):
+        rep = seven_pieces_check(N)
+        assert rep["pieces"]["killing"] == 0 and not rep["killing_is_line"]
 
 
 def test_materialized_basis_count_2_4():

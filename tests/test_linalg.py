@@ -1,15 +1,86 @@
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from subsym.linalg import ExactMatrix, kernel_basis, rank, solve
-from subsym.scalars import GR_ZERO, gr
+from subsym.linalg import det, kernel_basis, rank, rref, solve
+from subsym.scalars import GR_ZERO, GaussianRational, gr, rat
 
 
 def M(rows):
     return [[gr(x) for x in r] for r in rows]
 
 
+# -- the fraction-preserving Gauss-Jordan loop that Bareiss elimination replaced,
+# kept as the reference the differential tests compare against ----------------
+
+
+def oracle_rref(rows):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        if piv != 1:
+            m[r] = [x / piv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def oracle_kernel(rows, ncols):
+    m, pivots = oracle_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def oracle_det(rows):
+    n = len(rows)
+    m = [list(r) for r in rows]
+    d = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d = d * m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return d
+
+
+# -- unit cases ------------------------------------------------------------------
+
+
 def test_identity_rank():
-    assert ExactMatrix(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).rank() == 3
+    assert rank(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
 
 def test_nonsingular_homogeneous():
@@ -48,6 +119,15 @@ def test_complex_entries():
     assert rank(m) == 1
 
 
+def test_det_small():
+    assert det([[rat(1, 2), rat(1, 3)], [rat(1, 4), rat(1, 5)]]) == rat(1, 60)
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([]) == 1
+    assert det(M([[0, 1], [1, 0]])) == gr(-1) and isinstance(det(M([[2]])), GaussianRational)
+    assert det([[gr(0, 1), gr(1)], [gr(1), gr(0, 1)]]) == gr(-2)
+
+
 mats = st.lists(
     st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=2, max_size=4
 )
@@ -56,12 +136,97 @@ mats = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(mats)
 def test_rank_equals_transpose_rank(rows):
-    m = ExactMatrix(M(rows))
-    assert m.rank() == m.transpose().rank()
+    assert rank(M(rows)) == rank(M(zip(*rows)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(mats)
 def test_rank_nullity(rows):
-    m = ExactMatrix(M(rows))
-    assert m.rank() + len(m.kernel_basis()) == m.ncols
+    m = M(rows)
+    assert rank(m) + len(kernel_basis(m, 3)) == 3
+
+
+# -- differential tests against the reference loop -------------------------------
+
+fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+)
+
+
+@st.composite
+def exact_matrices(draw, square=False):
+    """Matrices of Fraction, real GaussianRational or complex GaussianRational
+    entries, with zero rows and columns and dependent rows mixed in."""
+    kind = draw(st.sampled_from(["fraction", "real", "complex"]))
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 6))
+
+    def entry():
+        re = draw(fractions)
+        if kind == "fraction":
+            return rat(re)
+        return gr(re, draw(fractions) if kind == "complex" else 0)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [entry() * 0 for _ in range(ncols)]
+    if draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[c] = r[c] * 0
+    if nrows > 1 and draw(st.booleans()):
+        # a dependent row: a combination of two others
+        a, b = draw(st.integers(0, nrows - 2)), draw(st.integers(0, nrows - 2))
+        s, t = entry(), entry()
+        rows[-1] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def _element_type(rows):
+    if any(isinstance(x, GaussianRational) for r in rows for x in r):
+        return GaussianRational
+    return type(rat(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_matrices())
+def test_rref_matches_reference(rows):
+    red, pivots = rref(rows)
+    ref_red, ref_pivots = oracle_rref(rows)
+    assert pivots == ref_pivots
+    assert red == ref_red
+    t = _element_type(rows)
+    assert all(type(x) is t for r in red for x in r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_matrices())
+def test_rank_and_kernel_match_reference(rows):
+    ncols = len(rows[0])
+    assert rank(rows) == len(oracle_rref(rows)[1])
+    assert kernel_basis(rows, ncols) == oracle_kernel(rows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_matrices(square=True))
+def test_det_matches_reference(rows):
+    assert det(rows) == oracle_det(rows)
+
+
+def test_weight_zero_block_3_6():
+    from subsym.decompose import _contraction_matrix, weight_blocks
+
+    block = weight_blocks(3, 6)[(0,) * 6]
+    dense = _contraction_matrix(block)
+    assert (len(dense), len(dense[0])) == (102, 186)
+    assert rank(dense) == 91
+    kern = kernel_basis(dense, len(block))
+    assert len(kern) == 95
+    assert (rref(dense), kern) == (oracle_rref(dense), oracle_kernel(dense, len(block)))
+
+
+def test_isotypic_table_3_6():
+    from subsym.decompose import isotypic_table
+
+    assert isotypic_table(3, 6) == {(3,): 2695, (2, 1): 3675, (1, 1, 1): 175}
