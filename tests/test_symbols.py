@@ -175,6 +175,22 @@ def test_zero_symbols_pass_vacuously(m2):
     assert all(ok for _, ok, _ in rec)
 
 
+def test_skew_three_columns_kills_symbols():
+    for n in (2, 3):
+        m = BoundaryModel(n)
+        rng = random.Random(17 + n)
+        T = AmbientSymTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
+        Tsk = T.skew_slots([0, 1, 2], upper=True)
+        assert Tsk
+        syms = extract_all_symbols(m, Tsk)
+        assert all(not s for s in syms.values())
+        # the double-skew is column-symmetric, nonzero, and still silent
+        Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
+        assert Tdb and Tdb.is_column_symmetric()
+        symsd = extract_all_symbols(m, Tdb)
+        assert all(not s for s in symsd.values())
+
+
 def test_el2_elements_induce_zero():
     # the ideal generators: double-skew of U (x) V (x) W for traceless inputs
     n = 2
