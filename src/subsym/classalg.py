@@ -131,11 +131,14 @@ def conjugacy_classes(k):
     return [(lam, class_size(lam)) for lam in partitions(k)]
 
 
+CLASS_ELEMENTS_MAX_K = 8
+
+
 @lru_cache(maxsize=None)
 def class_elements(k):
     """dict partition -> tuple of all permutations of that cycle type (k <= 8)."""
-    if k > 8:
-        raise ValueError("full class enumeration is capped at k = 8")
+    if k > CLASS_ELEMENTS_MAX_K:
+        raise ValueError(f"full class enumeration is capped at k = {CLASS_ELEMENTS_MAX_K}")
     buckets = {lam: [] for lam in partitions(k)}
     for p in itertools.permutations(range(k)):
         buckets[cycle_type(p)].append(p)
@@ -471,22 +474,6 @@ def standard_tableaux(lam):
 
     rec(0, [[] for _ in lam])
     return results
-
-
-def _row_group(tab, k):
-    """All permutations preserving each row (as 0-based position permutations)."""
-    perms = [identity_perm(k)]
-    for row in tab:
-        idx = [v - 1 for v in row]
-        new = []
-        for base in perms:
-            for arr in itertools.permutations(idx):
-                img = list(base)
-                for src, dst in zip(idx, arr):
-                    img[src] = base[dst]
-                new.append(tuple(img))
-        perms = list(set(new))
-    return perms
 
 
 def _group_from_blocks(blocks, k):

@@ -315,11 +315,7 @@ def _suite_commutant(params, rep: VerificationReport):
         conjugation_lemmas_check,
     )
 
-    cases = (
-        [(params["k"], params["dim"])]
-        if params.get("k") and params.get("dim")
-        else [(2, 4), (3, 6)]
-    )
+    cases = [(2, 4), (3, 6)] if params.get("k") is None else [(params["k"], params["dim"])]
     for (k, N) in cases:
         def cp(lam, mu, _k=k):
             return class_multiply(
@@ -332,10 +328,13 @@ def _suite_commutant(params, rep: VerificationReport):
             f"(k,N)=({k},{N}): operator products match class-algebra constants on S^k_0",
             not bad,
             str(bad[0]) if bad else None,
+            cases=res.cases,
         )
+        independent, cases = basis_operator_independence(k, N)
         rep.add(
             f"(k,N)=({k},{N}): the p(k) basis operators are linearly independent",
-            basis_operator_independence(k, N),
+            independent,
+            cases=cases,
         )
     lem = conjugation_lemmas_check(2, 3, seed=rep.seed or 0)
     rep.add("Ad-conjugation lemmas (k=2, N=3)", all(ok for _, ok in lem))
@@ -353,14 +352,15 @@ def _suite_decompose(params, rep: VerificationReport):
         weyl_dim,
     )
 
-    k = params.get("k") or 2
-    N = params.get("dim") or 4
+    k = 2 if params.get("k") is None else params["k"]
+    N = 4 if params.get("dim") is None else params["dim"]
     table = isotypic_table(k, N)
     dim = trace_free_dimension(k, N)
     rep.add(
         f"(k,N)=({k},{N}): isotypic ranks sum to the kernel dimension",
         sum(table.values()) == dim,
         f"{table} vs {dim}",
+        cases=dim,
     )
     if (k, N) == (2, 4):
         rep.add("(2,4): ranks are {84, 20} with total 104",
@@ -398,19 +398,26 @@ def _suite_hwvectors(params, rep: VerificationReport):
     from .classalg import partitions
     from .decompose import highest_weight_vector, skew_vanishing_check
 
-    Nmax = params.get("dim") or 6
-    kmax = params.get("k") or 3
+    Nmax = 6 if params.get("dim") is None else params["dim"]
+    kmax = 3 if params.get("k") is None else params["k"]
     ok = True
     witness = None
+    cases = 0
     for N in range(2, Nmax + 1):
         for k in range(1, kmax + 1):
             for lam in partitions(k):
                 if 2 * len(lam) <= N:
+                    cases += 1
                     _, nz = highest_weight_vector(lam, N)
                     if not nz:
                         ok = False
                         witness = f"lambda={lam}, N={N}"
-    rep.add(f"highest-weight vectors nonzero for 2*depth <= N, k <= {kmax}, N <= {Nmax}", ok, witness)
+    rep.add(
+        f"highest-weight vectors nonzero for 2*depth <= N, k <= {kmax}, N <= {Nmax}",
+        ok,
+        witness,
+        cases=cases,
+    )
     for (lam, k, N) in [((2,), 2, 3), ((3,), 3, 4), ((2, 1), 3, 3)]:
         res = skew_vanishing_check(lam, k, N, trials=5, seed=rep.seed or 0)
         rep.add(
@@ -452,7 +459,26 @@ def run(suite: str, params: dict) -> list[VerificationReport]:
     return reports
 
 
-def _validated(args) -> dict:
+def _problems(params) -> list:
+    """Why the flag values in `params` are out of range (empty when none is)."""
+    problems = []
+    for key in ("n", "d", "s", "k", "dim", "deg"):
+        v = params.get(key)
+        if v is None:
+            continue
+        if v < 0:
+            problems.append(f"--{key} must be nonnegative")
+        elif key == "k":
+            from .classalg import CLASS_ELEMENTS_MAX_K
+
+            if not 1 <= v <= CLASS_ELEMENTS_MAX_K:
+                problems.append(f"--k must be between 1 and {CLASS_ELEMENTS_MAX_K}")
+        elif key == "dim" and v < 1:
+            problems.append("--dim must be at least 1")
+    return problems
+
+
+def _validated(args, parser) -> dict:
     params = {
         "n": args.n,
         "d": args.d,
@@ -464,16 +490,14 @@ def _validated(args) -> dict:
         "deg": args.deg,
         "seed": args.seed,
     }
-    problems = []
-    for key in ("n", "d", "s", "k", "dim", "deg"):
-        v = params.get(key)
-        if v is not None and v < 0:
-            problems.append(f"--{key} must be nonnegative")
+    problems = _problems(params)
     if params.get("d") is not None and params.get("s") is not None:
         if 2 * params["s"] > params["d"]:
             problems.append("need 2s <= d")
+    if args.suite in ("commutant", "all") and (args.k is None) != (args.dim is None):
+        problems.append("the commutant suite needs --k and --dim together")
     if problems:
-        raise SystemExit("invalid parameters: " + "; ".join(problems))
+        parser.error("invalid parameters: " + "; ".join(problems))
     return params
 
 
@@ -499,18 +523,21 @@ def main(argv=None):
     outdir = os.environ.get("SUBSYM_OUT_DIR", ".")
 
     if args.command == "table":
+        problems = _problems({"k": args.k, "dim": args.dim})
+        if problems:
+            pt.error("invalid parameters: " + "; ".join(problems))
         if args.kind == "classalg":
             path = args.out or os.path.join(outdir, f"classalg_k{args.k}.csv")
             classalg_table_csv(args.k, path)
         else:
             if args.dim is None:
-                raise SystemExit("table isotypic requires --dim")
+                pt.error("table isotypic requires --dim")
             path = args.out or os.path.join(outdir, f"isotypic_k{args.k}_N{args.dim}.json")
             isotypic_table_json(args.k, args.dim, path)
         print(path)
         return 0
 
-    params = _validated(args)
+    params = _validated(args, pv)
     if params.get("seed") is None:
         params["seed"] = 0
     reports = run(args.suite, params)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import linalg
 from .classalg import (
@@ -193,6 +193,36 @@ def _perm_upper_multiset(M, sigma):
     return tuple(sorted(zip(act_on_tuple(sigma, U), L)))
 
 
+@lru_cache(maxsize=None)
+def _perm_tables(k, N, weight, upper):
+    """Index tables of the slot permutations on one weight block.
+
+    ``tables[sigma][j]`` is the block index of M_j^sigma (lower or upper
+    indices permuted), so a block vector v is pulled back by sigma as
+    ``[v[i] for i in tables[sigma]]``.
+    """
+    block = weight_blocks(k, N)[weight]
+    index = {M: j for j, M in enumerate(block)}
+    mover = _perm_upper_multiset if upper else _perm_lower_multiset
+    return {
+        sigma: tuple(index[mover(M, sigma)] for M in block)
+        for sigma in itertools.permutations(range(k))
+    }
+
+
+def _class_sum(v, tables, perms):
+    """Unnormalised sum over ``perms`` of the pullbacks of the block vector v."""
+    return [sum(xs) for xs in zip(*([v[i] for i in tables[p]] for p in perms))]
+
+
+def _combine(terms, n):
+    """Entrywise sum of c * vec over the (c, vec) pairs; n is the length."""
+    acc = [0] * n
+    for c, vec in terms:
+        acc = [a + c * x for a, x in zip(acc, vec)]
+    return acc
+
+
 def apply_group_algebra_sym(f, weights, k, upper=False):
     """Apply sum_sigma weights[sigma] * (lower-index permutation) to a
     multiset function.  ``weights`` maps permutations to coefficients; the
@@ -202,22 +232,22 @@ def apply_group_algebra_sym(f, weights, k, upper=False):
     Evaluated in pullback form: (op f)(M) = sum_sigma w_sigma f(M^sigma),
     which is exactly the entry of the true tensor operator at any
     arrangement of M.  A pushforward over canonical arrangements would drop
-    stabilizer multiplicities and is wrong.
+    stabilizer multiplicities and is wrong.  ``f`` is split by weight block
+    and each block is acted on through its index tables.
     """
-    mover = _perm_upper_multiset if upper else _perm_lower_multiset
-    candidates = set()
-    for M in f:
-        for sigma in weights:
-            candidates.add(mover(M, sigma))
+    # permutations keep the index values of M, so the blocks of the smallest
+    # dimension holding f are closed under them
+    N = 1 + max((x for M in f for pair in M for x in pair), default=0)
+    by_weight = {}
+    for M, c in f.items():
+        by_weight.setdefault(multiset_weight(M, N), {})[M] = c
     out = {}
-    for M in candidates:
-        s = RZERO
-        for sigma, c in weights.items():
-            v = f.get(mover(M, sigma))
-            if v is not None:
-                s = s + c * v
-        if s:
-            out[M] = s
+    for w, part in by_weight.items():
+        block = weight_blocks(k, N)[w]
+        tables = _perm_tables(k, N, w, upper)
+        v = [part.get(M, RZERO) for M in block]
+        pulled = [(c, [v[i] for i in tables[sigma]]) for sigma, c in weights.items()]
+        out.update((M, x) for M, x in zip(block, _combine(pulled, len(block))) if x)
     return out
 
 
@@ -414,21 +444,36 @@ def _fn_to_block_vec(f, block, index=None):
     return vec
 
 
+def _orbit_kernels(k, N):
+    """(weight, orbit size, integral kernel rows) for every weight-orbit
+    representative whose trace-free kernel is nonzero.  Each row is a kernel
+    vector times a positive integer, which changes no rank and no linear
+    identity."""
+    out = []
+    for w, cnt in weight_orbits(k, N).values():
+        _, kern = trace_free_block_kernel(k, N, w)
+        if kern:
+            out.append((w, cnt, linalg._integral(kern)[0]))
+    return out
+
+
 def isotypic_rank(lam, k, N, upper=False) -> int:
-    """Rank of the central idempotent e_lam on the trace-free symmetric space."""
+    """Rank of the central idempotent e_lam on the trace-free symmetric space.
+
+    e_lam is the nonzero multiple dim(lam)/k! of sum_mu chi^lam(mu) K_mu, K_mu
+    the unnormalised class sum, so the rank is taken on the integer images
+    of that combination, one kernel vector at a time.
+    """
     lam = tuple(lam)
+    chars = [(c, elems) for mu, elems in class_elements(k).items() if (c := mn_character(lam, mu))]
     total = 0
-    for pat, (w, cnt) in weight_orbits(k, N).items():
-        block, kern = trace_free_block_kernel(k, N, w)
-        if not kern:
-            continue
-        index = {M: j for j, M in enumerate(block)}
-        images = []
-        for v in kern:
-            f = idempotent_op(lam, _block_vec_to_fn(block, v), k, upper=upper)
-            images.append(_fn_to_block_vec(f, block, index))
-        r = linalg.span_rank(images)
-        total += cnt * r
+    for w, cnt, rows in _orbit_kernels(k, N):
+        tables = _perm_tables(k, N, w, upper)
+        images = [
+            _combine([(c, _class_sum(v, tables, elems)) for c, elems in chars], len(v))
+            for v in rows
+        ]
+        total += cnt * linalg.span_rank(images)
     return total
 
 
@@ -805,43 +850,47 @@ def gl_action_sym(a, b, f, k, N):
 # commutant multiplication cross-check
 
 
+class PairResults(list):
+    """(lam, mu, ok) triples, and ``cases``: the kernel vectors examined."""
+
+    def __init__(self, triples, cases):
+        super().__init__(triples)
+        self.cases = cases
+
+
 def commutant_mult_crosscheck(k, N, class_product):
     """Check op_{lam} o op_{mu} = sum_tau A_tau op_tau on S^k_0, exactly.
 
     ``class_product(lam, mu)`` must return the structure constants {tau: A}.
     Equality is verified on a kernel basis of every weight-orbit
     representative, which certifies it on all of S^k_0 by equivariance.
-    Returns a list of (lam, mu, ok) triples.
+
+    With K_tau = |C_tau| op_tau the unnormalised class sums, both sides are
+    multiplied by |C_lam||C_mu| and by one common integer D per pair:
+    D K_lam K_mu v = sum_tau (D |C_lam||C_mu| A_tau / |C_tau|) K_tau v, an
+    equality of integer vectors on the integral kernel rows v.  The p(k)
+    class sums of each kernel vector serve all p(k)^2 pairs.
+    Returns a PairResults list of (lam, mu, ok) triples.
     """
-    results = []
-    orbit_data = []
-    for pat, (w, cnt) in weight_orbits(k, N).items():
-        block, kern = trace_free_block_kernel(k, N, w)
-        if kern:
-            orbit_data.append((block, kern))
-    for lam in partitions(k):
-        for mu in partitions(k):
-            coeffs = class_product(lam, mu)
-            ok = True
-            for block, kern in orbit_data:
-                for v in kern:
-                    f = _block_vec_to_fn(block, v)
-                    lhs = commutant_basis_op(lam, commutant_basis_op(mu, f, k), k)
-                    rhs = {}
-                    for tau, a in coeffs.items():
-                        for M, c in commutant_basis_op(tau, f, k).items():
-                            s = rhs.get(M, RZERO) + a * c
-                            if s:
-                                rhs[M] = s
-                            else:
-                                rhs.pop(M, None)
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            results.append((lam, mu, ok))
-    return results
+    elems = class_elements(k)
+    scaled = {}
+    for lam, mu in itertools.product(partitions(k), repeat=2):
+        size = len(elems[lam]) * len(elems[mu])
+        coeffs = {tau: rat(size) * a / len(elems[tau]) for tau, a in class_product(lam, mu).items()}
+        D = lcm(*(int(c.denominator) for c in coeffs.values()))
+        scaled[(lam, mu)] = (D, [(tau, int(c * D)) for tau, c in coeffs.items()])
+    ok = dict.fromkeys(scaled, True)
+    cases = 0
+    for w, _, rows in _orbit_kernels(k, N):
+        tables = _perm_tables(k, N, w, False)
+        for v in rows:
+            cases += 1
+            K = {tau: _class_sum(v, tables, perms) for tau, perms in elems.items()}
+            for (lam, mu), (D, ints) in scaled.items():
+                if ok[(lam, mu)]:
+                    lhs = [D * x for x in _class_sum(K[mu], tables, elems[lam])]
+                    ok[(lam, mu)] = lhs == _combine([(c, K[tau]) for tau, c in ints], len(v))
+    return PairResults([(lam, mu, good) for (lam, mu), good in ok.items()], cases)
 
 
 def young_vs_idempotent_images(k, N):
@@ -885,18 +934,24 @@ def young_vs_idempotent_images(k, N):
     return results
 
 
-def basis_operator_independence(k, N) -> bool:
-    """The p(k) commutant basis operators are linearly independent on S^k_0."""
+def basis_operator_independence(k, N):
+    """Whether the p(k) commutant basis operators are linearly independent
+    on S^k_0; returns (ok, cases), cases being the kernel vectors examined.
+
+    Each operator is flattened to its integer class sums on the integral
+    kernel rows of every weight-orbit representative.  The class sizes
+    scale whole operators and the kernel-row scales scale columns, so the
+    rank is that of the averaged operators on the kernel basis.
+    """
     flat = {lam: [] for lam in partitions(k)}
-    for pat, (w, cnt) in weight_orbits(k, N).items():
-        block, kern = trace_free_block_kernel(k, N, w)
-        index = {M: j for j, M in enumerate(block)}
-        for v in kern:
-            f = _block_vec_to_fn(block, v)
-            for lam in partitions(k):
-                flat[lam].extend(_fn_to_block_vec(commutant_basis_op(lam, f, k), block, index))
-    vectors = [flat[lam] for lam in partitions(k)]
-    return linalg.span_rank(vectors) == len(vectors)
+    cases = 0
+    for w, _, rows in _orbit_kernels(k, N):
+        tables = _perm_tables(k, N, w, False)
+        for v in rows:
+            cases += 1
+            for lam, elems in class_elements(k).items():
+                flat[lam].extend(_class_sum(v, tables, elems))
+    return linalg.span_rank(list(flat.values())) == len(flat), cases
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,11 @@ def solve(rows, b):
 
 
 def span_rank(vectors, ncols=None) -> int:
-    """Rank of the span of a list of coordinate vectors."""
+    """Rank of the span of a list of coordinate vectors.
+
+    Entries may be plain ints as well as rationals: ints carry
+    ``numerator`` and ``denominator``, so integer rows go to elimination as
+    they are, with no rational wrapping.
+    """
     vecs = [v for v in vectors if any(v)]
     return rank(vecs) if vecs else 0

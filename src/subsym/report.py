@@ -37,7 +37,10 @@ class VerificationReport:
     seed: int | None = None
     elapsed_seconds: float | None = None
 
-    def add(self, name, ok, witness=None, finding=False):
+    def add(self, name, ok, witness=None, finding=False, cases=None):
+        """Record one check; a check that examined 0 ``cases`` fails as vacuous."""
+        if cases == 0:
+            ok, witness = False, "vacuous: 0 cases"
         status = "pass" if ok else ("finding" if finding else "fail")
         self.checks.append(CheckResult(name, status, None if ok else witness))
 

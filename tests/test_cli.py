@@ -12,10 +12,11 @@ def test_unknown_suite_rejected():
         run("bogus", {})
 
 
-def test_invalid_parameters_listed():
+def test_invalid_parameters_listed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "prop1", "--d", "2", "--s", "3"])
-    assert "2s <= d" in str(exc.value)
+    assert exc.value.code == 2
+    assert "2s <= d" in capsys.readouterr().err
 
 
 def test_verify_hwvectors_passes(capsys):
@@ -127,7 +128,57 @@ def test_all_suites_enumerated():
     }
 
 
-def test_negative_flag_rejected():
+def test_negative_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "classalg", "--k", "-2"])
-    assert "nonnegative" in str(exc.value)
+    assert exc.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["verify", "commutant", "--k", "0", "--dim", "4"], "--k must be between 1 and 8"),
+        (["verify", "commutant", "--k", "2", "--dim", "0"], "--dim must be at least 1"),
+        (["verify", "decompose", "--k", "0"], "--k must be between 1 and 8"),
+        (["verify", "hwvectors", "--dim", "0"], "--dim must be at least 1"),
+        (["verify", "commutant", "--k", "9", "--dim", "2"], "--k must be between 1 and 8"),
+        (["verify", "commutant", "--k", "2"], "needs --k and --dim together"),
+        (["table", "classalg", "--k", "9"], "--k must be between 1 and 8"),
+    ],
+    ids=["commutant-k0", "commutant-dim0", "decompose-k0", "hwvectors-dim0",
+         "commutant-k9", "commutant-k-without-dim", "table-classalg-k9"],
+)
+def test_out_of_range_tensor_parameters_are_usage_errors(argv, problem, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and problem in err
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["verify", "commutant", "--k", "2", "--dim", "1"],
+         "(k,N)=(2,1): operator products match class-algebra constants on S^k_0"),
+        (["verify", "decompose", "--k", "2", "--dim", "1"],
+         "(k,N)=(2,1): isotypic ranks sum to the kernel dimension"),
+        (["verify", "hwvectors", "--dim", "1"],
+         "highest-weight vectors nonzero for 2*depth <= N, k <= 3, N <= 1"),
+    ],
+    ids=["commutant", "decompose", "hwvectors"],
+)
+def test_check_with_zero_cases_fails_as_vacuous(argv, check, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"[FAIL] {argv[1]}: {check}  witness: vacuous: 0 cases" in out.splitlines()
+
+
+def test_report_fails_a_check_that_examined_zero_cases():
+    rep = VerificationReport(suite="demo", parameters={})
+    rep.add("counted", True, cases=3)
+    rep.add("empty", True, cases=0)
+    assert [c.status for c in rep.checks] == ["pass", "fail"]
+    assert rep.checks[1].witness == "vacuous: 0 cases"

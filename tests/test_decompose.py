@@ -1,12 +1,25 @@
 import itertools
 import random
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subsym.classalg import ClassElement, class_multiply, from_cycles, partitions
+from subsym.classalg import (
+    ClassElement,
+    char_dim,
+    class_elements,
+    class_multiply,
+    from_cycles,
+    mn_character,
+    partitions,
+)
 from subsym.decompose import (
     MixedTensor,
+    _perm_lower_multiset,
+    _perm_upper_multiset,
     apply_c_s,
+    apply_group_algebra_sym,
     averaged_c_s,
     basis_operator_independence,
     commutant_basis_op,
@@ -29,11 +42,12 @@ from subsym.decompose import (
     trace_free_block_kernel,
     trace_free_dimension,
     trace_free_symmetric_basis,
+    weight_blocks,
     weight_orbits,
     weyl_dim,
     young_vs_idempotent_images,
 )
-from subsym.scalars import rat
+from subsym.scalars import RZERO, rat
 
 
 def class_product(k):
@@ -110,6 +124,74 @@ def test_conjugation_lemmas():
 def test_identity_class_acts_as_identity():
     f = {M: rat(1 + i) for i, M in enumerate(pair_multisets(2, 3))}
     assert commutant_basis_op((1, 1), f, 2) == f
+
+
+# -- the block-table action against the dict pullback it replaced -------------
+
+
+def reference_apply_group_algebra_sym(f, weights, k, upper=False):
+    """Dict pullback (op f)(M) = sum_sigma w_sigma f(M^sigma) over the
+    multisets reachable from the support of f; correct for class-closed
+    weights, and the oracle of the block-table action."""
+    mover = _perm_upper_multiset if upper else _perm_lower_multiset
+    candidates = set()
+    for M in f:
+        for sigma in weights:
+            candidates.add(mover(M, sigma))
+    out = {}
+    for M in candidates:
+        s = RZERO
+        for sigma, c in weights.items():
+            v = f.get(mover(M, sigma))
+            if v is not None:
+                s = s + c * v
+        if s:
+            out[M] = s
+    return out
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool).map(
+    lambda q: rat(q.numerator, q.denominator)
+)
+
+
+@st.composite
+def spread_tensors(draw, k, N):
+    """A rational multiset function supported on two to four weight blocks."""
+    blocks = weight_blocks(k, N)
+    weights = draw(st.lists(st.sampled_from(sorted(blocks)), min_size=2, max_size=4, unique=True))
+    f = {}
+    for w in weights:
+        for M in draw(st.lists(st.sampled_from(blocks[w]), min_size=1, max_size=4, unique=True)):
+            f[M] = draw(rationals)
+    return f
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("k, N", [(k, N) for k in (2, 3) for N in (2, 3, 4)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_block_action_matches_dict_pullback(k, N, upper, data):
+    f = data.draw(spread_tensors(k, N))
+    for tau, elems in class_elements(k).items():
+        avg = {p: rat(1, len(elems)) for p in elems}
+        assert commutant_basis_op(tau, f, k, upper=upper) == reference_apply_group_algebra_sym(
+            f, avg, k, upper
+        )
+    for lam in partitions(k):
+        idem = {
+            p: rat(char_dim(lam) * mn_character(lam, mu), factorial(k))
+            for mu, elems in class_elements(k).items()
+            for p in elems
+        }
+        assert idempotent_op(lam, f, k, upper=upper) == reference_apply_group_algebra_sym(
+            f, idem, k, upper
+        )
+    class_fn = {mu: data.draw(rationals) for mu in partitions(k)}
+    central = {p: class_fn[mu] for mu, elems in class_elements(k).items() for p in elems}
+    assert apply_group_algebra_sym(f, central, k, upper) == reference_apply_group_algebra_sym(
+        f, central, k, upper
+    )
 
 
 # -- trace-free symmetric subspace -------------------------------------------
@@ -230,19 +312,71 @@ def test_gl_action_is_a_representation():
 # -- commutant multiplication --------------------------------------------------
 
 
+def kernel_vector_count(k, N):
+    return sum(len(trace_free_block_kernel(k, N, w)[1]) for w, _ in weight_orbits(k, N).values())
+
+
 def test_commutant_crosscheck_2_4():
     res = commutant_mult_crosscheck(2, 4, class_product(2))
     assert all(ok for _, _, ok in res)
+    assert res.cases == kernel_vector_count(2, 4) > 0
 
 
 def test_commutant_crosscheck_3_4_below_stable():
     res = commutant_mult_crosscheck(3, 4, class_product(3))
     assert all(ok for _, _, ok in res)
+    assert res.cases == kernel_vector_count(3, 4) > 0
+
+
+def test_commutant_crosscheck_reports_zero_cases_on_zero_space():
+    res = commutant_mult_crosscheck(2, 1, class_product(2))
+    assert res.cases == 0 and len(res) == 4
+
+
+@pytest.mark.parametrize(
+    "k, N, pair, src, dst",
+    [(2, 4, ((2,), (2,)), (1, 1), (2,)), (3, 6, ((2, 1), (3,)), (2, 1), (1, 1, 1))],
+)
+def test_crosscheck_catches_a_moved_class_constant(k, N, pair, src, dst):
+    """Moving 1/100 of one structure constant to another class fails exactly that pair."""
+    true_product = class_product(k)
+
+    def perturbed(lam, mu):
+        coeffs = dict(true_product(lam, mu))
+        if (lam, mu) == pair:
+            delta = coeffs[src] / 100
+            coeffs[src] -= delta
+            coeffs[dst] = coeffs.get(dst, RZERO) + delta
+        return coeffs
+
+    res = commutant_mult_crosscheck(k, N, perturbed)
+    assert len(res) == len(partitions(k)) ** 2
+    assert [(lam, mu) for lam, mu, ok in res if not ok] == [pair]
+
+
+def test_crosscheck_catches_a_spurious_fractional_constant():
+    # |C_lam||C_mu|/|C_tau| = 1 here, so the constant stays 1/100: only the
+    # common integer scale of the pair keeps it from being dropped
+    def spurious(lam, mu):
+        coeffs = dict(class_product(2)(lam, mu))
+        if (lam, mu) == ((1, 1), (2,)):
+            coeffs[(1, 1)] = rat(1, 100)
+        return coeffs
+
+    res = commutant_mult_crosscheck(2, 4, spurious)
+    assert [(lam, mu) for lam, mu, ok in res if not ok] == [((1, 1), (2,))]
 
 
 def test_basis_independence():
-    assert basis_operator_independence(2, 4)
-    assert basis_operator_independence(3, 6)
+    for (k, N) in [(2, 4), (3, 6)]:
+        ok, cases = basis_operator_independence(k, N)
+        assert ok and cases == kernel_vector_count(k, N)
+
+
+def test_basis_independence_fails_below_the_stable_range():
+    # p(3) = 3 operators, but S^3_0 sl(4) has only two nonzero isotypic parts
+    assert isotypic_table(3, 4)[(1, 1, 1)] == 0
+    assert basis_operator_independence(3, 4) == (False, kernel_vector_count(3, 4))
 
 
 def test_young_vs_idempotent_images():
@@ -342,4 +476,4 @@ def test_pinned_matrix_2_5():
     assert sum(tab.values()) == trace_free_dimension(2, 5) == stable_dim_formula(2, 5)
     for lam, r in tab.items():
         assert r == weyl_dim(lambda_plus_dual(lam, 5), 5)
-    assert basis_operator_independence(2, 5)
+    assert basis_operator_independence(2, 5) == (True, kernel_vector_count(2, 5))

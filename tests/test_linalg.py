@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from subsym.linalg import det, kernel_basis, rank, rref, solve
+from subsym.linalg import det, kernel_basis, rank, rref, solve, span_rank
 from subsym.scalars import GR_ZERO, GaussianRational, gr, rat
 
 
@@ -230,3 +230,15 @@ def test_isotypic_table_3_6():
     from subsym.decompose import isotypic_table
 
     assert isotypic_table(3, 6) == {(3,): 2695, (2, 1): 3675, (1, 1, 1): 175}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_span_rank_takes_int_rows(rows):
+    # integer rows, as the class-sum images in decompose are, rank as their rationals do
+    assert span_rank(rows) == len(oracle_rref([[Fraction(x) for x in r] for r in rows])[1])
+
+
+def test_span_rank_int_rows_fixed():
+    assert span_rank([[2, 4, 0], [1, 2, 0], [0, 0, 3], [0, 0, 0]]) == 2
+    assert span_rank([[0, 0], [0, 0]]) == 0
