@@ -10,7 +10,7 @@ verification suites over all of it.
 
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, RATIONAL_BACKEND, gr, rat
 from .rings import LaurentPoly, Ring, RingMismatchError, UnknownGeneratorError
-from .weyl import WeylOperator, weyl_apply, weyl_commutator, weyl_compose
+from .weyl import WeylOperator
 
 __all__ = [
     "GaussianRational",
@@ -25,9 +25,6 @@ __all__ = [
     "RingMismatchError",
     "UnknownGeneratorError",
     "WeylOperator",
-    "weyl_apply",
-    "weyl_compose",
-    "weyl_commutator",
 ]
 
 __version__ = "0.1.0"

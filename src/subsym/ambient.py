@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import linalg
 from .rings import LaurentPoly, Ring
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr, rat
+from .tensor import SparseTensor
 from .weyl import WeylOperator
 
 
@@ -251,158 +252,10 @@ def bidegree_monomials(m: AmbientModel, w1: int, w2: int, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# column-symmetric ambient tensors and higher compositions
+# higher symmetries from column-symmetric ambient tensors
 
 
-class AmbientSymTensor:
-    """Tensor V^{B_1..B_d}_{A_1..A_d}, stored sparsely keyed by (B_tuple, A_tuple).
-
-    Column i is the pair (B_i, A_i); the tensors feeding the higher symmetry
-    operators are symmetric under simultaneous permutations of columns.
-    """
-
-    __slots__ = ("d", "N", "entries")
-
-    def __init__(self, d, N, entries=None):
-        self.d = d
-        self.N = N
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AmbientSymTensor)
-            and (self.d, self.N) == (other.d, other.N)
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, GR_ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return AmbientSymTensor(self.d, self.N, out)
-
-    def scale(self, c):
-        return AmbientSymTensor(self.d, self.N, {k: c * v for k, v in self.entries.items()})
-
-    def column_permuted(self, perm) -> "AmbientSymTensor":
-        out = {}
-        for (B, A), v in self.entries.items():
-            key = (
-                tuple(B[perm[i]] for i in range(self.d)),
-                tuple(A[perm[i]] for i in range(self.d)),
-            )
-            out[key] = out.get(key, GR_ZERO) + v
-        return AmbientSymTensor(self.d, self.N, out)
-
-    def is_column_symmetric(self) -> bool:
-        for t in range(self.d - 1):
-            perm = list(range(self.d))
-            perm[t], perm[t + 1] = perm[t + 1], perm[t]
-            if self.column_permuted(perm) != self:
-                return False
-        return True
-
-    def symmetrize_columns(self) -> "AmbientSymTensor":
-        from math import factorial
-
-        acc = AmbientSymTensor(self.d, self.N, {})
-        for perm in itertools.permutations(range(self.d)):
-            acc = acc + self.column_permuted(perm)
-        return acc.scale(gr(rat(1, factorial(self.d))))
-
-    def skew_slots(self, slots, upper=True) -> "AmbientSymTensor":
-        """Antisymmetrize over the given B-slots (or A-slots), averaged."""
-        from math import factorial
-
-        from .classalg import perm_sign
-
-        out = {}
-        slots = list(slots)
-        norm = rat(1, factorial(len(slots)))
-        for arr in itertools.permutations(slots):
-            p = list(range(self.d))
-            for s_, a_ in zip(slots, arr):
-                p[s_] = a_
-            sign = perm_sign(tuple(p))
-            for (B, A), v in self.entries.items():
-                if upper:
-                    key = (tuple(B[p[i]] for i in range(self.d)), A)
-                else:
-                    key = (B, tuple(A[p[i]] for i in range(self.d)))
-                s = out.get(key, GR_ZERO) + v * gr(sign * norm)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return AmbientSymTensor(self.d, self.N, out)
-
-    def contraction(self, b_slot, a_slot) -> dict:
-        """Contract upper slot b_slot against lower slot a_slot."""
-        out = {}
-        for (B, A), v in self.entries.items():
-            if B[b_slot] != A[a_slot]:
-                continue
-            key = (
-                B[:b_slot] + B[b_slot + 1 :],
-                A[:a_slot] + A[a_slot + 1 :],
-            )
-            s = out.get(key, GR_ZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return out
-
-    def is_totally_trace_free(self) -> bool:
-        return not any(
-            self.contraction(b, a) for b in range(self.d) for a in range(self.d)
-        )
-
-    @staticmethod
-    def from_matrix(V: TracelessMatrix) -> "AmbientSymTensor":
-        N = V.dim
-        entries = {}
-        for B in range(N):
-            for A in range(N):
-                if V[B][A]:
-                    entries[((B,), (A,))] = V[B][A]
-        return AmbientSymTensor(1, N, entries)
-
-    @staticmethod
-    def random_column_symmetric(d, N, rng, bound=2, density=0.4) -> "AmbientSymTensor":
-        entries = {}
-        for B in itertools.product(range(N), repeat=d):
-            for A in itertools.product(range(N), repeat=d):
-                if rng.random() < density:
-                    c = rng.randint(-bound, bound)
-                    if c:
-                        entries[(B, A)] = gr(c)
-        t = AmbientSymTensor(d, N, entries)
-        return t.symmetrize_columns()
-
-    @staticmethod
-    def random_disjoint_trace_free(d, N, rng, bound=2) -> "AmbientSymTensor":
-        """Column-symmetric and totally trace-free by disjoint index supports:
-        upper indices take values in {1, N-1}, lower in {0, 2}; needs N >= 4."""
-        if N < 4:
-            raise ValueError("needs N >= 4")
-        entries = {}
-        for B in itertools.product((1, N - 1), repeat=d):
-            for A in itertools.product((0, 2), repeat=d):
-                c = rng.randint(-bound, bound)
-                if c:
-                    entries[(B, A)] = gr(c)
-        return AmbientSymTensor(d, N, entries).symmetrize_columns()
-
-
-def higher_symmetry_op(m: AmbientModel, V: AmbientSymTensor) -> WeylOperator:
+def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
     """Normal-ordered product of first-order generators contracted with V.
 
     Any such operator commutes with the ambient Laplacian and with
@@ -411,15 +264,15 @@ def higher_symmetry_op(m: AmbientModel, V: AmbientSymTensor) -> WeylOperator:
     """
     if V.N != m.N:
         raise ValueError("tensor dimension does not match the model")
-    if not V.is_column_symmetric():
+    if not V.is_symmetric():
         warnings.warn("tensor is not column-symmetric; symbol calculus may degrade")
-    if not V.is_totally_trace_free():
+    if not V.is_trace_free():
         warnings.warn("tensor is not totally trace-free; induced order may drop")
     gens = {}
     out = WeylOperator.zero(m.ring)
     for (B, A), c in V.entries.items():
         term = None
-        for i in range(V.d):
+        for i in range(V.k):
             key = (A[i], B[i])
             op = gens.get(key)
             if op is None:
@@ -436,10 +289,10 @@ def higher_symmetry_op(m: AmbientModel, V: AmbientSymTensor) -> WeylOperator:
 
 @dataclass
 class CompositionParts:
-    T: AmbientSymTensor  # raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C)))
+    T: SparseTensor  # raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C)))
     U: list
     Utilde: list
-    vw2: AmbientSymTensor  # column-symmetrized T
+    vw2: SparseTensor  # column-symmetrized T
     vw1: TracelessMatrix
     vw0: GaussianRational
     w1: int
@@ -572,8 +425,8 @@ def compose_decompose(
                         val = val - invN2 * tr_UpUt
                     if val:
                         entries[((B, D), (A, C))] = val
-    T = AmbientSymTensor(2, N, entries)
-    vw2 = T.symmetrize_columns()
+    T = SparseTensor(2, N, entries)
+    vw2 = T.symmetrized()
     dw = w1 - w2
     beta = gr(rat(n - 2, 2 * n * (n + 4))) * gr(dw)
     M = mat_add(P, Q)
@@ -598,7 +451,7 @@ def uncorrected_vw0(m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix, w1,
     return num * t / gr(n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
 
 
-def t_part_operator(m: AmbientModel, T: AmbientSymTensor) -> WeylOperator:
+def t_part_operator(m: AmbientModel, T: SparseTensor) -> WeylOperator:
     """sum T^{BD}_{AC} (x^A x^C d_B d_D - x^A x_D d_B d^C - x_B x^C d^A d_D
     + x_B x_D d^A d^C)."""
     out = WeylOperator.zero(m.ring)

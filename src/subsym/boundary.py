@@ -53,10 +53,6 @@ class BoundaryModel:
         """Lowered z_a = g_a * conj(z^a)."""
         return self.zb(a).scale(gr(self.g_diag[a - 1]))
 
-    def zb_low(self, a) -> LaurentPoly:
-        """Lowered conjugate zbar_abar = g_a * z^a."""
-        return self.z(a).scale(gr(self.g_diag[a - 1]))
-
     def sigma(self) -> LaurentPoly:
         return self.ring.gen("sigma")
 

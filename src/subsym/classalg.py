@@ -19,7 +19,7 @@ import itertools
 from functools import lru_cache
 from math import factorial
 
-from .scalars import Fraction, rat
+from .scalars import Fraction, accumulate, rat
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -184,11 +184,7 @@ class ClassElement:
         assert self.k == other.k
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            s = out.get(lam, rat(0)) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
+            accumulate(out, lam, c)
         return ClassElement(self.k, out)
 
     def __sub__(self, other):
@@ -258,10 +254,9 @@ def _basis_product_convolution(k, lam, mu):
     prod = a * b
     out = {}
     for p, c in prod.coeffs.items():
-        t = cycle_type(p)
-        out[t] = out.get(t, rat(0)) + c
+        accumulate(out, cycle_type(p), c)
     # coefficient on the averaged class sum: total mass of the class
-    return {t: c for t, c in out.items() if c}
+    return out
 
 
 def center_convolution(u: ClassElement, v: ClassElement, k=None) -> ClassElement:
@@ -306,11 +301,7 @@ class GroupAlgebraElement:
         assert self.k == other.k
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
-            s = out.get(p, rat(0)) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
+            accumulate(out, p, c)
         return GroupAlgebraElement(self.k, out)
 
     def __sub__(self, other):
@@ -324,14 +315,7 @@ class GroupAlgebraElement:
         out = {}
         for p, cp in self.coeffs.items():
             for q, cq in other.coeffs.items():
-                r = compose_perm(p, q)
-                s = out.get(r)
-                v = cp * cq
-                s = v if s is None else s + v
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+                accumulate(out, compose_perm(p, q), cp * cq)
         return GroupAlgebraElement(self.k, out)
 
     def __eq__(self, other):

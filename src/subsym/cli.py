@@ -35,6 +35,7 @@ SUITES = (
     "hwvectors",
     "all",
 )
+COMPOSITION_N = 2  # the composition suite's n when --n is not given
 
 
 def _suite_classalg(params, rep: VerificationReport):
@@ -48,7 +49,7 @@ def _suite_classalg(params, rep: VerificationReport):
     )
     from .scalars import rat
 
-    kmax = params.get("k") or 5
+    kmax = 5 if params.get("k") is None else params["k"]
     # the worked tables
     x2 = ClassElement.basis(2, (2,))
     rep.add("k=2: x.x = 1", class_multiply(x2, x2) == ClassElement.one(2))
@@ -91,8 +92,8 @@ def _suite_classalg(params, rep: VerificationReport):
 def _suite_reduction(params, rep: VerificationReport):
     from .boundary import BoundaryModel, admissible_weights, verify_reduction
 
-    deg = params.get("deg") or 3
-    ns = [params["n"]] if params.get("n") else [1, 2]
+    deg = 3 if params.get("deg") is None else params["deg"]
+    ns = [1, 2] if params.get("n") is None else [params["n"]]
     for n in ns:
         m = BoundaryModel(n)
         for (w1, w2) in admissible_weights(n, 4):
@@ -128,7 +129,7 @@ def _suite_commutation(params, rep: VerificationReport):
     )
     from .weyl import WeylOperator
 
-    nmax = params.get("n") or 3
+    nmax = 3 if params.get("n") is None else params["n"]
     for n in range(1, nmax + 1):
         m = AmbientModel(n)
         lap = ambient_laplacian(m)
@@ -172,8 +173,8 @@ def _suite_composition(params, rep: VerificationReport):
     )
     from .boundary import BoundaryModel, induce, phi_pullback, sublaplacian
 
-    n = params.get("n") or 2
-    deg = params.get("deg") or 3
+    n = COMPOSITION_N if params.get("n") is None else params["n"]
+    deg = 3 if params.get("deg") is None else params["deg"]
     w1 = params.get("w1")
     w2 = params.get("w2")
     if w1 is None or w2 is None:
@@ -186,7 +187,7 @@ def _suite_composition(params, rep: VerificationReport):
     pairs = [(random_traceless(n, rng), random_traceless(n, rng)) for _ in range(5)]
     for i, (V, W) in enumerate(pairs):
         parts = compose_decompose(m, V, W, w1, w2)
-        rep.add(f"pair {i}: T totally trace-free", parts.T.is_totally_trace_free())
+        rep.add(f"pair {i}: T totally trace-free", parts.T.is_trace_free())
         orc = trace_projection_oracle(m, V, W)
         ok = orc is not None and orc[0] == parts.U and orc[1] == parts.Utilde
         rep.add(f"pair {i}: (U, Utilde) match the projection oracle", ok)
@@ -234,12 +235,11 @@ def _suite_prop1(params, rep: VerificationReport):
     from .boundary import BoundaryModel
     from .symbols import a_coeff, a_matrix_det, pascal_identity_check, verify_prop1
 
-    n = params.get("n") or 3
-    cases = [(params["d"], params["s"])] if params.get("d") and params.get("s") else [
-        (2, 1),
-        (3, 1),
-        (4, 2),
-    ]
+    n = 3 if params.get("n") is None else params["n"]
+    if params.get("d") is None or params.get("s") is None:
+        cases = [(2, 1), (3, 1), (4, 2)]
+    else:
+        cases = [(params["d"], params["s"])]
     m = BoundaryModel(n)
     for (d, s) in cases:
         ok, detail = verify_prop1(m, d, s)
@@ -268,18 +268,18 @@ def _suite_prop1(params, rep: VerificationReport):
 
 
 def _suite_symbols(params, rep: VerificationReport):
-    from .ambient import AmbientSymTensor
     from .boundary import BoundaryModel
     from .symbols import check_symbol_recursions, extract_all_symbols
+    from .tensor import SparseTensor
 
-    d = params.get("d") or 3
-    ns = [params["n"]] if params.get("n") else [2, 3]
+    d = 3 if params.get("d") is None else params["d"]
+    ns = [2, 3] if params.get("n") is None else [params["n"]]
     rng = random.Random(rep.seed)
     for n in ns:
         m = BoundaryModel(n)
-        T = AmbientSymTensor.random_disjoint_trace_free(min(d, 3), n + 2, rng)
+        T = SparseTensor.random_disjoint_trace_free(min(d, 3), n + 2, rng)
         syms = extract_all_symbols(m, T)
-        rec = check_symbol_recursions(m, syms, T.d)
+        rec = check_symbol_recursions(m, syms, T.k)
         bad = [r for r in rec if not r[1]]
         rep.add(
             f"n={n}: recursions for seeded trace-free column-symmetric tensor",
@@ -287,7 +287,7 @@ def _suite_symbols(params, rep: VerificationReport):
             bad[0][0] if bad else None,
         )
         # skew vanishing (el2)
-        Trand = AmbientSymTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
+        Trand = SparseTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
         Tsk = Trand.skew_slots([0, 1, 2], upper=True)
         if not Tsk:
             rep.add(f"n={n}: skew tensor nonzero", False, "degenerate seed")
@@ -302,7 +302,7 @@ def _suite_symbols(params, rep: VerificationReport):
             syms_db = extract_all_symbols(m, Tdb)
             rep.add(
                 f"n={n}: double-skew (column-symmetric) tensor also induces zero",
-                Tdb.is_column_symmetric() and all(not s for s in syms_db.values()),
+                Tdb.is_symmetric() and all(not s for s in syms_db.values()),
             )
     return rep
 
@@ -473,8 +473,8 @@ def _problems(params) -> list:
 
             if not 1 <= v <= CLASS_ELEMENTS_MAX_K:
                 problems.append(f"--k must be between 1 and {CLASS_ELEMENTS_MAX_K}")
-        elif key == "dim" and v < 1:
-            problems.append("--dim must be at least 1")
+        elif v < 1:
+            problems.append(f"--{key} must be at least 1")
     return problems
 
 
@@ -496,6 +496,13 @@ def _validated(args, parser) -> dict:
             problems.append("need 2s <= d")
     if args.suite in ("commutant", "all") and (args.k is None) != (args.dim is None):
         problems.append("the commutant suite needs --k and --dim together")
+    if args.suite in ("composition", "all"):
+        if (args.w1 is None) != (args.w2 is None):
+            problems.append("the composition suite needs --w1 and --w2 together")
+        elif args.w1 is not None:
+            n = COMPOSITION_N if args.n is None else args.n
+            if n + args.w1 + args.w2 != 0:
+                problems.append(f"the composition suite needs n + w1 + w2 = 0 (n = {n})")
     if problems:
         parser.error("invalid parameters: " + "; ".join(problems))
     return params

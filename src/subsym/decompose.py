@@ -27,114 +27,12 @@ from .classalg import (
     invert_perm,
     mn_character,
     partitions,
-    perm_sign,
-    standard_tableaux,
-    young_symmetrizer,
+    young_projector_sum,
 )
-from .scalars import rat
+from .scalars import accumulate, rat
+from .tensor import SparseTensor
 
 RZERO = rat(0)
-
-
-# ---------------------------------------------------------------------------
-# mixed tensors (full, not necessarily symmetric)
-
-
-class MixedTensor:
-    """Sparse mixed tensor with k vector slots and k dual slots, dim N."""
-
-    __slots__ = ("k", "N", "entries")
-
-    def __init__(self, k, N, entries=None):
-        self.k = k
-        self.N = N
-        self.entries = {key: v for key, v in (entries or {}).items() if v}
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MixedTensor)
-            and (self.k, self.N) == (other.k, other.N)
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            s = out.get(key, RZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MixedTensor(self.k, self.N, out)
-
-    def scale(self, c):
-        return MixedTensor(self.k, self.N, {key: v * c for key, v in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(rat(-1))
-
-    def pair_symmetrize(self) -> "MixedTensor":
-        out = {}
-        norm = rat(1, factorial(self.k))
-        for (U, L), v in self.entries.items():
-            for p in itertools.permutations(range(self.k)):
-                key = (act_on_tuple(p, U), act_on_tuple(p, L))
-                s = out.get(key, RZERO) + v * norm
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return MixedTensor(self.k, self.N, out)
-
-    def is_pair_symmetric(self) -> bool:
-        for (U, L), v in self.entries.items():
-            for t in range(self.k - 1):
-                p = list(range(self.k))
-                p[t], p[t + 1] = p[t + 1], p[t]
-                key = (act_on_tuple(tuple(p), U), act_on_tuple(tuple(p), L))
-                if self.entries.get(key, RZERO) != v:
-                    return False
-        return True
-
-    def contraction(self, up_slot, lo_slot) -> "MixedTensor":
-        out = {}
-        for (U, L), v in self.entries.items():
-            if U[up_slot] != L[lo_slot]:
-                continue
-            key = (
-                U[:up_slot] + U[up_slot + 1 :],
-                L[:lo_slot] + L[lo_slot + 1 :],
-            )
-            s = out.get(key, RZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MixedTensor(self.k - 1, self.N, out)
-
-    def is_trace_free(self) -> bool:
-        return not any(
-            self.contraction(p, q) for p in range(self.k) for q in range(self.k)
-        )
-
-    def weight(self):
-        """Torus weight, defined only when all entries agree; None otherwise."""
-        w = None
-        for (U, L), _ in self.entries.items():
-            cur = [0] * self.N
-            for u in U:
-                cur[u] += 1
-            for l in L:
-                cur[l] -= 1
-            cur = tuple(cur)
-            if w is None:
-                w = cur
-            elif w != cur:
-                return None
-        return w
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +53,7 @@ def multiset_weight(M, N):
     return tuple(w)
 
 
-def sym_to_mixed(k, N, f) -> MixedTensor:
+def sym_to_mixed(k, N, f) -> SparseTensor:
     """Expand a multiset function to full entries (small sizes only)."""
     out = {}
     for M, v in f.items():
@@ -166,11 +64,11 @@ def sym_to_mixed(k, N, f) -> MixedTensor:
             if (U, L) not in seen:
                 seen.add((U, L))
                 out[(U, L)] = v
-    return MixedTensor(k, N, out)
+    return SparseTensor(k, N, out)
 
 
-def mixed_to_sym(T: MixedTensor):
-    """Read a pair-symmetric MixedTensor back into a multiset function."""
+def mixed_to_sym(T: SparseTensor):
+    """Read a pair-symmetric tensor back into a multiset function."""
     f = {}
     for (U, L), v in T.entries.items():
         M = tuple(sorted(zip(U, L)))
@@ -187,25 +85,20 @@ def _perm_lower_multiset(M, sigma):
     return tuple(sorted(zip(U, act_on_tuple(sigma, L))))
 
 
-def _perm_upper_multiset(M, sigma):
-    U = tuple(x[0] for x in M)
-    L = tuple(x[1] for x in M)
-    return tuple(sorted(zip(act_on_tuple(sigma, U), L)))
-
-
 @lru_cache(maxsize=None)
-def _perm_tables(k, N, weight, upper):
+def _perm_tables(k, N, weight):
     """Index tables of the slot permutations on one weight block.
 
-    ``tables[sigma][j]`` is the block index of M_j^sigma (lower or upper
-    indices permuted), so a block vector v is pulled back by sigma as
-    ``[v[i] for i in tables[sigma]]``.
+    ``tables[sigma][j]`` is the block index of M_j^sigma (lower indices
+    permuted), so a block vector v is pulled back by sigma as
+    ``[v[i] for i in tables[sigma]]``.  Only the lower group is needed: on a
+    multiset, moving the upper indices by sigma is moving the lower ones by
+    sigma^-1, and the actions used here are class-closed.
     """
     block = weight_blocks(k, N)[weight]
     index = {M: j for j, M in enumerate(block)}
-    mover = _perm_upper_multiset if upper else _perm_lower_multiset
     return {
-        sigma: tuple(index[mover(M, sigma)] for M in block)
+        sigma: tuple(index[_perm_lower_multiset(M, sigma)] for M in block)
         for sigma in itertools.permutations(range(k))
     }
 
@@ -223,7 +116,7 @@ def _combine(terms, n):
     return acc
 
 
-def apply_group_algebra_sym(f, weights, k, upper=False):
+def apply_group_algebra_sym(f, weights, k):
     """Apply sum_sigma weights[sigma] * (lower-index permutation) to a
     multiset function.  ``weights`` maps permutations to coefficients; the
     element must be central (class-closed) for the result to stay
@@ -244,7 +137,7 @@ def apply_group_algebra_sym(f, weights, k, upper=False):
     out = {}
     for w, part in by_weight.items():
         block = weight_blocks(k, N)[w]
-        tables = _perm_tables(k, N, w, upper)
+        tables = _perm_tables(k, N, w)
         v = [part.get(M, RZERO) for M in block]
         pulled = [(c, [v[i] for i in tables[sigma]]) for sigma, c in weights.items()]
         out.update((M, x) for M, x in zip(block, _combine(pulled, len(block))) if x)
@@ -272,14 +165,14 @@ def _idempotent_weights(k, lam):
     return out
 
 
-def commutant_basis_op(tau, f, k, upper=False):
+def commutant_basis_op(tau, f, k):
     """Averaged class-sum operator C_(tau) on a pair-symmetric tensor."""
-    return apply_group_algebra_sym(f, _class_avg_weights(k, tuple(tau)), k, upper=upper)
+    return apply_group_algebra_sym(f, _class_avg_weights(k, tuple(tau)), k)
 
 
-def idempotent_op(lam, f, k, upper=False):
+def idempotent_op(lam, f, k):
     """Central idempotent e_lam acting on one index group."""
-    return apply_group_algebra_sym(f, _idempotent_weights(k, tuple(lam)), k, upper=upper)
+    return apply_group_algebra_sym(f, _idempotent_weights(k, tuple(lam)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +240,9 @@ def _contraction_matrix(block):
     for j, M in enumerate(block):
         trace_rows, cross_rows = _contraction_columns(M)
         for key in trace_rows:
-            row = rows.setdefault(key, {})
-            row[j] = row.get(j, 0) + 1
+            accumulate(rows.setdefault(key, {}), j, 1)
         for key, cnt in cross_rows:
-            row = rows.setdefault(key, {})
-            row[j] = row.get(j, 0) + cnt
+            accumulate(rows.setdefault(key, {}), j, cnt)
     dense = []
     for key in sorted(rows):
         r = [RZERO] * len(block)
@@ -457,7 +348,7 @@ def _orbit_kernels(k, N):
     return out
 
 
-def isotypic_rank(lam, k, N, upper=False) -> int:
+def isotypic_rank(lam, k, N) -> int:
     """Rank of the central idempotent e_lam on the trace-free symmetric space.
 
     e_lam is the nonzero multiple dim(lam)/k! of sum_mu chi^lam(mu) K_mu, K_mu
@@ -468,7 +359,7 @@ def isotypic_rank(lam, k, N, upper=False) -> int:
     chars = [(c, elems) for mu, elems in class_elements(k).items() if (c := mn_character(lam, mu))]
     total = 0
     for w, cnt, rows in _orbit_kernels(k, N):
-        tables = _perm_tables(k, N, w, upper)
+        tables = _perm_tables(k, N, w)
         images = [
             _combine([(c, _class_sum(v, tables, elems)) for c, elems in chars], len(v))
             for v in rows
@@ -540,12 +431,7 @@ def highest_weight_vector(lam, N):
     weights = _idempotent_weights(k, lam)
     acc = {}
     for sigma, c in weights.items():
-        key = tuple(sorted(zip(act_on_tuple(sigma, U0), L0)))
-        s = acc.get(key, RZERO) + c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
+        accumulate(acc, tuple(sorted(zip(act_on_tuple(sigma, U0), L0))), c)
     # acc is k!/stab times the actual symmetrization; nonzero-ness and weight
     # are unaffected.
     expected = lambda_plus_dual(lam, N)
@@ -555,41 +441,14 @@ def highest_weight_vector(lam, N):
 
 
 def random_plain_tensor(k, N, rng, bound=3):
-    """Random element of the k-th tensor power of C^N with small int entries."""
+    """Random element of the k-th tensor power of C^N with small int entries
+    (upper indices only)."""
     out = {}
     for key in itertools.product(range(N), repeat=k):
         c = rng.randint(-bound, bound)
         if c:
-            out[key] = rat(c)
-    return out
-
-
-def apply_group_algebra_plain(ga_coeffs, T):
-    """Left action of a group algebra element on a plain k-index tensor."""
-    out = {}
-    for sigma, c in ga_coeffs.items():
-        inv = invert_perm(sigma)
-        for key, v in T.items():
-            nk = act_on_tuple(sigma, key)
-            s = out.get(nk, RZERO) + v * c
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-    return out
-
-
-def skew_symmetrize_plain(T, slots, k):
-    """Antisymmetrization over the given slots (as a group-algebra action)."""
-    coeffs = {}
-    slots = list(slots)
-    for arr in itertools.permutations(slots):
-        p = list(range(k))
-        for src, dst in zip(slots, arr):
-            p[src] = dst
-        p = tuple(p)
-        coeffs[p] = rat(perm_sign(p))
-    return apply_group_algebra_plain(coeffs, T)
+            out[(key, ())] = rat(c)
+    return SparseTensor(k, N, out)
 
 
 def skew_vanishing_check(lam, k, N, trials=5, seed=0):
@@ -605,18 +464,12 @@ def skew_vanishing_check(lam, k, N, trials=5, seed=0):
     if depth + 1 > k:
         raise ValueError("need depth(lambda)+1 <= k")
     rng = _random.Random(seed)
-    proj = {}
-    for tab in standard_tableaux(lam):
-        ys = young_symmetrizer(tab)
-        for p, c in ys.coeffs.items():
-            proj[p] = proj.get(p, RZERO) + c
+    proj = young_projector_sum(lam).coeffs
     results = []
     for t in range(trials):
-        T = random_plain_tensor(k, N, rng)
-        image = apply_group_algebra_plain(proj, T)
+        image = random_plain_tensor(k, N, rng).act(proj, upper=True)
         for slots in itertools.combinations(range(k), depth + 1):
-            skew = skew_symmetrize_plain(image, slots, k)
-            results.append((t, slots, not skew))
+            results.append((t, slots, not image.skew_slots(slots)))
     return results
 
 
@@ -645,7 +498,7 @@ def sigma_tilde(s):
     return compose_perm(sigma2_of(s), sigma1_of(s))
 
 
-def apply_c_s(s, T: MixedTensor) -> MixedTensor:
+def apply_c_s(s, T: SparseTensor) -> SparseTensor:
     """Action of C_s on a mixed tensor.
 
     Follows the index bookkeeping of the defining identification: for a basis
@@ -680,13 +533,8 @@ def apply_c_s(s, T: MixedTensor) -> MixedTensor:
                 full[p] = val
             P = tuple(full[2 * m] for m in range(k))          # new epsilon index
             Q = tuple(full[sinv[2 * m]] for m in range(k))    # new vector index
-            key = (Q, P)
-            s_ = out.get(key, RZERO) + v
-            if s_:
-                out[key] = s_
-            else:
-                out.pop(key, None)
-    return MixedTensor(k, N, out)
+            accumulate(out, (Q, P), v)
+    return SparseTensor(k, N, out)
 
 
 def ad_conjugate(sigma, s):
@@ -709,10 +557,10 @@ def embed_odd(sig, k):
     return tuple(out)
 
 
-def averaged_c_s(s, T: MixedTensor) -> MixedTensor:
+def averaged_c_s(s, T: SparseTensor) -> SparseTensor:
     """(1/(k!)^2) sum over S^1_k x S^2_k of C_{Ad_sigma s} applied to T."""
     k = T.k
-    acc = MixedTensor(T.k, T.N, {})
+    acc = SparseTensor(k, T.N)
     for p1 in itertools.permutations(range(k)):
         s1 = embed_odd(p1, k)
         for p2 in itertools.permutations(range(k)):
@@ -754,10 +602,16 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
     results = []
     reps = interchanging_reps(k)
     perms = list(itertools.permutations(range(k)))
-    basis_keys = [
-        (
-            tuple(rng.randrange(N) for _ in range(k)),
-            tuple(rng.randrange(N) for _ in range(k)),
+    basis = [
+        SparseTensor(
+            k,
+            N,
+            {
+                (
+                    tuple(rng.randrange(N) for _ in range(k)),
+                    tuple(rng.randrange(N) for _ in range(k)),
+                ): rat(1)
+            },
         )
         for _ in range(samples)
     ]
@@ -767,36 +621,17 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
             c = rng.randint(-2, 2)
             if c:
                 rand_entries[(U, L)] = rat(c)
-    T_sym = MixedTensor(k, N, rand_entries).pair_symmetrize()
+    T_sym = SparseTensor(k, N, rand_entries).symmetrized()
 
     for lam, s in reps.items():
         for sig in perms:
             s_even = ad_conjugate(embed_even(sig, k), s)
             s_odd = ad_conjugate(embed_odd(sig, k), s)
-            ok_even = all(
-                apply_c_s(
-                    s_even,
-                    MixedTensor(k, N, {(act_on_tuple(sig, U), act_on_tuple(sig, L)): rat(1)}),
-                )
-                == apply_c_s(s, MixedTensor(k, N, {(U, L): rat(1)}))
-                for (U, L) in basis_keys
-            )
+            # even lemma: inputs relabeled by sigma on both index groups
+            ok_even = all(apply_c_s(s_even, E.permuted(sig)) == apply_c_s(s, E) for E in basis)
             results.append((f"even lemma s~{lam} sigma={sig}", ok_even))
             # odd lemma: outputs relabeled by sigma on both index groups
-            ok_odd = True
-            for (U, L) in basis_keys:
-                out_base = apply_c_s(s, MixedTensor(k, N, {(U, L): rat(1)}))
-                expected = MixedTensor(
-                    k,
-                    N,
-                    {
-                        (act_on_tuple(sig, P), act_on_tuple(sig, Q)): v
-                        for (P, Q), v in out_base.entries.items()
-                    },
-                )
-                if apply_c_s(s_odd, MixedTensor(k, N, {(U, L): rat(1)})) != expected:
-                    ok_odd = False
-                    break
+            ok_odd = all(apply_c_s(s_odd, E) == apply_c_s(s, E).permuted(sig) for E in basis)
             results.append((f"odd lemma s~{lam} sigma={sig}", ok_odd))
             # conjugation by the even subgroup does not change the action on
             # symmetric tensors
@@ -882,7 +717,7 @@ def commutant_mult_crosscheck(k, N, class_product):
     ok = dict.fromkeys(scaled, True)
     cases = 0
     for w, _, rows in _orbit_kernels(k, N):
-        tables = _perm_tables(k, N, w, False)
+        tables = _perm_tables(k, N, w)
         for v in rows:
             cases += 1
             K = {tau: _class_sum(v, tables, perms) for tau, perms in elems.items()}
@@ -901,8 +736,6 @@ def young_vs_idempotent_images(k, N):
     tensor (lower slots) and the result re-symmetrized over slot pairs.
     Returns (lam, weight, ok) triples per weight-orbit representative.
     """
-    from .classalg import young_projector_sum
-
     results = []
     young = {lam: young_projector_sum(lam).coeffs for lam in partitions(k)}
     for pat, (w, cnt) in weight_orbits(k, N).items():
@@ -915,17 +748,7 @@ def young_vs_idempotent_images(k, N):
             for v in kern:
                 f = _block_vec_to_fn(block, v)
                 eimgs.append(_fn_to_block_vec(idempotent_op(lam, f, k), block, index))
-                T = sym_to_mixed(k, N, f)
-                out = {}
-                for p, c in young[lam].items():
-                    for (U, L), val in T.entries.items():
-                        key = (U, act_on_tuple(p, L))
-                        s = out.get(key, RZERO) + val * c
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-                Ty = MixedTensor(k, N, out).pair_symmetrize()
+                Ty = sym_to_mixed(k, N, f).act(young[lam], upper=False).symmetrized()
                 yimgs.append(_fn_to_block_vec(mixed_to_sym(Ty), block, index))
             re_ = linalg.span_rank(eimgs)
             ry = linalg.span_rank(yimgs)
@@ -946,7 +769,7 @@ def basis_operator_independence(k, N):
     flat = {lam: [] for lam in partitions(k)}
     cases = 0
     for w, _, rows in _orbit_kernels(k, N):
-        tables = _perm_tables(k, N, w, False)
+        tables = _perm_tables(k, N, w)
         for v in rows:
             cases += 1
             for lam, elems in class_elements(k).items():
@@ -958,62 +781,6 @@ def basis_operator_independence(k, N):
 # the seven pieces of the second tensor power of sl(V)
 
 
-def _sl_basis(N):
-    mats = []
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                m = {(i, j): rat(1)}
-                mats.append(m)
-    for i in range(N - 1):
-        mats.append({(i, i): rat(1), (i + 1, i + 1): rat(-1)})
-    return mats
-
-
-def _tens4(V, W):
-    """V (x) W as a 4-index dict keyed (B, D, A, C) for V^B_A W^D_C."""
-    out = {}
-    for (B, A), v in V.items():
-        for (D, C), w in W.items():
-            out[(B, D, A, C)] = v * w
-    return out
-
-
-def _t4_add(acc, T, c=rat(1)):
-    for key, v in T.items():
-        s = acc.get(key, RZERO) + v * c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-    return acc
-
-
-def _t4_swap(T):
-    return {(D, B, C, A): v for (B, D, A, C), v in T.items()}
-
-
-def _t4_contract_cross(T, N):
-    """Contract B with C: S^D_A = sum_X T^{XD}_{AX}."""
-    out = {}
-    for (B, D, A, C), v in T.items():
-        if B == C:
-            key = (D, A)
-            s = out.get(key, RZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _vec(T, keys_index):
-    v = [RZERO] * len(keys_index)
-    for key, c in T.items():
-        v[keys_index[key]] = c
-    return v
-
-
 def seven_pieces_check(N):
     """Dimensions of the seven irreducible pieces of sl(N) (x) sl(N).
 
@@ -1023,80 +790,68 @@ def seven_pieces_check(N):
     pieces of the pair-antisymmetric part, and the bracket piece as the
     contraction image of the antisymmetric part.  Returns a dict report.
     """
-    sl = _sl_basis(N)
+    from .ambient import sl_basis
+
+    sl = [
+        SparseTensor(1, N, {((B,), (A,)): V[B][A].re for B in range(N) for A in range(N)})
+        for V in sl_basis(N)
+    ]
     dim_sl = len(sl)
-    keys4 = {key: i for i, key in enumerate(itertools.product(range(N), repeat=4))}
-    keys2 = {key: i for i, key in enumerate(itertools.product(range(N), repeat=2))}
+    pairs = list(itertools.product(range(N), repeat=2))
+    keys4 = [(U, L) for U in pairs for L in pairs]  # ((B, D), (A, C)) for V^B_A W^D_C
+    keys2 = [((D,), (A,)) for D, A in pairs]
+
+    def coords(T, keys):
+        return [T.entries.get(key, RZERO) for key in keys]
 
     sym_span, alt_span = [], []
     for i, V in enumerate(sl):
-        for j, W in enumerate(sl):
-            if j < i:
-                continue
-            T = _tens4(V, W)
-            Ts = _t4_swap(T)  # the simultaneous pair swap, i.e. W (x) V
-            sym = _t4_add(dict(T), Ts)
-            sym_span.append(sym)
+        for j in range(i, dim_sl):
+            T = V.outer(sl[j])
+            Ts = T.permuted((1, 0))  # the simultaneous pair swap, i.e. W (x) V
+            sym_span.append(T + Ts)
             if j > i:
-                alt = _t4_add(dict(T), Ts, rat(-1))
-                alt_span.append(alt)
+                alt_span.append(T - Ts)
 
     def _basis_of(span):
-        mat = [_vec(T, keys4) for T in span]
-        red, pivots = linalg.rref(mat)
-        return [red[r] for r in range(len(pivots))]
+        red, pivots = linalg.rref([coords(T, keys4) for T in span])
+        return [SparseTensor(2, N, dict(zip(keys4, red[r]))) for r in range(len(pivots))]
 
     sym_basis = _basis_of(sym_span)
     alt_basis = _basis_of(alt_span)
     dim_sym, dim_alt = len(sym_basis), len(alt_basis)
 
-    def _contract_vec(vec):
-        out = [RZERO] * len(keys2)
-        for key, i in keys4.items():
-            if vec[i]:
-                B, D, A, C = key
-                if B == C:
-                    out[keys2[(D, A)]] = out[keys2[(D, A)]] + vec[i]
-        return out
-
     # symmetric part: trace-free = the two Cartan pieces; contraction image =
-    # adjoint + Killing, the Killing line being the image of the full contraction
-    c_sym = [_contract_vec(v) for v in sym_basis]
-    rank_c_sym = linalg.span_rank(c_sym)
+    # adjoint + Killing, the Killing line being the image of the full
+    # contraction (B = C, then D = A)
+    c_sym = [T.contraction(0, 1) for T in sym_basis]
+    rank_c_sym = linalg.span_rank([coords(c, keys2) for c in c_sym])
     p1 = isotypic_rank((2,), 2, N)
     p2 = isotypic_rank((1, 1), 2, N)
-    p4 = linalg.span_rank([[sum(v[keys2[(X, X)]] for X in range(N))] for v in c_sym])
+    p4 = linalg.span_rank([coords(c.contraction(0, 0), [((), ())]) for c in c_sym])
     p3 = rank_c_sym - p4
 
     # antisymmetric part
-    cmat = [_contract_vec(v) for v in alt_basis]
-    p7 = linalg.span_rank(cmat) or 0
+    cmat = [coords(T.contraction(0, 1), keys2) for T in alt_basis]
+    p7 = linalg.span_rank(cmat)
     # trace-free part of the antisymmetric block, split by lower-pair symmetry:
     # coefficients c with sum_r c_r * cmat[r] = 0 span the trace-free part
     coeff_kernel = linalg.kernel_basis(list(zip(*cmat)), len(alt_basis)) if cmat else []
     tf_alt = []
     for coeffs in coeff_kernel:
-        vec = [RZERO] * len(keys4)
-        for c, bv in zip(coeffs, alt_basis):
+        acc = SparseTensor(2, N)
+        for c, T in zip(coeffs, alt_basis):
             if c:
-                for i, x in enumerate(bv):
-                    if x:
-                        vec[i] = vec[i] + c * x
-        tf_alt.append(vec)
+                acc = acc + T.scale(c)
+        tf_alt.append(acc)
 
-    def _lower_project(vec, sign):
-        out = [RZERO] * len(keys4)
-        half = rat(1, 2)
-        for key, i in keys4.items():
-            if vec[i]:
-                B, D, A, C = key
-                out[i] = out[i] + vec[i] * half
-                j = keys4[(B, D, C, A)]
-                out[j] = out[j] + vec[i] * half * sign
-        return out
-
-    p5 = linalg.span_rank([_lower_project(v, rat(1)) for v in tf_alt]) or 0
-    p6 = linalg.span_rank([_lower_project(v, rat(-1)) for v in tf_alt]) or 0
+    half = rat(1, 2)
+    p5 = linalg.span_rank(
+        [coords(T.act({(0, 1): half, (1, 0): half}, upper=False), keys4) for T in tf_alt]
+    )
+    p6 = linalg.span_rank(
+        [coords(T.act({(0, 1): half, (1, 0): -half}, upper=False), keys4) for T in tf_alt]
+    )
 
     pieces = {
         "cartan_sym": p1,

@@ -120,11 +120,6 @@ class LaurentPoly:
     def constant_value(self) -> GaussianRational:
         return self.terms.get(self.ring._zero_exp, GR_ZERO)
 
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     # -- arithmetic -------------------------------------------------------
     def _check(self, other):
         if self.ring != other.ring:

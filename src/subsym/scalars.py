@@ -45,6 +45,16 @@ def rat_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def accumulate(acc: dict, key, v):
+    """acc[key] += v, with the key dropped when the sum is zero."""
+    s = acc.get(key)
+    s = v if s is None else s + v
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
 def parse_rat(s: str):
     if "/" in s:
         p, q = s.split("/")
@@ -61,17 +71,9 @@ class GaussianRational:
         self.re = re if type(re) is type(RZERO) else rat(re)
         self.im = im if type(im) is type(RZERO) else rat(im)
 
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def from_rational(x) -> "GaussianRational":
-        return GaussianRational(x, RZERO)
-
     # -- predicates ---------------------------------------------------
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    def is_rational(self) -> bool:
-        return not self.im
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):

@@ -19,10 +19,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import linalg
-from .ambient import AmbientSymTensor
 from .boundary import BoundaryModel, FrameFields, tangential_ops
 from .rings import LaurentPoly
 from .scalars import GaussianRational, gr, rat
+from .tensor import SparseTensor
 
 
 class SymbolTensor:
@@ -71,8 +71,8 @@ class SymbolTensor:
         return itertools.combinations_with_replacement(range(1, self.n + 1), self.l)
 
 
-def extract_symbols(m: BoundaryModel, T: AmbientSymTensor, k: int, l: int) -> SymbolTensor:
-    """The (k, l) symbol of the operator induced by T (d = T.d columns).
+def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> SymbolTensor:
+    """The (k, l) symbol of the operator induced by T (d = T.k columns).
 
     Column roles: k columns contract (lower slot with the position vector,
     upper slot with the tangent coframe carrying an upper boundary label),
@@ -85,7 +85,7 @@ def extract_symbols(m: BoundaryModel, T: AmbientSymTensor, k: int, l: int) -> Sy
     cone value kills the term); the direct per-component transcription is
     kept as _extract_symbols_reference and cross-checked in the tests.
     """
-    d = T.d
+    d = T.k
     if k + l > d:
         raise ValueError("need k + l <= d")
     n = m.n
@@ -197,9 +197,9 @@ def extract_symbols(m: BoundaryModel, T: AmbientSymTensor, k: int, l: int) -> Sy
     return SymbolTensor(n, k, l, d - k - l, m.ring, out)
 
 
-def _extract_symbols_reference(m: BoundaryModel, T: AmbientSymTensor, k: int, l: int) -> SymbolTensor:
+def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> SymbolTensor:
     """Direct per-component transcription of the extraction; test oracle."""
-    d = T.d
+    d = T.k
     if k + l > d:
         raise ValueError("need k + l <= d")
     n = m.n
@@ -250,9 +250,9 @@ def _minus_i_power(p: int) -> GaussianRational:
     return vals[p % 4]
 
 
-def extract_all_symbols(m: BoundaryModel, T: AmbientSymTensor):
+def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
     """dict (k, l) -> SymbolTensor for all k + l <= d."""
-    d = T.d
+    d = T.k
     return {
         (k, l): extract_symbols(m, T, k, l)
         for k in range(d + 1)
@@ -569,7 +569,7 @@ def _seed_is_trace_free(seed: SymbolTensor) -> bool:
 
 def build_prop1_tensor(
     m: BoundaryModel, d: int, s: int, x, seed: SymbolTensor | None = None
-) -> AmbientSymTensor:
+) -> SparseTensor:
     """Ambient tensor whose nonzero components are the s+1 types.
 
     ``seed`` is a constant, symmetric, trace-free boundary symbol with s
@@ -613,7 +613,7 @@ def build_prop1_tensor(
                             prev = entries.get(key)
                             add = coeffs[i] * val.constant_value()
                             entries[key] = add if prev is None else prev + add
-    return AmbientSymTensor(d, N, entries)
+    return SparseTensor(d, N, entries)
 
 
 def verify_prop1(m: BoundaryModel, d: int, s: int):
@@ -623,7 +623,7 @@ def verify_prop1(m: BoundaryModel, d: int, s: int):
     if not sysres.get("solved") or not sysres.get("unique"):
         return False, detail
     T = build_prop1_tensor(m, d, s, sysres["x"])
-    detail["column_symmetric"] = T.is_column_symmetric()
+    detail["column_symmetric"] = T.is_symmetric()
     symbols = extract_all_symbols(m, T)
     lower_ok = all(not symbols[(k, k)] for k in range(0, s))
     detail["lower_diag_symbols_vanish"] = lower_ok

@@ -244,19 +244,3 @@ def equal_on_monomials(a: WeylOperator, b: WeylOperator, degree: int) -> bool:
         if a.apply(f) != b.apply(f):
             return False
     return True
-
-
-def weyl_apply(op: WeylOperator, p: LaurentPoly) -> LaurentPoly:
-    return op.apply(p)
-
-
-def weyl_compose(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    return a.compose(b)
-
-
-def weyl_commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    return a.commutator(b)
-
-
-def principal_part(op: WeylOperator, order: int) -> WeylOperator:
-    return op.principal_part(order)

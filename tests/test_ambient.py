@@ -5,7 +5,6 @@ import pytest
 
 from subsym.ambient import (
     AmbientModel,
-    AmbientSymTensor,
     CompositionParts,
     TracelessMatrix,
     ambient_laplacian,
@@ -27,6 +26,7 @@ from subsym.ambient import (
     verify_composition_identity,
 )
 from subsym.scalars import GR_ZERO, gr, rat
+from subsym.tensor import SparseTensor
 from subsym.weyl import WeylOperator
 
 
@@ -129,7 +129,7 @@ def test_central_action(m1):
 def test_higher_symmetry_d1_reduces_to_dv(m2):
     rng = random.Random(3)
     V = random_traceless(2, rng)
-    T = AmbientSymTensor.from_matrix(V)
+    T = SparseTensor.from_matrix(V)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert higher_symmetry_op(m2, T) == dv(m2, V)
@@ -137,7 +137,7 @@ def test_higher_symmetry_d1_reduces_to_dv(m2):
 
 def test_higher_symmetry_commutes(m2):
     rng = random.Random(7)
-    T = AmbientSymTensor.random_column_symmetric(2, 4, rng, density=0.2)
+    T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         op = higher_symmetry_op(m2, T)
@@ -147,11 +147,11 @@ def test_higher_symmetry_commutes(m2):
 
 def test_higher_symmetry_column_invariance(m2):
     rng = random.Random(11)
-    T = AmbientSymTensor.random_column_symmetric(2, 4, rng, density=0.2)
-    assert T.is_column_symmetric()
+    T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.2)
+    assert T.is_symmetric()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert higher_symmetry_op(m2, T.column_permuted((1, 0))) == higher_symmetry_op(m2, T)
+        assert higher_symmetry_op(m2, T.permuted((1, 0))) == higher_symmetry_op(m2, T)
 
 
 def test_compose_decompose_trace_free(m2):
@@ -160,9 +160,9 @@ def test_compose_decompose_trace_free(m2):
         V = random_traceless(2, rng)
         W = random_traceless(2, rng)
         parts = compose_decompose(m2, V, W, -1, -1)
-        assert parts.T.is_totally_trace_free()
-        assert parts.vw2.is_column_symmetric()
-        assert parts.vw2.is_totally_trace_free()
+        assert parts.T.is_trace_free()
+        assert parts.vw2.is_symmetric()
+        assert parts.vw2.is_trace_free()
 
 
 def test_compose_decompose_n3():
@@ -171,7 +171,7 @@ def test_compose_decompose_n3():
     V = random_traceless(3, rng)
     W = random_traceless(3, rng)
     parts = compose_decompose(m3, V, W, -1, -2)
-    assert parts.T.is_totally_trace_free()
+    assert parts.T.is_trace_free()
 
 
 def test_trace_oracle_matches_closed_form(m2):
@@ -274,7 +274,7 @@ def test_principal_part_of_composition_is_top_quadratic_form(m2):
     V = random_traceless(2, rng)
     W = random_traceless(2, rng)
     N = 4
-    raw = AmbientSymTensor(
+    raw = SparseTensor(
         2,
         N,
         {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -182,3 +183,48 @@ def test_report_fails_a_check_that_examined_zero_cases():
     rep.add("empty", True, cases=0)
     assert [c.status for c in rep.checks] == ["pass", "fail"]
     assert rep.checks[1].witness == "vacuous: 0 cases"
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["verify", "reduction", "--n", "0"], "--n must be at least 1"),
+        (["verify", "symbols", "--d", "0"], "--d must be at least 1"),
+        (["verify", "prop1", "--d", "4", "--s", "0"], "--s must be at least 1"),
+        (["verify", "reduction", "--deg", "0"], "--deg must be at least 1"),
+        (["verify", "composition", "--w1", "0", "--w2", "0"], "needs n + w1 + w2 = 0 (n = 2)"),
+        (["verify", "composition", "--n", "3", "--w1", "-1", "--w2", "-1"],
+         "needs n + w1 + w2 = 0 (n = 3)"),
+        (["verify", "composition", "--w1", "-1"], "needs --w1 and --w2 together"),
+    ],
+    ids=["reduction-n0", "symbols-d0", "prop1-s0", "reduction-deg0",
+         "composition-weights", "composition-weights-n3", "composition-w1-without-w2"],
+)
+def test_zero_flags_and_bad_weights_are_usage_errors(argv, problem, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and problem in err
+
+
+# sha256 of each suite's canonical JSON report at --seed 0 (symbols at --n 2);
+# a refactor that keeps the checks keeps these bytes
+CANONICAL_DIGESTS = {
+    "reduction": "1a2d65e9e3aff36bd2af823cc551b1a5b3fbdbe4d085c83f4968ed0632cd0ecc",
+    "commutation": "86244ea2c8d2858fbaa6dcad8dd8b3922e157e1bc2118cd27c2c9e3a527cb051",
+    "composition": "b56865781e833ed5fc701f39729f08f7fee7e9aea1c2eca85a7234c7b8544e37",
+    "prop1": "de1aa0e795b8cef138505e76826eb4e3519fa5c8e77312b4f823d9b817fa0c40",
+    "symbols": "5bfd6df6432d31021299cf42288e9da0d3a65719a0ac94b5b93d7868e67ca02d",
+    "classalg": "033be1736eb3042c31af1243756924a1122b5bf66ec75d6282950d158e6a68e6",
+    "commutant": "71cbb2c0d5f1c2b0937d664aaaeec6150f1ea7241053bea6d7c1aba72ff1ab92",
+    "decompose": "3b2ab945fa19d4be7c588f350d1575dc622903032d12c68da4e248f6c1edf2af",
+    "hwvectors": "fd5f6a223125cecbee694fc66a61121388576004b0aa41db69456ecc5089bcc4",
+}
+
+
+@pytest.mark.parametrize("suite", list(CANONICAL_DIGESTS))
+def test_canonical_report_digest(suite):
+    params = {"seed": 0, **({"n": 2} if suite == "symbols" else {})}
+    (rep,) = run(suite, params)
+    assert hashlib.sha256(rep.dumps().encode()).hexdigest() == CANONICAL_DIGESTS[suite]

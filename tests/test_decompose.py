@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from subsym.classalg import (
     ClassElement,
+    act_on_tuple,
     char_dim,
     class_elements,
     class_multiply,
@@ -15,9 +16,7 @@ from subsym.classalg import (
     partitions,
 )
 from subsym.decompose import (
-    MixedTensor,
     _perm_lower_multiset,
-    _perm_upper_multiset,
     apply_c_s,
     apply_group_algebra_sym,
     averaged_c_s,
@@ -47,7 +46,9 @@ from subsym.decompose import (
     weyl_dim,
     young_vs_idempotent_images,
 )
+from subsym.linalg import span_rank
 from subsym.scalars import RZERO, rat
+from subsym.tensor import SparseTensor
 
 
 def class_product(k):
@@ -61,18 +62,18 @@ def class_product(k):
 
 
 def test_k1_transposition_is_identity():
-    T = MixedTensor(1, 3, {((0,), (1,)): rat(2), ((2,), (2,)): rat(1)})
+    T = SparseTensor(1, 3, {((0,), (1,)): rat(2), ((2,), (2,)): rat(1)})
     assert apply_c_s((1, 0), T) == T
 
 
 def test_k1_identity_perm_is_trace():
     # s fixing parities computes traces: kills trace-free tensors
-    tf = MixedTensor(1, 3, {((0,), (1,)): rat(1)})
+    tf = SparseTensor(1, 3, {((0,), (1,)): rat(1)})
     assert not apply_c_s((0, 1), tf)
     # and maps e_0 (x) eps^0 to the full trace tensor
-    t0 = MixedTensor(1, 3, {((0,), (0,)): rat(1)})
+    t0 = SparseTensor(1, 3, {((0,), (0,)): rat(1)})
     out = apply_c_s((0, 1), t0)
-    assert out == MixedTensor(1, 3, {((x,), (x,)): rat(1) for x in range(3)})
+    assert out == SparseTensor(1, 3, {((x,), (x,)): rat(1) for x in range(3)})
 
 
 def test_k2_transposition_class_closed_form():
@@ -87,13 +88,13 @@ def test_k2_transposition_class_closed_form():
             c = rng.randint(-2, 2)
             if c:
                 ent[(U, L)] = rat(c)
-    T = MixedTensor(2, N, ent).pair_symmetrize()
+    T = SparseTensor(2, N, ent).symmetrized()
     lhs = (apply_c_s(s3, T) + apply_c_s(s4, T)).scale(rat(2, 4))
     exp = {}
     for (U, L), v in T.entries.items():
         for key in [(tuple(reversed(U)), L), (U, tuple(reversed(L)))]:
             exp[key] = exp.get(key, rat(0)) + v * rat(1, 2)
-    assert lhs == MixedTensor(2, N, {k: v for k, v in exp.items() if v})
+    assert lhs == SparseTensor(2, N, {k: v for k, v in exp.items() if v})
 
 
 def test_averaged_definition_matches_simple_action():
@@ -107,7 +108,7 @@ def test_averaged_definition_matches_simple_action():
                 c = rng.randint(-1, 1)
                 if c:
                     ent[(U, L)] = rat(c)
-        T = MixedTensor(k, N, ent).pair_symmetrize()
+        T = SparseTensor(k, N, ent).symmetrized()
         f = mixed_to_sym(T)
         for lam, s in interchanging_reps(k).items():
             avg = averaged_c_s(s, T)
@@ -129,10 +130,17 @@ def test_identity_class_acts_as_identity():
 # -- the block-table action against the dict pullback it replaced -------------
 
 
+def _perm_upper_multiset(M, sigma):
+    U = tuple(x[0] for x in M)
+    L = tuple(x[1] for x in M)
+    return tuple(sorted(zip(act_on_tuple(sigma, U), L)))
+
+
 def reference_apply_group_algebra_sym(f, weights, k, upper=False):
     """Dict pullback (op f)(M) = sum_sigma w_sigma f(M^sigma) over the
-    multisets reachable from the support of f; correct for class-closed
-    weights, and the oracle of the block-table action."""
+    multisets reachable from the support of f, moving the lower or the upper
+    indices; correct for class-closed weights, and the oracle of the
+    block-table action."""
     mover = _perm_upper_multiset if upper else _perm_lower_multiset
     candidates = set()
     for M in f:
@@ -172,10 +180,14 @@ def spread_tensors(draw, k, N):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_block_action_matches_dict_pullback(k, N, upper, data):
+    # The block action moves lower indices only.  On a multiset, moving the
+    # upper indices by sigma is moving the lower ones by sigma^-1, which lies
+    # in the same class, so a class-closed element acts the same either way:
+    # the upper oracle checks that transpose fact.
     f = data.draw(spread_tensors(k, N))
     for tau, elems in class_elements(k).items():
         avg = {p: rat(1, len(elems)) for p in elems}
-        assert commutant_basis_op(tau, f, k, upper=upper) == reference_apply_group_algebra_sym(
+        assert commutant_basis_op(tau, f, k) == reference_apply_group_algebra_sym(
             f, avg, k, upper
         )
     for lam in partitions(k):
@@ -184,12 +196,12 @@ def test_block_action_matches_dict_pullback(k, N, upper, data):
             for mu, elems in class_elements(k).items()
             for p in elems
         }
-        assert idempotent_op(lam, f, k, upper=upper) == reference_apply_group_algebra_sym(
+        assert idempotent_op(lam, f, k) == reference_apply_group_algebra_sym(
             f, idem, k, upper
         )
     class_fn = {mu: data.draw(rationals) for mu in partitions(k)}
     central = {p: class_fn[mu] for mu, elems in class_elements(k).items() for p in elems}
-    assert apply_group_algebra_sym(f, central, k, upper) == reference_apply_group_algebra_sym(
+    assert apply_group_algebra_sym(f, central, k) == reference_apply_group_algebra_sym(
         f, central, k, upper
     )
 
@@ -238,14 +250,29 @@ def test_basis_elements_killed_by_every_contraction():
         for block, vec in basis:
             f = {M: c for M, c in zip(block, vec) if c}
             T = sym_to_mixed(k, N, f)
-            assert T.is_pair_symmetric()
+            assert T.is_symmetric()
             assert T.is_trace_free()
 
 
 def test_isotypic_transpose_closure():
-    # acting on the other index group gives the same ranks
+    # the idempotent acting on the upper index group, through the dict
+    # oracle, cuts out subspaces of the same ranks as the lower-index action
+    basis = trace_free_symmetric_basis(2, 4)
+    index = {M: j for j, M in enumerate(pair_multisets(2, 4))}
     for lam in partitions(2):
-        assert isotypic_rank(lam, 2, 4, upper=True) == isotypic_rank(lam, 2, 4)
+        idem = {
+            p: rat(char_dim(lam) * mn_character(lam, mu), factorial(2))
+            for mu, elems in class_elements(2).items()
+            for p in elems
+        }
+        images = []
+        for block, vec in basis:
+            f = {M: c for M, c in zip(block, vec) if c}
+            row = [RZERO] * len(index)
+            for M, c in reference_apply_group_algebra_sym(f, idem, 2, upper=True).items():
+                row[index[M]] = c
+            images.append(row)
+        assert span_rank(images) == isotypic_rank(lam, 2, 4) > 0
 
 
 def test_isotypic_ranks_sum_below_stable_range():
@@ -440,12 +467,14 @@ def test_seven_pieces():
 def test_seven_pieces_killing_line_is_computed(monkeypatch):
     # The Killing form vanishes on the strictly upper-triangular subalgebra, so
     # there the full double contraction of the symmetric part is zero.
-    import subsym.decompose as dec
+    import subsym.ambient as amb
 
-    full = dec._sl_basis
-    monkeypatch.setattr(
-        dec, "_sl_basis", lambda n: [m for m in full(n) if all(i < j for i, j in m)]
-    )
+    full = amb.sl_basis
+
+    def strictly_upper(n):
+        return [V for V in full(n) if not any(V[i][j] for i in range(n) for j in range(i + 1))]
+
+    monkeypatch.setattr(amb, "sl_basis", strictly_upper)
     for N in (3, 4):
         rep = seven_pieces_check(N)
         assert rep["pieces"]["killing"] == 0 and not rep["killing_is_line"]

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from subsym.ambient import AmbientSymTensor, TracelessMatrix, dv, random_traceless
+from subsym.ambient import TracelessMatrix, dv, random_traceless
+from subsym.tensor import SparseTensor
 from subsym.boundary import BoundaryModel, induce, tangential_ops
 from subsym.scalars import gr, rat
 from subsym.symbols import (
@@ -98,7 +99,7 @@ def m2():
 
 def test_d1_symbols_hand_values(m1):
     V = TracelessMatrix([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
-    T = AmbientSymTensor.from_matrix(V)
+    T = SparseTensor.from_matrix(V)
     syms = extract_all_symbols(m1, T)
     assert syms[(0, 0)].get((), ()) == m1.sigma().scale(gr(-2))
     assert syms[(1, 0)].get((1,), ()) == m1.z(1).scale(gr(-1))
@@ -109,7 +110,7 @@ def test_d1_recursions_for_basis(m1):
     from subsym.ambient import sl_basis
 
     for V in sl_basis(3)[:4]:
-        syms = extract_all_symbols(m1, AmbientSymTensor.from_matrix(V))
+        syms = extract_all_symbols(m1, SparseTensor.from_matrix(V))
         rec = check_symbol_recursions(m1, syms, 1)
         assert all(ok for _, ok, _ in rec), V.entries
 
@@ -118,7 +119,7 @@ def test_d1_sigma_symbol_matches_induced_constant_term(m2):
     # the sigma-coefficient of the induced operator agrees with extraction
     rng = random.Random(4)
     V = random_traceless(2, rng)
-    T = AmbientSymTensor.from_matrix(V)
+    T = SparseTensor.from_matrix(V)
     syms = extract_all_symbols(m2, T)
     dV = dv(m2.ambient, V)
     _, _, dsig = tangential_ops(m2)
@@ -137,15 +138,15 @@ def test_d1_sigma_symbol_matches_induced_constant_term(m2):
 
 
 def test_arity_guard(m2):
-    T = AmbientSymTensor(2, 4, {})
+    T = SparseTensor(2, 4, {})
     with pytest.raises(ValueError):
         extract_symbols(m2, T, 2, 1)
 
 
 def test_recursions_d2(m2):
     rng = random.Random(3)
-    T = AmbientSymTensor.random_disjoint_trace_free(2, 4, rng)
-    assert T.is_column_symmetric() and T.is_totally_trace_free()
+    T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
+    assert T.is_symmetric() and T.is_trace_free()
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
     assert all(ok for _, ok, _ in rec)
@@ -153,7 +154,7 @@ def test_recursions_d2(m2):
 
 def test_recursions_d2_general_tensor(m2):
     rng = random.Random(3)
-    T = AmbientSymTensor.random_column_symmetric(2, 4, rng, density=0.15)
+    T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.15)
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
     assert all(ok for _, ok, _ in rec)
@@ -162,14 +163,14 @@ def test_recursions_d2_general_tensor(m2):
 def test_recursions_d3_n3():
     m3 = BoundaryModel(3)
     rng = random.Random(9)
-    T = AmbientSymTensor.random_disjoint_trace_free(3, 5, rng)
+    T = SparseTensor.random_disjoint_trace_free(3, 5, rng)
     syms = extract_all_symbols(m3, T)
     rec = check_symbol_recursions(m3, syms, 3)
     assert all(ok for _, ok, _ in rec)
 
 
 def test_zero_symbols_pass_vacuously(m2):
-    T = AmbientSymTensor(2, 4, {})
+    T = SparseTensor(2, 4, {})
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
     assert all(ok for _, ok, _ in rec)
@@ -179,14 +180,14 @@ def test_skew_three_columns_kills_symbols():
     for n in (2, 3):
         m = BoundaryModel(n)
         rng = random.Random(17 + n)
-        T = AmbientSymTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
+        T = SparseTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
         Tsk = T.skew_slots([0, 1, 2], upper=True)
         assert Tsk
         syms = extract_all_symbols(m, Tsk)
         assert all(not s for s in syms.values())
         # the double-skew is column-symmetric, nonzero, and still silent
         Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
-        assert Tdb and Tdb.is_column_symmetric()
+        assert Tdb and Tdb.is_symmetric()
         symsd = extract_all_symbols(m, Tdb)
         assert all(not s for s in symsd.values())
 
@@ -206,7 +207,7 @@ def test_el2_elements_induce_zero():
     ):
         key = (B1 + B2 + B3, A1 + A2 + A3)
         entries[key] = mats[0][B1[0]][A1[0]] * mats[1][B2[0]][A2[0]] * mats[2][B3[0]][A3[0]]
-    T = AmbientSymTensor(3, n + 2, entries)
+    T = SparseTensor(3, n + 2, entries)
     Tsk = T.skew_slots([0, 1, 2], upper=True).skew_slots([0, 1, 2], upper=False)
     assert Tsk
     syms = extract_all_symbols(m, Tsk)
@@ -274,7 +275,7 @@ def test_prop1_2_1_zero_sigma_symbol():
     m = BoundaryModel(3)
     res = prop1_system(2, 1)
     T = build_prop1_tensor(m, 2, 1, res["x"])
-    assert T.is_column_symmetric()
+    assert T.is_symmetric()
     syms = extract_all_symbols(m, T)
     assert not syms[(0, 0)]
 
@@ -325,7 +326,7 @@ def test_build_prop1_tensor_general_seed():
     seed = SymbolTensor(3, 1, 1, 0, m.ring, comp)
     assert _seed_is_trace_free(seed)
     T = build_prop1_tensor(m, 2, 1, res["x"], seed=seed)
-    assert T.is_column_symmetric()
+    assert T.is_symmetric()
     syms = extract_all_symbols(m, T)
     # the same type coefficients kill the lower diagonal symbols (linearity)
     assert not syms[(0, 0)]
@@ -354,20 +355,20 @@ def test_fast_extraction_matches_reference_transcription():
     m = BoundaryModel(2)
     rng = random.Random(31)
     cases = [
-        AmbientSymTensor.random_disjoint_trace_free(2, 4, rng),
-        AmbientSymTensor.random_column_symmetric(2, 4, rng, density=0.3),
+        SparseTensor.random_disjoint_trace_free(2, 4, rng),
+        SparseTensor.random_column_symmetric(2, 4, rng, density=0.3),
         build_prop1_tensor(m, 3, 1, prop1_system(3, 1)["x"]),
     ]
     for T in cases:
-        for k in range(T.d + 1):
-            for l in range(T.d + 1 - k):
+        for k in range(T.k + 1):
+            for l in range(T.k + 1 - k):
                 assert extract_symbols(m, T, k, l) == _extract_symbols_reference(m, T, k, l)
 
 
 def test_recursions_mixed_signature():
     m = BoundaryModel(2, (1, -1))
     rng = random.Random(37)
-    T = AmbientSymTensor.random_disjoint_trace_free(2, 4, rng)
+    T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
     syms = extract_all_symbols(m, T)
     rec = check_symbol_recursions(m, syms, 2)
     assert all(ok for _, ok, _ in rec)
@@ -427,13 +428,13 @@ def test_induced_operator_top_order_equals_symbols():
     # d = 1: a full sl basis element
     V = random_traceless(2, rng)
     D1 = dv(m.ambient, V)
-    syms1 = extract_all_symbols(m, AmbientSymTensor.from_matrix(V))
+    syms1 = extract_all_symbols(m, SparseTensor.from_matrix(V))
     induced = from_action(m.ring, lambda F: induce(m, D1, w1, w2, F), 1)
     assembled = _symbol_operator(m, syms1, 1)
     assert induced.principal_part(1) == assembled.principal_part(1)
 
     # d = 2: seeded trace-free column-symmetric tensor
-    T = AmbientSymTensor.random_disjoint_trace_free(2, 4, rng)
+    T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         D2 = higher_symmetry_op(m.ambient, T)
