@@ -134,25 +134,24 @@ def _suite_commutation(params, rep: VerificationReport):
         m = AmbientModel(n)
         lap = ambient_laplacian(m)
         rmul = WeylOperator.mul_by(r_poly(m))
-        ok_lap = True
-        ok_r = True
-        for V in sl_basis(m.N):
+        bad_lap = bad_r = None
+        for i, V in enumerate(sl_basis(m.N)):
             dV = dv(m, V)
-            if lap.commutator(dV):
-                ok_lap = False
-            if dV.commutator(rmul):
-                ok_r = False
-        rep.add(f"n={n}: [lap, D_V] = 0 for the full sl({m.N}) basis", ok_lap)
-        rep.add(f"n={n}: [D_V, r.] = 0 for the full sl({m.N}) basis", ok_r)
+            if bad_lap is None and lap.commutator(dV):
+                bad_lap = f"sl({m.N}) basis element {i}"
+            if bad_r is None and dV.commutator(rmul):
+                bad_r = f"sl({m.N}) basis element {i}"
+        rep.add(f"n={n}: [lap, D_V] = 0 for the full sl({m.N}) basis", bad_lap is None, bad_lap)
+        rep.add(f"n={n}: [D_V, r.] = 0 for the full sl({m.N}) basis", bad_r is None, bad_r)
     m = AmbientModel(2)
     rng = random.Random(rep.seed)
-    ok = True
+    bad = None
     for i in range(5):
         V = random_traceless(2, rng)
         W = random_traceless(2, rng)
-        if dv(m, V).commutator(dv(m, W)) != dv(m, dv_bracket(V, W)):
-            ok = False
-    rep.add("n=2: bracket closure on 5 seeded pairs", ok)
+        if bad is None and dv(m, V).commutator(dv(m, W)) != dv(m, dv_bracket(V, W)):
+            bad = f"pair {i}"
+    rep.add("n=2: bracket closure on 5 seeded pairs", bad is None, bad)
     m1 = AmbientModel(1)
     fails = central_action_check(m1, 0, -1) + central_action_check(m1, -1, 0)
     rep.add("central element scales by i(w1-w2)", not fails, "; ".join(fails) or None)
@@ -277,7 +276,7 @@ def _suite_symbols(params, rep: VerificationReport):
     rng = random.Random(rep.seed)
     for n in ns:
         m = BoundaryModel(n)
-        T = SparseTensor.random_disjoint_trace_free(min(d, 3), n + 2, rng)
+        T = SparseTensor.random_disjoint_trace_free(d, n + 2, rng)
         syms = extract_all_symbols(m, T)
         rec = check_symbol_recursions(m, syms, T.k)
         bad = [r for r in rec if not r[1]]
@@ -286,25 +285,37 @@ def _suite_symbols(params, rep: VerificationReport):
             not bad,
             bad[0][0] if bad else None,
         )
-        # skew vanishing (el2)
-        Trand = SparseTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
-        Tsk = Trand.skew_slots([0, 1, 2], upper=True)
-        if not Tsk:
-            rep.add(f"n={n}: skew tensor nonzero", False, "degenerate seed")
-            continue
-        syms_sk = extract_all_symbols(m, Tsk)
-        rep.add(
-            f"n={n}: three-column-skew tensor induces identically zero symbols",
-            all(not s for s in syms_sk.values()),
-        )
-        Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
-        if Tdb:
-            syms_db = extract_all_symbols(m, Tdb)
-            rep.add(
-                f"n={n}: double-skew (column-symmetric) tensor also induces zero",
-                Tdb.is_symmetric() and all(not s for s in syms_db.values()),
-            )
+        three_column_skew_checks(rep, m, rng)
     return rep
+
+
+def three_column_skew_checks(rep: VerificationReport, m, rng):
+    """Skew vanishing (el2): a seeded column-symmetric d=3 tensor, alternated
+    over its three upper slots, induces identically zero symbols on model m."""
+    from .symbols import extract_all_symbols
+    from .tensor import SparseTensor
+
+    n = m.n
+    T = SparseTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
+    Tsk = T.skew_slots([0, 1, 2], upper=True)
+    if not Tsk:
+        rep.add(f"n={n}: skew tensor nonzero", False, "degenerate seed")
+        return
+    bad = [key for key, s in extract_all_symbols(m, Tsk).items() if s]
+    rep.add(
+        f"n={n}: three-column-skew tensor induces identically zero symbols",
+        not bad,
+        f"symbol {bad[0]} nonzero" if bad else None,
+    )
+    # T is column-symmetric, so the lower skew of Tsk is Tsk itself and the
+    # symbols just extracted are those of the double skew
+    Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
+    rep.add(
+        f"n={n}: double-skew (column-symmetric) tensor also induces zero",
+        Tdb == Tsk and Tdb.is_symmetric() and not bad,
+        "double skew differs from the upper skew" if Tdb != Tsk
+        else f"symbol {bad[0]} nonzero" if bad else "double skew not column-symmetric",
+    )
 
 
 def _suite_commutant(params, rep: VerificationReport):
@@ -496,6 +507,11 @@ def _validated(args, parser) -> dict:
             problems.append("need 2s <= d")
     if args.suite in ("commutant", "all") and (args.k is None) != (args.dim is None):
         problems.append("the commutant suite needs --k and --dim together")
+    if args.suite in ("prop1", "all") and (args.d is None) != (args.s is None):
+        problems.append("the prop1 suite needs --d and --s together")
+    for name in ("prop1", "symbols"):
+        if args.suite in (name, "all") and args.n is not None and args.n < 2:
+            problems.append(f"the {name} suite needs --n at least 2")
     if args.suite in ("composition", "all"):
         if (args.w1 is None) != (args.w2 is None):
             problems.append("the composition suite needs --w1 and --w2 together")

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 ACCEPTANCE_LINES = []
@@ -11,6 +14,21 @@ def record_criterion():
         )
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def three_column_skew():
+    """The symbols suite's three-column-skew block at n = 2, 3 on Random(17 + n),
+    run once per session: its report and wall time."""
+    from subsym.boundary import BoundaryModel
+    from subsym.cli import three_column_skew_checks
+    from subsym.report import VerificationReport
+
+    rep = VerificationReport(suite="symbols", parameters={})
+    t0 = time.monotonic()
+    for n in (2, 3):
+        three_column_skew_checks(rep, BoundaryModel(n), random.Random(17 + n))
+    return rep, time.monotonic() - t0
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

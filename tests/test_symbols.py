@@ -6,6 +6,8 @@ import pytest
 from subsym.ambient import TracelessMatrix, dv, random_traceless
 from subsym.tensor import SparseTensor
 from subsym.boundary import BoundaryModel, induce, tangential_ops
+from subsym.cli import three_column_skew_checks
+from subsym.report import VerificationReport
 from subsym.scalars import gr, rat
 from subsym.symbols import (
     SymbolTensor,
@@ -176,20 +178,50 @@ def test_zero_symbols_pass_vacuously(m2):
     assert all(ok for _, ok, _ in rec)
 
 
-def test_skew_three_columns_kills_symbols():
-    for n in (2, 3):
-        m = BoundaryModel(n)
-        rng = random.Random(17 + n)
-        T = SparseTensor.random_column_symmetric(3, n + 2, rng, density=0.05)
-        Tsk = T.skew_slots([0, 1, 2], upper=True)
-        assert Tsk
-        syms = extract_all_symbols(m, Tsk)
-        assert all(not s for s in syms.values())
-        # the double-skew is column-symmetric, nonzero, and still silent
-        Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
-        assert Tdb and Tdb.is_symmetric()
-        symsd = extract_all_symbols(m, Tdb)
-        assert all(not s for s in symsd.values())
+def test_skew_three_columns_kills_symbols(three_column_skew):
+    # the double skew equals the upper skew, so it is column-symmetric and silent
+    rep, _ = three_column_skew
+    assert [(c.name, c.status) for c in rep.checks] == [
+        (f"n={n}: {check}", "pass")
+        for n in (2, 3)
+        for check in (
+            "three-column-skew tensor induces identically zero symbols",
+            "double-skew (column-symmetric) tensor also induces zero",
+        )
+    ]
+
+
+def test_skew_block_extracts_symbols_once(monkeypatch):
+    import subsym.symbols
+
+    calls = []
+
+    def spy(m, T):
+        calls.append(T)
+        return extract_all_symbols(m, T)
+
+    monkeypatch.setattr(subsym.symbols, "extract_all_symbols", spy)
+    rep = VerificationReport(suite="symbols", parameters={})
+    three_column_skew_checks(rep, BoundaryModel(2), random.Random(19))
+    assert rep.passed and len(rep.checks) == 2
+    assert len(calls) == 1
+
+
+def test_skew_block_fails_a_wrong_double_skew(monkeypatch):
+    # negative control: a lower skew that doubles its input must be caught
+    import subsym.symbols
+
+    skew = SparseTensor.skew_slots
+
+    def doubling(self, slots, upper=True):
+        return skew(self, slots, upper) if upper else self.scale(rat(2))
+
+    monkeypatch.setattr(SparseTensor, "skew_slots", doubling)
+    monkeypatch.setattr(subsym.symbols, "extract_all_symbols", lambda m, T: {})
+    rep = VerificationReport(suite="symbols", parameters={})
+    three_column_skew_checks(rep, BoundaryModel(2), random.Random(19))
+    assert [c.status for c in rep.checks] == ["pass", "fail"]
+    assert rep.checks[1].witness == "double skew differs from the upper skew"
 
 
 def test_el2_elements_induce_zero():
