@@ -17,39 +17,40 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .rings import LaurentPoly, Ring
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr, rat
+from .scalars import RONE, RZERO, rat
 from .tensor import SparseTensor
 from .weyl import WeylOperator
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers (dense (n+2) x (n+2) lists of GaussianRational)
+# small exact matrix helpers (dense (n+2) x (n+2) lists of rationals)
 
 
 def mat_zero(N):
-    return [[GR_ZERO for _ in range(N)] for _ in range(N)]
+    return [[RZERO] * N for _ in range(N)]
 
 
 def mat_identity(N):
-    return [[GR_ONE if i == j else GR_ZERO for j in range(N)] for i in range(N)]
+    return [[RONE if i == j else RZERO for j in range(N)] for i in range(N)]
 
 
 def mat_mul(A, B):
     N = len(A)
     return [
-        [sum((A[i][k] * B[k][j] for k in range(N)), GR_ZERO) for j in range(N)]
+        [sum((A[i][k] * B[k][j] for k in range(N)), RZERO) for j in range(N)]
         for i in range(N)
     ]
 
 
 def mat_trace(A):
-    return sum((A[i][i] for i in range(len(A))), GR_ZERO)
+    return sum((A[i][i] for i in range(len(A))), RZERO)
 
 
-def mat_add(A, B, cb=GR_ONE):
+def mat_add(A, B, cb=RONE):
     return [[a + cb * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
@@ -63,7 +64,7 @@ class TracelessMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = [[e if isinstance(e, GaussianRational) else gr(e) for e in row] for row in entries]
+        entries = [[rat(e) for e in row] for row in entries]
         if mat_trace(entries):
             raise ValueError("matrix has nonzero trace")
         self.entries = entries
@@ -89,12 +90,12 @@ def sl_basis(N):
         for j in range(N):
             if i != j:
                 m = mat_zero(N)
-                m[i][j] = GR_ONE
+                m[i][j] = RONE
                 out.append(TracelessMatrix(m))
     for i in range(N - 1):
         m = mat_zero(N)
-        m[i][i] = GR_ONE
-        m[i + 1][i + 1] = gr(-1)
+        m[i][i] = RONE
+        m[i + 1][i + 1] = -RONE
         out.append(TracelessMatrix(m))
     return out
 
@@ -102,9 +103,8 @@ def sl_basis(N):
 def random_traceless(n, rng, bound=3):
     """Seeded small-integer matrix made traceless by subtracting tr/(n+2)."""
     N = n + 2
-    m = [[gr(rng.randint(-bound, bound)) for _ in range(N)] for _ in range(N)]
-    t = mat_trace(m)
-    c = t / gr(N)
+    m = [[rat(rng.randint(-bound, bound)) for _ in range(N)] for _ in range(N)]
+    c = mat_trace(m) / N
     for i in range(N):
         m[i][i] = m[i][i] - c
     return TracelessMatrix(m)
@@ -167,7 +167,9 @@ def r_poly(m: AmbientModel) -> LaurentPoly:
     return out
 
 
+@lru_cache(maxsize=32)
 def ambient_laplacian(m: AmbientModel) -> WeylOperator:
+    """sum_A d_A d^A, built once per model."""
     out = WeylOperator.zero(m.ring)
     for A in range(m.N):
         out = out + m.d_up(A).compose(m.d_dn(A))
@@ -205,21 +207,23 @@ def dv_bracket(V: TracelessMatrix, W: TracelessMatrix) -> TracelessMatrix:
     """Matrix M with D_M = [D_V, D_W]; M^B_A = V^C_A W^B_C - V^B_C W^C_A."""
     WV = mat_mul(W.entries, V.entries)
     VW = mat_mul(V.entries, W.entries)
-    return TracelessMatrix(mat_add(WV, VW, gr(-1)))
+    return TracelessMatrix(mat_add(WV, VW, -1))
 
 
 def central_element(m: AmbientModel) -> WeylOperator:
-    """i (x^B d_B - x_B d^B); acts on bidegree (w1, w2) as i (w1 - w2)."""
+    """x^B d_B - x_B d^B, the central element i (x^B d_B - x_B d^B) divided by
+    i to keep it rational; acts on bidegree (w1, w2) as w1 - w2."""
     E, Ebar = euler_ops(m)
-    return (E - Ebar).scale(GR_I)
+    return E - Ebar
 
 
 def central_action_check(m: AmbientModel, w1: int, w2: int, bound=2):
-    """The central element scales every bidegree-(w1, w2) monomial by i(w1-w2)."""
+    """E - Ebar scales every bidegree-(w1, w2) monomial by w1 - w2, that is, the
+    central element scales it by i(w1 - w2)."""
     op = central_element(m)
     fails = []
     for f in bidegree_monomials(m, w1, w2, bound):
-        if op.apply(f) != f.scale(gr(0, w1 - w2)):
+        if op.apply(f) != f.scale(w1 - w2):
             fails.append(str(f))
     return fails
 
@@ -294,7 +298,7 @@ class CompositionParts:
     Utilde: list
     vw2: SparseTensor  # column-symmetrized T
     vw1: TracelessMatrix
-    vw0: GaussianRational
+    vw0: rat
     w1: int
     w2: int
 
@@ -306,14 +310,14 @@ def _u_pair(m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix):
     P = mat_mul(W.entries, V.entries)  # P^D_A = V^X_A W^D_X
     Q = mat_mul(V.entries, W.entries)  # Q^D_A = V^D_X W^X_A
     t = mat_trace(Q)
-    c_big = gr(rat(2 * n * n + 8 * n + 4, 2 * n * (n + 2) * (n + 4)))
-    c_small = gr(rat(4, 2 * n * (n + 2) * (n + 4)))
-    c_id = gr(rat(n * n + 4 * n + 6, 2 * n * (n + 1) * (n + 3) * (n + 4)))
+    c_big = rat(2 * n * n + 8 * n + 4, 2 * n * (n + 2) * (n + 4))
+    c_small = rat(4, 2 * n * (n + 2) * (n + 4))
+    c_id = rat(n * n + 4 * n + 6, 2 * n * (n + 1) * (n + 3) * (n + 4))
     idm = mat_identity(N)
     U = mat_add(mat_scale(P, c_big), mat_scale(Q, c_small))
-    U = mat_add(U, mat_scale(idm, c_id * t), gr(-1))
+    U = mat_add(U, mat_scale(idm, c_id * t), -1)
     Ut = mat_add(mat_scale(P, c_small), mat_scale(Q, c_big))
-    Ut = mat_add(Ut, mat_scale(idm, c_id * t), gr(-1))
+    Ut = mat_add(Ut, mat_scale(idm, c_id * t), -1)
     return U, Ut, P, Q, t
 
 
@@ -339,30 +343,30 @@ def trace_projection_oracle(m: AmbientModel, V: TracelessMatrix, W: TracelessMat
     def delta_terms_contracted(kind, i, j):
         """Row of coefficients: the (kind) contraction of the delta terms,
         evaluated at free indices (i, j)."""
-        row = [GR_ZERO] * nvars
-        inv = gr(rat(1, N))
-        inv2 = gr(rat(1, N * N))
+        row = [RZERO] * nvars
+        inv = rat(1, N)
+        inv2 = rat(1, N * N)
         if kind == "BC":  # sum_X [B=C=X]: free (D, A) = (i, j)
-            row[u_idx(i, j)] = row[u_idx(i, j)] + gr(N)
+            row[u_idx(i, j)] = row[u_idx(i, j)] + N
             # delta^D_A tr(Ut)
             if i == j:
                 for x in range(N):
-                    row[ut_idx(x, x)] = row[ut_idx(x, x)] + GR_ONE
+                    row[ut_idx(x, x)] = row[ut_idx(x, x)] + 1
             # -(1/N)*2*(U+Ut)^D_A
-            row[u_idx(i, j)] = row[u_idx(i, j)] - gr(2) * inv
-            row[ut_idx(i, j)] = row[ut_idx(i, j)] - gr(2) * inv
+            row[u_idx(i, j)] = row[u_idx(i, j)] - 2 * inv
+            row[ut_idx(i, j)] = row[ut_idx(i, j)] - 2 * inv
             # +(1/N^2) delta^D_A tr(U+Ut)
             if i == j:
                 for x in range(N):
                     row[u_idx(x, x)] = row[u_idx(x, x)] + inv2
                     row[ut_idx(x, x)] = row[ut_idx(x, x)] + inv2
         else:  # "DA": free (B, C) = (i, j)
-            row[ut_idx(i, j)] = row[ut_idx(i, j)] + gr(N)
+            row[ut_idx(i, j)] = row[ut_idx(i, j)] + N
             if i == j:
                 for x in range(N):
-                    row[u_idx(x, x)] = row[u_idx(x, x)] + GR_ONE
-            row[u_idx(i, j)] = row[u_idx(i, j)] - gr(2) * inv
-            row[ut_idx(i, j)] = row[ut_idx(i, j)] - gr(2) * inv
+                    row[u_idx(x, x)] = row[u_idx(x, x)] + 1
+            row[u_idx(i, j)] = row[u_idx(i, j)] - 2 * inv
+            row[ut_idx(i, j)] = row[ut_idx(i, j)] - 2 * inv
             if i == j:
                 for x in range(N):
                     row[u_idx(x, x)] = row[u_idx(x, x)] + inv2
@@ -377,12 +381,12 @@ def trace_projection_oracle(m: AmbientModel, V: TracelessMatrix, W: TracelessMat
             rhs.append(P[i][j])  # (B=C)-trace of V (x) W
             rows.append(delta_terms_contracted("DA", i, j))
             rhs.append(Q[i][j])  # (D=A)-trace
-    gauge = [GR_ZERO] * nvars
+    gauge = [RZERO] * nvars
     for x in range(N):
-        gauge[u_idx(x, x)] = GR_ONE
-        gauge[ut_idx(x, x)] = gauge[ut_idx(x, x)] - GR_ONE
+        gauge[u_idx(x, x)] = RONE
+        gauge[ut_idx(x, x)] = gauge[ut_idx(x, x)] - RONE
     rows.append(gauge)
-    rhs.append(GR_ZERO)
+    rhs.append(RZERO)
     sol = linalg.solve(rows, rhs)
     if sol is None:
         return None
@@ -405,8 +409,8 @@ def compose_decompose(
     U, Ut, P, Q, t = _u_pair(m, V, W)
     UpUt = mat_add(U, Ut)
     tr_UpUt = mat_trace(UpUt)
-    invN = gr(rat(1, N))
-    invN2 = gr(rat(1, N * N))
+    invN = rat(1, N)
+    invN2 = rat(1, N * N)
     entries = {}
     for B in range(N):
         for D in range(N):
@@ -428,16 +432,16 @@ def compose_decompose(
     T = SparseTensor(2, N, entries)
     vw2 = T.symmetrized()
     dw = w1 - w2
-    beta = gr(rat(n - 2, 2 * n * (n + 4))) * gr(dw)
+    beta = rat(n - 2, 2 * n * (n + 4)) * dw
     M = mat_add(P, Q)
-    M = mat_add(M, mat_identity(N), gr(rat(-2, n + 2)) * t)
+    M = mat_add(M, mat_identity(N), rat(-2, n + 2) * t)
     M = mat_scale(M, beta)
-    M = mat_add(M, mat_add(Q, P, gr(-1)), gr(rat(-1, 2)))
+    M = mat_add(M, mat_add(Q, P, -1), rat(-1, 2))
     vw1 = TracelessMatrix(M)
     # Zeroth-order part: exact reduction of the trace-part quadratics gives
     # this closed form (cross-checked by residual fitting at n = 1..4).
     # uncorrected_vw0 keeps the superseded constant for discrepancy reports.
-    vw0 = gr(rat(n, 2 * (n + 1) * (n + 2) * (n + 3))) * gr(dw * dw - (n + 2) ** 2) * t
+    vw0 = rat(n, 2 * (n + 1) * (n + 2) * (n + 3)) * (dw * dw - (n + 2) ** 2) * t
     return CompositionParts(T=T, U=U, Utilde=Ut, vw2=vw2, vw1=vw1, vw0=vw0, w1=w1, w2=w2)
 
 
@@ -447,8 +451,8 @@ def uncorrected_vw0(m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix, w1,
     n = m.n
     dw = w1 - w2
     t = mat_trace(mat_mul(V.entries, W.entries))
-    num = gr((n * n + n + 6) * dw * dw - n * n * (n + 4) * (n * n + 4 * n + 5))
-    return num * t / gr(n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
+    num = (n * n + n + 6) * dw * dw - n * n * (n + 4) * (n * n + 4 * n + 5)
+    return num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
 
 
 def t_part_operator(m: AmbientModel, T: SparseTensor) -> WeylOperator:
@@ -507,10 +511,10 @@ def composition_rhs_operator(
     out = out - WeylOperator.mul_by(u_quadric(m, U, Ut)).compose(lap)
     # first-order terms with weight-dependent coefficients
     denom = 2 * n * (n + 4)
-    c1 = gr(rat((n - 2) * dw - n * (n + 4), denom))  # on Q, along x^A d_D
-    c1p = gr(rat((n - 2) * dw + n * (n + 4), denom))  # on P
-    c2 = gr(rat((2 - n) * dw - n * (n + 4), denom))  # on P, along x_D d^A
-    c2p = gr(rat((2 - n) * dw + n * (n + 4), denom))  # on Q
+    c1 = rat((n - 2) * dw - n * (n + 4), denom)  # on Q, along x^A d_D
+    c1p = rat((n - 2) * dw + n * (n + 4), denom)  # on P
+    c2 = rat((2 - n) * dw - n * (n + 4), denom)  # on P, along x_D d^A
+    c2p = rat((2 - n) * dw + n * (n + 4), denom)  # on Q
     fo = WeylOperator.zero(m.ring)
     for D in range(N):
         for A in range(N):
@@ -523,8 +527,8 @@ def composition_rhs_operator(
     out = out + fo
     # scalar term: exact reduction of the trace-part quadratics with the
     # 1/(n+2) resolution coefficients
-    num = gr((-n**3 + 10 * n + 12) * dw * dw - n * n * (n + 4) * (n + 2) ** 2) / gr(2)
-    scalar = num * t / gr(n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
+    num = rat((-n**3 + 10 * n + 12) * dw * dw - n * n * (n + 4) * (n + 2) ** 2, 2)
+    scalar = num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
     out = out + WeylOperator.identity(m.ring).scale(scalar)
     return out
 

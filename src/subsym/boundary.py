@@ -2,27 +2,39 @@
 section, canonical homogeneous extension, sub-Laplacian and the reduction
 identity.
 
-Boundary coordinates are z^1..z^n, their conjugates zb^1..zb^n and the real
-contact coordinate sigma.  The lowered combinations z_a = g_a zb^a appear
-throughout; with the diagonal metric they are unit multiples of the
-conjugates.  The section of the null cone is phi(z, sigma) =
-(1, z^a, -z^a z_a/2 + i sigma) and every ambient identity is checked after
-pulling back along it.
+Boundary coordinates are z^1..z^n, their conjugates zb^1..zb^n and
+tau = i*sigma, where sigma is the real contact coordinate.  The lowered
+combinations z_a = g_a zb^a appear throughout; with the diagonal metric they
+are unit multiples of the conjugates.  The section of the null cone is
+phi(z, tau) = (1, z^a, -z^a z_a/2 + tau) and every ambient identity is
+checked after pulling back along it.
+
+Working in tau makes every object rational.  The dictionary to the sigma
+form is d/dsigma = i d/dtau:
+
+- section: x^inf -> -zz/2 + tau, x_0 -> -zz/2 - tau;
+- extension: tau = (x^inf/x^0 - x_0/x_inf)/2;
+- tangential operators: d_a = d/dz^a - (1/2) z_a d/dtau and
+  d^a = g_a d/dzb^a + (1/2) z^a d/dtau;
+- sub-Laplacian: first-order term -((w1-w2)/2) d/dtau.
+
+Every identity checked here is C-linear in rational inputs, so checking it
+over Q certifies the complex statement.
 
 The tangential operators are *defined* operationally (pullback of the
-cone-adapted frame derivatives of an extension); the closed forms
-d_a = d/dz^a + (i/2) z_a d/dsigma etc. are derived artifacts and the test
-suite checks them against the operational definition, which immunizes the
-build against sign-convention drift.
+cone-adapted frame derivatives of an extension); the closed forms above are
+derived artifacts and the test suite checks them against the operational
+definition, which immunizes the build against sign-convention drift.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .ambient import AmbientModel
 from .rings import LaurentPoly, Ring
-from .scalars import GR_I, GR_ONE, gr, rat
+from .scalars import rat
 from .weyl import WeylOperator
 
 
@@ -37,7 +49,7 @@ class BoundaryModel:
         names = (
             [f"z{a}" for a in range(1, n + 1)]
             + [f"zb{a}" for a in range(1, n + 1)]
-            + ["sigma"]
+            + ["tau"]
         )
         self.ring = Ring(names)
         self.ambient = AmbientModel(n, self.g_diag)
@@ -51,17 +63,18 @@ class BoundaryModel:
 
     def z_low(self, a) -> LaurentPoly:
         """Lowered z_a = g_a * conj(z^a)."""
-        return self.zb(a).scale(gr(self.g_diag[a - 1]))
+        return self.zb(a).scale(self.g_diag[a - 1])
 
-    def sigma(self) -> LaurentPoly:
-        return self.ring.gen("sigma")
+    def tau(self) -> LaurentPoly:
+        """tau = i*sigma."""
+        return self.ring.gen("tau")
 
     def zz_half(self) -> LaurentPoly:
         """sum_a z^a z_a / 2 (a real quantity on the model)."""
         out = self.ring.zero()
         for a in range(1, self.n + 1):
             out = out + self.z(a) * self.z_low(a)
-        return out.scale(gr(rat(1, 2)))
+        return out.scale(rat(1, 2))
 
     def monomials(self, max_degree):
         """All boundary monomials of total degree <= max_degree."""
@@ -91,13 +104,9 @@ class FrameFields:
         n = m.n
         zero = m.ring.zero()
         one = m.ring.one()
-        isig = m.sigma().scale(GR_I)
-        self.X_up = [one] + [m.z(a) for a in range(1, n + 1)] + [isig - m.zz_half()]
-        self.X_dn = (
-            [isig.scale(gr(-1)) - m.zz_half()]
-            + [m.z_low(a) for a in range(1, n + 1)]
-            + [one]
-        )
+        tau = m.tau()
+        self.X_up = [one] + [m.z(a) for a in range(1, n + 1)] + [tau - m.zz_half()]
+        self.X_dn = [-tau - m.zz_half()] + [m.z_low(a) for a in range(1, n + 1)] + [one]
         self.Z_up = [zero] * (n + 1) + [one]
         self.Z_dn = [one] + [zero] * (n + 1)
         self.Y_up = {}
@@ -105,9 +114,9 @@ class FrameFields:
         for b in range(1, n + 1):
             col = [zero] * (n + 2)
             col[b] = one
-            col[n + 1] = m.z_low(b).scale(gr(-1))
+            col[n + 1] = -m.z_low(b)
             self.Y_up[b] = col
-            row = [m.z(b).scale(gr(-1))] + [zero] * (n + 1)
+            row = [-m.z(b)] + [zero] * (n + 1)
             row[b] = one
             self.Y_dn[b] = row
 
@@ -148,14 +157,12 @@ class FrameFields:
 
 
 def phi_pullback(m: BoundaryModel, f: LaurentPoly) -> LaurentPoly:
-    """Substitute the section: x^0 -> 1, x^a -> z^a, x^inf -> -zz/2 + i sigma,
-    x_0 -> -zz/2 - i sigma, x_a -> z_a, x_inf -> 1."""
-    amb = m.ambient
+    """Substitute the section: x^0 -> 1, x^a -> z^a, x^inf -> -zz/2 + tau,
+    x_0 -> -zz/2 - tau, x_a -> z_a, x_inf -> 1."""
     n = m.n
     images = {"x0": m.ring.one(), "x_inf": m.ring.one()}
-    isig = m.sigma().scale(GR_I)
-    images["xinf"] = isig - m.zz_half()
-    images["x_0"] = isig.scale(gr(-1)) - m.zz_half()
+    images["xinf"] = m.tau() - m.zz_half()
+    images["x_0"] = -m.tau() - m.zz_half()
     for a in range(1, n + 1):
         images[f"x{a}"] = m.z(a)
         images[f"x_{a}"] = m.z_low(a)
@@ -164,7 +171,7 @@ def phi_pullback(m: BoundaryModel, f: LaurentPoly) -> LaurentPoly:
 
 def extension_arguments(m: BoundaryModel):
     """Images of the boundary generators used by the canonical extension:
-    z^a -> x^a/x^0, zb^a -> g_a x_a/x_inf, sigma -> (x^inf/x^0 - x_0/x_inf)/(2i)."""
+    z^a -> x^a/x^0, zb^a -> g_a x_a/x_inf, tau -> (x^inf/x^0 - x_0/x_inf)/2."""
     amb = m.ambient
     n = m.n
     x0_inv = amb.ring.gen("x0", -1)
@@ -172,11 +179,8 @@ def extension_arguments(m: BoundaryModel):
     images = {}
     for a in range(1, n + 1):
         images[f"z{a}"] = amb.up(a) * x0_inv
-        images[f"zb{a}"] = (amb.dn(a) * xinf_low_inv).scale(gr(m.g_diag[a - 1]))
-    s = (amb.up(n + 1) * x0_inv - amb.dn(0) * xinf_low_inv) * amb.ring.const(
-        GR_ONE / (gr(2) * GR_I)
-    )
-    images["sigma"] = s
+        images[f"zb{a}"] = (amb.dn(a) * xinf_low_inv).scale(m.g_diag[a - 1])
+    images["tau"] = (amb.up(n + 1) * x0_inv - amb.dn(0) * xinf_low_inv).scale(rat(1, 2))
     return images
 
 
@@ -196,33 +200,32 @@ def extend(m: BoundaryModel, F: LaurentPoly, w1: int, w2: int) -> LaurentPoly:
 # tangential operators
 
 
+@lru_cache(maxsize=32)
 def tangential_ops(m: BoundaryModel):
-    """(list of d_a, list of raised d^a, d_sigma) as boundary Weyl operators.
+    """(d_a for each a, raised d^a for each a, d_tau) as boundary Weyl
+    operators, built once per model.
 
-    Closed forms: d_a = d/dz^a + (i/2) z_a d_sigma,
-    d^a = g_a d/dzb^a - (i/2) z^a d_sigma, d_sigma = d/dsigma.
+    Closed forms: d_a = d/dz^a - (1/2) z_a d_tau,
+    d^a = g_a d/dzb^a + (1/2) z^a d_tau, d_tau = d/dtau.
     """
-    n = m.n
     ring = m.ring
-    dsig = WeylOperator.derivative(ring, "sigma")
-    d_hol = []
-    d_raised = []
-    half_i = GR_I * gr(rat(1, 2))
-    for a in range(1, n + 1):
-        da = WeylOperator.derivative(ring, f"z{a}") + WeylOperator.term(
-            m.z_low(a).scale(half_i), {"sigma": 1}
-        )
-        d_hol.append(da)
-        dra = WeylOperator.derivative(ring, f"zb{a}").scale(gr(m.g_diag[a - 1])) - (
-            WeylOperator.term(m.z(a).scale(half_i), {"sigma": 1})
-        )
-        d_raised.append(dra)
-    return d_hol, d_raised, dsig
+    dtau = WeylOperator.derivative(ring, "tau")
+    d_hol = tuple(
+        WeylOperator.derivative(ring, f"z{a}")
+        + WeylOperator.term(m.z_low(a).scale(rat(-1, 2)), {"tau": 1})
+        for a in range(1, m.n + 1)
+    )
+    d_raised = tuple(
+        WeylOperator.derivative(ring, f"zb{a}").scale(m.g_diag[a - 1])
+        + WeylOperator.term(m.z(a).scale(rat(1, 2)), {"tau": 1})
+        for a in range(1, m.n + 1)
+    )
+    return d_hol, d_raised, dtau
 
 
 def tangential_op_operational(m: BoundaryModel, kind, a, F: LaurentPoly) -> LaurentPoly:
     """Chain-rule definition: pull back a frame derivative of the (0,0)
-    extension.  kind is 'hol' (d_a), 'raised' (d^a) or 'sigma'."""
+    extension.  kind is 'hol' (d_a), 'raised' (d^a) or 'tau' (d_tau)."""
     amb = m.ambient
     frames = FrameFields(m)
     f = extend(m, F, 0, 0)
@@ -236,42 +239,40 @@ def tangential_op_operational(m: BoundaryModel, kind, a, F: LaurentPoly) -> Laur
         for B in range(m.n + 2):
             acc = acc + amb.d_dn(B).apply(f) * _lift(m, frames.Y_dn[a][B])
         return phi_pullback(m, acc)
-    if kind == "sigma":
-        acc = (amb.d_up(m.n + 1).apply(f) - amb.d_dn(0).apply(f)).scale(GR_I)
-        return phi_pullback(m, acc)
+    if kind == "tau":
+        return phi_pullback(m, amb.d_up(m.n + 1).apply(f) - amb.d_dn(0).apply(f))
     raise ValueError(kind)
 
 
 def _lift(m: BoundaryModel, p: LaurentPoly) -> LaurentPoly:
     """Lift a boundary polynomial to the ambient ring along the section
-    (z^a -> x^a, zb^a -> g_a x_a, sigma -> (x^inf - x_0)/(2i)); used only to
+    (z^a -> x^a, zb^a -> g_a x_a, tau -> (x^inf - x_0)/2); used only to
     multiply frame components against ambient derivatives before pulling
     back, where any section-compatible lift gives the same pullback."""
     amb = m.ambient
     images = {}
     for a in range(1, m.n + 1):
         images[f"z{a}"] = amb.up(a)
-        images[f"zb{a}"] = amb.dn(a).scale(gr(m.g_diag[a - 1]))
-    images["sigma"] = (amb.up(m.n + 1) - amb.dn(0)) * amb.ring.const(
-        GR_ONE / (gr(2) * GR_I)
-    )
+        images[f"zb{a}"] = amb.dn(a).scale(m.g_diag[a - 1])
+    images["tau"] = (amb.up(m.n + 1) - amb.dn(0)).scale(rat(1, 2))
     return p.substitute(images, amb.ring)
 
 
+@lru_cache(maxsize=32)
 def sublaplacian(m: BoundaryModel, w1, w2) -> WeylOperator:
-    """(1/2) g^{ab}(d_a d_b-bar + d_b-bar d_a) + i((w1-w2)/2) d_sigma.
+    """(1/2) g^{ab}(d_a d_b-bar + d_b-bar d_a) - ((w1-w2)/2) d_tau, built once
+    per model and weights; in sigma this is + i((w1-w2)/2) d_sigma.
 
     Normalization follows the reduction identity (the definition in the
     source adds the 1/2 only in the proof; this is the variant for which
     the reduction holds exactly)."""
-    d_hol, d_raised, dsig = tangential_ops(m)
+    d_hol, d_raised, dtau = tangential_ops(m)
     out = WeylOperator.zero(m.ring)
     for a in range(m.n):
         out = out + (
             d_hol[a].compose(d_raised[a]) + d_raised[a].compose(d_hol[a])
-        ).scale(gr(rat(1, 2)))
-    out = out + dsig.scale(gr(0, 1) * gr(rat(w1 - w2, 2)))
-    return out
+        ).scale(rat(1, 2))
+    return out + dtau.scale(rat(w2 - w1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +314,7 @@ def verify_rh_lemma(m: BoundaryModel, h: LaurentPoly, w1: int, w2: int):
         raise ValueError(f"h has bidegree {bid}, expected {(w1 - 1, w2 - 1)}")
     lap = ambient_laplacian(amb)
     r = r_poly(amb)
-    res = lap.apply(r * h) - r * lap.apply(h) - h.scale(gr(m.n + w1 + w2))
+    res = lap.apply(r * h) - r * lap.apply(h) - h.scale(m.n + w1 + w2)
     return None if not res else res
 
 

@@ -792,10 +792,7 @@ def seven_pieces_check(N):
     """
     from .ambient import sl_basis
 
-    sl = [
-        SparseTensor(1, N, {((B,), (A,)): V[B][A].re for B in range(N) for A in range(N)})
-        for V in sl_basis(N)
-    ]
+    sl = [SparseTensor.from_matrix(V) for V in sl_basis(N)]
     dim_sl = len(sl)
     pairs = list(itertools.product(range(N), repeat=2))
     keys4 = [(U, L) for U in pairs for L in pairs]  # ((B, D), (A, C)) for V^B_A W^D_C

@@ -1,54 +1,35 @@
-"""Exact dense linear algebra by fraction-free (Bareiss) elimination.
+"""Exact dense linear algebra over Q by fraction-free (Bareiss) elimination.
 
 Each row is scaled by the lcm of its denominators, which keeps the row space,
 so rank, pivots and the reduced row echelon form do not change.  One loop then
 applies Bareiss's update a_ij <- (p * a_ij - a_ic * a_rj) / d, with p the
 current pivot and d the previous one (E. H. Bareiss, Math. Comp. 22, 1968).
 Every entry stays a minor of the scaled matrix, so the division is exact and
-no fraction is formed until the end.  Entries are ints, or Gaussian integers
-held as GaussianRational when some input entry has a nonzero imaginary part.
-Results are GaussianRational when an input entry is one, else the backend
-rational.
+no fraction is formed until the end.  Entries are backend rationals or ints;
+results are backend rationals.
 """
 
 from __future__ import annotations
 
 from math import lcm, prod
-from operator import floordiv, truediv
 
-from .scalars import GR_ONE, GR_ZERO, RZERO, GaussianRational, rat
+from .scalars import RONE, RZERO, rat
 
 
 def _integral(rows):
-    """Integral copies of `rows`, each scaled by the lcm of its denominators.
-
-    Returns (rows, scales, div, lift): `div` is exact division in the ring of
-    the copies and `lift(n, d)` is n/d in the input's element type.
-    """
-    has_gr = GaussianRational in {type(x) for r in rows for x in r}
-    gaussian = has_gr and any(x.im for r in rows for x in r if type(x) is GaussianRational)
+    """Integer copies of `rows`, each scaled by the lcm of its denominators;
+    returns (rows, scales)."""
     m, scales = [], []
     for r in rows:
-        if gaussian:
-            r = [GR_ONE * x for x in r]
-            s = lcm(*(int(q.denominator) for x in r for q in (x.re, x.im)))
-            m.append([x * s for x in r])
-        else:
-            if has_gr:
-                r = [x.re if type(x) is GaussianRational else x for x in r]
-            # most entries of the contraction blocks are zero
-            s = lcm(*(int(q.denominator) for q in r if q))
-            m.append([int(q.numerator) * (s // int(q.denominator)) if q else 0 for q in r])
+        # most entries of the contraction blocks are zero
+        s = lcm(*(int(q.denominator) for q in r if q))
+        m.append([int(q.numerator) * (s // int(q.denominator)) if q else 0 for q in r])
         scales.append(s)
-    if gaussian:
-        return m, scales, truediv, lambda n, d: GR_ONE * n / d
-    if has_gr:
-        return m, scales, floordiv, lambda n, d: GaussianRational(rat(n, d), RZERO)
-    return m, scales, floordiv, rat
+    return m, scales
 
 
-def _eliminate(m, div, reduce):
-    """Bareiss elimination of the integral rows `m`, in place.
+def _eliminate(m, reduce):
+    """Bareiss elimination of the integer rows `m`, in place.
 
     Forward only, unless `reduce` also clears the rows above each pivot
     (fraction-free Gauss-Jordan); then every pivot ends equal to the last one.
@@ -74,9 +55,9 @@ def _eliminate(m, div, reduce):
             # zeros are skipped, not computed; a row with f = 0 is still
             # rescaled by p/d so that its entries stay minors
             if f:
-                m[i] = [div(p * a - f * b, d) if a or b else a for a, b in zip(ri, rr)]
+                m[i] = [(p * a - f * b) // d if a or b else a for a, b in zip(ri, rr)]
             elif p != d:
-                m[i] = [div(p * a, d) if a else a for a in ri]
+                m[i] = [p * a // d if a else a for a in ri]
         pivots.append(c)
         d = p
         r += 1
@@ -87,15 +68,14 @@ def _eliminate(m, div, reduce):
 
 def rref(rows):
     """Reduced row echelon form; returns (new rows, pivot column list)."""
-    m, _, div, lift = _integral(rows)
-    pivots, d, _ = _eliminate(m, div, reduce=True)
-    zero = lift(0, 1)
-    return [[lift(x, d) if x else zero for x in r] for r in m], pivots
+    m, _ = _integral(rows)
+    pivots, d, _ = _eliminate(m, reduce=True)
+    return [[rat(x, d) if x else RZERO for x in r] for r in m], pivots
 
 
 def rank(rows) -> int:
-    m, _, div, _ = _integral(rows)
-    return len(_eliminate(m, div, reduce=False)[0])
+    m, _ = _integral(rows)
+    return len(_eliminate(m, reduce=False)[0])
 
 
 def det(rows):
@@ -103,10 +83,10 @@ def det(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m, scales, div, lift = _integral(rows)
-    pivots, d, sign = _eliminate(m, div, reduce=False)
+    m, scales = _integral(rows)
+    pivots, d, sign = _eliminate(m, reduce=False)
     # the last pivot is the determinant of the row-permuted, row-scaled matrix
-    return lift(sign * d if len(pivots) == n else 0, prod(scales))
+    return rat(sign * d if len(pivots) == n else 0, prod(scales))
 
 
 def kernel_basis(rows, ncols=None):
@@ -117,14 +97,12 @@ def kernel_basis(rows, ncols=None):
         ncols = len(rows[0])
     m, pivots = rref(rows)
     pivset = set(pivots)
-    # 0 in the element type of the result; GaussianRational when it has no entries
-    zero = next((x - x for r in m for x in r), GR_ZERO)
     basis = []
     for fc in range(ncols):
         if fc in pivset:
             continue
-        v = [zero] * ncols
-        v[fc] = zero + 1
+        v = [RZERO] * ncols
+        v[fc] = RONE
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
         basis.append(v)
@@ -144,7 +122,7 @@ def solve(rows, b):
     # inconsistent iff a pivot lands in the augmented column
     if ncols in pivots:
         return None
-    x = [m[0][ncols] * 0] * ncols
+    x = [RZERO] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = m[r][ncols]
     return x, kernel_basis(rows, ncols)

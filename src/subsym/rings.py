@@ -1,10 +1,12 @@
-"""Multivariate Laurent polynomials with exact Gaussian-rational coefficients.
+"""Multivariate Laurent polynomials with exact rational coefficients.
 
 A :class:`Ring` fixes an ordered tuple of generator names; a subset of the
 generators may carry negative exponents (``laurent`` generators).  Terms are
 stored sparsely as a dict mapping exponent vectors (tuples of ints, one slot
-per generator) to nonzero :class:`GaussianRational` coefficients.  The zero
-polynomial is the empty dict.
+per generator) to nonzero backend rationals (``scalars.rat``); ints are
+accepted wherever a coefficient is given.  The zero polynomial is the empty
+dict.  No coefficient is complex: the boundary model works in the contact
+coordinate tau = i*sigma, over Q (see ``boundary``).
 
 Serialization uses graded-lexicographic term order so that equal polynomials
 always print and dump identically.
@@ -14,8 +16,16 @@ from __future__ import annotations
 
 import json
 from math import comb
+from operator import add
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr, parse_gr
+from .scalars import RONE, RZERO, accumulate, parse_rat, rat, rat_str
+
+_RAT = type(RZERO)
+
+
+def _coeff(c):
+    """c as a backend rational; a complex value raises TypeError."""
+    return c if type(c) is _RAT else rat(c)
 
 
 class RingMismatchError(ValueError):
@@ -60,7 +70,7 @@ class Ring:
         return LaurentPoly(self, {})
 
     def const(self, c) -> "LaurentPoly":
-        c = c if isinstance(c, GaussianRational) else gr(c)
+        c = _coeff(c)
         if not c:
             return self.zero()
         return LaurentPoly(self, {self._zero_exp: c})
@@ -77,10 +87,10 @@ class Ring:
         exp[self.index[name]] = power
         if power == 0:
             return self.one()
-        return LaurentPoly(self, {tuple(exp): GR_ONE})
+        return LaurentPoly(self, {tuple(exp): RONE})
 
     def monomial(self, exps: dict, coeff=1) -> "LaurentPoly":
-        c = coeff if isinstance(coeff, GaussianRational) else gr(coeff)
+        c = _coeff(coeff)
         if not c:
             return self.zero()
         exp = [0] * self.arity
@@ -104,7 +114,7 @@ class LaurentPoly:
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
-        self.terms = terms  # exponent tuple -> nonzero GaussianRational
+        self.terms = terms  # exponent tuple -> nonzero backend rational
 
     @staticmethod
     def _make(ring, terms):
@@ -117,12 +127,12 @@ class LaurentPoly:
     def is_constant(self):
         return not self.terms or set(self.terms) == {self.ring._zero_exp}
 
-    def constant_value(self) -> GaussianRational:
-        return self.terms.get(self.ring._zero_exp, GR_ZERO)
+    def constant_value(self):
+        return self.terms.get(self.ring._zero_exp, RZERO)
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("operands live in different rings")
 
     def __add__(self, other):
@@ -131,11 +141,7 @@ class LaurentPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, GR_ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            accumulate(out, e, c)
         return LaurentPoly(self.ring, out)
 
     __radd__ = __add__
@@ -156,22 +162,18 @@ class LaurentPoly:
             return self.scale(other)
         self._check(other)
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                s = out.get(e)
-                s = p if s is None else s + p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.ring, out)
+                e = tuple(map(add, e1, e2))
+                s = get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return LaurentPoly._make(self.ring, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = c if isinstance(c, GaussianRational) else gr(c)
+        c = _coeff(c)
         if not c:
             return self.ring.zero()
         return LaurentPoly(self.ring, {e: k * c for e, k in self.terms.items()})
@@ -193,7 +195,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.ring == other.ring and self.terms == other.terms
         if not self.terms:
-            return other == 0 or other == GR_ZERO
+            return other == 0
         return self.is_constant() and self.constant_value() == other
 
     def __hash__(self):
@@ -248,38 +250,23 @@ class LaurentPoly:
         if unknown:
             raise UnknownGeneratorError(f"images for unknown generators: {sorted(unknown)}")
 
-        # precompute needed powers lazily
-        out = target.zero()
-        for e, c in self.terms.items():
-            term = target.const(c)
-            for i, m in enumerate(e):
-                if m == 0:
-                    continue
-                term = term * (full[self.ring.names[i]] ** m)
-            out = out + term
-        return out
-
-    def relabel(self, mapping: dict, target: Ring | None = None,
-                conjugate_coeffs: bool = False) -> "LaurentPoly":
-        """Generator relabeling (a ring involution when paired with coefficient
-        conjugation); ``mapping`` sends old names to new names."""
-        target = target or self.ring
-        perm = []
-        for name in self.ring.names:
-            new = mapping.get(name, name)
-            perm.append(target.index[new])
+        # one power per (generator, exponent), products accumulated in place
+        names = self.ring.names
+        powers = {}
         out = {}
         for e, c in self.terms.items():
-            ne = [0] * target.arity
+            term = None
             for i, m in enumerate(e):
-                ne[perm[i]] += m
-            c2 = c.conjugate() if conjugate_coeffs else c
-            key = tuple(ne)
-            s = out.get(key, GR_ZERO) + c2
-            if s:
-                out[key] = s
+                if m:
+                    p = powers.get((i, m))
+                    if p is None:
+                        p = powers[(i, m)] = full[names[i]] ** m
+                    term = p if term is None else term * p
+            if term is None:
+                accumulate(out, target._zero_exp, c)
             else:
-                out.pop(key, None)
+                for te, tc in term.terms.items():
+                    accumulate(out, te, tc * c)
         return LaurentPoly(target, out)
 
     # -- serialization -------------------------------------------------------
@@ -287,7 +274,7 @@ class LaurentPoly:
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
 
     def to_jsonable(self):
-        return [[list(e), str(c)] for e, c in self.sorted_terms()]
+        return [[list(e), rat_str(c)] for e, c in self.sorted_terms()]
 
     def dumps(self) -> str:
         return json.dumps(self.to_jsonable())
@@ -295,7 +282,7 @@ class LaurentPoly:
     @staticmethod
     def loads(ring: Ring, s: str) -> "LaurentPoly":
         data = json.loads(s)
-        terms = {tuple(e): parse_gr(c) for e, c in data}
+        terms = {tuple(e): parse_rat(c) for e, c in data}
         return LaurentPoly._make(ring, terms)
 
     def __str__(self):
@@ -310,7 +297,7 @@ class LaurentPoly:
                 elif m != 0:
                     factors.append(f"{name}^{m}")
             mono = "*".join(factors) if factors else "1"
-            parts.append(f"({c})*{mono}")
+            parts.append(f"({rat_str(c)})*{mono}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -325,7 +312,7 @@ def _invert_monomial(p: LaurentPoly) -> LaurentPoly:
     for name, m in zip(p.ring.names, e):
         if m != 0 and name not in p.ring.laurent:
             raise ValueError(f"cannot invert generator {name!r}")
-    return LaurentPoly(p.ring, {tuple(-m for m in e): c.inverse()})
+    return LaurentPoly(p.ring, {tuple(-m for m in e): RONE / c})
 
 
 def binom_exp(alpha, gamma):

@@ -1,13 +1,15 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals.
+"""Exact scalar arithmetic: rationals, and Gaussian rationals for callers.
 
 All computations in this package are exact.  The rational backend is
 ``gmpy2.mpq`` when available and ``fractions.Fraction`` otherwise.  Set the
 environment variable ``SUBSYM_RATIONAL_BACKEND`` to ``gmpy2`` or ``fraction``
 to force a choice; the default ``auto`` prefers gmpy2.
 
-A :class:`GaussianRational` is a + b*i with exact rational a, b.  Both
-components are kept in lowest terms with positive denominator (the backend
-types guarantee this).
+Every coefficient the verifier computes with is a backend rational ``rat``:
+the boundary model uses the contact coordinate tau = i*sigma, so no identity
+it checks needs the imaginary unit (see ``boundary``).  A
+:class:`GaussianRational` is a + b*i with exact rational a, b, kept for
+callers that want complex constants; no other module of the package uses it.
 """
 
 from __future__ import annotations
@@ -101,26 +103,13 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "GaussianRational":
-        a, b = self.re, self.im
-        n = a * a + b * b
-        if not n:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(a / n, -b / n)
-
     def __truediv__(self, other):
         other = _coerce(other)
-        if not other.im:
-            if not other.re:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational(self.re / other.re, self.im / other.re)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
+        if not n:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
 
     # -- comparison / hashing ------------------------------------------
     def __eq__(self, other):
@@ -161,19 +150,3 @@ def gr(re=0, im=0) -> GaussianRational:
     """Shorthand constructor; accepts ints, Fractions and backend rationals."""
     return GaussianRational(rat(re), rat(im))
 
-
-def parse_gr(s: str) -> GaussianRational:
-    """Inverse of str(): parses "p/q" and "p/q+r/s*i" (also with '-')."""
-    s = s.strip()
-    if s.endswith("*i"):
-        body = s[:-2]
-        # split at the sign that separates the two fractions
-        for pos in range(1, len(body)):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/":
-                re_part, im_part = body[:pos], body[pos:]
-                im = parse_rat(im_part[1:])
-                if im_part[0] == "-":
-                    im = -im
-                return GaussianRational(parse_rat(re_part), im)
-        raise ValueError(f"malformed Gaussian rational {s!r}")
-    return GaussianRational(parse_rat(s), RZERO)

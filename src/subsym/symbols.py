@@ -1,11 +1,16 @@
 """Symbol calculus for ambient symmetry operators.
 
 An ambient tensor with d column pairs induces a boundary operator whose
-coefficients in the d_a / d^b / d_sigma basis form a family of symbol
-tensors V[k, l] (k upper boundary indices, l lower, d-k-l sigma slots).
+coefficients in the d_a / d^b / d_tau basis form a family of symbol
+tensors V[k, l] (k upper boundary indices, l lower, p = d-k-l tau slots).
 Extraction contracts the tensor with the cone-adapted frames and pulls back
-along the section, with the (-1)^l (-i)^(d-k-l) prefactors and idempotent
-(averaged) symmetrizations.
+along the section, with the (-1)^l prefactors and idempotent (averaged)
+symmetrizations.
+
+The symbols in the sigma basis carry the phase (-i)^p, which cancels
+against d_sigma^p = i^p d_tau^p; so the tau-basis symbol is i^p times the
+sigma-basis one and every recursion is the sigma-form one multiplied by
+i^(p+1): i k S + D S becomes -k S + D S.
 
 The extracted family satisfies the symbol recursions; equations whose right
 side carries an undetermined trace tensor are checked as solvability of the
@@ -21,21 +26,21 @@ from math import comb, factorial
 from . import linalg
 from .boundary import BoundaryModel, FrameFields, tangential_ops
 from .rings import LaurentPoly
-from .scalars import GaussianRational, gr, rat
+from .scalars import RONE, rat
 from .tensor import SparseTensor
 
 
 class SymbolTensor:
     """Symmetric family of boundary polynomials indexed by sorted boundary
-    index tuples (k upper, l lower); sigma slot count carried separately."""
+    index tuples (k upper, l lower); tau slot count carried separately."""
 
-    __slots__ = ("k", "l", "sigma_slots", "n", "components", "ring")
+    __slots__ = ("k", "l", "tau_slots", "n", "components", "ring")
 
-    def __init__(self, n, k, l, sigma_slots, ring, components=None):
+    def __init__(self, n, k, l, tau_slots, ring, components=None):
         self.n = n
         self.k = k
         self.l = l
-        self.sigma_slots = sigma_slots
+        self.tau_slots = tau_slots
         self.ring = ring
         self.components = {key: p for key, p in (components or {}).items() if p}
 
@@ -51,13 +56,13 @@ class SymbolTensor:
     def __eq__(self, other):
         return (
             isinstance(other, SymbolTensor)
-            and (self.k, self.l, self.sigma_slots) == (other.k, other.l, other.sigma_slots)
+            and (self.k, self.l, self.tau_slots) == (other.k, other.l, other.tau_slots)
             and self.components == other.components
         )
 
     def scale(self, c):
         return SymbolTensor(
-            self.n, self.k, self.l, self.sigma_slots, self.ring,
+            self.n, self.k, self.l, self.tau_slots, self.ring,
             {key: p.scale(c) for key, p in self.components.items()},
         )
 
@@ -77,7 +82,7 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
     Column roles: k columns contract (lower slot with the position vector,
     upper slot with the tangent coframe carrying an upper boundary label),
     l columns the mirror pattern, remaining columns contract both slots with
-    the position vectors (the sigma directions).
+    the position vectors (the tau directions).
 
     The inner loop runs over column assignments and tensor entries once and
     expands the boundary labels through the sparsity of the tangent frames
@@ -91,8 +96,7 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
     n = m.n
     fr = FrameFields(m)
     INF = n + 1
-    pref = gr((-1) ** l) * _minus_i_power(d - k - l)
-    norm = gr(rat(1, factorial(k) * factorial(l)))
+    scale = rat((-1) ** l, factorial(k) * factorial(l))
     full = {}  # ordered label tuples -> polynomial
     cols = range(d)
 
@@ -145,7 +149,7 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
         rest = [c for c in cols if c not in iset]
         for jcols in itertools.permutations(rest, l):
             jset = set(jcols)
-            sigma_cols = [c for c in rest if c not in jset]
+            tau_cols = [c for c in rest if c not in jset]
             for per_col, v in entry_data:
                 opts = []
                 dead = False
@@ -166,7 +170,7 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
                 if dead:
                     continue
                 base = None
-                for c in sigma_cols:
+                for c in tau_cols:
                     fg = per_col[c][0]
                     if not fg:
                         dead = True
@@ -193,7 +197,7 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
         for b_key in itertools.combinations_with_replacement(range(1, n + 1), l):
             acc = full.get((a_key, b_key))
             if acc:
-                out[(a_key, b_key)] = acc.scale(pref * norm)
+                out[(a_key, b_key)] = acc.scale(scale)
     return SymbolTensor(n, k, l, d - k - l, m.ring, out)
 
 
@@ -204,8 +208,7 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
         raise ValueError("need k + l <= d")
     n = m.n
     fr = FrameFields(m)
-    pref = gr((-1) ** l) * _minus_i_power(d - k - l)
-    norm = gr(rat(1, factorial(k) * factorial(l)))
+    scale = rat((-1) ** l, factorial(k) * factorial(l))
     out = {}
     cols = range(d)
     for a_key in itertools.combinations_with_replacement(range(1, n + 1), k):
@@ -214,7 +217,7 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
             for icols in itertools.permutations(cols, k):
                 rest = [c for c in cols if c not in icols]
                 for jcols in itertools.permutations(rest, l):
-                    sigma_cols = [c for c in rest if c not in jcols]
+                    tau_cols = [c for c in rest if c not in jcols]
                     for (B, A), v in T.entries.items():
                         term = None
                         dead = False
@@ -234,20 +237,15 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
                             term = f * fr.X_dn[B[c]] if term is None else term * (f * fr.X_dn[B[c]])
                         if dead:
                             continue
-                        for c in sigma_cols:
+                        for c in tau_cols:
                             fg = fr.X_up[A[c]] * fr.X_dn[B[c]]
                             term = fg if term is None else term * fg
                         if term is None:
                             term = m.ring.one()
                         acc = acc + term.scale(v)
             if acc:
-                out[(a_key, b_key)] = acc.scale(pref * norm)
+                out[(a_key, b_key)] = acc.scale(scale)
     return SymbolTensor(n, k, l, d - k - l, m.ring, out)
-
-
-def _minus_i_power(p: int) -> GaussianRational:
-    vals = [gr(1), gr(0, -1), gr(-1), gr(0, 1)]
-    return vals[p % 4]
 
 
 def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
@@ -278,10 +276,10 @@ def sym_derivative_upper(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
                 comp = S.get(rest, b_key)
                 if comp:
                     acc = acc + d_raised[a_key[pos] - 1].apply(comp)
-            acc = acc.scale(gr(rat(1, k2)))
+            acc = acc.scale(rat(1, k2))
             if acc:
                 out[(a_key, tuple(sorted(b_key)))] = acc
-    return SymbolTensor(m.n, k2, S.l, S.sigma_slots, m.ring, out)
+    return SymbolTensor(m.n, k2, S.l, S.tau_slots, m.ring, out)
 
 
 def sym_derivative_lower(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
@@ -296,10 +294,10 @@ def sym_derivative_lower(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
                 comp = S.get(a_key, rest)
                 if comp:
                     acc = acc + d_hol[b_key[pos] - 1].apply(comp)
-            acc = acc.scale(gr(rat(1, l2)))
+            acc = acc.scale(rat(1, l2))
             if acc:
                 out[(tuple(sorted(a_key)), b_key)] = acc
-    return SymbolTensor(m.n, S.k, l2, S.sigma_slots, m.ring, out)
+    return SymbolTensor(m.n, S.k, l2, S.tau_slots, m.ring, out)
 
 
 def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
@@ -312,7 +310,7 @@ def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
             out[key] = s
         else:
             out.pop(key, None)
-    return SymbolTensor(x.n, x.k, x.l, min(x.sigma_slots, y.sigma_slots), x.ring, out)
+    return SymbolTensor(x.n, x.k, x.l, min(x.tau_slots, y.tau_slots), x.ring, out)
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +357,7 @@ def trace_free_part_vanishes(m: BoundaryModel, S: SymbolTensor) -> LaurentPoly |
             if coeff:
                 comp = S.get(key[: S.k], key[S.k :])
                 if comp:
-                    acc = acc + comp.scale(gr(coeff))
+                    acc = acc + comp.scale(coeff)
         if acc:
             return acc
     return None
@@ -380,41 +378,41 @@ def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
     def record(label, residual):
         results.append((label, residual is None, None if residual is None else str(residual)))
 
-    # pure-sigma recursions, exact
+    # pure-tau recursions, exact
     for k in range(1, d + 1):
         S = symbols[(k, 0)]
         D = sym_derivative_upper(m, symbols[(k - 1, 0)])
         res = None
         for a_key in S.upper_keys():
-            val = S.get(a_key, ()).scale(gr(0, k)) + D.get(a_key, ())
+            val = S.get(a_key, ()).scale(-k) + D.get(a_key, ())
             if val:
                 res = val
                 break
-        record(f"sigma recursion (upper) k={k}", res)
+        record(f"tau recursion (upper) k={k}", res)
     for l in range(1, d + 1):
         S = symbols[(0, l)]
         D = sym_derivative_lower(m, symbols[(0, l - 1)])
         res = None
         for b_key in S.lower_keys():
-            val = S.get((), b_key).scale(gr(0, -l)) + D.get((), b_key)
+            val = S.get((), b_key).scale(l) + D.get((), b_key)
             if val:
                 res = val
                 break
-        record(f"sigma recursion (lower) l={l}", res)
+        record(f"tau recursion (lower) l={l}", res)
 
     # mixed recursions, trace-free part
     for k in range(1, d + 1):
         for l in range(1, d + 1 - k):
             lhs = add_symbols(
                 add_symbols(
-                    symbols[(k, l)].scale(gr(0, k - l)),
+                    symbols[(k, l)].scale(l - k),
                     sym_derivative_upper(m, symbols[(k - 1, l)]),
                 ),
                 sym_derivative_lower(m, symbols[(k, l - 1)]),
             )
             record(f"mixed recursion k={k} l={l}", trace_free_part_vanishes(m, lhs))
 
-    # top equations (no sigma slots left): k + l = d + 1
+    # top equations (no tau slots left): k + l = d + 1
     S_up = sym_derivative_upper(m, symbols[(d, 0)])
     res = None
     for a_key in S_up.upper_keys():
@@ -587,7 +585,7 @@ def build_prop1_tensor(
         raise ValueError("seed is not trace-free")
     N = m.n + 2
     INF = m.n + 1
-    coeffs = [gr(1)] + [c if isinstance(c, GaussianRational) else gr(c) for c in x]
+    coeffs = [RONE] + [rat(c) for c in x]
     entries = {}
     cols = range(d)
     for i in range(0, s + 1):

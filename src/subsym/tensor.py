@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .scalars import accumulate, gr, rat
+from .scalars import accumulate, rat
 
 
 def _order(p):
@@ -153,7 +153,7 @@ class SparseTensor:
                 if rng.random() < density:
                     c = rng.randint(-bound, bound)
                     if c:
-                        entries[(B, A)] = gr(c)
+                        entries[(B, A)] = rat(c)
         return SparseTensor(d, N, entries).symmetrized()
 
     @staticmethod
@@ -167,5 +167,5 @@ class SparseTensor:
             for A in itertools.product((0, 2), repeat=d):
                 c = rng.randint(-bound, bound)
                 if c:
-                    entries[(B, A)] = gr(c)
+                    entries[(B, A)] = rat(c)
         return SparseTensor(d, N, entries).symmetrized()

@@ -10,7 +10,7 @@ generalized Leibniz rule term by term.  Equality is decided in normal form.
 from __future__ import annotations
 
 from .rings import LaurentPoly, Ring, RingMismatchError, binom_exp
-from .scalars import GaussianRational, gr
+from .scalars import accumulate, rat
 
 
 def _iter_sub_multiindices(alpha):
@@ -102,7 +102,6 @@ class WeylOperator:
         return self + (-other)
 
     def scale(self, c) -> "WeylOperator":
-        c = c if isinstance(c, GaussianRational) else gr(c)
         return WeylOperator(self.ring, {a: p.scale(c) for a, p in self.terms.items()})
 
     # -- action and composition ----------------------------------------------
@@ -110,7 +109,7 @@ class WeylOperator:
         if f.ring != self.ring:
             raise RingMismatchError("operand lives in a different ring")
         names = self.ring.names
-        out = self.ring.zero()
+        out = {}
         for alpha, p in self.terms.items():
             g = f
             for i, k in enumerate(alpha):
@@ -121,8 +120,9 @@ class WeylOperator:
                 if not g:
                     break
             if g:
-                out = out + p * g
-        return out
+                for e, c in (p * g).terms.items():
+                    accumulate(out, e, c)
+        return LaurentPoly(self.ring, out)
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
         """Normal-ordered product: (self∘other)(f) = self(other(f))."""
@@ -156,12 +156,6 @@ class WeylOperator:
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         return self.compose(other) - other.compose(self)
-
-    def principal_part(self, order: int) -> "WeylOperator":
-        """Sum of terms whose derivative degree is exactly ``order``."""
-        return WeylOperator(
-            self.ring, {a: p for a, p in self.terms.items() if sum(a) == order}
-        )
 
     # -- serialization -----------------------------------------------------
     def sorted_terms(self):
@@ -223,7 +217,7 @@ def from_action(ring: Ring, action, max_order: int) -> WeylOperator:
             fact = 1
             for e in alpha:
                 fact *= factorial(e)
-            terms[alpha] = acc.scale(gr(1) / gr(fact))
+            terms[alpha] = acc.scale(rat(1, fact))
     return WeylOperator(ring, terms)
 
 

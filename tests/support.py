@@ -1,0 +1,259 @@
+"""Test-only helpers: the Gaussian-rational Laurent ring the verifier used
+before it moved to Q, and operator helpers that no `src/` code needs.
+
+`GaussianRing`/`GaussianPoly` keep the former `rings.Ring`/`LaurentPoly`
+unchanged in substance (coefficients are `GaussianRational`, generators may
+be relabeled with coefficient conjugation).  They are the differential
+oracle for the rational ring and the sigma-form reference for the tau = i*sigma
+dictionary tests.
+"""
+
+from __future__ import annotations
+
+from subsym.rings import UnknownGeneratorError
+from subsym.scalars import GR_ONE, GR_ZERO, RZERO, GaussianRational, gr, parse_rat
+from subsym.weyl import WeylOperator
+
+
+def principal_part(op: WeylOperator, order: int) -> WeylOperator:
+    """Sum of the terms of `op` whose derivative degree is exactly `order`."""
+    return WeylOperator(op.ring, {a: p for a, p in op.terms.items() if sum(a) == order})
+
+
+def parse_gr(s: str) -> GaussianRational:
+    """Inverse of str(): parses "p/q" and "p/q+r/s*i" (also with '-')."""
+    s = s.strip()
+    if s.endswith("*i"):
+        body = s[:-2]
+        # split at the sign that separates the two fractions
+        for pos in range(1, len(body)):
+            if body[pos] in "+-" and body[pos - 1] not in "+-/":
+                re_part, im_part = body[:pos], body[pos:]
+                im = parse_rat(im_part[1:])
+                if im_part[0] == "-":
+                    im = -im
+                return GaussianRational(parse_rat(re_part), im)
+        raise ValueError(f"malformed Gaussian rational {s!r}")
+    return GaussianRational(parse_rat(s), RZERO)
+
+
+class GaussianRing:
+    """An ordered set of named generators, some of which are invertible."""
+
+    def __init__(self, names, laurent=()):
+        names = tuple(names)
+        self.names = names
+        self.laurent = frozenset(laurent)
+        self.arity = len(names)
+        self.index = {n: i for i, n in enumerate(names)}
+        self._zero_exp = (0,) * self.arity
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GaussianRing)
+            and self.names == other.names
+            and self.laurent == other.laurent
+        )
+
+    def __hash__(self):
+        return hash((self.names, self.laurent))
+
+    def zero(self) -> "GaussianPoly":
+        return GaussianPoly(self, {})
+
+    def const(self, c) -> "GaussianPoly":
+        c = c if isinstance(c, GaussianRational) else gr(c)
+        if not c:
+            return self.zero()
+        return GaussianPoly(self, {self._zero_exp: c})
+
+    def one(self) -> "GaussianPoly":
+        return self.const(1)
+
+    def gen(self, name, power=1) -> "GaussianPoly":
+        if power < 0 and name not in self.laurent:
+            raise ValueError(f"negative power on non-invertible generator {name!r}")
+        if power == 0:
+            return self.one()
+        exp = [0] * self.arity
+        exp[self.index[name]] = power
+        return GaussianPoly(self, {tuple(exp): GR_ONE})
+
+    def monomial(self, exps: dict, coeff=1) -> "GaussianPoly":
+        c = coeff if isinstance(coeff, GaussianRational) else gr(coeff)
+        if not c:
+            return self.zero()
+        exp = [0] * self.arity
+        for name, e in exps.items():
+            if e < 0 and name not in self.laurent:
+                raise ValueError(f"negative power on non-invertible generator {name!r}")
+            exp[self.index[name]] = e
+        return GaussianPoly(self, {tuple(exp): c})
+
+
+class GaussianPoly:
+    """Sparse exact Laurent polynomial with Gaussian-rational coefficients."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: GaussianRing, terms: dict):
+        self.ring = ring
+        self.terms = terms  # exponent tuple -> nonzero GaussianRational
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _check(self, other):
+        if self.ring != other.ring:
+            raise ValueError("operands live in different rings")
+
+    def __add__(self, other):
+        if not isinstance(other, GaussianPoly):
+            other = self.ring.const(other)
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, GR_ZERO) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return GaussianPoly(self.ring, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianPoly(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, GaussianPoly):
+            other = self.ring.const(other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, GaussianPoly):
+            return self.scale(other)
+        self._check(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                p = c1 * c2
+                s = out.get(e)
+                s = p if s is None else s + p
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return GaussianPoly(self.ring, out)
+
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "GaussianPoly":
+        c = c if isinstance(c, GaussianRational) else gr(c)
+        if not c:
+            return self.ring.zero()
+        return GaussianPoly(self.ring, {e: k * c for e, k in self.terms.items()})
+
+    def __pow__(self, m: int):
+        if m < 0:
+            return _invert_monomial(self) ** (-m)
+        out = self.ring.one()
+        base = self
+        while m:
+            if m & 1:
+                out = out * base
+            base = base * base if m > 1 else base
+            m >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianPoly):
+            return self.ring == other.ring and self.terms == other.terms
+        if not self.terms:
+            return other == 0 or other == GR_ZERO
+        return set(self.terms) == {self.ring._zero_exp} and self.terms[self.ring._zero_exp] == other
+
+    def diff(self, name: str) -> "GaussianPoly":
+        """Formal partial derivative; Laurent exponents follow d/dx x^m = m x^(m-1)."""
+        if name not in self.ring.index:
+            raise UnknownGeneratorError(name)
+        i = self.ring.index[name]
+        out = {}
+        for e, c in self.terms.items():
+            m = e[i]
+            if m == 0:
+                continue
+            ne = e[:i] + (m - 1,) + e[i + 1 :]
+            nc = c * m
+            s = out.get(ne)
+            s = nc if s is None else s + nc
+            if s:
+                out[ne] = s
+            else:
+                out.pop(ne, None)
+        return GaussianPoly(self.ring, out)
+
+    def substitute(self, images: dict, target: GaussianRing | None = None) -> "GaussianPoly":
+        """Substitute every generator by ``images[name]`` (a poly in ``target``);
+        generators absent from ``images`` map to themselves."""
+        target = target or self.ring
+        full = {}
+        for name in self.ring.names:
+            img = images.get(name)
+            if img is None:
+                img = target.gen(name)
+            elif not isinstance(img, GaussianPoly):
+                img = target.const(img)
+            full[name] = img
+        out = target.zero()
+        for e, c in self.terms.items():
+            term = target.const(c)
+            for i, m in enumerate(e):
+                if m == 0:
+                    continue
+                term = term * (full[self.ring.names[i]] ** m)
+            out = out + term
+        return out
+
+    def relabel(self, mapping: dict, target: GaussianRing | None = None,
+                conjugate_coeffs: bool = False) -> "GaussianPoly":
+        """Generator relabeling (a ring involution when paired with coefficient
+        conjugation); ``mapping`` sends old names to new names."""
+        target = target or self.ring
+        perm = []
+        for name in self.ring.names:
+            new = mapping.get(name, name)
+            perm.append(target.index[new])
+        out = {}
+        for e, c in self.terms.items():
+            ne = [0] * target.arity
+            for i, m in enumerate(e):
+                ne[perm[i]] += m
+            c2 = GaussianRational(c.re, -c.im) if conjugate_coeffs else c
+            key = tuple(ne)
+            s = out.get(key, GR_ZERO) + c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return GaussianPoly(target, out)
+
+    def __repr__(self):
+        return f"GaussianPoly({self.terms})"
+
+
+def _invert_monomial(p: GaussianPoly) -> GaussianPoly:
+    """Inverse of a unit monomial; all its generators must be invertible."""
+    if len(p.terms) != 1:
+        raise ValueError("cannot invert a non-monomial polynomial")
+    (e, c), = p.terms.items()
+    for name, m in zip(p.ring.names, e):
+        if m != 0 and name not in p.ring.laurent:
+            raise ValueError(f"cannot invert generator {name!r}")
+    return GaussianPoly(p.ring, {tuple(-m for m in e): GR_ONE / c})
+
+
+def to_gaussian(p, ring: GaussianRing) -> GaussianPoly:
+    """The same polynomial with its rational coefficients as Gaussian ones."""
+    return GaussianPoly(ring, {e: gr(c) for e, c in p.terms.items()})

@@ -23,7 +23,7 @@ from subsym.boundary import (
     verify_reduction,
     verify_rh_lemma,
 )
-from subsym.scalars import GR_I, gr, rat
+from subsym.scalars import rat
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +52,8 @@ def test_pullback_of_r_vanishes(m1, m2):
 def test_pullback_coordinates(m1):
     amb = m1.ambient
     assert phi_pullback(m1, amb.up(1)) == m1.z(1)
-    num = (amb.up(2) - amb.dn(0)) * amb.ring.const(gr(1) / (gr(2) * GR_I))
-    assert phi_pullback(m1, num) == m1.sigma()
+    num = (amb.up(2) - amb.dn(0)).scale(rat(1, 2))
+    assert phi_pullback(m1, num) == m1.tau()
 
 
 def test_extend_of_one(m1):
@@ -74,8 +74,8 @@ def test_extend_euler_eigenvalues(m2):
     E, Eb = euler_ops(m2.ambient)
     for F in list(m2.monomials(2))[:25]:
         f = extend(m2, F, -1, -1)
-        assert E.apply(f) == f.scale(gr(-1))
-        assert Eb.apply(f) == f.scale(gr(-1))
+        assert E.apply(f) == f.scale(-1)
+        assert Eb.apply(f) == f.scale(-1)
 
 
 def test_extend_rejects_wrong_ring(m1, m2):
@@ -84,11 +84,11 @@ def test_extend_rejects_wrong_ring(m1, m2):
 
 
 def test_tangential_closed_forms_match_chain_rule(m1):
-    d_hol, d_raised, dsig = tangential_ops(m1)
+    d_hol, d_raised, dtau = tangential_ops(m1)
     for F in m1.monomials(3):
         assert d_hol[0].apply(F) == tangential_op_operational(m1, "hol", 1, F)
         assert d_raised[0].apply(F) == tangential_op_operational(m1, "raised", 1, F)
-        assert dsig.apply(F) == tangential_op_operational(m1, "sigma", 1, F)
+        assert dtau.apply(F) == tangential_op_operational(m1, "tau", 1, F)
 
 
 def test_tangential_chain_rule_mixed_signature():
@@ -103,13 +103,14 @@ def test_tangential_chain_rule_mixed_signature():
 def test_contact_commutators():
     for g in [None, (1, -1)]:
         m = BoundaryModel(2, g)
-        d_hol, d_raised, dsig = tangential_ops(m)
+        d_hol, d_raised, dtau = tangential_ops(m)
         for a in range(2):
-            dabar = d_raised[a].scale(gr(m.g_diag[a]))
+            dabar = d_raised[a].scale(m.g_diag[a])
             for b in range(2):
                 comm = dabar.commutator(d_hol[b])
                 if a == b:
-                    assert comm == dsig.scale(gr(0, m.g_diag[a]))
+                    # i g_a d_sigma = -g_a d_tau
+                    assert comm == dtau.scale(-m.g_diag[a])
                 else:
                     assert not comm
         assert not d_hol[0].commutator(d_hol[1])
@@ -123,11 +124,12 @@ def test_kronecker_action(m2):
 
 
 def test_sublaplacian_values(m1):
-    lap = sublaplacian(m1, -1, -1 + 1)  # w1 = w2: the sigma term drops
+    lap = sublaplacian(m1, -1, -1 + 1)  # w1 = w2: the tau term drops
     assert lap.apply(m1.ring.one()) == m1.ring.zero()
     lap01 = sublaplacian(m1, 0, -1)
     assert lap01.apply(m1.z(1)) == m1.ring.zero()
-    assert lap01.apply(m1.sigma()) == m1.ring.const(gr(0, rat(1, 2)))
+    # Delta sigma = i/2, so Delta tau = i * i/2
+    assert lap01.apply(m1.tau()) == m1.ring.const(rat(-1, 2))
     assert lap01.apply(m1.z(1) * m1.zb(1)) == m1.ring.one()
 
 
@@ -184,7 +186,7 @@ def test_extension_difference_invisible_after_laplacian(m2):
     amb = m2.ambient
     lap = ambient_laplacian(amb)
     r = r_poly(amb)
-    F = m2.z(1) * m2.zb(2) + m2.sigma()
+    F = m2.z(1) * m2.zb(2) + m2.tau()
     for (w1, w2) in [(-1, -1), (0, -2)]:
         f = extend(m2, F, w1, w2)
         for h in list(bidegree_monomials(amb, w1 - 1, w2 - 1, 3))[:4]:
@@ -199,7 +201,8 @@ def test_induce_laplacian_and_central(m2):
         delta = sublaplacian(m2, w1, w2)
         for F in list(m2.monomials(2))[:15]:
             assert induce(m2, lap, w1, w2, F) == delta.apply(F)
-            assert induce(m2, cen, w1, w2, F) == F.scale(gr(0, w1 - w2))
+            # central_element is i(E - Ebar) divided by i
+            assert induce(m2, cen, w1, w2, F) == F.scale(w1 - w2)
 
 
 def test_induced_first_order_symmetry_property(m2):
@@ -217,9 +220,9 @@ def test_induced_first_order_symmetry_property(m2):
 def test_induce_linear(m2):
     amb = m2.ambient
     lap = ambient_laplacian(amb)
-    F, G = m2.z(1), m2.zb(2) * m2.sigma()
-    got = induce(m2, lap, -1, -1, F + G.scale(gr(3)))
-    assert got == induce(m2, lap, -1, -1, F) + induce(m2, lap, -1, -1, G).scale(gr(3))
+    F, G = m2.z(1), m2.zb(2) * m2.tau()
+    got = induce(m2, lap, -1, -1, F + G.scale(3))
+    assert got == induce(m2, lap, -1, -1, F) + induce(m2, lap, -1, -1, G).scale(3)
 
 
 def test_extend_rejects_non_integer_weights(m1):

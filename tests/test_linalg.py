@@ -3,11 +3,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from subsym.linalg import det, kernel_basis, rank, rref, solve, span_rank
-from subsym.scalars import GR_ZERO, GaussianRational, gr, rat
+from subsym.scalars import RZERO, rat
+
+RAT = type(RZERO)
 
 
 def M(rows):
-    return [[gr(x) for x in r] for r in rows]
+    return [[rat(x) for x in r] for r in rows]
 
 
 # -- the fraction-preserving Gauss-Jordan loop that Bareiss elimination replaced,
@@ -84,10 +86,10 @@ def test_identity_rank():
 
 
 def test_nonsingular_homogeneous():
-    sol = solve(M([[1, 1], [3, 2]]), [GR_ZERO, GR_ZERO])
+    sol = solve(M([[1, 1], [3, 2]]), [RZERO, RZERO])
     assert sol is not None
     x, kern = sol
-    assert x == [GR_ZERO, GR_ZERO] and not kern
+    assert x == [RZERO, RZERO] and not kern
 
 
 def test_rank_deficient():
@@ -95,28 +97,22 @@ def test_rank_deficient():
 
 
 def test_inconsistent_is_none_not_exception():
-    assert solve(M([[1, 1], [2, 2]]), [gr(1), gr(3)]) is None
+    assert solve(M([[1, 1], [2, 2]]), [rat(1), rat(3)]) is None
 
 
 def test_kernel():
     kern = kernel_basis(M([[1, 1, 0], [0, 0, 1]]), 3)
     assert len(kern) == 1
     v = kern[0]
-    assert v[0] + v[1] == GR_ZERO and v[2] == GR_ZERO
+    assert v[0] + v[1] == 0 and v[2] == 0
 
 
 def test_solution_with_kernel():
-    sol = solve(M([[1, 1]]), [gr(2)])
+    sol = solve(M([[1, 1]]), [rat(2)])
     assert sol is not None
     x, kern = sol
     assert len(kern) == 1
-    assert x[0] + x[1] == gr(2)
-
-
-def test_complex_entries():
-    m = [[gr(0, 1), gr(1)], [gr(-1), gr(0, 1)]]
-    # second row = i * first row, so rank 1
-    assert rank(m) == 1
+    assert x[0] + x[1] == 2
 
 
 def test_det_small():
@@ -124,8 +120,7 @@ def test_det_small():
     assert det([[0, 1], [1, 0]]) == -1
     assert det([[1, 2], [2, 4]]) == 0
     assert det([]) == 1
-    assert det(M([[0, 1], [1, 0]])) == gr(-1) and isinstance(det(M([[2]])), GaussianRational)
-    assert det([[gr(0, 1), gr(1)], [gr(1), gr(0, 1)]]) == gr(-2)
+    assert det(M([[0, 1], [1, 0]])) == -1 and type(det(M([[2]]))) is RAT
 
 
 mats = st.lists(
@@ -156,17 +151,13 @@ fractions = st.one_of(
 
 @st.composite
 def exact_matrices(draw, square=False):
-    """Matrices of Fraction, real GaussianRational or complex GaussianRational
-    entries, with zero rows and columns and dependent rows mixed in."""
-    kind = draw(st.sampled_from(["fraction", "real", "complex"]))
+    """Matrices of rational entries, with zero rows and columns and dependent
+    rows mixed in."""
     nrows = draw(st.integers(1, 5))
     ncols = nrows if square else draw(st.integers(1, 6))
 
     def entry():
-        re = draw(fractions)
-        if kind == "fraction":
-            return rat(re)
-        return gr(re, draw(fractions) if kind == "complex" else 0)
+        return rat(draw(fractions))
 
     rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
     if draw(st.booleans()):
@@ -183,12 +174,6 @@ def exact_matrices(draw, square=False):
     return rows
 
 
-def _element_type(rows):
-    if any(isinstance(x, GaussianRational) for r in rows for x in r):
-        return GaussianRational
-    return type(rat(0))
-
-
 @settings(max_examples=200, deadline=None)
 @given(exact_matrices())
 def test_rref_matches_reference(rows):
@@ -196,8 +181,7 @@ def test_rref_matches_reference(rows):
     ref_red, ref_pivots = oracle_rref(rows)
     assert pivots == ref_pivots
     assert red == ref_red
-    t = _element_type(rows)
-    assert all(type(x) is t for r in red for x in r)
+    assert all(type(x) is RAT for r in red for x in r)
 
 
 @settings(max_examples=200, deadline=None)

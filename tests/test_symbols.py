@@ -8,7 +8,8 @@ from subsym.tensor import SparseTensor
 from subsym.boundary import BoundaryModel, induce, tangential_ops
 from subsym.cli import three_column_skew_checks
 from subsym.report import VerificationReport
-from subsym.scalars import gr, rat
+from subsym.scalars import rat
+from support import principal_part
 from subsym.symbols import (
     SymbolTensor,
     a_coeff,
@@ -103,9 +104,10 @@ def test_d1_symbols_hand_values(m1):
     V = TracelessMatrix([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
     T = SparseTensor.from_matrix(V)
     syms = extract_all_symbols(m1, T)
-    assert syms[(0, 0)].get((), ()) == m1.sigma().scale(gr(-2))
-    assert syms[(1, 0)].get((1,), ()) == m1.z(1).scale(gr(-1))
-    assert syms[(0, 1)].get((), (1,)) == m1.z_low(1).scale(gr(-1))
+    # one tau slot: the sigma-form symbol -2 sigma times the phase i, at sigma = -i tau
+    assert syms[(0, 0)].get((), ()) == m1.tau().scale(-2)
+    assert syms[(1, 0)].get((1,), ()) == m1.z(1).scale(-1)
+    assert syms[(0, 1)].get((), (1,)) == m1.z_low(1).scale(-1)
 
 
 def test_d1_recursions_for_basis(m1):
@@ -118,25 +120,25 @@ def test_d1_recursions_for_basis(m1):
 
 
 def test_d1_sigma_symbol_matches_induced_constant_term(m2):
-    # the sigma-coefficient of the induced operator agrees with extraction
+    # the tau-coefficient (sigma-coefficient times i) of the induced operator
+    # agrees with extraction
     rng = random.Random(4)
     V = random_traceless(2, rng)
     T = SparseTensor.from_matrix(V)
     syms = extract_all_symbols(m2, T)
     dV = dv(m2.ambient, V)
-    _, _, dsig = tangential_ops(m2)
-    # apply the induced operator to sigma and subtract the lower-order parts:
-    # induced(D_V) = V^a d_a + V_b d^b + V^sigma d_sigma + zeroth order;
+    # apply the induced operator to tau and subtract the lower-order parts:
+    # induced(D_V) = V^a d_a + V_b d^b + V^tau d_tau + zeroth order;
     # evaluating on 1 and on the coordinates isolates the coefficients
     w1, w2 = -1, -1
     zero_part = induce(m2, dV, w1, w2, m2.ring.one())
-    got_sigma = induce(m2, dV, w1, w2, m2.sigma()) - zero_part * m2.sigma()
+    got_tau = induce(m2, dV, w1, w2, m2.tau()) - zero_part * m2.tau()
     d_hol, d_raised, _ = tangential_ops(m2)
     expected = syms[(0, 0)].get((), ())
     for a in range(1, 3):
-        expected = expected + syms[(1, 0)].get((a,), ()) * d_hol[a - 1].apply(m2.sigma())
-        expected = expected + syms[(0, 1)].get((), (a,)) * d_raised[a - 1].apply(m2.sigma())
-    assert got_sigma == expected
+        expected = expected + syms[(1, 0)].get((a,), ()) * d_hol[a - 1].apply(m2.tau())
+        expected = expected + syms[(0, 1)].get((), (a,)) * d_raised[a - 1].apply(m2.tau())
+    assert got_tau == expected
 
 
 def test_arity_guard(m2):
@@ -256,12 +258,12 @@ def test_bgg_constant_top_symbol(m2):
 
 
 def test_bgg_sigma_power_degree_bound(m2):
-    # direct expansion oracle: sigma^m lies in the kernel of the
-    # (d+1)-fold symmetrized raised derivative exactly when m <= d
+    # direct expansion oracle: sigma^m, a unit multiple of tau^m, lies in the
+    # kernel of the (d+1)-fold symmetrized raised derivative exactly when m <= d
     for d in (1, 2):
         for mdeg in range(0, d + 2):
             top = SymbolTensor(
-                2, 0, 0, d, m2.ring, {((), ()): m2.sigma() ** mdeg}
+                2, 0, 0, d, m2.ring, {((), ()): m2.tau() ** mdeg}
             )
             res = check_bgg(m2, top, d, 0)
             if mdeg <= d:
@@ -296,7 +298,8 @@ def test_prop1_s0():
     T = build_prop1_tensor(m, 1, 0, [])
     assert list(T.entries) == [((3,), (0,))]
     syms = extract_all_symbols(m, T)
-    assert syms[(0, 0)].get((), ()) == m.ring.const(gr(0, -1))
+    # the sigma-form symbol -i times the phase i of its one tau slot
+    assert syms[(0, 0)].get((), ()) == m.ring.const(1)
     assert all(ok for _, ok, _ in check_bgg(m, syms[(0, 0)], 1, 0))
     rec = check_symbol_recursions(m, syms, 1)
     assert all(ok for _, ok, _ in rec)
@@ -327,7 +330,7 @@ def test_prop1_seed_scaling_linearity():
     T1 = build_prop1_tensor(m, 3, 1, res["x"])
     T2 = build_prop1_tensor(m, 3, 1, [v * rat(7) for v in res["x"]])
     # scaling only the type coefficients scales the non-seed components
-    assert T2.entries[((1, 3, 3), (2, 0, 0))] == T1.entries[((1, 3, 3), (2, 0, 0))] * gr(7)
+    assert T2.entries[((1, 3, 3), (2, 0, 0))] == T1.entries[((1, 3, 3), (2, 0, 0))] * 7
 
 
 # -- symmetry space dimensions ----------------------------------------------------
@@ -354,7 +357,7 @@ def test_build_prop1_tensor_general_seed():
     m = BoundaryModel(3)
     res = prop1_system(2, 1)
     # a different constant trace-free seed: off-diagonal components only
-    comp = {((1,), (2,)): m.ring.one(), ((2,), (1,)): m.ring.one().scale(gr(-1))}
+    comp = {((1,), (2,)): m.ring.one(), ((2,), (1,)): m.ring.one().scale(-1)}
     seed = SymbolTensor(3, 1, 1, 0, m.ring, comp)
     assert _seed_is_trace_free(seed)
     T = build_prop1_tensor(m, 2, 1, res["x"], seed=seed)
@@ -374,11 +377,11 @@ def test_build_prop1_rejects_bad_seed():
     # nonzero trace: single diagonal component
     bad = SymbolTensor(2, 1, 1, 0, m.ring, {((1,), (1,)): m.ring.one()})
     with pytest.raises(ValueError):
-        build_prop1_tensor(m, 2, 1, [gr(1)], seed=bad)
+        build_prop1_tensor(m, 2, 1, [1], seed=bad)
     # non-constant seed
     var = SymbolTensor(2, 1, 1, 0, m.ring, {((1,), (2,)): m.z(1)})
     with pytest.raises(ValueError):
-        build_prop1_tensor(m, 2, 1, [gr(1)], seed=var)
+        build_prop1_tensor(m, 2, 1, [1], seed=var)
 
 
 def test_fast_extraction_matches_reference_transcription():
@@ -412,18 +415,18 @@ def _symbol_operator(m, syms, d):
     # at top order because the components are symmetric
     from subsym.weyl import WeylOperator
 
-    d_hol, d_raised, dsig = tangential_ops(m)
+    d_hol, d_raised, dtau = tangential_ops(m)
     out = WeylOperator.zero(m.ring)
     for (k, l), S in syms.items():
-        sig_power = d - k - l
+        tau_power = d - k - l
         for (a_key, b_key), coeff in S.components.items():
             op = WeylOperator.mul_by(coeff)
             for a in a_key:
                 op = op.compose(d_hol[a - 1])
             for b in b_key:
                 op = op.compose(d_raised[b - 1])
-            for _ in range(sig_power):
-                op = op.compose(dsig)
+            for _ in range(tau_power):
+                op = op.compose(dtau)
             # distinct orderings of a repeated index multiply the count
             import math
 
@@ -440,7 +443,7 @@ def _symbol_operator(m, syms, d):
             norm_b = math.factorial(l)
             for c in seen.values():
                 norm_b //= math.factorial(c)
-            out = out + op.scale(gr(norm_a * norm_b))
+            out = out + op.scale(norm_a * norm_b)
     return out
 
 
@@ -463,7 +466,7 @@ def test_induced_operator_top_order_equals_symbols():
     syms1 = extract_all_symbols(m, SparseTensor.from_matrix(V))
     induced = from_action(m.ring, lambda F: induce(m, D1, w1, w2, F), 1)
     assembled = _symbol_operator(m, syms1, 1)
-    assert induced.principal_part(1) == assembled.principal_part(1)
+    assert principal_part(induced, 1) == principal_part(assembled, 1)
 
     # d = 2: seeded trace-free column-symmetric tensor
     T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
@@ -473,4 +476,4 @@ def test_induced_operator_top_order_equals_symbols():
     syms2 = extract_all_symbols(m, T)
     induced2 = from_action(m.ring, lambda F: induce(m, D2, w1, w2, F), 2)
     assembled2 = _symbol_operator(m, syms2, 2)
-    assert induced2.principal_part(2) == assembled2.principal_part(2)
+    assert principal_part(induced2, 2) == principal_part(assembled2, 2)
