@@ -79,9 +79,6 @@ class TracelessMatrix:
     def __eq__(self, other):
         return isinstance(other, TracelessMatrix) and self.entries == other.entries
 
-    def is_zero(self):
-        return all(not e for row in self.entries for e in row)
-
 
 def sl_basis(N):
     """Standard basis of sl(N): off-diagonal units and diagonal differences."""
@@ -148,16 +145,6 @@ class AmbientModel:
     def d_dn(self, A) -> WeylOperator:
         """Derivative along the lowered coordinate x_A (the raised operator)."""
         return WeylOperator.derivative(self.ring, self.lower_names[A])
-
-    def bidegree(self, f: LaurentPoly):
-        """(w1, w2) when f is bihomogeneous, else None."""
-        if not f:
-            return None
-        degs = set()
-        nu = self.N
-        for e in f.terms:
-            degs.add((sum(e[:nu]), sum(e[nu:])))
-        return degs.pop() if len(degs) == 1 else None
 
 
 def r_poly(m: AmbientModel) -> LaurentPoly:

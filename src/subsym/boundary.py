@@ -120,37 +120,6 @@ class FrameFields:
             row[b] = one
             self.Y_dn[b] = row
 
-    def completeness_residuals(self, m: BoundaryModel):
-        """delta^A_B - (X^A Z_B + Z^A X_B + Y^A_c Y^c_B), all entries."""
-        n = m.n
-        out = []
-        for A in range(n + 2):
-            for B in range(n + 2):
-                acc = self.X_up[A] * self.Z_dn[B] + self.Z_up[A] * self.X_dn[B]
-                for c in range(1, n + 1):
-                    acc = acc + self.Y_up[c][A] * self.Y_dn[c][B]
-                target = m.ring.one() if A == B else m.ring.zero()
-                if acc != target:
-                    out.append((A, B, str(acc - target)))
-        return out
-
-    def tangency_residuals(self, m: BoundaryModel):
-        """Y^B_a X_B = 0 and Y^c_B X^B = 0 on the section."""
-        out = []
-        n = m.n
-        for a in range(1, n + 1):
-            acc = m.ring.zero()
-            for B in range(n + 2):
-                acc = acc + self.Y_up[a][B] * self.X_dn[B]
-            if acc:
-                out.append(("upper", a, str(acc)))
-            acc = m.ring.zero()
-            for B in range(n + 2):
-                acc = acc + self.Y_dn[a][B] * self.X_up[B]
-            if acc:
-                out.append(("lower", a, str(acc)))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # pullback and extension
@@ -301,21 +270,6 @@ def admissible_weights(n, max_abs_diff=4):
             w2 = -n - w1
             out.append((w1, w2))
     return out
-
-
-def verify_rh_lemma(m: BoundaryModel, h: LaurentPoly, w1: int, w2: int):
-    """lap(r h) - r lap(h) - (n + w1 + w2) h for ambient h of bidegree
-    (w1-1, w2-1); None when exact."""
-    from .ambient import ambient_laplacian, r_poly
-
-    amb = m.ambient
-    bid = amb.bidegree(h)
-    if bid is not None and bid != (w1 - 1, w2 - 1):
-        raise ValueError(f"h has bidegree {bid}, expected {(w1 - 1, w2 - 1)}")
-    lap = ambient_laplacian(amb)
-    r = r_poly(amb)
-    res = lap.apply(r * h) - r * lap.apply(h) - h.scale(m.n + w1 + w2)
-    return None if not res else res
 
 
 def induce(m: BoundaryModel, D: WeylOperator, w1: int, w2: int, F: LaurentPoly) -> LaurentPoly:

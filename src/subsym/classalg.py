@@ -74,15 +74,6 @@ def cycle_type(p):
     return tuple(cycles)
 
 
-def from_cycles(k, cycles):
-    """Permutation of {0..k-1} from disjoint cycles given in 1-based notation."""
-    img = list(range(k))
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            img[a - 1] = b - 1
-    return tuple(img)
-
-
 def act_on_tuple(p, t):
     """Position action: result[p(i)] = t[i], matching e_{s.I} index relabeling."""
     out = [None] * len(t)
@@ -160,8 +151,6 @@ def class_representative(lam):
 # ---------------------------------------------------------------------------
 # class algebra elements
 
-ENUMERATION_LIMIT = 7
-
 
 class ClassElement:
     """Element of Z(C[S_k]) in the averaged-class-sum basis."""
@@ -229,15 +218,10 @@ def _basis_product_enumeration(k, lam, mu):
 
 
 def class_multiply(u: ClassElement, v: ClassElement, k=None) -> ClassElement:
-    """Product in Z(C[S_k]); basis products are exact probability mixtures.
-
-    Uses exhaustive enumeration for k <= 7 and falls back to the convolution
-    backend beyond that.
-    """
+    """Product in Z(C[S_k]); basis products are exact probability mixtures,
+    enumerated over one class for every k that ``class_elements`` admits."""
     k = k or u.k
     assert u.k == v.k == k
-    if k > ENUMERATION_LIMIT:
-        return center_convolution(u, v, k)
     out = ClassElement(k)
     for lam, cu in u.coeffs.items():
         for mu, cv in v.coeffs.items():
@@ -327,17 +311,6 @@ class GroupAlgebraElement:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_class_function(self) -> bool:
-        by_type = {}
-        for p, c in self.coeffs.items():
-            by_type.setdefault(cycle_type(p), set()).add(c)
-        if any(len(vals) != 1 for vals in by_type.values()):
-            return False
-        # every member of a touched class must carry the same coefficient
-        return all(
-            p in self.coeffs for t in by_type for p in class_elements(self.k)[t]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -575,7 +575,7 @@ def main(argv=None):
             f"({len(rep.checks)} checks, {rep.elapsed_seconds:.2f}s)",
             file=sys.stderr,
         )
-        if rep.status != "pass":
+        if not rep.passed:
             exit_code = 1
         if args.out:
             base = args.out

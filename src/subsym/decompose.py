@@ -3,8 +3,9 @@
 Mixed tensors live in (V (x) V*)^(x)k with dim V = N.  Entries are keyed by a
 pair of multi-indices (U, L): U indexes the vector factors, L the dual
 factors.  Pair-symmetric tensors (invariant under simultaneous permutation of
-the k (u, l) slot pairs) are stored compactly as functions on multisets of
-(u, l) pairs.
+the k (u, l) slot pairs) are stored compactly as vectors over the multisets of
+(u, l) pairs of one weight block; S_k acts on them through the integer index
+tables of ``_perm_tables``.
 
 Everything here commutes with the diagonal torus, so all linear algebra is
 done block-by-block over weight spaces; weights related by relabeling the N
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from . import linalg
 from .classalg import (
     act_on_tuple,
-    char_dim,
+    central_idempotent,
     class_elements,
     compose_perm,
     invert_perm,
@@ -36,7 +37,7 @@ RZERO = rat(0)
 
 
 # ---------------------------------------------------------------------------
-# pair-symmetric tensors as multiset functions
+# pair-symmetric tensors: multisets and the S_k action on weight blocks
 
 
 def pair_multisets(k, N):
@@ -51,32 +52,6 @@ def multiset_weight(M, N):
         w[u] += 1
         w[l] -= 1
     return tuple(w)
-
-
-def sym_to_mixed(k, N, f) -> SparseTensor:
-    """Expand a multiset function to full entries (small sizes only)."""
-    out = {}
-    for M, v in f.items():
-        seen = set()
-        for p in itertools.permutations(M):
-            U = tuple(x[0] for x in p)
-            L = tuple(x[1] for x in p)
-            if (U, L) not in seen:
-                seen.add((U, L))
-                out[(U, L)] = v
-    return SparseTensor(k, N, out)
-
-
-def mixed_to_sym(T: SparseTensor):
-    """Read a pair-symmetric tensor back into a multiset function."""
-    f = {}
-    for (U, L), v in T.entries.items():
-        M = tuple(sorted(zip(U, L)))
-        if M in f:
-            assert f[M] == v, "tensor is not pair-symmetric"
-        else:
-            f[M] = v
-    return f
 
 
 def _perm_lower_multiset(M, sigma):
@@ -114,65 +89,6 @@ def _combine(terms, n):
     for c, vec in terms:
         acc = [a + c * x for a, x in zip(acc, vec)]
     return acc
-
-
-def apply_group_algebra_sym(f, weights, k):
-    """Apply sum_sigma weights[sigma] * (lower-index permutation) to a
-    multiset function.  ``weights`` maps permutations to coefficients; the
-    element must be central (class-closed) for the result to stay
-    pair-symmetric.
-
-    Evaluated in pullback form: (op f)(M) = sum_sigma w_sigma f(M^sigma),
-    which is exactly the entry of the true tensor operator at any
-    arrangement of M.  A pushforward over canonical arrangements would drop
-    stabilizer multiplicities and is wrong.  ``f`` is split by weight block
-    and each block is acted on through its index tables.
-    """
-    # permutations keep the index values of M, so the blocks of the smallest
-    # dimension holding f are closed under them
-    N = 1 + max((x for M in f for pair in M for x in pair), default=0)
-    by_weight = {}
-    for M, c in f.items():
-        by_weight.setdefault(multiset_weight(M, N), {})[M] = c
-    out = {}
-    for w, part in by_weight.items():
-        block = weight_blocks(k, N)[w]
-        tables = _perm_tables(k, N, w)
-        v = [part.get(M, RZERO) for M in block]
-        pulled = [(c, [v[i] for i in tables[sigma]]) for sigma, c in weights.items()]
-        out.update((M, x) for M, x in zip(block, _combine(pulled, len(block))) if x)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _class_avg_weights(k, tau):
-    elems = class_elements(k)[tuple(tau)]
-    c = rat(1, len(elems))
-    return {p: c for p in elems}
-
-
-@lru_cache(maxsize=None)
-def _idempotent_weights(k, lam):
-    lam = tuple(lam)
-    d = char_dim(lam)
-    out = {}
-    for mu, elems in class_elements(k).items():
-        c = rat(d * mn_character(lam, mu), factorial(k))
-        if not c:
-            continue
-        for p in elems:
-            out[p] = c
-    return out
-
-
-def commutant_basis_op(tau, f, k):
-    """Averaged class-sum operator C_(tau) on a pair-symmetric tensor."""
-    return apply_group_algebra_sym(f, _class_avg_weights(k, tuple(tau)), k)
-
-
-def idempotent_op(lam, f, k):
-    """Central idempotent e_lam acting on one index group."""
-    return apply_group_algebra_sym(f, _idempotent_weights(k, tuple(lam)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -277,64 +193,6 @@ def trace_free_dimension(k, N) -> int:
     return total
 
 
-def relabel_multiset(M, perm):
-    """Apply a value permutation (tuple of images) to all indices."""
-    return tuple(sorted((perm[u], perm[l]) for u, l in M))
-
-
-def _find_value_relabeling(src_weight, dst_weight):
-    """A permutation of range(N) mapping one weight vector to the other."""
-    N = len(src_weight)
-    by_val = {}
-    for i, w in enumerate(dst_weight):
-        by_val.setdefault(w, []).append(i)
-    perm = [None] * N
-    pools = {v: list(idx) for v, idx in by_val.items()}
-    for i, w in enumerate(src_weight):
-        perm[i] = pools[w].pop()
-    return tuple(perm)
-
-
-def trace_free_symmetric_basis(k, N):
-    """Exact basis of symmetric totally trace-free tensors.
-
-    Returns a list of (block multisets, vector) pairs; every weight block is
-    materialized by relabeling its orbit representative.
-    """
-    out = []
-    blocks = weight_blocks(k, N)
-    for pat, (wrep, _) in weight_orbits(k, N).items():
-        rep_block, kern = trace_free_block_kernel(k, N, wrep)
-        if not kern:
-            continue
-        for w in blocks:
-            if tuple(sorted(w, reverse=True)) != pat:
-                continue
-            perm = _find_value_relabeling(wrep, w)
-            block = blocks[w]
-            index = {M: j for j, M in enumerate(block)}
-            for v in kern:
-                vec = [RZERO] * len(block)
-                for j, M in enumerate(rep_block):
-                    if v[j]:
-                        vec[index[relabel_multiset(M, perm)]] = v[j]
-                out.append((block, vec))
-    return out
-
-
-def _block_vec_to_fn(block, vec):
-    return {M: c for M, c in zip(block, vec) if c}
-
-
-def _fn_to_block_vec(f, block, index=None):
-    if index is None:
-        index = {M: j for j, M in enumerate(block)}
-    vec = [RZERO] * len(block)
-    for M, c in f.items():
-        vec[index[M]] = c
-    return vec
-
-
 def _orbit_kernels(k, N):
     """(weight, orbit size, integral kernel rows) for every weight-orbit
     representative whose trace-free kernel is nonzero.  Each row is a kernel
@@ -428,9 +286,8 @@ def highest_weight_vector(lam, N):
         raise ValueError("construction needs 2*depth(lambda) <= N")
     U0 = tuple(i for i, part in enumerate(lam) for _ in range(part))
     L0 = tuple(N - 1 - i for i, part in enumerate(lam) for _ in range(part))
-    weights = _idempotent_weights(k, lam)
     acc = {}
-    for sigma, c in weights.items():
+    for sigma, c in central_idempotent(lam, k).coeffs.items():
         accumulate(acc, tuple(sorted(zip(act_on_tuple(sigma, U0), L0))), c)
     # acc is k!/stab times the actual symmetrization; nonzero-ness and weight
     # are unaffected.
@@ -557,19 +414,6 @@ def embed_odd(sig, k):
     return tuple(out)
 
 
-def averaged_c_s(s, T: SparseTensor) -> SparseTensor:
-    """(1/(k!)^2) sum over S^1_k x S^2_k of C_{Ad_sigma s} applied to T."""
-    k = T.k
-    acc = SparseTensor(k, T.N)
-    for p1 in itertools.permutations(range(k)):
-        s1 = embed_odd(p1, k)
-        for p2 in itertools.permutations(range(k)):
-            s2 = embed_even(p2, k)
-            sig = compose_perm(s1, s2)
-            acc = acc + apply_c_s(ad_conjugate(sig, s), T)
-    return acc.scale(rat(1, factorial(k) ** 2))
-
-
 def interchanging_reps(k):
     """One interchanging s in S_2k per conjugacy class of sigma_tilde."""
     from .classalg import class_representative
@@ -645,43 +489,6 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
 
 
 # ---------------------------------------------------------------------------
-# gl action (for commutant invariance tests)
-
-
-def gl_action_sym(a, b, f, k, N):
-    """Action of the elementary matrix E_ab on a pair-symmetric tensor fn.
-
-    Pullback form: (X f)(M) = sum over slots t of M with upper value a of
-    f(M[t -> (b, l_t)]) minus sum over slots with lower value b of
-    f(M[t -> (u_t, a)]).
-    """
-    candidates = set()
-    for M, v in f.items():
-        for t in range(k):
-            u, l = M[t]
-            if u == b:
-                candidates.add(tuple(sorted(M[:t] + ((a, l),) + M[t + 1 :])))
-            if l == a:
-                candidates.add(tuple(sorted(M[:t] + ((u, b),) + M[t + 1 :])))
-    out = {}
-    for M in candidates:
-        s = RZERO
-        for t in range(k):
-            u, l = M[t]
-            if u == a:
-                w = f.get(tuple(sorted(M[:t] + ((b, l),) + M[t + 1 :])))
-                if w is not None:
-                    s = s + w
-            if l == b:
-                w = f.get(tuple(sorted(M[:t] + ((u, a),) + M[t + 1 :])))
-                if w is not None:
-                    s = s - w
-        if s:
-            out[M] = s
-    return out
-
-
-# ---------------------------------------------------------------------------
 # commutant multiplication cross-check
 
 
@@ -726,35 +533,6 @@ def commutant_mult_crosscheck(k, N, class_product):
                     lhs = [D * x for x in _class_sum(K[mu], tables, elems[lam])]
                     ok[(lam, mu)] = lhs == _combine([(c, K[tau]) for tau, c in ints], len(v))
     return PairResults([(lam, mu, good) for (lam, mu), good in ok.items()], cases)
-
-
-def young_vs_idempotent_images(k, N):
-    """The Young-projector sum and the central idempotent cut out the same
-    isotypic subspaces of S^k_0 (subspace equality by concatenated ranks).
-
-    The Young element is not central, so it is applied honestly on the full
-    tensor (lower slots) and the result re-symmetrized over slot pairs.
-    Returns (lam, weight, ok) triples per weight-orbit representative.
-    """
-    results = []
-    young = {lam: young_projector_sum(lam).coeffs for lam in partitions(k)}
-    for pat, (w, cnt) in weight_orbits(k, N).items():
-        block, kern = trace_free_block_kernel(k, N, w)
-        if not kern:
-            continue
-        index = {M: j for j, M in enumerate(block)}
-        for lam in partitions(k):
-            eimgs, yimgs = [], []
-            for v in kern:
-                f = _block_vec_to_fn(block, v)
-                eimgs.append(_fn_to_block_vec(idempotent_op(lam, f, k), block, index))
-                Ty = sym_to_mixed(k, N, f).act(young[lam], upper=False).symmetrized()
-                yimgs.append(_fn_to_block_vec(mixed_to_sym(Ty), block, index))
-            re_ = linalg.span_rank(eimgs)
-            ry = linalg.span_rank(yimgs)
-            rboth = linalg.span_rank([v for v in eimgs + yimgs if any(v)])
-            results.append((lam, w, re_ == ry == rboth))
-    return results
 
 
 def basis_operator_independence(k, N):

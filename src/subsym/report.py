@@ -1,10 +1,8 @@
 """Structured verification reports with deterministic serialization.
 
-A report carries one entry per check: name, status ('pass' | 'fail' |
-'finding') and an exact witness string for anything that did not pass.
-'finding' is reserved for a computation that contradicts a claimed
-closed-form identity (as opposed to an internal error); it fails the run
-(nonzero exit) but is flagged apart from ordinary failures.
+A report carries one entry per check: name, status ('pass' | 'fail') and an
+exact witness string for anything that did not pass; any failed check fails
+the run (nonzero exit).
 
 Emitted JSON/CSV is byte-stable for identical requests: keys are sorted,
 scalars use canonical exact strings, and wall-clock timing is kept on the
@@ -24,7 +22,7 @@ SCHEMA_VERSION = 1
 @dataclass
 class CheckResult:
     name: str
-    status: str  # pass | fail | finding
+    status: str  # pass | fail
     witness: str | None = None
 
 
@@ -37,23 +35,18 @@ class VerificationReport:
     seed: int | None = None
     elapsed_seconds: float | None = None
 
-    def add(self, name, ok, witness=None, finding=False, cases=None):
+    def add(self, name, ok, witness=None, cases=None):
         """Record one check; a check that examined 0 ``cases`` fails as vacuous."""
         if cases == 0:
             ok, witness = False, "vacuous: 0 cases"
-        status = "pass" if ok else ("finding" if finding else "fail")
-        self.checks.append(CheckResult(name, status, None if ok else witness))
+        self.checks.append(CheckResult(name, "pass" if ok else "fail", None if ok else witness))
 
     def note(self, text):
         self.notes.append(text)
 
     @property
     def status(self) -> str:
-        if any(c.status == "fail" for c in self.checks):
-            return "fail"
-        if any(c.status == "finding" for c in self.checks):
-            return "finding"
-        return "pass"
+        return "fail" if any(c.status == "fail" for c in self.checks) else "pass"
 
     @property
     def passed(self) -> bool:
@@ -78,7 +71,7 @@ class VerificationReport:
 
     def summary_lines(self):
         for c in self.checks:
-            mark = {"pass": "PASS", "fail": "FAIL", "finding": "FINDING"}[c.status]
+            mark = c.status.upper()
             suffix = "" if c.witness is None else f"  witness: {c.witness}"
             yield f"[{mark}] {self.suite}: {c.name}{suffix}"
 

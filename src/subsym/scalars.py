@@ -1,9 +1,8 @@
 """Exact scalar arithmetic: rationals, and Gaussian rationals for callers.
 
 All computations in this package are exact.  The rational backend is
-``gmpy2.mpq`` when available and ``fractions.Fraction`` otherwise.  Set the
-environment variable ``SUBSYM_RATIONAL_BACKEND`` to ``gmpy2`` or ``fraction``
-to force a choice; the default ``auto`` prefers gmpy2.
+``gmpy2.mpq`` when gmpy2 imports and ``fractions.Fraction`` otherwise;
+``RATIONAL_BACKEND`` names the one in use.
 
 Every coefficient the verifier computes with is a backend rational ``rat``:
 the boundary model uses the contact coordinate tau = i*sigma, so no identity
@@ -14,28 +13,15 @@ callers that want complex constants; no other module of the package uses it.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-_requested = os.environ.get("SUBSYM_RATIONAL_BACKEND", "auto").lower()
+try:
+    from gmpy2 import mpq as rat  # type: ignore
 
-if _requested in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as rat  # type: ignore
-
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        rat = Fraction
-        RATIONAL_BACKEND = "fraction"
-elif _requested == "fraction":
+    RATIONAL_BACKEND = "gmpy2"
+except ImportError:
     rat = Fraction
     RATIONAL_BACKEND = "fraction"
-else:
-    raise ValueError(
-        f"unknown SUBSYM_RATIONAL_BACKEND {_requested!r}; use 'gmpy2', 'fraction' or 'auto'"
-    )
 
 RZERO = rat(0)
 RONE = rat(1)

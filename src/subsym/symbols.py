@@ -26,7 +26,7 @@ from math import comb, factorial
 from . import linalg
 from .boundary import BoundaryModel, FrameFields, tangential_ops
 from .rings import LaurentPoly
-from .scalars import RONE, rat
+from .scalars import RONE, accumulate, rat
 from .tensor import SparseTensor
 
 
@@ -304,12 +304,7 @@ def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
     assert (x.k, x.l) == (y.k, y.l)
     out = dict(x.components)
     for key, p in y.components.items():
-        s = out.get(key)
-        s = p if s is None else s + p
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        accumulate(out, key, p)
     return SymbolTensor(x.n, x.k, x.l, min(x.tau_slots, y.tau_slots), x.ring, out)
 
 
@@ -344,12 +339,10 @@ def _insertion_left_kernel(n: int, k: int, l: int):
 
 def trace_free_part_vanishes(m: BoundaryModel, S: SymbolTensor) -> LaurentPoly | None:
     """None when S = delta-insertion of some lambda (i.e. its trace-free part
-    is zero); otherwise a nonzero witness polynomial."""
+    is zero); otherwise a nonzero witness polynomial.  With no upper or no
+    lower index there is no trace part, and the witness is any component."""
     if S.k == 0 or S.l == 0:
-        for p in S.components.values():
-            if p:
-                return p
-        return None
+        return next(iter(S.components.values()), None)
     dst, kern = _insertion_left_kernel(m.n, S.k, S.l)
     for kv in kern:
         acc = m.ring.zero()
@@ -378,27 +371,13 @@ def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
     def record(label, residual):
         results.append((label, residual is None, None if residual is None else str(residual)))
 
-    # pure-tau recursions, exact
+    # pure-tau recursions, exact (no trace part with k == 0 or l == 0)
     for k in range(1, d + 1):
-        S = symbols[(k, 0)]
-        D = sym_derivative_upper(m, symbols[(k - 1, 0)])
-        res = None
-        for a_key in S.upper_keys():
-            val = S.get(a_key, ()).scale(-k) + D.get(a_key, ())
-            if val:
-                res = val
-                break
-        record(f"tau recursion (upper) k={k}", res)
+        lhs = add_symbols(symbols[(k, 0)].scale(-k), sym_derivative_upper(m, symbols[(k - 1, 0)]))
+        record(f"tau recursion (upper) k={k}", trace_free_part_vanishes(m, lhs))
     for l in range(1, d + 1):
-        S = symbols[(0, l)]
-        D = sym_derivative_lower(m, symbols[(0, l - 1)])
-        res = None
-        for b_key in S.lower_keys():
-            val = S.get((), b_key).scale(l) + D.get((), b_key)
-            if val:
-                res = val
-                break
-        record(f"tau recursion (lower) l={l}", res)
+        lhs = add_symbols(symbols[(0, l)].scale(l), sym_derivative_lower(m, symbols[(0, l - 1)]))
+        record(f"tau recursion (lower) l={l}", trace_free_part_vanishes(m, lhs))
 
     # mixed recursions, trace-free part
     for k in range(1, d + 1):
@@ -413,20 +392,10 @@ def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
             record(f"mixed recursion k={k} l={l}", trace_free_part_vanishes(m, lhs))
 
     # top equations (no tau slots left): k + l = d + 1
-    S_up = sym_derivative_upper(m, symbols[(d, 0)])
-    res = None
-    for a_key in S_up.upper_keys():
-        if S_up.get(a_key, ()):
-            res = S_up.get(a_key, ())
-            break
-    record("top gradient symmetrization (upper)", res)
-    S_dn = sym_derivative_lower(m, symbols[(0, d)])
-    res = None
-    for b_key in S_dn.lower_keys():
-        if S_dn.get((), b_key):
-            res = S_dn.get((), b_key)
-            break
-    record("top gradient symmetrization (lower)", res)
+    record("top gradient symmetrization (upper)",
+           trace_free_part_vanishes(m, sym_derivative_upper(m, symbols[(d, 0)])))
+    record("top gradient symmetrization (lower)",
+           trace_free_part_vanishes(m, sym_derivative_lower(m, symbols[(0, d)])))
     for k in range(1, d + 1):
         l = d + 1 - k
         if l < 1 or l > d:
@@ -444,30 +413,12 @@ def check_bgg(m: BoundaryModel, top: SymbolTensor, d: int, s: int):
     d+1-2s symmetrized raised (resp. lowered) derivatives vanishes."""
     assert top.k == s and top.l == s
     results = []
-    D = top
-    for _ in range(d + 1 - 2 * s):
-        D = sym_derivative_upper(m, D)
-    if s == 0:
-        res = None
-        for a_key in D.upper_keys():
-            if D.get(a_key, ()):
-                res = D.get(a_key, ())
-                break
-    else:
+    for side, derivative in (("upper", sym_derivative_upper), ("lower", sym_derivative_lower)):
+        D = top
+        for _ in range(d + 1 - 2 * s):
+            D = derivative(m, D)
         res = trace_free_part_vanishes(m, D)
-    results.append(("first BGG equation (upper)", res is None, None if res is None else str(res)))
-    D = top
-    for _ in range(d + 1 - 2 * s):
-        D = sym_derivative_lower(m, D)
-    if s == 0:
-        res = None
-        for b_key in D.lower_keys():
-            if D.get((), b_key):
-                res = D.get((), b_key)
-                break
-    else:
-        res = trace_free_part_vanishes(m, D)
-    results.append(("first BGG equation (lower)", res is None, None if res is None else str(res)))
+        results.append((f"first BGG equation ({side})", res is None, None if res is None else str(res)))
     return results
 
 

@@ -1,5 +1,6 @@
 """Test-only helpers: the Gaussian-rational Laurent ring the verifier used
-before it moved to Q, and operator helpers that no `src/` code needs.
+before it moved to Q, and polynomial and operator helpers that no `src/` code
+needs.
 
 `GaussianRing`/`GaussianPoly` keep the former `rings.Ring`/`LaurentPoly`
 unchanged in substance (coefficients are `GaussianRational`, generators may
@@ -13,6 +14,12 @@ from __future__ import annotations
 from subsym.rings import UnknownGeneratorError
 from subsym.scalars import GR_ONE, GR_ZERO, RZERO, GaussianRational, gr, parse_rat
 from subsym.weyl import WeylOperator
+
+
+def bidegree(amb, f):
+    """(w1, w2) when the ambient polynomial f is bihomogeneous, else None."""
+    degs = {(sum(e[: amb.N]), sum(e[amb.N :])) for e in f.terms}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def principal_part(op: WeylOperator, order: int) -> WeylOperator:

@@ -22,6 +22,11 @@ from subsym.classalg import (
 from subsym.scalars import rat
 
 
+def is_class_function(x: GroupAlgebraElement) -> bool:
+    """Whether x is constant on every conjugacy class of S_k."""
+    return all(len({x.coeffs.get(p, 0) for p in elems}) == 1 for elems in class_elements(x.k).values())
+
+
 def test_classes_k3():
     assert dict(conjugacy_classes(3)) == {(1, 1, 1): 1, (2, 1): 3, (3,): 2}
 
@@ -135,7 +140,7 @@ def test_k2_symmetrizer():
 
 def test_idempotents_are_central():
     for lam in partitions(4):
-        assert central_idempotent(lam, 4).is_class_function()
+        assert is_class_function(central_idempotent(lam, 4))
 
 
 def test_standard_tableaux_counts():
@@ -186,3 +191,17 @@ def test_enumeration_rep_invariance():
             counts[t] = counts.get(t, 0) + 1
         probs = {t: rat(c, len(elems)) for t, c in counts.items()}
         assert probs == base
+
+
+def test_class_multiply_enumerates_at_k8(monkeypatch):
+    # k = 8 is the largest k that class_elements admits; the product there must
+    # still come from enumeration, never from the convolution oracle
+    import subsym.classalg as classalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class_multiply called the convolution oracle")
+
+    monkeypatch.setattr(classalg, "center_convolution", refuse)
+    lam, mu = (2, 1, 1, 1, 1, 1, 1), (3, 1, 1, 1, 1, 1)
+    prod = class_multiply(ClassElement.basis(8, lam), ClassElement.basis(8, mu))
+    assert prod.coeffs == classalg._basis_product_convolution(8, lam, mu)

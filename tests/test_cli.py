@@ -53,14 +53,6 @@ def test_failing_report_exits_nonzero():
     assert rep.status == "fail" and not rep.passed
 
 
-def test_finding_status_distinguished():
-    rep = VerificationReport(suite="demo", parameters={})
-    rep.add("claims", False, witness="printed constant mismatch", finding=True)
-    assert rep.status == "finding"
-    data = rep.to_jsonable()
-    assert data["checks"][0]["status"] == "finding"
-
-
 def test_csv_emission(tmp_path):
     rep = VerificationReport(suite="demo", parameters={})
     rep.add("one", True)

@@ -11,40 +11,37 @@ from subsym.classalg import (
     char_dim,
     class_elements,
     class_multiply,
-    from_cycles,
+    compose_perm,
     mn_character,
     partitions,
+    young_projector_sum,
 )
 from subsym.decompose import (
+    _class_sum,
     _perm_lower_multiset,
+    _perm_tables,
+    ad_conjugate,
     apply_c_s,
-    apply_group_algebra_sym,
-    averaged_c_s,
     basis_operator_independence,
-    commutant_basis_op,
     commutant_mult_crosscheck,
     conjugation_lemmas_check,
-    gl_action_sym,
+    embed_even,
+    embed_odd,
     highest_weight_vector,
-    idempotent_op,
     interchanging_reps,
     isotypic_rank,
     isotypic_table,
     lambda_plus_dual,
-    mixed_to_sym,
     multiset_weight,
     pair_multisets,
     seven_pieces_check,
     skew_vanishing_check,
     stable_dim_formula,
-    sym_to_mixed,
     trace_free_block_kernel,
     trace_free_dimension,
-    trace_free_symmetric_basis,
     weight_blocks,
     weight_orbits,
     weyl_dim,
-    young_vs_idempotent_images,
 )
 from subsym.linalg import span_rank
 from subsym.scalars import RZERO, rat
@@ -56,6 +53,130 @@ def class_product(k):
         return class_multiply(ClassElement.basis(k, lam), ClassElement.basis(k, mu)).coeffs
 
     return cp
+
+
+# -- test-only constructions ----------------------------------------------------
+
+
+def from_cycles(k, cycles):
+    """Permutation of {0..k-1} from disjoint cycles given in 1-based notation."""
+    img = list(range(k))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            img[a - 1] = b - 1
+    return tuple(img)
+
+
+def sym_to_mixed(k, N, f) -> SparseTensor:
+    """Expand a multiset function to full entries (small sizes only)."""
+    out = {}
+    for M, v in f.items():
+        for p in itertools.permutations(M):
+            out[(tuple(x[0] for x in p), tuple(x[1] for x in p))] = v
+    return SparseTensor(k, N, out)
+
+
+def mixed_to_sym(T: SparseTensor):
+    """Read a pair-symmetric tensor back into a multiset function."""
+    f = {}
+    for (U, L), v in T.entries.items():
+        M = tuple(sorted(zip(U, L)))
+        assert f.setdefault(M, v) == v, "tensor is not pair-symmetric"
+    return f
+
+
+def block_vector(f, block):
+    return [f.get(M, RZERO) for M in block]
+
+
+def averaged_class(k, tau):
+    """The averaged class sum c_tau as class coefficients."""
+    return {tau: rat(1, len(class_elements(k)[tau]))}
+
+
+def idempotent_classes(lam):
+    """The central idempotent e_lam as class coefficients dim(lam) chi^lam(mu) / k!."""
+    k = sum(lam)
+    return {mu: rat(char_dim(lam) * mn_character(lam, mu), factorial(k)) for mu in partitions(k)}
+
+
+def block_apply(f, class_coeffs, k, N):
+    """sum_mu class_coeffs[mu] K_mu applied to the multiset function f, K_mu the
+    unnormalised class sum, through the index tables of each weight block."""
+    out = {}
+    for w in {multiset_weight(M, N) for M in f}:
+        block = weight_blocks(k, N)[w]
+        tables, v = _perm_tables(k, N, w), block_vector(f, block)
+        img = [0] * len(block)
+        for mu, c in class_coeffs.items():
+            img = [a + c * x for a, x in zip(img, _class_sum(v, tables, class_elements(k)[mu]))]
+        out.update((M, x) for M, x in zip(block, img) if x)
+    return out
+
+
+def trace_free_symmetric_basis(k, N):
+    """Exact basis of symmetric totally trace-free tensors as (block, vector)
+    pairs; every weight block is materialized by relabeling the index values
+    of its orbit representative."""
+    out = []
+    for pat, (wrep, _) in weight_orbits(k, N).items():
+        rep_block, kern = trace_free_block_kernel(k, N, wrep)
+        for w, block in weight_blocks(k, N).items():
+            if not kern or tuple(sorted(w, reverse=True)) != pat:
+                continue
+            # a value permutation taking wrep to w
+            pools = {}
+            for i, x in enumerate(w):
+                pools.setdefault(x, []).append(i)
+            perm = [pools[x].pop() for x in wrep]
+            index = {M: j for j, M in enumerate(block)}
+            for v in kern:
+                vec = [RZERO] * len(block)
+                for c, M in zip(v, rep_block):
+                    if c:
+                        vec[index[tuple(sorted((perm[u], perm[l]) for u, l in M))]] = c
+                out.append((block, vec))
+    return out
+
+
+def averaged_c_s(s, T: SparseTensor) -> SparseTensor:
+    """(1/(k!)^2) sum over S^1_k x S^2_k of C_{Ad_sigma s} applied to T."""
+    k = T.k
+    acc = SparseTensor(k, T.N)
+    for p1 in itertools.permutations(range(k)):
+        for p2 in itertools.permutations(range(k)):
+            sig = compose_perm(embed_odd(p1, k), embed_even(p2, k))
+            acc = acc + apply_c_s(ad_conjugate(sig, s), T)
+    return acc.scale(rat(1, factorial(k) ** 2))
+
+
+def gl_action_sym(a, b, f, k, N):
+    """Action of the elementary matrix E_ab on a pair-symmetric tensor fn.
+
+    Pullback form: (X f)(M) = sum over slots t of M with upper value a of
+    f(M[t -> (b, l_t)]) minus sum over slots with lower value b of
+    f(M[t -> (u_t, a)]).
+    """
+    candidates = set()
+    for M in f:
+        for t in range(k):
+            u, l = M[t]
+            if u == b:
+                candidates.add(tuple(sorted(M[:t] + ((a, l),) + M[t + 1 :])))
+            if l == a:
+                candidates.add(tuple(sorted(M[:t] + ((u, b),) + M[t + 1 :])))
+    out = {}
+    for M in candidates:
+        s = RZERO
+        for t in range(k):
+            u, l = M[t]
+            if u == a:
+                s = s + f.get(tuple(sorted(M[:t] + ((b, l),) + M[t + 1 :])), RZERO)
+            if l == b:
+                s = s - f.get(tuple(sorted(M[:t] + ((u, a),) + M[t + 1 :])), RZERO)
+        if s:
+            out[M] = s
+    return out
 
 
 # -- C_s operators -----------------------------------------------------------
@@ -98,7 +219,8 @@ def test_k2_transposition_class_closed_form():
 
 
 def test_averaged_definition_matches_simple_action():
-    # full (1/(k!)^2)-averaged definition == class-averaged lower permutation
+    # full (1/(k!)^2)-averaged definition == class-averaged lower permutation,
+    # applied honestly on the full tensor
     N = 3
     for k in (2, 3):
         rng = random.Random(5 + k)
@@ -109,11 +231,10 @@ def test_averaged_definition_matches_simple_action():
                 if c:
                     ent[(U, L)] = rat(c)
         T = SparseTensor(k, N, ent).symmetrized()
-        f = mixed_to_sym(T)
         for lam, s in interchanging_reps(k).items():
-            avg = averaged_c_s(s, T)
-            fast = sym_to_mixed(k, N, commutant_basis_op(lam, f, k))
-            assert avg == fast, (k, lam)
+            elems = class_elements(k)[lam]
+            fast = T.act({p: rat(1, len(elems)) for p in elems}, upper=False)
+            assert averaged_c_s(s, T) == fast, (k, lam)
 
 
 def test_conjugation_lemmas():
@@ -124,10 +245,10 @@ def test_conjugation_lemmas():
 
 def test_identity_class_acts_as_identity():
     f = {M: rat(1 + i) for i, M in enumerate(pair_multisets(2, 3))}
-    assert commutant_basis_op((1, 1), f, 2) == f
+    assert block_apply(f, averaged_class(2, (1, 1)), 2, 3) == f
 
 
-# -- the block-table action against the dict pullback it replaced -------------
+# -- the block-table action against a dict pullback ------------------------------
 
 
 def _perm_upper_multiset(M, sigma):
@@ -185,25 +306,14 @@ def test_block_action_matches_dict_pullback(k, N, upper, data):
     # in the same class, so a class-closed element acts the same either way:
     # the upper oracle checks that transpose fact.
     f = data.draw(spread_tensors(k, N))
-    for tau, elems in class_elements(k).items():
-        avg = {p: rat(1, len(elems)) for p in elems}
-        assert commutant_basis_op(tau, f, k) == reference_apply_group_algebra_sym(
-            f, avg, k, upper
+    central = [averaged_class(k, tau) for tau in partitions(k)]
+    central += [idempotent_classes(lam) for lam in partitions(k)]
+    central.append({mu: data.draw(rationals) for mu in partitions(k)})
+    for coeffs in central:
+        weights = {p: c for mu, c in coeffs.items() for p in class_elements(k)[mu]}
+        assert block_apply(f, coeffs, k, N) == reference_apply_group_algebra_sym(
+            f, weights, k, upper
         )
-    for lam in partitions(k):
-        idem = {
-            p: rat(char_dim(lam) * mn_character(lam, mu), factorial(k))
-            for mu, elems in class_elements(k).items()
-            for p in elems
-        }
-        assert idempotent_op(lam, f, k) == reference_apply_group_algebra_sym(
-            f, idem, k, upper
-        )
-    class_fn = {mu: data.draw(rationals) for mu in partitions(k)}
-    central = {p: class_fn[mu] for mu, elems in class_elements(k).items() for p in elems}
-    assert apply_group_algebra_sym(f, central, k) == reference_apply_group_algebra_sym(
-        f, central, k, upper
-    )
 
 
 # -- trace-free symmetric subspace -------------------------------------------
@@ -260,11 +370,7 @@ def test_isotypic_transpose_closure():
     basis = trace_free_symmetric_basis(2, 4)
     index = {M: j for j, M in enumerate(pair_multisets(2, 4))}
     for lam in partitions(2):
-        idem = {
-            p: rat(char_dim(lam) * mn_character(lam, mu), factorial(2))
-            for mu, elems in class_elements(2).items()
-            for p in elems
-        }
+        idem = {p: c for mu, c in idempotent_classes(lam).items() for p in class_elements(2)[mu]}
         images = []
         for block, vec in basis:
             f = {M: c for M, c in zip(block, vec) if c}
@@ -294,7 +400,7 @@ def test_commutant_ops_preserve_trace_free_and_commute_with_gl():
         for v in kern[:2]:
             f = {M: c for M, c in zip(block, v) if c}
             for lam in partitions(k):
-                out = commutant_basis_op(lam, f, k)
+                out = block_apply(f, averaged_class(k, lam), k, N)
                 T = sym_to_mixed(k, N, out)
                 assert T.is_trace_free()
     # gl-equivariance on random symmetric tensors
@@ -306,8 +412,9 @@ def test_commutant_ops_preserve_trace_free_and_commute_with_gl():
             f[M] = rat(c)
     for (a, b) in [(0, 1), (1, 2), (2, 0), (1, 1)]:
         for lam in partitions(3):
-            lhs = gl_action_sym(a, b, commutant_basis_op(lam, f, 3), 3, 3)
-            rhs = commutant_basis_op(lam, gl_action_sym(a, b, f, 3, 3), 3)
+            op = averaged_class(3, lam)
+            lhs = gl_action_sym(a, b, block_apply(f, op, 3, 3), 3, 3)
+            rhs = block_apply(gl_action_sym(a, b, f, 3, 3), op, 3, 3)
             assert lhs == rhs, (a, b, lam)
 
 
@@ -407,9 +514,29 @@ def test_basis_independence_fails_below_the_stable_range():
 
 
 def test_young_vs_idempotent_images():
+    # The Young-projector sum and the central idempotent cut out the same
+    # isotypic subspaces of S^k_0 (subspace equality by concatenated ranks).
+    # The Young element is not central, so it is applied honestly on the full
+    # tensor (lower slots) and the result re-symmetrized over slot pairs.
     for (k, N) in [(2, 3), (3, 3)]:
-        res = young_vs_idempotent_images(k, N)
-        assert all(ok for *_, ok in res)
+        cases = 0
+        for w, _ in weight_orbits(k, N).values():
+            block, kern = trace_free_block_kernel(k, N, w)
+            fns = [{M: c for M, c in zip(block, v) if c} for v in kern]
+            for lam in partitions(k):
+                young = young_projector_sum(lam).coeffs
+                eimgs = [block_vector(block_apply(f, idempotent_classes(lam), k, N), block) for f in fns]
+                yimgs = [
+                    block_vector(
+                        mixed_to_sym(sym_to_mixed(k, N, f).act(young, upper=False).symmetrized()),
+                        block,
+                    )
+                    for f in fns
+                ]
+                re_, ry = span_rank(eimgs), span_rank(yimgs)
+                assert re_ == ry == span_rank([v for v in eimgs + yimgs if any(v)]), (k, N, w, lam)
+                cases += bool(kern)
+        assert cases
 
 
 # -- highest weight vectors and skews ------------------------------------------

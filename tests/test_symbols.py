@@ -156,6 +156,28 @@ def test_recursions_d2(m2):
     assert all(ok for _, ok, _ in rec)
 
 
+def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
+    # a constant added to one component of syms[(k, 0)] or syms[(0, l)] is
+    # killed by every tangential derivative, so only the pure-tau recursion
+    # that has that symbol on its left side can see it
+    T = SparseTensor.random_disjoint_trace_free(2, 4, random.Random(3))
+    syms = extract_all_symbols(m2, T)
+    for key, label in [
+        ((1, 0), "tau recursion (upper) k=1"),
+        ((2, 0), "tau recursion (upper) k=2"),
+        ((0, 1), "tau recursion (lower) l=1"),
+        ((0, 2), "tau recursion (lower) l=2"),
+    ]:
+        S = syms[key]
+        comp = ((1,) * S.k, (2,) * S.l)
+        bumped = dict(S.components)
+        bumped[comp] = S.get(*comp) + m2.ring.one()
+        bad = dict(syms)
+        bad[key] = SymbolTensor(S.n, S.k, S.l, S.tau_slots, S.ring, bumped)
+        failed = [lab for lab, ok, _ in check_symbol_recursions(m2, bad, 2) if not ok]
+        assert failed == [label], key
+
+
 def test_recursions_d2_general_tensor(m2):
     rng = random.Random(3)
     T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.15)
