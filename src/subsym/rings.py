@@ -1,12 +1,19 @@
 """Multivariate Laurent polynomials with exact rational coefficients.
 
 A :class:`Ring` fixes an ordered tuple of generator names; a subset of the
-generators may carry negative exponents (``laurent`` generators).  Terms are
-stored sparsely as a dict mapping exponent vectors (tuples of ints, one slot
-per generator) to nonzero backend rationals (``scalars.rat``); ints are
-accepted wherever a coefficient is given.  The zero polynomial is the empty
-dict.  No coefficient is complex: the boundary model works in the contact
-coordinate tau = i*sigma, over Q (see ``boundary``).
+generators may carry negative exponents (``laurent`` generators).
+
+A :class:`LaurentPoly` stores integer numerators over one common denominator,
+the layout of FLINT's ``fmpq_poly``: ``num`` maps exponent vectors (tuples of
+ints, one slot per generator) to nonzero Python ints, and ``den`` is an int
+>= 1.  The form is canonical, ``gcd(den, *num.values()) == 1`` and the zero
+polynomial is ``num == {}``, ``den == 1``, so equal polynomials have equal
+``(den, num)``.  Arithmetic runs on ints and reduces by one gcd per result;
+backend rationals (``scalars.rat``) appear only where coefficients enter
+(``Ring.const``/``gen``/``monomial``, ``LaurentPoly(ring, terms)``, ``scale``,
+``loads``) and where they are read out (``terms``, ``constant_value``,
+serialization).  No coefficient is complex: the boundary model works in the
+contact coordinate tau = i*sigma, over Q (see ``boundary``).
 
 Serialization uses graded-lexicographic term order so that equal polynomials
 always print and dump identically.
@@ -15,17 +22,23 @@ always print and dump identically.
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, gcd, lcm
 from operator import add
+from types import MappingProxyType
 
-from .scalars import RONE, RZERO, accumulate, parse_rat, rat, rat_str
+from .scalars import RZERO, parse_rat, rat, rat_str
 
 _RAT = type(RZERO)
 
 
-def _coeff(c):
-    """c as a backend rational; a complex value raises TypeError."""
-    return c if type(c) is _RAT else rat(c)
+def _ratio(c):
+    """(numerator, denominator) of a rational coefficient as Python ints;
+    a complex value raises TypeError."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is not _RAT:
+        c = rat(c)
+    return int(c.numerator), int(c.denominator)
 
 
 class RingMismatchError(ValueError):
@@ -67,32 +80,19 @@ class Ring:
 
     # -- element constructors -------------------------------------------
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly(self, {})
+        return _new(self, {}, 1)
 
     def const(self, c) -> "LaurentPoly":
-        c = _coeff(c)
-        if not c:
-            return self.zero()
-        return LaurentPoly(self, {self._zero_exp: c})
+        return self.monomial({}, c)
 
     def one(self) -> "LaurentPoly":
-        return self.const(1)
+        return _new(self, {self._zero_exp: 1}, 1)
 
     def gen(self, name, power=1) -> "LaurentPoly":
-        if name not in self.index:
-            raise UnknownGeneratorError(name)
-        if power < 0 and name not in self.laurent:
-            raise ValueError(f"negative power on non-invertible generator {name!r}")
-        exp = [0] * self.arity
-        exp[self.index[name]] = power
-        if power == 0:
-            return self.one()
-        return LaurentPoly(self, {tuple(exp): RONE})
+        return self.monomial({name: power})
 
     def monomial(self, exps: dict, coeff=1) -> "LaurentPoly":
-        c = _coeff(coeff)
-        if not c:
-            return self.zero()
+        n, d = _ratio(coeff)
         exp = [0] * self.arity
         for name, e in exps.items():
             if name not in self.index:
@@ -100,35 +100,63 @@ class Ring:
             if e < 0 and name not in self.laurent:
                 raise ValueError(f"negative power on non-invertible generator {name!r}")
             exp[self.index[name]] = e
-        return LaurentPoly(self, {tuple(exp): c})
+        return _new(self, {tuple(exp): n} if n else {}, d if n else 1)
 
 
 def _grlex_key(exp):
     return (sum(exp), tuple(-e for e in exp))
 
 
-class LaurentPoly:
-    """Sparse exact Laurent polynomial over a fixed :class:`Ring`."""
+def _new(ring, num, den):
+    """A LaurentPoly from a numerator dict and denominator already canonical."""
+    p = object.__new__(LaurentPoly)
+    p.ring = ring
+    p.num = num
+    p.den = den
+    return p
 
-    __slots__ = ("ring", "terms")
+
+def _canonical(ring, num, den):
+    """A LaurentPoly from nonzero int numerators over den >= 1: one gcd."""
+    if not num:
+        return _new(ring, num, 1)
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return _new(ring, num, den)
+
+
+class LaurentPoly:
+    """Sparse exact Laurent polynomial over a fixed :class:`Ring`: integer
+    numerators ``num`` over the common denominator ``den``."""
+
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: Ring, terms: dict):
-        self.ring = ring
-        self.terms = terms  # exponent tuple -> nonzero backend rational
+        """From a dict exponent tuple -> rational (or int); zeros are dropped."""
+        pairs = [(e, _ratio(c)) for e, c in terms.items()]
+        den = lcm(*(d for _, (n, d) in pairs if n))
+        canon = _canonical(ring, {e: n * (den // d) for e, (n, d) in pairs if n}, den)
+        self.ring, self.num, self.den = ring, canon.num, canon.den
 
-    @staticmethod
-    def _make(ring, terms):
-        return LaurentPoly(ring, {e: c for e, c in terms.items() if c})
+    @property
+    def terms(self):
+        """Read-only view exponent tuple -> nonzero backend rational."""
+        den = self.den
+        return MappingProxyType({e: rat(c, den) for e, c in self.num.items()})
 
     # -- predicates -----------------------------------------------------
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {self.ring._zero_exp}
+        return not self.num or (len(self.num) == 1 and self.ring._zero_exp in self.num)
 
     def constant_value(self):
-        return self.terms.get(self.ring._zero_exp, RZERO)
+        c = self.num.get(self.ring._zero_exp)
+        return RZERO if c is None else rat(c, self.den)
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other):
@@ -139,15 +167,34 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = self.ring.const(other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(out, e, c)
-        return LaurentPoly(self.ring, out)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.num)
+            fb, den = 1, da
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {e: c * fa for e, c in self.num.items()}
+            den = da * fa
+        get = out.get
+        for e, c in other.num.items():
+            if fb != 1:
+                c *= fb
+            s = get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]  # c != 0, so e was present
+        return _canonical(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _new(self.ring, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -160,23 +207,39 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        self._check(other)
-        out = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return LaurentPoly._make(self.ring, out)
+        if self.ring is not other.ring:
+            self._check(other)
+        a, b = self.num, other.num
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return self.ring.zero()
+        if len(a) == 1:
+            # monomial times polynomial: shifted exponents stay distinct
+            ((e1, c1),) = a.items()
+            if len(b) == 1:
+                ((e2, c2),) = b.items()
+                out = {tuple(map(add, e1, e2)): c1 * c2}
+            else:
+                out = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    s = get(e)
+                    out[e] = c1 * c2 if s is None else s + c1 * c2
+            out = {e: c for e, c in out.items() if c}
+        return _canonical(self.ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = _coeff(c)
-        if not c:
+        n, d = _ratio(c)
+        if not n:
             return self.ring.zero()
-        return LaurentPoly(self.ring, {e: k * c for e, k in self.terms.items()})
+        return _canonical(self.ring, {e: k * n for e, k in self.num.items()}, self.den * d)
 
     def __pow__(self, m: int):
         if m < 0:
@@ -193,13 +256,32 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.ring == other.ring and self.terms == other.terms
-        if not self.terms:
+            return self.ring == other.ring and self.den == other.den and self.num == other.num
+        if not self.num:
             return other == 0
         return self.is_constant() and self.constant_value() == other
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.num.items())))
+
+    @staticmethod
+    def sum(ring: Ring, polys, weights=None, den: int = 1) -> "LaurentPoly":
+        """sum_i weights[i] * polys[i] / den, for int weights (default all 1)
+        and an int den >= 1: one lcm, int accumulation, one reduction."""
+        polys = list(polys)
+        if weights is None:
+            weights = [1] * len(polys)
+        common = lcm(*(p.den for p in polys))
+        out = {}
+        get = out.get
+        for w, p in zip(weights, polys, strict=True):
+            if p.ring is not ring and p.ring != ring:
+                raise RingMismatchError("summand lives in a different ring")
+            f = w * (common // p.den)
+            for e, c in p.num.items():
+                s = get(e)
+                out[e] = c * f if s is None else s + c * f
+        return _canonical(ring, {e: c for e, c in out.items() if c}, common * den)
 
     # -- calculus ----------------------------------------------------------
     def diff(self, name: str) -> "LaurentPoly":
@@ -207,20 +289,9 @@ class LaurentPoly:
         if name not in self.ring.index:
             raise UnknownGeneratorError(name)
         i = self.ring.index[name]
-        out = {}
-        for e, c in self.terms.items():
-            m = e[i]
-            if m == 0:
-                continue
-            ne = e[:i] + (m - 1,) + e[i + 1 :]
-            nc = c * m
-            s = out.get(ne)
-            s = nc if s is None else s + nc
-            if s:
-                out[ne] = s
-            else:
-                out.pop(ne, None)
-        return LaurentPoly(self.ring, out)
+        # e -> e - unit_i is injective, so no two terms meet
+        out = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.num.items() if e[i]}
+        return _canonical(self.ring, out, self.den)
 
     def substitute(self, images: dict, target: Ring | None = None) -> "LaurentPoly":
         """Substitute every generator by ``images[name]`` (a poly in ``target``).
@@ -250,11 +321,12 @@ class LaurentPoly:
         if unknown:
             raise UnknownGeneratorError(f"images for unknown generators: {sorted(unknown)}")
 
-        # one power per (generator, exponent), products accumulated in place
+        # one power per (generator, exponent); the numerators of self weight
+        # the term products, summed once over self.den
         names = self.ring.names
         powers = {}
-        out = {}
-        for e, c in self.terms.items():
+        terms = []
+        for e in self.num:
             term = None
             for i, m in enumerate(e):
                 if m:
@@ -262,16 +334,13 @@ class LaurentPoly:
                     if p is None:
                         p = powers[(i, m)] = full[names[i]] ** m
                     term = p if term is None else term * p
-            if term is None:
-                accumulate(out, target._zero_exp, c)
-            else:
-                for te, tc in term.terms.items():
-                    accumulate(out, te, tc * c)
-        return LaurentPoly(target, out)
+            terms.append(target.one() if term is None else term)
+        return LaurentPoly.sum(target, terms, self.num.values(), self.den)
 
     # -- serialization -------------------------------------------------------
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+        den = self.den
+        return [(e, rat(self.num[e], den)) for e in sorted(self.num, key=_grlex_key)]
 
     def to_jsonable(self):
         return [[list(e), rat_str(c)] for e, c in self.sorted_terms()]
@@ -282,11 +351,10 @@ class LaurentPoly:
     @staticmethod
     def loads(ring: Ring, s: str) -> "LaurentPoly":
         data = json.loads(s)
-        terms = {tuple(e): parse_rat(c) for e, c in data}
-        return LaurentPoly._make(ring, terms)
+        return LaurentPoly(ring, {tuple(e): parse_rat(c) for e, c in data})
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -306,13 +374,14 @@ class LaurentPoly:
 
 def _invert_monomial(p: LaurentPoly) -> LaurentPoly:
     """Inverse of a unit monomial; all its generators must be invertible."""
-    if len(p.terms) != 1:
+    if len(p.num) != 1:
         raise ValueError("cannot invert a non-monomial polynomial")
-    (e, c), = p.terms.items()
+    ((e, c),) = p.num.items()
     for name, m in zip(p.ring.names, e):
         if m != 0 and name not in p.ring.laurent:
             raise ValueError(f"cannot invert generator {name!r}")
-    return LaurentPoly(p.ring, {tuple(-m for m in e): RONE / c})
+    sign = -1 if c < 0 else 1
+    return _new(p.ring, {tuple(-m for m in e): sign * p.den}, sign * c)
 
 
 def binom_exp(alpha, gamma):

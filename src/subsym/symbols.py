@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import linalg
 from .boundary import BoundaryModel, FrameFields, tangential_ops
@@ -84,11 +84,15 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
     l columns the mirror pattern, remaining columns contract both slots with
     the position vectors (the tau directions).
 
-    The inner loop runs over column assignments and tensor entries once and
-    expands the boundary labels through the sparsity of the tangent frames
-    (a dual-slot value 0 admits every label, a boundary value pins it, the
-    cone value kills the term); the direct per-component transcription is
-    kept as _extract_symbols_reference and cross-checked in the tests.
+    The product a (column assignment, tensor entry) pair contributes depends
+    only on the slot values each role reads (the tau factors commute), so the
+    entry values are first summed per role key, as integers over one common
+    denominator.  Each role key with a nonzero weight is then expanded once
+    through the sparsity of the tangent frames (a dual-slot value 0 admits
+    every label, a boundary value pins it, the cone value kills the term),
+    and each label key is summed once.  The direct per-component
+    transcription is kept as _extract_symbols_reference and cross-checked in
+    the tests.
     """
     d = T.k
     if k + l > d:
@@ -96,108 +100,70 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
     n = m.n
     fr = FrameFields(m)
     INF = n + 1
-    scale = rat((-1) ** l, factorial(k) * factorial(l))
-    full = {}  # ordered label tuples -> polynomial
     cols = range(d)
 
-    # per-(slot values) factor caches, shared across entries and assignments
-    sig_cache, iopt_cache, jopt_cache = {}, {}, {}
-
-    def sig_factor(B_c, A_c):
-        key = (B_c, A_c)
-        out = sig_cache.get(key)
-        if out is None:
-            out = fr.X_up[A_c] * fr.X_dn[B_c]
-            sig_cache[key] = out
-        return out
-
-    def i_options(B_c, A_c):
-        # contract the dual slot with Y (label) and the vector slot with X
-        key = (B_c, A_c)
-        if key not in iopt_cache:
-            x = fr.X_up[A_c]
-            if B_c == 0:
-                iopt_cache[key] = [(a, fr.Y_dn[a][0] * x) for a in range(1, n + 1)]
-            elif B_c == INF:
-                iopt_cache[key] = None
-            else:
-                iopt_cache[key] = [(B_c, x)]  # Y_dn[a][B_c] = delta, unit factor
-        return iopt_cache[key]
-
-    def j_options(B_c, A_c):
-        key = (B_c, A_c)
-        if key not in jopt_cache:
-            x = fr.X_dn[B_c]
-            if A_c == INF:
-                jopt_cache[key] = [(b, fr.Y_up[b][INF] * x) for b in range(1, n + 1)]
-            elif A_c == 0:
-                jopt_cache[key] = None
-            else:
-                jopt_cache[key] = [(A_c, x)]
-        return jopt_cache[key]
-
-    entry_data = []
-    for (B, A), v in T.entries.items():
-        per_col = [
-            (sig_factor(B[c], A[c]), i_options(B[c], A[c]), j_options(B[c], A[c]))
-            for c in cols
-        ]
-        entry_data.append((per_col, v))
-
+    # role key (upper-label slots, lower-label slots, sorted tau slots) ->
+    # summed entry value times (-1)^l * den
+    den = lcm(*(int(v.denominator) for v in T.entries.values()))
+    sign = (-1) ** l
+    entries = [
+        (tuple(zip(B, A)), sign * int(v.numerator) * (den // int(v.denominator)))
+        for (B, A), v in T.entries.items()
+    ]
+    weight = {}
     for icols in itertools.permutations(cols, k):
         iset = set(icols)
         rest = [c for c in cols if c not in iset]
         for jcols in itertools.permutations(rest, l):
             jset = set(jcols)
             tau_cols = [c for c in rest if c not in jset]
-            for per_col, v in entry_data:
-                opts = []
-                dead = False
-                for c in icols:
-                    o = per_col[c][1]
-                    if o is None:
-                        dead = True
-                        break
-                    opts.append(o)
-                if dead:
+            for slots, v in entries:
+                # the cone values kill a label column: B = inf upper, A = 0 lower
+                if any(slots[c][0] == INF for c in icols) or any(slots[c][1] == 0 for c in jcols):
                     continue
-                for c in jcols:
-                    o = per_col[c][2]
-                    if o is None:
-                        dead = True
-                        break
-                    opts.append(o)
-                if dead:
-                    continue
-                base = None
-                for c in tau_cols:
-                    fg = per_col[c][0]
-                    if not fg:
-                        dead = True
-                        break
-                    base = fg if base is None else base * fg
-                if dead:
-                    continue
-                base = m.ring.const(v) if base is None else base.scale(v)
-                stack = [((), base)]
-                for o in opts:
-                    stack = [
-                        (labels + (lab,), poly * fac)
-                        for labels, poly in stack
-                        for lab, fac in o
-                    ]
-                for labels, poly in stack:
-                    if not poly:
-                        continue
-                    key = (labels[:k], labels[k:])
-                    prev = full.get(key)
-                    full[key] = poly if prev is None else prev + poly
+                key = (
+                    tuple(slots[c] for c in icols),
+                    tuple(slots[c] for c in jcols),
+                    tuple(sorted(slots[c] for c in tau_cols)),
+                )
+                accumulate(weight, key, v)
+
+    def i_options(B_c, A_c):
+        # contract the dual slot with Y (label) and the vector slot with X
+        x = fr.X_up[A_c]
+        if B_c == 0:
+            return [(a, fr.Y_dn[a][0] * x) for a in range(1, n + 1)]
+        return [(B_c, x)]  # Y_dn[a][B_c] = delta, unit factor
+
+    def j_options(B_c, A_c):
+        x = fr.X_dn[B_c]
+        if A_c == INF:
+            return [(b, fr.Y_up[b][INF] * x) for b in range(1, n + 1)]
+        return [(A_c, x)]
+
+    full = {}  # (upper labels, lower labels) -> ([polynomial], [weight])
+    for (i_slots, j_slots, tau_slots), w in weight.items():
+        base = m.ring.one()
+        for B_c, A_c in tau_slots:
+            base = base * fr.X_up[A_c] * fr.X_dn[B_c]
+        stack = [((), base)] if base else []
+        opts = [i_options(*s) for s in i_slots] + [j_options(*s) for s in j_slots]
+        for o in opts:
+            stack = [(labels + (lab,), poly * fac) for labels, poly in stack for lab, fac in o]
+        for labels, poly in stack:
+            if poly:
+                polys, ws = full.setdefault((labels[:k], labels[k:]), ([], []))
+                polys.append(poly)
+                ws.append(w)
     out = {}
+    norm = den * factorial(k) * factorial(l)
     for a_key in itertools.combinations_with_replacement(range(1, n + 1), k):
         for b_key in itertools.combinations_with_replacement(range(1, n + 1), l):
-            acc = full.get((a_key, b_key))
-            if acc:
-                out[(a_key, b_key)] = acc.scale(scale)
+            if (a_key, b_key) in full:
+                polys, ws = full[(a_key, b_key)]
+                acc = LaurentPoly.sum(m.ring, polys, ws, norm)
+                if acc:
+                    out[(a_key, b_key)] = acc
     return SymbolTensor(n, k, l, d - k - l, m.ring, out)
 
 
@@ -270,13 +236,13 @@ def sym_derivative_upper(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
     out = {}
     for a_key in itertools.combinations_with_replacement(range(1, m.n + 1), k2):
         for b_key in S.lower_keys() if S.l else [()]:
-            acc = m.ring.zero()
+            terms = []
             for pos in range(k2):
                 rest = a_key[:pos] + a_key[pos + 1 :]
                 comp = S.get(rest, b_key)
                 if comp:
-                    acc = acc + d_raised[a_key[pos] - 1].apply(comp)
-            acc = acc.scale(rat(1, k2))
+                    terms.append(d_raised[a_key[pos] - 1].apply(comp))
+            acc = LaurentPoly.sum(m.ring, terms, den=k2)
             if acc:
                 out[(a_key, tuple(sorted(b_key)))] = acc
     return SymbolTensor(m.n, k2, S.l, S.tau_slots, m.ring, out)
@@ -288,13 +254,13 @@ def sym_derivative_lower(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
     out = {}
     for a_key in S.upper_keys() if S.k else [()]:
         for b_key in itertools.combinations_with_replacement(range(1, m.n + 1), l2):
-            acc = m.ring.zero()
+            terms = []
             for pos in range(l2):
                 rest = b_key[:pos] + b_key[pos + 1 :]
                 comp = S.get(a_key, rest)
                 if comp:
-                    acc = acc + d_hol[b_key[pos] - 1].apply(comp)
-            acc = acc.scale(rat(1, l2))
+                    terms.append(d_hol[b_key[pos] - 1].apply(comp))
+            acc = LaurentPoly.sum(m.ring, terms, den=l2)
             if acc:
                 out[(tuple(sorted(a_key)), b_key)] = acc
     return SymbolTensor(m.n, S.k, l2, S.tau_slots, m.ring, out)
@@ -331,10 +297,20 @@ def _insertion_left_kernel(n: int, k: int, l: int):
                 j = src_index[rest_a + rest_b]
                 row[j] = row[j] + norm
         rows.append(row)
-    # left kernel = kernel of the transpose
+    # left kernel = kernel of the transpose, each row kept sparse as integer
+    # weights over one denominator, keyed by the sorted component it reads
     cols = [list(col) for col in zip(*rows)]
     kern = linalg.kernel_basis(cols, len(dst)) if cols else []
-    return dst, tuple(tuple(v) for v in kern)
+    out = []
+    for v in kern:
+        nonzero = [(c, key) for c, key in zip(v, dst) if c]
+        den = lcm(*(int(c.denominator) for c, _ in nonzero))
+        out.append((den, tuple(
+            ((tuple(sorted(key[:k])), tuple(sorted(key[k:]))),
+             int(c.numerator) * (den // int(c.denominator)))
+            for c, key in nonzero
+        )))
+    return tuple(out)
 
 
 def trace_free_part_vanishes(m: BoundaryModel, S: SymbolTensor) -> LaurentPoly | None:
@@ -343,14 +319,14 @@ def trace_free_part_vanishes(m: BoundaryModel, S: SymbolTensor) -> LaurentPoly |
     lower index there is no trace part, and the witness is any component."""
     if S.k == 0 or S.l == 0:
         return next(iter(S.components.values()), None)
-    dst, kern = _insertion_left_kernel(m.n, S.k, S.l)
-    for kv in kern:
-        acc = m.ring.zero()
-        for coeff, key in zip(kv, dst):
-            if coeff:
-                comp = S.get(key[: S.k], key[S.k :])
-                if comp:
-                    acc = acc + comp.scale(coeff)
+    for den, row in _insertion_left_kernel(m.n, S.k, S.l):
+        comps, weights = [], []
+        for key, w in row:
+            comp = S.components.get(key)
+            if comp:
+                comps.append(comp)
+                weights.append(w)
+        acc = LaurentPoly.sum(m.ring, comps, weights, den)
         if acc:
             return acc
     return None

@@ -10,7 +10,7 @@ generalized Leibniz rule term by term.  Equality is decided in normal form.
 from __future__ import annotations
 
 from .rings import LaurentPoly, Ring, RingMismatchError, binom_exp
-from .scalars import accumulate, rat
+from .scalars import rat
 
 
 def _iter_sub_multiindices(alpha):
@@ -22,6 +22,24 @@ def _iter_sub_multiindices(alpha):
     for tail in _iter_sub_multiindices(rest):
         for g in range(head + 1):
             yield (g,) + tail
+
+
+def _derivatives(f: LaurentPoly):
+    """alpha -> D^alpha f, each derivative computed once from a lower one."""
+    names = f.ring.names
+    table = {(0,) * len(names): f}
+
+    def get(alpha):
+        g = table.get(alpha)
+        if g is None:
+            i = len(alpha) - 1
+            while not alpha[i]:
+                i -= 1
+            lower = get(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+            g = table[alpha] = lower.diff(names[i]) if lower else lower
+        return g
+
+    return get
 
 
 class WeylOperator:
@@ -108,51 +126,30 @@ class WeylOperator:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if f.ring != self.ring:
             raise RingMismatchError("operand lives in a different ring")
-        names = self.ring.names
-        out = {}
-        for alpha, p in self.terms.items():
-            g = f
-            for i, k in enumerate(alpha):
-                for _ in range(k):
-                    g = g.diff(names[i])
-                    if not g:
-                        break
-                if not g:
-                    break
-            if g:
-                for e, c in (p * g).terms.items():
-                    accumulate(out, e, c)
-        return LaurentPoly(self.ring, out)
+        df = _derivatives(f)
+        prods = [p * g for alpha, p in self.terms.items() if (g := df(alpha))]
+        return LaurentPoly.sum(self.ring, prods)
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
         """Normal-ordered product: (self∘other)(f) = self(other(f))."""
         self._check(other)
-        names = self.ring.names
-        out = {}
+        dqs = [(beta, _derivatives(q)) for beta, q in other.terms.items()]
+        out = {}  # idx -> ([p * D^gamma q], [Leibniz coefficient])
         for alpha, p in self.terms.items():
-            for beta, q in other.terms.items():
+            gammas = [(gamma, binom_exp(alpha, gamma)) for gamma in _iter_sub_multiindices(alpha)]
+            for beta, dq in dqs:
                 # D^alpha (q Dbeta f) = sum_gamma C(alpha,gamma) (D^gamma q) D^(alpha-gamma+beta) f
-                for gamma in _iter_sub_multiindices(alpha):
-                    dq = q
-                    for i, k in enumerate(gamma):
-                        for _ in range(k):
-                            dq = dq.diff(names[i])
-                            if not dq:
-                                break
-                        if not dq:
-                            break
-                    if not dq:
-                        continue
-                    coeff = binom_exp(alpha, gamma)
-                    idx = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
-                    contrib = (p * dq).scale(coeff)
-                    s = out.get(idx)
-                    s = contrib if s is None else s + contrib
-                    if s:
-                        out[idx] = s
-                    else:
-                        out.pop(idx, None)
-        return WeylOperator(self.ring, out)
+                for gamma, coeff in gammas:
+                    g = dq(gamma)
+                    if g:
+                        idx = tuple(a - c + b for a, c, b in zip(alpha, gamma, beta))
+                        prods, weights = out.setdefault(idx, ([], []))
+                        prods.append(p * g)
+                        weights.append(coeff)
+        return WeylOperator(
+            self.ring,
+            {idx: LaurentPoly.sum(self.ring, prods, weights) for idx, (prods, weights) in out.items()},
+        )
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         return self.compose(other) - other.compose(self)

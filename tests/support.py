@@ -1,18 +1,29 @@
-"""Test-only helpers: the Gaussian-rational Laurent ring the verifier used
-before it moved to Q, and polynomial and operator helpers that no `src/` code
-needs.
+"""Test-only helpers: the two coefficient layouts the verifier's Laurent ring
+used before, and polynomial and operator helpers that no `src/` code needs.
 
 `GaussianRing`/`GaussianPoly` keep the former `rings.Ring`/`LaurentPoly`
 unchanged in substance (coefficients are `GaussianRational`, generators may
 be relabeled with coefficient conjugation).  They are the differential
 oracle for the rational ring and the sigma-form reference for the tau = i*sigma
 dictionary tests.
+
+`FractionPoly` is the rational `LaurentPoly` as it was before polynomials
+became integer numerators over one denominator: a dict exponent tuple ->
+nonzero backend rational over a `subsym.rings.Ring`.  With `weyl_apply` and
+`weyl_compose`, the former `WeylOperator` action and normal-ordered product
+on such coefficients, it is the differential oracle for the integer layout.
 """
 
 from __future__ import annotations
 
-from subsym.rings import UnknownGeneratorError
-from subsym.scalars import GR_ONE, GR_ZERO, RZERO, GaussianRational, gr, parse_rat
+import itertools
+from math import comb
+from operator import add
+
+from subsym.rings import RingMismatchError, UnknownGeneratorError
+from subsym.scalars import (
+    GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, parse_rat, rat,
+)
 from subsym.weyl import WeylOperator
 
 
@@ -264,3 +275,169 @@ def _invert_monomial(p: GaussianPoly) -> GaussianPoly:
 def to_gaussian(p, ring: GaussianRing) -> GaussianPoly:
     """The same polynomial with its rational coefficients as Gaussian ones."""
     return GaussianPoly(ring, {e: gr(c) for e, c in p.terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-dict rational layout
+
+
+def _fcoeff(c):
+    return c if type(c) is type(RZERO) else rat(c)
+
+
+class FractionPoly:
+    """Sparse exact Laurent polynomial: exponent tuple -> nonzero backend
+    rational, over a `subsym.rings.Ring`."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms: dict):
+        self.ring = ring
+        self.terms = {e: _fcoeff(c) for e, c in terms.items() if c}
+
+    # -- constructors ---------------------------------------------------------
+    @staticmethod
+    def zero(ring) -> "FractionPoly":
+        return FractionPoly(ring, {})
+
+    @staticmethod
+    def const(ring, c) -> "FractionPoly":
+        return FractionPoly(ring, {ring._zero_exp: c})
+
+    @staticmethod
+    def gen(ring, name, power=1) -> "FractionPoly":
+        return FractionPoly.monomial(ring, {name: power})
+
+    @staticmethod
+    def monomial(ring, exps: dict, coeff=1) -> "FractionPoly":
+        exp = [0] * ring.arity
+        for name, e in exps.items():
+            if e < 0 and name not in ring.laurent:
+                raise ValueError(f"negative power on non-invertible generator {name!r}")
+            exp[ring.index[name]] = e
+        return FractionPoly(ring, {tuple(exp): coeff})
+
+    @staticmethod
+    def of(p) -> "FractionPoly":
+        """The same polynomial, from a `LaurentPoly`'s rational terms."""
+        return FractionPoly(p.ring, dict(p.terms))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, FractionPoly):
+            return self.ring == other.ring and self.terms == other.terms
+        # a LaurentPoly: compare its read-only rational view
+        return self.ring == other.ring and self.terms == dict(other.terms)
+
+    def __repr__(self):
+        return f"FractionPoly({self.terms})"
+
+    # -- arithmetic -------------------------------------------------------
+    def _check(self, other):
+        if self.ring != other.ring:
+            raise RingMismatchError("operands live in different rings")
+
+    def __add__(self, other):
+        if not isinstance(other, FractionPoly):
+            other = FractionPoly.const(self.ring, other)
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            accumulate(out, e, c)
+        return FractionPoly(self.ring, out)
+
+    def __neg__(self):
+        return FractionPoly(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            return self.scale(other)
+        self._check(other)
+        out = {}
+        get = out.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return FractionPoly(self.ring, out)
+
+    def scale(self, c) -> "FractionPoly":
+        c = _fcoeff(c)
+        return FractionPoly(self.ring, {e: k * c for e, k in self.terms.items()})
+
+    def __pow__(self, m: int):
+        if m < 0:
+            if len(self.terms) != 1:
+                raise ValueError("cannot invert a non-monomial polynomial")
+            ((e, c),) = self.terms.items()
+            for name, k in zip(self.ring.names, e):
+                if k and name not in self.ring.laurent:
+                    raise ValueError(f"cannot invert generator {name!r}")
+            return FractionPoly(self.ring, {tuple(-k for k in e): RONE / c}) ** (-m)
+        out = FractionPoly.const(self.ring, 1)
+        for _ in range(m):
+            out = out * self
+        return out
+
+    # -- calculus ----------------------------------------------------------
+    def diff(self, name: str) -> "FractionPoly":
+        i = self.ring.index[name]
+        out = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                accumulate(out, e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i])
+        return FractionPoly(self.ring, out)
+
+    def substitute(self, images: dict, target=None) -> "FractionPoly":
+        """Every generator by ``images[name]`` (a FractionPoly in ``target``);
+        generators absent from ``images`` map to themselves."""
+        target = target or self.ring
+        out = {}
+        for e, c in self.terms.items():
+            term = FractionPoly.const(target, c)
+            for name, m in zip(self.ring.names, e):
+                if m:
+                    img = images[name] if name in images else FractionPoly.gen(target, name)
+                    term = term * img ** m
+            for te, tc in term.terms.items():
+                accumulate(out, te, tc)
+        return FractionPoly(target, out)
+
+
+def weyl_apply(terms: dict, f: FractionPoly) -> FractionPoly:
+    """sum_alpha p_alpha D^alpha f for ``terms`` = {alpha: FractionPoly}."""
+    names = f.ring.names
+    out = FractionPoly.zero(f.ring)
+    for alpha, p in terms.items():
+        g = f
+        for i, k in enumerate(alpha):
+            for _ in range(k):
+                g = g.diff(names[i])
+        out = out + p * g
+    return out
+
+
+def weyl_compose(a: dict, b: dict, ring) -> dict:
+    """Normal-ordered product of {alpha: FractionPoly} operators, zero terms
+    dropped: D^alpha (q D^beta) = sum_gamma C(alpha, gamma) (D^gamma q) D^(alpha-gamma+beta)."""
+    names = ring.names
+    out = {}
+    for alpha, p in a.items():
+        for beta, q in b.items():
+            for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+                dq = q
+                for i, k in enumerate(gamma):
+                    for _ in range(k):
+                        dq = dq.diff(names[i])
+                coeff = 1
+                for ak, gk in zip(alpha, gamma):
+                    coeff *= comb(ak, gk)
+                idx = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
+                out[idx] = out.get(idx, FractionPoly.zero(ring)) + (p * dq).scale(coeff)
+    return {idx: p for idx, p in out.items() if p}

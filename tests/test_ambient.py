@@ -5,7 +5,6 @@ import pytest
 
 from subsym.ambient import (
     AmbientModel,
-    CompositionParts,
     TracelessMatrix,
     ambient_laplacian,
     central_action_check,
@@ -22,7 +21,6 @@ from subsym.ambient import (
     random_traceless,
     sl_basis,
     trace_projection_oracle,
-    u_quadric,
     verify_composition_identity,
 )
 from subsym.scalars import RZERO, rat

@@ -15,7 +15,6 @@ from subsym.classalg import (
     partitions,
     perm_sign,
     standard_tableaux,
-    young_projector_sum,
     young_symmetrizer,
     z_lambda,
 )

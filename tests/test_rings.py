@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from subsym.rings import LaurentPoly, Ring, RingMismatchError, UnknownGeneratorError
 from subsym.scalars import GR_I, gr, rat
-from support import GaussianRing, to_gaussian
+from support import FractionPoly, GaussianRing, to_gaussian
 
 
 @pytest.fixture
@@ -226,3 +227,135 @@ def test_mul_diff_substitute_match_sympy(tp, tq, k, c, ty):
     got = p.substitute({"x": img_x, "y": img_y}, TARGET)
     want = P.subs({SX: to_sympy(img_x, (SU, SV)), SY: to_sympy(img_y, (SU, SV))}, simultaneous=True)
     assert sympy_equal(to_sympy(got, (SU, SV)), want)
+
+
+# the integer-numerator layout against the Fraction-dict layout it replaced ----
+
+# denominators up to 6 so that sums and products cancel common factors
+fractions_ = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def rational_terms(draw, min_x=-2):
+    return draw(
+        st.lists(
+            st.tuples(st.tuples(st.integers(min_x, 3), st.integers(0, 2)), fractions_),
+            max_size=4,
+        )
+    )
+
+
+def pair(terms):
+    """The same polynomial as a LaurentPoly and as a FractionPoly."""
+    p = build(RING, "xy", terms)
+    fp = FractionPoly.zero(RING)
+    for (ex, ey), c in terms:
+        fp = fp + FractionPoly.monomial(RING, {"x": ex, "y": ey}, c)
+    return p, fp
+
+
+def canonical(p):
+    """den >= 1, int numerators, gcd(den, *num) == 1, and den == 1 when zero."""
+    nums = list(p.num.values())
+    return (
+        type(p.den) is int
+        and p.den >= 1
+        and all(type(c) is int and c for c in nums)
+        and gcd(p.den, *nums) == 1
+        and (p.num or p.den == 1)
+    )
+
+
+def results(tp, tq, c, k):
+    """(LaurentPoly, FractionPoly) results of every operation on p and q."""
+    (p, fp), (q, fq) = pair(tp), pair(tq)
+    images = {"x": TARGET.monomial({"u": k}, c), "y": TARGET.gen("v") + TARGET.const(c)}
+    f_images = {"x": FractionPoly.monomial(TARGET, {"u": k}, c),
+                "y": FractionPoly.gen(TARGET, "v") + c}
+    out = [
+        (p + q, fp + fq), (p - q, fp - fq), (p - p, fp - fp), (-p, -fp), (p * q, fp * fq),
+        (p.scale(c), fp.scale(c)), (p.scale(3), fp.scale(3)),
+        (p ** 0, fp ** 0), (p ** 3, fp ** 3),
+        (p.diff("x"), fp.diff("x")), (p.diff("y"), fp.diff("y")),
+        (p.substitute(images, TARGET), fp.substitute(f_images, TARGET)),
+        (LaurentPoly.sum(RING, [p, q, -(p + q)]), FractionPoly.zero(RING)),
+        (LaurentPoly.sum(RING, [p, q, p], [2, -1, 3], 6),
+         (fp.scale(2) - fq + fp.scale(3)).scale(Fraction(1, 6))),
+        (LaurentPoly.sum(RING, []), FractionPoly.zero(RING)),
+    ]
+    if len(p.num) == 1 and next(iter(p.num))[1] == 0:  # a unit: x^m times a constant
+        out.append((p ** -2, fp ** -2))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_terms(), rational_terms(), fractions_.filter(bool), st.integers(-2, 2))
+def test_integer_layout_matches_fraction_oracle(tp, tq, c, k):
+    for got, want in results(tp, tq, c, k):
+        assert want == got
+        assert canonical(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_terms(), rational_terms(), fractions_.filter(bool), st.integers(-2, 2))
+def test_equal_values_share_form_hash_and_bytes(tp, tq, c, k):
+    (p, _), (q, _) = pair(tp), pair(tq)
+    routes = [
+        (p * q, q * p),
+        ((p + q) - q, p),
+        (p.scale(c).scale(1 / c), p),
+        (LaurentPoly.sum(RING, [p, q]), p + q),
+        (LaurentPoly.sum(RING, [p], [3], 3), p),
+        (LaurentPoly(RING, dict(p.terms)), p),
+        (LaurentPoly.loads(RING, p.dumps()), p),
+    ]
+    for a, b in routes:
+        assert (a.den, a.num) == (b.den, b.num)
+        assert a == b and hash(a) == hash(b) and a.dumps() == b.dumps()
+
+
+def test_cancelling_denominators():
+    x = RING.gen("x")
+    half = x.scale(Fraction(1, 2))
+    assert x.scale(Fraction(1, 6)) + x.scale(Fraction(1, 3)) == half
+    assert (half.den, half.num) == (2, {(1, 0): 1})
+    assert (half * 2).den == 1 and half * 2 == x
+    assert half.scale(2) == x and LaurentPoly.sum(RING, [half, half]) == x
+    assert (x ** 2).scale(Fraction(1, 2)).diff("x") == x
+    assert RING.gen("x", -1).scale(Fraction(-2, 3)) ** -1 == x.scale(Fraction(-3, 2))
+    z = half - half
+    assert (z.den, z.num) == (1, {}) and z == 0 and z.dumps() == "[]"
+    assert LaurentPoly(RING, {(1, 0): Fraction(2, 4), (0, 1): 0}) == half
+
+
+def test_canonical_check_fails_without_the_reduction(monkeypatch):
+    # negative control: a copy that skips the gcd leaves x/6 + x/3 as 3x/6
+    import subsym.rings as rings
+
+    monkeypatch.setattr(rings, "_canonical", lambda ring, num, den: rings._new(ring, num, den))
+    x = RING.gen("x")
+    third = x.scale(Fraction(1, 3))
+    assert not canonical(x.scale(Fraction(1, 6)) + third)
+    assert not canonical(third * RING.const(3))
+
+
+def test_hot_operations_need_no_rationals(monkeypatch):
+    import subsym.rings as rings
+
+    p = build(RING, "xy", [((1, 0), Fraction(1, 6)), ((-1, 2), Fraction(-3, 4)), ((0, 0), 2)])
+    q = build(RING, "xy", [((2, 1), Fraction(5, 3)), ((0, 0), Fraction(1, 2))])
+    expected = (p * q, p + q, p.diff("x"), LaurentPoly.sum(RING, [p, q, p * q], [1, 2, 3], 5))
+
+    def no_rationals(*args):
+        raise AssertionError("a backend rational was built")
+
+    monkeypatch.setattr(rings, "rat", no_rationals)
+    got = (p * q, p + q, p.diff("x"), LaurentPoly.sum(RING, [p, q, p * q], [1, 2, 3], 5))
+    assert [(g.den, g.num) for g in got] == [(e.den, e.num) for e in expected]
+
+
+def test_terms_view_is_read_only():
+    p = RING.gen("x").scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = rat(1)
+    assert dict(p.terms) == {(1, 0): rat(1, 2)}

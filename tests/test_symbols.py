@@ -21,7 +21,6 @@ from subsym.symbols import (
     extract_symbols,
     pascal_identity_check,
     prop1_system,
-    sym_derivative_upper,
     symmetry_space_dim,
     trace_free_part_vanishes,
     type_count,
@@ -415,6 +414,15 @@ def test_fast_extraction_matches_reference_transcription():
         SparseTensor.random_disjoint_trace_free(2, 4, rng),
         SparseTensor.random_column_symmetric(2, 4, rng, density=0.3),
         build_prop1_tensor(m, 3, 1, prop1_system(3, 1)["x"]),
+        # no column symmetry, rational entries: role keys that merge and
+        # tau factors read in different column orders
+        SparseTensor(3, 4, {
+            (tuple(rng.randrange(4) for _ in range(3)), tuple(rng.randrange(4) for _ in range(3))):
+            rat(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(12)
+        }),
+        # the upper three-column skew of a column-symmetric tensor: cancels
+        SparseTensor.random_column_symmetric(3, 4, rng, density=0.05).skew_slots([0, 1, 2]),
     ]
     for T in cases:
         for k in range(T.k + 1):

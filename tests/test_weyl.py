@@ -1,10 +1,11 @@
 import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from subsym.rings import Ring
 from subsym.weyl import WeylOperator
-from support import principal_part
+from support import FractionPoly, principal_part, weyl_apply, weyl_compose
 
 R = Ring(["x", "y"])
 
@@ -148,3 +149,39 @@ def test_from_action_roundtrip():
     )
     rec = from_action(R, op.apply, 2)
     assert rec == op
+
+
+# apply and compose against the Fraction-dict coefficients they replaced ---------
+
+L = Ring(["x", "y"], laurent=["x"])
+fractions_ = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+poly_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(0, 2)), fractions_), max_size=3
+)
+op_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), poly_terms, max_size=3)
+
+
+def poly_pair(terms):
+    p, fp = L.zero(), FractionPoly.zero(L)
+    for (ex, ey), c in terms:
+        p = p + L.monomial({"x": ex, "y": ey}, c)
+        fp = fp + FractionPoly.monomial(L, {"x": ex, "y": ey}, c)
+    return p, fp
+
+
+def op_pair(terms):
+    pairs = {alpha: poly_pair(t) for alpha, t in terms.items()}
+    return (
+        WeylOperator(L, {alpha: p for alpha, (p, _) in pairs.items()}),
+        {alpha: fp for alpha, (_, fp) in pairs.items() if fp},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(op_terms, op_terms, poly_terms)
+def test_apply_and_compose_match_fraction_oracle(ta, tb, tf):
+    (a, fa), (b, fb), (f, ff) = op_pair(ta), op_pair(tb), poly_pair(tf)
+    assert weyl_apply(fa, ff) == a.apply(f)
+    ab, fab = a.compose(b), weyl_compose(fa, fb, L)
+    assert set(ab.terms) == set(fab)
+    assert all(fab[idx] == p for idx, p in ab.terms.items())
