@@ -184,8 +184,8 @@ def _suite_composition(params, rep: VerificationReport):
     mb = BoundaryModel(n)
     rng = random.Random(rep.seed)
     pairs = [(random_traceless(n, rng), random_traceless(n, rng)) for _ in range(5)]
-    for i, (V, W) in enumerate(pairs):
-        parts = compose_decompose(m, V, W, w1, w2)
+    decomposed = [compose_decompose(m, V, W, w1, w2) for V, W in pairs]
+    for i, ((V, W), parts) in enumerate(zip(pairs, decomposed)):
         rep.add(f"pair {i}: T totally trace-free", parts.T.is_trace_free())
         orc = trace_projection_oracle(m, V, W)
         ok = orc is not None and orc[0] == parts.U and orc[1] == parts.Utilde
@@ -195,10 +195,11 @@ def _suite_composition(params, rep: VerificationReport):
             f"pair {i}: composition identity exact, exponent bound {deg}",
             not bad,
             None if not bad else f"{bad[0][0]} -> {bad[0][1]}",
+            cases=bad.cases,
         )
     # induced (boundary) decomposition for the first pair, sampled F
     V, W = pairs[0]
-    parts = compose_decompose(m, V, W, w1, w2)
+    parts = decomposed[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         op2 = higher_symmetry_op(m, parts.vw2)

@@ -30,6 +30,7 @@ from .classalg import (
     partitions,
     young_projector_sum,
 )
+from .report import CaseResults
 from .scalars import accumulate, rat
 from .tensor import SparseTensor
 
@@ -492,14 +493,6 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
 # commutant multiplication cross-check
 
 
-class PairResults(list):
-    """(lam, mu, ok) triples, and ``cases``: the kernel vectors examined."""
-
-    def __init__(self, triples, cases):
-        super().__init__(triples)
-        self.cases = cases
-
-
 def commutant_mult_crosscheck(k, N, class_product):
     """Check op_{lam} o op_{mu} = sum_tau A_tau op_tau on S^k_0, exactly.
 
@@ -512,7 +505,8 @@ def commutant_mult_crosscheck(k, N, class_product):
     D K_lam K_mu v = sum_tau (D |C_lam||C_mu| A_tau / |C_tau|) K_tau v, an
     equality of integer vectors on the integral kernel rows v.  The p(k)
     class sums of each kernel vector serve all p(k)^2 pairs.
-    Returns a PairResults list of (lam, mu, ok) triples.
+    Returns a CaseResults list of (lam, mu, ok) triples; ``cases`` counts
+    the kernel vectors examined.
     """
     elems = class_elements(k)
     scaled = {}
@@ -532,7 +526,7 @@ def commutant_mult_crosscheck(k, N, class_product):
                 if ok[(lam, mu)]:
                     lhs = [D * x for x in _class_sum(K[mu], tables, elems[lam])]
                     ok[(lam, mu)] = lhs == _combine([(c, K[tau]) for tau, c in ints], len(v))
-    return PairResults([(lam, mu, good) for (lam, mu), good in ok.items()], cases)
+    return CaseResults([(lam, mu, good) for (lam, mu), good in ok.items()], cases)
 
 
 def basis_operator_independence(k, N):

@@ -19,6 +19,14 @@ from dataclasses import dataclass, field
 SCHEMA_VERSION = 1
 
 
+class CaseResults(list):
+    """A check's findings, and ``cases``: the number of cases it examined."""
+
+    def __init__(self, findings, cases):
+        super().__init__(findings)
+        self.cases = cases
+
+
 @dataclass
 class CheckResult:
     name: str

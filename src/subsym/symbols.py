@@ -277,38 +277,31 @@ def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
 @lru_cache(maxsize=None)
 def _insertion_left_kernel(n: int, k: int, l: int):
     """Left kernel of the symmetrized delta-insertion map
-    lambda^{(k-1,l-1)} -> delta^{(a}_{(b} lambda^{...)}_{...)}, over full
-    (unsorted) index tuples.  Rows of the kernel annihilate exactly the
-    image, so 'trace-free part of X vanishes' = all kernel rows kill X."""
-    src = list(itertools.product(range(1, n + 1), repeat=(k - 1) + (l - 1)))
-    dst = list(itertools.product(range(1, n + 1), repeat=k + l))
+    lambda^{(k-1,l-1)} -> delta^{(a}_{(b} lambda^{...)}_{...)}, in the sorted
+    keys of SymbolTensor.  The map symmetrizes its input, so symmetric lambda
+    reach its whole image; up to the factor 1/(k l) the image component
+    (a, b) is sum_x count_a(x) count_b(x) lambda(a - x, b - x).  Rows of the
+    kernel annihilate exactly the image, so 'trace-free part of X vanishes'
+    = all kernel rows kill X."""
+    labels = range(1, n + 1)
+    multisets = itertools.combinations_with_replacement
+    src = list(itertools.product(multisets(labels, k - 1), multisets(labels, l - 1)))
+    dst = list(itertools.product(multisets(labels, k), multisets(labels, l)))
     src_index = {key: i for i, key in enumerate(src)}
-    rows = []
-    norm = rat(1, factorial(k) * factorial(l))
-    for key in dst:
-        a, b = key[:k], key[k:]
-        row = [rat(0)] * len(src)
-        for pa in itertools.permutations(range(k)):
-            for pb in itertools.permutations(range(l)):
-                if a[pa[0]] != b[pb[0]]:
-                    continue
-                rest_a = tuple(a[pa[i]] for i in range(1, k))
-                rest_b = tuple(b[pb[i]] for i in range(1, l))
-                j = src_index[rest_a + rest_b]
-                row[j] = row[j] + norm
-        rows.append(row)
-    # left kernel = kernel of the transpose, each row kept sparse as integer
-    # weights over one denominator, keyed by the sorted component it reads
-    cols = [list(col) for col in zip(*rows)]
-    kern = linalg.kernel_basis(cols, len(dst)) if cols else []
+    # the transpose of the map: one row per source key, one column per target
+    cols = [[0] * len(dst) for _ in src]
+    for i, (a, b) in enumerate(dst):
+        for x in set(a).intersection(b):
+            ia, ib = a.index(x), b.index(x)
+            j = src_index[(a[:ia] + a[ia + 1 :], b[:ib] + b[ib + 1 :])]
+            cols[j][i] = a.count(x) * b.count(x)
+    # each kernel row kept sparse as integer weights over one denominator
     out = []
-    for v in kern:
+    for v in linalg.kernel_basis(cols, len(dst)):
         nonzero = [(c, key) for c, key in zip(v, dst) if c]
         den = lcm(*(int(c.denominator) for c, _ in nonzero))
         out.append((den, tuple(
-            ((tuple(sorted(key[:k])), tuple(sorted(key[k:]))),
-             int(c.numerator) * (den // int(c.denominator)))
-            for c, key in nonzero
+            (key, int(c.numerator) * (den // int(c.denominator))) for c, key in nonzero
         )))
     return tuple(out)
 

@@ -100,29 +100,42 @@ class SparseTensor:
 
     # -- the group algebra on one index group ------------------------------
     def act(self, element, upper) -> "SparseTensor":
-        """Apply sum_p element[p] p to the upper (or the lower) index positions."""
+        """Apply sum_p element[p] p to the upper (or the lower) index positions.
+
+        The entries are multiplied once per distinct coefficient, and a
+        coefficient 1 or -1 keeps or negates them without forming products."""
         out = {}
+        scaled = {}  # coefficient -> the entry values times it
         for p, c in element.items():
+            values = scaled.get(c)
+            if values is None:
+                if c == 1:
+                    values = list(self.entries.values())
+                elif c == -1:
+                    values = [-v for v in self.entries.values()]
+                else:
+                    values = [v * c for v in self.entries.values()]
+                scaled[c] = values
             order = _order(p)
-            for (U, L), v in self.entries.items():
+            for (U, L), v in zip(self.entries, values):
                 if upper:
                     key = (tuple(U[i] for i in order), L)
                 else:
                     key = (U, tuple(L[i] for i in order))
-                accumulate(out, key, v * c)
+                accumulate(out, key, v)
         return SparseTensor(self.k, self.N, out)
 
     def skew_slots(self, slots, upper=True) -> "SparseTensor":
-        """Antisymmetrize over the given upper (or lower) slots, averaged."""
-        norm = rat(1, factorial(len(slots)))
+        """Antisymmetrize over the given upper (or lower) slots, averaged: the
+        signed sum with integer signs, then one scale by 1/len(slots)!."""
         element = {}
         for idx in itertools.permutations(range(len(slots))):
             p = list(range(self.k))
             for src, i in zip(slots, idx):
                 p[src] = slots[i]
             inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-            element[tuple(p)] = (-1) ** inversions * norm
-        return self.act(element, upper)
+            element[tuple(p)] = (-1) ** inversions
+        return self.act(element, upper).scale(rat(1, factorial(len(slots))))
 
     # -- traces ------------------------------------------------------------
     def contraction(self, up_slot, lo_slot) -> "SparseTensor":

@@ -12,18 +12,25 @@ became integer numerators over one denominator: a dict exponent tuple ->
 nonzero backend rational over a `subsym.rings.Ring`.  With `weyl_apply` and
 `weyl_compose`, the former `WeylOperator` action and normal-ordered product
 on such coefficients, it is the differential oracle for the integer layout.
+
+`t_part_operator_termwise`, `insertion_left_kernel_full_tuples` and
+`skew_slots_rational` are the former `ambient.t_part_operator`,
+`symbols._insertion_left_kernel` and `SparseTensor.skew_slots`, kept as
+differential oracles for the versions that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, factorial, lcm
 from operator import add
 
 from subsym.rings import RingMismatchError, UnknownGeneratorError
 from subsym.scalars import (
     GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, parse_rat, rat,
 )
+from subsym import linalg
+from subsym.tensor import SparseTensor
 from subsym.weyl import WeylOperator
 
 
@@ -441,3 +448,66 @@ def weyl_compose(a: dict, b: dict, ring) -> dict:
                 idx = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
                 out[idx] = out.get(idx, FractionPoly.zero(ring)) + (p * dq).scale(coeff)
     return {idx: p for idx, p in out.items() if p}
+
+
+def t_part_operator_termwise(m, T: SparseTensor) -> WeylOperator:
+    """The quadric operator of T, one operator sum per entry:
+    sum T^{BD}_{AC} (x^A x^C d_B d_D - x^A x_D d_B d^C - x_B x^C d^A d_D
+    + x_B x_D d^A d^C)."""
+    out = WeylOperator.zero(m.ring)
+    for ((B, D), (A, C)), c in T.entries.items():
+        q1 = WeylOperator.term(m.up(A) * m.up(C), {m.upper_names[B]: 1, m.upper_names[D]: 1}) if B != D else WeylOperator.term(m.up(A) * m.up(C), {m.upper_names[B]: 2})
+        q2 = WeylOperator.term(m.up(A) * m.dn(D), {m.upper_names[B]: 1, m.lower_names[C]: 1})
+        q3 = WeylOperator.term(m.dn(B) * m.up(C), {m.lower_names[A]: 1, m.upper_names[D]: 1})
+        q4 = WeylOperator.term(m.dn(B) * m.dn(D), {m.lower_names[A]: 1, m.lower_names[C]: 1}) if A != C else WeylOperator.term(m.dn(B) * m.dn(D), {m.lower_names[A]: 2})
+        out = out + (q1 - q2 - q3 + q4).scale(c)
+    return out
+
+
+def insertion_left_kernel_full_tuples(n: int, k: int, l: int):
+    """Left kernel of the symmetrized delta-insertion map over full (unsorted)
+    index tuples, each row as (den, ((sorted key, integer weight), ...)); a
+    sorted key repeats once per full tuple that reads it."""
+    src = list(itertools.product(range(1, n + 1), repeat=(k - 1) + (l - 1)))
+    dst = list(itertools.product(range(1, n + 1), repeat=k + l))
+    src_index = {key: i for i, key in enumerate(src)}
+    rows = []
+    norm = rat(1, factorial(k) * factorial(l))
+    for key in dst:
+        a, b = key[:k], key[k:]
+        row = [rat(0)] * len(src)
+        for pa in itertools.permutations(range(k)):
+            for pb in itertools.permutations(range(l)):
+                if a[pa[0]] != b[pb[0]]:
+                    continue
+                rest_a = tuple(a[pa[i]] for i in range(1, k))
+                rest_b = tuple(b[pb[i]] for i in range(1, l))
+                j = src_index[rest_a + rest_b]
+                row[j] = row[j] + norm
+        rows.append(row)
+    cols = [list(col) for col in zip(*rows)]
+    kern = linalg.kernel_basis(cols, len(dst)) if cols else []
+    out = []
+    for v in kern:
+        nonzero = [(c, key) for c, key in zip(v, dst) if c]
+        den = lcm(*(int(c.denominator) for c, _ in nonzero))
+        out.append((den, tuple(
+            ((tuple(sorted(key[:k])), tuple(sorted(key[k:]))),
+             int(c.numerator) * (den // int(c.denominator)))
+            for c, key in nonzero
+        )))
+    return tuple(out)
+
+
+def skew_slots_rational(T: SparseTensor, slots, upper=True) -> SparseTensor:
+    """Antisymmetrization over the given slots with the rational coefficients
+    sign/len(slots)! inside the group-algebra element."""
+    norm = rat(1, factorial(len(slots)))
+    element = {}
+    for idx in itertools.permutations(range(len(slots))):
+        p = list(range(T.k))
+        for src, i in zip(slots, idx):
+            p[src] = slots[i]
+        inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+        element[tuple(p)] = (-1) ** inversions * norm
+    return T.act(element, upper)

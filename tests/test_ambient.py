@@ -7,6 +7,7 @@ from subsym.ambient import (
     AmbientModel,
     TracelessMatrix,
     ambient_laplacian,
+    bidegree_monomials,
     central_action_check,
     central_element,
     compose_decompose,
@@ -20,13 +21,14 @@ from subsym.ambient import (
     r_poly,
     random_traceless,
     sl_basis,
+    t_part_operator,
     trace_projection_oracle,
     verify_composition_identity,
 )
 from subsym.scalars import RZERO, rat
 from subsym.tensor import SparseTensor
 from subsym.weyl import WeylOperator
-from support import bidegree, principal_part
+from support import bidegree, principal_part, t_part_operator_termwise
 
 
 def is_zero(V: TracelessMatrix) -> bool:
@@ -271,8 +273,6 @@ def test_corrected_scalar_differs_from_printed(m2):
 
 def test_principal_part_of_composition_is_top_quadratic_form(m2):
     # the order-2 part of D_V D_W is the quadratic form of the raw V (x) W
-    from subsym.ambient import t_part_operator
-
     rng = random.Random(21)
     V = random_traceless(2, rng)
     W = random_traceless(2, rng)
@@ -301,16 +301,76 @@ def test_sampled_operator_equality_helper(m1):
     assert not equal_on_monomials(a, a + WeylOperator.identity(m1.ring), 2)
 
 
-def test_uncorrected_scalar_fails_identity(m2):
-    # regression guard: the correction is load-bearing
-    from subsym.ambient import composition_rhs_operator, bidegree_monomials
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_t_part_operator_matches_the_termwise_sum(n):
+    m = AmbientModel(n)
+    rng = random.Random(30 + n)
+    w1 = (-n + n % 2) // 2
+    for _ in range(2):
+        V = random_traceless(n, rng)
+        W = random_traceless(n, rng)
+        parts = compose_decompose(m, V, W, w1, -n - w1)
+        for T in (parts.T, parts.vw2):
+            assert t_part_operator(m, T) == t_part_operator_termwise(m, T)
+
+
+def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
+    # regression guard: the correction is load-bearing, and the one-residual
+    # check reports the same (monomial, residual) pairs as lhs(f) - rhs(f)
+    import subsym.ambient
 
     rng = random.Random(42)
     V = random_traceless(2, rng)
     W = random_traceless(2, rng)
     parts = compose_decompose(m2, V, W, -1, -1)
-    wrong = uncorrected_vw0(m2, V, W, -1, -1) - parts.vw0
+    shift = WeylOperator.identity(m2.ring).scale(uncorrected_vw0(m2, V, W, -1, -1) - parts.vw0)
+    rhs = subsym.ambient.composition_rhs_operator
+    monkeypatch.setattr(subsym.ambient, "composition_rhs_operator", lambda *args: rhs(*args) + shift)
+    bad = verify_composition_identity(m2, V, W, -1, -1, degree_bound=2)
     lhs = dv(m2, V).compose(dv(m2, W))
-    rhs = composition_rhs_operator(m2, V, W, -1, -1) + WeylOperator.identity(m2.ring).scale(wrong)
-    f = next(iter(bidegree_monomials(m2, -1, -1, 2)))
-    assert lhs.apply(f) != rhs.apply(f)
+    wrong = subsym.ambient.composition_rhs_operator(m2, V, W, -1, -1)
+    monomials = list(bidegree_monomials(m2, -1, -1, 2))
+    expected = [(str(f), str(lhs.apply(f) - wrong.apply(f))) for f in monomials]
+    expected = [(f, res) for f, res in expected if res != "0"]
+    assert expected and bad == expected
+    assert bad.cases == len(monomials)
+
+
+def test_composition_check_applies_one_operator_per_monomial(m2, monkeypatch):
+    monomials = list(bidegree_monomials(m2, -1, -1, 3))
+    applied = []
+    apply = WeylOperator.apply
+
+    def counting(self, f):
+        applied.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(WeylOperator, "apply", counting)
+    rng = random.Random(42)
+    bad = verify_composition_identity(
+        m2, random_traceless(2, rng), random_traceless(2, rng), -1, -1, degree_bound=3
+    )
+    assert not bad and bad.cases == len(monomials) == 100
+    assert applied == monomials
+
+
+def test_composition_suite_fails_an_empty_sweep(monkeypatch):
+    import subsym.ambient
+    from subsym.cli import run
+
+    decompositions = []
+    compose_decompose_ = subsym.ambient.compose_decompose
+
+    def spy(*args):
+        decompositions.append(args)
+        return compose_decompose_(*args)
+
+    monkeypatch.setattr(subsym.ambient, "bidegree_monomials", lambda *args: iter(()))
+    monkeypatch.setattr(subsym.ambient, "compose_decompose", spy)
+    (rep,) = run("composition", {"seed": 0})
+    identity = [c for c in rep.checks if "composition identity exact" in c.name]
+    assert len(identity) == 5
+    assert all(c.status == "fail" and c.witness == "vacuous: 0 cases" for c in identity)
+    # one decomposition per pair for the suite and one inside each right side;
+    # the induced boundary check reuses pair 0's
+    assert len(decompositions) == 10

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb, factorial
 
 import pytest
 
@@ -8,11 +9,14 @@ from subsym.tensor import SparseTensor
 from subsym.boundary import BoundaryModel, induce, tangential_ops
 from subsym.cli import three_column_skew_checks
 from subsym.report import VerificationReport
+from subsym.rings import LaurentPoly
 from subsym.scalars import rat
-from support import principal_part
+from support import insertion_left_kernel_full_tuples, principal_part
 from subsym.symbols import (
     SymbolTensor,
+    _insertion_left_kernel,
     a_coeff,
+    add_symbols,
     a_matrix_det,
     build_prop1_tensor,
     check_bgg,
@@ -309,6 +313,67 @@ def test_trace_free_part_detects_insertion(m2):
     # a generic symbol does not
     S2 = SymbolTensor(2, 1, 1, 0, m2.ring, {((1,), (2,)): m2.ring.one()})
     assert trace_free_part_vanishes(m2, S2) is not None
+
+
+# the (k, l) cases of the delta-insertion kernel checked against the
+# full-tuple oracle
+INSERTION_CASES = [
+    (n, k, l)
+    for n in (2, 3)
+    for k, l in [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)] + [(4, 1), (1, 4)]
+]
+
+
+def symmetric_insertion(m, k, l, lam):
+    """delta^{(a}_{(b} lam^{...)}_{...)} summed over full index tuples and
+    stored under sorted keys; lam maps sorted (k-1, l-1) keys to polynomials."""
+    comps = {}
+    for key in itertools.product(range(1, m.n + 1), repeat=k + l):
+        a, b = key[:k], key[k:]
+        terms = []
+        for pa in itertools.permutations(range(k)):
+            for pb in itertools.permutations(range(l)):
+                if a[pa[0]] == b[pb[0]]:
+                    rest = (tuple(sorted(a[i] for i in pa[1:])), tuple(sorted(b[i] for i in pb[1:])))
+                    if rest in lam:
+                        terms.append(lam[rest])
+        val = LaurentPoly.sum(m.ring, terms, den=factorial(k) * factorial(l))
+        skey = (tuple(sorted(a)), tuple(sorted(b)))
+        assert comps.setdefault(skey, val) == val  # the insertion is symmetric
+    return SymbolTensor(m.n, k, l, 0, m.ring, comps)
+
+
+def random_symbol(m, k, l, rng):
+    """Symmetric (k, l) family with small random polynomial components."""
+    labels = range(1, m.n + 1)
+    return {
+        (a, b): m.ring.const(rng.randint(-3, 3)) + m.z(1).scale(rng.randint(-2, 2))
+        for a in itertools.combinations_with_replacement(labels, k)
+        for b in itertools.combinations_with_replacement(labels, l)
+    }
+
+
+@pytest.mark.parametrize("n, k, l", INSERTION_CASES)
+def test_insertion_kernel_matches_the_full_tuple_kernel(n, k, l, monkeypatch):
+    import subsym.symbols
+
+    m = BoundaryModel(n)
+    rng = random.Random(100 * n + 10 * k + l)
+    insertion = symmetric_insertion(m, k, l, random_symbol(m, k - 1, l - 1, rng))
+    perturbed = add_symbols(insertion, SymbolTensor(n, k, l, 0, m.ring, random_symbol(m, k, l, rng)))
+    assert insertion
+    verdicts = []
+    for kernel in (_insertion_left_kernel, insertion_left_kernel_full_tuples):
+        monkeypatch.setattr(subsym.symbols, "_insertion_left_kernel", kernel)
+        verdicts.append((trace_free_part_vanishes(m, insertion),
+                         trace_free_part_vanishes(m, perturbed) is not None))
+    assert verdicts == [(None, True), (None, True)]
+    # delta-insertion is multiplication by sum_x z_x w_x on bihomogeneous
+    # polynomials, so it is injective: the image has dim Sym^(k-1) x Sym^(l-1)
+    dim_sym = comb(n + k - 1, k) * comb(n + l - 1, l)
+    rank_image = n ** (k + l) - len(insertion_left_kernel_full_tuples(n, k, l))
+    assert rank_image == comb(n + k - 2, k - 1) * comb(n + l - 2, l - 1)
+    assert len(_insertion_left_kernel(n, k, l)) == dim_sym - rank_image
 
 
 # -- the type-based construction --------------------------------------------------

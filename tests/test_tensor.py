@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from subsym.classalg import act_on_tuple, perm_sign, standard_tableaux, young_symmetrizer
 from subsym.scalars import GR_ZERO, RZERO, GaussianRational, gr, rat
 from subsym.tensor import SparseTensor
+from support import skew_slots_rational
 
 
 class OldAmbientTensor:
@@ -230,6 +231,15 @@ def test_symmetry_and_traces_match_both_old_types(data):
             assert con.entries == amb.contraction(p, q) == mix.contraction(p, q).entries
     assert new.is_trace_free() == amb.is_totally_trace_free() == mix.is_trace_free()
     assert sym.is_trace_free() == amb.symmetrize_columns().is_totally_trace_free()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_skew_slots_with_integer_signs_match_rational_signs(data):
+    T = SparseTensor(*data.draw(tensor_data()))
+    slots = data.draw(st.lists(st.sampled_from(range(T.k)), min_size=1, unique=True))
+    for upper in (True, False):
+        assert T.skew_slots(slots, upper) == skew_slots_rational(T, slots, upper)
 
 
 @settings(max_examples=150, deadline=None)
