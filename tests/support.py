@@ -15,8 +15,9 @@ on such coefficients, it is the differential oracle for the integer layout.
 
 `t_part_operator_termwise`, `insertion_left_kernel_full_tuples` and
 `skew_slots_rational` are the former `ambient.t_part_operator`,
-`symbols._insertion_left_kernel` and `SparseTensor.skew_slots`, kept as
-differential oracles for the versions that replaced them.
+`symbols._insertion_left_kernel` and `SparseTensor.skew_slots` (with the
+former `act` loop inlined), kept as differential oracles for the versions
+that replaced them.
 """
 
 from __future__ import annotations
@@ -500,14 +501,20 @@ def insertion_left_kernel_full_tuples(n: int, k: int, l: int):
 
 
 def skew_slots_rational(T: SparseTensor, slots, upper=True) -> SparseTensor:
-    """Antisymmetrization over the given slots with the rational coefficients
-    sign/len(slots)! inside the group-algebra element."""
+    """Antisymmetrization over the given slots, every entry multiplied by the
+    rational coefficient sign/len(slots)! of each permutation."""
     norm = rat(1, factorial(len(slots)))
-    element = {}
+    out = {}
     for idx in itertools.permutations(range(len(slots))):
         p = list(range(T.k))
         for src, i in zip(slots, idx):
             p[src] = slots[i]
-        inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-        element[tuple(p)] = (-1) ** inversions * norm
-    return T.act(element, upper)
+        c = (-1) ** sum(a > b for a, b in itertools.combinations(idx, 2)) * norm
+        order = sorted(range(T.k), key=p.__getitem__)
+        for (U, L), v in T.entries.items():
+            if upper:
+                key = (tuple(U[i] for i in order), L)
+            else:
+                key = (U, tuple(L[i] for i in order))
+            accumulate(out, key, v * c)
+    return SparseTensor(T.k, T.N, out)
