@@ -486,20 +486,20 @@ def u_quadric(m: AmbientModel, U, Ut) -> LaurentPoly:
 
 
 def composition_rhs_operator(
-    m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix, w1: int, w2: int
+    m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix, parts: CompositionParts
 ) -> WeylOperator:
-    """Right-hand side of the composition identity at fixed weights.
+    """Right-hand side of the composition identity at the weights of ``parts``,
+    which is compose_decompose(m, V, W, w1, w2).
 
     Valid only when applied to bihomogeneous functions of bidegree (w1, w2)
     with n + w1 + w2 = 0.
     """
     n, N = m.n, m.N
-    parts = compose_decompose(m, V, W, w1, w2)
     U, Ut = parts.U, parts.Utilde
     P = mat_mul(W.entries, V.entries)
     Q = mat_mul(V.entries, W.entries)
     t = mat_trace(Q)
-    dw = w1 - w2
+    dw = parts.w1 - parts.w2
     lap = ambient_laplacian(m)
     out = t_part_operator(m, parts.T)
     # -r (U^D_A d^A d_D + Ut^B_C d_B d^C)
@@ -544,15 +544,18 @@ def verify_composition_identity(
     w1: int,
     w2: int,
     degree_bound: int = 3,
+    parts: CompositionParts | None = None,
 ):
     """Exact check of the composition identity on every admissible monomial.
 
     The residual operator D_V o D_W - rhs is formed once and applied to each
-    monomial; by linearity its value is lhs(f) - rhs(f).  Returns a
-    CaseResults list of failing (monomial, residual) pairs, empty on a pass,
-    with ``cases`` the number of monomials examined.
+    monomial; by linearity its value is lhs(f) - rhs(f).  ``parts`` is
+    compose_decompose(m, V, W, w1, w2), formed here when not given.  Returns
+    a CaseResults list of failing (monomial, residual) pairs, empty on a
+    pass, with ``cases`` the number of monomials examined.
     """
-    residual = dv(m, V).compose(dv(m, W)) - composition_rhs_operator(m, V, W, w1, w2)
+    parts = parts or compose_decompose(m, V, W, w1, w2)
+    residual = dv(m, V).compose(dv(m, W)) - composition_rhs_operator(m, V, W, parts)
     bad, cases = [], 0
     for f in bidegree_monomials(m, w1, w2, degree_bound):
         cases += 1

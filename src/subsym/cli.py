@@ -190,7 +190,7 @@ def _suite_composition(params, rep: VerificationReport):
         orc = trace_projection_oracle(m, V, W)
         ok = orc is not None and orc[0] == parts.U and orc[1] == parts.Utilde
         rep.add(f"pair {i}: (U, Utilde) match the projection oracle", ok)
-        bad = verify_composition_identity(m, V, W, w1, w2, degree_bound=deg)
+        bad = verify_composition_identity(m, V, W, w1, w2, degree_bound=deg, parts=parts)
         rep.add(
             f"pair {i}: composition identity exact, exponent bound {deg}",
             not bad,

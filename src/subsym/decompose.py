@@ -4,8 +4,8 @@ Mixed tensors live in (V (x) V*)^(x)k with dim V = N.  Entries are keyed by a
 pair of multi-indices (U, L): U indexes the vector factors, L the dual
 factors.  Pair-symmetric tensors (invariant under simultaneous permutation of
 the k (u, l) slot pairs) are stored compactly as vectors over the multisets of
-(u, l) pairs of one weight block; S_k acts on them through the integer index
-tables of ``_perm_tables``.
+(u, l) pairs of one weight block, sparse and with integer entries; S_k acts
+on them by scattering through the preimage tables of ``_perm_preimages``.
 
 Everything here commutes with the diagonal torus, so all linear algebra is
 done block-by-block over weight spaces; weights related by relabeling the N
@@ -34,8 +34,6 @@ from .report import CaseResults
 from .scalars import accumulate, rat
 from .tensor import SparseTensor
 
-RZERO = rat(0)
-
 
 # ---------------------------------------------------------------------------
 # pair-symmetric tensors: multisets and the S_k action on weight blocks
@@ -62,34 +60,47 @@ def _perm_lower_multiset(M, sigma):
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(k, N, weight):
-    """Index tables of the slot permutations on one weight block.
+def _perm_preimages(k, N, weight):
+    """Preimage lists of the slot permutations on one weight block.
 
-    ``tables[sigma][j]`` is the block index of M_j^sigma (lower indices
-    permuted), so a block vector v is pulled back by sigma as
-    ``[v[i] for i in tables[sigma]]``.  Only the lower group is needed: on a
-    multiset, moving the upper indices by sigma is moving the lower ones by
-    sigma^-1, and the actions used here are class-closed.
+    ``pre[sigma][i]`` lists the block indices j with M_j^sigma = M_i (lower
+    indices permuted), so the pullback j -> v[index of M_j^sigma] of a block
+    vector v is scattered from the support of v.  M -> M^sigma acts on
+    sorted representatives and is not a bijection of the block, so an index
+    may have several preimages or none.  Only the lower group is needed: on
+    a multiset, moving the upper indices by sigma is moving the lower ones
+    by sigma^-1, and the actions used here are class-closed.
     """
     block = weight_blocks(k, N)[weight]
     index = {M: j for j, M in enumerate(block)}
-    return {
-        sigma: tuple(index[_perm_lower_multiset(M, sigma)] for M in block)
-        for sigma in itertools.permutations(range(k))
-    }
+    out = {}
+    for sigma in itertools.permutations(range(k)):
+        pre = [[] for _ in block]
+        for j, M in enumerate(block):
+            pre[index[_perm_lower_multiset(M, sigma)]].append(j)
+        out[sigma] = tuple(map(tuple, pre))
+    return out
 
 
-def _class_sum(v, tables, perms):
-    """Unnormalised sum over ``perms`` of the pullbacks of the block vector v."""
-    return [sum(xs) for xs in zip(*([v[i] for i in tables[p]] for p in perms))]
+def _class_sum(v, pre, perms):
+    """Unnormalised sum over ``perms`` of the pullbacks of the sparse block
+    vector v ({index: value}), as a sparse vector."""
+    out = {}
+    for p in perms:
+        targets = pre[p]
+        for i, x in v.items():
+            for j in targets[i]:
+                out[j] = out.get(j, 0) + x
+    return {j: x for j, x in out.items() if x}
 
 
-def _combine(terms, n):
-    """Entrywise sum of c * vec over the (c, vec) pairs; n is the length."""
-    acc = [0] * n
+def _combine(terms):
+    """Sum of c * vec over the (c, sparse vector) pairs."""
+    acc = {}
     for c, vec in terms:
-        acc = [a + c * x for a, x in zip(acc, vec)]
-    return acc
+        for j, x in vec.items():
+            acc[j] = acc.get(j, 0) + c * x
+    return {j: x for j, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +131,17 @@ def weight_orbits(k, N):
 
 
 def _contraction_columns(M):
-    """Sparse contraction data of the basis indicator at multiset M.
-
-    Returns (trace_rows, cross_rows): trace_rows are keys ('d', R) with
-    coefficient 1 from removing a diagonal pair (x, x); cross_rows are keys
-    ('c', i, j, R) whose coefficient counts the x with M = {(x,j),(i,x)} u R.
+    """Sparse contraction data of the basis indicator at multiset M, as
+    distinct (target, coefficient) pairs: targets ('d', R) with coefficient 1
+    from removing a diagonal pair (x, x), and targets ('c', i, j, R) whose
+    coefficient counts the x with M = {(x,j),(i,x)} u R.
     """
-    trace_rows = []
+    out = []
     seen_diag = set()
     for idx, (u, l) in enumerate(M):
         if u == l and (u, l) not in seen_diag:
             seen_diag.add((u, l))
-            R = M[:idx] + M[idx + 1 :]
-            trace_rows.append(("d", R))
+            out.append((("d", M[:idx] + M[idx + 1 :]), 1))
     cross = {}
     n = len(M)
     for a in range(n):
@@ -146,43 +155,30 @@ def _contraction_columns(M):
             i, j = e2[0], e1[1]
             keep = tuple(M[t] for t in range(n) if t != a and t != b)
             cross.setdefault((i, j, keep), set()).add(x)
-    cross_rows = [(("c",) + key, len(xs)) for key, xs in sorted(cross.items())]
-    return trace_rows, cross_rows
+    return out + [(("c",) + key, len(xs)) for key, xs in sorted(cross.items())]
 
 
 def _contraction_matrix(block):
-    """Dense matrix of all contractions on one weight block: one row per
-    contraction target, one column per block multiset."""
+    """Sparse integer matrix of all contractions on one weight block: one
+    {column: int} row per contraction target, in sorted target order, one
+    column per block multiset."""
     rows = {}
     for j, M in enumerate(block):
-        trace_rows, cross_rows = _contraction_columns(M)
-        for key in trace_rows:
-            accumulate(rows.setdefault(key, {}), j, 1)
-        for key, cnt in cross_rows:
-            accumulate(rows.setdefault(key, {}), j, cnt)
-    dense = []
-    for key in sorted(rows):
-        r = [RZERO] * len(block)
-        for j, c in rows[key].items():
-            r[j] = rat(c)
-        dense.append(r)
-    return dense
+        for key, cnt in _contraction_columns(M):
+            rows.setdefault(key, {})[j] = cnt
+    return [rows[key] for key in sorted(rows)]
 
 
 @lru_cache(maxsize=None)
 def trace_free_block_kernel(k, N, weight):
     """Kernel basis of all contractions on one weight block.
 
-    Returns (block multisets, kernel vectors as coefficient lists).
+    Returns (block multisets, kernel vectors), each vector a primitive
+    integer vector as a sorted tuple of (block index, int) pairs.
     """
     block = weight_blocks(k, N)[weight]
-    dense = _contraction_matrix(block)
-    if not dense:
-        kern = [[rat(1) if i == j else RZERO for i in range(len(block))]
-                for j in range(len(block))]
-    else:
-        kern = linalg.kernel_basis(dense, len(block))
-    return block, tuple(tuple(v) for v in kern)
+    kern = linalg.integer_kernel(_contraction_matrix(block), len(block))
+    return block, tuple(tuple(sorted(v.items())) for v in kern)
 
 
 def trace_free_dimension(k, N) -> int:
@@ -195,15 +191,13 @@ def trace_free_dimension(k, N) -> int:
 
 
 def _orbit_kernels(k, N):
-    """(weight, orbit size, integral kernel rows) for every weight-orbit
-    representative whose trace-free kernel is nonzero.  Each row is a kernel
-    vector times a positive integer, which changes no rank and no linear
-    identity."""
+    """(weight, orbit size, kernel vectors as {index: int} maps) for every
+    weight-orbit representative whose trace-free kernel is nonzero."""
     out = []
     for w, cnt in weight_orbits(k, N).values():
         _, kern = trace_free_block_kernel(k, N, w)
         if kern:
-            out.append((w, cnt, linalg._integral(kern)[0]))
+            out.append((w, cnt, [dict(v) for v in kern]))
     return out
 
 
@@ -218,19 +212,15 @@ def isotypic_rank(lam, k, N) -> int:
     chars = [(c, elems) for mu, elems in class_elements(k).items() if (c := mn_character(lam, mu))]
     total = 0
     for w, cnt, rows in _orbit_kernels(k, N):
-        tables = _perm_tables(k, N, w)
-        images = [
-            _combine([(c, _class_sum(v, tables, elems)) for c, elems in chars], len(v))
-            for v in rows
-        ]
+        pre = _perm_preimages(k, N, w)
+        images = [_combine([(c, _class_sum(v, pre, elems)) for c, elems in chars]) for v in rows]
         total += cnt * linalg.span_rank(images)
     return total
 
 
 def isotypic_table(k, N):
-    """dict partition -> isotypic rank, plus consistency data."""
-    table = {lam: isotypic_rank(lam, k, N) for lam in partitions(k)}
-    return table
+    """dict partition -> isotypic rank."""
+    return {lam: isotypic_rank(lam, k, N) for lam in partitions(k)}
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +493,7 @@ def commutant_mult_crosscheck(k, N, class_product):
     With K_tau = |C_tau| op_tau the unnormalised class sums, both sides are
     multiplied by |C_lam||C_mu| and by one common integer D per pair:
     D K_lam K_mu v = sum_tau (D |C_lam||C_mu| A_tau / |C_tau|) K_tau v, an
-    equality of integer vectors on the integral kernel rows v.  The p(k)
+    equality of integer vectors on the integer kernel vectors v.  The p(k)
     class sums of each kernel vector serve all p(k)^2 pairs.
     Returns a CaseResults list of (lam, mu, ok) triples; ``cases`` counts
     the kernel vectors examined.
@@ -518,14 +508,14 @@ def commutant_mult_crosscheck(k, N, class_product):
     ok = dict.fromkeys(scaled, True)
     cases = 0
     for w, _, rows in _orbit_kernels(k, N):
-        tables = _perm_tables(k, N, w)
+        pre = _perm_preimages(k, N, w)
         for v in rows:
             cases += 1
-            K = {tau: _class_sum(v, tables, perms) for tau, perms in elems.items()}
+            K = {tau: _class_sum(v, pre, perms) for tau, perms in elems.items()}
             for (lam, mu), (D, ints) in scaled.items():
                 if ok[(lam, mu)]:
-                    lhs = [D * x for x in _class_sum(K[mu], tables, elems[lam])]
-                    ok[(lam, mu)] = lhs == _combine([(c, K[tau]) for tau, c in ints], len(v))
+                    lhs = _combine([(D, _class_sum(K[mu], pre, elems[lam]))])
+                    ok[(lam, mu)] = lhs == _combine([(c, K[tau]) for tau, c in ints])
     return CaseResults([(lam, mu, good) for (lam, mu), good in ok.items()], cases)
 
 
@@ -533,19 +523,19 @@ def basis_operator_independence(k, N):
     """Whether the p(k) commutant basis operators are linearly independent
     on S^k_0; returns (ok, cases), cases being the kernel vectors examined.
 
-    Each operator is flattened to its integer class sums on the integral
-    kernel rows of every weight-orbit representative.  The class sizes
-    scale whole operators and the kernel-row scales scale columns, so the
-    rank is that of the averaged operators on the kernel basis.
+    Each operator is flattened to its integer class sums on the integer
+    kernel vectors of every weight-orbit representative.  The class sizes
+    scale whole operators, so the rank is that of the averaged operators on
+    the kernel basis.
     """
-    flat = {lam: [] for lam in partitions(k)}
+    flat = {lam: {} for lam in partitions(k)}
     cases = 0
     for w, _, rows in _orbit_kernels(k, N):
-        tables = _perm_tables(k, N, w)
+        pre = _perm_preimages(k, N, w)
         for v in rows:
             cases += 1
             for lam, elems in class_elements(k).items():
-                flat[lam].extend(_class_sum(v, tables, elems))
+                flat[lam].update(((cases, j), x) for j, x in _class_sum(v, pre, elems).items())
     return linalg.span_rank(list(flat.values())) == len(flat), cases
 
 
@@ -566,61 +556,50 @@ def seven_pieces_check(N):
 
     sl = [SparseTensor.from_matrix(V) for V in sl_basis(N)]
     dim_sl = len(sl)
-    pairs = list(itertools.product(range(N), repeat=2))
-    keys4 = [(U, L) for U in pairs for L in pairs]  # ((B, D), (A, C)) for V^B_A W^D_C
-    keys2 = [((D,), (A,)) for D, A in pairs]
 
-    def coords(T, keys):
-        return [T.entries.get(key, RZERO) for key in keys]
+    def rank(tensors):
+        return linalg.span_rank([T.entries for T in tensors])
 
     sym_span, alt_span = [], []
     for i, V in enumerate(sl):
         for j in range(i, dim_sl):
-            T = V.outer(sl[j])
+            T = V.outer(sl[j])  # entries ((B, D), (A, C)) for V^B_A W^D_C
             Ts = T.permuted((1, 0))  # the simultaneous pair swap, i.e. W (x) V
             sym_span.append(T + Ts)
             if j > i:
                 alt_span.append(T - Ts)
-
-    def _basis_of(span):
-        red, pivots = linalg.rref([coords(T, keys4) for T in span])
-        return [SparseTensor(2, N, dict(zip(keys4, red[r]))) for r in range(len(pivots))]
-
-    sym_basis = _basis_of(sym_span)
-    alt_basis = _basis_of(alt_span)
-    dim_sym, dim_alt = len(sym_basis), len(alt_basis)
+    dim_sym, dim_alt = rank(sym_span), rank(alt_span)
 
     # symmetric part: trace-free = the two Cartan pieces; contraction image =
     # adjoint + Killing, the Killing line being the image of the full
     # contraction (B = C, then D = A)
-    c_sym = [T.contraction(0, 1) for T in sym_basis]
-    rank_c_sym = linalg.span_rank([coords(c, keys2) for c in c_sym])
+    c_sym = [T.contraction(0, 1) for T in sym_span]
+    rank_c_sym = rank(c_sym)
     p1 = isotypic_rank((2,), 2, N)
     p2 = isotypic_rank((1, 1), 2, N)
-    p4 = linalg.span_rank([coords(c.contraction(0, 0), [((), ())]) for c in c_sym])
+    p4 = rank([c.contraction(0, 0) for c in c_sym])
     p3 = rank_c_sym - p4
 
     # antisymmetric part
-    cmat = [coords(T.contraction(0, 1), keys2) for T in alt_basis]
-    p7 = linalg.span_rank(cmat)
-    # trace-free part of the antisymmetric block, split by lower-pair symmetry:
-    # coefficients c with sum_r c_r * cmat[r] = 0 span the trace-free part
-    coeff_kernel = linalg.kernel_basis(list(zip(*cmat)), len(alt_basis)) if cmat else []
+    c_alt = [T.contraction(0, 1) for T in alt_span]
+    p7 = rank(c_alt)
+    # trace-free part of the antisymmetric span, split by lower-pair symmetry:
+    # coefficients c with sum_r c_r * c_alt[r] = 0 give its elements
+    cols = {}
+    for r, c in enumerate(c_alt):
+        for key, v in c.entries.items():
+            cols.setdefault(key, {})[r] = v
     tf_alt = []
-    for coeffs in coeff_kernel:
+    for coeffs in linalg.kernel_basis(list(cols.values()), len(alt_span)):
         acc = SparseTensor(2, N)
-        for c, T in zip(coeffs, alt_basis):
+        for c, T in zip(coeffs, alt_span):
             if c:
                 acc = acc + T.scale(c)
         tf_alt.append(acc)
 
-    half = rat(1, 2)
-    p5 = linalg.span_rank(
-        [coords(T.act({(0, 1): half, (1, 0): half}, upper=False), keys4) for T in tf_alt]
-    )
-    p6 = linalg.span_rank(
-        [coords(T.act({(0, 1): half, (1, 0): -half}, upper=False), keys4) for T in tf_alt]
-    )
+    # the lower-pair symmetrizer and antisymmetrizer, times 2
+    p5 = rank([T.act({(0, 1): 1, (1, 0): 1}, upper=False) for T in tf_alt])
+    p6 = rank([T.act({(0, 1): 1, (1, 0): -1}, upper=False) for T in tf_alt])
 
     pieces = {
         "cartan_sym": p1,

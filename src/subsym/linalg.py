@@ -1,81 +1,126 @@
-"""Exact dense linear algebra over Q by fraction-free (Bareiss) elimination.
+"""Exact linear algebra over Q by sparse integer elimination.
 
-Each row is scaled by the lcm of its denominators, which keeps the row space,
-so rank, pivots and the reduced row echelon form do not change.  One loop then
-applies Bareiss's update a_ij <- (p * a_ij - a_ic * a_rj) / d, with p the
-current pivot and d the previous one (E. H. Bareiss, Math. Comp. 22, 1968).
-Every entry stays a minor of the scaled matrix, so the division is exact and
-no fraction is formed until the end.  Entries are backend rationals or ints;
-results are backend rationals.
+A row, a sequence or a {column: value} map of ints or rationals, becomes a
+{column: int} map scaled by the lcm of its denominators, which keeps the row
+space; zeros are never stored.  Rows are inserted one at a time against a map
+of pivot rows: while the leading (least) column c of a row r holds a pivot row
+p, r becomes b*r - a*p with a/b = r[c]/p[c] in lowest terms.  A row that
+reaches a free leading column is divided by its content (the gcd of its
+entries), which bounds coefficient growth, and stored.  Back-substitution
+then gives the unique reduced form.  Results are backend rationals, except
+for the primitive integer vectors of `integer_kernel`.
 """
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .scalars import RONE, RZERO, rat
 
 
-def _integral(rows):
-    """Integer copies of `rows`, each scaled by the lcm of its denominators;
-    returns (rows, scales)."""
-    m, scales = [], []
-    for r in rows:
-        # most entries of the contraction blocks are zero
-        s = lcm(*(int(q.denominator) for q in r if q))
-        m.append([int(q.numerator) * (s // int(q.denominator)) if q else 0 for q in r])
-        scales.append(s)
-    return m, scales
+def _int_row(row):
+    """(row as {col: int} scaled by the lcm of its denominators, that lcm)."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    nz = [(j, q) for j, q in items if q]
+    s = lcm(*(int(q.denominator) for _, q in nz))
+    return {j: int(q.numerator) * (s // int(q.denominator)) for j, q in nz}, s
 
 
-def _eliminate(m, reduce):
-    """Bareiss elimination of the integer rows `m`, in place.
+def _clear(r, p, c):
+    """(b*r - a*p, b) with a/b = r[c]/p[c] in lowest terms and p[c] > 0, so
+    that column c drops out of r; r itself may be updated."""
+    g = gcd(r[c], p[c])
+    a, b = r[c] // g, p[c] // g
+    if b != 1:
+        r = {j: b * v for j, v in r.items()}
+    for j, v in p.items():
+        v = r.get(j, 0) - a * v
+        if v:
+            r[j] = v
+        else:
+            del r[j]
+    return r, b
 
-    Forward only, unless `reduce` also clears the rows above each pivot
-    (fraction-free Gauss-Jordan); then every pivot ends equal to the last one.
-    Returns (pivot columns, last pivot, sign of the row permutation).
+
+def _primitive(r, c):
+    """(r over its content, signed so that r[c] > 0; that divisor)."""
+    g = gcd(*r.values()) if r[c] > 0 else -gcd(*r.values())
+    return (r if g == 1 else {j: v // g for j, v in r.items()}), g
+
+
+def _echelon(rows):
+    """Forward elimination of `rows`; returns (pivots, trail).
+
+    ``pivots`` maps each pivot column to its stored row: primitive, with a
+    positive entry at that column, its least.  ``trail[i]`` is (c, m, g) for
+    the i-th row: its pivot column (None when it reduced to zero) and the
+    integers with stored row = (m / g) * row i + (earlier rows).
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots, d, sign, r = [], 1, 1, 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            sign = -sign
-        rr = m[r]
-        p = rr[c]
-        for i in range(0 if reduce else r + 1, nrows):
-            if i == r:
-                continue
-            ri = m[i]
-            f = ri[c]
-            # zeros are skipped, not computed; a row with f = 0 is still
-            # rescaled by p/d so that its entries stay minors
-            if f:
-                m[i] = [(p * a - f * b) // d if a or b else a for a, b in zip(ri, rr)]
-            elif p != d:
-                m[i] = [p * a // d if a else a for a in ri]
-        pivots.append(c)
-        d = p
-        r += 1
-        if r == nrows:
-            break
-    return pivots, d, sign
+    pivots, trail = {}, []
+    for row in rows:
+        r, m = _int_row(row)
+        g = 1
+        while r:
+            c = min(r)
+            if c not in pivots:
+                r, g = _primitive(r, c)
+                pivots[c] = r
+                break
+            r, b = _clear(r, pivots[c], c)
+            m *= b
+        trail.append((c if r else None, m, g))
+    return pivots, trail
+
+
+def _reduced(rows):
+    """The pivot rows of `rows` with each pivot column cleared from the others."""
+    pivots = _echelon(rows)[0]
+    # a later pivot row holds no earlier pivot column, so later rows go first
+    for c in sorted(pivots, reverse=True):
+        r = pivots[c]
+        hits = [j for j in r if j != c and j in pivots]
+        for j in hits:
+            r = _clear(r, pivots[j], j)[0]
+        if hits:
+            pivots[c] = _primitive(r, c)[0]
+    return pivots
+
+
+def _kernel(pivots, ncols):
+    """(f, primitive integer kernel vector, positive at f) for each free
+    column f < ncols of the reduced `pivots`, in column order."""
+    at = {}  # column -> the pivot columns whose rows hold it
+    for c, r in pivots.items():
+        for j in r:
+            at.setdefault(j, []).append(c)
+    for f in range(ncols):
+        if f not in pivots:
+            cs = at.get(f, ())
+            s = lcm(*(pivots[c][c] for c in cs))
+            v = {c: -pivots[c][f] * (s // pivots[c][c]) for c in cs}
+            v[f] = s
+            yield f, _primitive(v, f)[0]
+
+
+def _rational(v, ncols, d):
+    """The sparse integer vector v over d as a dense list of length ncols."""
+    out = [RZERO] * ncols
+    for j, x in v.items():
+        out[j] = rat(x, d)
+    return out
 
 
 def rref(rows):
     """Reduced row echelon form; returns (new rows, pivot column list)."""
-    m, _ = _integral(rows)
-    pivots, d, _ = _eliminate(m, reduce=True)
-    return [[rat(x, d) if x else RZERO for x in r] for r in m], pivots
+    ncols = len(rows[0]) if rows else 0
+    pivots = _reduced(rows)
+    cols = sorted(pivots)
+    out = [_rational(pivots[c], ncols, pivots[c][c]) for c in cols]
+    return out + [[RZERO] * ncols for _ in range(len(rows) - len(cols))], cols
 
 
 def rank(rows) -> int:
-    m, _ = _integral(rows)
-    return len(_eliminate(m, reduce=False)[0])
+    return len(_echelon(rows)[0])
 
 
 def det(rows):
@@ -83,10 +128,21 @@ def det(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m, scales = _integral(rows)
-    pivots, d, sign = _eliminate(m, reduce=False)
-    # the last pivot is the determinant of the row-permuted, row-scaled matrix
-    return rat(sign * d if len(pivots) == n else 0, prod(scales))
+    pivots, trail = _echelon(rows)
+    if len(pivots) < n:
+        return RZERO
+    # in pivot-column order the stored rows are triangular, the pivots on the
+    # diagonal; the row-to-pivot permutation gives the sign
+    cols = [c for c, _, _ in trail]
+    sign = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+    return rat(sign * prod(pivots[c][c] * g for c, _, g in trail), prod(m for _, m, _ in trail))
+
+
+def integer_kernel(rows, ncols):
+    """Basis of the right null space {x : M x = 0}, one primitive integer
+    vector {col: int} per free column, in column order.  A vector's free
+    column is its largest, and its entry there is positive."""
+    return [v for _, v in _kernel(_reduced(rows), ncols)]
 
 
 def kernel_basis(rows, ncols=None):
@@ -95,45 +151,37 @@ def kernel_basis(rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    m, pivots = rref(rows)
-    pivset = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = [RZERO] * ncols
-        v[fc] = RONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return [_rational(v, ncols, v[f]) for f, v in _kernel(_reduced(rows), ncols)]
 
 
 def solve(rows, b):
     """Solve M x = b exactly.
 
     Returns (particular_solution, kernel_basis) or None when inconsistent.
-    The solution is unique iff the kernel basis is empty.
+    The solution is unique iff the kernel basis is empty.  Both are read off
+    one reduced form: with no pivot in the augmented column, its first ncols
+    columns are the reduced form of M.
     """
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0])
     m, pivots = rref([list(r) + [bv] for r, bv in zip(rows, b)])
-    # inconsistent iff a pivot lands in the augmented column
     if ncols in pivots:
         return None
     x = [RZERO] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = m[r][ncols]
-    return x, kernel_basis(rows, ncols)
+    kern = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [RZERO] * ncols
+            v[fc] = RONE
+            for r, pc in enumerate(pivots):
+                v[pc] = -m[r][fc]
+            kern.append(v)
+    return x, kern
 
 
 def span_rank(vectors, ncols=None) -> int:
-    """Rank of the span of a list of coordinate vectors.
-
-    Entries may be plain ints as well as rationals: ints carry
-    ``numerator`` and ``denominator``, so integer rows go to elimination as
-    they are, with no rational wrapping.
-    """
-    vecs = [v for v in vectors if any(v)]
-    return rank(vecs) if vecs else 0
+    """Rank of the span of coordinate vectors, as sequences or {col: value} maps."""
+    return rank(vectors)

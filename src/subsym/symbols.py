@@ -239,12 +239,13 @@ def sym_derivative_upper(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
             terms = []
             for pos in range(k2):
                 rest = a_key[:pos] + a_key[pos + 1 :]
-                comp = S.get(rest, b_key)
+                # rest and b_key are sorted, as SymbolTensor keys are
+                comp = S.components.get((rest, b_key))
                 if comp:
                     terms.append(d_raised[a_key[pos] - 1].apply(comp))
             acc = LaurentPoly.sum(m.ring, terms, den=k2)
             if acc:
-                out[(a_key, tuple(sorted(b_key)))] = acc
+                out[(a_key, b_key)] = acc
     return SymbolTensor(m.n, k2, S.l, S.tau_slots, m.ring, out)
 
 
@@ -257,12 +258,12 @@ def sym_derivative_lower(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
             terms = []
             for pos in range(l2):
                 rest = b_key[:pos] + b_key[pos + 1 :]
-                comp = S.get(a_key, rest)
+                comp = S.components.get((a_key, rest))
                 if comp:
                     terms.append(d_hol[b_key[pos] - 1].apply(comp))
             acc = LaurentPoly.sum(m.ring, terms, den=l2)
             if acc:
-                out[(tuple(sorted(a_key)), b_key)] = acc
+                out[(a_key, b_key)] = acc
     return SymbolTensor(m.n, S.k, l2, S.tau_slots, m.ring, out)
 
 
@@ -288,22 +289,19 @@ def _insertion_left_kernel(n: int, k: int, l: int):
     src = list(itertools.product(multisets(labels, k - 1), multisets(labels, l - 1)))
     dst = list(itertools.product(multisets(labels, k), multisets(labels, l)))
     src_index = {key: i for i, key in enumerate(src)}
-    # the transpose of the map: one row per source key, one column per target
-    cols = [[0] * len(dst) for _ in src]
+    # the transpose of the map: one sparse row per source key, one column per target
+    cols = [{} for _ in src]
     for i, (a, b) in enumerate(dst):
         for x in set(a).intersection(b):
             ia, ib = a.index(x), b.index(x)
             j = src_index[(a[:ia] + a[ia + 1 :], b[:ib] + b[ib + 1 :])]
             cols[j][i] = a.count(x) * b.count(x)
-    # each kernel row kept sparse as integer weights over one denominator
-    out = []
-    for v in linalg.kernel_basis(cols, len(dst)):
-        nonzero = [(c, key) for c, key in zip(v, dst) if c]
-        den = lcm(*(int(c.denominator) for c, _ in nonzero))
-        out.append((den, tuple(
-            (key, int(c.numerator) * (den // int(c.denominator))) for c, key in nonzero
-        )))
-    return tuple(out)
+    # each kernel row as integer weights over one denominator: the primitive
+    # integer vector over its entry at its free column, its largest
+    return tuple(
+        (v[max(v)], tuple((dst[i], c) for i, c in sorted(v.items())))
+        for v in linalg.integer_kernel(cols, len(dst))
+    )
 
 
 def trace_free_part_vanishes(m: BoundaryModel, S: SymbolTensor) -> LaurentPoly | None:

@@ -18,19 +18,24 @@ on such coefficients, it is the differential oracle for the integer layout.
 `symbols._insertion_left_kernel` and `SparseTensor.skew_slots` (with the
 former `act` loop inlined), kept as differential oracles for the versions
 that replaced them.
+
+`bareiss_rref`, `bareiss_rank`, `bareiss_det`, `bareiss_kernel` and
+`bareiss_solve` are the dense fraction-free Bareiss elimination that `linalg`
+ran before its sparse integer routine, and `gather_tables`/`gather_class_sum`
+the dense gather form of the S_k class sums on a weight block that the
+sparse scatter of `decompose` replaced; both are differential oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import add
 
 from subsym.rings import RingMismatchError, UnknownGeneratorError
 from subsym.scalars import (
     GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, parse_rat, rat,
 )
-from subsym import linalg
 from subsym.tensor import SparseTensor
 from subsym.weyl import WeylOperator
 
@@ -487,7 +492,7 @@ def insertion_left_kernel_full_tuples(n: int, k: int, l: int):
                 row[j] = row[j] + norm
         rows.append(row)
     cols = [list(col) for col in zip(*rows)]
-    kern = linalg.kernel_basis(cols, len(dst)) if cols else []
+    kern = bareiss_kernel(cols, len(dst)) if cols else []
     out = []
     for v in kern:
         nonzero = [(c, key) for c, key in zip(v, dst) if c]
@@ -518,3 +523,121 @@ def skew_slots_rational(T: SparseTensor, slots, upper=True) -> SparseTensor:
                 key = (U, tuple(L[i] for i in order))
             accumulate(out, key, v * c)
     return SparseTensor(T.k, T.N, out)
+
+
+# -- the dense Bareiss elimination that the sparse integer routine replaced ------
+
+
+def integral(rows):
+    """Integer copies of `rows`, each scaled by the lcm of its denominators;
+    returns (rows, scales)."""
+    m, scales = [], []
+    for r in rows:
+        s = lcm(*(int(q.denominator) for q in r if q))
+        m.append([int(q.numerator) * (s // int(q.denominator)) if q else 0 for q in r])
+        scales.append(s)
+    return m, scales
+
+
+def bareiss_eliminate(m, reduce):
+    """Bareiss elimination of the integer rows `m`, in place.
+
+    Applies a_ij <- (p * a_ij - a_ic * a_rj) / d, p the current pivot and d the
+    previous one; every entry stays a minor, so the division is exact.
+    Forward only, unless `reduce` also clears the rows above each pivot
+    (fraction-free Gauss-Jordan); then every pivot ends equal to the last one.
+    Returns (pivot columns, last pivot, sign of the row permutation).
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots, d, sign, r = [], 1, 1, 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        rr = m[r]
+        p = rr[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            ri = m[i]
+            f = ri[c]
+            if f:
+                m[i] = [(p * a - f * b) // d if a or b else a for a, b in zip(ri, rr)]
+            elif p != d:
+                m[i] = [p * a // d if a else a for a in ri]
+        pivots.append(c)
+        d = p
+        r += 1
+        if r == nrows:
+            break
+    return pivots, d, sign
+
+
+def bareiss_rref(rows):
+    m, _ = integral(rows)
+    pivots, d, _ = bareiss_eliminate(m, reduce=True)
+    return [[rat(x, d) if x else RZERO for x in r] for r in m], pivots
+
+
+def bareiss_rank(rows):
+    m, _ = integral(rows)
+    return len(bareiss_eliminate(m, reduce=False)[0])
+
+
+def bareiss_det(rows):
+    m, scales = integral(rows)
+    pivots, d, sign = bareiss_eliminate(m, reduce=False)
+    return rat(sign * d if len(pivots) == len(rows) else 0, prod(scales))
+
+
+def bareiss_kernel(rows, ncols):
+    """Right null space basis, each vector equal to 1 at its free column."""
+    m, pivots = bareiss_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [RZERO] * ncols
+        v[fc] = RONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def bareiss_solve(rows, b):
+    """(particular solution, kernel basis) of M x = b, or None when inconsistent."""
+    ncols = len(rows[0])
+    m, pivots = bareiss_rref([list(r) + [bv] for r, bv in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    x = [RZERO] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x, bareiss_kernel(rows, ncols)
+
+
+# -- the dense gather class sums that the sparse scatter replaced ----------------
+
+
+def gather_tables(k, N, weight):
+    """``tables[sigma][j]`` is the block index of M_j^sigma (lower indices
+    permuted), so a dense block vector v is pulled back by sigma as
+    ``[v[i] for i in tables[sigma]]``."""
+    from subsym.decompose import _perm_lower_multiset, weight_blocks
+
+    block = weight_blocks(k, N)[weight]
+    index = {M: j for j, M in enumerate(block)}
+    return {
+        sigma: tuple(index[_perm_lower_multiset(M, sigma)] for M in block)
+        for sigma in itertools.permutations(range(k))
+    }
+
+
+def gather_class_sum(v, tables, perms):
+    """Unnormalised sum over ``perms`` of the pullbacks of the dense block vector v."""
+    return [sum(xs) for xs in zip(*([v[i] for i in tables[p]] for p in perms))]

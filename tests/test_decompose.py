@@ -16,10 +16,12 @@ from subsym.classalg import (
     partitions,
     young_projector_sum,
 )
+from support import gather_class_sum, gather_tables
 from subsym.decompose import (
     _class_sum,
+    _combine,
     _perm_lower_multiset,
-    _perm_tables,
+    _perm_preimages,
     ad_conjugate,
     apply_c_s,
     basis_operator_independence,
@@ -102,15 +104,15 @@ def idempotent_classes(lam):
 
 def block_apply(f, class_coeffs, k, N):
     """sum_mu class_coeffs[mu] K_mu applied to the multiset function f, K_mu the
-    unnormalised class sum, through the index tables of each weight block."""
+    unnormalised class sum, scattered through the preimage tables of each
+    weight block."""
     out = {}
     for w in {multiset_weight(M, N) for M in f}:
         block = weight_blocks(k, N)[w]
-        tables, v = _perm_tables(k, N, w), block_vector(f, block)
-        img = [0] * len(block)
-        for mu, c in class_coeffs.items():
-            img = [a + c * x for a, x in zip(img, _class_sum(v, tables, class_elements(k)[mu]))]
-        out.update((M, x) for M, x in zip(block, img) if x)
+        pre = _perm_preimages(k, N, w)
+        v = {j: f[M] for j, M in enumerate(block) if M in f}
+        img = _combine([(c, _class_sum(v, pre, class_elements(k)[mu])) for mu, c in class_coeffs.items()])
+        out.update((block[j], x) for j, x in img.items())
     return out
 
 
@@ -132,9 +134,9 @@ def trace_free_symmetric_basis(k, N):
             index = {M: j for j, M in enumerate(block)}
             for v in kern:
                 vec = [RZERO] * len(block)
-                for c, M in zip(v, rep_block):
-                    if c:
-                        vec[index[tuple(sorted((perm[u], perm[l]) for u, l in M))]] = c
+                for j, c in v:
+                    M = rep_block[j]
+                    vec[index[tuple(sorted((perm[u], perm[l]) for u, l in M))]] = rat(c)
                 out.append((block, vec))
     return out
 
@@ -398,7 +400,7 @@ def test_commutant_ops_preserve_trace_free_and_commute_with_gl():
     for pat, (w, cnt) in weight_orbits(k, N).items():
         block, kern = trace_free_block_kernel(k, N, w)
         for v in kern[:2]:
-            f = {M: c for M, c in zip(block, v) if c}
+            f = {block[j]: rat(c) for j, c in v}
             for lam in partitions(k):
                 out = block_apply(f, averaged_class(k, lam), k, N)
                 T = sym_to_mixed(k, N, out)
@@ -448,6 +450,42 @@ def test_gl_action_is_a_representation():
 
 def kernel_vector_count(k, N):
     return sum(len(trace_free_block_kernel(k, N, w)[1]) for w, _ in weight_orbits(k, N).values())
+
+
+def test_sparse_class_sums_match_the_dense_gather_3_6():
+    # The scatter goes through preimage lists: on sorted representatives
+    # M -> M^sigma is not a bijection of a block, so an inverse-permutation
+    # scatter would be wrong.  Class sums of class sums are what the
+    # commutant cross-check forms, so they are compared too.
+    k, N = 3, 6
+    elems = class_elements(k)
+    cases, merges = 0, 0
+    for w, _ in weight_orbits(k, N).values():
+        block, kern = trace_free_block_kernel(k, N, w)
+        pre, tables = _perm_preimages(k, N, w), gather_tables(k, N, w)
+        merges += any(len(set(t)) < len(t) for t in tables.values())
+        for v in kern:
+            cases += 1
+            sparse = dict(v)
+            dense = [sparse.get(j, 0) for j in range(len(block))]
+            for perms in elems.values():
+                once = _class_sum(sparse, pre, perms)
+                ref = gather_class_sum(dense, tables, perms)
+                assert [once.get(j, 0) for j in range(len(block))] == ref
+                assert 0 not in once.values()
+                twice = _class_sum(once, pre, elems[(2, 1)])
+                assert [twice.get(j, 0) for j in range(len(block))] == gather_class_sum(
+                    ref, tables, elems[(2, 1)]
+                )
+    assert cases == kernel_vector_count(k, N) == 206 and merges
+
+
+def test_kernel_entries_stay_small_4_6():
+    # content division keeps the (4,6) weight-0 kernel at 6-bit entries; the
+    # guard is 16 bits
+    block, kern = trace_free_block_kernel(4, 6, (0,) * 6)
+    assert len(block) == 891 and kern
+    assert max(abs(c).bit_length() for v in kern for _, c in v) < 16
 
 
 def test_commutant_crosscheck_2_4():
@@ -522,7 +560,7 @@ def test_young_vs_idempotent_images():
         cases = 0
         for w, _ in weight_orbits(k, N).values():
             block, kern = trace_free_block_kernel(k, N, w)
-            fns = [{M: c for M, c in zip(block, v) if c} for v in kern]
+            fns = [{block[j]: rat(c) for j, c in v} for v in kern]
             for lam in partitions(k):
                 young = young_projector_sum(lam).coeffs
                 eimgs = [block_vector(block_apply(f, idempotent_classes(lam), k, N), block) for f in fns]
@@ -619,7 +657,7 @@ def test_k3_kernel_vector_killed_by_all_nine_contractions():
     for pat, (w, cnt) in weight_orbits(k, N).items():
         block, kern = trace_free_block_kernel(k, N, w)
         if kern:
-            f = {M: c for M, c in zip(block, kern[0]) if c}
+            f = {block[j]: rat(c) for j, c in kern[0]}
             T = sym_to_mixed(k, N, f)
             for p in range(k):
                 for q in range(k):

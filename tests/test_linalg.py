@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from subsym.linalg import det, kernel_basis, rank, rref, solve, span_rank
+from support import bareiss_det, bareiss_kernel, bareiss_rank, bareiss_rref, bareiss_solve
+from subsym.linalg import det, integer_kernel, kernel_basis, rank, rref, solve, span_rank
 from subsym.scalars import RZERO, rat
 
 RAT = type(RZERO)
@@ -202,12 +204,17 @@ def test_weight_zero_block_3_6():
     from subsym.decompose import _contraction_matrix, weight_blocks
 
     block = weight_blocks(3, 6)[(0,) * 6]
-    dense = _contraction_matrix(block)
-    assert (len(dense), len(dense[0])) == (102, 186)
-    assert rank(dense) == 91
+    rows = _contraction_matrix(block)
+    assert len(rows) == 102 and len(block) == 186
+    assert all(type(x) is int and 0 <= j < 186 for r in rows for j, x in r.items())
+    assert sum(map(len, rows)) == 612
+    dense = [[rat(r.get(j, 0)) for j in range(186)] for r in rows]
+    assert rank(rows) == rank(dense) == 91
     kern = kernel_basis(dense, len(block))
     assert len(kern) == 95
+    assert kernel_basis(rows, len(block)) == kern
     assert (rref(dense), kern) == (oracle_rref(dense), oracle_kernel(dense, len(block)))
+    assert [[rat(v.get(j, 0), v[max(v)]) for j in range(186)] for v in integer_kernel(rows, 186)] == kern
 
 
 def test_isotypic_table_3_6():
@@ -226,3 +233,87 @@ def test_span_rank_takes_int_rows(rows):
 def test_span_rank_int_rows_fixed():
     assert span_rank([[2, 4, 0], [1, 2, 0], [0, 0, 3], [0, 0, 0]]) == 2
     assert span_rank([[0, 0], [0, 0]]) == 0
+
+
+# -- differential tests against the dense Bareiss loop the sparse routine replaced ---
+
+
+@st.composite
+def int_or_rational_matrices(draw, square=False):
+    """Dense or sparse matrices of integer or rational entries, with dependent
+    rows mixed in; returned with the same rows as {col: value} maps."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    zero_weight = draw(st.sampled_from([0, 1, 4]))  # dense to 1-in-5 sparse
+    integral = draw(st.booleans())
+    # integer matrices keep plain ints, as the rows of decompose do
+    nonzero = st.integers(-5, 5) if integral else st.builds(rat, st.integers(-6, 6), st.integers(1, 6))
+    entry = st.one_of(*[st.just(0)] * zero_weight, nonzero)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(0, nrows - 2)), draw(st.integers(0, nrows - 2))
+        s, t = draw(nonzero), draw(nonzero)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows, [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_or_rational_matrices())
+def test_sparse_routine_matches_bareiss(pair):
+    rows, sparse = pair
+    ncols = len(rows[0])
+    assert rank(rows) == rank(sparse) == span_rank(sparse) == bareiss_rank(rows)
+    assert rref(rows) == bareiss_rref(rows)
+    kern = bareiss_kernel(rows, ncols)
+    assert kernel_basis(rows, ncols) == kernel_basis(sparse, ncols) == kern
+    ints = integer_kernel(sparse, ncols)
+    assert len(ints) == len(kern)
+    for v, ref in zip(ints, kern):
+        f = max(v)
+        assert v[f] > 0 and gcd(*v.values()) == 1 and all(type(x) is int for x in v.values())
+        assert [rat(v.get(j, 0), v[f]) for j in range(ncols)] == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_or_rational_matrices(), st.data())
+def test_solve_matches_bareiss(pair, data):
+    rows, _ = pair
+    ncols = len(rows[0])
+    entries = st.integers(-4, 4).map(rat)
+    if data.draw(st.booleans()):
+        # consistent by construction: b = M x0
+        x0 = [data.draw(entries) for _ in range(ncols)]
+        b = [sum((a * x for a, x in zip(r, x0)), RZERO) for r in rows]
+    else:
+        b = [data.draw(entries) for _ in rows]
+    sol = solve(rows, b)
+    assert sol == bareiss_solve(rows, b)
+    if sol is not None:
+        x, kern = sol
+        for v in [x] + kern:
+            rhs = b if v is x else [RZERO] * len(rows)
+            assert [sum((a * y for a, y in zip(r, v)), RZERO) for r in rows] == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_or_rational_matrices())
+def test_solve_detects_an_inconsistent_system(pair):
+    rows, _ = pair
+    # a copy of the first row with a different right-hand side
+    rows = rows + [list(rows[0])]
+    b = [RZERO] * (len(rows) - 1) + [rat(1)]
+    assert solve(rows, b) is None and bareiss_solve(rows, b) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_or_rational_matrices(square=True), st.data())
+def test_det_matches_bareiss_with_sign(pair, data):
+    rows, _ = pair
+    d = det(rows)
+    assert d == bareiss_det(rows)
+    n = len(rows)
+    if n > 1:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        swapped = list(rows)
+        swapped[i], swapped[j] = rows[j], rows[i]
+        assert det(swapped) == (d if i == j else -d) == bareiss_det(swapped)
