@@ -32,6 +32,7 @@ import itertools
 from math import comb, factorial, lcm, prod
 from operator import add
 
+from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.rings import RingMismatchError, UnknownGeneratorError
 from subsym.scalars import (
     GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, parse_rat, rat,
@@ -628,8 +629,6 @@ def gather_tables(k, N, weight):
     """``tables[sigma][j]`` is the block index of M_j^sigma (lower indices
     permuted), so a dense block vector v is pulled back by sigma as
     ``[v[i] for i in tables[sigma]]``."""
-    from subsym.decompose import _perm_lower_multiset, weight_blocks
-
     block = weight_blocks(k, N)[weight]
     index = {M: j for j, M in enumerate(block)}
     return {
