@@ -550,11 +550,15 @@ def verify_composition_identity(
 
     The residual operator D_V o D_W - rhs is formed once and applied to each
     monomial; by linearity its value is lhs(f) - rhs(f).  ``parts`` is
-    compose_decompose(m, V, W, w1, w2), formed here when not given.  Returns
-    a CaseResults list of failing (monomial, residual) pairs, empty on a
-    pass, with ``cases`` the number of monomials examined.
+    compose_decompose(m, V, W, w1, w2), formed here when not given; parts
+    made at other weights are refused.  Returns a CaseResults list of failing
+    (monomial, residual) pairs, empty on a pass, with ``cases`` the number of
+    monomials examined.
     """
-    parts = parts or compose_decompose(m, V, W, w1, w2)
+    if parts is None:
+        parts = compose_decompose(m, V, W, w1, w2)
+    elif (parts.w1, parts.w2) != (w1, w2):
+        raise ValueError(f"parts are at weights ({parts.w1}, {parts.w2}), not ({w1}, {w2})")
     residual = dv(m, V).compose(dv(m, W)) - composition_rhs_operator(m, V, W, parts)
     bad, cases = [], 0
     for f in bidegree_monomials(m, w1, w2, degree_bound):

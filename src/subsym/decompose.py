@@ -174,31 +174,23 @@ def trace_free_block_kernel(k, N, weight):
     """Kernel basis of all contractions on one weight block.
 
     Returns (block multisets, kernel vectors), each vector a primitive
-    integer vector as a sorted tuple of (block index, int) pairs.
+    integer vector {block index: int}.  The vectors are shared through the
+    cache, so callers only read them.
     """
     block = weight_blocks(k, N)[weight]
-    kern = linalg.integer_kernel(_contraction_matrix(block), len(block))
-    return block, tuple(tuple(sorted(v.items())) for v in kern)
+    return block, tuple(linalg.integer_kernel(_contraction_matrix(block), len(block)))
 
 
 def trace_free_dimension(k, N) -> int:
     """dim S^k_0 sl(N) via per-orbit kernel ranks."""
-    total = 0
-    for pat, (w, cnt) in weight_orbits(k, N).items():
-        _, kern = trace_free_block_kernel(k, N, w)
-        total += cnt * len(kern)
-    return total
+    return sum(cnt * len(trace_free_block_kernel(k, N, w)[1]) for w, cnt in weight_orbits(k, N).values())
 
 
 def _orbit_kernels(k, N):
-    """(weight, orbit size, kernel vectors as {index: int} maps) for every
-    weight-orbit representative whose trace-free kernel is nonzero."""
-    out = []
-    for w, cnt in weight_orbits(k, N).values():
-        _, kern = trace_free_block_kernel(k, N, w)
-        if kern:
-            out.append((w, cnt, [dict(v) for v in kern]))
-    return out
+    """(weight, orbit size, kernel vectors) for every weight-orbit
+    representative whose trace-free kernel is nonzero."""
+    orbits = weight_orbits(k, N).values()
+    return [(w, cnt, kern) for w, cnt in orbits if (kern := trace_free_block_kernel(k, N, w)[1])]
 
 
 def isotypic_rank(lam, k, N) -> int:

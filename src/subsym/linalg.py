@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd, lcm, prod
 
-from .scalars import RONE, RZERO, rat
+from .scalars import RZERO, rat
 
 
 def _int_row(row):
@@ -104,19 +104,7 @@ def _kernel(pivots, ncols):
 
 def _rational(v, ncols, d):
     """The sparse integer vector v over d as a dense list of length ncols."""
-    out = [RZERO] * ncols
-    for j, x in v.items():
-        out[j] = rat(x, d)
-    return out
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (new rows, pivot column list)."""
-    ncols = len(rows[0]) if rows else 0
-    pivots = _reduced(rows)
-    cols = sorted(pivots)
-    out = [_rational(pivots[c], ncols, pivots[c][c]) for c in cols]
-    return out + [[RZERO] * ncols for _ in range(len(rows) - len(cols))], cols
+    return [rat(v[j], d) if j in v else RZERO for j in range(ncols)]
 
 
 def rank(rows) -> int:
@@ -165,21 +153,13 @@ def solve(rows, b):
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0])
-    m, pivots = rref([list(r) + [bv] for r, bv in zip(rows, b)])
+    pivots = _reduced([list(r) + [bv] for r, bv in zip(rows, b)])
     if ncols in pivots:
         return None
     x = [RZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    kern = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            v = [RZERO] * ncols
-            v[fc] = RONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            kern.append(v)
-    return x, kern
+    for c, r in pivots.items():
+        x[c] = rat(r.get(ncols, 0), r[c])
+    return x, [_rational(v, ncols, v[f]) for f, v in _kernel(pivots, ncols)]
 
 
 def span_rank(vectors, ncols=None) -> int:

@@ -19,6 +19,8 @@ on such coefficients, it is the differential oracle for the integer layout.
 former `act` loop inlined), kept as differential oracles for the versions
 that replaced them.
 
+`rref` is the reduced row echelon form read off the sparse integer routine
+of `linalg`, which the verifier itself only reads kernels and solutions from.
 `bareiss_rref`, `bareiss_rank`, `bareiss_det`, `bareiss_kernel` and
 `bareiss_solve` are the dense fraction-free Bareiss elimination that `linalg`
 ran before its sparse integer routine, and `gather_tables`/`gather_class_sum`
@@ -33,6 +35,7 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from subsym.decompose import _perm_lower_multiset, weight_blocks
+from subsym.linalg import _rational, _reduced
 from subsym.rings import RingMismatchError, UnknownGeneratorError
 from subsym.scalars import (
     GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, parse_rat, rat,
@@ -576,6 +579,16 @@ def bareiss_eliminate(m, reduce):
         if r == nrows:
             break
     return pivots, d, sign
+
+
+def rref(rows):
+    """Reduced row echelon form by `linalg`'s sparse routine, padded with zero
+    rows; returns (rows of backend rationals, pivot column list)."""
+    ncols = len(rows[0]) if rows else 0
+    pivots = _reduced(rows)
+    cols = sorted(pivots)
+    out = [_rational(pivots[c], ncols, pivots[c][c]) for c in cols]
+    return out + [[RZERO] * ncols for _ in range(len(rows) - len(cols))], cols
 
 
 def bareiss_rref(rows):

@@ -253,6 +253,11 @@ def test_composition_identity_other_weights():
     W = random_traceless(1, rng)
     assert not verify_composition_identity(m, V, W, 0, -1, degree_bound=2)
     assert not verify_composition_identity(m, V, W, -1, 0, degree_bound=2)
+    # a decomposition passed in must be at the weights the monomials are
+    parts = compose_decompose(m, V, W, 0, -1)
+    assert not verify_composition_identity(m, V, W, 0, -1, degree_bound=2, parts=parts)
+    with pytest.raises(ValueError):
+        verify_composition_identity(m, V, W, -1, 0, degree_bound=2, parts=parts)
 
 
 def test_weight_precondition(m2):

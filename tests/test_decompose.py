@@ -134,7 +134,7 @@ def trace_free_symmetric_basis(k, N):
             index = {M: j for j, M in enumerate(block)}
             for v in kern:
                 vec = [RZERO] * len(block)
-                for j, c in v:
+                for j, c in v.items():
                     M = rep_block[j]
                     vec[index[tuple(sorted((perm[u], perm[l]) for u, l in M))]] = rat(c)
                 out.append((block, vec))
@@ -400,7 +400,7 @@ def test_commutant_ops_preserve_trace_free_and_commute_with_gl():
     for pat, (w, cnt) in weight_orbits(k, N).items():
         block, kern = trace_free_block_kernel(k, N, w)
         for v in kern[:2]:
-            f = {block[j]: rat(c) for j, c in v}
+            f = {block[j]: rat(c) for j, c in v.items()}
             for lam in partitions(k):
                 out = block_apply(f, averaged_class(k, lam), k, N)
                 T = sym_to_mixed(k, N, out)
@@ -464,9 +464,8 @@ def test_sparse_class_sums_match_the_dense_gather_3_6():
         block, kern = trace_free_block_kernel(k, N, w)
         pre, tables = _perm_preimages(k, N, w), gather_tables(k, N, w)
         merges += any(len(set(t)) < len(t) for t in tables.values())
-        for v in kern:
+        for sparse in kern:
             cases += 1
-            sparse = dict(v)
             dense = [sparse.get(j, 0) for j in range(len(block))]
             for perms in elems.values():
                 once = _class_sum(sparse, pre, perms)
@@ -485,7 +484,7 @@ def test_kernel_entries_stay_small_4_6():
     # guard is 16 bits
     block, kern = trace_free_block_kernel(4, 6, (0,) * 6)
     assert len(block) == 891 and kern
-    assert max(abs(c).bit_length() for v in kern for _, c in v) < 16
+    assert max(abs(c).bit_length() for v in kern for c in v.values()) < 16
 
 
 def test_commutant_crosscheck_2_4():
@@ -560,7 +559,7 @@ def test_young_vs_idempotent_images():
         cases = 0
         for w, _ in weight_orbits(k, N).values():
             block, kern = trace_free_block_kernel(k, N, w)
-            fns = [{block[j]: rat(c) for j, c in v} for v in kern]
+            fns = [{block[j]: rat(c) for j, c in v.items()} for v in kern]
             for lam in partitions(k):
                 young = young_projector_sum(lam).coeffs
                 eimgs = [block_vector(block_apply(f, idempotent_classes(lam), k, N), block) for f in fns]
@@ -657,7 +656,7 @@ def test_k3_kernel_vector_killed_by_all_nine_contractions():
     for pat, (w, cnt) in weight_orbits(k, N).items():
         block, kern = trace_free_block_kernel(k, N, w)
         if kern:
-            f = {block[j]: rat(c) for j, c in kern[0]}
+            f = {block[j]: rat(c) for j, c in kern[0].items()}
             T = sym_to_mixed(k, N, f)
             for p in range(k):
                 for q in range(k):

@@ -3,8 +3,8 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from support import bareiss_det, bareiss_kernel, bareiss_rank, bareiss_rref, bareiss_solve
-from subsym.linalg import det, integer_kernel, kernel_basis, rank, rref, solve, span_rank
+from support import bareiss_det, bareiss_kernel, bareiss_rank, bareiss_rref, bareiss_solve, rref
+from subsym.linalg import det, integer_kernel, kernel_basis, rank, solve, span_rank
 from subsym.scalars import RZERO, rat
 
 RAT = type(RZERO)
