@@ -549,11 +549,10 @@ def verify_composition_identity(
     """Exact check of the composition identity on every admissible monomial.
 
     The residual operator D_V o D_W - rhs is formed once and applied to each
-    monomial; by linearity its value is lhs(f) - rhs(f).  ``parts`` is
-    compose_decompose(m, V, W, w1, w2), formed here when not given; parts
-    made at other weights are refused.  Returns a CaseResults list of failing
-    (monomial, residual) pairs, empty on a pass, with ``cases`` the number of
-    monomials examined.
+    monomial; by linearity its value is lhs(f) - rhs(f).  ``parts``, formed
+    here when not given, is compose_decompose(m, V, W, w1, w2).  Returns a
+    CaseResults list of failing (monomial, residual) pairs, empty on a pass,
+    with ``cases`` the number of monomials examined.
     """
     if parts is None:
         parts = compose_decompose(m, V, W, w1, w2)

@@ -133,12 +133,9 @@ def integer_kernel(rows, ncols):
     return [v for _, v in _kernel(_reduced(rows), ncols)]
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of the right null space {x : M x = 0} as a list of vectors."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
+def kernel_basis(rows, ncols):
+    """Basis of the right null space {x : M x = 0} as a list of vectors, each
+    equal to 1 at its free column."""
     return [_rational(v, ncols, v[f]) for f, v in _kernel(_reduced(rows), ncols)]
 
 
