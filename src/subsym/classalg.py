@@ -10,7 +10,10 @@ uniformly drawn class members lands in a given class).
 
 Two multiplication backends are provided and must agree: direct enumeration
 (`class_multiply`, exact probabilities) and full group-algebra convolution of
-class sums (`center_convolution`).
+class sums (`center_convolution`).  They share one bilinear loop and differ
+only in the product of two basis elements.  Elements of the full group
+algebra C[S_k] are finitely supported maps {perm: coeff}, multiplied by
+`convolve`.
 """
 
 from __future__ import annotations
@@ -149,6 +152,19 @@ def class_representative(lam):
 
 
 # ---------------------------------------------------------------------------
+# group algebra: elements are finitely supported maps {perm: coeff}
+
+
+def convolve(a, b):
+    """Product a * b of group-algebra elements: sum of a[p] b[q] over p q."""
+    out = {}
+    for p, cp in a.items():
+        for q, cq in b.items():
+            accumulate(out, compose_perm(p, q), cp * cq)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # class algebra elements
 
 
@@ -217,100 +233,36 @@ def _basis_product_enumeration(k, lam, mu):
     return {t: rat(c, total) for t, c in counts.items()}
 
 
-def class_multiply(u: ClassElement, v: ClassElement, k=None) -> ClassElement:
-    """Product in Z(C[S_k]); basis products are exact probability mixtures,
-    enumerated over one class for every k that ``class_elements`` admits."""
-    k = k or u.k
-    assert u.k == v.k == k
-    out = ClassElement(k)
-    for lam, cu in u.coeffs.items():
-        for mu, cv in v.coeffs.items():
-            probs = _basis_product_enumeration(k, lam, mu)
-            out = out + ClassElement(k, {t: p * cu * cv for t, p in probs.items()})
-    return out
-
-
 @lru_cache(maxsize=None)
 def _basis_product_convolution(k, lam, mu):
     """Oracle backend: literal convolution of averaged class sums."""
-    a = GroupAlgebraElement.class_sum(k, lam, averaged=True)
-    b = GroupAlgebraElement.class_sum(k, mu, averaged=True)
-    prod = a * b
+    a, b = ({p: rat(1, len(e)) for p in e} for e in (class_elements(k)[lam], class_elements(k)[mu]))
     out = {}
-    for p, c in prod.coeffs.items():
+    for p, c in convolve(a, b).items():
         accumulate(out, cycle_type(p), c)
     # coefficient on the averaged class sum: total mass of the class
     return out
 
 
-def center_convolution(u: ClassElement, v: ClassElement, k=None) -> ClassElement:
-    k = k or u.k
-    assert u.k == v.k == k
-    out = ClassElement(k)
+def _class_product(u: ClassElement, v: ClassElement, basis_product) -> ClassElement:
+    """Bilinear extension of ``basis_product(k, lam, mu)`` -> {tau: coeff}."""
+    assert u.k == v.k
+    out = {}
     for lam, cu in u.coeffs.items():
         for mu, cv in v.coeffs.items():
-            probs = _basis_product_convolution(k, lam, mu)
-            out = out + ClassElement(k, {t: p * cu * cv for t, p in probs.items()})
-    return out
+            for t, p in basis_product(u.k, lam, mu).items():
+                accumulate(out, t, p * cu * cv)
+    return ClassElement(u.k, out)
 
 
-# ---------------------------------------------------------------------------
-# group algebra
+def class_multiply(u: ClassElement, v: ClassElement) -> ClassElement:
+    """Product in Z(C[S_k]); basis products are exact probability mixtures,
+    enumerated over one class for every k that ``class_elements`` admits."""
+    return _class_product(u, v, _basis_product_enumeration)
 
 
-class GroupAlgebraElement:
-    """Finitely supported map S_k -> coefficients, with convolution product."""
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k, coeffs=None):
-        self.k = k
-        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c}
-
-    @staticmethod
-    def from_perm(p, coeff=1):
-        return GroupAlgebraElement(len(p), {tuple(p): rat(coeff)})
-
-    @staticmethod
-    def one(k):
-        return GroupAlgebraElement.from_perm(identity_perm(k))
-
-    @staticmethod
-    def class_sum(k, lam, averaged=False):
-        elems = class_elements(k)[tuple(lam)]
-        c = rat(1, len(elems)) if averaged else rat(1)
-        return GroupAlgebraElement(k, {p: c for p in elems})
-
-    def __add__(self, other):
-        assert self.k == other.k
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            accumulate(out, p, c)
-        return GroupAlgebraElement(self.k, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return GroupAlgebraElement(self.k, {p: v * rat(c) for p, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        assert self.k == other.k
-        out = {}
-        for p, cp in self.coeffs.items():
-            for q, cq in other.coeffs.items():
-                accumulate(out, compose_perm(p, q), cp * cq)
-        return GroupAlgebraElement(self.k, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.k == other.k
-            and self.coeffs == other.coeffs
-        )
-
-    def __bool__(self):
-        return bool(self.coeffs)
+def center_convolution(u: ClassElement, v: ClassElement) -> ClassElement:
+    return _class_product(u, v, _basis_product_convolution)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +349,10 @@ def char_dim(lam) -> int:
 # central idempotents and Young symmetrizers
 
 
-def central_idempotent(lam, k=None) -> GroupAlgebraElement:
+def central_idempotent(lam):
     """e_lam = (dim/k!) sum_s chi^lam(s) s; orthogonal idempotents summing to 1."""
     lam = tuple(lam)
-    k = k or sum(lam)
+    k = sum(lam)
     d = char_dim(lam)
     coeffs = {}
     for mu, elems in class_elements(k).items():
@@ -409,7 +361,7 @@ def central_idempotent(lam, k=None) -> GroupAlgebraElement:
             continue
         for p in elems:
             coeffs[p] = c
-    return GroupAlgebraElement(k, coeffs)
+    return coeffs
 
 
 def standard_tableaux(lam):
@@ -418,7 +370,7 @@ def standard_tableaux(lam):
     k = sum(lam)
     results = []
 
-    def rec(filled, rows):
+    def rec(rows):
         n = sum(len(r) for r in rows)
         if n == k:
             results.append(tuple(tuple(r) for r in rows))
@@ -426,10 +378,10 @@ def standard_tableaux(lam):
         for i, row in enumerate(rows):
             if len(row) < lam[i] and (i == 0 or len(rows[i - 1]) > len(row)):
                 row.append(n + 1)
-                rec(filled, rows)
+                rec(rows)
                 row.pop()
 
-    rec(0, [[] for _ in lam])
+    rec([[] for _ in lam])
     return results
 
 
@@ -448,7 +400,7 @@ def _group_from_blocks(blocks, k):
     return gens
 
 
-def young_symmetrizer(tab) -> GroupAlgebraElement:
+def young_symmetrizer(tab):
     """c(A) r(A): column antisymmetrizer composed with row symmetrizer, K = 1."""
     lam = tuple(len(r) for r in tab)
     k = sum(lam)
@@ -460,17 +412,17 @@ def young_symmetrizer(tab) -> GroupAlgebraElement:
         cols.append(col)
     r_elems = _group_from_blocks(rows, k)
     c_elems = _group_from_blocks(cols, k)
-    r_sum = GroupAlgebraElement(k, {p: rat(1) for p in r_elems})
-    c_sum = GroupAlgebraElement(k, {p: rat(perm_sign(p)) for p in c_elems})
-    return c_sum * r_sum
+    r_sum = {p: rat(1) for p in r_elems}
+    c_sum = {p: rat(perm_sign(p)) for p in c_elems}
+    return convolve(c_sum, r_sum)
 
 
-def young_projector_sum(lam) -> GroupAlgebraElement:
+def young_projector_sum(lam):
     """Sum of Young symmetrizers over all standard tableaux of shape lam."""
-    lam = tuple(lam)
-    out = GroupAlgebraElement(sum(lam), {})
+    out = {}
     for tab in standard_tableaux(lam):
-        out = out + young_symmetrizer(tab)
+        for p, c in young_symmetrizer(tab).items():
+            accumulate(out, p, c)
     return out
 
 
@@ -483,6 +435,6 @@ def structure_constant_table(k):
     out = {}
     for lam in partitions(k):
         for mu in partitions(k):
-            prod = class_multiply(ClassElement.basis(k, lam), ClassElement.basis(k, mu), k)
+            prod = class_multiply(ClassElement.basis(k, lam), ClassElement.basis(k, mu))
             out[(lam, mu)] = dict(prod.coeffs)
     return out

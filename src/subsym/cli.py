@@ -320,9 +320,9 @@ def three_column_skew_checks(rep: VerificationReport, m, rng):
 
 
 def _suite_commutant(params, rep: VerificationReport):
-    from .classalg import ClassElement, class_multiply
+    from .classalg import ClassElement, class_multiply, partitions
     from .decompose import (
-        basis_operator_independence,
+        basis_operator_rank,
         commutant_mult_crosscheck,
         conjugation_lemmas_check,
     )
@@ -342,10 +342,16 @@ def _suite_commutant(params, rep: VerificationReport):
             str(bad[0]) if bad else None,
             cases=res.cases,
         )
-        independent, cases = basis_operator_independence(k, N)
+        # the operators act by scalars on each isotypic piece, and the piece
+        # of lambda is nonzero exactly when 2*depth(lambda) <= N
+        rank, cases = basis_operator_rank(k, N)
+        count = sum(2 * len(lam) <= N for lam in partitions(k))
+        claim = ("are linearly independent" if count == len(partitions(k))
+                 else f"span {count} dimensions, one per lambda with 2*depth(lambda) <= N")
         rep.add(
-            f"(k,N)=({k},{N}): the p(k) basis operators are linearly independent",
-            independent,
+            f"(k,N)=({k},{N}): the p(k) basis operators {claim}",
+            rank == count,
+            f"rank {rank}, expected {count}",
             cases=cases,
         )
     lem = conjugation_lemmas_check(2, 3, seed=rep.seed or 0)

@@ -206,7 +206,7 @@ def isotypic_rank(lam, k, N) -> int:
     for w, cnt, rows in _orbit_kernels(k, N):
         pre = _perm_preimages(k, N, w)
         images = [_combine([(c, _class_sum(v, pre, elems)) for c, elems in chars]) for v in rows]
-        total += cnt * linalg.span_rank(images)
+        total += cnt * linalg.rank(images)
     return total
 
 
@@ -263,14 +263,13 @@ def highest_weight_vector(lam, N):
     2*depth(lam) <= N so that the vector and dual index values are disjoint.
     """
     lam = tuple(lam)
-    k = sum(lam)
     m = len(lam)
     if 2 * m > N:
         raise ValueError("construction needs 2*depth(lambda) <= N")
     U0 = tuple(i for i, part in enumerate(lam) for _ in range(part))
     L0 = tuple(N - 1 - i for i, part in enumerate(lam) for _ in range(part))
     acc = {}
-    for sigma, c in central_idempotent(lam, k).coeffs.items():
+    for sigma, c in central_idempotent(lam).items():
         accumulate(acc, tuple(sorted(zip(act_on_tuple(sigma, U0), L0))), c)
     # acc is k!/stab times the actual symmetrization; nonzero-ness and weight
     # are unaffected.
@@ -304,7 +303,7 @@ def skew_vanishing_check(lam, k, N, trials=5, seed=0):
     if depth + 1 > k:
         raise ValueError("need depth(lambda)+1 <= k")
     rng = _random.Random(seed)
-    proj = young_projector_sum(lam).coeffs
+    proj = young_projector_sum(lam)
     results = []
     for t in range(trials):
         image = random_plain_tensor(k, N, rng).act(proj, upper=True)
@@ -511,9 +510,9 @@ def commutant_mult_crosscheck(k, N, class_product):
     return CaseResults([(lam, mu, good) for (lam, mu), good in ok.items()], cases)
 
 
-def basis_operator_independence(k, N):
-    """Whether the p(k) commutant basis operators are linearly independent
-    on S^k_0; returns (ok, cases), cases being the kernel vectors examined.
+def basis_operator_rank(k, N):
+    """Rank of the span of the p(k) commutant basis operators on S^k_0;
+    returns (rank, cases), cases being the kernel vectors examined.
 
     Each operator is flattened to its integer class sums on the integer
     kernel vectors of every weight-orbit representative.  The class sizes
@@ -528,7 +527,7 @@ def basis_operator_independence(k, N):
             cases += 1
             for lam, elems in class_elements(k).items():
                 flat[lam].update(((cases, j), x) for j, x in _class_sum(v, pre, elems).items())
-    return linalg.span_rank(list(flat.values())) == len(flat), cases
+    return linalg.rank(list(flat.values())), cases
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +549,7 @@ def seven_pieces_check(N):
     dim_sl = len(sl)
 
     def rank(tensors):
-        return linalg.span_rank([T.entries for T in tensors])
+        return linalg.rank([T.entries for T in tensors])
 
     sym_span, alt_span = [], []
     for i, V in enumerate(sl):
@@ -582,11 +581,10 @@ def seven_pieces_check(N):
         for key, v in c.entries.items():
             cols.setdefault(key, {})[r] = v
     tf_alt = []
-    for coeffs in linalg.kernel_basis(list(cols.values()), len(alt_span)):
+    for coeffs in linalg.integer_kernel(list(cols.values()), len(alt_span)):
         acc = SparseTensor(2, N)
-        for c, T in zip(coeffs, alt_span):
-            if c:
-                acc = acc + T.scale(c)
+        for r, c in coeffs.items():
+            acc = acc + alt_span[r].scale(c)
         tf_alt.append(acc)
 
     # the lower-pair symmetrizer and antisymmetrizer, times 2

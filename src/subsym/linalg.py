@@ -133,19 +133,14 @@ def integer_kernel(rows, ncols):
     return [v for _, v in _kernel(_reduced(rows), ncols)]
 
 
-def kernel_basis(rows, ncols):
-    """Basis of the right null space {x : M x = 0} as a list of vectors, each
-    equal to 1 at its free column."""
-    return [_rational(v, ncols, v[f]) for f, v in _kernel(_reduced(rows), ncols)]
-
-
 def solve(rows, b):
     """Solve M x = b exactly.
 
-    Returns (particular_solution, kernel_basis) or None when inconsistent.
-    The solution is unique iff the kernel basis is empty.  Both are read off
-    one reduced form: with no pivot in the augmented column, its first ncols
-    columns are the reduced form of M.
+    Returns (particular_solution, kernel basis) or None when inconsistent,
+    each kernel vector equal to 1 at its free column.  The solution is unique
+    iff the kernel basis is empty.  Both are read off one reduced form: with
+    no pivot in the augmented column, its first ncols columns are the reduced
+    form of M.
     """
     if not rows:
         raise ValueError("empty system")
@@ -157,8 +152,3 @@ def solve(rows, b):
     for c, r in pivots.items():
         x[c] = rat(r.get(ncols, 0), r[c])
     return x, [_rational(v, ncols, v[f]) for f, v in _kernel(pivots, ncols)]
-
-
-def span_rank(vectors, ncols=None) -> int:
-    """Rank of the span of coordinate vectors, as sequences or {col: value} maps."""
-    return rank(vectors)

@@ -567,12 +567,15 @@ def verify_prop1(m: BoundaryModel, d: int, s: int):
 
 
 def symmetry_space_dim(d: int, n: int):
-    """Per-s dimensions of the symmetry components of order d (Weyl formula)."""
+    """Per-s dimensions of the symmetry components of order d (Weyl formula).
+
+    The piece of lambda = (d - s, s) is weyl_dim(lambda + lambda*) when
+    2*depth(lambda) <= N = n + 2, and 0 otherwise."""
     from .decompose import lambda_plus_dual, weyl_dim
 
     N = n + 2
     out = []
     for s in range(0, d // 2 + 1):
         lam = (d - s, s) if s else (d,)
-        out.append(weyl_dim(lambda_plus_dual(lam, N), N))
+        out.append(weyl_dim(lambda_plus_dual(lam, N), N) if 2 * len(lam) <= N else 0)
     return out, sum(out)

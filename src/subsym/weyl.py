@@ -216,22 +216,3 @@ def from_action(ring: Ring, action, max_order: int) -> WeylOperator:
                 fact *= factorial(e)
             terms[alpha] = acc.scale(rat(1, fact))
     return WeylOperator(ring, terms)
-
-
-def equal_on_monomials(a: WeylOperator, b: WeylOperator, degree: int) -> bool:
-    """Cheaper sampled equality: agreement on all monomials up to a degree
-    bound.  Normal-form equality (==) is the authoritative check; this one is
-    for large operators where assembling the normal form twice is wasteful.
-    """
-    import itertools
-
-    if a.ring != b.ring:
-        return False
-    names = a.ring.names
-    for exps in itertools.product(range(degree + 1), repeat=len(names)):
-        if sum(exps) > degree:
-            continue
-        f = a.ring.monomial({n: e for n, e in zip(names, exps) if e})
-        if a.apply(f) != b.apply(f):
-            return False
-    return True

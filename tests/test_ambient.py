@@ -297,15 +297,6 @@ def test_principal_part_of_composition_is_top_quadratic_form(m2):
     assert principal_part(comp, 2) == principal_part(t_part_operator(m2, raw), 2)
 
 
-def test_sampled_operator_equality_helper(m1):
-    from subsym.weyl import equal_on_monomials
-
-    a = ambient_laplacian(m1)
-    b = ambient_laplacian(m1)
-    assert equal_on_monomials(a, b, 2)
-    assert not equal_on_monomials(a, a + WeylOperator.identity(m1.ring), 2)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_t_part_operator_matches_the_termwise_sum(n):
     m = AmbientModel(n)

@@ -1,8 +1,11 @@
+import itertools
 import math
+import random
+
+from hypothesis import given, settings, strategies as st
 
 from subsym.classalg import (
     ClassElement,
-    GroupAlgebraElement,
     center_convolution,
     central_idempotent,
     char_dim,
@@ -10,7 +13,9 @@ from subsym.classalg import (
     class_multiply,
     conjugacy_classes,
     conjugate_partition,
+    convolve,
     hook_length_dim,
+    identity_perm,
     mn_character,
     partitions,
     perm_sign,
@@ -18,12 +23,13 @@ from subsym.classalg import (
     young_symmetrizer,
     z_lambda,
 )
-from subsym.scalars import rat
+from subsym.scalars import accumulate, rat
+from subsym.tensor import SparseTensor
 
 
-def is_class_function(x: GroupAlgebraElement) -> bool:
-    """Whether x is constant on every conjugacy class of S_k."""
-    return all(len({x.coeffs.get(p, 0) for p in elems}) == 1 for elems in class_elements(x.k).values())
+def is_class_function(x, k) -> bool:
+    """Whether the map x: S_k -> coefficients is constant on every conjugacy class."""
+    return all(len({x.get(p, 0) for p in elems}) == 1 for elems in class_elements(k).values())
 
 
 def test_classes_k3():
@@ -117,29 +123,30 @@ def test_column_orthogonality():
 
 def test_central_idempotents():
     for k in (1, 2, 3, 4, 5):
-        idems = {lam: central_idempotent(lam, k) for lam in partitions(k)}
-        total = GroupAlgebraElement(k, {})
+        idems = {lam: central_idempotent(lam) for lam in partitions(k)}
+        total = {}
         for lam, e in idems.items():
-            total = total + e
+            for p, c in e.items():
+                accumulate(total, p, c)
             for mu, f in idems.items():
-                expected = e if lam == mu else GroupAlgebraElement(k, {})
-                assert e * f == expected
-        assert total == GroupAlgebraElement.one(k)
+                expected = e if lam == mu else {}
+                assert convolve(e, f) == expected
+        assert total == {identity_perm(k): 1}
 
 
 def test_k1_idempotent_is_identity():
-    assert central_idempotent((1,), 1) == GroupAlgebraElement.one(1)
+    assert central_idempotent((1,)) == {(0,): 1}
 
 
 def test_k2_symmetrizer():
-    e2 = central_idempotent((2,), 2)
-    expected = GroupAlgebraElement(2, {(0, 1): rat(1, 2), (1, 0): rat(1, 2)})
+    e2 = central_idempotent((2,))
+    expected = {(0, 1): rat(1, 2), (1, 0): rat(1, 2)}
     assert e2 == expected
 
 
 def test_idempotents_are_central():
     for lam in partitions(4):
-        assert is_class_function(central_idempotent(lam, 4))
+        assert is_class_function(central_idempotent(lam), 4)
 
 
 def test_standard_tableaux_counts():
@@ -152,13 +159,9 @@ def test_standard_tableaux_counts():
 def test_young_symmetrizer_extremes():
     # single row: the row symmetrizer; single column: the antisymmetrizer
     row = young_symmetrizer(((1, 2, 3),))
-    assert row == GroupAlgebraElement(3, {p: rat(1) for p in class_elements(3)[(1, 1, 1)] + class_elements(3)[(2, 1)] + class_elements(3)[(3,)]}), "row symmetrizer is the full sum"
+    assert row == {p: rat(1) for p in class_elements(3)[(1, 1, 1)] + class_elements(3)[(2, 1)] + class_elements(3)[(3,)]}, "row symmetrizer is the full sum"
     col = young_symmetrizer(((1,), (2,), (3,)))
-    import itertools
-
-    expected = GroupAlgebraElement(
-        3, {p: rat(perm_sign(p)) for p in itertools.permutations(range(3))}
-    )
+    expected = {p: rat(perm_sign(p)) for p in itertools.permutations(range(3))}
     assert col == expected
 
 
@@ -167,7 +170,8 @@ def test_young_quasi_idempotency():
         for lam in partitions(k):
             for tab in standard_tableaux(lam):
                 p = young_symmetrizer(tab)
-                assert p * p == p.scale(rat(math.factorial(k), char_dim(lam)))
+                scale = rat(math.factorial(k), char_dim(lam))
+                assert convolve(p, p) == {q: c * scale for q, c in p.items()}
 
 
 def test_conjugate_partition():
@@ -200,7 +204,50 @@ def test_class_multiply_enumerates_at_k8(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("class_multiply called the convolution oracle")
 
+    oracle = classalg._basis_product_convolution
     monkeypatch.setattr(classalg, "center_convolution", refuse)
+    monkeypatch.setattr(classalg, "_basis_product_convolution", refuse)
     lam, mu = (2, 1, 1, 1, 1, 1, 1), (3, 1, 1, 1, 1, 1)
     prod = class_multiply(ClassElement.basis(8, lam), ClassElement.basis(8, mu))
-    assert prod.coeffs == classalg._basis_product_convolution(8, lam, mu)
+    assert prod.coeffs == oracle(8, lam, mu)
+
+
+# -- convolution against the action on tensors ------------------------------------
+
+
+def seeded_tensor(k, N=2, seed=0):
+    """A tensor with k upper and k lower slots, every entry drawn from -2..2."""
+    rng = random.Random(seed)
+    entries = {}
+    for U in itertools.product(range(N), repeat=k):
+        for L in itertools.product(range(N), repeat=k):
+            entries[(U, L)] = rat(rng.randint(-2, 2))
+    return SparseTensor(k, N, entries)
+
+
+@st.composite
+def element_pairs(draw):
+    k = draw(st.sampled_from([3, 4]))
+    perms = st.sampled_from(list(itertools.permutations(range(k))))
+    coeffs = st.builds(rat, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    a, b = (draw(st.dictionaries(perms, coeffs, max_size=4)) for _ in range(2))
+    return k, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs())
+def test_convolution_is_the_composite_action(pair):
+    # acting by a * b is acting by b, then by a, on either index group
+    k, a, b = pair
+    T = seeded_tensor(k)
+    for upper in (True, False):
+        assert T.act(convolve(a, b), upper) == T.act(b, upper).act(a, upper)
+
+
+def test_convolution_order_is_not_reversed():
+    # two transpositions that do not commute: the reverse order differs
+    a, b = {(1, 0, 2): rat(1)}, {(0, 2, 1): rat(1)}
+    T = seeded_tensor(3)
+    for upper in (True, False):
+        assert T.act(convolve(a, b), upper) == T.act(b, upper).act(a, upper)
+        assert T.act(convolve(a, b), upper) != T.act(a, upper).act(b, upper)

@@ -168,6 +168,29 @@ def test_check_with_zero_cases_fails_as_vacuous(argv, check, capsys):
     assert f"[FAIL] {argv[1]}: {check}  witness: vacuous: 0 cases" in out.splitlines()
 
 
+@pytest.mark.parametrize("k, count", [(3, 2), (4, 3)])
+def test_commutant_below_twice_k_checks_the_depth_count(k, count, capsys):
+    # at N = 5 < 2k only the lambda with 2*depth(lambda) <= 5 give nonzero
+    # isotypic parts, so the p(k) operators span that many dimensions
+    code = main(["verify", "commutant", "--k", str(k), "--dim", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    claim = f"(k,N)=({k},5): the p(k) basis operators span {count} dimensions, one per lambda with 2*depth(lambda) <= N"
+    assert f"[PASS] commutant: {claim}" in out.splitlines()
+
+
+def test_commutant_rank_check_fails_on_a_wrong_rank(monkeypatch, capsys):
+    import subsym.decompose as decompose
+
+    rank = decompose.basis_operator_rank
+    monkeypatch.setattr(decompose, "basis_operator_rank", lambda k, N: (rank(k, N)[0] + 1, rank(k, N)[1]))
+    code = main(["verify", "commutant", "--k", "3", "--dim", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert any(line.startswith("[FAIL] commutant: (k,N)=(3,5): the p(k) basis operators span 2 dimensions")
+               and line.endswith("witness: rank 3, expected 2") for line in out.splitlines())
+
+
 def test_report_fails_a_check_that_examined_zero_cases():
     rep = VerificationReport(suite="demo", parameters={})
     rep.add("counted", True, cases=3)

@@ -24,7 +24,7 @@ from subsym.decompose import (
     _perm_preimages,
     ad_conjugate,
     apply_c_s,
-    basis_operator_independence,
+    basis_operator_rank,
     commutant_mult_crosscheck,
     conjugation_lemmas_check,
     embed_even,
@@ -45,7 +45,7 @@ from subsym.decompose import (
     weight_orbits,
     weyl_dim,
 )
-from subsym.linalg import span_rank
+from subsym.linalg import rank
 from subsym.scalars import RZERO, rat
 from subsym.tensor import SparseTensor
 
@@ -380,7 +380,7 @@ def test_isotypic_transpose_closure():
             for M, c in reference_apply_group_algebra_sym(f, idem, 2, upper=True).items():
                 row[index[M]] = c
             images.append(row)
-        assert span_rank(images) == isotypic_rank(lam, 2, 4) > 0
+        assert rank(images) == isotypic_rank(lam, 2, 4) > 0
 
 
 def test_isotypic_ranks_sum_below_stable_range():
@@ -540,14 +540,22 @@ def test_crosscheck_catches_a_spurious_fractional_constant():
 
 def test_basis_independence():
     for (k, N) in [(2, 4), (3, 6)]:
-        ok, cases = basis_operator_independence(k, N)
-        assert ok and cases == kernel_vector_count(k, N)
+        assert basis_operator_rank(k, N) == (len(partitions(k)), kernel_vector_count(k, N))
 
 
 def test_basis_independence_fails_below_the_stable_range():
     # p(3) = 3 operators, but S^3_0 sl(4) has only two nonzero isotypic parts
     assert isotypic_table(3, 4)[(1, 1, 1)] == 0
-    assert basis_operator_independence(3, 4) == (False, kernel_vector_count(3, 4))
+    assert basis_operator_rank(3, 4) == (2, kernel_vector_count(3, 4))
+
+
+@pytest.mark.parametrize("k, N", [(2, 3), (3, 5), (4, 5)])
+def test_basis_operator_rank_counts_the_nonzero_isotypic_parts(k, N):
+    # below the stable range the operators span one dimension per nonzero
+    # isotypic part, and those are the lambda with 2*depth(lambda) <= N
+    nonzero = [lam for lam, r in isotypic_table(k, N).items() if r]
+    assert nonzero == [lam for lam in partitions(k) if 2 * len(lam) <= N]
+    assert basis_operator_rank(k, N) == (len(nonzero), kernel_vector_count(k, N))
 
 
 def test_young_vs_idempotent_images():
@@ -561,7 +569,7 @@ def test_young_vs_idempotent_images():
             block, kern = trace_free_block_kernel(k, N, w)
             fns = [{block[j]: rat(c) for j, c in v.items()} for v in kern]
             for lam in partitions(k):
-                young = young_projector_sum(lam).coeffs
+                young = young_projector_sum(lam)
                 eimgs = [block_vector(block_apply(f, idempotent_classes(lam), k, N), block) for f in fns]
                 yimgs = [
                     block_vector(
@@ -570,8 +578,8 @@ def test_young_vs_idempotent_images():
                     )
                     for f in fns
                 ]
-                re_, ry = span_rank(eimgs), span_rank(yimgs)
-                assert re_ == ry == span_rank([v for v in eimgs + yimgs if any(v)]), (k, N, w, lam)
+                re_, ry = rank(eimgs), rank(yimgs)
+                assert re_ == ry == rank([v for v in eimgs + yimgs if any(v)]), (k, N, w, lam)
                 cases += bool(kern)
         assert cases
 
@@ -669,4 +677,4 @@ def test_pinned_matrix_2_5():
     assert sum(tab.values()) == trace_free_dimension(2, 5) == stable_dim_formula(2, 5)
     for lam, r in tab.items():
         assert r == weyl_dim(lambda_plus_dual(lam, 5), 5)
-    assert basis_operator_independence(2, 5) == (True, kernel_vector_count(2, 5))
+    assert basis_operator_rank(2, 5) == (2, kernel_vector_count(2, 5))

@@ -4,7 +4,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from support import bareiss_det, bareiss_kernel, bareiss_rank, bareiss_rref, bareiss_solve, rref
-from subsym.linalg import det, integer_kernel, kernel_basis, rank, solve, span_rank
+from subsym.linalg import det, integer_kernel, rank, solve
 from subsym.scalars import RZERO, rat
 
 RAT = type(RZERO)
@@ -12,6 +12,12 @@ RAT = type(RZERO)
 
 def M(rows):
     return [[rat(x) for x in r] for r in rows]
+
+
+def unit_kernel(rows, ncols):
+    """`integer_kernel` as dense rational vectors, each divided by its entry
+    at its free column (its largest), the form the oracles return."""
+    return [[rat(v.get(j, 0), v[max(v)]) for j in range(ncols)] for v in integer_kernel(rows, ncols)]
 
 
 # -- the fraction-preserving Gauss-Jordan loop that Bareiss elimination replaced,
@@ -103,7 +109,7 @@ def test_inconsistent_is_none_not_exception():
 
 
 def test_kernel():
-    kern = kernel_basis(M([[1, 1, 0], [0, 0, 1]]), 3)
+    kern = unit_kernel(M([[1, 1, 0], [0, 0, 1]]), 3)
     assert len(kern) == 1
     v = kern[0]
     assert v[0] + v[1] == 0 and v[2] == 0
@@ -140,7 +146,7 @@ def test_rank_equals_transpose_rank(rows):
 @given(mats)
 def test_rank_nullity(rows):
     m = M(rows)
-    assert rank(m) + len(kernel_basis(m, 3)) == 3
+    assert rank(m) + len(integer_kernel(m, 3)) == 3
 
 
 # -- differential tests against the reference loop -------------------------------
@@ -191,7 +197,7 @@ def test_rref_matches_reference(rows):
 def test_rank_and_kernel_match_reference(rows):
     ncols = len(rows[0])
     assert rank(rows) == len(oracle_rref(rows)[1])
-    assert kernel_basis(rows, ncols) == oracle_kernel(rows, ncols)
+    assert unit_kernel(rows, ncols) == oracle_kernel(rows, ncols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,11 +216,10 @@ def test_weight_zero_block_3_6():
     assert sum(map(len, rows)) == 612
     dense = [[rat(r.get(j, 0)) for j in range(186)] for r in rows]
     assert rank(rows) == rank(dense) == 91
-    kern = kernel_basis(dense, len(block))
+    kern = unit_kernel(dense, len(block))
     assert len(kern) == 95
-    assert kernel_basis(rows, len(block)) == kern
+    assert unit_kernel(rows, len(block)) == kern
     assert (rref(dense), kern) == (oracle_rref(dense), oracle_kernel(dense, len(block)))
-    assert [[rat(v.get(j, 0), v[max(v)]) for j in range(186)] for v in integer_kernel(rows, 186)] == kern
 
 
 def test_isotypic_table_3_6():
@@ -225,14 +230,14 @@ def test_isotypic_table_3_6():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=5))
-def test_span_rank_takes_int_rows(rows):
+def test_rank_takes_int_rows(rows):
     # integer rows, as the class-sum images in decompose are, rank as their rationals do
-    assert span_rank(rows) == len(oracle_rref([[Fraction(x) for x in r] for r in rows])[1])
+    assert rank(rows) == len(oracle_rref([[Fraction(x) for x in r] for r in rows])[1])
 
 
-def test_span_rank_int_rows_fixed():
-    assert span_rank([[2, 4, 0], [1, 2, 0], [0, 0, 3], [0, 0, 0]]) == 2
-    assert span_rank([[0, 0], [0, 0]]) == 0
+def test_rank_int_rows_fixed():
+    assert rank([[2, 4, 0], [1, 2, 0], [0, 0, 3], [0, 0, 0]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0
 
 
 # -- differential tests against the dense Bareiss loop the sparse routine replaced ---
@@ -262,16 +267,12 @@ def int_or_rational_matrices(draw, square=False):
 def test_sparse_routine_matches_bareiss(pair):
     rows, sparse = pair
     ncols = len(rows[0])
-    assert rank(rows) == rank(sparse) == span_rank(sparse) == bareiss_rank(rows)
+    assert rank(rows) == rank(sparse) == bareiss_rank(rows)
     assert rref(rows) == bareiss_rref(rows)
     kern = bareiss_kernel(rows, ncols)
-    assert kernel_basis(rows, ncols) == kernel_basis(sparse, ncols) == kern
-    ints = integer_kernel(sparse, ncols)
-    assert len(ints) == len(kern)
-    for v, ref in zip(ints, kern):
-        f = max(v)
-        assert v[f] > 0 and gcd(*v.values()) == 1 and all(type(x) is int for x in v.values())
-        assert [rat(v.get(j, 0), v[f]) for j in range(ncols)] == ref
+    assert unit_kernel(rows, ncols) == unit_kernel(sparse, ncols) == kern
+    for v in integer_kernel(sparse, ncols):
+        assert v[max(v)] > 0 and gcd(*v.values()) == 1 and all(type(x) is int for x in v.values())
 
 
 @settings(max_examples=200, deadline=None)

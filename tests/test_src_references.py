@@ -15,7 +15,6 @@ ALLOWED = {
     "tangential_op_operational",
     "hook_length_dim",
     "from_action",
-    "equal_on_monomials",
     "symmetry_space_dim",
 }
 

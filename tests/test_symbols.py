@@ -425,16 +425,19 @@ def test_prop1_seed_scaling_linearity():
 def test_symmetry_space_dims():
     assert symmetry_space_dim(1, 2) == ([15], 15)
     assert symmetry_space_dim(2, 2) == ([84, 20], 104)
-    assert symmetry_space_dim(2, 1) == ([27, 8], 35)
+    assert symmetry_space_dim(2, 1) == ([27, 0], 27)
 
 
 def test_symmetry_space_cross_check_with_isotypic():
     from subsym.decompose import isotypic_table
 
-    dims, total = symmetry_space_dim(2, 2)  # n=2 -> N=4, stable for k=2
-    tab = isotypic_table(2, 4)
-    assert sorted(dims, reverse=True) == sorted(tab.values(), reverse=True)
-    assert total == sum(tab.values())
+    # n=2 -> N=4 is stable for k=2; at n=1 -> N=3 the (1, 1) part is zero
+    for n in (1, 2):
+        dims, total = symmetry_space_dim(2, n)
+        tab = isotypic_table(2, n + 2)
+        assert dims == [tab[(2,)], tab[(1, 1)]]
+        assert total == sum(tab.values())
+    assert isotypic_table(2, 3) == {(2,): 27, (1, 1): 0}
 
 
 def test_build_prop1_tensor_general_seed():

@@ -268,7 +268,7 @@ def test_group_algebra_action_is_act_on_tuple(data):
     # reading the permutation as a pullback, gives a different tensor.
     new, _, _ = triple(data)
     for tab in standard_tableaux((2, 1)):
-        element = young_symmetrizer(tab).coeffs
+        element = young_symmetrizer(tab)
         for upper in (True, False):
             assert new.act(element, upper).entries == reference_act(element, new, upper)
 
