@@ -121,21 +121,23 @@ class FrameFields:
             self.Y_dn[b] = row
 
 
+@lru_cache(maxsize=32)
+def frame_fields(m: BoundaryModel) -> FrameFields:
+    """The frames of m, built once per model; callers only read them."""
+    return FrameFields(m)
+
+
 # ---------------------------------------------------------------------------
 # pullback and extension
 
 
 def phi_pullback(m: BoundaryModel, f: LaurentPoly) -> LaurentPoly:
     """Substitute the section: x^0 -> 1, x^a -> z^a, x^inf -> -zz/2 + tau,
-    x_0 -> -zz/2 - tau, x_a -> z_a, x_inf -> 1."""
-    n = m.n
-    images = {"x0": m.ring.one(), "x_inf": m.ring.one()}
-    images["xinf"] = m.tau() - m.zz_half()
-    images["x_0"] = -m.tau() - m.zz_half()
-    for a in range(1, n + 1):
-        images[f"x{a}"] = m.z(a)
-        images[f"x_{a}"] = m.z_low(a)
-    return f.substitute(images, m.ring)
+    x_0 -> -zz/2 - tau, x_a -> z_a, x_inf -> 1; these images are the
+    position vector X_up and its lowered conjugate X_dn of the frames."""
+    fr = frame_fields(m)
+    amb = m.ambient
+    return f.substitute(dict(zip(amb.upper_names + amb.lower_names, fr.X_up + fr.X_dn)), m.ring)
 
 
 def extension_arguments(m: BoundaryModel):
@@ -196,7 +198,7 @@ def tangential_op_operational(m: BoundaryModel, kind, a, F: LaurentPoly) -> Laur
     """Chain-rule definition: pull back a frame derivative of the (0,0)
     extension.  kind is 'hol' (d_a), 'raised' (d^a) or 'tau' (d_tau)."""
     amb = m.ambient
-    frames = FrameFields(m)
+    frames = frame_fields(m)
     f = extend(m, F, 0, 0)
     if kind == "hol":
         acc = amb.ring.zero()

@@ -362,12 +362,11 @@ def _suite_commutant(params, rep: VerificationReport):
 def _suite_decompose(params, rep: VerificationReport):
     from .classalg import partitions
     from .decompose import (
+        isotypic_dim,
         isotypic_table,
-        lambda_plus_dual,
         seven_pieces_check,
         stable_dim_formula,
         trace_free_dimension,
-        weyl_dim,
     )
 
     k = 2 if params.get("k") is None else params["k"]
@@ -383,15 +382,22 @@ def _suite_decompose(params, rep: VerificationReport):
     if (k, N) == (2, 4):
         rep.add("(2,4): ranks are {84, 20} with total 104",
                 table[(2,)] == 84 and table[(1, 1)] == 20 and dim == 104)
-    if N >= 2 * k:
-        rep.add(
-            f"(k,N)=({k},{N}): ranks equal Weyl dimensions (stable range)",
-            all(table[lam] == weyl_dim(lambda_plus_dual(lam, N), N) for lam in table),
-        )
-        rep.add(
-            f"(k,N)=({k},{N}): kernel dim equals the closed-form sum",
-            dim == stable_dim_formula(k, N),
-        )
+    # below N = 2k the pieces of the deep partitions vanish
+    where = "(stable range)" if N >= 2 * k else "where 2*depth(lambda) <= N, 0 elsewhere"
+    bad = [lam for lam in table if table[lam] != isotypic_dim(lam, N)]
+    rep.add(
+        f"(k,N)=({k},{N}): ranks equal Weyl dimensions {where}",
+        not bad,
+        f"lambda {bad[0]}: rank {table[bad[0]]}, expected {isotypic_dim(bad[0], N)}" if bad else None,
+        cases=dim,
+    )
+    closed = stable_dim_formula(k, N)
+    rep.add(
+        f"(k,N)=({k},{N}): kernel dim equals the closed-form sum",
+        dim == closed,
+        f"{dim} vs {closed}",
+        cases=dim,
+    )
     # number of nonzero components equals p(k) in the stable range, k <= 3
     for kk in range(1, 4):
         NN = 2 * kk

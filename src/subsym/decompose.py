@@ -246,10 +246,16 @@ def lambda_plus_dual(lam, N):
     return tuple(padded[i] - padded[N - 1 - i] for i in range(N))
 
 
+def isotypic_dim(lam, N) -> int:
+    """Dimension of the lambda piece of S^k_0 sl(N): V(lambda + lambda*) when
+    2*depth(lambda) <= N, and 0 otherwise (Benkart, Chakrabarti, Halverson,
+    Leduc, Lee and Stroomer, J. Algebra 166 (1994))."""
+    return weyl_dim(lambda_plus_dual(lam, N), N) if 2 * len(lam) <= N else 0
+
+
 def stable_dim_formula(k, N) -> int:
-    """sum over partitions of k of weyl_dim(lambda + lambda*), the stable-range
-    dimension of S^k_0 sl(N)."""
-    return sum(weyl_dim(lambda_plus_dual(lam, N), N) for lam in partitions(k))
+    """sum over partitions of k of isotypic_dim, the dimension of S^k_0 sl(N)."""
+    return sum(isotypic_dim(lam, N) for lam in partitions(k))
 
 
 # ---------------------------------------------------------------------------

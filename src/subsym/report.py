@@ -136,7 +136,7 @@ def classalg_table_csv(k, path):
 def isotypic_table_json(k, N, path):
     from .classalg import partitions
 
-    from .decompose import isotypic_table, lambda_plus_dual, weyl_dim
+    from .decompose import isotypic_dim, isotypic_table
 
     table = isotypic_table(k, N)
     data = {
@@ -145,10 +145,7 @@ def isotypic_table_json(k, N, path):
         "dim": N,
         "ranks": {str(list(lam)): table[lam] for lam in partitions(k)},
         "total": sum(table.values()),
-        "weyl_formula": {
-            str(list(lam)): weyl_dim(lambda_plus_dual(lam, N), N)
-            for lam in partitions(k)
-        },
+        "weyl_formula": {str(list(lam)): isotypic_dim(lam, N) for lam in partitions(k)},
         "stable_range": N >= 2 * k,
     }
     with open(path, "w") as fh:

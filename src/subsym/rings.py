@@ -10,23 +10,22 @@ ints, one slot per generator) to nonzero Python ints, and ``den`` is an int
 polynomial is ``num == {}``, ``den == 1``, so equal polynomials have equal
 ``(den, num)``.  Arithmetic runs on ints and reduces by one gcd per result;
 backend rationals (``scalars.rat``) appear only where coefficients enter
-(``Ring.const``/``gen``/``monomial``, ``LaurentPoly(ring, terms)``, ``scale``,
-``loads``) and where they are read out (``terms``, ``constant_value``,
-serialization).  No coefficient is complex: the boundary model works in the
-contact coordinate tau = i*sigma, over Q (see ``boundary``).
+(``Ring.const``/``gen``/``monomial``, ``LaurentPoly(ring, terms)``, ``scale``)
+and where they are read out (``terms``, ``constant_value``, ``str``).  No
+coefficient is complex: the boundary model works in the contact coordinate
+tau = i*sigma, over Q (see ``boundary``).
 
-Serialization uses graded-lexicographic term order so that equal polynomials
-always print and dump identically.
+Printing uses graded-lexicographic term order so that equal polynomials
+always print identically.
 """
 
 from __future__ import annotations
 
-import json
 from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
 
-from .scalars import RZERO, parse_rat, rat, rat_str
+from .scalars import RZERO, rat, rat_str
 
 _RAT = type(RZERO)
 
@@ -337,21 +336,10 @@ class LaurentPoly:
             terms.append(target.one() if term is None else term)
         return LaurentPoly.sum(target, terms, self.num.values(), self.den)
 
-    # -- serialization -------------------------------------------------------
+    # -- printing -------------------------------------------------------------
     def sorted_terms(self):
         den = self.den
         return [(e, rat(self.num[e], den)) for e in sorted(self.num, key=_grlex_key)]
-
-    def to_jsonable(self):
-        return [[list(e), rat_str(c)] for e, c in self.sorted_terms()]
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_jsonable())
-
-    @staticmethod
-    def loads(ring: Ring, s: str) -> "LaurentPoly":
-        data = json.loads(s)
-        return LaurentPoly(ring, {tuple(e): parse_rat(c) for e, c in data})
 
     def __str__(self):
         if not self.num:

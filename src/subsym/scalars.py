@@ -43,13 +43,6 @@ def accumulate(acc: dict, key, v):
         acc.pop(key, None)
 
 
-def parse_rat(s: str):
-    if "/" in s:
-        p, q = s.split("/")
-        return rat(int(p), int(q))
-    return rat(int(s))
-
-
 class GaussianRational:
     """Exact complex number a + b*i with rational a, b."""
 

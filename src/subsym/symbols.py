@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from . import linalg
-from .boundary import BoundaryModel, FrameFields, tangential_ops
+from .boundary import BoundaryModel, frame_fields, tangential_ops
 from .rings import LaurentPoly
 from .scalars import RONE, accumulate, rat
 from .tensor import SparseTensor
@@ -32,15 +32,14 @@ from .tensor import SparseTensor
 
 class SymbolTensor:
     """Symmetric family of boundary polynomials indexed by sorted boundary
-    index tuples (k upper, l lower); tau slot count carried separately."""
+    index tuples (k upper, l lower)."""
 
-    __slots__ = ("k", "l", "tau_slots", "n", "components", "ring")
+    __slots__ = ("k", "l", "n", "components", "ring")
 
-    def __init__(self, n, k, l, tau_slots, ring, components=None):
+    def __init__(self, n, k, l, ring, components=None):
         self.n = n
         self.k = k
         self.l = l
-        self.tau_slots = tau_slots
         self.ring = ring
         self.components = {key: p for key, p in (components or {}).items() if p}
 
@@ -56,24 +55,23 @@ class SymbolTensor:
     def __eq__(self, other):
         return (
             isinstance(other, SymbolTensor)
-            and (self.k, self.l, self.tau_slots) == (other.k, other.l, other.tau_slots)
+            and (self.k, self.l) == (other.k, other.l)
             and self.components == other.components
         )
 
     def scale(self, c):
         return SymbolTensor(
-            self.n, self.k, self.l, self.tau_slots, self.ring,
+            self.n, self.k, self.l, self.ring,
             {key: p.scale(c) for key, p in self.components.items()},
         )
 
     def is_constant(self) -> bool:
         return all(p.is_constant() for p in self.components.values())
 
-    def upper_keys(self):
-        return itertools.combinations_with_replacement(range(1, self.n + 1), self.k)
 
-    def lower_keys(self):
-        return itertools.combinations_with_replacement(range(1, self.n + 1), self.l)
+def label_keys(n: int, k: int):
+    """The sorted k-tuples of boundary labels 1..n, the keys of SymbolTensor."""
+    return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
 def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> SymbolTensor:
@@ -98,7 +96,7 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
     if k + l > d:
         raise ValueError("need k + l <= d")
     n = m.n
-    fr = FrameFields(m)
+    fr = frame_fields(m)
     INF = n + 1
     cols = range(d)
 
@@ -157,14 +155,14 @@ def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> Symbol
                 ws.append(w)
     out = {}
     norm = den * factorial(k) * factorial(l)
-    for a_key in itertools.combinations_with_replacement(range(1, n + 1), k):
-        for b_key in itertools.combinations_with_replacement(range(1, n + 1), l):
+    for a_key in label_keys(n, k):
+        for b_key in label_keys(n, l):
             if (a_key, b_key) in full:
                 polys, ws = full[(a_key, b_key)]
                 acc = LaurentPoly.sum(m.ring, polys, ws, norm)
                 if acc:
                     out[(a_key, b_key)] = acc
-    return SymbolTensor(n, k, l, d - k - l, m.ring, out)
+    return SymbolTensor(n, k, l, m.ring, out)
 
 
 def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> SymbolTensor:
@@ -173,12 +171,12 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
     if k + l > d:
         raise ValueError("need k + l <= d")
     n = m.n
-    fr = FrameFields(m)
+    fr = frame_fields(m)
     scale = rat((-1) ** l, factorial(k) * factorial(l))
     out = {}
     cols = range(d)
-    for a_key in itertools.combinations_with_replacement(range(1, n + 1), k):
-        for b_key in itertools.combinations_with_replacement(range(1, n + 1), l):
+    for a_key in label_keys(n, k):
+        for b_key in label_keys(n, l):
             acc = m.ring.zero()
             for icols in itertools.permutations(cols, k):
                 rest = [c for c in cols if c not in icols]
@@ -211,7 +209,7 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
                         acc = acc + term.scale(v)
             if acc:
                 out[(a_key, b_key)] = acc.scale(scale)
-    return SymbolTensor(n, k, l, d - k - l, m.ring, out)
+    return SymbolTensor(n, k, l, m.ring, out)
 
 
 def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
@@ -228,43 +226,28 @@ def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
 # symmetrized tangential derivatives and trace solvability
 
 
-def sym_derivative_upper(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
-    """Idempotent symmetrization of the raised derivative: one extra upper
-    index, averaged over all k+1 uppers."""
-    _, d_raised, _ = tangential_ops(m)
-    k2 = S.k + 1
+def sym_derivative(m: BoundaryModel, S: SymbolTensor, upper: bool) -> SymbolTensor:
+    """Idempotent symmetrization of one more tangential derivative: the raised
+    d^a on a new upper index when ``upper``, else d_a on a new lower index,
+    averaged over all indices of that kind."""
+    d_hol, d_raised, _ = tangential_ops(m)
+    ops = d_raised if upper else d_hol
+    k, l = (S.k + 1, S.l) if upper else (S.k, S.l + 1)
     out = {}
-    for a_key in itertools.combinations_with_replacement(range(1, m.n + 1), k2):
-        for b_key in S.lower_keys() if S.l else [()]:
+    for a_key in label_keys(m.n, k):
+        for b_key in label_keys(m.n, l):
+            grown = a_key if upper else b_key
             terms = []
-            for pos in range(k2):
-                rest = a_key[:pos] + a_key[pos + 1 :]
-                # rest and b_key are sorted, as SymbolTensor keys are
-                comp = S.components.get((rest, b_key))
+            for pos in range(len(grown)):
+                # the remaining labels are sorted, as SymbolTensor keys are
+                rest = grown[:pos] + grown[pos + 1 :]
+                comp = S.components.get((rest, b_key) if upper else (a_key, rest))
                 if comp:
-                    terms.append(d_raised[a_key[pos] - 1].apply(comp))
-            acc = LaurentPoly.sum(m.ring, terms, den=k2)
+                    terms.append(ops[grown[pos] - 1].apply(comp))
+            acc = LaurentPoly.sum(m.ring, terms, den=len(grown))
             if acc:
                 out[(a_key, b_key)] = acc
-    return SymbolTensor(m.n, k2, S.l, S.tau_slots, m.ring, out)
-
-
-def sym_derivative_lower(m: BoundaryModel, S: SymbolTensor) -> SymbolTensor:
-    d_hol, _, _ = tangential_ops(m)
-    l2 = S.l + 1
-    out = {}
-    for a_key in S.upper_keys() if S.k else [()]:
-        for b_key in itertools.combinations_with_replacement(range(1, m.n + 1), l2):
-            terms = []
-            for pos in range(l2):
-                rest = b_key[:pos] + b_key[pos + 1 :]
-                comp = S.components.get((a_key, rest))
-                if comp:
-                    terms.append(d_hol[b_key[pos] - 1].apply(comp))
-            acc = LaurentPoly.sum(m.ring, terms, den=l2)
-            if acc:
-                out[(a_key, b_key)] = acc
-    return SymbolTensor(m.n, S.k, l2, S.tau_slots, m.ring, out)
+    return SymbolTensor(m.n, k, l, m.ring, out)
 
 
 def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
@@ -272,7 +255,7 @@ def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
     out = dict(x.components)
     for key, p in y.components.items():
         accumulate(out, key, p)
-    return SymbolTensor(x.n, x.k, x.l, min(x.tau_slots, y.tau_slots), x.ring, out)
+    return SymbolTensor(x.n, x.k, x.l, x.ring, out)
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +267,8 @@ def _insertion_left_kernel(n: int, k: int, l: int):
     (a, b) is sum_x count_a(x) count_b(x) lambda(a - x, b - x).  Rows of the
     kernel annihilate exactly the image, so 'trace-free part of X vanishes'
     = all kernel rows kill X."""
-    labels = range(1, n + 1)
-    multisets = itertools.combinations_with_replacement
-    src = list(itertools.product(multisets(labels, k - 1), multisets(labels, l - 1)))
-    dst = list(itertools.product(multisets(labels, k), multisets(labels, l)))
+    src = list(itertools.product(label_keys(n, k - 1), label_keys(n, l - 1)))
+    dst = list(itertools.product(label_keys(n, k), label_keys(n, l)))
     src_index = {key: i for i, key in enumerate(src)}
     # the transpose of the map: one sparse row per source key, one column per target
     cols = [{} for _ in src]
@@ -327,51 +308,37 @@ def trace_free_part_vanishes(m: BoundaryModel, S: SymbolTensor) -> LaurentPoly |
 # the symbol recursions
 
 
-def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
-    """Exact residuals of the rewritten symbol equations for a full family.
+def _recursion_label(k: int, l: int, d: int) -> str:
+    top = k + l > d
+    if l == 0:
+        return "top gradient symmetrization (upper)" if top else f"tau recursion (upper) k={k}"
+    if k == 0:
+        return "top gradient symmetrization (lower)" if top else f"tau recursion (lower) l={l}"
+    return f"{'top mixed equation' if top else 'mixed recursion'} k={k} l={l}"
 
-    ``symbols`` maps (k, l) to the extracted SymbolTensor.  Returns a list of
+
+def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
+    """Exact residuals of the symbol recursions for a full family.
+
+    ``symbols`` maps (k, l), k + l <= d, to the extracted SymbolTensor.  For
+    each 1 <= k + l <= d + 1 the trace-free part of
+    (l - k) S(k, l) + D^ S(k - 1, l) + D_ S(k, l - 1) vanishes, D^ and D_ the
+    symmetrized raised and lowered derivatives; each term is present only
+    when its symbol exists.  With l = 0 or k = 0 these are the tau
+    recursions, and at k + l = d + 1 the top equations.  Returns a list of
     (equation label, ok, witness) entries.
     """
     results = []
-
-    def record(label, residual):
-        results.append((label, residual is None, None if residual is None else str(residual)))
-
-    # pure-tau recursions, exact (no trace part with k == 0 or l == 0)
-    for k in range(1, d + 1):
-        lhs = add_symbols(symbols[(k, 0)].scale(-k), sym_derivative_upper(m, symbols[(k - 1, 0)]))
-        record(f"tau recursion (upper) k={k}", trace_free_part_vanishes(m, lhs))
-    for l in range(1, d + 1):
-        lhs = add_symbols(symbols[(0, l)].scale(l), sym_derivative_lower(m, symbols[(0, l - 1)]))
-        record(f"tau recursion (lower) l={l}", trace_free_part_vanishes(m, lhs))
-
-    # mixed recursions, trace-free part
-    for k in range(1, d + 1):
-        for l in range(1, d + 1 - k):
-            lhs = add_symbols(
-                add_symbols(
-                    symbols[(k, l)].scale(l - k),
-                    sym_derivative_upper(m, symbols[(k - 1, l)]),
-                ),
-                sym_derivative_lower(m, symbols[(k, l - 1)]),
-            )
-            record(f"mixed recursion k={k} l={l}", trace_free_part_vanishes(m, lhs))
-
-    # top equations (no tau slots left): k + l = d + 1
-    record("top gradient symmetrization (upper)",
-           trace_free_part_vanishes(m, sym_derivative_upper(m, symbols[(d, 0)])))
-    record("top gradient symmetrization (lower)",
-           trace_free_part_vanishes(m, sym_derivative_lower(m, symbols[(0, d)])))
-    for k in range(1, d + 1):
-        l = d + 1 - k
-        if l < 1 or l > d:
-            continue
-        lhs = add_symbols(
-            sym_derivative_upper(m, symbols[(k - 1, l)]),
-            sym_derivative_lower(m, symbols[(k, l - 1)]),
-        )
-        record(f"top mixed equation k={k} l={l}", trace_free_part_vanishes(m, lhs))
+    for total in range(1, d + 2):
+        for k in range(total + 1):
+            l = total - k
+            lhs = symbols[(k, l)].scale(l - k) if total <= d else SymbolTensor(m.n, k, l, m.ring)
+            if k:
+                lhs = add_symbols(lhs, sym_derivative(m, symbols[(k - 1, l)], True))
+            if l:
+                lhs = add_symbols(lhs, sym_derivative(m, symbols[(k, l - 1)], False))
+            res = trace_free_part_vanishes(m, lhs)
+            results.append((_recursion_label(k, l, d), res is None, None if res is None else str(res)))
     return results
 
 
@@ -380,10 +347,10 @@ def check_bgg(m: BoundaryModel, top: SymbolTensor, d: int, s: int):
     d+1-2s symmetrized raised (resp. lowered) derivatives vanishes."""
     assert top.k == s and top.l == s
     results = []
-    for side, derivative in (("upper", sym_derivative_upper), ("lower", sym_derivative_lower)):
+    for side, upper in (("upper", True), ("lower", False)):
         D = top
         for _ in range(d + 1 - 2 * s):
-            D = derivative(m, D)
+            D = sym_derivative(m, D, upper)
         res = trace_free_part_vanishes(m, D)
         results.append((f"first BGG equation ({side})", res is None, None if res is None else str(res)))
     return results
@@ -430,8 +397,8 @@ def type_count(d: int, s: int, i: int) -> int:
 def prop1_system(d: int, s: int):
     """Solve for the type coefficients x_1..x_s (x_0 = 1).
 
-    Returns dict with the matrix, solution, bare a-matrix determinants and
-    the sign recurrence check det_s = (-1)^(s+1) det_(s-1).
+    Returns dict with whether the system is solvable, and if so the
+    solution and its uniqueness.
     """
     if not (1 <= s and 2 * s <= d):
         raise ValueError("need 1 <= s and 2s <= d")
@@ -442,22 +409,9 @@ def prop1_system(d: int, s: int):
         rhs.append(rat(-type_count(d, s, 0) * a_coeff(s, r, 0)))
     sol = linalg.solve(rows, rhs)
     if sol is None:
-        return {"solved": False, "matrix": rows, "rhs": rhs}
+        return {"solved": False}
     x, kern = sol
-    dets = {t: a_matrix_det(t) for t in range(1, s + 1)}
-    sign_ok = all(
-        dets[t] == (-1) ** (t + 1) * dets[t - 1] for t in range(2, s + 1)
-    )
-    return {
-        "solved": True,
-        "unique": not kern,
-        "matrix": rows,
-        "rhs": rhs,
-        "x": x,
-        "dets": dets,
-        "det_sign_recurrence": sign_ok,
-        "dets_unimodular": all(abs(v) == 1 for v in dets.values()),
-    }
+    return {"solved": True, "unique": not kern, "x": x}
 
 
 def default_prop1_seed(m: BoundaryModel, s: int) -> SymbolTensor:
@@ -466,7 +420,7 @@ def default_prop1_seed(m: BoundaryModel, s: int) -> SymbolTensor:
     if m.n < 2:
         raise ValueError("the disjoint-index seed needs n >= 2")
     comp = {((1,) * s, (2,) * s): m.ring.one()} if s else {((), ()): m.ring.one()}
-    return SymbolTensor(m.n, s, s, 0, m.ring, comp)
+    return SymbolTensor(m.n, s, s, m.ring, comp)
 
 
 def _seed_is_trace_free(seed: SymbolTensor) -> bool:
@@ -539,7 +493,6 @@ def verify_prop1(m: BoundaryModel, d: int, s: int):
     if not sysres.get("solved") or not sysres.get("unique"):
         return False, detail
     T = build_prop1_tensor(m, d, s, sysres["x"])
-    detail["column_symmetric"] = T.is_symmetric()
     symbols = extract_all_symbols(m, T)
     lower_ok = all(not symbols[(k, k)] for k in range(0, s))
     detail["lower_diag_symbols_vanish"] = lower_ok
@@ -567,15 +520,9 @@ def verify_prop1(m: BoundaryModel, d: int, s: int):
 
 
 def symmetry_space_dim(d: int, n: int):
-    """Per-s dimensions of the symmetry components of order d (Weyl formula).
+    """Per-s dimensions of the symmetry components of order d: the piece of
+    lambda = (d - s, s) is the isotypic dimension of lambda at N = n + 2."""
+    from .decompose import isotypic_dim
 
-    The piece of lambda = (d - s, s) is weyl_dim(lambda + lambda*) when
-    2*depth(lambda) <= N = n + 2, and 0 otherwise."""
-    from .decompose import lambda_plus_dual, weyl_dim
-
-    N = n + 2
-    out = []
-    for s in range(0, d // 2 + 1):
-        lam = (d - s, s) if s else (d,)
-        out.append(weyl_dim(lambda_plus_dual(lam, N), N) if 2 * len(lam) <= N else 0)
+    out = [isotypic_dim((d - s, s) if s else (d,), n + 2) for s in range(d // 2 + 1)]
     return out, sum(out)

@@ -154,12 +154,9 @@ class WeylOperator:
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         return self.compose(other) - other.compose(self)
 
-    # -- serialization -----------------------------------------------------
+    # -- printing ----------------------------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def to_jsonable(self):
-        return [[list(a), p.to_jsonable()] for a, p in self.sorted_terms()]
 
     def __str__(self):
         if not self.terms:

@@ -17,7 +17,15 @@ on such coefficients, it is the differential oracle for the integer layout.
 `skew_slots_rational` are the former `ambient.t_part_operator`,
 `symbols._insertion_left_kernel` and `SparseTensor.skew_slots` (with the
 former `act` loop inlined), kept as differential oracles for the versions
-that replaced them.
+that replaced them.  `check_symbol_recursions_by_form`, with
+`sym_derivative_upper` and `sym_derivative_lower`, is the former
+`symbols.check_symbol_recursions`, which wrote the recursion out in five
+forms over two mirrored derivatives (only the `SymbolTensor` constructor
+and the key enumeration follow the current type); it is the oracle for the
+one-formula sweep.
+
+`parse_rat` reads the "p/q" strings of `scalars.rat_str` (the records in
+`data/` are written that way).
 
 `rref` is the reduced row echelon form read off the sparse integer routine
 of `linalg`, which the verifier itself only reads kernels and solutions from.
@@ -34,12 +42,12 @@ import itertools
 from math import comb, factorial, lcm, prod
 from operator import add
 
+from subsym.boundary import tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
-from subsym.rings import RingMismatchError, UnknownGeneratorError
-from subsym.scalars import (
-    GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, parse_rat, rat,
-)
+from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError
+from subsym.scalars import GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, rat
+from subsym.symbols import SymbolTensor, add_symbols, trace_free_part_vanishes
 from subsym.tensor import SparseTensor
 from subsym.weyl import WeylOperator
 
@@ -53,6 +61,13 @@ def bidegree(amb, f):
 def principal_part(op: WeylOperator, order: int) -> WeylOperator:
     """Sum of the terms of `op` whose derivative degree is exactly `order`."""
     return WeylOperator(op.ring, {a: p for a, p in op.terms.items() if sum(a) == order})
+
+
+def parse_rat(s: str):
+    if "/" in s:
+        p, q = s.split("/")
+        return rat(int(p), int(q))
+    return rat(int(s))
 
 
 def parse_gr(s: str) -> GaussianRational:
@@ -527,6 +542,93 @@ def skew_slots_rational(T: SparseTensor, slots, upper=True) -> SparseTensor:
                 key = (U, tuple(L[i] for i in order))
             accumulate(out, key, v * c)
     return SparseTensor(T.k, T.N, out)
+
+
+# -- the symbol recursions written out form by form --------------------------------
+
+
+def sym_derivative_upper(m, S: SymbolTensor) -> SymbolTensor:
+    """Idempotent symmetrization of the raised derivative: one extra upper
+    index, averaged over all k+1 uppers."""
+    _, d_raised, _ = tangential_ops(m)
+    k2 = S.k + 1
+    out = {}
+    for a_key in itertools.combinations_with_replacement(range(1, m.n + 1), k2):
+        for b_key in itertools.combinations_with_replacement(range(1, m.n + 1), S.l):
+            terms = []
+            for pos in range(k2):
+                rest = a_key[:pos] + a_key[pos + 1 :]
+                # rest and b_key are sorted, as SymbolTensor keys are
+                comp = S.components.get((rest, b_key))
+                if comp:
+                    terms.append(d_raised[a_key[pos] - 1].apply(comp))
+            acc = LaurentPoly.sum(m.ring, terms, den=k2)
+            if acc:
+                out[(a_key, b_key)] = acc
+    return SymbolTensor(m.n, k2, S.l, m.ring, out)
+
+
+def sym_derivative_lower(m, S: SymbolTensor) -> SymbolTensor:
+    d_hol, _, _ = tangential_ops(m)
+    l2 = S.l + 1
+    out = {}
+    for a_key in itertools.combinations_with_replacement(range(1, m.n + 1), S.k):
+        for b_key in itertools.combinations_with_replacement(range(1, m.n + 1), l2):
+            terms = []
+            for pos in range(l2):
+                rest = b_key[:pos] + b_key[pos + 1 :]
+                comp = S.components.get((a_key, rest))
+                if comp:
+                    terms.append(d_hol[b_key[pos] - 1].apply(comp))
+            acc = LaurentPoly.sum(m.ring, terms, den=l2)
+            if acc:
+                out[(a_key, b_key)] = acc
+    return SymbolTensor(m.n, S.k, l2, m.ring, out)
+
+
+def check_symbol_recursions_by_form(m, symbols: dict, d: int):
+    """Exact residuals of the rewritten symbol equations for a full family,
+    as (equation label, ok, witness) entries."""
+    results = []
+
+    def record(label, residual):
+        results.append((label, residual is None, None if residual is None else str(residual)))
+
+    # pure-tau recursions, exact (no trace part with k == 0 or l == 0)
+    for k in range(1, d + 1):
+        lhs = add_symbols(symbols[(k, 0)].scale(-k), sym_derivative_upper(m, symbols[(k - 1, 0)]))
+        record(f"tau recursion (upper) k={k}", trace_free_part_vanishes(m, lhs))
+    for l in range(1, d + 1):
+        lhs = add_symbols(symbols[(0, l)].scale(l), sym_derivative_lower(m, symbols[(0, l - 1)]))
+        record(f"tau recursion (lower) l={l}", trace_free_part_vanishes(m, lhs))
+
+    # mixed recursions, trace-free part
+    for k in range(1, d + 1):
+        for l in range(1, d + 1 - k):
+            lhs = add_symbols(
+                add_symbols(
+                    symbols[(k, l)].scale(l - k),
+                    sym_derivative_upper(m, symbols[(k - 1, l)]),
+                ),
+                sym_derivative_lower(m, symbols[(k, l - 1)]),
+            )
+            record(f"mixed recursion k={k} l={l}", trace_free_part_vanishes(m, lhs))
+
+    # top equations (no tau slots left): k + l = d + 1
+    record("top gradient symmetrization (upper)",
+           trace_free_part_vanishes(m, sym_derivative_upper(m, symbols[(d, 0)])))
+    record("top gradient symmetrization (lower)",
+           trace_free_part_vanishes(m, sym_derivative_lower(m, symbols[(0, d)])))
+    for k in range(1, d + 1):
+        l = d + 1 - k
+        if l < 1 or l > d:
+            continue
+        lhs = add_symbols(
+            sym_derivative_upper(m, symbols[(k - 1, l)]),
+            sym_derivative_lower(m, symbols[(k, l - 1)]),
+        )
+        record(f"top mixed equation k={k} l={l}", trace_free_part_vanishes(m, lhs))
+    return results
 
 
 # -- the dense Bareiss elimination that the sparse integer routine replaced ------

@@ -97,6 +97,28 @@ def test_pullback_coordinates(m1):
     assert phi_pullback(m1, num) == m1.tau()
 
 
+@pytest.mark.parametrize("g_diag", [(1,), (1, 1), (1, -1), (-1, -1, 1)])
+def test_pullback_of_each_ambient_generator(g_diag):
+    # the section images of the docstring, written out from the coordinates:
+    # x^0 -> 1, x^a -> z^a, x^inf -> -zz/2 + tau, x_0 -> -zz/2 - tau,
+    # x_a -> g_a zb^a, x_inf -> 1, with zz = sum_a g_a z^a zb^a
+    m = BoundaryModel(len(g_diag), g_diag)
+    R, amb = m.ring, m.ambient
+    z = [R.gen(f"z{a}") for a in range(1, m.n + 1)]
+    z_low = [R.gen(f"zb{a}").scale(g) for a, g in zip(range(1, m.n + 1), g_diag)]
+    half_zz = R.zero()
+    for za, wa in zip(z, z_low):
+        half_zz = half_zz + (za * wa).scale(rat(1, 2))
+    tau = R.gen("tau")
+    up = [R.one()] + z + [tau - half_zz]
+    dn = [-tau - half_zz] + z_low + [R.one()]
+    for A in range(m.n + 2):
+        assert phi_pullback(m, amb.up(A)) == up[A]
+        assert phi_pullback(m, amb.dn(A)) == dn[A]
+    # the invertible generators pull back to the inverse of their unit image
+    assert phi_pullback(m, amb.up(0, -1) * amb.dn(m.n + 1, -1)) == R.one()
+
+
 def test_extend_of_one(m1):
     for (w1, w2) in [(0, -1), (2, -3), (-1, 0)]:
         f = extend(m1, m1.ring.one(), w1, w2)

@@ -98,6 +98,20 @@ def test_isotypic_table(tmp_path, capsys):
     assert data["ranks"] == data["weyl_formula"]
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_isotypic_table_below_twice_k(dim, tmp_path, capsys):
+    # below N = 2k the pieces with 2*depth(lambda) > N are 0, and so is their
+    # Weyl formula entry
+    path = tmp_path / "iso.json"
+    assert main(["table", "isotypic", "--k", "3", "--dim", str(dim), "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    assert data["ranks"] == data["weyl_formula"]
+    assert data["weyl_formula"]["[1, 1, 1]"] == 0
+    if dim == 2:
+        assert data["weyl_formula"] == {"[3]": 7, "[2, 1]": 0, "[1, 1, 1]": 0}
+
+
 def test_out_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SUBSYM_OUT_DIR", str(tmp_path))
     main(["table", "classalg", "--k", "2"])
@@ -177,6 +191,31 @@ def test_commutant_below_twice_k_checks_the_depth_count(k, count, capsys):
     assert code == 0
     claim = f"(k,N)=({k},5): the p(k) basis operators span {count} dimensions, one per lambda with 2*depth(lambda) <= N"
     assert f"[PASS] commutant: {claim}" in out.splitlines()
+
+
+@pytest.mark.parametrize("k, dim", [(3, 2), (3, 4), (3, 5), (4, 5), (2, 4)])
+def test_decompose_checks_the_weyl_law_at_every_dim(k, dim, capsys):
+    code = main(["verify", "decompose", "--k", str(k), "--dim", str(dim)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    where = "(stable range)" if dim >= 2 * k else "where 2*depth(lambda) <= N, 0 elsewhere"
+    assert f"[PASS] decompose: (k,N)=({k},{dim}): ranks equal Weyl dimensions {where}" in out
+    assert f"[PASS] decompose: (k,N)=({k},{dim}): kernel dim equals the closed-form sum" in out
+
+
+def test_decompose_weyl_check_fails_on_a_wrong_dimension(monkeypatch, capsys):
+    import subsym.decompose as decompose
+
+    dim = decompose.isotypic_dim
+    monkeypatch.setattr(decompose, "isotypic_dim", lambda lam, N: dim(lam, N) + (lam == (2, 1)))
+    code = main(["verify", "decompose", "--k", "3", "--dim", "5"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    name = "(k,N)=(3,5): ranks equal Weyl dimensions where 2*depth(lambda) <= N, 0 elsewhere"
+    rank = decompose.isotypic_rank((2, 1), 3, 5)
+    assert f"[FAIL] decompose: {name}  witness: lambda (2, 1): rank {rank}, expected {rank + 1}" in out
+    assert any(line.startswith("[FAIL] decompose: (k,N)=(3,5): kernel dim equals the closed-form sum")
+               for line in out)
 
 
 def test_commutant_rank_check_fails_on_a_wrong_rank(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """The verifier runs over Q: tau = i*sigma and rational coefficients.
 
 `data/sigma_form.json` holds Delta, d_a, d^a and the (k, l) symbols of one
-seeded tensor at n = 1 and n = 2, written (with `to_jsonable`) by the
+seeded tensor at n = 1 and n = 2, written as JSON term lists by the
 sigma-form implementation that the tau form replaced, whose coefficients were
 Gaussian rationals.  The dictionary tests map today's tau-form objects back
 through sigma = -i*tau, d/dtau = -i d/dsigma and the symbol phase, on the
@@ -29,10 +29,10 @@ from subsym.boundary import (
     sublaplacian,
     tangential_ops,
 )
-from subsym.scalars import GR_I, GR_ONE, RZERO, parse_rat
+from subsym.scalars import GR_I, GR_ONE, RZERO
 from subsym.symbols import extract_all_symbols
 from subsym.tensor import SparseTensor
-from support import GaussianPoly, GaussianRing, parse_gr, to_gaussian
+from support import GaussianPoly, GaussianRing, parse_gr, parse_rat, to_gaussian
 
 DATA = json.loads((Path(__file__).parent / "data" / "sigma_form.json").read_text())
 MINUS_I = GR_I * -1

@@ -86,14 +86,6 @@ def test_conjugation_involution():
     assert q.relabel({"z": "zb", "zb": "z"}, conjugate_coeffs=True) == p
 
 
-def test_serialization_sorted_and_roundtrip(R):
-    p = R.gen("y") ** 2 + R.gen("x").scale(rat(-3, 2)) + R.const(5) + R.gen("x", -2)
-    s = p.dumps()
-    assert LaurentPoly.loads(R, s) == p
-    # graded-lex order: dumping twice is byte-identical
-    assert p.dumps() == (p + R.zero()).dumps()
-
-
 # property tests -------------------------------------------------------------
 
 coeffs = st.integers(min_value=-4, max_value=4)
@@ -307,11 +299,10 @@ def test_equal_values_share_form_hash_and_bytes(tp, tq, c, k):
         (LaurentPoly.sum(RING, [p, q]), p + q),
         (LaurentPoly.sum(RING, [p], [3], 3), p),
         (LaurentPoly(RING, dict(p.terms)), p),
-        (LaurentPoly.loads(RING, p.dumps()), p),
     ]
     for a, b in routes:
         assert (a.den, a.num) == (b.den, b.num)
-        assert a == b and hash(a) == hash(b) and a.dumps() == b.dumps()
+        assert a == b and hash(a) == hash(b)
 
 
 def test_cancelling_denominators():
@@ -324,7 +315,7 @@ def test_cancelling_denominators():
     assert (x ** 2).scale(Fraction(1, 2)).diff("x") == x
     assert RING.gen("x", -1).scale(Fraction(-2, 3)) ** -1 == x.scale(Fraction(-3, 2))
     z = half - half
-    assert (z.den, z.num) == (1, {}) and z == 0 and z.dumps() == "[]"
+    assert (z.den, z.num) == (1, {}) and z == 0 and str(z) == "0"
     assert LaurentPoly(RING, {(1, 0): Fraction(2, 4), (0, 1): 0}) == half
 
 

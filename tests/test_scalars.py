@@ -3,10 +3,10 @@ from subsym.scalars import (
     GR_ONE,
     GR_ZERO,
     gr,
-    parse_rat,
     rat,
     rat_str,
 )
+from support import parse_rat
 
 
 def test_i_squared():

@@ -11,7 +11,7 @@ from subsym.cli import three_column_skew_checks
 from subsym.report import VerificationReport
 from subsym.rings import LaurentPoly
 from subsym.scalars import rat
-from support import insertion_left_kernel_full_tuples, principal_part
+from support import check_symbol_recursions_by_form, insertion_left_kernel_full_tuples, principal_part
 from subsym.symbols import (
     SymbolTensor,
     _insertion_left_kernel,
@@ -23,6 +23,7 @@ from subsym.symbols import (
     check_symbol_recursions,
     extract_all_symbols,
     extract_symbols,
+    label_keys,
     pascal_identity_check,
     prop1_system,
     symmetry_space_dim,
@@ -80,7 +81,6 @@ def test_prop1_system_solutions():
     assert res["solved"] and res["unique"] and len(res["x"]) == 1
     res42 = prop1_system(4, 2)
     assert res42["solved"] and res42["unique"]
-    assert res42["det_sign_recurrence"] and res42["dets_unimodular"]
 
 
 def test_type_counts_nonzero():
@@ -176,7 +176,7 @@ def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
         bumped = dict(S.components)
         bumped[comp] = S.get(*comp) + m2.ring.one()
         bad = dict(syms)
-        bad[key] = SymbolTensor(S.n, S.k, S.l, S.tau_slots, S.ring, bumped)
+        bad[key] = SymbolTensor(S.n, S.k, S.l, S.ring, bumped)
         failed = [lab for lab, ok, _ in check_symbol_recursions(m2, bad, 2) if not ok]
         assert failed == [label], key
 
@@ -196,6 +196,41 @@ def test_recursions_d3_n3():
     syms = extract_all_symbols(m3, T)
     rec = check_symbol_recursions(m3, syms, 3)
     assert all(ok for _, ok, _ in rec)
+
+
+def recursion_families(n, g_diag, d):
+    """Seeded symbol families of degree d on the model (n, g_diag): a
+    column-symmetric tensor symmetrized from about 20 random entries and, for
+    n >= 2, a disjoint-index trace-free one."""
+    m = BoundaryModel(n, g_diag)
+    rng = random.Random(100 * n + 10 * d + (g_diag is not None))
+    density = min(0.3, 20 / (n + 2) ** (2 * d))
+    tensors = [SparseTensor.random_column_symmetric(d, n + 2, rng, density=density)]
+    if n >= 2:
+        tensors.append(SparseTensor.random_disjoint_trace_free(d, n + 2, rng))
+    return m, rng, [extract_all_symbols(m, T) for T in tensors]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n, g_diag", [(1, None), (2, None), (3, None), (2, (1, -1))])
+def test_recursion_sweep_matches_the_form_by_form_oracle(n, g_diag, d):
+    # the one-formula sweep and the five hand-written forms give the same
+    # (label, ok, witness) set, on extracted families and on the same
+    # families with one random (k, l) component perturbed
+    m, rng, families = recursion_families(n, g_diag, d)
+    for syms in families:
+        key = rng.choice(sorted(syms))
+        comp = tuple(rng.choice(list(label_keys(n, j))) for j in key)
+        S = syms[key]
+        bumped = dict(S.components)
+        bumped[comp] = S.get(*comp) + m.ring.const(rng.randint(1, 3)) + (
+            m.z(1).scale(rng.randint(-2, 2)) + m.tau().scale(rng.randint(-2, 2)))
+        perturbed = {**syms, key: SymbolTensor(n, *key, m.ring, bumped)}
+        for family in (syms, perturbed):
+            got = check_symbol_recursions(m, family, d)
+            assert len(got) == (d + 1) * (d + 4) // 2
+            assert set(got) == set(check_symbol_recursions_by_form(m, family, d))
+        assert not all(ok for _, ok, _ in check_symbol_recursions(m, perturbed, d))
 
 
 def test_zero_symbols_pass_vacuously(m2):
@@ -278,7 +313,7 @@ def test_el2_elements_induce_zero():
 
 def test_bgg_constant_top_symbol(m2):
     comp = {((1,), (2,)): m2.ring.one()}
-    top = SymbolTensor(2, 1, 1, 0, m2.ring, comp)
+    top = SymbolTensor(2, 1, 1, m2.ring, comp)
     assert all(ok for _, ok, _ in check_bgg(m2, top, 2, 1))
 
 
@@ -287,16 +322,14 @@ def test_bgg_sigma_power_degree_bound(m2):
     # kernel of the (d+1)-fold symmetrized raised derivative exactly when m <= d
     for d in (1, 2):
         for mdeg in range(0, d + 2):
-            top = SymbolTensor(
-                2, 0, 0, d, m2.ring, {((), ()): m2.tau() ** mdeg}
-            )
+            top = SymbolTensor(2, 0, 0, m2.ring, {((), ()): m2.tau() ** mdeg})
             res = check_bgg(m2, top, d, 0)
             if mdeg <= d:
                 assert all(ok for _, ok, _ in res), (d, mdeg)
             else:
                 assert not all(ok for _, ok, _ in res), (d, mdeg)
     # pure holomorphic polynomials die at the first raised derivative
-    ok_poly = SymbolTensor(2, 0, 0, 2, m2.ring, {((), ()): m2.z(1) ** 2})
+    ok_poly = SymbolTensor(2, 0, 0, m2.ring, {((), ()): m2.z(1) ** 2})
     assert all(ok for _, ok, _ in check_bgg(m2, ok_poly, 2, 0))
 
 
@@ -308,10 +341,10 @@ def test_trace_free_part_detects_insertion(m2):
         for b in range(1, 3):
             if a == b:
                 comps[((a,), (b,))] = lam_poly
-    S = SymbolTensor(2, 1, 1, 0, m2.ring, comps)
+    S = SymbolTensor(2, 1, 1, m2.ring, comps)
     assert trace_free_part_vanishes(m2, S) is None
     # a generic symbol does not
-    S2 = SymbolTensor(2, 1, 1, 0, m2.ring, {((1,), (2,)): m2.ring.one()})
+    S2 = SymbolTensor(2, 1, 1, m2.ring, {((1,), (2,)): m2.ring.one()})
     assert trace_free_part_vanishes(m2, S2) is not None
 
 
@@ -340,7 +373,7 @@ def symmetric_insertion(m, k, l, lam):
         val = LaurentPoly.sum(m.ring, terms, den=factorial(k) * factorial(l))
         skey = (tuple(sorted(a)), tuple(sorted(b)))
         assert comps.setdefault(skey, val) == val  # the insertion is symmetric
-    return SymbolTensor(m.n, k, l, 0, m.ring, comps)
+    return SymbolTensor(m.n, k, l, m.ring, comps)
 
 
 def random_symbol(m, k, l, rng):
@@ -360,7 +393,7 @@ def test_insertion_kernel_matches_the_full_tuple_kernel(n, k, l, monkeypatch):
     m = BoundaryModel(n)
     rng = random.Random(100 * n + 10 * k + l)
     insertion = symmetric_insertion(m, k, l, random_symbol(m, k - 1, l - 1, rng))
-    perturbed = add_symbols(insertion, SymbolTensor(n, k, l, 0, m.ring, random_symbol(m, k, l, rng)))
+    perturbed = add_symbols(insertion, SymbolTensor(n, k, l, m.ring, random_symbol(m, k, l, rng)))
     assert insertion
     verdicts = []
     for kernel in (_insertion_left_kernel, insertion_left_kernel_full_tuples):
@@ -399,6 +432,13 @@ def test_prop1_2_1_zero_sigma_symbol():
     assert T.is_symmetric()
     syms = extract_all_symbols(m, T)
     assert not syms[(0, 0)]
+
+
+@pytest.mark.parametrize("d,s", [(2, 1), (3, 1), (4, 2)])
+def test_prop1_tensor_is_column_symmetric(d, s):
+    # the (d, s) the prop1 suite runs, on its default model
+    m = BoundaryModel(3)
+    assert build_prop1_tensor(m, d, s, prop1_system(d, s)["x"]).is_symmetric()
 
 
 @pytest.mark.parametrize("d,s", [(2, 1), (3, 1)])
@@ -447,7 +487,7 @@ def test_build_prop1_tensor_general_seed():
     res = prop1_system(2, 1)
     # a different constant trace-free seed: off-diagonal components only
     comp = {((1,), (2,)): m.ring.one(), ((2,), (1,)): m.ring.one().scale(-1)}
-    seed = SymbolTensor(3, 1, 1, 0, m.ring, comp)
+    seed = SymbolTensor(3, 1, 1, m.ring, comp)
     assert _seed_is_trace_free(seed)
     T = build_prop1_tensor(m, 2, 1, res["x"], seed=seed)
     assert T.is_symmetric()
@@ -464,11 +504,11 @@ def test_build_prop1_tensor_general_seed():
 def test_build_prop1_rejects_bad_seed():
     m = BoundaryModel(2)
     # nonzero trace: single diagonal component
-    bad = SymbolTensor(2, 1, 1, 0, m.ring, {((1,), (1,)): m.ring.one()})
+    bad = SymbolTensor(2, 1, 1, m.ring, {((1,), (1,)): m.ring.one()})
     with pytest.raises(ValueError):
         build_prop1_tensor(m, 2, 1, [1], seed=bad)
     # non-constant seed
-    var = SymbolTensor(2, 1, 1, 0, m.ring, {((1,), (2,)): m.z(1)})
+    var = SymbolTensor(2, 1, 1, m.ring, {((1,), (2,)): m.z(1)})
     with pytest.raises(ValueError):
         build_prop1_tensor(m, 2, 1, [1], seed=var)
 

@@ -121,13 +121,6 @@ def test_associativity_on_monomials(a, b, c):
     assert left == right
 
 
-def test_serialization_shape():
-    op = WeylOperator.term(R.gen("x"), {"y": 2}) + WeylOperator.identity(R)
-    data = op.to_jsonable()
-    assert data[0][0] == [0, 0]
-    assert data[1][0] == [0, 2]
-
-
 def test_ring_mismatch_guard():
     import pytest
     from subsym.rings import RingMismatchError
