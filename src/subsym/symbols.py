@@ -5,7 +5,10 @@ coefficients in the d_a / d^b / d_tau basis form a family of symbol
 tensors V[k, l] (k upper boundary indices, l lower, p = d-k-l tau slots).
 Extraction contracts the tensor with the cone-adapted frames and pulls back
 along the section, with the (-1)^l prefactors and idempotent (averaged)
-symmetrizations.
+symmetrizations.  Its sum over ordered column assignments is their number
+times one canonical assignment of the column-symmetrized tensor, and each
+distinct frame product is multiplied once, from a product cache (see
+extract_all_symbols).
 
 The symbols in the sigma basis carry the phase (-i)^p, which cancels
 against d_sigma^p = i^p d_tau^p; so the tau-basis symbol is i^p times the
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import linalg
 from .boundary import BoundaryModel, frame_fields, tangential_ops
@@ -74,94 +77,48 @@ def label_keys(n: int, k: int):
     return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
-def extract_symbols(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> SymbolTensor:
-    """The (k, l) symbol of the operator induced by T (d = T.k columns).
-
-    Column roles: k columns contract (lower slot with the position vector,
-    upper slot with the tangent coframe carrying an upper boundary label),
-    l columns the mirror pattern, remaining columns contract both slots with
-    the position vectors (the tau directions).
-
-    The product a (column assignment, tensor entry) pair contributes depends
-    only on the slot values each role reads (the tau factors commute), so the
-    entry values are first summed per role key, as integers over one common
-    denominator.  Each role key with a nonzero weight is then expanded once
-    through the sparsity of the tangent frames (a dual-slot value 0 admits
-    every label, a boundary value pins it, the cone value kills the term),
-    and each label key is summed once.  The direct per-component
-    transcription is kept as _extract_symbols_reference and cross-checked in
-    the tests.
-    """
-    d = T.k
-    if k + l > d:
-        raise ValueError("need k + l <= d")
+def _extract_symbols(m: BoundaryModel, entries, den: int, d: int, k: int, l: int, product) -> SymbolTensor:
+    """The (k, l) symbol of a column-symmetric tensor with d columns, given as
+    its entries (slot pairs, int) over den, read off the canonical column
+    assignment: columns 0..k-1 carry the upper labels, k..k+l-1 the lower
+    ones, the rest are tau columns.  ``product`` maps a sorted tuple of
+    factor ids (see extract_all_symbols) to the product of those factors."""
     n = m.n
-    fr = frame_fields(m)
     INF = n + 1
-    cols = range(d)
-
-    # role key (upper-label slots, lower-label slots, sorted tau slots) ->
-    # summed entry value times (-1)^l * den
-    den = lcm(*(int(v.denominator) for v in T.entries.values()))
-    sign = (-1) ** l
-    entries = [
-        (tuple(zip(B, A)), sign * int(v.numerator) * (den // int(v.denominator)))
-        for (B, A), v in T.entries.items()
-    ]
-    weight = {}
-    for icols in itertools.permutations(cols, k):
-        iset = set(icols)
-        rest = [c for c in cols if c not in iset]
-        for jcols in itertools.permutations(rest, l):
-            jset = set(jcols)
-            tau_cols = [c for c in rest if c not in jset]
-            for slots, v in entries:
-                # the cone values kill a label column: B = inf upper, A = 0 lower
-                if any(slots[c][0] == INF for c in icols) or any(slots[c][1] == 0 for c in jcols):
+    W = n + 2
+    labels = range(1, n + 1)
+    # (-1)^l times the number of ordered assignments, d!/(d-k-l)!, over k! l!
+    scale = (-1) ** l * comb(d, k + l) * comb(k + l, k)
+    weights = {}  # (upper labels, lower labels) -> {product key: summed int}
+    for slots, w in entries:
+        up, dn, tau = slots[:k], slots[k : k + l], slots[k + l :]
+        # the cone values kill a label column: B = inf upper, A = 0 lower
+        if any(B == INF for B, _ in up) or any(A == 0 for _, A in dn):
+            continue
+        # the non-unit position factors X_up[A] (A != 0) and X_dn[B] (B != inf)
+        base = [A for _, A in up + tau if A] + [W + B for B, _ in dn + tau if B != INF]
+        # a dual-slot value 0 (upper) or inf (lower) admits every label, with
+        # the factor Y_dn[a][0] (resp. Y_up[b][inf]); a boundary value pins the
+        # label with a unit factor.  Only sorted label tuples are components.
+        for a_key in itertools.product(*(labels if B == 0 else (B,) for B, _ in up)):
+            if any(x > y for x, y in zip(a_key, a_key[1:])):
+                continue
+            ys = [2 * W + a for a, (B, _) in zip(a_key, up) if B == 0]
+            for b_key in itertools.product(*(labels if A == INF else (A,) for _, A in dn)):
+                if any(x > y for x, y in zip(b_key, b_key[1:])):
                     continue
-                key = (
-                    tuple(slots[c] for c in icols),
-                    tuple(slots[c] for c in jcols),
-                    tuple(sorted(slots[c] for c in tau_cols)),
-                )
-                accumulate(weight, key, v)
-
-    def i_options(B_c, A_c):
-        # contract the dual slot with Y (label) and the vector slot with X
-        x = fr.X_up[A_c]
-        if B_c == 0:
-            return [(a, fr.Y_dn[a][0] * x) for a in range(1, n + 1)]
-        return [(B_c, x)]  # Y_dn[a][B_c] = delta, unit factor
-
-    def j_options(B_c, A_c):
-        x = fr.X_dn[B_c]
-        if A_c == INF:
-            return [(b, fr.Y_up[b][INF] * x) for b in range(1, n + 1)]
-        return [(A_c, x)]
-
-    full = {}  # (upper labels, lower labels) -> ([polynomial], [weight])
-    for (i_slots, j_slots, tau_slots), w in weight.items():
-        base = m.ring.one()
-        for B_c, A_c in tau_slots:
-            base = base * fr.X_up[A_c] * fr.X_dn[B_c]
-        stack = [((), base)] if base else []
-        opts = [i_options(*s) for s in i_slots] + [j_options(*s) for s in j_slots]
-        for o in opts:
-            stack = [(labels + (lab,), poly * fac) for labels, poly in stack for lab, fac in o]
-        for labels, poly in stack:
-            if poly:
-                polys, ws = full.setdefault((labels[:k], labels[k:]), ([], []))
-                polys.append(poly)
-                ws.append(w)
+                zs = [3 * W + b for b, (_, A) in zip(b_key, dn) if A == INF]
+                key = tuple(sorted(base + ys + zs))
+                acc = weights.setdefault((a_key, b_key), {})
+                acc[key] = acc.get(key, 0) + w
     out = {}
-    norm = den * factorial(k) * factorial(l)
     for a_key in label_keys(n, k):
         for b_key in label_keys(n, l):
-            if (a_key, b_key) in full:
-                polys, ws = full[(a_key, b_key)]
-                acc = LaurentPoly.sum(m.ring, polys, ws, norm)
-                if acc:
-                    out[(a_key, b_key)] = acc
+            acc = weights.get((a_key, b_key), {})
+            keys = [key for key, w in acc.items() if w]
+            comp = LaurentPoly.sum(m.ring, map(product, keys), [scale * acc[key] for key in keys], den)
+            if comp:
+                out[(a_key, b_key)] = comp
     return SymbolTensor(n, k, l, m.ring, out)
 
 
@@ -213,10 +170,42 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
 
 
 def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
-    """dict (k, l) -> SymbolTensor for all k + l <= d."""
+    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k.
+
+    The (k, l) symbol sums the frame products of every entry over the
+    d!/(d-k-l)! ordered choices of k upper and l lower label columns.  Each
+    choice is a column permutation followed by the canonical one (columns
+    0..k-1 upper, k..k+l-1 lower, the rest tau, whose factors commute), so
+    the sum is d!/(d-k-l)! times the canonical sum for the column
+    symmetrization Sym T.  T is symmetrized once, only when it is not
+    column-symmetric; each (k, l) then sums integer weights per (sorted
+    label keys, frame product), and a product cache shared by all (k, l)
+    multiplies each distinct product (a sorted tuple of factor ids) and each
+    of its prefixes once.  _extract_symbols_reference, the direct
+    transcription over all ordered assignments, is the test oracle.
+    """
     d = T.k
+    S = T if T.is_symmetric() else T.symmetrized()
+    den, ints = S.integer_entries()
+    entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
+    fr = frame_fields(m)
+    W = m.n + 2
+    # factor ids, W = n + 2: A -> X_up[A], W + B -> X_dn[B], 2W + a -> Y_dn[a][0]
+    # = -z(a) and 3W + b -> Y_up[b][inf] = -z_low(b)
+    factors = dict(enumerate(fr.X_up + fr.X_dn))
+    for a in range(1, m.n + 1):
+        factors[2 * W + a] = fr.Y_dn[a][0]
+        factors[3 * W + a] = fr.Y_up[a][W - 1]
+    products = {(): m.ring.one()}
+
+    def product(key):
+        p = products.get(key)
+        if p is None:
+            p = products[key] = product(key[:-1]) * factors[key[-1]]
+        return p
+
     return {
-        (k, l): extract_symbols(m, T, k, l)
+        (k, l): _extract_symbols(m, entries, den, d, k, l, product)
         for k in range(d + 1)
         for l in range(d + 1 - k)
     }

@@ -14,7 +14,7 @@ it without loading each other.
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import lcm
 
 from .scalars import accumulate, rat
 
@@ -82,21 +82,52 @@ class SparseTensor:
         )
 
     def is_symmetric(self) -> bool:
-        """Invariance under simultaneous permutations of the columns."""
-        for t in range(self.k - 1):
-            p = list(range(self.k))
-            p[t], p[t + 1] = p[t + 1], p[t]
-            if self.permuted(tuple(p)) != self:
-                return False
+        """Invariance under simultaneous permutations of the columns: every
+        entry is met again with two adjacent columns swapped."""
+        get = self.entries.get
+        for (U, L), v in self.entries.items():
+            for t in range(self.k - 1):
+                swapped = (
+                    U[:t] + (U[t + 1], U[t]) + U[t + 2 :],
+                    L[:t] + (L[t + 1], L[t]) + L[t + 2 :],
+                )
+                if get(swapped) != v:
+                    return False
         return True
 
     def symmetrized(self) -> "SparseTensor":
         """Average over simultaneous permutations of the columns."""
+        moves = [(order, 1) for order in itertools.permutations(range(self.k))]
+        return self._averaged(moves, upper=True, lower=True)
+
+    def integer_entries(self):
+        """(den, {key: int}) with each entry the int over den, den the lcm of
+        the entry denominators; None when an entry is not a rational."""
+        try:
+            den = lcm(*(int(v.denominator) for v in self.entries.values()))
+        except AttributeError:
+            return None
+        return den, {key: int(v.numerator) * (den // int(v.denominator)) for key, v in self.entries.items()}
+
+    def _averaged(self, moves, upper, lower) -> "SparseTensor":
+        """1/len(moves) times the sum, over (order, sign) in moves, of sign
+        times the tensor with its upper and/or lower positions read off in
+        that order.  Rational entries are summed as integer numerators over
+        their common denominator and made rational once per result entry."""
+        ints = self.integer_entries()
+        den, values = (1, self.entries) if ints is None else ints
         out = {}
-        for order in itertools.permutations(range(self.k)):  # read-off orders of all moves
-            for (U, L), v in self.entries.items():
-                accumulate(out, (tuple(U[i] for i in order), tuple(L[i] for i in order)), v)
-        return SparseTensor(self.k, self.N, out).scale(rat(1, factorial(self.k)))
+        for order, sign in moves:
+            for (U, L), v in values.items():
+                key = (
+                    tuple(map(U.__getitem__, order)) if upper else U,
+                    tuple(map(L.__getitem__, order)) if lower else L,
+                )
+                accumulate(out, key, v if sign == 1 else -v)
+        q = len(moves) * den
+        if ints is None:  # Gaussian-rational entries
+            return SparseTensor(self.k, self.N, {key: s * rat(1, q) for key, s in out.items()})
+        return SparseTensor(self.k, self.N, {key: rat(s, q) for key, s in out.items()})
 
     # -- the group algebra on one index group ------------------------------
     def act(self, element, upper) -> "SparseTensor":
@@ -127,15 +158,15 @@ class SparseTensor:
 
     def skew_slots(self, slots, upper=True) -> "SparseTensor":
         """Antisymmetrize over the given upper (or lower) slots, averaged: the
-        signed sum with integer signs, then one scale by 1/len(slots)!."""
-        element = {}
+        sum with integer signs, over len(slots)! at the end."""
+        moves = []
         for idx in itertools.permutations(range(len(slots))):
             p = list(range(self.k))
             for src, i in zip(slots, idx):
                 p[src] = slots[i]
             inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-            element[tuple(p)] = (-1) ** inversions
-        return self.act(element, upper).scale(rat(1, factorial(len(slots))))
+            moves.append((_order(p), (-1) ** inversions))
+        return self._averaged(moves, upper=upper, lower=not upper)
 
     # -- traces ------------------------------------------------------------
     def contraction(self, up_slot, lo_slot) -> "SparseTensor":

@@ -13,11 +13,12 @@ nonzero backend rational over a `subsym.rings.Ring`.  With `weyl_apply` and
 `weyl_compose`, the former `WeylOperator` action and normal-ordered product
 on such coefficients, it is the differential oracle for the integer layout.
 
-`t_part_operator_termwise`, `insertion_left_kernel_full_tuples` and
-`skew_slots_rational` are the former `ambient.t_part_operator`,
-`symbols._insertion_left_kernel` and `SparseTensor.skew_slots` (with the
-former `act` loop inlined), kept as differential oracles for the versions
-that replaced them.  `check_symbol_recursions_by_form`, with
+`t_part_operator_termwise`, `insertion_left_kernel_full_tuples`,
+`skew_slots_rational` and `symmetrized_rational` are the former
+`ambient.t_part_operator`, `symbols._insertion_left_kernel`,
+`SparseTensor.skew_slots` (with the former `act` loop inlined) and
+`SparseTensor.symmetrized`, which summed rational entries, kept as
+differential oracles for the versions that replaced them.  `check_symbol_recursions_by_form`, with
 `sym_derivative_upper` and `sym_derivative_lower`, is the former
 `symbols.check_symbol_recursions`, which wrote the recursion out in five
 forms over two mirrored derivatives (only the `SymbolTensor` constructor
@@ -543,6 +544,17 @@ def skew_slots_rational(T: SparseTensor, slots, upper=True) -> SparseTensor:
             accumulate(out, key, v * c)
     return SparseTensor(T.k, T.N, out)
 
+
+
+def symmetrized_rational(T: SparseTensor) -> SparseTensor:
+    """The average over simultaneous column permutations, every entry
+    multiplied by the rational 1/k! once per permutation."""
+    norm = rat(1, factorial(T.k))
+    out = {}
+    for order in itertools.permutations(range(T.k)):
+        for (U, L), v in T.entries.items():
+            accumulate(out, (tuple(U[i] for i in order), tuple(L[i] for i in order)), v * norm)
+    return SparseTensor(T.k, T.N, out)
 
 # -- the symbol recursions written out form by form --------------------------------
 

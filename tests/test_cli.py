@@ -26,6 +26,17 @@ def test_verify_hwvectors_passes(capsys):
     assert "[PASS]" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "prop1", "--n", "3", "--d", "6", "--s", "3"],
+    ["verify", "symbols", "--n", "2", "--d", "5"],
+])
+def test_high_degree_symbol_requests_pass(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS]" in out and "FAIL" not in out
+
+
 def test_verify_writes_report(tmp_path, capsys):
     path = tmp_path / "rep.json"
     code = main(["verify", "decompose", "--k", "2", "--dim", "4", "--out", str(path)])

@@ -3,6 +3,7 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from subsym.ambient import TracelessMatrix, dv, random_traceless
 from subsym.tensor import SparseTensor
@@ -21,8 +22,8 @@ from subsym.symbols import (
     build_prop1_tensor,
     check_bgg,
     check_symbol_recursions,
+    _extract_symbols_reference,
     extract_all_symbols,
-    extract_symbols,
     label_keys,
     pascal_identity_check,
     prop1_system,
@@ -147,7 +148,7 @@ def test_d1_sigma_symbol_matches_induced_constant_term(m2):
 def test_arity_guard(m2):
     T = SparseTensor(2, 4, {})
     with pytest.raises(ValueError):
-        extract_symbols(m2, T, 2, 1)
+        _extract_symbols_reference(m2, T, 2, 1)
 
 
 def test_recursions_d2(m2):
@@ -513,9 +514,23 @@ def test_build_prop1_rejects_bad_seed():
         build_prop1_tensor(m, 2, 1, [1], seed=var)
 
 
-def test_fast_extraction_matches_reference_transcription():
-    from subsym.symbols import _extract_symbols_reference
+def random_entries(rng, d, N, count):
+    """A tensor of ``count`` random rational entries, with no column symmetry."""
+    return SparseTensor(d, N, {
+        (tuple(rng.randrange(N) for _ in range(d)), tuple(rng.randrange(N) for _ in range(d))):
+        rat(rng.randint(-5, 5), rng.randint(1, 4))
+        for _ in range(count)
+    })
 
+
+def assert_matches_reference(m, T):
+    syms = extract_all_symbols(m, T)
+    assert sorted(syms) == [(k, l) for k in range(T.k + 1) for l in range(T.k + 1 - k)]
+    for (k, l), S in syms.items():
+        assert S == _extract_symbols_reference(m, T, k, l), (k, l)
+
+
+def test_fast_extraction_matches_reference_transcription():
     m = BoundaryModel(2)
     rng = random.Random(31)
     cases = [
@@ -524,18 +539,58 @@ def test_fast_extraction_matches_reference_transcription():
         build_prop1_tensor(m, 3, 1, prop1_system(3, 1)["x"]),
         # no column symmetry, rational entries: role keys that merge and
         # tau factors read in different column orders
-        SparseTensor(3, 4, {
-            (tuple(rng.randrange(4) for _ in range(3)), tuple(rng.randrange(4) for _ in range(3))):
-            rat(rng.randint(-5, 5), rng.randint(1, 4))
-            for _ in range(12)
-        }),
+        random_entries(rng, 3, 4, 12),
         # the upper three-column skew of a column-symmetric tensor: cancels
         SparseTensor.random_column_symmetric(3, 4, rng, density=0.05).skew_slots([0, 1, 2]),
     ]
     for T in cases:
-        for k in range(T.k + 1):
-            for l in range(T.k + 1 - k):
-                assert extract_symbols(m, T, k, l) == _extract_symbols_reference(m, T, k, l)
+        assert_matches_reference(m, T)
+
+
+def prop1_case(rng):
+    m = BoundaryModel(2)
+    return m, [build_prop1_tensor(m, 4, 2, prop1_system(4, 2)["x"])]
+
+
+# name -> rng -> (model, tensors), past the n = 2, d <= 3 cases above
+REFERENCE_CASES = {
+    "nonsymmetric d=4": lambda rng: (BoundaryModel(2), [random_entries(rng, 4, 4, 10)]),
+    "prop1 (4,2)": prop1_case,
+    "n=1": lambda rng: (BoundaryModel(1), [SparseTensor.random_column_symmetric(3, 3, rng, density=0.1)]),
+    "n=3": lambda rng: (
+        BoundaryModel(3),
+        [SparseTensor.random_disjoint_trace_free(3, 5, rng), random_entries(rng, 3, 5, 10)],
+    ),
+    "mixed signature": lambda rng: (
+        BoundaryModel(2, (1, -1)),
+        [SparseTensor.random_column_symmetric(3, 4, rng, density=0.01), random_entries(rng, 3, 4, 10)],
+    ),
+    "zero": lambda rng: (BoundaryModel(2), [SparseTensor(3, 4, {})]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_extraction_matches_reference_beyond_n2_d3(case):
+    m, tensors = REFERENCE_CASES[case](random.Random(41))
+    for T in tensors:
+        assert bool(T) == (case != "zero")
+        assert_matches_reference(m, T)
+        assert any(extract_all_symbols(m, T).values()) == bool(T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_extraction_of_a_tensor_equals_that_of_its_symmetrization(d, rnd):
+    """The identity extraction rests on: the symbols of T are those of its
+    column symmetrization, on the reference transcription too."""
+    m = BoundaryModel(2)
+    T = random_entries(rnd, d, 4, 6)
+    assume(not T.is_symmetric())
+    S = T.symmetrized()
+    assert extract_all_symbols(m, T) == extract_all_symbols(m, S)
+    for k in range(d + 1):
+        for l in range(d + 1 - k):
+            assert _extract_symbols_reference(m, T, k, l) == _extract_symbols_reference(m, S, k, l)
 
 
 def test_recursions_mixed_signature():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from subsym.classalg import act_on_tuple, perm_sign, standard_tableaux, young_symmetrizer
 from subsym.scalars import GR_ZERO, RZERO, GaussianRational, gr, rat
 from subsym.tensor import SparseTensor
-from support import skew_slots_rational
+from support import skew_slots_rational, symmetrized_rational
 
 
 class OldAmbientTensor:
@@ -179,10 +179,10 @@ scalars = st.one_of(rationals, st.builds(GaussianRational, rationals, rationals)
 
 
 @st.composite
-def tensor_data(draw, k=None, N=None):
-    """(k, N, entries) with rational or Gaussian-rational values.  Half the
-    draws keep upper indices at 0 and lower ones above it, so every
-    contraction vanishes."""
+def tensor_data(draw, k=None, N=None, values=scalars):
+    """(k, N, entries) with values drawn from ``values`` (default rational or
+    Gaussian-rational).  Half the draws keep upper indices at 0 and lower
+    ones above it, so every contraction vanishes."""
     k = draw(st.integers(1, 3)) if k is None else k
     N = draw(st.integers(2, 3)) if N is None else N
     if draw(st.booleans()):
@@ -192,7 +192,7 @@ def tensor_data(draw, k=None, N=None):
     index = st.tuples(
         st.tuples(*[st.sampled_from(ups)] * k), st.tuples(*[st.sampled_from(los)] * k)
     )
-    entries = draw(st.dictionaries(index, scalars, max_size=10))
+    entries = draw(st.dictionaries(index, values, max_size=10))
     return k, N, entries
 
 
@@ -231,6 +231,29 @@ def test_symmetry_and_traces_match_both_old_types(data):
             assert con.entries == amb.contraction(p, q) == mix.contraction(p, q).entries
     assert new.is_trace_free() == amb.is_totally_trace_free() == mix.is_trace_free()
     assert sym.is_trace_free() == amb.symmetrize_columns().is_totally_trace_free()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tensor_data(values=rationals), tensor_data(values=st.integers(-4, 4))))
+def test_integer_symmetrization_matches_the_rational_average(data):
+    T = SparseTensor(*data)
+    sym = T.symmetrized()
+    assert sym == symmetrized_rational(T)
+    assert sym.is_symmetric() and sym.symmetrized() == sym
+    assert T.is_symmetric() == (sym == T)
+
+
+def test_is_symmetric_sees_one_changed_or_missing_entry():
+    T = SparseTensor(3, 3, {((0, 1, 2), (2, 0, 1)): rat(1, 3), ((1, 1, 0), (0, 2, 2)): rat(-2)}).symmetrized()
+    assert T.is_symmetric()
+    key = ((2, 1, 0), (1, 0, 2))
+    assert key in T.entries
+    changed = dict(T.entries)
+    changed[key] = changed[key] * 2
+    missing = dict(T.entries)
+    del missing[key]
+    assert not SparseTensor(3, 3, changed).is_symmetric()
+    assert not SparseTensor(3, 3, missing).is_symmetric()
 
 
 @settings(max_examples=150, deadline=None)
