@@ -413,17 +413,14 @@ def default_prop1_seed(m: BoundaryModel, s: int) -> SymbolTensor:
 
 
 def _seed_is_trace_free(seed: SymbolTensor) -> bool:
-    if seed.k == 0:
-        return True
-    n = seed.n
-    for a_rest in itertools.product(range(1, n + 1), repeat=seed.k - 1):
-        for b_rest in itertools.product(range(1, n + 1), repeat=seed.l - 1):
-            acc = seed.ring.zero()
-            for c in range(1, n + 1):
-                acc = acc + seed.get((c,) + a_rest, (c,) + b_rest)
-            if acc:
-                return False
-    return True
+    """Each component (a, b) adds to the contraction at (a - x, b - x) once
+    per label x common to a and b; every contraction sum must vanish."""
+    trace = {}
+    for (a, b), comp in seed.components.items():
+        for x in set(a).intersection(b):
+            ia, ib = a.index(x), b.index(x)
+            accumulate(trace, (a[:ia] + a[ia + 1 :], b[:ib] + b[ib + 1 :]), comp)
+    return not trace
 
 
 def build_prop1_tensor(
@@ -433,8 +430,13 @@ def build_prop1_tensor(
 
     ``seed`` is a constant, symmetric, trace-free boundary symbol with s
     upper and s lower indices (default: disjoint-index seed).  ``x`` is the
-    type coefficient list x_1..x_s; x_0 = 1.  Column symmetry holds by
-    construction because the placements are enumerated set-wise.
+    type coefficient list x_1..x_s; x_0 = 1.  The type_count(d, s, i)
+    placements of type i form one orbit of the column permutations, and the
+    entries of one placement, every ordering of every seed component, are
+    invariant under its stabilizer.  So their sum is type_count times the
+    column symmetrization of the canonical placement: columns 0..i-1 carry
+    both labels, i..s-1 upper labels only, s..2s-i-1 lower labels only, and
+    the rest the cone values B = inf, A = 0.
     """
     if seed is None:
         seed = default_prop1_seed(m, s)
@@ -444,35 +446,21 @@ def build_prop1_tensor(
         raise ValueError("seed must be constant")
     if not _seed_is_trace_free(seed):
         raise ValueError("seed is not trace-free")
-    N = m.n + 2
     INF = m.n + 1
-    coeffs = [RONE] + [rat(c) for c in x]
+    ordered = [
+        (a, b, comp.constant_value())
+        for (a_key, b_key), comp in seed.components.items()
+        for a in set(itertools.permutations(a_key))
+        for b in set(itertools.permutations(b_key))
+    ]
     entries = {}
-    cols = range(d)
-    for i in range(0, s + 1):
-        for joint in itertools.combinations(cols, i):
-            rest1 = [c for c in cols if c not in joint]
-            for sa in itertools.combinations(rest1, s - i):
-                rest2 = [c for c in rest1 if c not in sa]
-                for sb in itertools.combinations(rest2, s - i):
-                    acols = sorted(joint + sa)
-                    bcols = sorted(joint + sb)
-                    for avals in itertools.product(range(1, m.n + 1), repeat=s):
-                        for bvals in itertools.product(range(1, m.n + 1), repeat=s):
-                            val = seed.get(avals, bvals)
-                            if not val:
-                                continue
-                            B = [INF] * d
-                            A = [0] * d
-                            for c, v in zip(acols, avals):
-                                B[c] = v
-                            for c, v in zip(bcols, bvals):
-                                A[c] = v
-                            key = (tuple(B), tuple(A))
-                            prev = entries.get(key)
-                            add = coeffs[i] * val.constant_value()
-                            entries[key] = add if prev is None else prev + add
-    return SparseTensor(d, N, entries)
+    for i, xi in enumerate([RONE] + [rat(c) for c in x]):
+        w = type_count(d, s, i) * xi
+        for a, b, v in ordered:
+            B = a + (INF,) * (d - s)
+            A = b[:i] + (0,) * (s - i) + b[i:] + (0,) * (d - 2 * s + i)
+            entries[(B, A)] = w * v
+    return SparseTensor(d, m.n + 2, entries).symmetrized()
 
 
 def verify_prop1(m: BoundaryModel, d: int, s: int):

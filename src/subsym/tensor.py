@@ -6,22 +6,19 @@ lower tuple), column i being the slot pair (U[i], L[i]), and zero entries are
 never stored.  A tensor of V^(x)k alone has empty lower tuples.
 
 Permutations are tuples of 0-based images (p[i] is where position i is
-sent) and move index positions by result[p(i)] = t[i].  This module depends
-on `scalars` only, so both the ambient and the decomposition side can load
-it without loading each other.
+sent) and move index positions by result[p(i)] = t[i]; every move is the
+one private action `_moved` of an element {perm: coeff}.  This module loads
+`classalg` and `scalars` only, so both the ambient and the decomposition
+side can load it without loading each other.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import factorial, lcm
 
+from .classalg import invert_perm, perm_sign
 from .scalars import accumulate, rat
-
-
-def _order(p):
-    """Read-off order of the move by p: tuple(t[i] for i in _order(p))[p(i)] = t[i]."""
-    return sorted(range(len(p)), key=p.__getitem__)
 
 
 class SparseTensor:
@@ -71,15 +68,7 @@ class SparseTensor:
     # -- column symmetry -------------------------------------------------
     def permuted(self, p) -> "SparseTensor":
         """Move column i to position p(i) in both index groups."""
-        order = _order(p)
-        return SparseTensor(
-            self.k,
-            self.N,
-            {
-                (tuple(U[i] for i in order), tuple(L[i] for i in order)): v
-                for (U, L), v in self.entries.items()
-            },
-        )
+        return self._moved({p: 1}, upper=True, lower=True)
 
     def is_symmetric(self) -> bool:
         """Invariance under simultaneous permutations of the columns: every
@@ -97,8 +86,8 @@ class SparseTensor:
 
     def symmetrized(self) -> "SparseTensor":
         """Average over simultaneous permutations of the columns."""
-        moves = [(order, 1) for order in itertools.permutations(range(self.k))]
-        return self._averaged(moves, upper=True, lower=True)
+        perms = itertools.permutations(range(self.k))
+        return self._moved(dict.fromkeys(perms, rat(1, factorial(self.k))), upper=True, lower=True)
 
     def integer_entries(self):
         """(den, {key: int}) with each entry the int over den, den the lcm of
@@ -109,64 +98,48 @@ class SparseTensor:
             return None
         return den, {key: int(v.numerator) * (den // int(v.denominator)) for key, v in self.entries.items()}
 
-    def _averaged(self, moves, upper, lower) -> "SparseTensor":
-        """1/len(moves) times the sum, over (order, sign) in moves, of sign
-        times the tensor with its upper and/or lower positions read off in
-        that order.  Rational entries are summed as integer numerators over
-        their common denominator and made rational once per result entry."""
+    def _moved(self, element, upper, lower) -> "SparseTensor":
+        """sum_p element[p] p, each p moving the upper and/or the lower
+        positions.  Rational entries and coefficients are summed as integer
+        numerators, over one common denominator for each, and made rational
+        once per result entry; Gaussian-rational ones are summed as they are."""
         ints = self.integer_entries()
-        den, values = (1, self.entries) if ints is None else ints
+        try:
+            cden = lcm(*(int(c.denominator) for c in element.values()))
+        except AttributeError:
+            ints = None
+        if ints is None:  # Gaussian-rational entries or coefficients
+            values, coeffs = self.entries, element
+        else:
+            den, values = ints
+            coeffs = {p: int(c.numerator) * (cden // int(c.denominator)) for p, c in element.items()}
         out = {}
-        for order, sign in moves:
+        for p, c in coeffs.items():
+            order = invert_perm(p)
             for (U, L), v in values.items():
                 key = (
                     tuple(map(U.__getitem__, order)) if upper else U,
                     tuple(map(L.__getitem__, order)) if lower else L,
                 )
-                accumulate(out, key, v if sign == 1 else -v)
-        q = len(moves) * den
-        if ints is None:  # Gaussian-rational entries
-            return SparseTensor(self.k, self.N, {key: s * rat(1, q) for key, s in out.items()})
-        return SparseTensor(self.k, self.N, {key: rat(s, q) for key, s in out.items()})
+                accumulate(out, key, v * c)
+        if ints is None:
+            return SparseTensor(self.k, self.N, out)
+        return SparseTensor(self.k, self.N, {key: rat(s, den * cden) for key, s in out.items()})
 
     # -- the group algebra on one index group ------------------------------
     def act(self, element, upper) -> "SparseTensor":
-        """Apply sum_p element[p] p to the upper (or the lower) index positions.
-
-        The entries are multiplied once per distinct coefficient, and a
-        coefficient 1 or -1 keeps or negates them without forming products."""
-        out = {}
-        scaled = {}  # coefficient -> the entry values times it
-        for p, c in element.items():
-            values = scaled.get(c)
-            if values is None:
-                if c == 1:
-                    values = list(self.entries.values())
-                elif c == -1:
-                    values = [-v for v in self.entries.values()]
-                else:
-                    values = [v * c for v in self.entries.values()]
-                scaled[c] = values
-            order = _order(p)
-            for (U, L), v in zip(self.entries, values):
-                if upper:
-                    key = (tuple(U[i] for i in order), L)
-                else:
-                    key = (U, tuple(L[i] for i in order))
-                accumulate(out, key, v)
-        return SparseTensor(self.k, self.N, out)
+        """Apply sum_p element[p] p to the upper (or the lower) index positions."""
+        return self._moved(element, upper=upper, lower=not upper)
 
     def skew_slots(self, slots, upper=True) -> "SparseTensor":
-        """Antisymmetrize over the given upper (or lower) slots, averaged: the
-        sum with integer signs, over len(slots)! at the end."""
-        moves = []
-        for idx in itertools.permutations(range(len(slots))):
+        """Antisymmetrize over the given upper (or lower) slots, averaged."""
+        element = {}
+        for idx in itertools.permutations(slots):
             p = list(range(self.k))
-            for src, i in zip(slots, idx):
-                p[src] = slots[i]
-            inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-            moves.append((_order(p), (-1) ** inversions))
-        return self._averaged(moves, upper=upper, lower=not upper)
+            for src, dst in zip(slots, idx):
+                p[src] = dst
+            element[tuple(p)] = rat(perm_sign(p), factorial(len(slots)))
+        return self.act(element, upper)
 
     # -- traces ------------------------------------------------------------
     def contraction(self, up_slot, lo_slot) -> "SparseTensor":

@@ -18,12 +18,17 @@ on such coefficients, it is the differential oracle for the integer layout.
 `ambient.t_part_operator`, `symbols._insertion_left_kernel`,
 `SparseTensor.skew_slots` (with the former `act` loop inlined) and
 `SparseTensor.symmetrized`, which summed rational entries, kept as
-differential oracles for the versions that replaced them.  `check_symbol_recursions_by_form`, with
-`sym_derivative_upper` and `sym_derivative_lower`, is the former
-`symbols.check_symbol_recursions`, which wrote the recursion out in five
-forms over two mirrored derivatives (only the `SymbolTensor` constructor
-and the key enumeration follow the current type); it is the oracle for the
-one-formula sweep.
+differential oracles for the versions that replaced them.
+`build_prop1_tensor_by_placements` is the former
+`symbols.build_prop1_tensor`, which enumerated every column placement of
+every type and every ordered label tuple; it is the oracle for the
+symmetrization of one canonical placement per type.
+
+`check_symbol_recursions_by_form`, with `sym_derivative_upper` and
+`sym_derivative_lower`, is the former `symbols.check_symbol_recursions`,
+which wrote the recursion out in five forms over two mirrored derivatives
+(only the `SymbolTensor` constructor and the key enumeration follow the
+current type); it is the oracle for the one-formula sweep.
 
 `parse_rat` reads the "p/q" strings of `scalars.rat_str` (the records in
 `data/` are written that way).
@@ -48,7 +53,7 @@ from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
 from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError
 from subsym.scalars import GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, rat
-from subsym.symbols import SymbolTensor, add_symbols, trace_free_part_vanishes
+from subsym.symbols import SymbolTensor, add_symbols, default_prop1_seed, trace_free_part_vanishes
 from subsym.tensor import SparseTensor
 from subsym.weyl import WeylOperator
 
@@ -555,6 +560,40 @@ def symmetrized_rational(T: SparseTensor) -> SparseTensor:
         for (U, L), v in T.entries.items():
             accumulate(out, (tuple(U[i] for i in order), tuple(L[i] for i in order)), v * norm)
     return SparseTensor(T.k, T.N, out)
+
+
+def build_prop1_tensor_by_placements(m, d: int, s: int, x, seed: SymbolTensor | None = None) -> SparseTensor:
+    """The prop1 tensor summed placement by placement: for each type i, each
+    choice of i joint, s - i upper-only and s - i lower-only columns, and
+    each ordered label tuple, the seed component times x_i (x_0 = 1)."""
+    if seed is None:
+        seed = default_prop1_seed(m, s)
+    INF = m.n + 1
+    coeffs = [RONE] + [rat(c) for c in x]
+    entries = {}
+    cols = range(d)
+    for i in range(0, s + 1):
+        for joint in itertools.combinations(cols, i):
+            rest1 = [c for c in cols if c not in joint]
+            for sa in itertools.combinations(rest1, s - i):
+                rest2 = [c for c in rest1 if c not in sa]
+                for sb in itertools.combinations(rest2, s - i):
+                    acols = sorted(joint + sa)
+                    bcols = sorted(joint + sb)
+                    for avals in itertools.product(range(1, m.n + 1), repeat=s):
+                        for bvals in itertools.product(range(1, m.n + 1), repeat=s):
+                            val = seed.get(avals, bvals)
+                            if not val:
+                                continue
+                            B = [INF] * d
+                            A = [0] * d
+                            for c, v in zip(acols, avals):
+                                B[c] = v
+                            for c, v in zip(bcols, bvals):
+                                A[c] = v
+                            accumulate(entries, (tuple(B), tuple(A)), coeffs[i] * val.constant_value())
+    return SparseTensor(d, m.n + 2, entries)
+
 
 # -- the symbol recursions written out form by form --------------------------------
 

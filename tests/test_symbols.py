@@ -12,7 +12,12 @@ from subsym.cli import three_column_skew_checks
 from subsym.report import VerificationReport
 from subsym.rings import LaurentPoly
 from subsym.scalars import rat
-from support import check_symbol_recursions_by_form, insertion_left_kernel_full_tuples, principal_part
+from support import (
+    build_prop1_tensor_by_placements,
+    check_symbol_recursions_by_form,
+    insertion_left_kernel_full_tuples,
+    principal_part,
+)
 from subsym.symbols import (
     SymbolTensor,
     _insertion_left_kernel,
@@ -512,6 +517,55 @@ def test_build_prop1_rejects_bad_seed():
     var = SymbolTensor(2, 1, 1, m.ring, {((1,), (2,)): m.z(1)})
     with pytest.raises(ValueError):
         build_prop1_tensor(m, 2, 1, [1], seed=var)
+
+
+def constant_seed(m, s, comps):
+    """The seed with s upper and s lower indices and the given constant components."""
+    return SymbolTensor(m.n, s, s, m.ring, {key: m.ring.const(c) for key, c in comps.items()})
+
+
+@pytest.mark.parametrize(
+    "comps,ok",
+    [
+        # the two diagonal traces cancel
+        ({((1,), (1,)): 1, ((2,), (2,)): -1}, True),
+        ({((1,), (1,)): 1, ((2,), (2,)): 1}, False),
+        # one common label: the trace at ((2,), (3,)) is 1
+        ({((1, 2), (1, 3)): 1}, False),
+        # ((2, 3), (3, 3)) meets ((2,), (3,)) once, through its one common label
+        ({((1, 2), (1, 3)): 1, ((2, 3), (3, 3)): -1, ((1, 1), (2, 3)): 5}, True),
+    ],
+)
+def test_seed_trace_check_reads_the_components(comps, ok):
+    from subsym.symbols import _seed_is_trace_free
+
+    m = BoundaryModel(3)
+    s = len(next(iter(comps))[0])
+    assert _seed_is_trace_free(constant_seed(m, s, comps)) == ok
+
+
+@pytest.mark.parametrize("n,d,s", [(2, 2, 1), (3, 3, 1), (3, 4, 2), (2, 4, 2), (3, 5, 2), (4, 4, 2), (3, 6, 3)])
+def test_prop1_tensor_is_the_sum_over_placements(n, d, s):
+    m = BoundaryModel(n)
+    x = prop1_system(d, s)["x"]
+    assert build_prop1_tensor(m, d, s, x) == build_prop1_tensor_by_placements(m, d, s, x)
+
+
+@pytest.mark.parametrize(
+    "d,s,comps",
+    [
+        (3, 1, {
+            ((1,), (2,)): 1, ((2,), (1,)): -1, ((1,), (1,)): rat(1, 2), ((3,), (3,)): rat(-1, 2), ((2,), (3,)): 4,
+        }),
+        (4, 2, {((1, 2), (1, 3)): rat(2, 3), ((2, 3), (3, 3)): rat(-2, 3), ((1, 1), (2, 3)): 5}),
+    ],
+)
+def test_prop1_tensor_is_the_sum_over_placements_for_other_seeds_and_coefficients(d, s, comps):
+    m = BoundaryModel(3)
+    seed = constant_seed(m, s, comps)
+    for x in (prop1_system(d, s)["x"], [rat(-3, 7) * (i + 2) for i in range(s)]):
+        T = build_prop1_tensor(m, d, s, x, seed=seed)
+        assert T and T == build_prop1_tensor_by_placements(m, d, s, x, seed=seed)
 
 
 def random_entries(rng, d, N, count):

@@ -10,7 +10,15 @@ from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
-from subsym.classalg import act_on_tuple, perm_sign, standard_tableaux, young_symmetrizer
+from subsym.classalg import (
+    act_on_tuple,
+    central_idempotent,
+    invert_perm,
+    partitions,
+    perm_sign,
+    standard_tableaux,
+    young_symmetrizer,
+)
 from subsym.scalars import GR_ZERO, RZERO, GaussianRational, gr, rat
 from subsym.tensor import SparseTensor
 from support import skew_slots_rational, symmetrized_rational
@@ -288,12 +296,27 @@ def reference_act(element, T, upper):
 @given(tensor_data(k=3, N=3))
 def test_group_algebra_action_is_act_on_tuple(data):
     # A Young symmetrizer is not central: acting by p^-1 instead of p, or
-    # reading the permutation as a pullback, gives a different tensor.
+    # reading the permutation as a pullback, gives a different tensor.  The
+    # central idempotents carry rational coefficients, and a single
+    # permutation is the one-term element.
     new, _, _ = triple(data)
-    for tab in standard_tableaux((2, 1)):
-        element = young_symmetrizer(tab)
+    elements = [young_symmetrizer(tab) for tab in standard_tableaux((2, 1))]
+    elements += [central_idempotent(lam) for lam in partitions(3)]
+    elements += [{p: rat(1)} for p in itertools.permutations(range(3))]
+    for element in elements:
         for upper in (True, False):
             assert new.act(element, upper).entries == reference_act(element, new, upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_permuted_is_act_on_tuple_on_both_index_groups(data):
+    new, amb, _ = triple(data.draw(tensor_data()))
+    p = tuple(data.draw(st.permutations(range(new.k))))
+    expected = {(act_on_tuple(p, U), act_on_tuple(p, L)): v for (U, L), v in new.entries.items()}
+    assert new.permuted(p).entries == expected
+    # the old ambient type reads its permutation as a pullback
+    assert new.permuted(p).entries == amb.column_permuted(invert_perm(p)).entries
 
 
 def test_outer_product_and_pair_swap():
