@@ -28,84 +28,25 @@ from .weyl import WeylOperator
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers (dense (n+2) x (n+2) lists of rationals)
-
-
-def mat_zero(N):
-    return [[RZERO] * N for _ in range(N)]
-
-
-def mat_identity(N):
-    return [[RONE if i == j else RZERO for j in range(N)] for i in range(N)]
-
-
-def mat_mul(A, B):
-    N = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(N)), RZERO) for j in range(N)]
-        for i in range(N)
-    ]
-
-
-def mat_trace(A):
-    return sum((A[i][i] for i in range(len(A))), RZERO)
-
-
-def mat_add(A, B, cb=RONE):
-    return [[a + cb * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-
-class TracelessMatrix:
-    """Element of sl(n+2): (n+2)x(n+2) exact matrix with zero trace."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = [[rat(e) for e in row] for row in entries]
-        if mat_trace(entries):
-            raise ValueError("matrix has nonzero trace")
-        self.entries = entries
-
-    @property
-    def dim(self):
-        return len(self.entries)
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-    def __eq__(self, other):
-        return isinstance(other, TracelessMatrix) and self.entries == other.entries
+# sl(n+2) as one-column tensors V^B_A, keyed ((B,), (A,))
 
 
 def sl_basis(N):
     """Standard basis of sl(N): off-diagonal units and diagonal differences."""
-    out = []
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                m = mat_zero(N)
-                m[i][j] = RONE
-                out.append(TracelessMatrix(m))
-    for i in range(N - 1):
-        m = mat_zero(N)
-        m[i][i] = RONE
-        m[i + 1][i + 1] = -RONE
-        out.append(TracelessMatrix(m))
-    return out
+    units = [{((B,), (A,)): RONE} for B in range(N) for A in range(N) if B != A]
+    diffs = [{((B,), (B,)): RONE, ((B + 1,), (B + 1,)): -RONE} for B in range(N - 1)]
+    return [SparseTensor(1, N, e) for e in units + diffs]
 
 
 def random_traceless(n, rng, bound=3):
-    """Seeded small-integer matrix made traceless by subtracting tr/(n+2)."""
+    """Seeded small-integer V^B_A, drawn row by row, made traceless by
+    subtracting tr/(n+2) on the diagonal."""
     N = n + 2
-    m = [[rat(rng.randint(-bound, bound)) for _ in range(N)] for _ in range(N)]
-    c = mat_trace(m) / N
-    for i in range(N):
-        m[i][i] = m[i][i] - c
-    return TracelessMatrix(m)
+    V = {((B,), (A,)): rat(rng.randint(-bound, bound)) for B in range(N) for A in range(N)}
+    c = sum((V[(B,), (B,)] for B in range(N)), RZERO) / N
+    for B in range(N):
+        V[(B,), (B,)] = V[(B,), (B,)] - c
+    return SparseTensor(1, N, V)
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +121,22 @@ def first_order_generator(m: AmbientModel, A, B) -> WeylOperator:
     ).compose(m.d_dn(A))
 
 
-def dv(m: AmbientModel, V: TracelessMatrix) -> WeylOperator:
-    """The first-order symmetry generator attached to V in sl(n+2)."""
-    out = WeylOperator.zero(m.ring)
-    for A in range(m.N):
-        for B in range(m.N):
-            c = V[B][A]
-            if c:
-                out = out + first_order_generator(m, A, B).scale(c)
-    return out
+def _trace(V: SparseTensor):
+    return V.contraction(0, 0).entries.get(((), ()), RZERO)
 
 
-def dv_bracket(V: TracelessMatrix, W: TracelessMatrix) -> TracelessMatrix:
-    """Matrix M with D_M = [D_V, D_W]; M^B_A = V^C_A W^B_C - V^B_C W^C_A."""
-    WV = mat_mul(W.entries, V.entries)
-    VW = mat_mul(V.entries, W.entries)
-    return TracelessMatrix(mat_add(WV, VW, -1))
+def _products(V: SparseTensor, W: SparseTensor):
+    """(P, Q, t) of V (x) W: P^D_A = V^X_A W^D_X, Q^B_C = V^B_X W^X_C, t = tr Q."""
+    VW = V.outer(W)
+    P = VW.contraction(0, 1)
+    Q = VW.contraction(1, 0)
+    return P, Q, _trace(Q)
+
+
+def dv_bracket(V: SparseTensor, W: SparseTensor) -> SparseTensor:
+    """M with D_M = [D_V, D_W]; M^B_A = V^C_A W^B_C - V^B_C W^C_A."""
+    P, Q, _ = _products(V, W)
+    return P - Q
 
 
 def central_element(m: AmbientModel) -> WeylOperator:
@@ -248,7 +189,8 @@ def bidegree_monomials(m: AmbientModel, w1: int, w2: int, bound: int):
 
 
 def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
-    """Normal-ordered product of first-order generators contracted with V.
+    """Normal-ordered product of first-order generators contracted with V;
+    at k = 1 it is the first-order symmetry D_V of V in sl(n+2).
 
     Any such operator commutes with the ambient Laplacian and with
     multiplication by r; column symmetry is expected (and total
@@ -282,39 +224,22 @@ def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
 @dataclass
 class CompositionParts:
     T: SparseTensor  # raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C)))
-    U: list
-    Utilde: list
+    U: SparseTensor  # U^D_A, the coefficient of delta^B_C
+    Utilde: SparseTensor  # Utilde^B_C, the coefficient of delta^D_A
     vw2: SparseTensor  # column-symmetrized T
-    vw1: TracelessMatrix
+    vw1: SparseTensor
     vw0: rat
     w1: int
     w2: int
 
 
-def _u_pair(m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix):
-    """The closed-form trace components (U, Utilde) of V (x) W."""
-    n = m.n
-    N = m.N
-    P = mat_mul(W.entries, V.entries)  # P^D_A = V^X_A W^D_X
-    Q = mat_mul(V.entries, W.entries)  # Q^D_A = V^D_X W^X_A
-    t = mat_trace(Q)
-    c_big = rat(2 * n * n + 8 * n + 4, 2 * n * (n + 2) * (n + 4))
-    c_small = rat(4, 2 * n * (n + 2) * (n + 4))
-    c_id = rat(n * n + 4 * n + 6, 2 * n * (n + 1) * (n + 3) * (n + 4))
-    idm = mat_identity(N)
-    U = mat_add(mat_scale(P, c_big), mat_scale(Q, c_small))
-    U = mat_add(U, mat_scale(idm, c_id * t), -1)
-    Ut = mat_add(mat_scale(P, c_small), mat_scale(Q, c_big))
-    Ut = mat_add(Ut, mat_scale(idm, c_id * t), -1)
-    return U, Ut, P, Q, t
-
-
-def trace_projection_oracle(m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix):
+def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):
     """Independent (U, Utilde) via exact linear projection.
 
     Solves the four trace conditions of the five-term resolution of V (x) W
     together with the gauge tr U = tr Utilde (the delta-insertion map has the
-    one-dimensional kernel (Id, -Id), so the gauge pins the solution).
+    one-dimensional kernel (Id, -Id), so the gauge pins the solution).  The
+    traces of V (x) W are dense matrix products of the entries, formed here.
     """
     N = m.N
     nvars = 2 * N * N  # U then Utilde, row-major
@@ -361,8 +286,10 @@ def trace_projection_oracle(m: AmbientModel, V: TracelessMatrix, W: TracelessMat
                     row[ut_idx(x, x)] = row[ut_idx(x, x)] + inv2
         return row
 
-    P = mat_mul(W.entries, V.entries)
-    Q = mat_mul(V.entries, W.entries)
+    v = [[V.entries.get(((B,), (A,)), RZERO) for A in range(N)] for B in range(N)]
+    w = [[W.entries.get(((B,), (A,)), RZERO) for A in range(N)] for B in range(N)]
+    P = [[sum((v[x][j] * w[i][x] for x in range(N)), RZERO) for j in range(N)] for i in range(N)]
+    Q = [[sum((v[i][x] * w[x][j] for x in range(N)), RZERO) for j in range(N)] for i in range(N)]
     for i in range(N):
         for j in range(N):
             rows.append(delta_terms_contracted("BC", i, j))
@@ -381,64 +308,54 @@ def trace_projection_oracle(m: AmbientModel, V: TracelessMatrix, W: TracelessMat
     x, kern = sol
     if kern:
         return None
-    U = [[x[u_idx(d, a)] for a in range(N)] for d in range(N)]
-    Ut = [[x[ut_idx(b, c)] for c in range(N)] for b in range(N)]
-    return U, Ut
+    U = {((d,), (a,)): x[u_idx(d, a)] for d in range(N) for a in range(N)}
+    Ut = {((b,), (c,)): x[ut_idx(b, c)] for b in range(N) for c in range(N)}
+    return SparseTensor(1, N, U), SparseTensor(1, N, Ut)
 
 
 def compose_decompose(
-    m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix, w1: int, w2: int
+    m: AmbientModel, V: SparseTensor, W: SparseTensor, w1: int, w2: int
 ) -> CompositionParts:
     """Trace decomposition of V (x) W and the induced second/first/zeroth
     order symmetry data of the composition at weights (w1, w2)."""
     n, N = m.n, m.N
     if n + w1 + w2 != 0:
         raise ValueError("weights must satisfy n + w1 + w2 = 0")
-    U, Ut, P, Q, t = _u_pair(m, V, W)
-    UpUt = mat_add(U, Ut)
-    tr_UpUt = mat_trace(UpUt)
-    invN = rat(1, N)
-    invN2 = rat(1, N * N)
-    entries = {}
-    for B in range(N):
-        for D in range(N):
-            for A in range(N):
-                for C in range(N):
-                    val = V[B][A] * W[D][C]
-                    if B == C:
-                        val = val - U[D][A]
-                    if D == A:
-                        val = val - Ut[B][C]
-                    if B == A:
-                        val = val + invN * UpUt[D][C]
-                    if D == C:
-                        val = val + invN * UpUt[B][A]
-                    if B == A and D == C:
-                        val = val - invN2 * tr_UpUt
-                    if val:
-                        entries[((B, D), (A, C))] = val
-    T = SparseTensor(2, N, entries)
-    vw2 = T.symmetrized()
+    if any((X.k, X.N) != (1, N) or not X.is_trace_free() for X in (V, W)):
+        raise ValueError(f"V and W must be trace-free one-column tensors over C^{N}")
+    P, Q, t = _products(V, W)
+    c_big = rat(2 * n * n + 8 * n + 4, 2 * n * (n + 2) * (n + 4))
+    c_small = rat(4, 2 * n * (n + 2) * (n + 4))
+    I = SparseTensor(1, N, {((A,), (A,)): RONE for A in range(N)})
+    tI = I.scale(rat(n * n + 4 * n + 6, 2 * n * (n + 1) * (n + 3) * (n + 4)) * t)
+    U = P.scale(c_big) + Q.scale(c_small) - tI
+    Ut = P.scale(c_small) + Q.scale(c_big) - tI
+    # T = V (x) W - delta^B_C U^D_A - delta^D_A Ut^B_C + (delta^B_A S^D_C
+    # + S^B_A delta^D_C)/N - tr S delta^B_A delta^D_C/N^2, with S = U + Ut
+    S = U + Ut
+    swapped = (I.outer(U) + Ut.outer(I)).act({(1, 0): 1}, upper=False)
+    T = (
+        V.outer(W)
+        - swapped
+        + (I.outer(S) + S.outer(I)).scale(rat(1, N))
+        - I.outer(I).scale(_trace(S) / (N * N))
+    )
     dw = w1 - w2
     beta = rat(n - 2, 2 * n * (n + 4)) * dw
-    M = mat_add(P, Q)
-    M = mat_add(M, mat_identity(N), rat(-2, n + 2) * t)
-    M = mat_scale(M, beta)
-    M = mat_add(M, mat_add(Q, P, -1), rat(-1, 2))
-    vw1 = TracelessMatrix(M)
+    vw1 = (P + Q - I.scale(rat(2, n + 2) * t)).scale(beta) + (P - Q).scale(rat(1, 2))
     # Zeroth-order part: exact reduction of the trace-part quadratics gives
     # this closed form (cross-checked by residual fitting at n = 1..4).
     # uncorrected_vw0 keeps the superseded constant for discrepancy reports.
     vw0 = rat(n, 2 * (n + 1) * (n + 2) * (n + 3)) * (dw * dw - (n + 2) ** 2) * t
-    return CompositionParts(T=T, U=U, Utilde=Ut, vw2=vw2, vw1=vw1, vw0=vw0, w1=w1, w2=w2)
+    return CompositionParts(T=T, U=U, Utilde=Ut, vw2=T.symmetrized(), vw1=vw1, vw0=vw0, w1=w1, w2=w2)
 
 
-def uncorrected_vw0(m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix, w1, w2):
+def uncorrected_vw0(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1, w2):
     """Superseded zeroth-order constant; fails the exact identity and is kept
     only so reports can show the discrepancy."""
     n = m.n
     dw = w1 - w2
-    t = mat_trace(mat_mul(V.entries, W.entries))
+    t = _products(V, W)[2]
     num = (n * n + n + 6) * dw * dw - n * n * (n + 4) * (n * n + 4 * n + 5)
     return num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
 
@@ -472,21 +389,17 @@ def t_part_operator(m: AmbientModel, T: SparseTensor) -> WeylOperator:
     return WeylOperator(ring, {alpha: LaurentPoly(ring, cs) for alpha, cs in coeffs.items()})
 
 
-def u_quadric(m: AmbientModel, U, Ut) -> LaurentPoly:
-    """U^D_A x^A x_D + Ut^B_C x_B x^C."""
+def u_quadric(m: AmbientModel, S: SparseTensor) -> LaurentPoly:
+    """U^D_A x^A x_D + Ut^B_C x_B x^C, that is S^D_A x^A x_D with S = U + Ut,
+    the coordinates commuting."""
     out = m.ring.zero()
-    N = m.N
-    for i in range(N):
-        for j in range(N):
-            if U[i][j]:
-                out = out + (m.up(j) * m.dn(i)).scale(U[i][j])
-            if Ut[i][j]:
-                out = out + (m.dn(i) * m.up(j)).scale(Ut[i][j])
+    for ((D,), (A,)), c in S.entries.items():
+        out = out + (m.up(A) * m.dn(D)).scale(c)
     return out
 
 
 def composition_rhs_operator(
-    m: AmbientModel, V: TracelessMatrix, W: TracelessMatrix, parts: CompositionParts
+    m: AmbientModel, V: SparseTensor, W: SparseTensor, parts: CompositionParts
 ) -> WeylOperator:
     """Right-hand side of the composition identity at the weights of ``parts``,
     which is compose_decompose(m, V, W, w1, w2).
@@ -494,25 +407,19 @@ def composition_rhs_operator(
     Valid only when applied to bihomogeneous functions of bidegree (w1, w2)
     with n + w1 + w2 = 0.
     """
-    n, N = m.n, m.N
-    U, Ut = parts.U, parts.Utilde
-    P = mat_mul(W.entries, V.entries)
-    Q = mat_mul(V.entries, W.entries)
-    t = mat_trace(Q)
+    n = m.n
+    P, Q, t = _products(V, W)
+    S = parts.U + parts.Utilde
     dw = parts.w1 - parts.w2
     lap = ambient_laplacian(m)
     out = t_part_operator(m, parts.T)
-    # -r (U^D_A d^A d_D + Ut^B_C d_B d^C)
+    # -r (U^D_A d^A d_D + Ut^B_C d_B d^C), that is -r S^D_A d^A d_D
     mid = WeylOperator.zero(m.ring)
-    for i in range(N):
-        for j in range(N):
-            if U[i][j]:
-                mid = mid + m.d_dn(j).compose(m.d_up(i)).scale(U[i][j])
-            if Ut[i][j]:
-                mid = mid + m.d_up(i).compose(m.d_dn(j)).scale(Ut[i][j])
+    for ((D,), (A,)), c in S.entries.items():
+        mid = mid + m.d_dn(A).compose(m.d_up(D)).scale(c)
     out = out - WeylOperator.mul_by(r_poly(m)).compose(mid)
     # -(U-quadric) * Laplacian
-    out = out - WeylOperator.mul_by(u_quadric(m, U, Ut)).compose(lap)
+    out = out - WeylOperator.mul_by(u_quadric(m, S)).compose(lap)
     # first-order terms with weight-dependent coefficients
     denom = 2 * n * (n + 4)
     c1 = rat((n - 2) * dw - n * (n + 4), denom)  # on Q, along x^A d_D
@@ -520,14 +427,10 @@ def composition_rhs_operator(
     c2 = rat((2 - n) * dw - n * (n + 4), denom)  # on P, along x_D d^A
     c2p = rat((2 - n) * dw + n * (n + 4), denom)  # on Q
     fo = WeylOperator.zero(m.ring)
-    for D in range(N):
-        for A in range(N):
-            cu = c1 * Q[D][A] + c1p * P[D][A]
-            if cu:
-                fo = fo + WeylOperator.term(m.up(A), {m.upper_names[D]: 1}).scale(cu)
-            cd = c2 * P[D][A] + c2p * Q[D][A]
-            if cd:
-                fo = fo + WeylOperator.term(m.dn(D), {m.lower_names[A]: 1}).scale(cd)
+    for ((D,), (A,)), c in (Q.scale(c1) + P.scale(c1p)).entries.items():
+        fo = fo + WeylOperator.term(m.up(A), {m.upper_names[D]: 1}).scale(c)
+    for ((D,), (A,)), c in (P.scale(c2) + Q.scale(c2p)).entries.items():
+        fo = fo + WeylOperator.term(m.dn(D), {m.lower_names[A]: 1}).scale(c)
     out = out + fo
     # scalar term: exact reduction of the trace-part quadratics with the
     # 1/(n+2) resolution coefficients
@@ -539,8 +442,8 @@ def composition_rhs_operator(
 
 def verify_composition_identity(
     m: AmbientModel,
-    V: TracelessMatrix,
-    W: TracelessMatrix,
+    V: SparseTensor,
+    W: SparseTensor,
     w1: int,
     w2: int,
     degree_bound: int = 3,
@@ -558,7 +461,8 @@ def verify_composition_identity(
         parts = compose_decompose(m, V, W, w1, w2)
     elif (parts.w1, parts.w2) != (w1, w2):
         raise ValueError(f"parts are at weights ({parts.w1}, {parts.w2}), not ({w1}, {w2})")
-    residual = dv(m, V).compose(dv(m, W)) - composition_rhs_operator(m, V, W, parts)
+    DVW = higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W))
+    residual = DVW - composition_rhs_operator(m, V, W, parts)
     bad, cases = [], 0
     for f in bidegree_monomials(m, w1, w2, degree_bound):
         cases += 1

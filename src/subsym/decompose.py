@@ -551,7 +551,7 @@ def seven_pieces_check(N):
     """
     from .ambient import sl_basis
 
-    sl = [SparseTensor.from_matrix(V) for V in sl_basis(N)]
+    sl = sl_basis(N)
     dim_sl = len(sl)
 
     def rank(tensors):

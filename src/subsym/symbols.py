@@ -46,12 +46,6 @@ class SymbolTensor:
         self.ring = ring
         self.components = {key: p for key, p in (components or {}).items() if p}
 
-    def key(self, a_tuple, b_tuple):
-        return (tuple(sorted(a_tuple)), tuple(sorted(b_tuple)))
-
-    def get(self, a_tuple, b_tuple) -> LaurentPoly:
-        return self.components.get(self.key(a_tuple, b_tuple), self.ring.zero())
-
     def __bool__(self):
         return bool(self.components)
 

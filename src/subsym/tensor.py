@@ -157,12 +157,6 @@ class SparseTensor:
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def from_matrix(V) -> "SparseTensor":
-        """The one-column tensor V^B_A of a square matrix."""
-        N = V.dim
-        return SparseTensor(1, N, {((B,), (A,)): V[B][A] for B in range(N) for A in range(N)})
-
-    @staticmethod
     def random_column_symmetric(d, N, rng, bound=2, density=0.4) -> "SparseTensor":
         entries = {}
         for B in itertools.product(range(N), repeat=d):

@@ -30,6 +30,17 @@ which wrote the recursion out in five forms over two mirrored derivatives
 (only the `SymbolTensor` constructor and the key enumeration follow the
 current type); it is the oracle for the one-formula sweep.
 
+`component` reads a `SymbolTensor` component at label tuples in any order,
+as the former `SymbolTensor.get` did.
+
+`TracelessMatrix`, the `mat_*` helpers, `sl_basis_matrix`,
+`random_traceless_matrix`, `dv_matrix`, `dv_bracket_matrix` and
+`compose_decompose_by_loops` are the former dense sl(n+2) path of `ambient`
+(`sl_basis`, `random_traceless`, `dv`, `dv_bracket` and the
+four-index-loop `compose_decompose`), which the
+one-column `SparseTensor` path replaced; `dense` and `to_tensor` convert
+between the two.  They are the differential oracle for that path.
+
 `parse_rat` reads the "p/q" strings of `scalars.rat_str` (the records in
 `data/` are written that way).
 
@@ -48,6 +59,7 @@ import itertools
 from math import comb, factorial, lcm, prod
 from operator import add
 
+from subsym.ambient import CompositionParts, first_order_generator
 from subsym.boundary import tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
@@ -582,7 +594,7 @@ def build_prop1_tensor_by_placements(m, d: int, s: int, x, seed: SymbolTensor | 
                     bcols = sorted(joint + sb)
                     for avals in itertools.product(range(1, m.n + 1), repeat=s):
                         for bvals in itertools.product(range(1, m.n + 1), repeat=s):
-                            val = seed.get(avals, bvals)
+                            val = component(seed, avals, bvals)
                             if not val:
                                 continue
                             B = [INF] * d
@@ -806,3 +818,166 @@ def gather_tables(k, N, weight):
 def gather_class_sum(v, tables, perms):
     """Unnormalised sum over ``perms`` of the pullbacks of the dense block vector v."""
     return [sum(xs) for xs in zip(*([v[i] for i in tables[p]] for p in perms))]
+
+
+def component(S: SymbolTensor, a_tuple, b_tuple):
+    """The component of S at the label tuples, in any order (zero if absent)."""
+    return S.components.get((tuple(sorted(a_tuple)), tuple(sorted(b_tuple))), S.ring.zero())
+
+
+# -- the former dense matrix path of sl(n+2) ---------------------------------------
+
+
+def mat_zero(N):
+    return [[RZERO] * N for _ in range(N)]
+
+
+def mat_identity(N):
+    return [[RONE if i == j else RZERO for j in range(N)] for i in range(N)]
+
+
+def mat_mul(A, B):
+    N = len(A)
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(N)), RZERO) for j in range(N)]
+        for i in range(N)
+    ]
+
+
+def mat_trace(A):
+    return sum((A[i][i] for i in range(len(A))), RZERO)
+
+
+def mat_add(A, B, cb=RONE):
+    return [[a + cb * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_scale(A, c):
+    return [[c * a for a in row] for row in A]
+
+
+class TracelessMatrix:
+    """Element of sl(n+2): (n+2)x(n+2) exact matrix with zero trace."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        entries = [[rat(e) for e in row] for row in entries]
+        if mat_trace(entries):
+            raise ValueError("matrix has nonzero trace")
+        self.entries = entries
+
+    @property
+    def dim(self):
+        return len(self.entries)
+
+    def __getitem__(self, idx):
+        return self.entries[idx]
+
+    def __eq__(self, other):
+        return isinstance(other, TracelessMatrix) and self.entries == other.entries
+
+
+def dense(V: SparseTensor):
+    """The matrix V[B][A] of a one-column tensor V^B_A."""
+    return [[V.entries.get(((B,), (A,)), RZERO) for A in range(V.N)] for B in range(V.N)]
+
+
+def to_tensor(M) -> SparseTensor:
+    """The one-column tensor V^B_A of a square matrix V[B][A]."""
+    N = len(M)
+    return SparseTensor(1, N, {((B,), (A,)): M[B][A] for B in range(N) for A in range(N)})
+
+
+def sl_basis_matrix(N):
+    """Standard basis of sl(N): off-diagonal units and diagonal differences."""
+    out = []
+    for i in range(N):
+        for j in range(N):
+            if i != j:
+                m = mat_zero(N)
+                m[i][j] = RONE
+                out.append(TracelessMatrix(m))
+    for i in range(N - 1):
+        m = mat_zero(N)
+        m[i][i] = RONE
+        m[i + 1][i + 1] = -RONE
+        out.append(TracelessMatrix(m))
+    return out
+
+
+def random_traceless_matrix(n, rng, bound=3):
+    """Seeded small-integer matrix made traceless by subtracting tr/(n+2)."""
+    N = n + 2
+    m = [[rat(rng.randint(-bound, bound)) for _ in range(N)] for _ in range(N)]
+    c = mat_trace(m) / N
+    for i in range(N):
+        m[i][i] = m[i][i] - c
+    return TracelessMatrix(m)
+
+
+def dv_matrix(m, V: TracelessMatrix) -> WeylOperator:
+    """The first-order symmetry generator attached to V in sl(n+2)."""
+    out = WeylOperator.zero(m.ring)
+    for A in range(m.N):
+        for B in range(m.N):
+            c = V[B][A]
+            if c:
+                out = out + first_order_generator(m, A, B).scale(c)
+    return out
+
+
+def dv_bracket_matrix(V: TracelessMatrix, W: TracelessMatrix) -> TracelessMatrix:
+    """Matrix M with D_M = [D_V, D_W]; M^B_A = V^C_A W^B_C - V^B_C W^C_A."""
+    return TracelessMatrix(mat_add(mat_mul(W.entries, V.entries), mat_mul(V.entries, W.entries), -1))
+
+
+def compose_decompose_by_loops(m, V: TracelessMatrix, W: TracelessMatrix, w1: int, w2: int) -> CompositionParts:
+    """The former compose_decompose: dense (U, Utilde) from the products
+    P = WV and Q = VW, and T written entry by entry over four index loops.
+    U and Utilde are dense matrices and vw1 a TracelessMatrix."""
+    n, N = m.n, m.N
+    P = mat_mul(W.entries, V.entries)  # P^D_A = V^X_A W^D_X
+    Q = mat_mul(V.entries, W.entries)  # Q^D_A = V^D_X W^X_A
+    t = mat_trace(Q)
+    c_big = rat(2 * n * n + 8 * n + 4, 2 * n * (n + 2) * (n + 4))
+    c_small = rat(4, 2 * n * (n + 2) * (n + 4))
+    c_id = rat(n * n + 4 * n + 6, 2 * n * (n + 1) * (n + 3) * (n + 4))
+    idm = mat_identity(N)
+    U = mat_add(mat_scale(P, c_big), mat_scale(Q, c_small))
+    U = mat_add(U, mat_scale(idm, c_id * t), -1)
+    Ut = mat_add(mat_scale(P, c_small), mat_scale(Q, c_big))
+    Ut = mat_add(Ut, mat_scale(idm, c_id * t), -1)
+    UpUt = mat_add(U, Ut)
+    tr_UpUt = mat_trace(UpUt)
+    invN = rat(1, N)
+    invN2 = rat(1, N * N)
+    entries = {}
+    for B in range(N):
+        for D in range(N):
+            for A in range(N):
+                for C in range(N):
+                    val = V[B][A] * W[D][C]
+                    if B == C:
+                        val = val - U[D][A]
+                    if D == A:
+                        val = val - Ut[B][C]
+                    if B == A:
+                        val = val + invN * UpUt[D][C]
+                    if D == C:
+                        val = val + invN * UpUt[B][A]
+                    if B == A and D == C:
+                        val = val - invN2 * tr_UpUt
+                    if val:
+                        entries[((B, D), (A, C))] = val
+    T = SparseTensor(2, N, entries)
+    dw = w1 - w2
+    beta = rat(n - 2, 2 * n * (n + 4)) * dw
+    M = mat_add(P, Q)
+    M = mat_add(M, mat_identity(N), rat(-2, n + 2) * t)
+    M = mat_scale(M, beta)
+    M = mat_add(M, mat_add(Q, P, -1), rat(-1, 2))
+    vw0 = rat(n, 2 * (n + 1) * (n + 2) * (n + 3)) * (dw * dw - (n + 2) ** 2) * t
+    return CompositionParts(
+        T=T, U=U, Utilde=Ut, vw2=T.symmetrized(), vw1=TracelessMatrix(M), vw0=vw0, w1=w1, w2=w2
+    )

@@ -3,20 +3,17 @@ import warnings
 
 import pytest
 
+import subsym.ambient
 from subsym.ambient import (
     AmbientModel,
-    TracelessMatrix,
     ambient_laplacian,
     bidegree_monomials,
     central_action_check,
     central_element,
     compose_decompose,
-    dv,
     dv_bracket,
     euler_ops,
     higher_symmetry_op,
-    mat_mul,
-    mat_trace,
     uncorrected_vw0,
     r_poly,
     random_traceless,
@@ -28,11 +25,22 @@ from subsym.ambient import (
 from subsym.scalars import RZERO, rat
 from subsym.tensor import SparseTensor
 from subsym.weyl import WeylOperator
-from support import bidegree, principal_part, t_part_operator_termwise
-
-
-def is_zero(V: TracelessMatrix) -> bool:
-    return all(not e for row in V.entries for e in row)
+from subsym.boundary import admissible_weights
+from support import (
+    TracelessMatrix,
+    bidegree,
+    compose_decompose_by_loops,
+    dense,
+    dv_bracket_matrix,
+    dv_matrix,
+    mat_mul,
+    mat_trace,
+    principal_part,
+    random_traceless_matrix,
+    sl_basis_matrix,
+    t_part_operator_termwise,
+    to_tensor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +81,24 @@ def test_laplacian_kills_unpaired_monomials(m1):
     assert ambient_laplacian(m1).apply(f) == m1.ring.zero()
 
 
-def test_traceless_guard():
-    with pytest.raises(ValueError):
-        TracelessMatrix([[1, 0], [0, 1]])
+def test_traceless_guard(m1):
+    # compose_decompose takes trace-free one-column tensors over C^{n+2} only
+    V = random_traceless(1, random.Random(0))
+    traced = V + SparseTensor(1, 3, {((0,), (0,)): rat(1)})
+    other_dim = random_traceless(2, random.Random(0))
+    unit = SparseTensor(1, 3, {((0,), (1,)): rat(1)})
+    two_columns = unit.outer(unit)
+    assert two_columns.is_trace_free()
+    for bad in (traced, other_dim, two_columns):
+        with pytest.raises(ValueError):
+            compose_decompose(m1, bad, V, 0, -1)
+        with pytest.raises(ValueError):
+            compose_decompose(m1, V, bad, 0, -1)
 
 
 def test_dv_zero():
     m = AmbientModel(1)
-    V = TracelessMatrix([[0] * 3 for _ in range(3)])
-    assert not dv(m, V)
+    assert not higher_symmetry_op(m, SparseTensor(1, 3))
 
 
 def test_commutation_full_basis():
@@ -90,7 +107,7 @@ def test_commutation_full_basis():
         lap = ambient_laplacian(m)
         rmul = WeylOperator.mul_by(r_poly(m))
         for V in sl_basis(m.N):
-            dV = dv(m, V)
+            dV = higher_symmetry_op(m, V)
             assert not lap.commutator(dV)
             assert not dV.commutator(rmul)
 
@@ -99,7 +116,7 @@ def test_mixed_signature_commutation():
     m = AmbientModel(2, (1, -1))
     lap = ambient_laplacian(m)
     for V in sl_basis(4)[:6]:
-        assert not lap.commutator(dv(m, V))
+        assert not lap.commutator(higher_symmetry_op(m, V))
 
 
 def test_bracket_closure_seeded(m2):
@@ -107,7 +124,8 @@ def test_bracket_closure_seeded(m2):
     for _ in range(5):
         V = random_traceless(2, rng)
         W = random_traceless(2, rng)
-        assert dv(m2, V).commutator(dv(m2, W)) == dv(m2, dv_bracket(V, W))
+        DV, DW = higher_symmetry_op(m2, V), higher_symmetry_op(m2, W)
+        assert DV.commutator(DW) == higher_symmetry_op(m2, dv_bracket(V, W))
 
 
 def test_bracket_antisymmetry(m2):
@@ -116,10 +134,8 @@ def test_bracket_antisymmetry(m2):
     W = random_traceless(2, rng)
     B1 = dv_bracket(V, W)
     B2 = dv_bracket(W, V)
-    assert all(
-        (B1[i][j] + B2[i][j]) == RZERO for i in range(4) for j in range(4)
-    )
-    assert is_zero(dv_bracket(V, V))
+    assert B1 and not B1 + B2
+    assert not dv_bracket(V, V)
 
 
 def test_central_action(m1):
@@ -134,10 +150,9 @@ def test_central_action(m1):
 def test_higher_symmetry_d1_reduces_to_dv(m2):
     rng = random.Random(3)
     V = random_traceless(2, rng)
-    T = SparseTensor.from_matrix(V)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert higher_symmetry_op(m2, T) == dv(m2, V)
+        assert higher_symmetry_op(m2, V) == dv_matrix(m2, TracelessMatrix(dense(V)))
 
 
 def test_higher_symmetry_commutes(m2):
@@ -198,7 +213,7 @@ def test_resolution_reconstructs_tensor_product(m2):
         V = random_traceless(2, rng)
         W = random_traceless(2, rng)
         parts = compose_decompose(m2, V, W, -1, -1)
-        U, Ut = parts.U, parts.Utilde
+        U, Ut = dense(parts.U), dense(parts.Utilde)
         upu = [[U[i][j] + Ut[i][j] for j in range(N)] for i in range(N)]
         tr = mat_trace(upu)
         for B in range(N):
@@ -216,7 +231,7 @@ def test_resolution_reconstructs_tensor_product(m2):
                             val = val - upu[B][A] * rat(1, N)
                         if B == A and D == C:
                             val = val + tr * rat(1, N * N)
-                        assert val == V[B][A] * W[D][C]
+                        assert val == dense(V)[B][A] * dense(W)[D][C]
 
 
 def test_vw1_reduces_to_half_bracket_when_weights_equal(m2):
@@ -224,18 +239,18 @@ def test_vw1_reduces_to_half_bracket_when_weights_equal(m2):
     V = random_traceless(2, rng)
     W = random_traceless(2, rng)
     parts = compose_decompose(m2, V, W, -1, -1)  # w1 = w2
-    VW = mat_mul(V.entries, W.entries)
-    WV = mat_mul(W.entries, V.entries)
+    VW = mat_mul(dense(V), dense(W))
+    WV = mat_mul(dense(W), dense(V))
     half = rat(-1, 2)
     expected = [[(VW[i][j] - WV[i][j]) * half for j in range(4)] for i in range(4)]
-    assert parts.vw1.entries == expected
+    assert dense(parts.vw1) == expected
 
 
 def test_vw1_antisymmetric_part_vanishes_for_equal_matrices(m2):
     rng = random.Random(17)
     V = random_traceless(2, rng)
     parts = compose_decompose(m2, V, V, -1, -1)
-    assert is_zero(parts.vw1)
+    assert not parts.vw1
 
 
 def test_composition_identity_seeded(m2):
@@ -282,18 +297,19 @@ def test_principal_part_of_composition_is_top_quadratic_form(m2):
     V = random_traceless(2, rng)
     W = random_traceless(2, rng)
     N = 4
+    v, w = dense(V), dense(W)
     raw = SparseTensor(
         2,
         N,
         {
-            ((B, D), (A, C)): V[B][A] * W[D][C]
+            ((B, D), (A, C)): v[B][A] * w[D][C]
             for B in range(N)
             for D in range(N)
             for A in range(N)
             for C in range(N)
         },
     )
-    comp = dv(m2, V).compose(dv(m2, W))
+    comp = higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
     assert principal_part(comp, 2) == principal_part(t_part_operator(m2, raw), 2)
 
 
@@ -313,8 +329,6 @@ def test_t_part_operator_matches_the_termwise_sum(n):
 def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
     # regression guard: the correction is load-bearing, and the one-residual
     # check reports the same (monomial, residual) pairs as lhs(f) - rhs(f)
-    import subsym.ambient
-
     rng = random.Random(42)
     V = random_traceless(2, rng)
     W = random_traceless(2, rng)
@@ -323,7 +337,7 @@ def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
     rhs = subsym.ambient.composition_rhs_operator
     monkeypatch.setattr(subsym.ambient, "composition_rhs_operator", lambda *args: rhs(*args) + shift)
     bad = verify_composition_identity(m2, V, W, -1, -1, degree_bound=2)
-    lhs = dv(m2, V).compose(dv(m2, W))
+    lhs = higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
     wrong = subsym.ambient.composition_rhs_operator(m2, V, W, parts)
     monomials = list(bidegree_monomials(m2, -1, -1, 2))
     expected = [(str(f), str(lhs.apply(f) - wrong.apply(f))) for f in monomials]
@@ -351,7 +365,6 @@ def test_composition_check_applies_one_operator_per_monomial(m2, monkeypatch):
 
 
 def test_composition_suite_fails_an_empty_sweep(monkeypatch):
-    import subsym.ambient
     from subsym.cli import run
 
     decompositions = []
@@ -370,3 +383,61 @@ def test_composition_suite_fails_an_empty_sweep(monkeypatch):
     # one decomposition per pair, which the suite passes to the right side;
     # the induced boundary check reuses pair 0's
     assert len(decompositions) == 5
+
+
+def _matrix_path_mismatches(n, seed):
+    """Names of the quantities on which the one-column tensor path differs
+    from the former dense matrix path: the draws of random_traceless, sl_basis,
+    D_V and the bracket over sl_basis, and the parts of compose_decompose on
+    three seeded pairs at every admissible weight."""
+    m = AmbientModel(n)
+    basis = sl_basis(m.N)
+    mats = [TracelessMatrix(dense(V)) for V in basis]
+    bad = set()
+    if mats != sl_basis_matrix(m.N):
+        bad.add("sl_basis")
+    if any(higher_symmetry_op(m, V) != dv_matrix(m, M) for V, M in zip(basis, mats)):
+        bad.add("D_V")
+    for V, M in zip(basis, mats):
+        if any(dv_bracket(V, W) != to_tensor(dv_bracket_matrix(M, K).entries) for W, K in zip(basis, mats)):
+            bad.add("bracket")
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        V, W = random_traceless(n, rng), random_traceless(n, rng)
+        Vm, Wm = random_traceless_matrix(n, old_rng), random_traceless_matrix(n, old_rng)
+        if [dense(V), dense(W)] != [Vm.entries, Wm.entries]:
+            bad.add("random_traceless")
+        if dv_bracket(V, W) != to_tensor(dv_bracket_matrix(Vm, Wm).entries):
+            bad.add("bracket")
+        for w1, w2 in admissible_weights(n):
+            new = compose_decompose(m, V, W, w1, w2)
+            old = compose_decompose_by_loops(m, Vm, Wm, w1, w2)
+            bad.update(
+                name
+                for name, a, b in (
+                    ("U", dense(new.U), old.U),
+                    ("Utilde", dense(new.Utilde), old.Utilde),
+                    ("T", new.T, old.T),
+                    ("vw2", new.vw2, old.vw2),
+                    ("vw1", dense(new.vw1), old.vw1.entries),
+                    ("vw0", new.vw0, old.vw0),
+                )
+                if a != b
+            )
+    return bad
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_path_matches_the_matrix_path(n, monkeypatch):
+    assert not _matrix_path_mismatches(n, 50 + n)
+    # a mutant that swaps the two products P and Q must be told apart; it
+    # swaps U and Utilde, which changes T only by a column-antisymmetric term,
+    # so vw2 (and vw0, which reads tr P = tr Q) cannot see it
+    products = subsym.ambient._products
+
+    def swapped(V, W):
+        P, Q, t = products(V, W)
+        return Q, P, t
+
+    monkeypatch.setattr(subsym.ambient, "_products", swapped)
+    assert _matrix_path_mismatches(n, 50 + n) == {"U", "Utilde", "T", "vw1", "bracket"}

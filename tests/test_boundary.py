@@ -6,7 +6,7 @@ from subsym.ambient import (
     ambient_laplacian,
     bidegree_monomials,
     central_element,
-    dv,
+    higher_symmetry_op,
     r_poly,
     random_traceless,
 )
@@ -273,7 +273,7 @@ def test_induced_first_order_symmetry_property(m2):
     for (w1, w2) in [(-1, -1), (0, -2)]:
         delta = sublaplacian(m2, w1, w2)
         V = random_traceless(2, rng)
-        dV = dv(m2.ambient, V)
+        dV = higher_symmetry_op(m2.ambient, V)
         for F in list(m2.monomials(2))[:15]:
             lhs = induce(m2, dV, w1 - 1, w2 - 1, delta.apply(F))
             rhs = delta.apply(induce(m2, dV, w1, w2, F))

@@ -293,17 +293,36 @@ def test_symbols_degree_flag_is_used_as_given(monkeypatch):
     assert rep.passed and rep.parameters["d"] == 4
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_suites_raise_no_warning(n):
+    # every tensor these suites hand to higher_symmetry_op is column-symmetric
+    # and trace-free, so neither of its warnings may fire
+    import warnings
+
+    from subsym.ambient import AmbientModel, higher_symmetry_op
+    from subsym.scalars import rat
+    from subsym.tensor import SparseTensor
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning):
+            higher_symmetry_op(AmbientModel(1), SparseTensor(1, 3, {((0,), (0,)): rat(1)}))
+        for suite in ("commutation", "composition"):
+            (rep,) = run(suite, {"n": n, "seed": 0})
+            assert rep.passed
+
+
 def test_commutation_failures_name_their_witness(monkeypatch):
     # a broken D_V (plus x^0 d/dx^0) fails all three identities at the first case
     import subsym.ambient
     from subsym.weyl import WeylOperator
 
-    dv = subsym.ambient.dv
+    higher_symmetry_op = subsym.ambient.higher_symmetry_op
 
     def broken(m, V):
-        return dv(m, V) + WeylOperator.mul_by(m.up(0)).compose(m.d_up(0))
+        return higher_symmetry_op(m, V) + WeylOperator.mul_by(m.up(0)).compose(m.d_up(0))
 
-    monkeypatch.setattr(subsym.ambient, "dv", broken)
+    monkeypatch.setattr(subsym.ambient, "higher_symmetry_op", broken)
     (rep,) = run("commutation", {"n": 1, "seed": 0})
     witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
     assert witnesses == {

@@ -644,7 +644,7 @@ def test_seven_pieces_killing_line_is_computed(monkeypatch):
     full = amb.sl_basis
 
     def strictly_upper(n):
-        return [V for V in full(n) if not any(V[i][j] for i in range(n) for j in range(i + 1))]
+        return [V for V in full(n) if all(B < A for (B,), (A,) in V.entries)]
 
     monkeypatch.setattr(amb, "sl_basis", strictly_upper)
     for N in (3, 4):

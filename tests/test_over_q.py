@@ -18,7 +18,7 @@ from subsym.ambient import (
     ambient_laplacian,
     central_element,
     compose_decompose,
-    dv,
+    higher_symmetry_op,
     random_traceless,
 )
 from subsym.boundary import (
@@ -123,10 +123,10 @@ def test_one_coefficient_field(n):
     d_hol, d_raised, dtau = tangential_ops(m)
     V, W = random_traceless(n, rng), random_traceless(n, rng)
     ops = [*d_hol, *d_raised, dtau, sublaplacian(m, w1, w2), central_element(amb),
-           dv(amb, V), ambient_laplacian(amb)]
+           higher_symmetry_op(amb, V), ambient_laplacian(amb)]
     coeffs = [c for p in polys for c in p.terms.values()]
     coeffs += [c for op in ops for c in _op_coeffs(op)]
     parts = compose_decompose(amb, V, W, w1, w2)
-    coeffs += [parts.vw0] + [c for row in parts.U + parts.vw1.entries for c in row]
+    coeffs += [parts.vw0, *parts.U.entries.values(), *parts.vw1.entries.values()]
     assert len(coeffs) > 100
     assert {type(c) for c in coeffs} == {RAT}

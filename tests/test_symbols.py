@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subsym.ambient import TracelessMatrix, dv, random_traceless
+from subsym.ambient import higher_symmetry_op, random_traceless
 from subsym.tensor import SparseTensor
 from subsym.boundary import BoundaryModel, induce, tangential_ops
 from subsym.cli import three_column_skew_checks
@@ -15,6 +15,7 @@ from subsym.scalars import rat
 from support import (
     build_prop1_tensor_by_placements,
     check_symbol_recursions_by_form,
+    component,
     insertion_left_kernel_full_tuples,
     principal_part,
 )
@@ -110,20 +111,19 @@ def m2():
 
 
 def test_d1_symbols_hand_values(m1):
-    V = TracelessMatrix([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
-    T = SparseTensor.from_matrix(V)
+    T = SparseTensor(1, 3, {((0,), (0,)): rat(1), ((2,), (2,)): rat(-1)})
     syms = extract_all_symbols(m1, T)
     # one tau slot: the sigma-form symbol -2 sigma times the phase i, at sigma = -i tau
-    assert syms[(0, 0)].get((), ()) == m1.tau().scale(-2)
-    assert syms[(1, 0)].get((1,), ()) == m1.z(1).scale(-1)
-    assert syms[(0, 1)].get((), (1,)) == m1.z_low(1).scale(-1)
+    assert component(syms[(0, 0)], (), ()) == m1.tau().scale(-2)
+    assert component(syms[(1, 0)], (1,), ()) == m1.z(1).scale(-1)
+    assert component(syms[(0, 1)], (), (1,)) == m1.z_low(1).scale(-1)
 
 
 def test_d1_recursions_for_basis(m1):
     from subsym.ambient import sl_basis
 
     for V in sl_basis(3)[:4]:
-        syms = extract_all_symbols(m1, SparseTensor.from_matrix(V))
+        syms = extract_all_symbols(m1, V)
         rec = check_symbol_recursions(m1, syms, 1)
         assert all(ok for _, ok, _ in rec), V.entries
 
@@ -133,9 +133,8 @@ def test_d1_sigma_symbol_matches_induced_constant_term(m2):
     # agrees with extraction
     rng = random.Random(4)
     V = random_traceless(2, rng)
-    T = SparseTensor.from_matrix(V)
-    syms = extract_all_symbols(m2, T)
-    dV = dv(m2.ambient, V)
+    syms = extract_all_symbols(m2, V)
+    dV = higher_symmetry_op(m2.ambient, V)
     # apply the induced operator to tau and subtract the lower-order parts:
     # induced(D_V) = V^a d_a + V_b d^b + V^tau d_tau + zeroth order;
     # evaluating on 1 and on the coordinates isolates the coefficients
@@ -143,10 +142,10 @@ def test_d1_sigma_symbol_matches_induced_constant_term(m2):
     zero_part = induce(m2, dV, w1, w2, m2.ring.one())
     got_tau = induce(m2, dV, w1, w2, m2.tau()) - zero_part * m2.tau()
     d_hol, d_raised, _ = tangential_ops(m2)
-    expected = syms[(0, 0)].get((), ())
+    expected = component(syms[(0, 0)], (), ())
     for a in range(1, 3):
-        expected = expected + syms[(1, 0)].get((a,), ()) * d_hol[a - 1].apply(m2.tau())
-        expected = expected + syms[(0, 1)].get((), (a,)) * d_raised[a - 1].apply(m2.tau())
+        expected = expected + component(syms[(1, 0)], (a,), ()) * d_hol[a - 1].apply(m2.tau())
+        expected = expected + component(syms[(0, 1)], (), (a,)) * d_raised[a - 1].apply(m2.tau())
     assert got_tau == expected
 
 
@@ -180,7 +179,7 @@ def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
         S = syms[key]
         comp = ((1,) * S.k, (2,) * S.l)
         bumped = dict(S.components)
-        bumped[comp] = S.get(*comp) + m2.ring.one()
+        bumped[comp] = component(S, *comp) + m2.ring.one()
         bad = dict(syms)
         bad[key] = SymbolTensor(S.n, S.k, S.l, S.ring, bumped)
         failed = [lab for lab, ok, _ in check_symbol_recursions(m2, bad, 2) if not ok]
@@ -229,7 +228,7 @@ def test_recursion_sweep_matches_the_form_by_form_oracle(n, g_diag, d):
         comp = tuple(rng.choice(list(label_keys(n, j))) for j in key)
         S = syms[key]
         bumped = dict(S.components)
-        bumped[comp] = S.get(*comp) + m.ring.const(rng.randint(1, 3)) + (
+        bumped[comp] = component(S, *comp) + m.ring.const(rng.randint(1, 3)) + (
             m.z(1).scale(rng.randint(-2, 2)) + m.tau().scale(rng.randint(-2, 2)))
         perturbed = {**syms, key: SymbolTensor(n, *key, m.ring, bumped)}
         for family in (syms, perturbed):
@@ -299,14 +298,9 @@ def test_el2_elements_induce_zero():
     rng = random.Random(23)
     mats = [random_traceless(n, rng) for _ in range(3)]
     entries = {}
-    for (B1, A1), (B2, A2), (B3, A3) in itertools.product(
-        *[
-            [((b,), (a,)) for b in range(n + 2) for a in range(n + 2) if M[b][a]]
-            for M in mats
-        ]
-    ):
+    for (B1, A1), (B2, A2), (B3, A3) in itertools.product(*(M.entries for M in mats)):
         key = (B1 + B2 + B3, A1 + A2 + A3)
-        entries[key] = mats[0][B1[0]][A1[0]] * mats[1][B2[0]][A2[0]] * mats[2][B3[0]][A3[0]]
+        entries[key] = mats[0].entries[B1, A1] * mats[1].entries[B2, A2] * mats[2].entries[B3, A3]
     T = SparseTensor(3, n + 2, entries)
     Tsk = T.skew_slots([0, 1, 2], upper=True).skew_slots([0, 1, 2], upper=False)
     assert Tsk
@@ -424,7 +418,7 @@ def test_prop1_s0():
     assert list(T.entries) == [((3,), (0,))]
     syms = extract_all_symbols(m, T)
     # the sigma-form symbol -i times the phase i of its one tau slot
-    assert syms[(0, 0)].get((), ()) == m.ring.const(1)
+    assert component(syms[(0, 0)], (), ()) == m.ring.const(1)
     assert all(ok for _, ok, _ in check_bgg(m, syms[(0, 0)], 1, 0))
     rec = check_symbol_recursions(m, syms, 1)
     assert all(ok for _, ok, _ in rec)
@@ -700,7 +694,6 @@ def test_induced_operator_top_order_equals_symbols():
     from subsym.boundary import induce
     from subsym.weyl import from_action
 
-    from subsym.ambient import dv, higher_symmetry_op
     import warnings
 
     m = BoundaryModel(2)
@@ -709,8 +702,8 @@ def test_induced_operator_top_order_equals_symbols():
 
     # d = 1: a full sl basis element
     V = random_traceless(2, rng)
-    D1 = dv(m.ambient, V)
-    syms1 = extract_all_symbols(m, SparseTensor.from_matrix(V))
+    D1 = higher_symmetry_op(m.ambient, V)
+    syms1 = extract_all_symbols(m, V)
     induced = from_action(m.ring, lambda F: induce(m, D1, w1, w2, F), 1)
     assembled = _symbol_operator(m, syms1, 1)
     assert principal_part(induced, 1) == principal_part(assembled, 1)
