@@ -1,5 +1,6 @@
 """The ambient space C^{n+2}: metric, null-cone quadric, Laplacian, Euler
-operators, first-order symmetry generators and their compositions.
+operators, the symmetries D_V of trace-free tensors and the decomposition of
+a composition D_V o D_W.
 
 Complexification convention: the 2(n+2) polynomial generators are the upper
 coordinates x^0, x^1..x^n, x^inf and the independent lowered coordinates
@@ -15,7 +16,6 @@ directions used by the canonical extension.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,13 +114,6 @@ def euler_ops(m: AmbientModel):
     return E, Ebar
 
 
-def first_order_generator(m: AmbientModel, A, B) -> WeylOperator:
-    """x^A d_B - x_B d^A."""
-    return WeylOperator.mul_by(m.up(A)).compose(m.d_up(B)) - WeylOperator.mul_by(
-        m.dn(B)
-    ).compose(m.d_dn(A))
-
-
 def _trace(V: SparseTensor):
     return V.contraction(0, 0).entries.get(((), ()), RZERO)
 
@@ -185,36 +178,41 @@ def bidegree_monomials(m: AmbientModel, w1: int, w2: int, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# higher symmetries from column-symmetric ambient tensors
+# symmetries from totally trace-free ambient tensors
 
 
 def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
-    """Normal-ordered product of first-order generators contracted with V;
-    at k = 1 it is the first-order symmetry D_V of V in sl(n+2).
+    """D_V = sum V^B_A prod_i (x^{A_i} d_{B_i} - x_{B_i} d^{A_i}) with every
+    coefficient to the left, summed per derivative multi-index; at k = 1 the
+    first-order symmetry of V in sl(n+2).
 
-    Any such operator commutes with the ambient Laplacian and with
-    multiplication by r; column symmetry is expected (and total
-    trace-freeness recommended) for the symbol calculus downstream.
+    V must be totally trace-free: every reordering term of the composed
+    generators then contracts an upper slot of V with a lower one, so the sum
+    is their product, and it commutes with the Laplacian and with r.
     """
     if V.N != m.N:
         raise ValueError("tensor dimension does not match the model")
-    if not V.is_symmetric():
-        warnings.warn("tensor is not column-symmetric; symbol calculus may degrade")
     if not V.is_trace_free():
-        warnings.warn("tensor is not totally trace-free; induced order may drop")
-    gens = {}
-    out = WeylOperator.zero(m.ring)
+        raise ValueError("tensor is not totally trace-free")
+    ring = m.ring
+    up = [ring.index[name] for name in m.upper_names]
+    dn = [ring.index[name] for name in m.lower_names]
+    coeffs = {}  # derivative multi-index -> {exponent: coefficient}
     for (B, A), c in V.entries.items():
-        term = None
-        for i in range(V.k):
-            key = (A[i], B[i])
-            op = gens.get(key)
-            if op is None:
-                op = first_order_generator(m, *key)
-                gens[key] = op
-            term = op if term is None else term.compose(op)
-        out = out + term.scale(c)
-    return out
+        # side 0 of column i is x^{A_i} d_{B_i}, side 1 is -x_{B_i} d^{A_i}
+        for sides in itertools.product((0, 1), repeat=V.k):
+            exp = [0] * ring.arity
+            alpha = [0] * ring.arity
+            for lower_side, b, a in zip(sides, B, A):
+                if lower_side:
+                    exp[dn[b]] += 1
+                    alpha[dn[a]] += 1
+                else:
+                    exp[up[a]] += 1
+                    alpha[up[b]] += 1
+            coeff = -c if sum(sides) % 2 else c
+            accumulate(coeffs.setdefault(tuple(alpha), {}), tuple(exp), coeff)
+    return WeylOperator(ring, {alpha: LaurentPoly(ring, cs) for alpha, cs in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +358,6 @@ def uncorrected_vw0(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1, w2):
     return num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
 
 
-def t_part_operator(m: AmbientModel, T: SparseTensor) -> WeylOperator:
-    """sum T^{BD}_{AC} (x^A x^C d_B d_D - x^A x_D d_B d^C - x_B x^C d^A d_D
-    + x_B x_D d^A d^C).
-
-    The four quadric terms of every entry are summed per derivative
-    multi-index as monomial coefficients, and each coefficient polynomial is
-    built once from its sum."""
-    ring = m.ring
-    up = [ring.index[name] for name in m.upper_names]
-    dn = [ring.index[name] for name in m.lower_names]
-    coeffs = {}  # derivative multi-index -> {exponent: coefficient}
-
-    def add(x1, x2, d1, d2, c):
-        exp = [0] * ring.arity
-        exp[x1] += 1
-        exp[x2] += 1
-        alpha = [0] * ring.arity
-        alpha[d1] += 1
-        alpha[d2] += 1
-        accumulate(coeffs.setdefault(tuple(alpha), {}), tuple(exp), c)
-
-    for ((B, D), (A, C)), c in T.entries.items():
-        add(up[A], up[C], up[B], up[D], c)
-        add(up[A], dn[D], up[B], dn[C], -c)
-        add(dn[B], up[C], dn[A], up[D], -c)
-        add(dn[B], dn[D], dn[A], dn[C], c)
-    return WeylOperator(ring, {alpha: LaurentPoly(ring, cs) for alpha, cs in coeffs.items()})
-
-
 def u_quadric(m: AmbientModel, S: SparseTensor) -> LaurentPoly:
     """U^D_A x^A x_D + Ut^B_C x_B x^C, that is S^D_A x^A x_D with S = U + Ut,
     the coordinates commuting."""
@@ -398,46 +367,25 @@ def u_quadric(m: AmbientModel, S: SparseTensor) -> LaurentPoly:
     return out
 
 
-def composition_rhs_operator(
-    m: AmbientModel, V: SparseTensor, W: SparseTensor, parts: CompositionParts
-) -> WeylOperator:
-    """Right-hand side of the composition identity at the weights of ``parts``,
-    which is compose_decompose(m, V, W, w1, w2).
+def composition_rhs_operator(m: AmbientModel, parts: CompositionParts) -> WeylOperator:
+    """Right-hand side of the composition identity D_V o D_W = D_vw2 + D_vw1
+    + vw0 - r S^D_A d^A d_D - (S^D_A x^A x_D) lap, with S = U + Ut, where
+    ``parts`` is compose_decompose(m, V, W, w1, w2).
 
     Valid only when applied to bihomogeneous functions of bidegree (w1, w2)
     with n + w1 + w2 = 0.
     """
-    n = m.n
-    P, Q, t = _products(V, W)
     S = parts.U + parts.Utilde
-    dw = parts.w1 - parts.w2
-    lap = ambient_laplacian(m)
-    out = t_part_operator(m, parts.T)
-    # -r (U^D_A d^A d_D + Ut^B_C d_B d^C), that is -r S^D_A d^A d_D
-    mid = WeylOperator.zero(m.ring)
+    trace_part = WeylOperator.zero(m.ring)
     for ((D,), (A,)), c in S.entries.items():
-        mid = mid + m.d_dn(A).compose(m.d_up(D)).scale(c)
-    out = out - WeylOperator.mul_by(r_poly(m)).compose(mid)
-    # -(U-quadric) * Laplacian
-    out = out - WeylOperator.mul_by(u_quadric(m, S)).compose(lap)
-    # first-order terms with weight-dependent coefficients
-    denom = 2 * n * (n + 4)
-    c1 = rat((n - 2) * dw - n * (n + 4), denom)  # on Q, along x^A d_D
-    c1p = rat((n - 2) * dw + n * (n + 4), denom)  # on P
-    c2 = rat((2 - n) * dw - n * (n + 4), denom)  # on P, along x_D d^A
-    c2p = rat((2 - n) * dw + n * (n + 4), denom)  # on Q
-    fo = WeylOperator.zero(m.ring)
-    for ((D,), (A,)), c in (Q.scale(c1) + P.scale(c1p)).entries.items():
-        fo = fo + WeylOperator.term(m.up(A), {m.upper_names[D]: 1}).scale(c)
-    for ((D,), (A,)), c in (P.scale(c2) + Q.scale(c2p)).entries.items():
-        fo = fo + WeylOperator.term(m.dn(D), {m.lower_names[A]: 1}).scale(c)
-    out = out + fo
-    # scalar term: exact reduction of the trace-part quadratics with the
-    # 1/(n+2) resolution coefficients
-    num = rat((-n**3 + 10 * n + 12) * dw * dw - n * n * (n + 4) * (n + 2) ** 2, 2)
-    scalar = num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
-    out = out + WeylOperator.identity(m.ring).scale(scalar)
-    return out
+        trace_part = trace_part + m.d_dn(A).compose(m.d_up(D)).scale(c)
+    return (
+        higher_symmetry_op(m, parts.vw2)
+        + higher_symmetry_op(m, parts.vw1)
+        + WeylOperator.identity(m.ring).scale(parts.vw0)
+        - WeylOperator.mul_by(r_poly(m)).compose(trace_part)
+        - WeylOperator.mul_by(u_quadric(m, S)).compose(ambient_laplacian(m))
+    )
 
 
 def verify_composition_identity(
@@ -462,7 +410,7 @@ def verify_composition_identity(
     elif (parts.w1, parts.w2) != (w1, w2):
         raise ValueError(f"parts are at weights ({parts.w1}, {parts.w2}), not ({w1}, {w2})")
     DVW = higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W))
-    residual = DVW - composition_rhs_operator(m, V, W, parts)
+    residual = DVW - composition_rhs_operator(m, parts)
     bad, cases = [], 0
     for f in bidegree_monomials(m, w1, w2, degree_bound):
         cases += 1

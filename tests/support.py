@@ -13,9 +13,16 @@ nonzero backend rational over a `subsym.rings.Ring`.  With `weyl_apply` and
 `weyl_compose`, the former `WeylOperator` action and normal-ordered product
 on such coefficients, it is the differential oracle for the integer layout.
 
-`t_part_operator_termwise`, `insertion_left_kernel_full_tuples`,
-`skew_slots_rational` and `symmetrized_rational` are the former
-`ambient.t_part_operator`, `symbols._insertion_left_kernel`,
+`higher_symmetry_op_by_composition`, with `first_order_generator`, is the
+former `ambient.higher_symmetry_op`, which composed the generators
+x^A d_B - x_B d^A column by column; it is the oracle for the normal-ordered
+symbol sum that replaced it.  `t_part_operator_termwise` writes the quadric of
+a two-column tensor out one operator sum per entry; it was the oracle for the
+former `ambient.t_part_operator` and is now the oracle for
+`higher_symmetry_op` at two columns.
+
+`insertion_left_kernel_full_tuples`, `skew_slots_rational` and
+`symmetrized_rational` are the former `symbols._insertion_left_kernel`,
 `SparseTensor.skew_slots` (with the former `act` loop inlined) and
 `SparseTensor.symmetrized`, which summed rational entries, kept as
 differential oracles for the versions that replaced them.
@@ -59,7 +66,7 @@ import itertools
 from math import comb, factorial, lcm, prod
 from operator import add
 
-from subsym.ambient import CompositionParts, first_order_generator
+from subsym.ambient import CompositionParts
 from subsym.boundary import tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
@@ -504,6 +511,29 @@ def t_part_operator_termwise(m, T: SparseTensor) -> WeylOperator:
         q3 = WeylOperator.term(m.dn(B) * m.up(C), {m.lower_names[A]: 1, m.upper_names[D]: 1})
         q4 = WeylOperator.term(m.dn(B) * m.dn(D), {m.lower_names[A]: 1, m.lower_names[C]: 1}) if A != C else WeylOperator.term(m.dn(B) * m.dn(D), {m.lower_names[A]: 2})
         out = out + (q1 - q2 - q3 + q4).scale(c)
+    return out
+
+
+def first_order_generator(m, A, B) -> WeylOperator:
+    """x^A d_B - x_B d^A."""
+    return WeylOperator.mul_by(m.up(A)).compose(m.d_up(B)) - WeylOperator.mul_by(
+        m.dn(B)
+    ).compose(m.d_dn(A))
+
+
+def higher_symmetry_op_by_composition(m, V: SparseTensor) -> WeylOperator:
+    """sum V^B_A (x^{A_1} d_{B_1} - x_{B_1} d^{A_1}) o ... o (x^{A_k} d_{B_k}
+    - x_{B_k} d^{A_k}), the generators composed column by column."""
+    gens = {}
+    out = WeylOperator.zero(m.ring)
+    for (B, A), c in V.entries.items():
+        term = None
+        for key in zip(A, B):
+            op = gens.get(key)
+            if op is None:
+                op = gens[key] = first_order_generator(m, *key)
+            term = op if term is None else term.compose(op)
+        out = out + term.scale(c)
     return out
 
 

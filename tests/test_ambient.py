@@ -1,5 +1,5 @@
+import dataclasses
 import random
-import warnings
 
 import pytest
 
@@ -18,7 +18,6 @@ from subsym.ambient import (
     r_poly,
     random_traceless,
     sl_basis,
-    t_part_operator,
     trace_projection_oracle,
     verify_composition_identity,
 )
@@ -33,6 +32,7 @@ from support import (
     dense,
     dv_bracket_matrix,
     dv_matrix,
+    higher_symmetry_op_by_composition,
     mat_mul,
     mat_trace,
     principal_part,
@@ -150,28 +150,38 @@ def test_central_action(m1):
 def test_higher_symmetry_d1_reduces_to_dv(m2):
     rng = random.Random(3)
     V = random_traceless(2, rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert higher_symmetry_op(m2, V) == dv_matrix(m2, TracelessMatrix(dense(V)))
+    assert higher_symmetry_op(m2, V) == dv_matrix(m2, TracelessMatrix(dense(V)))
 
 
 def test_higher_symmetry_commutes(m2):
     rng = random.Random(7)
-    T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        op = higher_symmetry_op(m2, T)
-    assert not ambient_laplacian(m2).commutator(op)
-    assert not op.commutator(WeylOperator.mul_by(r_poly(m2)))
+    for d in (2, 3):
+        op = higher_symmetry_op(m2, SparseTensor.random_disjoint_trace_free(d, 4, rng))
+        assert op and op.order == d
+        assert not ambient_laplacian(m2).commutator(op)
+        assert not op.commutator(WeylOperator.mul_by(r_poly(m2)))
 
 
 def test_higher_symmetry_column_invariance(m2):
+    # the product of two disjoint-support draws is trace-free but not
+    # column-symmetric; D_T only sees its symmetrization
     rng = random.Random(11)
-    T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.2)
-    assert T.is_symmetric()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert higher_symmetry_op(m2, T.permuted((1, 0))) == higher_symmetry_op(m2, T)
+    draw = SparseTensor.random_disjoint_trace_free
+    T = draw(1, 4, rng).outer(draw(1, 4, rng))
+    assert T.is_trace_free() and not T.is_symmetric()
+    op = higher_symmetry_op(m2, T)
+    assert higher_symmetry_op(m2, T.permuted((1, 0))) == op == higher_symmetry_op(m2, T.symmetrized())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_higher_symmetry_op_matches_the_composed_generators(k):
+    # a k-column disjoint-support draw at n = 2, and the sl(k + 2) basis at n = k
+    m = AmbientModel(2)
+    T = SparseTensor.random_disjoint_trace_free(k, 4, random.Random(60 + k))
+    assert T and higher_symmetry_op(m, T) == higher_symmetry_op_by_composition(m, T)
+    m = AmbientModel(k)
+    for V in sl_basis(k + 2):
+        assert higher_symmetry_op(m, V) == higher_symmetry_op_by_composition(m, V)
 
 
 def test_compose_decompose_trace_free(m2):
@@ -262,12 +272,26 @@ def test_composition_identity_seeded(m2):
 
 
 def test_composition_identity_other_weights():
+    # every admissible weight at n = 1, 2, 3; the weight-dependent part of vw1,
+    # beta = (n-2)(w1-w2)/(2n(n+4)), vanishes at n = 2, so the control that
+    # drops it must fail at every weight of n = 1 and n = 3
+    for n in (1, 2, 3):
+        m = AmbientModel(n)
+        rng = random.Random(5 + n)
+        V = random_traceless(n, rng)
+        W = random_traceless(n, rng)
+        for w1, w2 in admissible_weights(n, 4):
+            parts = compose_decompose(m, V, W, w1, w2)
+            bad = verify_composition_identity(m, V, W, w1, w2, degree_bound=3, parts=parts)
+            assert not bad and bad.cases > 0
+            if n != 2:
+                control = dataclasses.replace(parts, vw1=dv_bracket(V, W).scale(rat(1, 2)))
+                assert control.vw1 != parts.vw1
+                assert verify_composition_identity(m, V, W, w1, w2, degree_bound=3, parts=control)
     m = AmbientModel(1)
     rng = random.Random(5)
     V = random_traceless(1, rng)
     W = random_traceless(1, rng)
-    assert not verify_composition_identity(m, V, W, 0, -1, degree_bound=2)
-    assert not verify_composition_identity(m, V, W, -1, 0, degree_bound=2)
     # a decomposition passed in must be at the weights the monomials are
     parts = compose_decompose(m, V, W, 0, -1)
     assert not verify_composition_identity(m, V, W, 0, -1, degree_bound=2, parts=parts)
@@ -310,7 +334,8 @@ def test_principal_part_of_composition_is_top_quadratic_form(m2):
         },
     )
     comp = higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
-    assert principal_part(comp, 2) == principal_part(t_part_operator(m2, raw), 2)
+    assert not raw.is_trace_free()
+    assert principal_part(comp, 2) == principal_part(t_part_operator_termwise(m2, raw), 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -323,7 +348,7 @@ def test_t_part_operator_matches_the_termwise_sum(n):
         W = random_traceless(n, rng)
         parts = compose_decompose(m, V, W, w1, -n - w1)
         for T in (parts.T, parts.vw2):
-            assert t_part_operator(m, T) == t_part_operator_termwise(m, T)
+            assert higher_symmetry_op(m, T) == t_part_operator_termwise(m, T)
 
 
 def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
@@ -338,7 +363,7 @@ def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
     monkeypatch.setattr(subsym.ambient, "composition_rhs_operator", lambda *args: rhs(*args) + shift)
     bad = verify_composition_identity(m2, V, W, -1, -1, degree_bound=2)
     lhs = higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
-    wrong = subsym.ambient.composition_rhs_operator(m2, V, W, parts)
+    wrong = subsym.ambient.composition_rhs_operator(m2, parts)
     monomials = list(bidegree_monomials(m2, -1, -1, 2))
     expected = [(str(f), str(lhs.apply(f) - wrong.apply(f))) for f in monomials]
     expected = [(f, res) for f, res in expected if res != "0"]

@@ -295,18 +295,23 @@ def test_symbols_degree_flag_is_used_as_given(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_suites_raise_no_warning(n):
-    # every tensor these suites hand to higher_symmetry_op is column-symmetric
-    # and trace-free, so neither of its warnings may fire
+    # higher_symmetry_op rejects a tensor that is not totally trace-free, and
+    # every tensor these suites hand it is, so they pass with warnings as errors
+    import random
     import warnings
 
     from subsym.ambient import AmbientModel, higher_symmetry_op
     from subsym.scalars import rat
     from subsym.tensor import SparseTensor
 
+    unit = SparseTensor(1, 3, {((0,), (0,)): rat(1)})
+    traced = SparseTensor.random_column_symmetric(2, 3, random.Random(n))
+    assert not traced.is_trace_free()
+    for bad in (unit, traced):
+        with pytest.raises(ValueError):
+            higher_symmetry_op(AmbientModel(1), bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UserWarning):
-            higher_symmetry_op(AmbientModel(1), SparseTensor(1, 3, {((0,), (0,)): rat(1)}))
         for suite in ("commutation", "composition"):
             (rep,) = run(suite, {"n": n, "seed": 0})
             assert rep.passed

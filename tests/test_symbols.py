@@ -694,8 +694,6 @@ def test_induced_operator_top_order_equals_symbols():
     from subsym.boundary import induce
     from subsym.weyl import from_action
 
-    import warnings
-
     m = BoundaryModel(2)
     rng = random.Random(12)
     w1, w2 = -1, -1
@@ -710,9 +708,7 @@ def test_induced_operator_top_order_equals_symbols():
 
     # d = 2: seeded trace-free column-symmetric tensor
     T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        D2 = higher_symmetry_op(m.ambient, T)
+    D2 = higher_symmetry_op(m.ambient, T)
     syms2 = extract_all_symbols(m, T)
     induced2 = from_action(m.ring, lambda F: induce(m, D2, w1, w2, F), 2)
     assembled2 = _symbol_operator(m, syms2, 2)
