@@ -6,8 +6,11 @@ Complexification convention: the 2(n+2) polynomial generators are the upper
 coordinates x^0, x^1..x^n, x^inf and the independent lowered coordinates
 x_0, x_1..x_n, x_inf obtained by pairing the conjugates with the metric
 (x_0 is the conjugate of x^inf, x_inf the conjugate of x^0, x_a the g-lowered
-conjugate of x^a).  With that dictionary the quadric is r = sum_A x^A x_A and
-the ambient Laplacian is sum_A d_A d^A with constant coefficients.
+conjugate of x^a).  With that dictionary every ambient quadratic form is read
+off a one-column tensor S: its quadric S^D_A x^A x_D and its dual quadric
+S^D_A d^A d_D, a constant-coefficient operator.  At S = identity they are r
+and the ambient Laplacian; at S = U + Utilde they give the trivial part of a
+composition D_V o D_W.
 
 Only x^0 and x_inf are invertible: they are the homogeneity bookkeeping
 directions used by the canonical extension.
@@ -89,20 +92,42 @@ class AmbientModel:
         return WeylOperator.derivative(self.ring, self.lower_names[A])
 
 
-def r_poly(m: AmbientModel) -> LaurentPoly:
-    out = m.ring.zero()
-    for A in range(m.N):
-        out = out + m.up(A) * m.dn(A)
+def identity(N) -> SparseTensor:
+    """delta^B_A as a one-column tensor over C^N."""
+    return SparseTensor(1, N, {((A,), (A,)): RONE for A in range(N)})
+
+
+def _quadratic_terms(m: AmbientModel, S: SparseTensor, a_names, d_names):
+    """{multi-index of a_names[A] d_names[D]: S^D_A} for a one-column S."""
+    idx = m.ring.index
+    out = {}
+    for ((D,), (A,)), c in S.entries.items():
+        alpha = [0] * m.ring.arity
+        alpha[idx[a_names[A]]] += 1
+        alpha[idx[d_names[D]]] += 1
+        out[tuple(alpha)] = c
     return out
+
+
+def quadric(m: AmbientModel, S: SparseTensor) -> LaurentPoly:
+    """S^D_A x^A x_D; r at S = identity."""
+    return LaurentPoly(m.ring, _quadratic_terms(m, S, m.upper_names, m.lower_names))
+
+
+def dual_quadric(m: AmbientModel, S: SparseTensor) -> WeylOperator:
+    """S^D_A d^A d_D; the Laplacian at S = identity."""
+    terms = _quadratic_terms(m, S, m.lower_names, m.upper_names)
+    return WeylOperator(m.ring, {alpha: m.ring.const(c) for alpha, c in terms.items()})
+
+
+def r_poly(m: AmbientModel) -> LaurentPoly:
+    return quadric(m, identity(m.N))
 
 
 @lru_cache(maxsize=32)
 def ambient_laplacian(m: AmbientModel) -> WeylOperator:
     """sum_A d_A d^A, built once per model."""
-    out = WeylOperator.zero(m.ring)
-    for A in range(m.N):
-        out = out + m.d_up(A).compose(m.d_dn(A))
-    return out
+    return dual_quadric(m, identity(m.N))
 
 
 def euler_ops(m: AmbientModel):
@@ -251,37 +276,19 @@ def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):
     rows = []
     rhs = []
 
-    def delta_terms_contracted(kind, i, j):
-        """Row of coefficients: the (kind) contraction of the delta terms,
-        evaluated at free indices (i, j)."""
+    def trace_row(own, other, i, j):
+        """Row of coefficients: the contraction of the delta terms that leaves
+        own(i, j) free, N own + delta_ij tr other - (2/N)(U + Ut)_ij
+        + delta_ij tr(U + Ut)/N^2."""
         row = [RZERO] * nvars
-        inv = rat(1, N)
-        inv2 = rat(1, N * N)
-        if kind == "BC":  # sum_X [B=C=X]: free (D, A) = (i, j)
-            row[u_idx(i, j)] = row[u_idx(i, j)] + N
-            # delta^D_A tr(Ut)
-            if i == j:
-                for x in range(N):
-                    row[ut_idx(x, x)] = row[ut_idx(x, x)] + 1
-            # -(1/N)*2*(U+Ut)^D_A
-            row[u_idx(i, j)] = row[u_idx(i, j)] - 2 * inv
-            row[ut_idx(i, j)] = row[ut_idx(i, j)] - 2 * inv
-            # +(1/N^2) delta^D_A tr(U+Ut)
-            if i == j:
-                for x in range(N):
-                    row[u_idx(x, x)] = row[u_idx(x, x)] + inv2
-                    row[ut_idx(x, x)] = row[ut_idx(x, x)] + inv2
-        else:  # "DA": free (B, C) = (i, j)
-            row[ut_idx(i, j)] = row[ut_idx(i, j)] + N
-            if i == j:
-                for x in range(N):
-                    row[u_idx(x, x)] = row[u_idx(x, x)] + 1
-            row[u_idx(i, j)] = row[u_idx(i, j)] - 2 * inv
-            row[ut_idx(i, j)] = row[ut_idx(i, j)] - 2 * inv
-            if i == j:
-                for x in range(N):
-                    row[u_idx(x, x)] = row[u_idx(x, x)] + inv2
-                    row[ut_idx(x, x)] = row[ut_idx(x, x)] + inv2
+        row[own(i, j)] = row[own(i, j)] + N
+        for idx in (u_idx, ut_idx):
+            row[idx(i, j)] = row[idx(i, j)] - rat(2, N)
+        if i == j:
+            for x in range(N):
+                row[other(x, x)] = row[other(x, x)] + 1
+                for idx in (u_idx, ut_idx):
+                    row[idx(x, x)] = row[idx(x, x)] + rat(1, N * N)
         return row
 
     v = [[V.entries.get(((B,), (A,)), RZERO) for A in range(N)] for B in range(N)]
@@ -290,10 +297,10 @@ def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):
     Q = [[sum((v[i][x] * w[x][j] for x in range(N)), RZERO) for j in range(N)] for i in range(N)]
     for i in range(N):
         for j in range(N):
-            rows.append(delta_terms_contracted("BC", i, j))
-            rhs.append(P[i][j])  # (B=C)-trace of V (x) W
-            rows.append(delta_terms_contracted("DA", i, j))
-            rhs.append(Q[i][j])  # (D=A)-trace
+            rows.append(trace_row(u_idx, ut_idx, i, j))
+            rhs.append(P[i][j])  # (B=C)-trace of V (x) W, free (D, A)
+            rows.append(trace_row(ut_idx, u_idx, i, j))
+            rhs.append(Q[i][j])  # (D=A)-trace, free (B, C)
     gauge = [RZERO] * nvars
     for x in range(N):
         gauge[u_idx(x, x)] = RONE
@@ -324,7 +331,7 @@ def compose_decompose(
     P, Q, t = _products(V, W)
     c_big = rat(2 * n * n + 8 * n + 4, 2 * n * (n + 2) * (n + 4))
     c_small = rat(4, 2 * n * (n + 2) * (n + 4))
-    I = SparseTensor(1, N, {((A,), (A,)): RONE for A in range(N)})
+    I = identity(N)
     tI = I.scale(rat(n * n + 4 * n + 6, 2 * n * (n + 1) * (n + 3) * (n + 4)) * t)
     U = P.scale(c_big) + Q.scale(c_small) - tI
     Ut = P.scale(c_small) + Q.scale(c_big) - tI
@@ -358,33 +365,21 @@ def uncorrected_vw0(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1, w2):
     return num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
 
 
-def u_quadric(m: AmbientModel, S: SparseTensor) -> LaurentPoly:
-    """U^D_A x^A x_D + Ut^B_C x_B x^C, that is S^D_A x^A x_D with S = U + Ut,
-    the coordinates commuting."""
-    out = m.ring.zero()
-    for ((D,), (A,)), c in S.entries.items():
-        out = out + (m.up(A) * m.dn(D)).scale(c)
-    return out
-
-
 def composition_rhs_operator(m: AmbientModel, parts: CompositionParts) -> WeylOperator:
     """Right-hand side of the composition identity D_V o D_W = D_vw2 + D_vw1
-    + vw0 - r S^D_A d^A d_D - (S^D_A x^A x_D) lap, with S = U + Ut, where
-    ``parts`` is compose_decompose(m, V, W, w1, w2).
+    + vw0 - (r lap_S + r_S lap), with S = U + Ut, r_S its quadric and lap_S
+    its dual quadric, where ``parts`` is compose_decompose(m, V, W, w1, w2).
 
     Valid only when applied to bihomogeneous functions of bidegree (w1, w2)
     with n + w1 + w2 = 0.
     """
     S = parts.U + parts.Utilde
-    trace_part = WeylOperator.zero(m.ring)
-    for ((D,), (A,)), c in S.entries.items():
-        trace_part = trace_part + m.d_dn(A).compose(m.d_up(D)).scale(c)
     return (
         higher_symmetry_op(m, parts.vw2)
         + higher_symmetry_op(m, parts.vw1)
         + WeylOperator.identity(m.ring).scale(parts.vw0)
-        - WeylOperator.mul_by(r_poly(m)).compose(trace_part)
-        - WeylOperator.mul_by(u_quadric(m, S)).compose(ambient_laplacian(m))
+        - WeylOperator.mul_by(r_poly(m)).compose(dual_quadric(m, S))
+        - WeylOperator.mul_by(quadric(m, S)).compose(ambient_laplacian(m))
     )
 
 

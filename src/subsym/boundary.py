@@ -7,7 +7,8 @@ tau = i*sigma, where sigma is the real contact coordinate.  The lowered
 combinations z_a = g_a zb^a appear throughout; with the diagonal metric they
 are unit multiples of the conjugates.  The section of the null cone is
 phi(z, tau) = (1, z^a, -z^a z_a/2 + tau) and every ambient identity is
-checked after pulling back along it.
+checked after pulling back along it: an ambient operator D is read on the
+boundary as induce(D), the pullback of D applied to the canonical extension.
 
 Working in tau makes every object rational.  The dictionary to the sigma
 form is d/dsigma = i d/dtau:
@@ -21,10 +22,12 @@ form is d/dsigma = i d/dtau:
 Every identity checked here is C-linear in rational inputs, so checking it
 over Q certifies the complex statement.
 
-The tangential operators are *defined* operationally (pullback of the
-cone-adapted frame derivatives of an extension); the closed forms above are
-derived artifacts and the test suite checks them against the operational
-definition, which immunizes the build against sign-convention drift.
+The tangential operators are *defined* operationally: each ambient derivative
+of the (0,0) extension is pulled back and multiplied by its component of a
+cone-adapted frame (pullback is a ring homomorphism, so this is the pullback
+of the frame derivative).  The closed forms above are derived artifacts and
+the test suite checks them against the operational definition, which
+immunizes the build against sign-convention drift.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .ambient import AmbientModel
+from .ambient import AmbientModel, ambient_laplacian
 from .rings import LaurentPoly, Ring
 from .scalars import rat
 from .weyl import WeylOperator
@@ -40,19 +43,15 @@ from .weyl import WeylOperator
 
 class BoundaryModel:
     def __init__(self, n, g_diag=None):
-        if n < 1:
-            raise ValueError("need n >= 1")
+        self.ambient = AmbientModel(n, g_diag)  # checks n and g_diag
         self.n = n
-        self.g_diag = tuple(g_diag) if g_diag is not None else (1,) * n
-        if len(self.g_diag) != n or any(g not in (1, -1) for g in self.g_diag):
-            raise ValueError("g_diag must be n entries of +-1")
+        self.g_diag = self.ambient.g_diag
         names = (
             [f"z{a}" for a in range(1, n + 1)]
             + [f"zb{a}" for a in range(1, n + 1)]
             + ["tau"]
         )
         self.ring = Ring(names)
-        self.ambient = AmbientModel(n, self.g_diag)
 
     def z(self, a) -> LaurentPoly:
         """Holomorphic coordinate z^a, 1-based."""
@@ -195,38 +194,22 @@ def tangential_ops(m: BoundaryModel):
 
 
 def tangential_op_operational(m: BoundaryModel, kind, a, F: LaurentPoly) -> LaurentPoly:
-    """Chain-rule definition: pull back a frame derivative of the (0,0)
-    extension.  kind is 'hol' (d_a), 'raised' (d^a) or 'tau' (d_tau)."""
+    """Chain-rule definition: the frame derivative of the (0,0) extension,
+    each ambient derivative pulled back and multiplied by its boundary frame
+    component.  kind is 'hol' (d_a), 'raised' (d^a) or 'tau' (d_tau)."""
     amb = m.ambient
-    frames = frame_fields(m)
     f = extend(m, F, 0, 0)
-    if kind == "hol":
-        acc = amb.ring.zero()
-        for B in range(m.n + 2):
-            acc = acc + amb.d_up(B).apply(f) * _lift(m, frames.Y_up[a][B])
-        return phi_pullback(m, acc)
-    if kind == "raised":
-        acc = amb.ring.zero()
-        for B in range(m.n + 2):
-            acc = acc + amb.d_dn(B).apply(f) * _lift(m, frames.Y_dn[a][B])
-        return phi_pullback(m, acc)
     if kind == "tau":
         return phi_pullback(m, amb.d_up(m.n + 1).apply(f) - amb.d_dn(0).apply(f))
-    raise ValueError(kind)
-
-
-def _lift(m: BoundaryModel, p: LaurentPoly) -> LaurentPoly:
-    """Lift a boundary polynomial to the ambient ring along the section
-    (z^a -> x^a, zb^a -> g_a x_a, tau -> (x^inf - x_0)/2); used only to
-    multiply frame components against ambient derivatives before pulling
-    back, where any section-compatible lift gives the same pullback."""
-    amb = m.ambient
-    images = {}
-    for a in range(1, m.n + 1):
-        images[f"z{a}"] = amb.up(a)
-        images[f"zb{a}"] = amb.dn(a).scale(m.g_diag[a - 1])
-    images["tau"] = (amb.up(m.n + 1) - amb.dn(0)).scale(rat(1, 2))
-    return p.substitute(images, amb.ring)
+    frames = frame_fields(m)
+    if kind == "hol":
+        d, frame = amb.d_up, frames.Y_up[a]
+    elif kind == "raised":
+        d, frame = amb.d_dn, frames.Y_dn[a]
+    else:
+        raise ValueError(kind)
+    terms = [phi_pullback(m, d(B).apply(f)) * c for B, c in enumerate(frame) if c]
+    return LaurentPoly.sum(m.ring, terms)
 
 
 @lru_cache(maxsize=32)
@@ -254,9 +237,7 @@ def verify_reduction(m: BoundaryModel, F: LaurentPoly, w1: int, w2: int):
     """(lap of the extension) pulled back minus Delta F; None when exact."""
     if m.n + w1 + w2 != 0:
         raise ValueError("reduction requires n + w1 + w2 = 0")
-    from .ambient import ambient_laplacian
-
-    lhs = phi_pullback(m, ambient_laplacian(m.ambient).apply(extend(m, F, w1, w2)))
+    lhs = induce(m, ambient_laplacian(m.ambient), w1, w2, F)
     rhs = sublaplacian(m, w1, w2).apply(F)
     res = lhs - rhs
     return None if not res else res

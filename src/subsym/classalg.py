@@ -45,19 +45,8 @@ def invert_perm(p):
 
 
 def perm_sign(p):
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1)^(k - number of cycles)."""
+    return -1 if (len(p) - len(cycle_type(p))) % 2 else 1
 
 
 def cycle_type(p):
@@ -269,55 +258,27 @@ def center_convolution(u: ClassElement, v: ClassElement) -> ClassElement:
 # characters: Murnaghan-Nakayama
 
 
-def _border_strips(lam, length):
-    """All ways to remove a border strip of given length from shape lam.
-
-    Yields (new_partition, height) with height = rows spanned minus one.
-    """
-    lam = list(lam)
-    n = len(lam)
-    for start in range(n):
-        # strip starting in row `start` (its rightmost cell in that row)
-        # spans rows start..end; end determined by walking the rim
-        for end in range(start, n):
-            # cells removed from rows start..end along the rim:
-            # row i keeps lam[i+1]-1 cells for i<end, row end keeps some tail
-            removed = 0
-            ok = True
-            new = lam.copy()
-            for i in range(start, end):
-                take = lam[i] - (lam[i + 1] - 1)
-                if take <= 0:
-                    ok = False
-                    break
-                removed += take
-                new[i] = lam[i + 1] - 1
-            if not ok:
-                continue
-            tail = length - removed
-            if tail <= 0:
-                continue
-            take_end_max = lam[end] - (lam[end + 1] if end + 1 < n else 0)
-            if tail > take_end_max:
-                continue
-            new[end] = lam[end] - tail
-            cand = [x for x in new if x > 0]
-            if all(cand[i] >= cand[i + 1] for i in range(len(cand) - 1)):
-                yield tuple(cand), end - start
-
-
 @lru_cache(maxsize=None)
 def mn_character(lam, mu) -> int:
-    """Irreducible character chi^lam on class mu via Murnaghan-Nakayama."""
+    """Irreducible character chi^lam on class mu via Murnaghan-Nakayama on
+    beta-numbers b_i = lam_i + l - 1 - i (l = len(lam), 0-based i): removing
+    a border strip of length r moves one b to a free b - r, with sign (-1) to
+    the number of beta-numbers strictly between."""
     lam, mu = tuple(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError("partitions must have equal size")
     if not lam:
         return 1
+    r, rest = mu[0], mu[1:]
+    ell = len(lam)
+    beta = [part + ell - 1 - i for i, part in enumerate(lam)]
     total = 0
-    first, rest = mu[0], mu[1:]
-    for new, height in _border_strips(lam, first):
-        total += (-1) ** height * mn_character(new, rest)
+    for b in beta:
+        if b >= r and b - r not in beta:
+            moved = sorted([c for c in beta if c != b] + [b - r], reverse=True)
+            shape = tuple(part for i, c in enumerate(moved) if (part := c - (ell - 1 - i)))
+            height = sum(b - r < c < b for c in beta)
+            total += (-1) ** height * mn_character(shape, rest)
     return total
 
 

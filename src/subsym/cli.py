@@ -9,7 +9,7 @@ Suites: reduction, commutation, composition, prop1, symbols, classalg,
 commutant, decompose, hwvectors, all.  Every suite prints one line per
 check and exits 0 only if everything passed.  All randomness flows from
 --seed (recorded in the report).  SUBSYM_OUT_DIR sets the default output
-directory for written reports.
+directory of `table`; `verify` writes a report only to --out.
 """
 
 from __future__ import annotations
@@ -164,22 +164,20 @@ def _suite_composition(params, rep: VerificationReport):
         AmbientModel,
         compose_decompose,
         higher_symmetry_op,
+        quadric,
         uncorrected_vw0,
         random_traceless,
         trace_projection_oracle,
-        u_quadric,
         verify_composition_identity,
     )
-    from .boundary import BoundaryModel, induce, phi_pullback, sublaplacian
+    from .boundary import BoundaryModel, admissible_weights, induce, phi_pullback, sublaplacian
 
     n = COMPOSITION_N if params.get("n") is None else params["n"]
     deg = 3 if params.get("deg") is None else params["deg"]
     w1 = params.get("w1")
     w2 = params.get("w2")
     if w1 is None or w2 is None:
-        dw = n % 2  # smallest admissible |w1 - w2|
-        w1 = (-n + dw) // 2
-        w2 = -n - w1
+        w1, w2 = admissible_weights(n, n % 2)[-1]  # smallest |w1 - w2|, w1 >= w2
     m = AmbientModel(n)
     mb = BoundaryModel(n)
     rng = random.Random(rep.seed)
@@ -200,22 +198,19 @@ def _suite_composition(params, rep: VerificationReport):
     # induced (boundary) decomposition for the first pair, sampled F
     V, W = pairs[0]
     parts = decomposed[0]
-    op2 = higher_symmetry_op(m, parts.vw2)
-    op1 = higher_symmetry_op(m, parts.vw1)
-    DVW = higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W))
-    uq = phi_pullback(mb, u_quadric(m, parts.U + parts.Utilde))
+    # D_V o D_W - D_vw2 - D_vw1 induces vw0 - r_S Delta_b, r_S the pulled
+    # back quadric of S = U + Utilde
+    ambient_part = (
+        higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W))
+        - higher_symmetry_op(m, parts.vw2)
+        - higher_symmetry_op(m, parts.vw1)
+    )
+    uq = phi_pullback(mb, quadric(m, parts.U + parts.Utilde))
     delta = sublaplacian(mb, w1, w2)
     ok = True
     witness = None
-    for F in list(mb.monomials(2)):
-        lhs = induce(mb, DVW, w1, w2, F)
-        rhs = (
-            induce(mb, op2, w1, w2, F)
-            + induce(mb, op1, w1, w2, F)
-            + F.scale(parts.vw0)
-            - uq * delta.apply(F)
-        )
-        if lhs != rhs:
+    for F in mb.monomials(2):
+        if induce(mb, ambient_part, w1, w2, F) != F.scale(parts.vw0) - uq * delta.apply(F):
             ok = False
             witness = f"F={F}"
             break

@@ -48,6 +48,12 @@ four-index-loop `compose_decompose`), which the
 one-column `SparseTensor` path replaced; `dense` and `to_tensor` convert
 between the two.  They are the differential oracle for that path.
 
+`perm_sign_by_cycle_walk` is the former `classalg.perm_sign`, which walked the
+cycles a second time, and `mn_character_by_border_strips`, with
+`border_strips`, the former `classalg.mn_character`, which removed border
+strips by walking the rim; they are the differential oracles for the sign
+read off the cycle type and for the beta-number rule.
+
 `parse_rat` reads the "p/q" strings of `scalars.rat_str` (the records in
 `data/` are written that way).
 
@@ -63,6 +69,7 @@ sparse scatter of `decompose` replaced; both are differential oracles.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add
 
@@ -1010,4 +1017,71 @@ def compose_decompose_by_loops(m, V: TracelessMatrix, W: TracelessMatrix, w1: in
     vw0 = rat(n, 2 * (n + 1) * (n + 2) * (n + 3)) * (dw * dw - (n + 2) ** 2) * t
     return CompositionParts(
         T=T, U=U, Utilde=Ut, vw2=T.symmetrized(), vw1=TracelessMatrix(M), vw0=vw0, w1=w1, w2=w2
+    )
+
+
+def perm_sign_by_cycle_walk(p):
+    """The former classalg.perm_sign: one sign flip per even-length cycle."""
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, ln = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            ln += 1
+        if ln % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def border_strips(lam, length):
+    """All ways to remove a border strip of given length from shape lam.
+
+    Yields (new_partition, height) with height = rows spanned minus one.
+    """
+    lam = list(lam)
+    n = len(lam)
+    for start in range(n):
+        # strip starting in row `start` (its rightmost cell in that row)
+        # spans rows start..end; end determined by walking the rim
+        for end in range(start, n):
+            # cells removed from rows start..end along the rim:
+            # row i keeps lam[i+1]-1 cells for i<end, row end keeps some tail
+            removed = 0
+            ok = True
+            new = lam.copy()
+            for i in range(start, end):
+                take = lam[i] - (lam[i + 1] - 1)
+                if take <= 0:
+                    ok = False
+                    break
+                removed += take
+                new[i] = lam[i + 1] - 1
+            if not ok:
+                continue
+            tail = length - removed
+            if tail <= 0:
+                continue
+            take_end_max = lam[end] - (lam[end + 1] if end + 1 < n else 0)
+            if tail > take_end_max:
+                continue
+            new[end] = lam[end] - tail
+            cand = [x for x in new if x > 0]
+            if all(cand[i] >= cand[i + 1] for i in range(len(cand) - 1)):
+                yield tuple(cand), end - start
+
+
+@lru_cache(maxsize=None)
+def mn_character_by_border_strips(lam, mu) -> int:
+    """The former classalg.mn_character: Murnaghan-Nakayama over the rim
+    walk of `border_strips`."""
+    lam, mu = tuple(lam), tuple(mu)
+    if not lam:
+        return 1
+    return sum(
+        (-1) ** height * mn_character_by_border_strips(new, mu[1:])
+        for new, height in border_strips(lam, mu[0])
     )

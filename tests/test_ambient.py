@@ -11,9 +11,12 @@ from subsym.ambient import (
     central_action_check,
     central_element,
     compose_decompose,
+    dual_quadric,
     dv_bracket,
     euler_ops,
     higher_symmetry_op,
+    identity,
+    quadric,
     uncorrected_vw0,
     r_poly,
     random_traceless,
@@ -74,6 +77,37 @@ def test_euler_eigenvalues(m1):
 def test_laplacian_of_r_counts_dimensions(m1):
     # the h = 1 instance of the lap(r h) lemma: lap(r) = n + 2
     assert ambient_laplacian(m1).apply(r_poly(m1)) == m1.ring.const(m1.n + 2)
+
+
+@pytest.mark.parametrize("n, g_diag", [(1, None), (2, (1, -1)), (3, None)])
+def test_dual_quadric_of_a_quadric_is_the_trace_of_the_product(n, g_diag):
+    # d^A' d_D' (x^A x_D) = delta^A_D' delta^A'_D, so the pairing is tr(S T);
+    # at S = T = identity it is lap(r) = n + 2
+    m = AmbientModel(n, g_diag)
+    N = m.N
+    rng = random.Random(70 + n)
+
+    def draw():
+        return SparseTensor(1, N, {((B,), (A,)): rat(rng.randint(-3, 3)) for B in range(N) for A in range(N)})
+
+    for _ in range(3):
+        S, T = draw(), draw()
+        tr = sum(
+            (S.entries.get(((A,), (D,)), RZERO) * T.entries.get(((D,), (A,)), RZERO) for A in range(N) for D in range(N)),
+            RZERO,
+        )
+        assert dual_quadric(m, S).apply(quadric(m, T)) == m.ring.const(tr)
+    assert quadric(m, identity(N)) == r_poly(m)
+    assert dual_quadric(m, identity(N)) == ambient_laplacian(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ambient_laplacian_is_the_sum_of_paired_derivatives(n):
+    m = AmbientModel(n)
+    written_out = WeylOperator.zero(m.ring)
+    for A in range(m.N):
+        written_out = written_out + m.d_up(A).compose(m.d_dn(A))
+    assert ambient_laplacian(m) == written_out
 
 
 def test_laplacian_kills_unpaired_monomials(m1):
@@ -204,15 +238,19 @@ def test_compose_decompose_n3():
     assert parts.T.is_trace_free()
 
 
-def test_trace_oracle_matches_closed_form(m2):
-    rng = random.Random(42)
-    for _ in range(5):
-        V = random_traceless(2, rng)
-        W = random_traceless(2, rng)
-        parts = compose_decompose(m2, V, W, -1, -1)
-        orc = trace_projection_oracle(m2, V, W)
-        assert orc is not None
-        assert orc[0] == parts.U and orc[1] == parts.Utilde
+def test_trace_oracle_matches_closed_form():
+    # the oracle's rows carry N-dependent constants, so every n of 1..4
+    for n in (1, 2, 3, 4):
+        m = AmbientModel(n)
+        w1, w2 = admissible_weights(n)[0]
+        rng = random.Random(42)
+        for _ in range(5 if n == 2 else 2):
+            V = random_traceless(n, rng)
+            W = random_traceless(n, rng)
+            parts = compose_decompose(m, V, W, w1, w2)
+            orc = trace_projection_oracle(m, V, W)
+            assert orc is not None
+            assert orc[0] == parts.U and orc[1] == parts.Utilde
 
 
 def test_resolution_reconstructs_tensor_product(m2):

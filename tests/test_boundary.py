@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import subsym.boundary
 from subsym.ambient import (
+    AmbientModel,
     ambient_laplacian,
     bidegree_monomials,
     central_element,
@@ -23,6 +25,7 @@ from subsym.boundary import (
     verify_reduction,
 )
 from subsym.scalars import rat
+from subsym.weyl import WeylOperator
 from support import bidegree
 
 
@@ -291,3 +294,35 @@ def test_induce_linear(m2):
 def test_extend_rejects_non_integer_weights(m1):
     with pytest.raises(ValueError):
         extend(m1, m1.ring.one(), 0.5, -1.5)
+
+
+@pytest.mark.parametrize("model", [AmbientModel, BoundaryModel])
+@pytest.mark.parametrize(
+    "n, g_diag, message",
+    [
+        (0, None, "need n >= 1"),
+        (2, (1,), "g_diag must be n entries of +-1"),
+        (2, (1, 2), "g_diag must be n entries of +-1"),
+    ],
+)
+def test_models_reject_bad_n_and_g_diag(model, n, g_diag, message):
+    with pytest.raises(ValueError) as exc:
+        model(n, g_diag)
+    assert str(exc.value) == message
+
+
+def test_induced_decomposition_check_fails_on_a_wrong_sublaplacian(monkeypatch):
+    # a sub-Laplacian shifted by the identity breaks only the boundary
+    # reading of the composition identity, first at F = 1
+    from subsym.cli import run
+
+    sublaplacian_ = subsym.boundary.sublaplacian
+    monkeypatch.setattr(
+        subsym.boundary,
+        "sublaplacian",
+        lambda m, w1, w2: sublaplacian_(m, w1, w2) + WeylOperator.identity(m.ring),
+    )
+    (rep,) = run("composition", {"seed": 0})
+    failed = [(c.name, c.witness) for c in rep.checks if c.status != "pass"]
+    assert failed == [("induced boundary decomposition (second/first/zeroth + trivial part)", "F=(1/1)*1")]
+    assert len(rep.checks) == 16

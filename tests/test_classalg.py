@@ -25,6 +25,7 @@ from subsym.classalg import (
 )
 from subsym.scalars import accumulate, rat
 from subsym.tensor import SparseTensor
+from support import mn_character_by_border_strips, perm_sign_by_cycle_walk
 
 
 def is_class_function(x, k) -> bool:
@@ -105,6 +106,19 @@ def test_trivial_and_sign_characters():
             assert mn_character((k,), mu) == 1
             rep = class_elements(k)[mu][0]
             assert mn_character((1,) * k, mu) == perm_sign(rep)
+
+
+def test_characters_match_the_border_strip_oracle():
+    for k in range(1, 11):
+        for lam in partitions(k):
+            for mu in partitions(k):
+                assert mn_character(lam, mu) == mn_character_by_border_strips(lam, mu), (lam, mu)
+
+
+def test_perm_sign_matches_the_cycle_walk():
+    for k in range(8):
+        for p in itertools.permutations(range(k)):
+            assert perm_sign(p) == perm_sign_by_cycle_walk(p), p
 
 
 def test_dimension_against_hooks():

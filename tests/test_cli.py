@@ -130,6 +130,19 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "classalg_k2.csv").exists()
 
 
+def test_out_dir_env_is_ignored_by_verify(tmp_path, capsys, monkeypatch):
+    # SUBSYM_OUT_DIR names the directory of `table` output only; `verify`
+    # writes a report only where --out says
+    out_dir, cwd = tmp_path / "out", tmp_path / "cwd"
+    out_dir.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("SUBSYM_OUT_DIR", str(out_dir))
+    monkeypatch.chdir(cwd)
+    assert main(["verify", "classalg", "--k", "2"]) == 0
+    capsys.readouterr()
+    assert not any(out_dir.iterdir()) and not any(cwd.iterdir())
+
+
 def test_all_suites_enumerated():
     assert set(SUITES) == {
         "reduction",
