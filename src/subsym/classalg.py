@@ -28,10 +28,6 @@ from .scalars import Fraction, accumulate, rat
 # permutations
 
 
-def identity_perm(k):
-    return tuple(range(k))
-
-
 def compose_perm(p, q):
     """(p*q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -307,7 +303,7 @@ def char_dim(lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# central idempotents and Young symmetrizers
+# central idempotents
 
 
 def central_idempotent(lam):
@@ -323,68 +319,6 @@ def central_idempotent(lam):
         for p in elems:
             coeffs[p] = c
     return coeffs
-
-
-def standard_tableaux(lam):
-    """All standard Young tableaux of shape lam (tuples of row tuples)."""
-    lam = tuple(lam)
-    k = sum(lam)
-    results = []
-
-    def rec(rows):
-        n = sum(len(r) for r in rows)
-        if n == k:
-            results.append(tuple(tuple(r) for r in rows))
-            return
-        for i, row in enumerate(rows):
-            if len(row) < lam[i] and (i == 0 or len(rows[i - 1]) > len(row)):
-                row.append(n + 1)
-                rec(rows)
-                row.pop()
-
-    rec([[] for _ in lam])
-    return results
-
-
-def _group_from_blocks(blocks, k):
-    """Subgroup of S_k permuting positions within each block independently."""
-    gens = [identity_perm(k)]
-    for block in blocks:
-        new = []
-        for base in gens:
-            for arr in itertools.permutations(block):
-                img = list(base)
-                for src, dst in zip(block, arr):
-                    img[src] = base[dst]
-                new.append(tuple(img))
-        gens = list(set(new))
-    return gens
-
-
-def young_symmetrizer(tab):
-    """c(A) r(A): column antisymmetrizer composed with row symmetrizer, K = 1."""
-    lam = tuple(len(r) for r in tab)
-    k = sum(lam)
-    rows = [[v - 1 for v in r] for r in tab]
-    conj = conjugate_partition(lam)
-    cols = []
-    for j in range(lam[0]):
-        col = [tab[i][j] - 1 for i in range(conj[j])]
-        cols.append(col)
-    r_elems = _group_from_blocks(rows, k)
-    c_elems = _group_from_blocks(cols, k)
-    r_sum = {p: rat(1) for p in r_elems}
-    c_sum = {p: rat(perm_sign(p)) for p in c_elems}
-    return convolve(c_sum, r_sum)
-
-
-def young_projector_sum(lam):
-    """Sum of Young symmetrizers over all standard tableaux of shape lam."""
-    out = {}
-    for tab in standard_tableaux(lam):
-        for p, c in young_symmetrizer(tab).items():
-            accumulate(out, p, c)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import os
 import random
 import sys
 import time
+from math import factorial
 
 from .report import VerificationReport, classalg_table_csv, emit, isotypic_table_json
 
@@ -41,10 +42,10 @@ def _suite_classalg(params, rep: VerificationReport):
     from .classalg import (
         ClassElement,
         center_convolution,
+        class_elements,
         class_multiply,
         conjugacy_classes,
-        partitions,
-        z_lambda,
+        structure_constant_table,
     )
     from .scalars import rat
 
@@ -63,27 +64,25 @@ def _suite_classalg(params, rep: VerificationReport):
     rep.add("k=3: y.y = (1+y)/2", class_multiply(y, y) == one.scale(rat(1, 2)) + y.scale(rat(1, 2)))
     # oracle equivalence and probability structure
     for k in range(1, kmax + 1):
-        ok = True
-        prob_ok = True
-        witness = None
-        for lam in partitions(k):
-            for mu in partitions(k):
-                a = class_multiply(ClassElement.basis(k, lam), ClassElement.basis(k, mu))
-                b = center_convolution(ClassElement.basis(k, lam), ClassElement.basis(k, mu))
-                if a != b:
-                    ok = False
-                    witness = f"k={k} {lam}x{mu}"
-                if sum(a.coeffs.values()) != 1 or any(c <= 0 for c in a.coeffs.values()):
-                    prob_ok = False
-        rep.add(f"k={k}: enumeration == convolution on all basis pairs", ok, witness)
-        rep.add(f"k={k}: structure constants are probabilities", prob_ok)
+        table = structure_constant_table(k)
+        bad = [(lam, mu) for (lam, mu), p in table.items()
+               if p != center_convolution(ClassElement.basis(k, lam), ClassElement.basis(k, mu)).coeffs]
+        rep.add(f"k={k}: enumeration == convolution on all basis pairs", not bad,
+                f"k={k} {bad[0][0]}x{bad[0][1]}" if bad else None)
+        rep.add(
+            f"k={k}: structure constants are probabilities",
+            all(sum(p.values()) == 1 and all(c > 0 for c in p.values()) for p in table.values()),
+        )
+        # k!/z_lambda against the enumerated classes, and the class equation
         sizes = conjugacy_classes(k)
-        import math
-
+        elems = class_elements(k)
+        bad = [f"class {lam}: k!/z = {s}, enumerated {len(elems[lam])}"
+               for lam, s in sizes if s != len(elems[lam])]
+        total = sum(s for _, s in sizes)
         rep.add(
             f"k={k}: class sizes k!/z sum to k!",
-            sum(s for _, s in sizes) == math.factorial(k)
-            and all(s == math.factorial(k) // z_lambda(lam) for lam, s in sizes),
+            not bad and total == factorial(k),
+            bad[0] if bad else f"sizes sum to {total}",
         )
     return rep
 
@@ -313,7 +312,7 @@ def three_column_skew_checks(rep: VerificationReport, m, rng):
 
 
 def _suite_commutant(params, rep: VerificationReport):
-    from .classalg import ClassElement, class_multiply, partitions
+    from .classalg import partitions, structure_constant_table
     from .decompose import (
         basis_operator_rank,
         commutant_mult_crosscheck,
@@ -322,12 +321,8 @@ def _suite_commutant(params, rep: VerificationReport):
 
     cases = [(2, 4), (3, 6)] if params.get("k") is None else [(params["k"], params["dim"])]
     for (k, N) in cases:
-        def cp(lam, mu, _k=k):
-            return class_multiply(
-                ClassElement.basis(_k, lam), ClassElement.basis(_k, mu)
-            ).coeffs
-
-        res = commutant_mult_crosscheck(k, N, cp)
+        table = structure_constant_table(k)
+        res = commutant_mult_crosscheck(k, N, lambda lam, mu: table[lam, mu])
         bad = [(lam, mu) for lam, mu, ok in res if not ok]
         rep.add(
             f"(k,N)=({k},{N}): operator products match class-algebra constants on S^k_0",
@@ -347,8 +342,8 @@ def _suite_commutant(params, rep: VerificationReport):
             f"rank {rank}, expected {count}",
             cases=cases,
         )
-    lem = conjugation_lemmas_check(2, 3, seed=rep.seed or 0)
-    rep.add("Ad-conjugation lemmas (k=2, N=3)", all(ok for _, ok in lem))
+    bad = [name for name, ok in conjugation_lemmas_check(2, 3, seed=rep.seed or 0) if not ok]
+    rep.add("Ad-conjugation lemmas (k=2, N=3)", not bad, bad[0] if bad else None)
     return rep
 
 
@@ -425,8 +420,7 @@ def _suite_hwvectors(params, rep: VerificationReport):
             for lam in partitions(k):
                 if 2 * len(lam) <= N:
                     cases += 1
-                    _, nz = highest_weight_vector(lam, N)
-                    if not nz:
+                    if not highest_weight_vector(lam, N):
                         ok = False
                         witness = f"lambda={lam}, N={N}"
     rep.add(
@@ -437,9 +431,11 @@ def _suite_hwvectors(params, rep: VerificationReport):
     )
     for (lam, k, N) in [((2,), 2, 3), ((3,), 3, 4), ((2, 1), 3, 3)]:
         res = skew_vanishing_check(lam, k, N, trials=5, seed=rep.seed or 0)
+        bad = [(t, slots) for t, slots, ok in res if not ok]
         rep.add(
             f"skew vanishing for lambda={lam} (k={k}, N={N}, 5 seeded tensors)",
-            all(okk for _, _, okk in res),
+            not bad,
+            f"trial {bad[0][0]}, slots {bad[0][1]}" if bad else None,
         )
     return rep
 

@@ -107,21 +107,14 @@ def emit(report: VerificationReport, path, fmt="json"):
 
 def classalg_table_csv(k, path):
     """CSV of class-algebra structure constants: cell lists '(tau):p/q'."""
-    from fractions import Fraction
-
     from .classalg import partitions, structure_constant_table
+    from .scalars import rat_str
 
     table = structure_constant_table(k)
     parts = list(partitions(k))
 
     def fmt_cell(coeffs):
-        items = []
-        for tau in parts:
-            if tau in coeffs:
-                c = coeffs[tau]
-                f = Fraction(int(c.numerator), int(c.denominator))
-                items.append(f"{list(tau)}:{f.numerator}/{f.denominator}")
-        return "; ".join(items)
+        return "; ".join(f"{list(tau)}:{rat_str(coeffs[tau])}" for tau in parts if tau in coeffs)
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

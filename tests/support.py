@@ -54,6 +54,11 @@ cycles a second time, and `mn_character_by_border_strips`, with
 strips by walking the rim; they are the differential oracles for the sign
 read off the cycle type and for the beta-number rule.
 
+`standard_tableaux`, `young_symmetrizer` and `young_projector_sum` are the
+former Young symmetrizers of `classalg`, which the skew-vanishing check
+applied before it took the central idempotent e_lam; they are the oracle of
+the containment e_lam * Y_lam = Y_lam, which keeps that check's domain.
+
 `parse_rat` reads the "p/q" strings of `scalars.rat_str` (the records in
 `data/` are written that way).
 
@@ -74,6 +79,7 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from subsym.ambient import CompositionParts
+from subsym.classalg import conjugate_partition, convolve, perm_sign
 from subsym.boundary import tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
@@ -1085,3 +1091,65 @@ def mn_character_by_border_strips(lam, mu) -> int:
         (-1) ** height * mn_character_by_border_strips(new, mu[1:])
         for new, height in border_strips(lam, mu[0])
     )
+
+
+def standard_tableaux(lam):
+    """All standard Young tableaux of shape lam (tuples of row tuples)."""
+    lam = tuple(lam)
+    k = sum(lam)
+    results = []
+
+    def rec(rows):
+        n = sum(len(r) for r in rows)
+        if n == k:
+            results.append(tuple(tuple(r) for r in rows))
+            return
+        for i, row in enumerate(rows):
+            if len(row) < lam[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                row.append(n + 1)
+                rec(rows)
+                row.pop()
+
+    rec([[] for _ in lam])
+    return results
+
+
+def _group_from_blocks(blocks, k):
+    """Subgroup of S_k permuting positions within each block independently."""
+    gens = [tuple(range(k))]
+    for block in blocks:
+        new = []
+        for base in gens:
+            for arr in itertools.permutations(block):
+                img = list(base)
+                for src, dst in zip(block, arr):
+                    img[src] = base[dst]
+                new.append(tuple(img))
+        gens = list(set(new))
+    return gens
+
+
+def young_symmetrizer(tab):
+    """c(A) r(A): column antisymmetrizer composed with row symmetrizer, K = 1."""
+    lam = tuple(len(r) for r in tab)
+    k = sum(lam)
+    rows = [[v - 1 for v in r] for r in tab]
+    conj = conjugate_partition(lam)
+    cols = []
+    for j in range(lam[0]):
+        col = [tab[i][j] - 1 for i in range(conj[j])]
+        cols.append(col)
+    r_elems = _group_from_blocks(rows, k)
+    c_elems = _group_from_blocks(cols, k)
+    r_sum = {p: rat(1) for p in r_elems}
+    c_sum = {p: rat(perm_sign(p)) for p in c_elems}
+    return convolve(c_sum, r_sum)
+
+
+def young_projector_sum(lam):
+    """Sum of Young symmetrizers over all standard tableaux of shape lam."""
+    out = {}
+    for tab in standard_tableaux(lam):
+        for p, c in young_symmetrizer(tab).items():
+            accumulate(out, p, c)
+    return out

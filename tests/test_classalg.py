@@ -15,17 +15,20 @@ from subsym.classalg import (
     conjugate_partition,
     convolve,
     hook_length_dim,
-    identity_perm,
     mn_character,
     partitions,
     perm_sign,
-    standard_tableaux,
-    young_symmetrizer,
     z_lambda,
 )
 from subsym.scalars import accumulate, rat
 from subsym.tensor import SparseTensor
-from support import mn_character_by_border_strips, perm_sign_by_cycle_walk
+from support import (
+    mn_character_by_border_strips,
+    perm_sign_by_cycle_walk,
+    standard_tableaux,
+    young_projector_sum,
+    young_symmetrizer,
+)
 
 
 def is_class_function(x, k) -> bool:
@@ -145,7 +148,7 @@ def test_central_idempotents():
             for mu, f in idems.items():
                 expected = e if lam == mu else {}
                 assert convolve(e, f) == expected
-        assert total == {identity_perm(k): 1}
+        assert total == {tuple(range(k)): 1}
 
 
 def test_k1_idempotent_is_identity():
@@ -186,6 +189,15 @@ def test_young_quasi_idempotency():
                 p = young_symmetrizer(tab)
                 scale = rat(math.factorial(k), char_dim(lam))
                 assert convolve(p, p) == {q: c * scale for q, c in p.items()}
+
+
+def test_central_idempotent_contains_the_young_projector_image():
+    # e_lam * Y_lam = Y_lam, so the image of the Young projector sum lies in
+    # that of e_lam, and skew vanishing on the e_lam image covers it
+    for k in (1, 2, 3, 4, 5):
+        for lam in partitions(k):
+            young = young_projector_sum(lam)
+            assert convolve(central_idempotent(lam), young) == young, lam
 
 
 def test_conjugate_partition():

@@ -350,6 +350,45 @@ def test_commutation_failures_name_their_witness(monkeypatch):
     }
 
 
+def test_class_size_check_compares_with_the_enumerated_classes(monkeypatch):
+    # swapping z_lambda of (2,2) and (3,1) keeps the class equation, so only
+    # the comparison with the enumerated classes can catch it
+    import subsym.classalg as classalg
+
+    z = classalg.z_lambda
+    swap = {(2, 2): (3, 1), (3, 1): (2, 2)}
+    monkeypatch.setattr(classalg, "z_lambda", lambda lam: z(swap.get(tuple(lam), tuple(lam))))
+    (rep,) = run("classalg", {"k": 4, "seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {"k=4: class sizes k!/z sum to k!": "class (3, 1): k!/z = 3, enumerated 8"}
+
+
+def test_skew_vanishing_failures_name_their_trial_and_slots(monkeypatch):
+    # with the identity in place of e_lam every seeded tensor survives the skew
+    import subsym.decompose as decompose
+    from subsym.scalars import rat
+
+    monkeypatch.setattr(decompose, "central_idempotent", lambda lam: {tuple(range(sum(lam))): rat(1)})
+    (rep,) = run("hwvectors", {"seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {
+        "skew vanishing for lambda=(2,) (k=2, N=3, 5 seeded tensors)": "trial 0, slots (0, 1)",
+        "skew vanishing for lambda=(3,) (k=3, N=4, 5 seeded tensors)": "trial 0, slots (0, 1)",
+        "skew vanishing for lambda=(2, 1) (k=3, N=3, 5 seeded tensors)": "trial 0, slots (0, 1, 2)",
+    }
+
+
+def test_conjugation_lemma_failure_names_the_lemma(monkeypatch):
+    # an embedding that forgets sigma breaks the even lemma at the first
+    # nontrivial sigma
+    import subsym.decompose as decompose
+
+    monkeypatch.setattr(decompose, "embed_even", lambda sig, k: tuple(range(2 * k)))
+    (rep,) = run("commutant", {"k": 2, "dim": 4, "seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {"Ad-conjugation lemmas (k=2, N=3)": "even lemma s~(2,) sigma=(1, 0)"}
+
+
 # sha256 of each suite's canonical JSON report at --seed 0 and --seed 7
 # (symbols at --n 2); a refactor that keeps the checks keeps these bytes
 CANONICAL_DIGESTS = {
@@ -398,3 +437,19 @@ def test_canonical_report_digest(suite):
         params = {"seed": seed, **({"n": 2} if suite == "symbols" else {})}
         (rep,) = run(suite, params)
         assert hashlib.sha256(rep.dumps().encode()).hexdigest() == digest, f"seed {seed}"
+
+
+# sha256 of the canonical JSON report of requests away from the defaults
+REQUEST_DIGESTS = {
+    "commutant --k 3 --dim 5": "8ab81b65870ba18c970933beae0f0f43bc5c1f4b8ee61a8756bc909666b00235",
+    "hwvectors --k 4 --dim 7": "63f4d68caef5bbfb723ee45677e457bdbd1dd0fdd2d90c7ba203763fbc757044",
+    "decompose --k 3 --dim 5": "6562d6bc96599bd26aa462f5385aee3dd3d3ea994f5c23589048a8d166711aa7",
+}
+
+
+@pytest.mark.parametrize("request_argv", list(REQUEST_DIGESTS))
+def test_request_report_digest(request_argv, tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    assert main(["verify", *request_argv.split(), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REQUEST_DIGESTS[request_argv]

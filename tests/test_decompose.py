@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 from subsym.classalg import (
     ClassElement,
     act_on_tuple,
+    central_idempotent,
     char_dim,
     class_elements,
     class_multiply,
     compose_perm,
+    cycle_type,
     mn_character,
     partitions,
-    young_projector_sum,
 )
-from support import gather_class_sum, gather_tables
+from support import gather_class_sum, gather_tables, young_projector_sum
 from subsym.decompose import (
     _class_sum,
     _combine,
@@ -36,6 +37,7 @@ from subsym.decompose import (
     lambda_plus_dual,
     multiset_weight,
     pair_multisets,
+    random_plain_tensor,
     seven_pieces_check,
     skew_vanishing_check,
     stable_dim_formula,
@@ -237,6 +239,19 @@ def test_averaged_definition_matches_simple_action():
             elems = class_elements(k)[lam]
             fast = T.act({p: rat(1, len(elems)) for p in elems}, upper=False)
             assert averaged_c_s(s, T) == fast, (k, lam)
+
+
+def test_interchanging_reps_swap_parities_and_realise_their_class():
+    # s swaps the even and odd slots; sigma_1 and sigma_2 are read off them
+    for k in (1, 2, 3, 4, 5):
+        reps = interchanging_reps(k)
+        assert list(reps) == list(partitions(k))
+        for lam, s in reps.items():
+            assert sorted(s) == list(range(2 * k))
+            assert all((p + s[p]) % 2 == 1 for p in range(2 * k)), lam
+            sigma1 = tuple(s[2 * m] // 2 for m in range(k))
+            sigma2 = tuple(s[2 * m + 1] // 2 for m in range(k))
+            assert cycle_type(compose_perm(sigma2, sigma1)) == lam
 
 
 def test_conjugation_lemmas():
@@ -588,8 +603,8 @@ def test_young_vs_idempotent_images():
 
 
 def test_hwv_adjoint():
-    f, nz = highest_weight_vector((1,), 3)
-    assert nz
+    f = highest_weight_vector((1,), 3)
+    assert f
     assert {multiset_weight(M, 3) for M in f} == {(1, 0, -1)}
 
 
@@ -598,8 +613,7 @@ def test_hwv_nonzero_in_range():
         for k in (1, 2, 3):
             for lam in partitions(k):
                 if 2 * len(lam) <= N:
-                    _, nz = highest_weight_vector(lam, N)
-                    assert nz, (lam, N)
+                    assert highest_weight_vector(lam, N), (lam, N)
 
 
 def test_hwv_rejects_out_of_range():
@@ -611,6 +625,14 @@ def test_skew_vanishing():
     assert all(ok for *_, ok in skew_vanishing_check((2,), 2, 3, trials=3))
     assert all(ok for *_, ok in skew_vanishing_check((2, 1), 3, 3, trials=5))
     assert all(ok for *_, ok in skew_vanishing_check((3,), 3, 3, trials=3))
+
+
+def test_skew_vanishing_needs_depth_plus_one_slots():
+    # the e_lam image of (2, 1) is killed by alternating 3 slots but not by
+    # alternating depth(lam) = 2 of them, so the check can fail
+    image = random_plain_tensor(3, 3, random.Random(0)).act(central_idempotent((2, 1)), upper=True)
+    assert not image.skew_slots((0, 1, 2))
+    assert all(image.skew_slots(slots) for slots in itertools.combinations(range(3), 2))
 
 
 # -- seven pieces ---------------------------------------------------------------

@@ -16,12 +16,10 @@ from subsym.classalg import (
     invert_perm,
     partitions,
     perm_sign,
-    standard_tableaux,
-    young_symmetrizer,
 )
 from subsym.scalars import GR_ZERO, RZERO, GaussianRational, gr, rat
 from subsym.tensor import SparseTensor
-from support import skew_slots_rational, symmetrized_rational
+from support import skew_slots_rational, standard_tableaux, symmetrized_rational, young_symmetrizer
 
 
 class OldAmbientTensor:
