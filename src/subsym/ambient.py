@@ -166,13 +166,11 @@ def central_element(m: AmbientModel) -> WeylOperator:
 
 def central_action_check(m: AmbientModel, w1: int, w2: int, bound=2):
     """E - Ebar scales every bidegree-(w1, w2) monomial by w1 - w2, that is, the
-    central element scales it by i(w1 - w2)."""
+    central element scales it by i(w1 - w2).  Returns CaseResults of the
+    monomials it does not scale."""
     op = central_element(m)
-    fails = []
-    for f in bidegree_monomials(m, w1, w2, bound):
-        if op.apply(f) != f.scale(w1 - w2):
-            fails.append(str(f))
-    return fails
+    monomials = list(bidegree_monomials(m, w1, w2, bound))
+    return CaseResults([str(f) for f in monomials if op.apply(f) != f.scale(w1 - w2)], len(monomials))
 
 
 def bidegree_monomials(m: AmbientModel, w1: int, w2: int, bound: int):
@@ -396,9 +394,9 @@ def verify_composition_identity(
 
     The residual operator D_V o D_W - rhs is formed once and applied to each
     monomial; by linearity its value is lhs(f) - rhs(f).  ``parts``, formed
-    here when not given, is compose_decompose(m, V, W, w1, w2).  Returns a
-    CaseResults list of failing (monomial, residual) pairs, empty on a pass,
-    with ``cases`` the number of monomials examined.
+    here when not given, is compose_decompose(m, V, W, w1, w2).  Returns
+    CaseResults of "monomial -> residual" for the monomials that fail, with
+    ``cases`` the number of monomials examined.
     """
     if parts is None:
         parts = compose_decompose(m, V, W, w1, w2)
@@ -411,5 +409,5 @@ def verify_composition_identity(
         cases += 1
         res = residual.apply(f)
         if res:
-            bad.append((str(f), str(res)))
+            bad.append(f"{f} -> {res}")
     return CaseResults(bad, cases)

@@ -21,7 +21,7 @@ import sys
 import time
 from math import factorial
 
-from .report import VerificationReport, classalg_table_csv, emit, isotypic_table_json
+from .report import CaseResults, VerificationReport, classalg_table_csv, emit, isotypic_table_json
 
 SUITES = (
     "reduction",
@@ -65,52 +65,44 @@ def _suite_classalg(params, rep: VerificationReport):
     # oracle equivalence and probability structure
     for k in range(1, kmax + 1):
         table = structure_constant_table(k)
-        bad = [(lam, mu) for (lam, mu), p in table.items()
-               if p != center_convolution(ClassElement.basis(k, lam), ClassElement.basis(k, mu)).coeffs]
-        rep.add(f"k={k}: enumeration == convolution on all basis pairs", not bad,
-                f"k={k} {bad[0][0]}x{bad[0][1]}" if bad else None)
-        rep.add(
-            f"k={k}: structure constants are probabilities",
-            all(sum(p.values()) == 1 and all(c > 0 for c in p.values()) for p in table.values()),
-        )
+        rep.check(f"k={k}: enumeration == convolution on all basis pairs", CaseResults(
+            [f"k={k} {lam}x{mu}" for (lam, mu), p in table.items()
+             if p != center_convolution(ClassElement.basis(k, lam), ClassElement.basis(k, mu)).coeffs],
+            len(table)))
+        rep.check(f"k={k}: structure constants are probabilities", CaseResults(
+            [f"k={k} {lam}x{mu}" for (lam, mu), p in table.items()
+             if sum(p.values()) != 1 or not all(c > 0 for c in p.values())],
+            len(table)))
         # k!/z_lambda against the enumerated classes, and the class equation
         sizes = conjugacy_classes(k)
         elems = class_elements(k)
-        bad = [f"class {lam}: k!/z = {s}, enumerated {len(elems[lam])}"
-               for lam, s in sizes if s != len(elems[lam])]
         total = sum(s for _, s in sizes)
-        rep.add(
-            f"k={k}: class sizes k!/z sum to k!",
-            not bad and total == factorial(k),
-            bad[0] if bad else f"sizes sum to {total}",
-        )
+        rep.check(f"k={k}: class sizes k!/z sum to k!", CaseResults(
+            [f"class {lam}: k!/z = {s}, enumerated {len(elems[lam])}" for lam, s in sizes if s != len(elems[lam])]
+            + ([] if total == factorial(k) else [f"sizes sum to {total}"]),
+            len(sizes)))
     return rep
 
 
 def _suite_reduction(params, rep: VerificationReport):
     from .boundary import BoundaryModel, admissible_weights, verify_reduction
 
+    def sweep(m, w1, w2, deg):
+        monomials = list(m.monomials(deg))
+        return CaseResults([f"F={F}: residual {res}" for F in monomials
+                            if (res := verify_reduction(m, F, w1, w2)) is not None], len(monomials))
+
     deg = 3 if params.get("deg") is None else params["deg"]
     ns = [1, 2] if params.get("n") is None else [params["n"]]
     for n in ns:
         m = BoundaryModel(n)
         for (w1, w2) in admissible_weights(n, 4):
-            ok = True
-            witness = None
-            for F in m.monomials(deg):
-                res = verify_reduction(m, F, w1, w2)
-                if res is not None:
-                    ok = False
-                    witness = f"F={F}: residual {res}"
-                    break
-            rep.add(f"n={n} weights ({w1},{w2}): reduction exact, deg<={deg}", ok, witness)
+            rep.check(f"n={n} weights ({w1},{w2}): reduction exact, deg<={deg}", sweep(m, w1, w2, deg))
     # one mixed-signature pass
     n = ns[-1]
     if n >= 2:
         m = BoundaryModel(n, (1,) * (n - 1) + (-1,))
-        w1, w2 = admissible_weights(n, 2)[0]
-        ok = all(verify_reduction(m, F, w1, w2) is None for F in m.monomials(2))
-        rep.add(f"n={n} mixed signature: reduction exact", ok)
+        rep.check(f"n={n} mixed signature: reduction exact", sweep(m, *admissible_weights(n, 2)[0], 2))
     return rep
 
 
@@ -132,29 +124,21 @@ def _suite_commutation(params, rep: VerificationReport):
         m = AmbientModel(n)
         lap = ambient_laplacian(m)
         rmul = WeylOperator.mul_by(r_poly(m))
-        bad_lap = bad_r = None
-        for i, V in enumerate(sl_basis(m.N)):
-            dV = higher_symmetry_op(m, V)
-            if bad_lap is None and lap.commutator(dV):
-                bad_lap = f"sl({m.N}) basis element {i}"
-            if bad_r is None and dV.commutator(rmul):
-                bad_r = f"sl({m.N}) basis element {i}"
-        rep.add(f"n={n}: [lap, D_V] = 0 for the full sl({m.N}) basis", bad_lap is None, bad_lap)
-        rep.add(f"n={n}: [D_V, r.] = 0 for the full sl({m.N}) basis", bad_r is None, bad_r)
+        ops = {f"sl({m.N}) basis element {i}": higher_symmetry_op(m, V) for i, V in enumerate(sl_basis(m.N))}
+        rep.check(f"n={n}: [lap, D_V] = 0 for the full sl({m.N}) basis",
+                  CaseResults([e for e, dV in ops.items() if lap.commutator(dV)], len(ops)))
+        rep.check(f"n={n}: [D_V, r.] = 0 for the full sl({m.N}) basis",
+                  CaseResults([e for e, dV in ops.items() if dV.commutator(rmul)], len(ops)))
     m = AmbientModel(2)
     rng = random.Random(rep.seed)
-    bad = None
-    for i in range(5):
-        V = random_traceless(2, rng)
-        W = random_traceless(2, rng)
-        if bad is None:
-            DV, DW = higher_symmetry_op(m, V), higher_symmetry_op(m, W)
-            if DV.commutator(DW) != higher_symmetry_op(m, dv_bracket(V, W)):
-                bad = f"pair {i}"
-    rep.add("n=2: bracket closure on 5 seeded pairs", bad is None, bad)
+    pairs = [(random_traceless(2, rng), random_traceless(2, rng)) for _ in range(5)]
+    rep.check("n=2: bracket closure on 5 seeded pairs", CaseResults(
+        [f"pair {i}" for i, (V, W) in enumerate(pairs)
+         if higher_symmetry_op(m, V).commutator(higher_symmetry_op(m, W)) != higher_symmetry_op(m, dv_bracket(V, W))],
+        len(pairs)))
     m1 = AmbientModel(1)
-    fails = central_action_check(m1, 0, -1) + central_action_check(m1, -1, 0)
-    rep.add("central element scales by i(w1-w2)", not fails, "; ".join(fails) or None)
+    ab, ba = central_action_check(m1, 0, -1), central_action_check(m1, -1, 0)
+    rep.check("central element scales by i(w1-w2)", CaseResults(ab + ba, ab.cases + ba.cases))
     return rep
 
 
@@ -183,17 +167,17 @@ def _suite_composition(params, rep: VerificationReport):
     pairs = [(random_traceless(n, rng), random_traceless(n, rng)) for _ in range(5)]
     decomposed = [compose_decompose(m, V, W, w1, w2) for V, W in pairs]
     for i, ((V, W), parts) in enumerate(zip(pairs, decomposed)):
-        rep.add(f"pair {i}: T totally trace-free", parts.T.is_trace_free())
+        slots = range(parts.T.k)
+        rep.check(f"pair {i}: T totally trace-free", CaseResults(
+            [f"contraction ({p}, {q}) nonzero" for p in slots for q in slots if parts.T.contraction(p, q)],
+            len(slots) ** 2))
         orc = trace_projection_oracle(m, V, W)
-        ok = orc is not None and orc[0] == parts.U and orc[1] == parts.Utilde
-        rep.add(f"pair {i}: (U, Utilde) match the projection oracle", ok)
-        bad = verify_composition_identity(m, V, W, w1, w2, degree_bound=deg, parts=parts)
-        rep.add(
-            f"pair {i}: composition identity exact, exponent bound {deg}",
-            not bad,
-            None if not bad else f"{bad[0][0]} -> {bad[0][1]}",
-            cases=bad.cases,
-        )
+        differ = ["the oracle has no unique solution"] if orc is None else [
+            f"{x} differs" for x, ours, theirs in (("U", parts.U, orc[0]), ("Utilde", parts.Utilde, orc[1]))
+            if ours != theirs]
+        rep.add(f"pair {i}: (U, Utilde) match the projection oracle", not differ, "; ".join(differ))
+        rep.check(f"pair {i}: composition identity exact, exponent bound {deg}",
+                  verify_composition_identity(m, V, W, w1, w2, degree_bound=deg, parts=parts))
     # induced (boundary) decomposition for the first pair, sampled F
     V, W = pairs[0]
     parts = decomposed[0]
@@ -206,14 +190,11 @@ def _suite_composition(params, rep: VerificationReport):
     )
     uq = phi_pullback(mb, quadric(m, parts.U + parts.Utilde))
     delta = sublaplacian(mb, w1, w2)
-    ok = True
-    witness = None
-    for F in mb.monomials(2):
-        if induce(mb, ambient_part, w1, w2, F) != F.scale(parts.vw0) - uq * delta.apply(F):
-            ok = False
-            witness = f"F={F}"
-            break
-    rep.add("induced boundary decomposition (second/first/zeroth + trivial part)", ok, witness)
+    monomials = list(mb.monomials(2))
+    rep.check("induced boundary decomposition (second/first/zeroth + trivial part)", CaseResults(
+        [f"F={F}" for F in monomials
+         if induce(mb, ambient_part, w1, w2, F) != F.scale(parts.vw0) - uq * delta.apply(F)],
+        len(monomials)))
     if parts.vw0 != uncorrected_vw0(m, V, W, w1, w2):
         rep.note(
             "zeroth-order coefficient is the derived closed form "
@@ -234,28 +215,15 @@ def _suite_prop1(params, rep: VerificationReport):
         cases = [(params["d"], params["s"])]
     m = BoundaryModel(n)
     for (d, s) in cases:
-        ok, detail = verify_prop1(m, d, s)
-        sysres = detail["system"]
-        rep.add(f"(d,s)=({d},{s}): linear system has a unique solution", sysres.get("unique", False))
-        rep.add(f"(d,s)=({d},{s}): diagonal symbols below s vanish", detail.get("lower_diag_symbols_vanish", False))
-        rep.add(
-            f"(d,s)=({d},{s}): top symbol is a nonzero seed multiple",
-            detail.get("top_symbol_nonzero_seed_multiple", False),
-        )
-        rep.add(
-            f"(d,s)=({d},{s}): BGG residuals zero",
-            all(okk for _, okk, _ in detail.get("bgg", [])),
-        )
-        badrec = [r for r in detail.get("recursions", []) if not r[1]]
-        rep.add(
-            f"(d,s)=({d},{s}): symbol recursions residuals zero",
-            not badrec,
-            badrec[0][0] if badrec else None,
-        )
-    rep.add("a^s_{1,i} = 1 for s <= 8", all(a_coeff(s, 1, i) == 1 for s in range(1, 9) for i in range(s + 1)))
+        for label, failures in verify_prop1(m, d, s):
+            rep.check(f"(d,s)=({d},{s}): {label}", failures)
+    domain = [(s, i) for s in range(1, 9) for i in range(s + 1)]
+    rep.check("a^s_{1,i} = 1 for s <= 8",
+              CaseResults([f"s={s} i={i}: a = {a}" for s, i in domain if (a := a_coeff(s, 1, i)) != 1], len(domain)))
     rep.add("a^1_{1,1} = 1", a_coeff(1, 1, 1) == 1)
-    rep.add("Pascal identity for s <= 8", not pascal_identity_check(8))
-    rep.add("|det a^s| = 1 for s <= 8", all(abs(a_matrix_det(s)) == 1 for s in range(1, 9)))
+    rep.check("Pascal identity for s <= 8", pascal_identity_check(8))
+    rep.check("|det a^s| = 1 for s <= 8",
+              CaseResults([f"s={s}: det {det}" for s in range(1, 9) if abs(det := a_matrix_det(s)) != 1], 8))
     return rep
 
 
@@ -270,14 +238,8 @@ def _suite_symbols(params, rep: VerificationReport):
     for n in ns:
         m = BoundaryModel(n)
         T = SparseTensor.random_disjoint_trace_free(d, n + 2, rng)
-        syms = extract_all_symbols(m, T)
-        rec = check_symbol_recursions(m, syms, T.k)
-        bad = [r for r in rec if not r[1]]
-        rep.add(
-            f"n={n}: recursions for seeded trace-free column-symmetric tensor",
-            not bad,
-            bad[0][0] if bad else None,
-        )
+        rep.check(f"n={n}: recursions for seeded trace-free column-symmetric tensor",
+                  check_symbol_recursions(m, extract_all_symbols(m, T), T.k))
         three_column_skew_checks(rep, m, rng)
     return rep
 
@@ -294,21 +256,16 @@ def three_column_skew_checks(rep: VerificationReport, m, rng):
     if not Tsk:
         rep.add(f"n={n}: skew tensor nonzero", False, "degenerate seed")
         return
-    bad = [key for key, s in extract_all_symbols(m, Tsk).items() if s]
-    rep.add(
-        f"n={n}: three-column-skew tensor induces identically zero symbols",
-        not bad,
-        f"symbol {bad[0]} nonzero" if bad else None,
-    )
+    syms = extract_all_symbols(m, Tsk)
+    zero = CaseResults([f"symbol {key} nonzero" for key, s in syms.items() if s], len(syms))
+    rep.check(f"n={n}: three-column-skew tensor induces identically zero symbols", zero)
     # T is column-symmetric, so the lower skew of Tsk is Tsk itself and the
     # symbols just extracted are those of the double skew
     Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
-    rep.add(
-        f"n={n}: double-skew (column-symmetric) tensor also induces zero",
-        Tdb == Tsk and Tdb.is_symmetric() and not bad,
-        "double skew differs from the upper skew" if Tdb != Tsk
-        else f"symbol {bad[0]} nonzero" if bad else "double skew not column-symmetric",
-    )
+    differs = [] if Tdb == Tsk else ["double skew differs from the upper skew"]
+    asymmetric = [] if Tdb.is_symmetric() else ["double skew not column-symmetric"]
+    rep.check(f"n={n}: double-skew (column-symmetric) tensor also induces zero",
+              CaseResults(differs + zero + asymmetric, zero.cases))
 
 
 def _suite_commutant(params, rep: VerificationReport):
@@ -322,14 +279,8 @@ def _suite_commutant(params, rep: VerificationReport):
     cases = [(2, 4), (3, 6)] if params.get("k") is None else [(params["k"], params["dim"])]
     for (k, N) in cases:
         table = structure_constant_table(k)
-        res = commutant_mult_crosscheck(k, N, lambda lam, mu: table[lam, mu])
-        bad = [(lam, mu) for lam, mu, ok in res if not ok]
-        rep.add(
-            f"(k,N)=({k},{N}): operator products match class-algebra constants on S^k_0",
-            not bad,
-            str(bad[0]) if bad else None,
-            cases=res.cases,
-        )
+        rep.check(f"(k,N)=({k},{N}): operator products match class-algebra constants on S^k_0",
+                  commutant_mult_crosscheck(k, N, lambda lam, mu: table[lam, mu]))
         # the operators act by scalars on each isotypic piece, and the piece
         # of lambda is nonzero exactly when 2*depth(lambda) <= N
         rank, cases = basis_operator_rank(k, N)
@@ -342,8 +293,7 @@ def _suite_commutant(params, rep: VerificationReport):
             f"rank {rank}, expected {count}",
             cases=cases,
         )
-    bad = [name for name, ok in conjugation_lemmas_check(2, 3, seed=rep.seed or 0) if not ok]
-    rep.add("Ad-conjugation lemmas (k=2, N=3)", not bad, bad[0] if bad else None)
+    rep.check("Ad-conjugation lemmas (k=2, N=3)", conjugation_lemmas_check(2, 3, seed=rep.seed or 0))
     return rep
 
 
@@ -369,16 +319,13 @@ def _suite_decompose(params, rep: VerificationReport):
     )
     if (k, N) == (2, 4):
         rep.add("(2,4): ranks are {84, 20} with total 104",
-                table[(2,)] == 84 and table[(1, 1)] == 20 and dim == 104)
+                table == {(2,): 84, (1, 1): 20} and dim == 104, f"ranks {table}, total {dim}")
     # below N = 2k the pieces of the deep partitions vanish
     where = "(stable range)" if N >= 2 * k else "where 2*depth(lambda) <= N, 0 elsewhere"
-    bad = [lam for lam in table if table[lam] != isotypic_dim(lam, N)]
-    rep.add(
-        f"(k,N)=({k},{N}): ranks equal Weyl dimensions {where}",
-        not bad,
-        f"lambda {bad[0]}: rank {table[bad[0]]}, expected {isotypic_dim(bad[0], N)}" if bad else None,
-        cases=dim,
-    )
+    rep.check(f"(k,N)=({k},{N}): ranks equal Weyl dimensions {where}", CaseResults(
+        [f"lambda {lam}: rank {r}, expected {isotypic_dim(lam, N)}" for lam, r in table.items()
+         if r != isotypic_dim(lam, N)],
+        dim))
     closed = stable_dim_formula(k, N)
     rep.add(
         f"(k,N)=({k},{N}): kernel dim equals the closed-form sum",
@@ -388,21 +335,11 @@ def _suite_decompose(params, rep: VerificationReport):
     )
     # number of nonzero components equals p(k) in the stable range, k <= 3
     for kk in range(1, 4):
-        NN = 2 * kk
-        tab = isotypic_table(kk, NN)
-        rep.add(
-            f"k={kk}, N={NN}: number of nonzero components equals p(k)",
-            sum(1 for v in tab.values() if v) == len(list(partitions(kk))),
-        )
-    piece_rep = seven_pieces_check(max(3, min(N, 4)))
-    rep.add(
-        f"seven pieces of sl({piece_rep['N']}) (x) sl({piece_rep['N']}): complete and consistent",
-        piece_rep["complete"]
-        and piece_rep["bracket_is_adjoint"]
-        and piece_rep["adjoint_is_sl"]
-        and piece_rep["killing_is_line"],
-        str(piece_rep["pieces"]),
-    )
+        nonzero = sum(1 for v in isotypic_table(kk, 2 * kk).values() if v)
+        rep.add(f"k={kk}, N={2 * kk}: number of nonzero components equals p(k)",
+                nonzero == len(partitions(kk)), f"{nonzero} nonzero components, p(k) = {len(partitions(kk))}")
+    Np = max(3, min(N, 4))
+    rep.check(f"seven pieces of sl({Np}) (x) sl({Np}): complete and consistent", seven_pieces_check(Np)[1])
     return rep
 
 
@@ -412,31 +349,13 @@ def _suite_hwvectors(params, rep: VerificationReport):
 
     Nmax = 6 if params.get("dim") is None else params["dim"]
     kmax = 3 if params.get("k") is None else params["k"]
-    ok = True
-    witness = None
-    cases = 0
-    for N in range(2, Nmax + 1):
-        for k in range(1, kmax + 1):
-            for lam in partitions(k):
-                if 2 * len(lam) <= N:
-                    cases += 1
-                    if not highest_weight_vector(lam, N):
-                        ok = False
-                        witness = f"lambda={lam}, N={N}"
-    rep.add(
-        f"highest-weight vectors nonzero for 2*depth <= N, k <= {kmax}, N <= {Nmax}",
-        ok,
-        witness,
-        cases=cases,
-    )
+    domain = [(lam, N) for N in range(2, Nmax + 1) for k in range(1, kmax + 1)
+              for lam in partitions(k) if 2 * len(lam) <= N]
+    rep.check(f"highest-weight vectors nonzero for 2*depth <= N, k <= {kmax}, N <= {Nmax}", CaseResults(
+        [f"lambda={lam}, N={N}" for lam, N in domain if not highest_weight_vector(lam, N)], len(domain)))
     for (lam, k, N) in [((2,), 2, 3), ((3,), 3, 4), ((2, 1), 3, 3)]:
-        res = skew_vanishing_check(lam, k, N, trials=5, seed=rep.seed or 0)
-        bad = [(t, slots) for t, slots, ok in res if not ok]
-        rep.add(
-            f"skew vanishing for lambda={lam} (k={k}, N={N}, 5 seeded tensors)",
-            not bad,
-            f"trial {bad[0][0]}, slots {bad[0][1]}" if bad else None,
-        )
+        rep.check(f"skew vanishing for lambda={lam} (k={k}, N={N}, 5 seeded tensors)",
+                  skew_vanishing_check(lam, k, N, trials=5, seed=rep.seed or 0))
     return rep
 
 

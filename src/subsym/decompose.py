@@ -302,8 +302,8 @@ def skew_vanishing_check(lam, k, N, trials=5, seed=0):
 
     The image of e_lam is the lambda-isotypic part of the k-th tensor power,
     whose GL(N) pieces all have depth(lam) rows, and alternating depth+1
-    slots maps it into pieces of depth at least depth+1.  Returns a list of
-    (trial, slots, ok) results; exact check.
+    slots maps it into pieces of depth at least depth+1.  Exact check;
+    returns CaseResults of the failing "trial t, slots s".
     """
     lam = tuple(lam)
     assert sum(lam) == k
@@ -312,12 +312,12 @@ def skew_vanishing_check(lam, k, N, trials=5, seed=0):
         raise ValueError("need depth(lambda)+1 <= k")
     rng = random.Random(seed)
     proj = central_idempotent(lam)
-    results = []
+    slot_sets = list(itertools.combinations(range(k), depth + 1))
+    bad = []
     for t in range(trials):
         image = random_plain_tensor(k, N, rng).act(proj, upper=True)
-        for slots in itertools.combinations(range(k), depth + 1):
-            results.append((t, slots, not image.skew_slots(slots)))
-    return results
+        bad += [f"trial {t}, slots {slots}" for slots in slot_sets if image.skew_slots(slots)]
+    return CaseResults(bad, trials * len(slot_sets))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +405,10 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
     For sigma permuting the vector slots the conjugated operator agrees with
     the original after relabeling both inputs; for sigma permuting the dual
     slots the outputs are relabeled.  Exact check on sampled basis elements
-    and on a random symmetrized tensor; returns a list of (name, ok).
+    and on a random symmetrized tensor; returns CaseResults of the failing
+    lemma labels.
     """
     rng = random.Random(seed)
-    results = []
     reps = interchanging_reps(k)
     perms = list(itertools.permutations(range(k)))
     basis = [
@@ -432,25 +432,24 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
                 rand_entries[(U, L)] = rat(c)
     T_sym = SparseTensor(k, N, rand_entries).symmetrized()
 
+    results = []
     for lam, s in reps.items():
         for sig in perms:
             s_even = ad_conjugate(embed_even(sig, k), s)
             s_odd = ad_conjugate(embed_odd(sig, k), s)
-            # even lemma: inputs relabeled by sigma on both index groups
-            ok_even = all(apply_c_s(s_even, E.permuted(sig)) == apply_c_s(s, E) for E in basis)
-            results.append((f"even lemma s~{lam} sigma={sig}", ok_even))
-            # odd lemma: outputs relabeled by sigma on both index groups
-            ok_odd = all(apply_c_s(s_odd, E) == apply_c_s(s, E).permuted(sig) for E in basis)
-            results.append((f"odd lemma s~{lam} sigma={sig}", ok_odd))
-            # conjugation by the even subgroup does not change the action on
-            # symmetric tensors
-            results.append(
-                (
-                    f"even same-on-symmetric s~{lam} sigma={sig}",
-                    apply_c_s(s_even, T_sym) == apply_c_s(s, T_sym),
-                )
-            )
-    return results
+            results += [
+                # even lemma: inputs relabeled by sigma on both index groups
+                (f"even lemma s~{lam} sigma={sig}",
+                 all(apply_c_s(s_even, E.permuted(sig)) == apply_c_s(s, E) for E in basis)),
+                # odd lemma: outputs relabeled by sigma on both index groups
+                (f"odd lemma s~{lam} sigma={sig}",
+                 all(apply_c_s(s_odd, E) == apply_c_s(s, E).permuted(sig) for E in basis)),
+                # conjugation by the even subgroup does not change the action
+                # on symmetric tensors
+                (f"even same-on-symmetric s~{lam} sigma={sig}",
+                 apply_c_s(s_even, T_sym) == apply_c_s(s, T_sym)),
+            ]
+    return CaseResults([label for label, ok in results if not ok], len(results))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +468,8 @@ def commutant_mult_crosscheck(k, N, class_product):
     D K_lam K_mu v = sum_tau (D |C_lam||C_mu| A_tau / |C_tau|) K_tau v, an
     equality of integer vectors on the integer kernel vectors v.  The p(k)
     class sums of each kernel vector serve all p(k)^2 pairs.
-    Returns a CaseResults list of (lam, mu, ok) triples; ``cases`` counts
-    the kernel vectors examined.
+    Returns CaseResults of the failing pairs "(lam, mu)", in pair order;
+    ``cases`` counts the kernel vectors examined.
     """
     elems = class_elements(k)
     scaled = {}
@@ -479,7 +478,7 @@ def commutant_mult_crosscheck(k, N, class_product):
         coeffs = {tau: rat(size) * a / len(elems[tau]) for tau, a in class_product(lam, mu).items()}
         D = lcm(*(int(c.denominator) for c in coeffs.values()))
         scaled[(lam, mu)] = (D, [(tau, int(c * D)) for tau, c in coeffs.items()])
-    ok = dict.fromkeys(scaled, True)
+    bad = set()
     cases = 0
     for w, _, rows in _orbit_kernels(k, N):
         pre = _perm_preimages(k, N, w)
@@ -487,10 +486,11 @@ def commutant_mult_crosscheck(k, N, class_product):
             cases += 1
             K = {tau: _class_sum(v, pre, perms) for tau, perms in elems.items()}
             for (lam, mu), (D, ints) in scaled.items():
-                if ok[(lam, mu)]:
+                if (lam, mu) not in bad:
                     lhs = _combine([(D, _class_sum(K[mu], pre, elems[lam]))])
-                    ok[(lam, mu)] = lhs == _combine([(c, K[tau]) for tau, c in ints])
-    return CaseResults([(lam, mu, good) for (lam, mu), good in ok.items()], cases)
+                    if lhs != _combine([(c, K[tau]) for tau, c in ints]):
+                        bad.add((lam, mu))
+    return CaseResults([str(pair) for pair in scaled if pair in bad], cases)
 
 
 def basis_operator_rank(k, N):
@@ -524,7 +524,8 @@ def seven_pieces_check(N):
     pair-symmetric part via isotypic ranks, the adjoint and Killing pieces
     from the contraction on the symmetric part, the two mixed trace-free
     pieces of the pair-antisymmetric part, and the bracket piece as the
-    contraction image of the antisymmetric part.  Returns a dict report.
+    contraction image of the antisymmetric part.  Returns (pieces, failures),
+    failures the CaseResults of the dimension counts that do not hold.
     """
     from .ambient import sl_basis
 
@@ -584,19 +585,13 @@ def seven_pieces_check(N):
         "bracket": p7,
     }
     total = sum(pieces.values())
-    report = {
-        "N": N,
-        "pieces": pieces,
-        "dim_sl_squared": dim_sl**2,
-        "gl_trace_complement": 2 * dim_sl + 1,
-        "total_with_complement": total + 2 * dim_sl + 1,
-        "complete": total == dim_sl**2
-        and dim_sym + dim_alt == dim_sl**2
-        and p1 + p2 + rank_c_sym == dim_sym
-        and p5 + p6 + p7 == dim_alt
-        and total + 2 * dim_sl + 1 == N**4,
-        "bracket_is_adjoint": p7 == dim_sl,
-        "adjoint_is_sl": p3 == dim_sl,
-        "killing_is_line": p4 == 1,
-    }
-    return report
+    counts = [
+        (f"the pieces sum to {total}, not {dim_sl**2}", total == dim_sl**2),
+        (f"symmetric {dim_sym} + antisymmetric {dim_alt} is not {dim_sl**2}", dim_sym + dim_alt == dim_sl**2),
+        (f"symmetric pieces {p1} + {p2} + {rank_c_sym} are not {dim_sym}", p1 + p2 + rank_c_sym == dim_sym),
+        (f"antisymmetric pieces {p5} + {p6} + {p7} are not {dim_alt}", p5 + p6 + p7 == dim_alt),
+        (f"bracket piece {p7} is not dim sl = {dim_sl}", p7 == dim_sl),
+        (f"adjoint piece {p3} is not dim sl = {dim_sl}", p3 == dim_sl),
+        (f"Killing piece {p4} is not a line", p4 == 1),
+    ]
+    return pieces, CaseResults([text for text, holds in counts if not holds], len(counts))

@@ -20,10 +20,12 @@ SCHEMA_VERSION = 1
 
 
 class CaseResults(list):
-    """A check's findings, and ``cases``: the number of cases it examined."""
+    """A check's failures, in the order found, each the witness string a
+    report prints, and ``cases``: the number of cases it examined.  The check
+    passes when the list is empty; its first failure is its witness."""
 
-    def __init__(self, findings, cases):
-        super().__init__(findings)
+    def __init__(self, failures, cases):
+        super().__init__(failures)
         self.cases = cases
 
 
@@ -48,6 +50,10 @@ class VerificationReport:
         if cases == 0:
             ok, witness = False, "vacuous: 0 cases"
         self.checks.append(CheckResult(name, "pass" if ok else "fail", None if ok else witness))
+
+    def check(self, name, failures: CaseResults):
+        """Record a check from its CaseResults: the first failure is the witness."""
+        self.add(name, not failures, failures[0] if failures else None, cases=failures.cases)
 
     def note(self, text):
         self.notes.append(text)

@@ -28,6 +28,7 @@ from math import comb, factorial
 
 from . import linalg
 from .boundary import BoundaryModel, frame_fields, tangential_ops
+from .report import CaseResults
 from .rings import LaurentPoly
 from .scalars import RONE, accumulate, rat
 from .tensor import SparseTensor
@@ -308,10 +309,10 @@ def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
     (l - k) S(k, l) + D^ S(k - 1, l) + D_ S(k, l - 1) vanishes, D^ and D_ the
     symmetrized raised and lowered derivatives; each term is present only
     when its symbol exists.  With l = 0 or k = 0 these are the tau
-    recursions, and at k + l = d + 1 the top equations.  Returns a list of
-    (equation label, ok, witness) entries.
+    recursions, and at k + l = d + 1 the top equations.  Returns CaseResults
+    of "equation label: residual" for the equations that fail.
     """
-    results = []
+    bad, cases = [], 0
     for total in range(1, d + 2):
         for k in range(total + 1):
             l = total - k
@@ -321,22 +322,26 @@ def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
             if l:
                 lhs = add_symbols(lhs, sym_derivative(m, symbols[(k, l - 1)], False))
             res = trace_free_part_vanishes(m, lhs)
-            results.append((_recursion_label(k, l, d), res is None, None if res is None else str(res)))
-    return results
+            cases += 1
+            if res is not None:
+                bad.append(f"{_recursion_label(k, l, d)}: {res}")
+    return CaseResults(bad, cases)
 
 
 def check_bgg(m: BoundaryModel, top: SymbolTensor, d: int, s: int):
     """First BGG equations on the top symbol: the trace-free part of
-    d+1-2s symmetrized raised (resp. lowered) derivatives vanishes."""
+    d+1-2s symmetrized raised (resp. lowered) derivatives vanishes.  Returns
+    CaseResults of "equation label: residual" for the equations that fail."""
     assert top.k == s and top.l == s
-    results = []
+    bad = []
     for side, upper in (("upper", True), ("lower", False)):
         D = top
         for _ in range(d + 1 - 2 * s):
             D = sym_derivative(m, D, upper)
         res = trace_free_part_vanishes(m, D)
-        results.append((f"first BGG equation ({side})", res is None, None if res is None else str(res)))
-    return results
+        if res is not None:
+            bad.append(f"first BGG equation ({side}): {res}")
+    return CaseResults(bad, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +361,17 @@ def a_coeff(s: int, row: int, i: int) -> int:
 
 def pascal_identity_check(s_max: int):
     """a^{s+1}_{k+2, i} - a^{s+1}_{k+2, i+1} = a^s_{k+1, i}, with the
-    convention a^s_{0, i} = 0.  Returns list of counterexamples."""
-    bad = []
+    convention a^s_{0, i} = 0.  Returns CaseResults of the counterexamples."""
+    bad, cases = [], 0
     for s in range(1, s_max + 1):
         for k in range(-1, s):
             for i in range(0, s + 1):
                 lhs = a_coeff(s + 1, k + 2, i) - a_coeff(s + 1, k + 2, i + 1)
                 rhs = a_coeff(s, k + 1, i) if k >= 0 else 0
+                cases += 1
                 if lhs != rhs:
-                    bad.append((s, k, i, lhs, rhs))
-    return bad
+                    bad.append(f"s={s} k={k} i={i}: {lhs} != {rhs}")
+    return CaseResults(bad, cases)
 
 
 def a_matrix_det(s: int):
@@ -457,37 +463,34 @@ def build_prop1_tensor(
     return SparseTensor(d, m.n + 2, entries).symmetrized()
 
 
+PROP1_CHECKS = (
+    "linear system has a unique solution",
+    "diagonal symbols below s vanish",
+    "top symbol is a nonzero seed multiple",
+    "BGG residuals zero",
+    "symbol recursions residuals zero",
+)
+
+
 def verify_prop1(m: BoundaryModel, d: int, s: int):
-    """End-to-end check of the type-based construction; returns (ok, detail)."""
+    """End-to-end check of the type-based construction; returns one
+    (label, CaseResults of failures) pair per check of PROP1_CHECKS."""
     sysres = prop1_system(d, s)
-    detail = {"system": sysres}
-    if not sysres.get("solved") or not sysres.get("unique"):
-        return False, detail
-    T = build_prop1_tensor(m, d, s, sysres["x"])
-    symbols = extract_all_symbols(m, T)
-    lower_ok = all(not symbols[(k, k)] for k in range(0, s))
-    detail["lower_diag_symbols_vanish"] = lower_ok
+    if not sysres.get("unique"):
+        return [(label, CaseResults(["no unique type coefficients"], 1)) for label in PROP1_CHECKS]
+    symbols = extract_all_symbols(m, build_prop1_tensor(m, d, s, sysres["x"]))
     top = symbols[(s, s)]
     seed_key = ((1,) * s, (2,) * s)
-    topc = top.components.get(seed_key)
-    top_ok = (
-        top.is_constant()
-        and topc is not None
-        and bool(topc)
-        and all(key == seed_key for key in top.components)
-    )
-    detail["top_symbol_nonzero_seed_multiple"] = top_ok
-    bgg = check_bgg(m, top, d, s)
-    detail["bgg"] = bgg
-    rec = check_symbol_recursions(m, symbols, d)
-    detail["recursions"] = rec
-    ok = (
-        lower_ok
-        and top_ok
-        and all(okk for _, okk, _ in bgg)
-        and all(okk for _, okk, _ in rec)
-    )
-    return ok, detail
+    top_bad = [f"component {key} off the seed" for key in top.components if key != seed_key]
+    top_bad += [] if top.components.get(seed_key) else ["seed component zero"]
+    top_bad += [] if top.is_constant() else ["not constant"]
+    return list(zip(PROP1_CHECKS, (
+        CaseResults([], 1),
+        CaseResults([f"symbol ({k}, {k}) nonzero" for k in range(s) if symbols[(k, k)]], s),
+        CaseResults(top_bad, 1),
+        check_bgg(m, top, d, s),
+        check_symbol_recursions(m, symbols, d),
+    )))
 
 
 def symmetry_space_dim(d: int, n: int):

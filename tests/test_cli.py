@@ -4,7 +4,7 @@ import json
 import pytest
 
 from subsym.cli import SUITES, main, run
-from subsym.report import VerificationReport, emit
+from subsym.report import CaseResults, VerificationReport, emit
 
 
 def test_unknown_suite_rejected():
@@ -262,6 +262,15 @@ def test_report_fails_a_check_that_examined_zero_cases():
     assert rep.checks[1].witness == "vacuous: 0 cases"
 
 
+def test_check_reads_verdict_witness_and_cases_off_the_failures():
+    rep = VerificationReport(suite="demo", parameters={})
+    rep.check("clean", CaseResults([], 3))
+    rep.check("broken", CaseResults(["first", "second"], 3))
+    rep.check("empty", CaseResults([], 0))
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        ("pass", None), ("fail", "first"), ("fail", "vacuous: 0 cases")]
+
+
 @pytest.mark.parametrize(
     "argv, problem",
     [
@@ -389,6 +398,97 @@ def test_conjugation_lemma_failure_names_the_lemma(monkeypatch):
     assert witnesses == {"Ad-conjugation lemmas (k=2, N=3)": "even lemma s~(2,) sigma=(1, 0)"}
 
 
+def test_hwvector_witness_is_the_first_failing_case(monkeypatch):
+    import subsym.decompose as decompose
+
+    monkeypatch.setattr(decompose, "highest_weight_vector", lambda lam, N: {})
+    (rep,) = run("hwvectors", {"seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {"highest-weight vectors nonzero for 2*depth <= N, k <= 3, N <= 6": "lambda=(1,), N=2"}
+
+
+def test_probability_check_names_the_pair(monkeypatch):
+    # doubling one structure constant breaks both the oracle comparison and
+    # the probabilities, at the same pair
+    import subsym.classalg as classalg
+
+    table = classalg.structure_constant_table
+
+    def doubled(k):
+        return {key: {tau: (1 + (key == ((2,), (2,)))) * c for tau, c in p.items()} for key, p in table(k).items()}
+
+    monkeypatch.setattr(classalg, "structure_constant_table", doubled)
+    (rep,) = run("classalg", {"k": 2, "seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {
+        "k=2: enumeration == convolution on all basis pairs": "k=2 (2,)x(2,)",
+        "k=2: structure constants are probabilities": "k=2 (2,)x(2,)",
+    }
+
+
+def test_trace_free_check_names_the_first_nonzero_contraction(monkeypatch):
+    # one entry with U = (0, 1), L = (1, 0) survives the contractions (0, 1)
+    # and (1, 0) only
+    import dataclasses
+
+    import subsym.ambient
+    from subsym.scalars import rat
+    from subsym.tensor import SparseTensor
+
+    decompose = subsym.ambient.compose_decompose
+
+    def traced(m, V, W, w1, w2):
+        parts = decompose(m, V, W, w1, w2)
+        return dataclasses.replace(parts, T=parts.T + SparseTensor(2, m.N, {((0, 1), (1, 0)): rat(1)}))
+
+    monkeypatch.setattr(subsym.ambient, "compose_decompose", traced)
+    (rep,) = run("composition", {"seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {f"pair {i}: T totally trace-free": "contraction (0, 1) nonzero" for i in range(5)}
+
+
+@pytest.mark.parametrize("oracle, witness", [
+    (lambda orc: None, "the oracle has no unique solution"),
+    (lambda orc: (orc[0], orc[1].scale(2)), "Utilde differs"),
+    (lambda orc: (orc[1], orc[0]), "U differs; Utilde differs"),
+], ids=["no-solution", "utilde", "swapped"])
+def test_oracle_check_names_what_differs(oracle, witness, monkeypatch):
+    import subsym.ambient
+
+    solve = subsym.ambient.trace_projection_oracle
+    monkeypatch.setattr(subsym.ambient, "trace_projection_oracle", lambda m, V, W: oracle(solve(m, V, W)))
+    (rep,) = run("composition", {"seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {f"pair {i}: (U, Utilde) match the projection oracle": witness for i in range(5)}
+
+
+def test_pinned_rank_check_shows_the_table(monkeypatch, capsys):
+    # moving one dimension from (2,) to (1, 1) keeps the total
+    import subsym.decompose as decompose
+
+    table = decompose.isotypic_table
+    monkeypatch.setattr(decompose, "isotypic_table", lambda k, N: {
+        lam: r + (lam == (1, 1)) - (lam == (2,)) for lam, r in table(k, N).items()})
+    (rep,) = run("decompose", {"seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses["(2,4): ranks are {84, 20} with total 104"] == "ranks {(2,): 83, (1, 1): 21}, total 104"
+
+
+def test_component_count_check_shows_the_count(monkeypatch):
+    # zeroing the rank of (1, ..., 1) leaves p(k) - 1 nonzero components
+    import subsym.decompose as decompose
+
+    table = decompose.isotypic_table
+    monkeypatch.setattr(decompose, "isotypic_table", lambda k, N: {
+        lam: 0 if lam == (1,) * k else r for lam, r in table(k, N).items()})
+    (rep,) = run("decompose", {"seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert {name: w for name, w in witnesses.items() if "p(k)" in name} == {
+        f"k={k}, N={2 * k}: number of nonzero components equals p(k)": f"{p - 1} nonzero components, p(k) = {p}"
+        for k, p in [(1, 1), (2, 2), (3, 3)]
+    }
+
+
 # sha256 of each suite's canonical JSON report at --seed 0 and --seed 7
 # (symbols at --n 2); a refactor that keeps the checks keeps these bytes
 CANONICAL_DIGESTS = {
@@ -444,6 +544,10 @@ REQUEST_DIGESTS = {
     "commutant --k 3 --dim 5": "8ab81b65870ba18c970933beae0f0f43bc5c1f4b8ee61a8756bc909666b00235",
     "hwvectors --k 4 --dim 7": "63f4d68caef5bbfb723ee45677e457bdbd1dd0fdd2d90c7ba203763fbc757044",
     "decompose --k 3 --dim 5": "6562d6bc96599bd26aa462f5385aee3dd3d3ea994f5c23589048a8d166711aa7",
+    "prop1 --n 2 --d 4 --s 2": "cb1f57d4874cd4e84e53d789145dca4e1eb64144236b2e1bb3034d8a184967f6",
+    "reduction --n 3 --deg 2": "933a50793f1f7823b093a8f5ff6870b3dcccc8e067a1275fbeb2f255d0688910",
+    "composition --n 1": "9ec64ea8b925125184199bde07d7370c503d45b5ab69cc3993096c66b0a22a71",
+    "commutation --n 2 --seed 3": "507b7d5dadbe50293c3ed1fe2680141d16d0bc02e46b9b69827a6e5cc2aa4e90",
 }
 
 

@@ -20,6 +20,7 @@ from support import (
     principal_part,
 )
 from subsym.symbols import (
+    PROP1_CHECKS,
     SymbolTensor,
     _insertion_left_kernel,
     a_coeff,
@@ -38,6 +39,11 @@ from subsym.symbols import (
     type_count,
     verify_prop1,
 )
+
+
+def recursion_count(d):
+    """The number of symbol equations of degree d: k + l = t for 1 <= t <= d + 1."""
+    return (d + 1) * (d + 4) // 2
 
 
 # -- combinatorics -------------------------------------------------------------
@@ -72,7 +78,8 @@ def test_pascal_smallest_instance():
 
 
 def test_pascal_sweep():
-    assert not pascal_identity_check(8)
+    res = pascal_identity_check(8)
+    assert not res and res.cases == sum((s + 1) ** 2 for s in range(1, 9))
 
 
 def test_determinants_unimodular_with_sign_recurrence():
@@ -125,7 +132,7 @@ def test_d1_recursions_for_basis(m1):
     for V in sl_basis(3)[:4]:
         syms = extract_all_symbols(m1, V)
         rec = check_symbol_recursions(m1, syms, 1)
-        assert all(ok for _, ok, _ in rec), V.entries
+        assert not rec and rec.cases == recursion_count(1), V.entries
 
 
 def test_d1_sigma_symbol_matches_induced_constant_term(m2):
@@ -161,7 +168,7 @@ def test_recursions_d2(m2):
     assert T.is_symmetric() and T.is_trace_free()
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
-    assert all(ok for _, ok, _ in rec)
+    assert not rec and rec.cases == recursion_count(2)
 
 
 def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
@@ -182,8 +189,8 @@ def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
         bumped[comp] = component(S, *comp) + m2.ring.one()
         bad = dict(syms)
         bad[key] = SymbolTensor(S.n, S.k, S.l, S.ring, bumped)
-        failed = [lab for lab, ok, _ in check_symbol_recursions(m2, bad, 2) if not ok]
-        assert failed == [label], key
+        failed = check_symbol_recursions(m2, bad, 2)
+        assert [f.split(": ")[0] for f in failed] == [label] and failed.cases == recursion_count(2), key
 
 
 def test_recursions_d2_general_tensor(m2):
@@ -191,7 +198,7 @@ def test_recursions_d2_general_tensor(m2):
     T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.15)
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
-    assert all(ok for _, ok, _ in rec)
+    assert not rec and rec.cases == recursion_count(2)
 
 
 def test_recursions_d3_n3():
@@ -200,7 +207,7 @@ def test_recursions_d3_n3():
     T = SparseTensor.random_disjoint_trace_free(3, 5, rng)
     syms = extract_all_symbols(m3, T)
     rec = check_symbol_recursions(m3, syms, 3)
-    assert all(ok for _, ok, _ in rec)
+    assert not rec and rec.cases == recursion_count(3)
 
 
 def recursion_families(n, g_diag, d):
@@ -219,9 +226,9 @@ def recursion_families(n, g_diag, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n, g_diag", [(1, None), (2, None), (3, None), (2, (1, -1))])
 def test_recursion_sweep_matches_the_form_by_form_oracle(n, g_diag, d):
-    # the one-formula sweep and the five hand-written forms give the same
-    # (label, ok, witness) set, on extracted families and on the same
-    # families with one random (k, l) component perturbed
+    # the one-formula sweep and the five hand-written forms examine the same
+    # equations and find the same failures, on extracted families and on the
+    # same families with one random (k, l) component perturbed
     m, rng, families = recursion_families(n, g_diag, d)
     for syms in families:
         key = rng.choice(sorted(syms))
@@ -233,16 +240,17 @@ def test_recursion_sweep_matches_the_form_by_form_oracle(n, g_diag, d):
         perturbed = {**syms, key: SymbolTensor(n, *key, m.ring, bumped)}
         for family in (syms, perturbed):
             got = check_symbol_recursions(m, family, d)
-            assert len(got) == (d + 1) * (d + 4) // 2
-            assert set(got) == set(check_symbol_recursions_by_form(m, family, d))
-        assert not all(ok for _, ok, _ in check_symbol_recursions(m, perturbed, d))
+            oracle = check_symbol_recursions_by_form(m, family, d)
+            assert got.cases == len(oracle) == recursion_count(d)
+            assert sorted(got) == sorted(f"{label}: {res}" for label, ok, res in oracle if not ok)
+        assert check_symbol_recursions(m, perturbed, d)
 
 
 def test_zero_symbols_pass_vacuously(m2):
     T = SparseTensor(2, 4, {})
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
-    assert all(ok for _, ok, _ in rec)
+    assert not rec and rec.cases == recursion_count(2)
 
 
 def test_skew_three_columns_kills_symbols(three_column_skew):
@@ -284,7 +292,9 @@ def test_skew_block_fails_a_wrong_double_skew(monkeypatch):
         return skew(self, slots, upper) if upper else self.scale(rat(2))
 
     monkeypatch.setattr(SparseTensor, "skew_slots", doubling)
-    monkeypatch.setattr(subsym.symbols, "extract_all_symbols", lambda m, T: {})
+    # the symbols of the zero tensor: a full family, and fast
+    extract = subsym.symbols.extract_all_symbols
+    monkeypatch.setattr(subsym.symbols, "extract_all_symbols", lambda m, T: extract(m, SparseTensor(T.k, T.N)))
     rep = VerificationReport(suite="symbols", parameters={})
     three_column_skew_checks(rep, BoundaryModel(2), random.Random(19))
     assert [c.status for c in rep.checks] == ["pass", "fail"]
@@ -314,7 +324,8 @@ def test_el2_elements_induce_zero():
 def test_bgg_constant_top_symbol(m2):
     comp = {((1,), (2,)): m2.ring.one()}
     top = SymbolTensor(2, 1, 1, m2.ring, comp)
-    assert all(ok for _, ok, _ in check_bgg(m2, top, 2, 1))
+    res = check_bgg(m2, top, 2, 1)
+    assert not res and res.cases == 2
 
 
 def test_bgg_sigma_power_degree_bound(m2):
@@ -324,13 +335,14 @@ def test_bgg_sigma_power_degree_bound(m2):
         for mdeg in range(0, d + 2):
             top = SymbolTensor(2, 0, 0, m2.ring, {((), ()): m2.tau() ** mdeg})
             res = check_bgg(m2, top, d, 0)
+            assert res.cases == 2
             if mdeg <= d:
-                assert all(ok for _, ok, _ in res), (d, mdeg)
+                assert not res, (d, mdeg)
             else:
-                assert not all(ok for _, ok, _ in res), (d, mdeg)
+                assert res, (d, mdeg)
     # pure holomorphic polynomials die at the first raised derivative
     ok_poly = SymbolTensor(2, 0, 0, m2.ring, {((), ()): m2.z(1) ** 2})
-    assert all(ok for _, ok, _ in check_bgg(m2, ok_poly, 2, 0))
+    assert not check_bgg(m2, ok_poly, 2, 0)
 
 
 def test_trace_free_part_detects_insertion(m2):
@@ -419,9 +431,10 @@ def test_prop1_s0():
     syms = extract_all_symbols(m, T)
     # the sigma-form symbol -i times the phase i of its one tau slot
     assert component(syms[(0, 0)], (), ()) == m.ring.const(1)
-    assert all(ok for _, ok, _ in check_bgg(m, syms[(0, 0)], 1, 0))
+    res = check_bgg(m, syms[(0, 0)], 1, 0)
+    assert not res and res.cases == 2
     rec = check_symbol_recursions(m, syms, 1)
-    assert all(ok for _, ok, _ in rec)
+    assert not rec and rec.cases == recursion_count(1)
 
 
 def test_prop1_2_1_zero_sigma_symbol():
@@ -444,8 +457,10 @@ def test_prop1_tensor_is_column_symmetric(d, s):
 @pytest.mark.parametrize("d,s", [(2, 1), (3, 1)])
 def test_prop1_end_to_end(d, s):
     m = BoundaryModel(3)
-    ok, detail = verify_prop1(m, d, s)
-    assert ok, detail
+    checks = verify_prop1(m, d, s)
+    assert [label for label, _ in checks] == list(PROP1_CHECKS)
+    assert not any(failures for _, failures in checks), checks
+    assert [failures.cases for _, failures in checks] == [1, s, 1, 2, recursion_count(d)]
 
 
 def test_prop1_seed_scaling_linearity():
@@ -495,7 +510,7 @@ def test_build_prop1_tensor_general_seed():
     # the same type coefficients kill the lower diagonal symbols (linearity)
     assert not syms[(0, 0)]
     rec = check_symbol_recursions(m, syms, 2)
-    assert all(ok for _, ok, _ in rec)
+    assert not rec and rec.cases == recursion_count(2)
     # default seed path unchanged
     Tdef = build_prop1_tensor(m, 2, 1, res["x"])
     assert Tdef == build_prop1_tensor(m, 2, 1, res["x"], seed=default_prop1_seed(m, 1))
@@ -647,7 +662,7 @@ def test_recursions_mixed_signature():
     T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
     syms = extract_all_symbols(m, T)
     rec = check_symbol_recursions(m, syms, 2)
-    assert all(ok for _, ok, _ in rec)
+    assert not rec and rec.cases == recursion_count(2)
 
 
 def _symbol_operator(m, syms, d):
