@@ -462,6 +462,17 @@ def test_oracle_check_names_what_differs(oracle, witness, monkeypatch):
     assert witnesses == {f"pair {i}: (U, Utilde) match the projection oracle": witness for i in range(5)}
 
 
+def test_prop1_checks_fail_without_unique_type_coefficients(monkeypatch):
+    import subsym.symbols as symbols
+
+    monkeypatch.setattr(symbols, "prop1_system", lambda d, s: {"solved": False})
+    (rep,) = run("prop1", {"d": 2, "s": 1, "seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    labels = ["linear system has a unique solution", "diagonal symbols below s vanish",
+              "top symbol is a nonzero seed multiple", "BGG residuals zero", "symbol recursions residuals zero"]
+    assert witnesses == {f"(d,s)=(2,1): {label}": "no unique type coefficients" for label in labels}
+
+
 def test_pinned_rank_check_shows_the_table(monkeypatch, capsys):
     # moving one dimension from (2,) to (1, 1) keeps the total
     import subsym.decompose as decompose
