@@ -19,13 +19,13 @@ directions used by the canonical extension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import linalg
-from .rings import LaurentPoly, Ring
+from .rings import LaurentPoly, Ring, _canonical
 from .report import CaseResults
-from .scalars import RONE, RZERO, accumulate, rat
+from .scalars import RONE, RZERO, rat
 from .tensor import SparseTensor
 from .weyl import WeylOperator
 
@@ -217,11 +217,15 @@ def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
         raise ValueError("tensor dimension does not match the model")
     if not V.is_trace_free():
         raise ValueError("tensor is not totally trace-free")
+    ints = V.integer_entries()
+    if ints is None:
+        raise TypeError("D_V needs rational entries")
+    den, entries = ints
     ring = m.ring
     up = [ring.index[name] for name in m.upper_names]
     dn = [ring.index[name] for name in m.lower_names]
-    coeffs = {}  # derivative multi-index -> {exponent: coefficient}
-    for (B, A), c in V.entries.items():
+    coeffs = {}  # derivative multi-index -> {exponent: numerator over den}
+    for (B, A), c in entries.items():
         # side 0 of column i is x^{A_i} d_{B_i}, side 1 is -x_{B_i} d^{A_i}
         for sides in itertools.product((0, 1), repeat=V.k):
             exp = [0] * ring.arity
@@ -233,16 +237,19 @@ def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
                 else:
                     exp[up[a]] += 1
                     alpha[up[b]] += 1
-            coeff = -c if sum(sides) % 2 else c
-            accumulate(coeffs.setdefault(tuple(alpha), {}), tuple(exp), coeff)
-    return WeylOperator(ring, {alpha: LaurentPoly(ring, cs) for alpha, cs in coeffs.items()})
+            cs = coeffs.setdefault(tuple(alpha), {})
+            key = tuple(exp)
+            cs[key] = cs.get(key, 0) + (-c if sum(sides) % 2 else c)
+    return WeylOperator(
+        ring, {alpha: _canonical(ring, {e: c for e, c in cs.items() if c}, den) for alpha, cs in coeffs.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
 # composition of two first-order symmetries: trace decomposition + identity
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompositionParts:
     T: SparseTensor  # raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C)))
     U: SparseTensor  # U^D_A, the coefficient of delta^B_C
@@ -252,6 +259,8 @@ class CompositionParts:
     vw0: rat
     w1: int
     w2: int
+    # D_V o D_W, D_vw2 and D_vw1 once built; frozen parts keep them valid
+    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):
@@ -363,6 +372,22 @@ def uncorrected_vw0(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1, w2):
     return num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
 
 
+def _vw_ops(m: AmbientModel, parts: CompositionParts):
+    """(D_vw2, D_vw1), built once and kept on parts."""
+    if "vw" not in parts._ops:
+        parts._ops["vw"] = (higher_symmetry_op(m, parts.vw2), higher_symmetry_op(m, parts.vw1))
+    return parts._ops["vw"]
+
+
+def _composed(m: AmbientModel, V: SparseTensor, W: SparseTensor, parts: CompositionParts):
+    """D_V o D_W, kept on parts with the V and W it was built from and built
+    again for any other pair."""
+    kept = parts._ops.get("VW")
+    if kept is None or kept[0] != V or kept[1] != W:
+        kept = parts._ops["VW"] = (V, W, higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W)))
+    return kept[2]
+
+
 def composition_rhs_operator(m: AmbientModel, parts: CompositionParts) -> WeylOperator:
     """Right-hand side of the composition identity D_V o D_W = D_vw2 + D_vw1
     + vw0 - (r lap_S + r_S lap), with S = U + Ut, r_S its quadric and lap_S
@@ -372,13 +397,24 @@ def composition_rhs_operator(m: AmbientModel, parts: CompositionParts) -> WeylOp
     with n + w1 + w2 = 0.
     """
     S = parts.U + parts.Utilde
+    D_vw2, D_vw1 = _vw_ops(m, parts)
     return (
-        higher_symmetry_op(m, parts.vw2)
-        + higher_symmetry_op(m, parts.vw1)
+        D_vw2
+        + D_vw1
         + WeylOperator.identity(m.ring).scale(parts.vw0)
         - WeylOperator.mul_by(r_poly(m)).compose(dual_quadric(m, S))
         - WeylOperator.mul_by(quadric(m, S)).compose(ambient_laplacian(m))
     )
+
+
+def composition_ambient_part(
+    m: AmbientModel, V: SparseTensor, W: SparseTensor, parts: CompositionParts
+) -> WeylOperator:
+    """D_V o D_W - D_vw2 - D_vw1 for parts = compose_decompose(m, V, W, w1, w2):
+    the operator the identity equates with vw0 - (r lap_S + r_S lap).  It
+    reads the operators verify_composition_identity keeps on parts."""
+    D_vw2, D_vw1 = _vw_ops(m, parts)
+    return _composed(m, V, W, parts) - D_vw2 - D_vw1
 
 
 def verify_composition_identity(
@@ -402,8 +438,7 @@ def verify_composition_identity(
         parts = compose_decompose(m, V, W, w1, w2)
     elif (parts.w1, parts.w2) != (w1, w2):
         raise ValueError(f"parts are at weights ({parts.w1}, {parts.w2}), not ({w1}, {w2})")
-    DVW = higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W))
-    residual = DVW - composition_rhs_operator(m, parts)
+    residual = _composed(m, V, W, parts) - composition_rhs_operator(m, parts)
     bad, cases = [], 0
     for f in bidegree_monomials(m, w1, w2, degree_bound):
         cases += 1

@@ -139,9 +139,11 @@ def phi_pullback(m: BoundaryModel, f: LaurentPoly) -> LaurentPoly:
     return f.substitute(dict(zip(amb.upper_names + amb.lower_names, fr.X_up + fr.X_dn)), m.ring)
 
 
+@lru_cache(maxsize=32)
 def extension_arguments(m: BoundaryModel):
     """Images of the boundary generators used by the canonical extension:
-    z^a -> x^a/x^0, zb^a -> g_a x_a/x_inf, tau -> (x^inf/x^0 - x_0/x_inf)/2."""
+    z^a -> x^a/x^0, zb^a -> g_a x_a/x_inf, tau -> (x^inf/x^0 - x_0/x_inf)/2;
+    built once per model, callers only read them."""
     amb = m.ambient
     n = m.n
     x0_inv = amb.ring.gen("x0", -1)

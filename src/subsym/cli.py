@@ -145,8 +145,8 @@ def _suite_commutation(params, rep: VerificationReport):
 def _suite_composition(params, rep: VerificationReport):
     from .ambient import (
         AmbientModel,
+        composition_ambient_part,
         compose_decompose,
-        higher_symmetry_op,
         quadric,
         uncorrected_vw0,
         random_traceless,
@@ -182,12 +182,9 @@ def _suite_composition(params, rep: VerificationReport):
     V, W = pairs[0]
     parts = decomposed[0]
     # D_V o D_W - D_vw2 - D_vw1 induces vw0 - r_S Delta_b, r_S the pulled
-    # back quadric of S = U + Utilde
-    ambient_part = (
-        higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W))
-        - higher_symmetry_op(m, parts.vw2)
-        - higher_symmetry_op(m, parts.vw1)
-    )
+    # back quadric of S = U + Utilde; its operators are the ones the pair's
+    # composition check built
+    ambient_part = composition_ambient_part(m, V, W, parts)
     uq = phi_pullback(mb, quadric(m, parts.U + parts.Utilde))
     delta = sublaplacian(mb, w1, w2)
     monomials = list(mb.monomials(2))

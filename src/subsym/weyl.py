@@ -5,41 +5,88 @@ sum  sum_alpha  p_alpha(g) * D^alpha  with D^alpha the monomial of partial
 derivatives given by the multi-index alpha.  Normal form keeps every
 coefficient to the left of every derivative; composition applies the
 generalized Leibniz rule term by term.  Equality is decided in normal form.
+
+Action, composition and commutator work term by term on the integer
+numerators of the coefficients (see ``rings``): D^alpha x^e is the falling
+factorial e(e-1)...(e-alpha+1) times x^(e-alpha), slot by slot, through
+negative Laurent exponents as ``diff`` goes.  Each result is accumulated as
+ints over one common denominator and reduced once per coefficient.  In a
+commutator the gamma = 0 Leibniz terms p q D^(alpha+beta) of the two
+products are equal, because the coefficient ring is commutative, so they are
+never formed.
 """
 
 from __future__ import annotations
 
-from .rings import LaurentPoly, Ring, RingMismatchError, binom_exp
+import itertools
+from functools import cache
+from math import lcm
+from operator import add, sub
+
+from .rings import LaurentPoly, Ring, RingMismatchError, _canonical, binom_exp
 from .scalars import rat
 
 
-def _iter_sub_multiindices(alpha):
-    """All gamma with 0 <= gamma <= alpha slot-wise."""
-    if not alpha:
-        yield ()
-        return
-    head, rest = alpha[0], alpha[1:]
-    for tail in _iter_sub_multiindices(rest):
-        for g in range(head + 1):
-            yield (g,) + tail
+def _den(op: "WeylOperator") -> int:
+    """The lcm of the coefficient denominators of op; 1 for the zero operator."""
+    return lcm(*(p.den for p in op.terms.values()))
 
 
-def _derivatives(f: LaurentPoly):
-    """alpha -> D^alpha f, each derivative computed once from a lower one."""
-    names = f.ring.names
-    table = {(0,) * len(names): f}
+@cache
+def _slots(gamma):
+    """The (slot, order) pairs of the nonzero entries of gamma."""
+    return tuple((i, k) for i, k in enumerate(gamma) if k)
 
-    def get(alpha):
-        g = table.get(alpha)
-        if g is None:
-            i = len(alpha) - 1
-            while not alpha[i]:
-                i -= 1
-            lower = get(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
-            g = table[alpha] = lower.diff(names[i]) if lower else lower
-        return g
 
-    return get
+def _add_products(acc: dict, terms, q: LaurentPoly):
+    """acc[e] += the numerators of the sum of w * p * D^gamma q over the
+    (gamma, pnum, w) of terms, each p given by its (exponent, numerator)
+    pairs pnum.  D^gamma x^e = falling(e, gamma) x^(e - gamma), one falling
+    factorial e_i (e_i - 1) ... (e_i - gamma_i + 1) per slot: zero when
+    0 <= e_i < gamma_i, as repeated ``diff`` gives, and never zero through
+    negative Laurent exponents."""
+    get = acc.get
+    for e, c in q.num.items():
+        for gamma, pnum, w in terms:
+            d = c * w
+            slots = _slots(gamma)
+            for i, k in slots:
+                ei = e[i]
+                if 0 <= ei < k:
+                    d = 0
+                    break
+                for j in range(k):
+                    d *= ei - j
+            if d:
+                shift = tuple(map(sub, e, gamma)) if slots else e
+                for ep, cp in pnum:
+                    s = tuple(map(add, ep, shift))
+                    acc[s] = get(s, 0) + cp * d
+
+
+def _leibniz(acc: dict, a: "WeylOperator", b: "WeylOperator", sign: int, skip_zero: bool):
+    """acc[idx][e] += sign * (a o b) numerators over _den(a) * _den(b), by
+    D^alpha (q D^beta) = sum_gamma C(alpha, gamma) (D^gamma q) D^(alpha-gamma+beta);
+    the gamma = 0 terms p q D^(alpha+beta) are left out when skip_zero."""
+    da, db = _den(a), _den(b)
+    for alpha, p in a.terms.items():
+        wp = sign * (da // p.den)
+        pnum = p.num.items()
+        for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+            if skip_zero and not any(gamma):
+                continue
+            w = wp * binom_exp(alpha, gamma)
+            rest = tuple(map(sub, alpha, gamma))
+            for beta, q in b.terms.items():
+                idx = tuple(map(add, rest, beta))
+                _add_products(acc.setdefault(idx, {}), ((gamma, pnum, w * (db // q.den)),), q)
+
+
+def _from_numerators(ring: Ring, acc: dict, den: int) -> "WeylOperator":
+    """The operator with coefficient numerators acc[idx] over den."""
+    return WeylOperator(
+        ring, {idx: _canonical(ring, {e: c for e, c in num.items() if c}, den) for idx, num in acc.items()}
+    )
 
 
 class WeylOperator:
@@ -126,33 +173,27 @@ class WeylOperator:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if f.ring != self.ring:
             raise RingMismatchError("operand lives in a different ring")
-        df = _derivatives(f)
-        prods = [p * g for alpha, p in self.terms.items() if (g := df(alpha))]
-        return LaurentPoly.sum(self.ring, prods)
+        common = _den(self)
+        acc = {}
+        _add_products(acc, [(alpha, p.num.items(), common // p.den) for alpha, p in self.terms.items()], f)
+        return _canonical(self.ring, {e: c for e, c in acc.items() if c}, common * f.den)
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
         """Normal-ordered product: (self∘other)(f) = self(other(f))."""
         self._check(other)
-        dqs = [(beta, _derivatives(q)) for beta, q in other.terms.items()]
-        out = {}  # idx -> ([p * D^gamma q], [Leibniz coefficient])
-        for alpha, p in self.terms.items():
-            gammas = [(gamma, binom_exp(alpha, gamma)) for gamma in _iter_sub_multiindices(alpha)]
-            for beta, dq in dqs:
-                # D^alpha (q Dbeta f) = sum_gamma C(alpha,gamma) (D^gamma q) D^(alpha-gamma+beta) f
-                for gamma, coeff in gammas:
-                    g = dq(gamma)
-                    if g:
-                        idx = tuple(a - c + b for a, c, b in zip(alpha, gamma, beta))
-                        prods, weights = out.setdefault(idx, ([], []))
-                        prods.append(p * g)
-                        weights.append(coeff)
-        return WeylOperator(
-            self.ring,
-            {idx: LaurentPoly.sum(self.ring, prods, weights) for idx, (prods, weights) in out.items()},
-        )
+        acc = {}
+        _leibniz(acc, self, other, 1, skip_zero=False)
+        return _from_numerators(self.ring, acc, _den(self) * _den(other))
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
-        return self.compose(other) - other.compose(self)
+        """self∘other - other∘self.  The coefficients commute, so the gamma = 0
+        Leibniz terms of the two products are the same p q D^(alpha+beta) and
+        cancel exactly; only the |gamma| >= 1 terms are formed."""
+        self._check(other)
+        acc = {}
+        _leibniz(acc, self, other, 1, skip_zero=True)
+        _leibniz(acc, other, self, -1, skip_zero=True)
+        return _from_numerators(self.ring, acc, _den(self) * _den(other))
 
     # -- printing ----------------------------------------------------------
     def sorted_terms(self):
@@ -183,7 +224,6 @@ def from_action(ring: Ring, action, max_order: int) -> WeylOperator:
     for any operator of order <= max_order: D^beta x^alpha vanishes unless
     beta <= alpha slot-wise, and equals alpha! at beta = alpha.
     """
-    import itertools
     from math import factorial
 
     names = ring.names

@@ -11,6 +11,7 @@ from subsym.ambient import (
     central_action_check,
     central_element,
     compose_decompose,
+    composition_ambient_part,
     dual_quadric,
     dv_bracket,
     euler_ops,
@@ -216,6 +217,22 @@ def test_higher_symmetry_op_matches_the_composed_generators(k):
     m = AmbientModel(k)
     for V in sl_basis(k + 2):
         assert higher_symmetry_op(m, V) == higher_symmetry_op_by_composition(m, V)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_higher_symmetry_op_matches_the_composed_generators_off_the_integers(n):
+    # random_traceless divides the trace by n + 2, and the decomposition of a
+    # composition carries the denominators of its closed forms; the seed draws
+    # a traceless pair with a nonzero trace on both sides
+    m = AmbientModel(n)
+    rng = random.Random(74 + n)
+    w1 = (-n + n % 2) // 2
+    V, W = random_traceless(n, rng), random_traceless(n, rng)
+    parts = compose_decompose(m, V, W, w1, -n - w1)
+    for X in (V, W, parts.vw1, parts.vw2):
+        dens = {int(v.denominator) for v in X.entries.values()}
+        assert dens - {1}
+        assert higher_symmetry_op(m, X) == higher_symmetry_op_by_composition(m, X)
 
 
 def test_compose_decompose_trace_free(m2):
@@ -424,6 +441,23 @@ def test_composition_check_applies_one_operator_per_monomial(m2, monkeypatch):
     )
     assert not bad and bad.cases == len(monomials) == 100
     assert applied == monomials
+
+
+def test_composition_parts_keep_the_operators_of_their_own_pair(m2):
+    # the parts of (V, W) keep D_V o D_W, D_vw2 and D_vw1 once built; handed
+    # to the check of another pair they do not fit, and the check fails
+    rng = random.Random(42)
+    V, W, X = (random_traceless(2, rng) for _ in range(3))
+    parts = compose_decompose(m2, V, W, -1, -1)
+    assert not verify_composition_identity(m2, V, W, -1, -1, degree_bound=2, parts=parts)
+    assert verify_composition_identity(m2, V, X, -1, -1, degree_bound=2, parts=parts)
+    assert not verify_composition_identity(m2, V, W, -1, -1, degree_bound=2, parts=parts)
+    fresh = (
+        higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
+        - higher_symmetry_op(m2, parts.vw2)
+        - higher_symmetry_op(m2, parts.vw1)
+    )
+    assert composition_ambient_part(m2, V, W, parts) == fresh
 
 
 def test_composition_suite_fails_an_empty_sweep(monkeypatch):

@@ -17,6 +17,7 @@ from subsym.boundary import (
     FrameFields,
     admissible_weights,
     extend,
+    extension_arguments,
     induce,
     phi_pullback,
     sublaplacian,
@@ -147,6 +148,27 @@ def test_extend_euler_eigenvalues(m2):
 def test_extend_rejects_wrong_ring(m1, m2):
     with pytest.raises(ValueError):
         extend(m1, m2.ring.one(), 0, -1)
+
+
+def test_extension_arguments_are_built_once_and_only_read():
+    # one dict per model; a reduction sweep through it leaves it equal to a
+    # fresh build and to the images its docstring states
+    m = BoundaryModel(2, (1, -1))
+    images = extension_arguments(m)
+    for w1, w2 in admissible_weights(2, 2):
+        for F in m.monomials(2):
+            assert verify_reduction(m, F, w1, w2) is None
+    assert extension_arguments(m) is images
+    assert images == extension_arguments.__wrapped__(m)
+    amb = m.ambient
+    x0_inv, xinf_inv = amb.up(0, -1), amb.dn(3, -1)
+    assert images == {
+        "z1": amb.up(1) * x0_inv,
+        "z2": amb.up(2) * x0_inv,
+        "zb1": amb.dn(1) * xinf_inv,
+        "zb2": -amb.dn(2) * xinf_inv,
+        "tau": (amb.up(3) * x0_inv - amb.dn(0) * xinf_inv).scale(rat(1, 2)),
+    }
 
 
 def test_tangential_closed_forms_match_chain_rule(m1):

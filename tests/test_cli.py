@@ -550,6 +550,25 @@ def test_canonical_report_digest(suite):
         assert hashlib.sha256(rep.dumps().encode()).hexdigest() == digest, f"seed {seed}"
 
 
+def test_composition_suite_builds_each_symmetry_operator_once(monkeypatch):
+    # the induced boundary check of pair 0 reads D_V o D_W, D_vw2 and D_vw1
+    # off that pair's composition check instead of building them again
+    import subsym.ambient
+
+    built = []
+    build = subsym.ambient.higher_symmetry_op
+
+    def spy(m, V):
+        built.append(V)
+        return build(m, V)
+
+    monkeypatch.setattr(subsym.ambient, "higher_symmetry_op", spy)
+    (rep,) = run("composition", {"seed": 0})
+    assert len(built) == 4 * 5  # V, W, vw2 and vw1 of each of the five pairs
+    assert all(X is not Y for i, X in enumerate(built) for Y in built[:i])
+    assert hashlib.sha256(rep.dumps().encode()).hexdigest() == CANONICAL_DIGESTS["composition"][0]
+
+
 # sha256 of the canonical JSON report of requests away from the defaults
 REQUEST_DIGESTS = {
     "commutant --k 3 --dim 5": "8ab81b65870ba18c970933beae0f0f43bc5c1f4b8ee61a8756bc909666b00235",

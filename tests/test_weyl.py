@@ -144,21 +144,24 @@ def test_from_action_roundtrip():
     assert rec == op
 
 
-# apply and compose against the Fraction-dict coefficients they replaced ---------
+# apply, compose and commutator against the Fraction-dict oracles ---------------
+# Three generators, x and y Laurent: derivative orders up to 3 meet exponents
+# down to -3, so falling factorials run through negative exponents and hit the
+# zeros at 0 <= e < alpha.
 
-L = Ring(["x", "y"], laurent=["x"])
+L = Ring(["x", "y", "z"], laurent=["x", "y"])
 fractions_ = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
-poly_terms = st.lists(
-    st.tuples(st.tuples(st.integers(-2, 2), st.integers(0, 2)), fractions_), max_size=3
-)
-op_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), poly_terms, max_size=3)
+exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3))
+poly_terms = st.lists(st.tuples(exponents, fractions_), max_size=3)
+op_terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), poly_terms, max_size=3)
 
 
 def poly_pair(terms):
     p, fp = L.zero(), FractionPoly.zero(L)
-    for (ex, ey), c in terms:
-        p = p + L.monomial({"x": ex, "y": ey}, c)
-        fp = fp + FractionPoly.monomial(L, {"x": ex, "y": ey}, c)
+    for e, c in terms:
+        exps = dict(zip(L.names, e))
+        p = p + L.monomial(exps, c)
+        fp = fp + FractionPoly.monomial(L, exps, c)
     return p, fp
 
 
@@ -170,11 +173,26 @@ def op_pair(terms):
     )
 
 
+def assert_matches(op, oracle):
+    assert set(op.terms) == set(oracle)
+    assert all(oracle[idx] == p for idx, p in op.terms.items())
+
+
 @settings(max_examples=40, deadline=None)
 @given(op_terms, op_terms, poly_terms)
 def test_apply_and_compose_match_fraction_oracle(ta, tb, tf):
     (a, fa), (b, fb), (f, ff) = op_pair(ta), op_pair(tb), poly_pair(tf)
     assert weyl_apply(fa, ff) == a.apply(f)
-    ab, fab = a.compose(b), weyl_compose(fa, fb, L)
-    assert set(ab.terms) == set(fab)
-    assert all(fab[idx] == p for idx, p in ab.terms.items())
+    assert_matches(a.compose(b), weyl_compose(fa, fb, L))
+    fab, fba = weyl_compose(fa, fb, L), weyl_compose(fb, fa, L)
+    zero = FractionPoly.zero(L)
+    comm = {idx: d for idx in fab.keys() | fba.keys() if (d := fab.get(idx, zero) - fba.get(idx, zero))}
+    assert_matches(a.commutator(b), comm)
+
+
+def test_falling_factorials_through_negative_exponents():
+    x = L.gen("x")
+    d3 = WeylOperator.derivative(L, "x", 3)
+    assert d3.apply(x**-2) == L.monomial({"x": -5}, -24)
+    assert d3.apply(x**2) == L.zero()
+    assert d3.apply(x**3) == L.const(6)
