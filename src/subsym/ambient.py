@@ -19,8 +19,8 @@ directions used by the canonical extension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import namedtuple
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .rings import LaurentPoly, Ring, _canonical
@@ -31,14 +31,8 @@ from .weyl import WeylOperator
 
 
 # ---------------------------------------------------------------------------
-# sl(n+2) as one-column tensors V^B_A, keyed ((B,), (A,))
-
-
-def sl_basis(N):
-    """Standard basis of sl(N): off-diagonal units and diagonal differences."""
-    units = [{((B,), (A,)): RONE} for B in range(N) for A in range(N) if B != A]
-    diffs = [{((B,), (B,)): RONE, ((B + 1,), (B + 1,)): -RONE} for B in range(N - 1)]
-    return [SparseTensor(1, N, e) for e in units + diffs]
+# sl(n+2) as one-column tensors V^B_A, keyed ((B,), (A,)); its basis is
+# tensor.sl_basis
 
 
 def random_traceless(n, rng, bound=3):
@@ -249,18 +243,16 @@ def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
 # composition of two first-order symmetries: trace decomposition + identity
 
 
-@dataclass(frozen=True)
-class CompositionParts:
-    T: SparseTensor  # raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C)))
-    U: SparseTensor  # U^D_A, the coefficient of delta^B_C
-    Utilde: SparseTensor  # Utilde^B_C, the coefficient of delta^D_A
-    vw2: SparseTensor  # column-symmetrized T
-    vw1: SparseTensor
-    vw0: rat
-    w1: int
-    w2: int
-    # D_V o D_W, D_vw2 and D_vw1 once built; frozen parts keep them valid
-    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class CompositionParts(namedtuple("CompositionParts", "T U Utilde vw2 vw1 vw0 w1 w2")):
+    """T is the raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C))), U^D_A
+    the coefficient of delta^B_C, Utilde^B_C that of delta^D_A, vw2 the
+    column-symmetrized T, then vw1, the rational vw0 and the weights."""
+
+    @cached_property
+    def _ops(self):
+        """D_V o D_W, D_vw2 and D_vw1 once built; immutable parts keep them
+        valid, and parts made by _replace start with none."""
+        return {}
 
 
 def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):

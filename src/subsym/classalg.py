@@ -10,10 +10,10 @@ uniformly drawn class members lands in a given class).
 
 Two multiplication backends are provided and must agree: direct enumeration
 (`class_multiply`, exact probabilities) and full group-algebra convolution of
-class sums (`center_convolution`).  They share one bilinear loop and differ
-only in the product of two basis elements.  Elements of the full group
-algebra C[S_k] are finitely supported maps {perm: coeff}, multiplied by
-`convolve`.
+class sums, counted in integers (`center_convolution`).  They share one
+bilinear loop and differ only in the product of two basis elements.
+Elements of the full group algebra C[S_k] are finitely supported maps
+{perm: coeff}, multiplied by `convolve`.
 """
 
 from __future__ import annotations
@@ -220,13 +220,16 @@ def _basis_product_enumeration(k, lam, mu):
 
 @lru_cache(maxsize=None)
 def _basis_product_convolution(k, lam, mu):
-    """Oracle backend: literal convolution of averaged class sums."""
-    a, b = ({p: rat(1, len(e)) for p in e} for e in (class_elements(k)[lam], class_elements(k)[mu]))
-    out = {}
+    """Oracle backend: literal convolution of the class sums of lam and mu,
+    every element at coefficient 1, over all element pairs.  The product of
+    the averaged class sums is that over |C_lam| |C_mu|, and its coefficient
+    on an averaged class sum is the total mass of the class."""
+    a, b = (dict.fromkeys(class_elements(k)[x], 1) for x in (lam, mu))
+    counts = {}
     for p, c in convolve(a, b).items():
-        accumulate(out, cycle_type(p), c)
-    # coefficient on the averaged class sum: total mass of the class
-    return out
+        accumulate(counts, cycle_type(p), c)
+    pairs = len(a) * len(b)
+    return {t: rat(c, pairs) for t, c in counts.items()}
 
 
 def _class_product(u: ClassElement, v: ClassElement, basis_product) -> ClassElement:

@@ -33,7 +33,7 @@ from .classalg import (
 )
 from .report import CaseResults
 from .scalars import accumulate, rat
-from .tensor import SparseTensor
+from .tensor import SparseTensor, sl_basis
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +527,6 @@ def seven_pieces_check(N):
     contraction image of the antisymmetric part.  Returns (pieces, failures),
     failures the CaseResults of the dimension counts that do not hold.
     """
-    from .ambient import sl_basis
-
     sl = sl_basis(N)
     dim_sl = len(sl)
 

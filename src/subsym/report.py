@@ -11,10 +11,7 @@ in-memory object only.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -29,21 +26,23 @@ class CaseResults(list):
         self.cases = cases
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # pass | fail
-    witness: str | None = None
+    __slots__ = ("name", "status", "witness")
+
+    def __init__(self, name, status, witness=None):
+        self.name = name
+        self.status = status  # pass | fail
+        self.witness = witness
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    parameters: dict
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    seed: int | None = None
-    elapsed_seconds: float | None = None
+    def __init__(self, suite, parameters, checks=None, notes=None, seed=None, elapsed_seconds=None):
+        self.suite = suite
+        self.parameters = parameters
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
+        self.seed = seed
+        self.elapsed_seconds = elapsed_seconds
 
     def add(self, name, ok, witness=None, cases=None):
         """Record one check; a check that examined 0 ``cases`` fails as vacuous."""
@@ -95,6 +94,9 @@ def emit(report: VerificationReport, path, fmt="json"):
     if fmt == "json":
         data = report.dumps()
     elif fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["suite", "check", "status", "witness"])
@@ -113,6 +115,9 @@ def emit(report: VerificationReport, path, fmt="json"):
 
 def classalg_table_csv(k, path):
     """CSV of class-algebra structure constants: cell lists '(tau):p/q'."""
+    import csv
+    import io
+
     from .classalg import partitions, structure_constant_table
     from .scalars import rat_str
 

@@ -7,9 +7,10 @@ never stored.  A tensor of V^(x)k alone has empty lower tuples.
 
 Permutations are tuples of 0-based images (p[i] is where position i is
 sent) and move index positions by result[p(i)] = t[i]; every move is the
-one private action `_moved` of an element {perm: coeff}.  This module loads
-`classalg` and `scalars` only, so both the ambient and the decomposition
-side can load it without loading each other.
+one private action `_moved` of an element {perm: coeff}.  `sl_basis` gives
+sl(N) as one-column tensors V^B_A.  This module loads `classalg` and
+`scalars` only, so both the ambient and the decomposition side can load it
+without loading each other.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 from math import factorial, lcm
 
 from .classalg import invert_perm, perm_sign
-from .scalars import accumulate, rat
+from .scalars import RONE, accumulate, rat
 
 
 class SparseTensor:
@@ -180,3 +181,11 @@ class SparseTensor:
                 if c:
                     entries[(B, A)] = rat(c)
         return SparseTensor(d, N, entries).symmetrized()
+
+
+def sl_basis(N):
+    """Standard basis of sl(N) as one-column tensors V^B_A keyed ((B,), (A,)):
+    off-diagonal units and diagonal differences."""
+    units = [{((B,), (A,)): RONE} for B in range(N) for A in range(N) if B != A]
+    diffs = [{((B,), (B,)): RONE, ((B + 1,), (B + 1,)): -RONE} for B in range(N - 1)]
+    return [SparseTensor(1, N, e) for e in units + diffs]

@@ -54,6 +54,11 @@ cycles a second time, and `mn_character_by_border_strips`, with
 strips by walking the rim; they are the differential oracles for the sign
 read off the cycle type and for the beta-number rule.
 
+`basis_product_convolution_averaged` is the former
+`classalg._basis_product_convolution`, which convolved the averaged class
+sums (coefficients 1/|C|) as rationals; it is the differential oracle for the
+integer count of the class-sum convolution that replaced it.
+
 `standard_tableaux`, `young_symmetrizer` and `young_projector_sum` are the
 former Young symmetrizers of `classalg`, which the skew-vanishing check
 applied before it took the central idempotent e_lam; they are the oracle of
@@ -79,7 +84,7 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from subsym.ambient import CompositionParts
-from subsym.classalg import conjugate_partition, convolve, perm_sign
+from subsym.classalg import class_elements, conjugate_partition, convolve, cycle_type, perm_sign
 from subsym.boundary import tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
@@ -1041,6 +1046,16 @@ def perm_sign_by_cycle_walk(p):
         if ln % 2 == 0:
             sign = -sign
     return sign
+
+
+def basis_product_convolution_averaged(k, lam, mu):
+    """The former classalg._basis_product_convolution: the literal convolution
+    of the averaged class sums, with each class's total mass accumulated."""
+    a, b = ({p: rat(1, len(e)) for p in e} for e in (class_elements(k)[lam], class_elements(k)[mu]))
+    out = {}
+    for p, c in convolve(a, b).items():
+        accumulate(out, cycle_type(p), c)
+    return out
 
 
 def border_strips(lam, length):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -21,12 +20,11 @@ from subsym.ambient import (
     uncorrected_vw0,
     r_poly,
     random_traceless,
-    sl_basis,
     trace_projection_oracle,
     verify_composition_identity,
 )
 from subsym.scalars import RZERO, rat
-from subsym.tensor import SparseTensor
+from subsym.tensor import SparseTensor, sl_basis
 from subsym.weyl import WeylOperator
 from subsym.boundary import admissible_weights
 from support import (
@@ -340,7 +338,7 @@ def test_composition_identity_other_weights():
             bad = verify_composition_identity(m, V, W, w1, w2, degree_bound=3, parts=parts)
             assert not bad and bad.cases > 0
             if n != 2:
-                control = dataclasses.replace(parts, vw1=dv_bracket(V, W).scale(rat(1, 2)))
+                control = parts._replace(vw1=dv_bracket(V, W).scale(rat(1, 2)))
                 assert control.vw1 != parts.vw1
                 assert verify_composition_identity(m, V, W, w1, w2, degree_bound=3, parts=control)
     m = AmbientModel(1)
@@ -458,6 +456,23 @@ def test_composition_parts_keep_the_operators_of_their_own_pair(m2):
         - higher_symmetry_op(m2, parts.vw1)
     )
     assert composition_ambient_part(m2, V, W, parts) == fresh
+
+
+def test_composition_parts_are_immutable_and_replace_starts_empty(m2):
+    # the kept operators stay valid only because no field can change; a copy
+    # with one field replaced is other parts and must build its own
+    rng = random.Random(42)
+    V, W = random_traceless(2, rng), random_traceless(2, rng)
+    parts = compose_decompose(m2, V, W, -1, -1)
+    for name in parts._fields:
+        with pytest.raises(AttributeError):
+            setattr(parts, name, getattr(parts, name))
+    assert not verify_composition_identity(m2, V, W, -1, -1, degree_bound=2, parts=parts)
+    assert set(parts._ops) == {"VW", "vw"}
+    control = parts._replace(vw0=parts.vw0 + 1)
+    assert control._ops == {} and set(parts._ops) == {"VW", "vw"}
+    assert (control.T, control.vw1, control.w1) == (parts.T, parts.vw1, parts.w1)
+    assert verify_composition_identity(m2, V, W, -1, -1, degree_bound=2, parts=control)
 
 
 def test_composition_suite_fails_an_empty_sweep(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from subsym.classalg import (
     ClassElement,
+    _basis_product_convolution,
     center_convolution,
     central_idempotent,
     char_dim,
@@ -23,6 +24,7 @@ from subsym.classalg import (
 from subsym.scalars import accumulate, rat
 from subsym.tensor import SparseTensor
 from support import (
+    basis_product_convolution_averaged,
     mn_character_by_border_strips,
     perm_sign_by_cycle_walk,
     standard_tableaux,
@@ -80,6 +82,16 @@ def test_oracle_equivalence_k_le_5():
                 a = class_multiply(ClassElement.basis(k, lam), ClassElement.basis(k, mu))
                 b = center_convolution(ClassElement.basis(k, lam), ClassElement.basis(k, mu))
                 assert a == b, (k, lam, mu)
+
+
+def test_integer_convolution_matches_the_averaged_rational_one():
+    # the oracle counts products of class members in integers and divides once;
+    # the code it replaced convolved the averaged class sums as rationals
+    for k in range(1, 6):
+        for lam in partitions(k):
+            for mu in partitions(k):
+                ours = _basis_product_convolution(k, lam, mu)
+                assert ours == basis_product_convolution_averaged(k, lam, mu), (k, lam, mu)
 
 
 def test_structure_constants_are_probabilities():

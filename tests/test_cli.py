@@ -426,11 +426,42 @@ def test_probability_check_names_the_pair(monkeypatch):
     }
 
 
+def test_convolution_divided_by_one_class_size_fails_at_its_first_pair(monkeypatch):
+    # the mutant divides each class count by |C_lam| alone, i.e. it is |C_mu|
+    # times the true product; every class of S_1 and S_2 has one element, so
+    # k = 1, 2 pass and k = 3 fails first at (3,) x (3,), where |C_(3)| = 2
+    import subsym.classalg as classalg
+
+    oracle = classalg._basis_product_convolution
+
+    def one_size(k, lam, mu):
+        size = len(classalg.class_elements(k)[mu])
+        return {tau: p * size for tau, p in oracle(k, lam, mu).items()}
+
+    monkeypatch.setattr(classalg, "_basis_product_convolution", one_size)
+    (rep,) = run("classalg", {"k": 3, "seed": 0})
+    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
+    assert witnesses == {"k=3: enumeration == convolution on all basis pairs": "k=3 (3,)x(3,)"}
+
+
+def test_worked_products_print_the_computed_product(monkeypatch):
+    import subsym.classalg as classalg
+
+    multiply = classalg.class_multiply
+    monkeypatch.setattr(classalg, "class_multiply", lambda u, v: multiply(u, v).scale(2))
+    (rep,) = run("classalg", {"k": 1, "seed": 0})
+    worked = {c.name: (c.status, c.witness) for c in rep.checks[:4]}
+    assert worked == {
+        "k=2: x.x = 1": ("fail", "computed (2)*C[1, 1]"),
+        "k=3: x.x = (1+2y)/3": ("fail", "computed (2/3)*C[1, 1, 1] + (4/3)*C[3]"),
+        "k=3: x.y = x": ("fail", "computed (2)*C[2, 1]"),
+        "k=3: y.y = (1+y)/2": ("fail", "computed (1)*C[1, 1, 1] + (1)*C[3]"),
+    }
+
+
 def test_trace_free_check_names_the_first_nonzero_contraction(monkeypatch):
     # one entry with U = (0, 1), L = (1, 0) survives the contractions (0, 1)
     # and (1, 0) only
-    import dataclasses
-
     import subsym.ambient
     from subsym.scalars import rat
     from subsym.tensor import SparseTensor
@@ -439,7 +470,7 @@ def test_trace_free_check_names_the_first_nonzero_contraction(monkeypatch):
 
     def traced(m, V, W, w1, w2):
         parts = decompose(m, V, W, w1, w2)
-        return dataclasses.replace(parts, T=parts.T + SparseTensor(2, m.N, {((0, 1), (1, 0)): rat(1)}))
+        return parts._replace(T=parts.T + SparseTensor(2, m.N, {((0, 1), (1, 0)): rat(1)}))
 
     monkeypatch.setattr(subsym.ambient, "compose_decompose", traced)
     (rep,) = run("composition", {"seed": 0})

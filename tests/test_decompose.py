@@ -661,14 +661,14 @@ def test_seven_pieces():
 def test_seven_pieces_killing_line_is_computed(monkeypatch):
     # The Killing form vanishes on the strictly upper-triangular subalgebra, so
     # there the full double contraction of the symmetric part is zero.
-    import subsym.ambient as amb
+    import subsym.decompose as dec
 
-    full = amb.sl_basis
+    full = dec.sl_basis
 
     def strictly_upper(n):
         return [V for V in full(n) if all(B < A for (B,), (A,) in V.entries)]
 
-    monkeypatch.setattr(amb, "sl_basis", strictly_upper)
+    monkeypatch.setattr(dec, "sl_basis", strictly_upper)
     for N in (3, 4):
         pieces, failures = seven_pieces_check(N)
         assert pieces["killing"] == 0 and "Killing piece 0 is not a line" in failures

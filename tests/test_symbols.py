@@ -127,7 +127,7 @@ def test_d1_symbols_hand_values(m1):
 
 
 def test_d1_recursions_for_basis(m1):
-    from subsym.ambient import sl_basis
+    from subsym.tensor import sl_basis
 
     for V in sl_basis(3)[:4]:
         syms = extract_all_symbols(m1, V)
