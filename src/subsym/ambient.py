@@ -211,10 +211,7 @@ def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
         raise ValueError("tensor dimension does not match the model")
     if not V.is_trace_free():
         raise ValueError("tensor is not totally trace-free")
-    ints = V.integer_entries()
-    if ints is None:
-        raise TypeError("D_V needs rational entries")
-    den, entries = ints
+    den, entries = V.integer_entries()
     ring = m.ring
     up = [ring.index[name] for name in m.upper_names]
     dn = [ring.index[name] for name in m.lower_names]

@@ -22,7 +22,7 @@ import itertools
 from functools import lru_cache
 from math import factorial
 
-from .scalars import Fraction, accumulate, rat
+from .scalars import accumulate, rat
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -193,8 +193,7 @@ class ClassElement:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = [f"({Fraction(int(c.numerator), int(c.denominator))})*C{list(lam)}"
-                 for lam, c in sorted(self.coeffs.items())]
+        parts = [f"({c})*C{list(lam)}" for lam, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
 
     __repr__ = __str__

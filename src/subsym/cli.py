@@ -23,18 +23,7 @@ from math import factorial
 
 from .report import CaseResults, VerificationReport, classalg_table_csv, emit, isotypic_table_json
 
-SUITES = (
-    "reduction",
-    "commutation",
-    "composition",
-    "prop1",
-    "symbols",
-    "classalg",
-    "commutant",
-    "decompose",
-    "hwvectors",
-    "all",
-)
+FLAGS = ("n", "d", "s", "k", "dim", "w1", "w2", "deg", "seed")  # the int flags of `verify`
 COMPOSITION_N = 2  # the composition suite's n when --n is not given
 
 
@@ -357,24 +346,25 @@ def _suite_hwvectors(params, rep: VerificationReport):
     return rep
 
 
-_SUITE_FUNCS = {
-    "classalg": _suite_classalg,
+_SUITE_FUNCS = {  # in the order of `verify all`
     "reduction": _suite_reduction,
     "commutation": _suite_commutation,
     "composition": _suite_composition,
     "prop1": _suite_prop1,
     "symbols": _suite_symbols,
+    "classalg": _suite_classalg,
     "commutant": _suite_commutant,
     "decompose": _suite_decompose,
     "hwvectors": _suite_hwvectors,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run(suite: str, params: dict) -> list[VerificationReport]:
     """Execute one suite (or 'all'); returns the reports."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
+    names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     reports = []
     for name in names:
         rep = VerificationReport(
@@ -409,17 +399,7 @@ def _problems(params) -> list:
 
 
 def _validated(args, parser) -> dict:
-    params = {
-        "n": args.n,
-        "d": args.d,
-        "s": args.s,
-        "k": args.k,
-        "dim": args.dim,
-        "w1": args.w1,
-        "w2": args.w2,
-        "deg": args.deg,
-        "seed": args.seed,
-    }
+    params = {flag: getattr(args, flag) for flag in FLAGS}
     problems = _problems(params)
     if params.get("d") is not None and params.get("s") is not None:
         if 2 * params["s"] > params["d"]:
@@ -443,6 +423,15 @@ def _validated(args, parser) -> dict:
     return params
 
 
+def _writable(path, parser):
+    """`path` when its directory exists; a usage error otherwise, raised
+    before any check or table is computed."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        parser.error(f"cannot write {path}: no such directory {folder}")
+    return path
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="subsym", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -450,7 +439,7 @@ def main(argv=None):
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
-    for flag in ("n", "d", "s", "k", "dim", "w1", "w2", "deg", "seed"):
+    for flag in FLAGS:
         pv.add_argument(f"--{flag}", type=int, default=None)
     pv.add_argument("--out", default=None, help="write report file(s)")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
@@ -468,20 +457,28 @@ def main(argv=None):
         problems = _problems({"k": args.k, "dim": args.dim})
         if problems:
             pt.error("invalid parameters: " + "; ".join(problems))
+        if args.kind == "isotypic" and args.dim is None:
+            pt.error("table isotypic requires --dim")
         if args.kind == "classalg":
-            path = args.out or os.path.join(outdir, f"classalg_k{args.k}.csv")
-            classalg_table_csv(args.k, path)
+            name = f"classalg_k{args.k}.csv"
         else:
-            if args.dim is None:
-                pt.error("table isotypic requires --dim")
-            path = args.out or os.path.join(outdir, f"isotypic_k{args.k}_N{args.dim}.json")
-            isotypic_table_json(args.k, args.dim, path)
+            name = f"isotypic_k{args.k}_N{args.dim}.json"
+        path = _writable(args.out or os.path.join(outdir, name), pt)
+        try:
+            if args.kind == "classalg":
+                classalg_table_csv(args.k, path)
+            else:
+                isotypic_table_json(args.k, args.dim, path)
+        except OSError as exc:
+            pt.error(f"cannot write {path}: {exc}")
         print(path)
         return 0
 
     params = _validated(args, pv)
     if params.get("seed") is None:
         params["seed"] = 0
+    if args.out:
+        _writable(args.out, pv)
     reports = run(args.suite, params)
     exit_code = 0
     for rep in reports:
@@ -503,7 +500,10 @@ def main(argv=None):
                 path = f"{root}_{rep.suite}{ext or '.' + args.format}"
             else:
                 path = base
-            emit(rep, path, args.format)
+            try:
+                emit(rep, path, args.format)
+            except OSError as exc:
+                pv.error(str(exc))
     return exit_code
 
 

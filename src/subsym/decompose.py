@@ -476,7 +476,7 @@ def commutant_mult_crosscheck(k, N, class_product):
     for lam, mu in itertools.product(partitions(k), repeat=2):
         size = len(elems[lam]) * len(elems[mu])
         coeffs = {tau: rat(size) * a / len(elems[tau]) for tau, a in class_product(lam, mu).items()}
-        D = lcm(*(int(c.denominator) for c in coeffs.values()))
+        D = lcm(*(c.denominator for c in coeffs.values()))
         scaled[(lam, mu)] = (D, [(tau, int(c * D)) for tau, c in coeffs.items()])
     bad = set()
     cases = 0

@@ -7,7 +7,7 @@ of pivot rows: while the leading (least) column c of a row r holds a pivot row
 p, r becomes b*r - a*p with a/b = r[c]/p[c] in lowest terms.  A row that
 reaches a free leading column is divided by its content (the gcd of its
 entries), which bounds coefficient growth, and stored.  Back-substitution
-then gives the unique reduced form.  Results are backend rationals, except
+then gives the unique reduced form.  Results are rationals, except
 for the primitive integer vectors of `integer_kernel`.
 """
 
@@ -22,8 +22,8 @@ def _int_row(row):
     """(row as {col: int} scaled by the lcm of its denominators, that lcm)."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     nz = [(j, q) for j, q in items if q]
-    s = lcm(*(int(q.denominator) for _, q in nz))
-    return {j: int(q.numerator) * (s // int(q.denominator)) for j, q in nz}, s
+    s = lcm(*(q.denominator for _, q in nz))
+    return {j: q.numerator * (s // q.denominator) for j, q in nz}, s
 
 
 def _clear(r, p, c):

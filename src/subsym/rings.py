@@ -9,11 +9,11 @@ ints, one slot per generator) to nonzero Python ints, and ``den`` is an int
 >= 1.  The form is canonical, ``gcd(den, *num.values()) == 1`` and the zero
 polynomial is ``num == {}``, ``den == 1``, so equal polynomials have equal
 ``(den, num)``.  Arithmetic runs on ints and reduces by one gcd per result;
-backend rationals (``scalars.rat``) appear only where coefficients enter
+Fractions (``scalars.rat``) appear only where coefficients enter
 (``Ring.const``/``gen``/``monomial``, ``LaurentPoly(ring, terms)``, ``scale``)
 and where they are read out (``terms``, ``constant_value``, ``str``).  No
 coefficient is complex: the boundary model works in the contact coordinate
-tau = i*sigma, over Q (see ``boundary``).
+tau = i*sigma, over Q (see ``boundary``).  Derivatives are ``weyl``'s.
 
 Printing uses graded-lexicographic term order so that equal polynomials
 always print identically.
@@ -27,17 +27,15 @@ from types import MappingProxyType
 
 from .scalars import RZERO, rat, rat_str
 
-_RAT = type(RZERO)
-
 
 def _ratio(c):
-    """(numerator, denominator) of a rational coefficient as Python ints;
-    a complex value raises TypeError."""
+    """(numerator, denominator) of a rational coefficient; a complex value
+    raises TypeError."""
     if type(c) is int:
         return c, 1
-    if type(c) is not _RAT:
+    if type(c) is not rat:
         c = rat(c)
-    return int(c.numerator), int(c.denominator)
+    return c.numerator, c.denominator
 
 
 class RingMismatchError(ValueError):
@@ -142,7 +140,7 @@ class LaurentPoly:
 
     @property
     def terms(self):
-        """Read-only view exponent tuple -> nonzero backend rational."""
+        """Read-only view exponent tuple -> nonzero rational."""
         den = self.den
         return MappingProxyType({e: rat(c, den) for e, c in self.num.items()})
 
@@ -282,16 +280,7 @@ class LaurentPoly:
                 out[e] = c * f if s is None else s + c * f
         return _canonical(ring, {e: c for e, c in out.items() if c}, common * den)
 
-    # -- calculus ----------------------------------------------------------
-    def diff(self, name: str) -> "LaurentPoly":
-        """Formal partial derivative; Laurent exponents follow d/dx x^m = m x^(m-1)."""
-        if name not in self.ring.index:
-            raise UnknownGeneratorError(name)
-        i = self.ring.index[name]
-        # e -> e - unit_i is injective, so no two terms meet
-        out = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.num.items() if e[i]}
-        return _canonical(self.ring, out, self.den)
-
+    # -- substitution ------------------------------------------------------
     def substitute(self, images: dict, target: Ring | None = None) -> "LaurentPoly":
         """Substitute every generator by ``images[name]`` (a poly in ``target``).
 

@@ -1,11 +1,8 @@
 """Exact scalar arithmetic: rationals, and Gaussian rationals for callers.
 
-All computations in this package are exact.  The rational backend is
-``gmpy2.mpq`` when gmpy2 imports and ``fractions.Fraction`` otherwise;
-``RATIONAL_BACKEND`` names the one in use.
-
-Every coefficient the verifier computes with is a backend rational ``rat``:
-the boundary model uses the contact coordinate tau = i*sigma, so no identity
+All computations in this package are exact.  Every coefficient the
+verifier computes with is a ``fractions.Fraction``, named ``rat`` here: the
+boundary model uses the contact coordinate tau = i*sigma, so no identity
 it checks needs the imaginary unit (see ``boundary``).  A
 :class:`GaussianRational` is a + b*i with exact rational a, b, kept for
 callers that want complex constants; no other module of the package uses it.
@@ -15,13 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as rat  # type: ignore
-
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:
-    rat = Fraction
-    RATIONAL_BACKEND = "fraction"
+rat = Fraction
+RATIONAL_BACKEND = "fraction"  # recorded by the benchmark harness
 
 RZERO = rat(0)
 RONE = rat(1)
@@ -29,8 +21,7 @@ RONE = rat(1)
 
 def rat_str(x) -> str:
     """Canonical string "p/q" for an exact rational (q always printed)."""
-    f = Fraction(int(x.numerator), int(x.denominator))
-    return f"{f.numerator}/{f.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def accumulate(acc: dict, key, v):
@@ -49,8 +40,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is type(RZERO) else rat(re)
-        self.im = im if type(im) is type(RZERO) else rat(im)
+        self.re = rat(re)
+        self.im = rat(im)
 
     # -- predicates ---------------------------------------------------
     def __bool__(self):
@@ -94,7 +85,7 @@ class GaussianRational:
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)) or type(other) is type(RZERO):
+        if isinstance(other, (int, Fraction)):
             return not self.im and self.re == other
         return NotImplemented
 
@@ -126,6 +117,6 @@ GR_I = GaussianRational(0, 1)
 
 
 def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor; accepts ints, Fractions and backend rationals."""
-    return GaussianRational(rat(re), rat(im))
+    """Shorthand constructor from ints or Fractions."""
+    return GaussianRational(re, im)
 

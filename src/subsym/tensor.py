@@ -1,4 +1,4 @@
-"""Sparse tensors over C^N with an upper and a lower index group.
+"""Sparse tensors over Q^N with an upper and a lower index group.
 
 One type serves the ambient column-symmetric tensors V^{B_1..B_d}_{A_1..A_d}
 and the mixed tensors of (V (x) V*)^(x)k: entries are keyed by (upper tuple,
@@ -22,8 +22,18 @@ from .classalg import invert_perm, perm_sign
 from .scalars import RONE, accumulate, rat
 
 
+def _integers(values: dict):
+    """(den, {key: int}) with values[key] = int / den, den the lcm of the
+    denominators; a value that is not a rational raises TypeError."""
+    try:
+        den = lcm(*(v.denominator for v in values.values()))
+    except AttributeError:
+        raise TypeError("tensor entries must be rationals") from None
+    return den, {key: v.numerator * (den // v.denominator) for key, v in values.items()}
+
+
 class SparseTensor:
-    """Tensor T^{U}_{L} with k columns over C^N, stored sparsely."""
+    """Tensor T^{U}_{L} with k columns over Q^N, stored sparsely."""
 
     __slots__ = ("k", "N", "entries")
 
@@ -92,28 +102,16 @@ class SparseTensor:
 
     def integer_entries(self):
         """(den, {key: int}) with each entry the int over den, den the lcm of
-        the entry denominators; None when an entry is not a rational."""
-        try:
-            den = lcm(*(int(v.denominator) for v in self.entries.values()))
-        except AttributeError:
-            return None
-        return den, {key: int(v.numerator) * (den // int(v.denominator)) for key, v in self.entries.items()}
+        the entry denominators."""
+        return _integers(self.entries)
 
     def _moved(self, element, upper, lower) -> "SparseTensor":
         """sum_p element[p] p, each p moving the upper and/or the lower
-        positions.  Rational entries and coefficients are summed as integer
-        numerators, over one common denominator for each, and made rational
-        once per result entry; Gaussian-rational ones are summed as they are."""
-        ints = self.integer_entries()
-        try:
-            cden = lcm(*(int(c.denominator) for c in element.values()))
-        except AttributeError:
-            ints = None
-        if ints is None:  # Gaussian-rational entries or coefficients
-            values, coeffs = self.entries, element
-        else:
-            den, values = ints
-            coeffs = {p: int(c.numerator) * (cden // int(c.denominator)) for p, c in element.items()}
+        positions.  Entries and coefficients are summed as integer numerators,
+        over one common denominator for each, and made rational once per
+        result entry."""
+        den, values = _integers(self.entries)
+        cden, coeffs = _integers(element)
         out = {}
         for p, c in coeffs.items():
             order = invert_perm(p)
@@ -123,8 +121,6 @@ class SparseTensor:
                     tuple(map(L.__getitem__, order)) if lower else L,
                 )
                 accumulate(out, key, v * c)
-        if ints is None:
-            return SparseTensor(self.k, self.N, out)
         return SparseTensor(self.k, self.N, {key: rat(s, den * cden) for key, s in out.items()})
 
     # -- the group algebra on one index group ------------------------------

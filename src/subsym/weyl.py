@@ -9,21 +9,21 @@ generalized Leibniz rule term by term.  Equality is decided in normal form.
 Action, composition and commutator work term by term on the integer
 numerators of the coefficients (see ``rings``): D^alpha x^e is the falling
 factorial e(e-1)...(e-alpha+1) times x^(e-alpha), slot by slot, through
-negative Laurent exponents as ``diff`` goes.  Each result is accumulated as
-ints over one common denominator and reduced once per coefficient.  In a
-commutator the gamma = 0 Leibniz terms p q D^(alpha+beta) of the two
-products are equal, because the coefficient ring is commutative, so they are
-never formed.
+negative Laurent exponents too; it is the package's one derivative.  Each
+result is accumulated as ints over one common denominator and reduced once
+per coefficient.  In a commutator the gamma = 0 Leibniz terms
+p q D^(alpha+beta) of the two products are equal, because the coefficient
+ring is commutative, so they are never formed.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import lcm
+from math import factorial, lcm, prod
 from operator import add, sub
 
-from .rings import LaurentPoly, Ring, RingMismatchError, _canonical, binom_exp
+from .rings import LaurentPoly, Ring, RingMismatchError, UnknownGeneratorError, _canonical, binom_exp
 from .scalars import rat
 
 
@@ -43,8 +43,7 @@ def _add_products(acc: dict, terms, q: LaurentPoly):
     (gamma, pnum, w) of terms, each p given by its (exponent, numerator)
     pairs pnum.  D^gamma x^e = falling(e, gamma) x^(e - gamma), one falling
     factorial e_i (e_i - 1) ... (e_i - gamma_i + 1) per slot: zero when
-    0 <= e_i < gamma_i, as repeated ``diff`` gives, and never zero through
-    negative Laurent exponents."""
+    0 <= e_i < gamma_i, and never zero through negative Laurent exponents."""
     get = acc.get
     for e, c in q.num.items():
         for gamma, pnum, w in terms:
@@ -112,6 +111,8 @@ class WeylOperator:
 
     @staticmethod
     def derivative(ring: Ring, name: str, order: int = 1) -> "WeylOperator":
+        if name not in ring.index:
+            raise UnknownGeneratorError(name)
         alpha = [0] * ring.arity
         alpha[ring.index[name]] = order
         return WeylOperator(ring, {tuple(alpha): ring.one()})
@@ -222,10 +223,9 @@ def from_action(ring: Ring, action, max_order: int) -> WeylOperator:
     ``action`` maps a LaurentPoly to a LaurentPoly linearly.  Probing the
     monomials x^alpha in graded order determines the coefficients uniquely
     for any operator of order <= max_order: D^beta x^alpha vanishes unless
-    beta <= alpha slot-wise, and equals alpha! at beta = alpha.
+    beta <= alpha slot-wise, and equals alpha! at beta = alpha, so the action
+    on x^alpha less that of the terms found so far is alpha! p_alpha.
     """
-    from math import factorial
-
     names = ring.names
     terms = {}
     degrees = sorted(
@@ -238,18 +238,7 @@ def from_action(ring: Ring, action, max_order: int) -> WeylOperator:
     )
     for alpha in degrees:
         x_alpha = ring.monomial({n: e for n, e in zip(names, alpha) if e})
-        acc = action(x_alpha)
-        for beta, p in terms.items():
-            if all(b <= a for b, a in zip(beta, alpha)):
-                dx = x_alpha
-                for i, k in enumerate(beta):
-                    for _ in range(k):
-                        dx = dx.diff(names[i])
-                if dx:
-                    acc = acc - p * dx
+        acc = action(x_alpha) - WeylOperator(ring, terms).apply(x_alpha)
         if acc:
-            fact = 1
-            for e in alpha:
-                fact *= factorial(e)
-            terms[alpha] = acc.scale(rat(1, fact))
+            terms[alpha] = acc.scale(rat(1, prod(map(factorial, alpha))))
     return WeylOperator(ring, terms)

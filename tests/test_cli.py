@@ -88,6 +88,45 @@ def test_emit_surfaces_io_error():
     assert "rep.json" in str(exc.value)
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the request ran before its output path was checked")
+
+
+@pytest.mark.parametrize("argv, out_dir", [
+    (["verify", "hwvectors", "--out", "{missing}/r.json"], None),
+    (["verify", "all", "--out", "{missing}/r.json"], None),
+    (["table", "classalg", "--k", "2", "--out", "{missing}/x.csv"], None),
+    (["table", "classalg", "--k", "2"], "{missing}"),
+    (["table", "isotypic", "--k", "2", "--dim", "4"], "{missing}"),
+], ids=["verify", "verify-all", "table-out", "classalg-out-dir", "isotypic-out-dir"])
+def test_missing_output_directory_is_a_usage_error(argv, out_dir, tmp_path, monkeypatch, capsys):
+    # the directory is checked before any suite or table is computed
+    import subsym.cli as cli
+
+    for name in ("run", "classalg_table_csv", "isotypic_table_json"):
+        monkeypatch.setattr(cli, name, _unreachable)
+    missing = str(tmp_path / "missing")
+    if out_dir is not None:
+        monkeypatch.setenv("SUBSYM_OUT_DIR", out_dir.format(missing=missing))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(missing=missing) for a in argv])
+    assert exc.value.code == 2
+    assert f"cannot write {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "classalg", "--k", "2", "--out"],
+    ["table", "classalg", "--k", "2", "--out"],
+], ids=["verify", "table"])
+def test_write_error_is_a_usage_error(argv, tmp_path, capsys):
+    # an existing directory passes the early check; opening it then fails
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and str(tmp_path) in err
+
+
 def test_classalg_table_shape(tmp_path, capsys):
     path = tmp_path / "k2.csv"
     code = main(["table", "classalg", "--k", "2", "--out", str(path)])

@@ -10,11 +10,13 @@ Gaussian-rational oracle ring, and compare them with those records.
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from subsym.ambient import (
+    AmbientModel,
     ambient_laplacian,
     central_element,
     compose_decompose,
@@ -29,7 +31,7 @@ from subsym.boundary import (
     sublaplacian,
     tangential_ops,
 )
-from subsym.scalars import GR_I, GR_ONE, RZERO
+from subsym.scalars import GR_I, GR_ONE, RONE
 from subsym.symbols import extract_all_symbols
 from subsym.tensor import SparseTensor
 from support import GaussianPoly, GaussianRing, parse_gr, parse_rat, to_gaussian
@@ -99,16 +101,13 @@ def test_symbols_match_sigma_form_records(n):
     assert compared
 
 
-RAT = type(RZERO)
-
-
 def _op_coeffs(op):
     return [c for p in op.terms.values() for c in p.terms.values()]
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_coefficient_field(n):
-    """Every coefficient on the hot path is a backend rational."""
+    """Every coefficient on the hot path is a Fraction."""
     m = BoundaryModel(n)
     amb = m.ambient
     rng = random.Random(3)
@@ -129,4 +128,22 @@ def test_one_coefficient_field(n):
     parts = compose_decompose(amb, V, W, w1, w2)
     coeffs += [parts.vw0, *parts.U.entries.values(), *parts.vw1.entries.values()]
     assert len(coeffs) > 100
-    assert {type(c) for c in coeffs} == {RAT}
+    assert {type(c) for c in coeffs} == {Fraction}
+
+
+def test_complex_tensor_entries_and_coefficients_raise():
+    """A tensor is over Q: a Gaussian-rational entry or element coefficient
+    raises the one TypeError wherever the position action or the integer
+    entries are reached."""
+    raises = pytest.raises(TypeError, match="tensor entries must be rationals")
+    complex_V = SparseTensor(1, 3, {((0,), (1,)): GR_I})  # trace-free
+    with raises:
+        SparseTensor(2, 2, {((0, 1), (1, 0)): GR_I}).permuted((1, 0))
+    with raises:
+        SparseTensor(2, 2, {((0, 1), (1, 0)): GR_I}).act({(1, 0): 1}, upper=True)
+    with raises:
+        SparseTensor(2, 2, {((0, 1), (1, 0)): RONE}).act({(1, 0): GR_I}, upper=False)
+    with raises:
+        higher_symmetry_op(AmbientModel(1), complex_V)
+    with raises:
+        extract_all_symbols(BoundaryModel(1), complex_V)

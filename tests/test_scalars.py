@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from subsym.scalars import (
     GR_I,
     GR_ONE,
@@ -31,7 +33,8 @@ def test_division_by_zero():
 
 
 def test_normal_form_via_backend():
-    # backend rationals keep positive denominators and lowest terms
+    # the one rational type is Fraction: positive denominators, lowest terms
+    assert rat is Fraction
     x = rat(6, -4)
     assert x.numerator == -3 and x.denominator == 2
     assert rat_str(x) == "-3/2"
