@@ -35,15 +35,15 @@ from .weyl import WeylOperator
 # tensor.sl_basis
 
 
-def random_traceless(n, rng, bound=3):
+TRACELESS_BOUND = 3  # the entry bound of random_traceless
+
+
+def random_traceless(n, rng):
     """Seeded small-integer V^B_A, drawn row by row, made traceless by
-    subtracting tr/(n+2) on the diagonal."""
+    subtracting tr/(n+2) times the identity."""
     N = n + 2
-    V = {((B,), (A,)): rat(rng.randint(-bound, bound)) for B in range(N) for A in range(N)}
-    c = sum((V[(B,), (B,)] for B in range(N)), RZERO) / N
-    for B in range(N):
-        V[(B,), (B,)] = V[(B,), (B,)] - c
-    return SparseTensor(1, N, V)
+    V = SparseTensor.random(1, N, rng, TRACELESS_BOUND)
+    return V - identity(N).scale(_trace(V) / N)
 
 
 # ---------------------------------------------------------------------------

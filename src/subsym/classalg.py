@@ -181,7 +181,7 @@ class ClassElement:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = rat(c) if not isinstance(c, type(rat(0))) else c
+        c = rat(c)
         return ClassElement(self.k, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __eq__(self, other):

@@ -286,17 +286,6 @@ def highest_weight_vector(lam, N):
     return acc
 
 
-def random_plain_tensor(k, N, rng, bound=3):
-    """Random element of the k-th tensor power of C^N with small int entries
-    (upper indices only)."""
-    out = {}
-    for key in itertools.product(range(N), repeat=k):
-        c = rng.randint(-bound, bound)
-        if c:
-            out[(key, ())] = rat(c)
-    return SparseTensor(k, N, out)
-
-
 def skew_vanishing_check(lam, k, N, trials=5, seed=0):
     """Skew-symmetrizing the e_lam image in depth(lam)+1 slots is 0.
 
@@ -315,7 +304,7 @@ def skew_vanishing_check(lam, k, N, trials=5, seed=0):
     slot_sets = list(itertools.combinations(range(k), depth + 1))
     bad = []
     for t in range(trials):
-        image = random_plain_tensor(k, N, rng).act(proj, upper=True)
+        image = SparseTensor.random(k, N, rng, 3, lower=()).act(proj, upper=True)
         bad += [f"trial {t}, slots {slots}" for slots in slot_sets if image.skew_slots(slots)]
     return CaseResults(bad, trials * len(slot_sets))
 
@@ -424,13 +413,7 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
         )
         for _ in range(samples)
     ]
-    rand_entries = {}
-    for U in itertools.product(range(N), repeat=k):
-        for L in itertools.product(range(N), repeat=k):
-            c = rng.randint(-2, 2)
-            if c:
-                rand_entries[(U, L)] = rat(c)
-    T_sym = SparseTensor(k, N, rand_entries).symmetrized()
+    T_sym = SparseTensor.random(k, N, rng, 2).symmetrized()
 
     results = []
     for lam, s in reps.items():

@@ -154,29 +154,22 @@ class SparseTensor:
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def random_column_symmetric(d, N, rng, bound=2, density=0.4) -> "SparseTensor":
+    def random(k, N, rng, bound, upper=None, lower=None, density=None) -> "SparseTensor":
+        """Seeded small-integer tensor: a uniform integer in [-bound, bound] at
+        every key of k upper values from `upper` and k lower values from
+        `lower` (both range(N) by default), keys in product order with the
+        upper tuple outermost.  With a density, each key first draws one
+        rng.random() and is kept when that is below it.  lower=() gives a
+        tensor of V^(x)k alone, with empty lower tuples."""
+        upper = range(N) if upper is None else upper
+        lower = range(N) if lower is None else lower
+        lowers = list(itertools.product(lower, repeat=k)) if lower else [()]
         entries = {}
-        for B in itertools.product(range(N), repeat=d):
-            for A in itertools.product(range(N), repeat=d):
-                if rng.random() < density:
-                    c = rng.randint(-bound, bound)
-                    if c:
-                        entries[(B, A)] = rat(c)
-        return SparseTensor(d, N, entries).symmetrized()
-
-    @staticmethod
-    def random_disjoint_trace_free(d, N, rng, bound=2) -> "SparseTensor":
-        """Column-symmetric and totally trace-free by disjoint index supports:
-        upper indices take values in {1, N-1}, lower in {0, 2}; needs N >= 4."""
-        if N < 4:
-            raise ValueError("needs N >= 4")
-        entries = {}
-        for B in itertools.product((1, N - 1), repeat=d):
-            for A in itertools.product((0, 2), repeat=d):
-                c = rng.randint(-bound, bound)
-                if c:
-                    entries[(B, A)] = rat(c)
-        return SparseTensor(d, N, entries).symmetrized()
+        for U in itertools.product(upper, repeat=k):
+            for L in lowers:
+                if density is None or rng.random() < density:
+                    entries[U, L] = rat(rng.randint(-bound, bound))
+        return SparseTensor(k, N, entries)
 
 
 def sl_basis(N):

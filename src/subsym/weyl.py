@@ -127,12 +127,6 @@ class WeylOperator:
         return WeylOperator(ring, {tuple(alpha): p})
 
     # -- structure --------------------------------------------------------
-    @property
-    def order(self):
-        if not self.terms:
-            return None
-        return max(sum(a) for a in self.terms)
-
     def __bool__(self):
         return bool(self.terms)
 

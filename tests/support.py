@@ -64,6 +64,16 @@ former Young symmetrizers of `classalg`, which the skew-vanishing check
 applied before it took the central idempotent e_lam; they are the oracle of
 the containment e_lam * Y_lam = Y_lam, which keeps that check's domain.
 
+`random_traceless_by_loop`, `random_plain_tensor_by_loop`,
+`random_column_symmetric_by_loops`, `random_disjoint_trace_free_by_loops` and
+`conjugation_tensor_by_loops` are the five draw loops that
+`SparseTensor.random` replaced: those of `ambient.random_traceless`, the
+former `decompose.random_plain_tensor`, the two former `SparseTensor`
+constructors and the inline loop of `decompose.conjugation_lemmas_check`.
+They are the differential oracle of the one draw.  `column_symmetric`,
+`disjoint_trace_free` and `plain_tensor` are the draws the tests make, built on
+`SparseTensor.random`, and `operator_order` is the former `WeylOperator.order`.
+
 `parse_rat` reads the "p/q" strings of `scalars.rat_str` (the records in
 `data/` are written that way).
 
@@ -1168,3 +1178,89 @@ def young_projector_sum(lam):
         for p, c in young_symmetrizer(tab).items():
             accumulate(out, p, c)
     return out
+
+
+def operator_order(op: WeylOperator):
+    """The largest total derivative order of op's terms; None for op = 0."""
+    return max((sum(a) for a in op.terms), default=None)
+
+
+# ---------------------------------------------------------------------------
+# seeded draws: helpers on SparseTensor.random, and the loops it replaced
+
+
+def column_symmetric(d, N, rng, density=0.4) -> SparseTensor:
+    """A seeded column-symmetric d-column tensor over C^N."""
+    return SparseTensor.random(d, N, rng, 2, density=density).symmetrized()
+
+
+def disjoint_trace_free(d, N, rng) -> SparseTensor:
+    """Column-symmetric and totally trace-free by disjoint index supports:
+    upper indices take values in {1, N-1}, lower in {0, 2}; needs N >= 4."""
+    if N < 4:
+        raise ValueError("needs N >= 4")
+    return SparseTensor.random(d, N, rng, 2, upper=(1, N - 1), lower=(0, 2)).symmetrized()
+
+
+def plain_tensor(k, N, rng) -> SparseTensor:
+    """A seeded element of the k-th tensor power of C^N (upper indices only)."""
+    return SparseTensor.random(k, N, rng, 3, lower=())
+
+
+def random_traceless_by_loop(n, rng, bound=3):
+    """Seeded small-integer V^B_A, drawn row by row, made traceless by
+    subtracting tr/(n+2) on the diagonal."""
+    N = n + 2
+    V = {((B,), (A,)): rat(rng.randint(-bound, bound)) for B in range(N) for A in range(N)}
+    c = sum((V[(B,), (B,)] for B in range(N)), RZERO) / N
+    for B in range(N):
+        V[(B,), (B,)] = V[(B,), (B,)] - c
+    return SparseTensor(1, N, V)
+
+
+def random_plain_tensor_by_loop(k, N, rng, bound=3):
+    """Random element of the k-th tensor power of C^N with small int entries
+    (upper indices only)."""
+    out = {}
+    for key in itertools.product(range(N), repeat=k):
+        c = rng.randint(-bound, bound)
+        if c:
+            out[(key, ())] = rat(c)
+    return SparseTensor(k, N, out)
+
+
+def random_column_symmetric_by_loops(d, N, rng, bound=2, density=0.4) -> SparseTensor:
+    entries = {}
+    for B in itertools.product(range(N), repeat=d):
+        for A in itertools.product(range(N), repeat=d):
+            if rng.random() < density:
+                c = rng.randint(-bound, bound)
+                if c:
+                    entries[(B, A)] = rat(c)
+    return SparseTensor(d, N, entries).symmetrized()
+
+
+def random_disjoint_trace_free_by_loops(d, N, rng, bound=2) -> SparseTensor:
+    """Column-symmetric and totally trace-free by disjoint index supports:
+    upper indices take values in {1, N-1}, lower in {0, 2}; needs N >= 4."""
+    if N < 4:
+        raise ValueError("needs N >= 4")
+    entries = {}
+    for B in itertools.product((1, N - 1), repeat=d):
+        for A in itertools.product((0, 2), repeat=d):
+            c = rng.randint(-bound, bound)
+            if c:
+                entries[(B, A)] = rat(c)
+    return SparseTensor(d, N, entries).symmetrized()
+
+
+def conjugation_tensor_by_loops(k, N, rng) -> SparseTensor:
+    """The random symmetrized tensor of the former inline loop of
+    `decompose.conjugation_lemmas_check`."""
+    rand_entries = {}
+    for U in itertools.product(range(N), repeat=k):
+        for L in itertools.product(range(N), repeat=k):
+            c = rng.randint(-2, 2)
+            if c:
+                rand_entries[(U, L)] = rat(c)
+    return SparseTensor(k, N, rand_entries).symmetrized()

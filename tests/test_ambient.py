@@ -32,11 +32,13 @@ from support import (
     bidegree,
     compose_decompose_by_loops,
     dense,
+    disjoint_trace_free,
     dv_bracket_matrix,
     dv_matrix,
     higher_symmetry_op_by_composition,
     mat_mul,
     mat_trace,
+    operator_order,
     principal_part,
     random_traceless_matrix,
     sl_basis_matrix,
@@ -86,11 +88,8 @@ def test_dual_quadric_of_a_quadric_is_the_trace_of_the_product(n, g_diag):
     N = m.N
     rng = random.Random(70 + n)
 
-    def draw():
-        return SparseTensor(1, N, {((B,), (A,)): rat(rng.randint(-3, 3)) for B in range(N) for A in range(N)})
-
     for _ in range(3):
-        S, T = draw(), draw()
+        S, T = SparseTensor.random(1, N, rng, 3), SparseTensor.random(1, N, rng, 3)
         tr = sum(
             (S.entries.get(((A,), (D,)), RZERO) * T.entries.get(((D,), (A,)), RZERO) for A in range(N) for D in range(N)),
             RZERO,
@@ -189,8 +188,8 @@ def test_higher_symmetry_d1_reduces_to_dv(m2):
 def test_higher_symmetry_commutes(m2):
     rng = random.Random(7)
     for d in (2, 3):
-        op = higher_symmetry_op(m2, SparseTensor.random_disjoint_trace_free(d, 4, rng))
-        assert op and op.order == d
+        op = higher_symmetry_op(m2, disjoint_trace_free(d, 4, rng))
+        assert op and operator_order(op) == d
         assert not ambient_laplacian(m2).commutator(op)
         assert not op.commutator(WeylOperator.mul_by(r_poly(m2)))
 
@@ -199,7 +198,7 @@ def test_higher_symmetry_column_invariance(m2):
     # the product of two disjoint-support draws is trace-free but not
     # column-symmetric; D_T only sees its symmetrization
     rng = random.Random(11)
-    draw = SparseTensor.random_disjoint_trace_free
+    draw = disjoint_trace_free
     T = draw(1, 4, rng).outer(draw(1, 4, rng))
     assert T.is_trace_free() and not T.is_symmetric()
     op = higher_symmetry_op(m2, T)
@@ -210,7 +209,7 @@ def test_higher_symmetry_column_invariance(m2):
 def test_higher_symmetry_op_matches_the_composed_generators(k):
     # a k-column disjoint-support draw at n = 2, and the sl(k + 2) basis at n = k
     m = AmbientModel(2)
-    T = SparseTensor.random_disjoint_trace_free(k, 4, random.Random(60 + k))
+    T = disjoint_trace_free(k, 4, random.Random(60 + k))
     assert T and higher_symmetry_op(m, T) == higher_symmetry_op_by_composition(m, T)
     m = AmbientModel(k)
     for V in sl_basis(k + 2):

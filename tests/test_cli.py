@@ -341,16 +341,17 @@ def test_zero_flags_and_bad_weights_are_usage_errors(argv, problem, capsys):
 def test_symbols_degree_flag_is_used_as_given(monkeypatch):
     from subsym.tensor import SparseTensor
 
-    draw = SparseTensor.random_disjoint_trace_free
+    draw = SparseTensor.random
     degrees = []
 
-    def spy(d, N, rng, bound=2):
-        degrees.append(d)
-        return draw(d, N, rng, bound)
+    def spy(k, N, rng, bound, **support):
+        degrees.append(k)
+        return draw(k, N, rng, bound, **support)
 
-    monkeypatch.setattr(SparseTensor, "random_disjoint_trace_free", staticmethod(spy))
+    monkeypatch.setattr(SparseTensor, "random", staticmethod(spy))
     (rep,) = run("symbols", {"n": 2, "d": 4, "seed": 0})
-    assert degrees == [4]
+    # the recursion tensor has d columns; the skew checks draw three
+    assert degrees == [4, 3]
     assert rep.passed and rep.parameters["d"] == 4
 
 
@@ -364,9 +365,10 @@ def test_operator_suites_raise_no_warning(n):
     from subsym.ambient import AmbientModel, higher_symmetry_op
     from subsym.scalars import rat
     from subsym.tensor import SparseTensor
+    from support import column_symmetric
 
     unit = SparseTensor(1, 3, {((0,), (0,)): rat(1)})
-    traced = SparseTensor.random_column_symmetric(2, 3, random.Random(n))
+    traced = column_symmetric(2, 3, random.Random(n))
     assert not traced.is_trace_free()
     for bad in (unit, traced):
         with pytest.raises(ValueError):
@@ -618,6 +620,15 @@ def test_canonical_report_digest(suite):
         params = {"seed": seed, **({"n": 2} if suite == "symbols" else {})}
         (rep,) = run(suite, params)
         assert hashlib.sha256(rep.dumps().encode()).hexdigest() == digest, f"seed {seed}"
+
+
+@pytest.mark.parametrize("suite", ["commutation", "composition", "symbols", "commutant", "hwvectors"])
+def test_a_missing_seed_is_seed_0(suite):
+    # every seeded suite draws from seed 0 and records it when the seed is None
+    params = {"n": 2} if suite == "symbols" else {}
+    (missing,) = run(suite, {**params, "seed": None})
+    (default,) = run(suite, params)
+    assert missing.seed == 0 and missing.dumps() == default.dumps()
 
 
 def test_composition_suite_builds_each_symmetry_operator_once(monkeypatch):

@@ -17,7 +17,7 @@ from subsym.classalg import (
     mn_character,
     partitions,
 )
-from support import gather_class_sum, gather_tables, young_projector_sum
+from support import gather_class_sum, gather_tables, plain_tensor, young_projector_sum
 from subsym.decompose import (
     _class_sum,
     _combine,
@@ -37,7 +37,6 @@ from subsym.decompose import (
     lambda_plus_dual,
     multiset_weight,
     pair_multisets,
-    random_plain_tensor,
     seven_pieces_check,
     skew_vanishing_check,
     stable_dim_formula,
@@ -632,7 +631,7 @@ def test_skew_vanishing():
 def test_skew_vanishing_needs_depth_plus_one_slots():
     # the e_lam image of (2, 1) is killed by alternating 3 slots but not by
     # alternating depth(lam) = 2 of them, so the check can fail
-    image = random_plain_tensor(3, 3, random.Random(0)).act(central_idempotent((2, 1)), upper=True)
+    image = plain_tensor(3, 3, random.Random(0)).act(central_idempotent((2, 1)), upper=True)
     assert not image.skew_slots((0, 1, 2))
     assert all(image.skew_slots(slots) for slots in itertools.combinations(range(3), 2))
 

@@ -34,7 +34,7 @@ from subsym.boundary import (
 from subsym.scalars import GR_I, GR_ONE, RONE
 from subsym.symbols import extract_all_symbols
 from subsym.tensor import SparseTensor
-from support import GaussianPoly, GaussianRing, parse_gr, parse_rat, to_gaussian
+from support import GaussianPoly, GaussianRing, column_symmetric, parse_gr, parse_rat, to_gaussian
 
 DATA = json.loads((Path(__file__).parent / "data" / "sigma_form.json").read_text())
 MINUS_I = GR_I * -1
@@ -117,7 +117,7 @@ def test_one_coefficient_field(n):
     polys += [p for frame in (fr.Y_up, fr.Y_dn) for vec in frame.values() for p in vec]
     F = sum(m.monomials(2), m.ring.zero())
     polys += [extend(m, F, w1, w2), phi_pullback(m, extend(m, F, w1, w2))]
-    T = SparseTensor.random_column_symmetric(2, n + 2, rng, density=0.3)
+    T = column_symmetric(2, n + 2, rng, density=0.3)
     polys += [p for S in extract_all_symbols(m, T).values() for p in S.components.values()]
     d_hol, d_raised, dtau = tangential_ops(m)
     V, W = random_traceless(n, rng), random_traceless(n, rng)

@@ -22,8 +22,10 @@ ALLOWED = {
 def unreferenced(sources):
     """(file, line, name) of every public function, class or method defined at
     module or class level in ``sources`` (file name -> source text) whose name
-    no Name, Attribute or import node of any of the sources carries."""
-    defined, named = [], set()
+    no node of any of the sources carries: a Name, Attribute or import node
+    for a module-level definition, an Attribute node for a method (a local
+    variable of the same name is not a use of it)."""
+    defined, named, attributes = [], set(), set()
     for fname, text in sources.items():
         tree = ast.parse(text, fname)
         for node in tree.body:
@@ -31,15 +33,16 @@ def unreferenced(sources):
             for d in [node, *members]:
                 if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     if not d.name.startswith("_"):
-                        defined.append((fname, d.lineno, d.name))
+                        defined.append((fname, d.lineno, d.name, d is not node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    return [(f, line, name) for f, line, name in defined if name not in named]
+    return [(f, line, name) for f, line, name, method in defined
+            if name not in attributes and (method or name not in named)]
 
 
 def test_every_public_src_name_is_used_in_src():
@@ -69,3 +72,26 @@ def test_checker_flags_an_unreferenced_function():
         "b.py": "from a import Box, shared\n\nvalue = shared(Box().get())\n",
     }
     assert unreferenced(sources) == [("a.py", 5, "orphan")]
+
+
+def test_checker_flags_a_method_named_elsewhere_only_as_a_local_variable():
+    sources = {
+        "a.py": (
+            "class Op:\n"
+            "    @property\n"
+            "    def order(self):\n"
+            "        return 1\n"
+            "\n"
+            "    def size(self):\n"
+            "        return 2\n"
+            "\n"
+            "\n"
+            "def moved(p):\n"
+            "    order = sorted(p)\n"
+            "    return order, Op().size()\n"
+            "\n"
+            "\n"
+            "value = moved([2, 1])\n"
+        ),
+    }
+    assert unreferenced(sources) == [("a.py", 3, "order")]

@@ -15,7 +15,9 @@ from subsym.scalars import rat
 from support import (
     build_prop1_tensor_by_placements,
     check_symbol_recursions_by_form,
+    column_symmetric,
     component,
+    disjoint_trace_free,
     insertion_left_kernel_full_tuples,
     principal_part,
 )
@@ -164,7 +166,7 @@ def test_arity_guard(m2):
 
 def test_recursions_d2(m2):
     rng = random.Random(3)
-    T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
+    T = disjoint_trace_free(2, 4, rng)
     assert T.is_symmetric() and T.is_trace_free()
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
@@ -175,7 +177,7 @@ def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
     # a constant added to one component of syms[(k, 0)] or syms[(0, l)] is
     # killed by every tangential derivative, so only the pure-tau recursion
     # that has that symbol on its left side can see it
-    T = SparseTensor.random_disjoint_trace_free(2, 4, random.Random(3))
+    T = disjoint_trace_free(2, 4, random.Random(3))
     syms = extract_all_symbols(m2, T)
     for key, label in [
         ((1, 0), "tau recursion (upper) k=1"),
@@ -195,7 +197,7 @@ def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
 
 def test_recursions_d2_general_tensor(m2):
     rng = random.Random(3)
-    T = SparseTensor.random_column_symmetric(2, 4, rng, density=0.15)
+    T = column_symmetric(2, 4, rng, density=0.15)
     syms = extract_all_symbols(m2, T)
     rec = check_symbol_recursions(m2, syms, 2)
     assert not rec and rec.cases == recursion_count(2)
@@ -204,7 +206,7 @@ def test_recursions_d2_general_tensor(m2):
 def test_recursions_d3_n3():
     m3 = BoundaryModel(3)
     rng = random.Random(9)
-    T = SparseTensor.random_disjoint_trace_free(3, 5, rng)
+    T = disjoint_trace_free(3, 5, rng)
     syms = extract_all_symbols(m3, T)
     rec = check_symbol_recursions(m3, syms, 3)
     assert not rec and rec.cases == recursion_count(3)
@@ -217,9 +219,9 @@ def recursion_families(n, g_diag, d):
     m = BoundaryModel(n, g_diag)
     rng = random.Random(100 * n + 10 * d + (g_diag is not None))
     density = min(0.3, 20 / (n + 2) ** (2 * d))
-    tensors = [SparseTensor.random_column_symmetric(d, n + 2, rng, density=density)]
+    tensors = [column_symmetric(d, n + 2, rng, density=density)]
     if n >= 2:
-        tensors.append(SparseTensor.random_disjoint_trace_free(d, n + 2, rng))
+        tensors.append(disjoint_trace_free(d, n + 2, rng))
     return m, rng, [extract_all_symbols(m, T) for T in tensors]
 
 
@@ -597,14 +599,14 @@ def test_fast_extraction_matches_reference_transcription():
     m = BoundaryModel(2)
     rng = random.Random(31)
     cases = [
-        SparseTensor.random_disjoint_trace_free(2, 4, rng),
-        SparseTensor.random_column_symmetric(2, 4, rng, density=0.3),
+        disjoint_trace_free(2, 4, rng),
+        column_symmetric(2, 4, rng, density=0.3),
         build_prop1_tensor(m, 3, 1, prop1_system(3, 1)["x"]),
         # no column symmetry, rational entries: role keys that merge and
         # tau factors read in different column orders
         random_entries(rng, 3, 4, 12),
         # the upper three-column skew of a column-symmetric tensor: cancels
-        SparseTensor.random_column_symmetric(3, 4, rng, density=0.05).skew_slots([0, 1, 2]),
+        column_symmetric(3, 4, rng, density=0.05).skew_slots([0, 1, 2]),
     ]
     for T in cases:
         assert_matches_reference(m, T)
@@ -619,14 +621,14 @@ def prop1_case(rng):
 REFERENCE_CASES = {
     "nonsymmetric d=4": lambda rng: (BoundaryModel(2), [random_entries(rng, 4, 4, 10)]),
     "prop1 (4,2)": prop1_case,
-    "n=1": lambda rng: (BoundaryModel(1), [SparseTensor.random_column_symmetric(3, 3, rng, density=0.1)]),
+    "n=1": lambda rng: (BoundaryModel(1), [column_symmetric(3, 3, rng, density=0.1)]),
     "n=3": lambda rng: (
         BoundaryModel(3),
-        [SparseTensor.random_disjoint_trace_free(3, 5, rng), random_entries(rng, 3, 5, 10)],
+        [disjoint_trace_free(3, 5, rng), random_entries(rng, 3, 5, 10)],
     ),
     "mixed signature": lambda rng: (
         BoundaryModel(2, (1, -1)),
-        [SparseTensor.random_column_symmetric(3, 4, rng, density=0.01), random_entries(rng, 3, 4, 10)],
+        [column_symmetric(3, 4, rng, density=0.01), random_entries(rng, 3, 4, 10)],
     ),
     "zero": lambda rng: (BoundaryModel(2), [SparseTensor(3, 4, {})]),
 }
@@ -659,7 +661,7 @@ def test_extraction_of_a_tensor_equals_that_of_its_symmetrization(d, rnd):
 def test_recursions_mixed_signature():
     m = BoundaryModel(2, (1, -1))
     rng = random.Random(37)
-    T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
+    T = disjoint_trace_free(2, 4, rng)
     syms = extract_all_symbols(m, T)
     rec = check_symbol_recursions(m, syms, 2)
     assert not rec and rec.cases == recursion_count(2)
@@ -722,7 +724,7 @@ def test_induced_operator_top_order_equals_symbols():
     assert principal_part(induced, 1) == principal_part(assembled, 1)
 
     # d = 2: seeded trace-free column-symmetric tensor
-    T = SparseTensor.random_disjoint_trace_free(2, 4, rng)
+    T = disjoint_trace_free(2, 4, rng)
     D2 = higher_symmetry_op(m.ambient, T)
     syms2 = extract_all_symbols(m, T)
     induced2 = from_action(m.ring, lambda F: induce(m, D2, w1, w2, F), 2)

@@ -1,4 +1,5 @@
-"""The one sparse tensor type against the two classes it replaced.
+"""The one sparse tensor type against the two classes it replaced, and its
+one seeded draw against the five loops it replaced.
 
 `OldAmbientTensor` and `OldMixedTensor` are the former ambient column-tensor
 and decomposition mixed-tensor classes, kept here unchanged in substance as
@@ -6,8 +7,11 @@ differential oracles.
 """
 
 import itertools
+import random
+from functools import partial
 from math import factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsym.classalg import (
@@ -17,9 +21,23 @@ from subsym.classalg import (
     partitions,
     perm_sign,
 )
+from subsym.ambient import random_traceless
 from subsym.scalars import GR_ZERO, RZERO, gr, rat
 from subsym.tensor import SparseTensor
-from support import skew_slots_rational, standard_tableaux, symmetrized_rational, young_symmetrizer
+from support import (
+    column_symmetric,
+    conjugation_tensor_by_loops,
+    disjoint_trace_free,
+    plain_tensor,
+    random_column_symmetric_by_loops,
+    random_disjoint_trace_free_by_loops,
+    random_plain_tensor_by_loop,
+    random_traceless_by_loop,
+    skew_slots_rational,
+    standard_tableaux,
+    symmetrized_rational,
+    young_symmetrizer,
+)
 
 
 class OldAmbientTensor:
@@ -320,4 +338,33 @@ def test_outer_product_and_pair_swap():
     VW = V.outer(W)
     assert VW == SparseTensor(2, 2, {((0, 1), (1, 0)): rat(6), ((1, 1), (1, 0)): rat(1)})
     assert VW.permuted((1, 0)) == W.outer(V)
+
+
+
+# every shape a suite or a test draws at: (name, the draw, the loop it replaced)
+DRAWS = (
+    [(f"traceless n={n}", partial(random_traceless, n), partial(random_traceless_by_loop, n))
+     for n in (1, 2, 3)]
+    + [(f"plain k={k} N={N}", partial(plain_tensor, k, N), partial(random_plain_tensor_by_loop, k, N))
+       for k, N in ((2, 3), (3, 3), (3, 4))]
+    + [(f"column-symmetric d={d} N={N} density={p}",
+        partial(column_symmetric, d, N, density=p),
+        partial(random_column_symmetric_by_loops, d, N, density=p))
+       for d, N, p in ((2, 3, 0.4), (2, 4, 0.05), (2, 4, 0.3), (2, 4, 0.4), (3, 4, 0.05), (3, 5, 0.05))]
+    + [(f"disjoint trace-free d={d} N={N}", partial(disjoint_trace_free, d, N),
+        partial(random_disjoint_trace_free_by_loops, d, N))
+       for d, N in ((1, 4), (2, 4), (3, 4), (3, 5), (4, 4))]
+    + [(f"conjugation k={k} N={N}", lambda rng, k=k, N=N: SparseTensor.random(k, N, rng, 2).symmetrized(),
+        partial(conjugation_tensor_by_loops, k, N))
+       for k, N in ((2, 3), (2, 4), (3, 3))]
+)
+
+
+@pytest.mark.parametrize("draw, loop", [d[1:] for d in DRAWS], ids=[d[0] for d in DRAWS])
+def test_random_draws_what_the_former_loops_drew(draw, loop):
+    # the same tensor from the same rng state, and the rng left in the same state
+    for seed in range(100):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert draw(ours) == loop(theirs), seed
+        assert ours.random() == theirs.random(), seed
 

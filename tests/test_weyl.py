@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from subsym.rings import Ring
 from subsym.weyl import WeylOperator
-from support import FractionPoly, principal_part, weyl_apply, weyl_compose
+from support import FractionPoly, operator_order, principal_part, weyl_apply, weyl_compose
 
 R = Ring(["x", "y"])
 
@@ -66,7 +66,7 @@ def test_principal_part():
     op = WeylOperator.term(R.gen("x"), {"x": 2}) + dx()
     assert principal_part(op, 2) == WeylOperator.term(R.gen("x"), {"x": 2})
     assert principal_part(op, 1) == dx()
-    assert op.order == 2
+    assert operator_order(op) == 2
 
 
 def test_apply_matches_composition():
@@ -81,12 +81,12 @@ def test_apply_matches_composition():
 def test_order_bounds():
     a = WeylOperator.term(R.gen("x"), {"x": 2})
     b = WeylOperator.term(R.gen("y"), {"y": 1, "x": 1})
-    assert a.compose(b).order <= 4
+    assert operator_order(a.compose(b)) <= 4
     # constant-coefficient top parts: the commutator drops order
     c = dx().compose(dx()) + WeylOperator.term(R.gen("x"), {"y": 1})
     d = WeylOperator.derivative(R, "y").compose(dx())
     comm = c.commutator(d)
-    assert comm.order is None or comm.order < 4
+    assert operator_order(comm) is None or operator_order(comm) < 4
 
 
 def ops():
