@@ -1,6 +1,7 @@
 """The flat CR model: boundary ring, frame fields, pullback along the cone
-section, canonical homogeneous extension, sub-Laplacian and the reduction
-identity.
+section, canonical homogeneous extension, sub-Laplacian, the reduction
+identity and the suite that checks it.  The ambient model comes from
+``model``; this module does not load ``ambient``.
 
 Boundary coordinates are z^1..z^n, their conjugates zb^1..zb^n and
 tau = i*sigma, where sigma is the real contact coordinate.  The lowered
@@ -35,7 +36,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .ambient import AmbientModel, ambient_laplacian
+from .model import AmbientModel, ambient_laplacian
+from .report import CaseResults, VerificationReport
 from .rings import LaurentPoly, Ring
 from .scalars import rat
 from .weyl import WeylOperator
@@ -232,7 +234,7 @@ def sublaplacian(m: BoundaryModel, w1, w2) -> WeylOperator:
 
 
 # ---------------------------------------------------------------------------
-# verification helpers
+# the reduction identity and its suite
 
 
 def verify_reduction(m: BoundaryModel, F: LaurentPoly, w1: int, w2: int):
@@ -260,3 +262,23 @@ def admissible_weights(n, max_abs_diff=4):
 def induce(m: BoundaryModel, D: WeylOperator, w1: int, w2: int, F: LaurentPoly) -> LaurentPoly:
     """Boundary operator induced by an ambient operator at weights (w1, w2)."""
     return phi_pullback(m, D.apply(extend(m, F, w1, w2)))
+
+
+def _suite_reduction(params, rep: VerificationReport):
+    def sweep(m, w1, w2, deg):
+        monomials = list(m.monomials(deg))
+        return CaseResults([f"F={F}: residual {res}" for F in monomials
+                            if (res := verify_reduction(m, F, w1, w2)) is not None], len(monomials))
+
+    deg = 3 if params.get("deg") is None else params["deg"]
+    ns = [1, 2] if params.get("n") is None else [params["n"]]
+    for n in ns:
+        m = BoundaryModel(n)
+        for (w1, w2) in admissible_weights(n, 4):
+            rep.check(f"n={n} weights ({w1},{w2}): reduction exact, deg<={deg}", sweep(m, w1, w2, deg))
+    # one mixed-signature pass
+    n = ns[-1]
+    if n >= 2:
+        m = BoundaryModel(n, (1,) * (n - 1) + (-1,))
+        rep.check(f"n={n} mixed signature: reduction exact", sweep(m, *admissible_weights(n, 2)[0], 2))
+    return rep

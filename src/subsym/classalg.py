@@ -13,7 +13,8 @@ Two multiplication backends are provided and must agree: direct enumeration
 class sums, counted in integers (`center_convolution`).  They share one
 bilinear loop and differ only in the product of two basis elements.
 Elements of the full group algebra C[S_k] are finitely supported maps
-{perm: coeff}, multiplied by `convolve`.
+{perm: coeff}, multiplied by `convolve`.  The inverse and the sign of a
+permutation are ``tensor``'s, which moves index positions by them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 from functools import lru_cache
 from math import factorial
 
+from .report import CaseResults, VerificationReport
 from .scalars import accumulate, rat
 
 # ---------------------------------------------------------------------------
@@ -31,18 +33,6 @@ from .scalars import accumulate, rat
 def compose_perm(p, q):
     """(p*q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def invert_perm(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def perm_sign(p):
-    """(-1)^(k - number of cycles)."""
-    return -1 if (len(p) - len(cycle_type(p))) % 2 else 1
 
 
 def cycle_type(p):
@@ -335,3 +325,44 @@ def structure_constant_table(k):
             prod = class_multiply(ClassElement.basis(k, lam), ClassElement.basis(k, mu))
             out[(lam, mu)] = dict(prod.coeffs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the classalg suite
+
+
+def _suite_classalg(params, rep: VerificationReport):
+    kmax = 5 if params.get("k") is None else params["k"]
+
+    def worked(name, u, v, expected):  # the worked tables
+        product = class_multiply(u, v)
+        rep.add(name, product == expected, f"computed {product}")
+
+    x2 = ClassElement.basis(2, (2,))
+    worked("k=2: x.x = 1", x2, x2, ClassElement.one(2))
+    x = ClassElement.basis(3, (2, 1))
+    y = ClassElement.basis(3, (3,))
+    one = ClassElement.one(3)
+    worked("k=3: x.x = (1+2y)/3", x, x, one.scale(rat(1, 3)) + y.scale(rat(2, 3)))
+    worked("k=3: x.y = x", x, y, x)
+    worked("k=3: y.y = (1+y)/2", y, y, one.scale(rat(1, 2)) + y.scale(rat(1, 2)))
+    # oracle equivalence and probability structure
+    for k in range(1, kmax + 1):
+        table = structure_constant_table(k)
+        rep.check(f"k={k}: enumeration == convolution on all basis pairs", CaseResults(
+            [f"k={k} {lam}x{mu}" for (lam, mu), p in table.items()
+             if p != center_convolution(ClassElement.basis(k, lam), ClassElement.basis(k, mu)).coeffs],
+            len(table)))
+        rep.check(f"k={k}: structure constants are probabilities", CaseResults(
+            [f"k={k} {lam}x{mu}" for (lam, mu), p in table.items()
+             if sum(p.values()) != 1 or not all(c > 0 for c in p.values())],
+            len(table)))
+        # k!/z_lambda against the enumerated classes, and the class equation
+        sizes = conjugacy_classes(k)
+        elems = class_elements(k)
+        total = sum(s for _, s in sizes)
+        rep.check(f"k={k}: class sizes k!/z sum to k!", CaseResults(
+            [f"class {lam}: k!/z = {s}, enumerated {len(elems[lam])}" for lam, s in sizes if s != len(elems[lam])]
+            + ([] if total == factorial(k) else [f"sizes sum to {total}"]),
+            len(sizes)))
+    return rep

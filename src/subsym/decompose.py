@@ -11,6 +11,8 @@ Everything here commutes with the diagonal torus, so all linear algebra is
 done block-by-block over weight spaces; weights related by relabeling the N
 basis values give isomorphic blocks, and ranks are computed once per orbit.
 That reduction is what keeps the (k, N) = (3, 6) computations at desk scale.
+The commutant, decompose and hwvectors suites, which check this layer, close
+the module.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .classalg import (
     class_elements,
     class_representative,
     compose_perm,
-    invert_perm,
     mn_character,
     partitions,
 )
-from .report import CaseResults
+from .report import CaseResults, VerificationReport
 from .scalars import accumulate, rat
-from .tensor import SparseTensor, sl_basis
+from .tensor import SparseTensor, invert_perm, sl_basis
 
 
 # ---------------------------------------------------------------------------
@@ -576,3 +577,81 @@ def seven_pieces_check(N):
         (f"Killing piece {p4} is not a line", p4 == 1),
     ]
     return pieces, CaseResults([text for text, holds in counts if not holds], len(counts))
+
+
+# ---------------------------------------------------------------------------
+# the commutant, decompose and hwvectors suites
+
+
+def _suite_commutant(params, rep: VerificationReport):
+    from .classalg import structure_constant_table
+
+    cases = [(2, 4), (3, 6)] if params.get("k") is None else [(params["k"], params["dim"])]
+    for (k, N) in cases:
+        table = structure_constant_table(k)
+        rep.check(f"(k,N)=({k},{N}): operator products match class-algebra constants on S^k_0",
+                  commutant_mult_crosscheck(k, N, lambda lam, mu: table[lam, mu]))
+        # the operators act by scalars on each isotypic piece, and the piece
+        # of lambda is nonzero exactly when 2*depth(lambda) <= N
+        rank, cases = basis_operator_rank(k, N)
+        count = sum(2 * len(lam) <= N for lam in partitions(k))
+        claim = ("are linearly independent" if count == len(partitions(k))
+                 else f"span {count} dimensions, one per lambda with 2*depth(lambda) <= N")
+        rep.add(
+            f"(k,N)=({k},{N}): the p(k) basis operators {claim}",
+            rank == count,
+            f"rank {rank}, expected {count}",
+            cases=cases,
+        )
+    rep.check("Ad-conjugation lemmas (k=2, N=3)", conjugation_lemmas_check(2, 3, seed=rep.seed))
+    return rep
+
+
+def _suite_decompose(params, rep: VerificationReport):
+    k = 2 if params.get("k") is None else params["k"]
+    N = 4 if params.get("dim") is None else params["dim"]
+    table = isotypic_table(k, N)
+    dim = trace_free_dimension(k, N)
+    rep.add(
+        f"(k,N)=({k},{N}): isotypic ranks sum to the kernel dimension",
+        sum(table.values()) == dim,
+        f"{table} vs {dim}",
+        cases=dim,
+    )
+    if (k, N) == (2, 4):
+        rep.add("(2,4): ranks are {84, 20} with total 104",
+                table == {(2,): 84, (1, 1): 20} and dim == 104, f"ranks {table}, total {dim}")
+    # below N = 2k the pieces of the deep partitions vanish
+    where = "(stable range)" if N >= 2 * k else "where 2*depth(lambda) <= N, 0 elsewhere"
+    rep.check(f"(k,N)=({k},{N}): ranks equal Weyl dimensions {where}", CaseResults(
+        [f"lambda {lam}: rank {r}, expected {isotypic_dim(lam, N)}" for lam, r in table.items()
+         if r != isotypic_dim(lam, N)],
+        dim))
+    closed = stable_dim_formula(k, N)
+    rep.add(
+        f"(k,N)=({k},{N}): kernel dim equals the closed-form sum",
+        dim == closed,
+        f"{dim} vs {closed}",
+        cases=dim,
+    )
+    # number of nonzero components equals p(k) in the stable range, k <= 3
+    for kk in range(1, 4):
+        nonzero = sum(1 for v in isotypic_table(kk, 2 * kk).values() if v)
+        rep.add(f"k={kk}, N={2 * kk}: number of nonzero components equals p(k)",
+                nonzero == len(partitions(kk)), f"{nonzero} nonzero components, p(k) = {len(partitions(kk))}")
+    Np = max(3, min(N, 4))
+    rep.check(f"seven pieces of sl({Np}) (x) sl({Np}): complete and consistent", seven_pieces_check(Np)[1])
+    return rep
+
+
+def _suite_hwvectors(params, rep: VerificationReport):
+    Nmax = 6 if params.get("dim") is None else params["dim"]
+    kmax = 3 if params.get("k") is None else params["k"]
+    domain = [(lam, N) for N in range(2, Nmax + 1) for k in range(1, kmax + 1)
+              for lam in partitions(k) if 2 * len(lam) <= N]
+    rep.check(f"highest-weight vectors nonzero for 2*depth <= N, k <= {kmax}, N <= {Nmax}", CaseResults(
+        [f"lambda={lam}, N={N}" for lam, N in domain if not highest_weight_vector(lam, N)], len(domain)))
+    for (lam, k, N) in [((2,), 2, 3), ((3,), 3, 4), ((2, 1), 3, 3)]:
+        rep.check(f"skew vanishing for lambda={lam} (k={k}, N={N}, 5 seeded tensors)",
+                  skew_vanishing_check(lam, k, N, trials=5, seed=rep.seed))
+    return rep

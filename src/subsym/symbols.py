@@ -6,9 +6,12 @@ tensors V[k, l] (k upper boundary indices, l lower, p = d-k-l tau slots).
 Extraction contracts the tensor with the cone-adapted frames and pulls back
 along the section, with the (-1)^l prefactors and idempotent (averaged)
 symmetrizations.  Its sum over ordered column assignments is their number
-times one canonical assignment of the column-symmetrized tensor, and each
-distinct frame product is multiplied once, from a product cache (see
-extract_all_symbols).
+times one canonical assignment of the column-symmetrized tensor.  That
+tensor is read once per column orbit, at its entry with sorted columns: each
+orbit splits once into every distinct (upper, lower, tau) block of columns,
+and integer counts of the block orderings stand for the ordered entries.
+Each distinct frame product is multiplied once, from a product cache (see
+extract_all_symbols).  The prop1 and symbols suites close the module.
 
 The symbols in the sigma basis carry the phase (-i)^p, which cancels
 against d_sigma^p = i^p d_tau^p; so the tau-basis symbol is i^p times the
@@ -23,12 +26,13 @@ delta-insertion linear system (exact left-kernel test).
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import linalg
 from .boundary import BoundaryModel, frame_fields, tangential_ops
-from .report import CaseResults
+from .report import CaseResults, VerificationReport
 from .rings import LaurentPoly
 from .scalars import RONE, accumulate, rat
 from .tensor import SparseTensor
@@ -72,40 +76,118 @@ def label_keys(n: int, k: int):
     return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
-def _extract_symbols(m: BoundaryModel, entries, den: int, d: int, k: int, l: int, product) -> SymbolTensor:
+class _Cache(dict):
+    """A dict that builds the value of a missing key once, by ``build(key)``."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _label_count(free: int, key, chosen) -> int:
+    """F! prod_x positions_x!/f_x!: the placements of a block's labelled
+    columns, F of them free, whose labels read the sorted ``key`` from left
+    to right, given the sorted labels ``chosen`` of the free columns; x runs
+    over the labels, positions_x is the count of x in the key and f_x that
+    in ``chosen``.  The pinned columns of label x fill the remaining
+    positions of x."""
+    count = factorial(free)
+    for x in set(key):
+        count *= factorial(key.count(x))
+    for x in set(chosen):
+        count //= factorial(chosen.count(x))
+    return count
+
+
+def _repeats(cols) -> int:
+    """prod mult!, mult the multiplicities of the distinct columns."""
+    return prod(factorial(cols.count(c)) for c in set(cols))
+
+
+def _label_block(n: int, cols, upper: bool):
+    """The (sorted label key, factor ids, count) triples of a sorted block of
+    upper (or lower) label columns, summed over its distinct orderings.
+
+    An upper column (B, A) carries the factor X_up[A]; its label is pinned
+    to B when B is a boundary value, free when B = 0 (with the factor
+    Y_dn[x][0] for its label x), and B = inf kills it.  A lower column reads
+    A in the same way, with A = inf free (factor Y_up[x][inf]), A = 0 dead
+    and the factor X_dn[B].  Each composition (f_x) of the F free columns
+    over the labels gives one key, counted by _label_count over the
+    repeated columns of the block."""
+    INF, W = n + 1, n + 2
+    if upper:
+        labels, ids = [B for B, _ in cols], [A for _, A in cols if A]
+        free, dead, offset = 0, INF, 2 * W
+    else:
+        labels, ids = [A for _, A in cols], [W + B for B, _ in cols if B != INF]
+        free, dead, offset = INF, 0, 3 * W
+    if dead in labels:
+        return []
+    pinned = [x for x in labels if x != free]
+    F = len(labels) - len(pinned)
+    repeats = _repeats(cols)
+    out = []
+    for chosen in itertools.combinations_with_replacement(range(1, n + 1), F):
+        key = tuple(sorted(pinned + list(chosen)))
+        out.append((key, ids + [offset + x for x in chosen], _label_count(F, key, chosen) // repeats))
+    return out
+
+
+def _tau_block(n: int, cols):
+    """The factor ids X_up[A] X_dn[B] of a sorted block of tau columns and
+    the number of its distinct orderings, p!/prod mult!."""
+    INF, W = n + 1, n + 2
+    ids = [A for _, A in cols if A] + [W + B for B, _ in cols if B != INF]
+    return ids, factorial(len(cols)) // _repeats(cols)
+
+
+def _without(cols, part):
+    """The sorted columns of ``cols`` left after removing those of ``part``."""
+    rest = list(cols)
+    for c in part:
+        rest.remove(c)
+    return tuple(rest)
+
+
+def _extract_symbols(m: BoundaryModel, orbits, den: int, d: int, k: int, l: int, product, blocks) -> SymbolTensor:
     """The (k, l) symbol of a column-symmetric tensor with d columns, given as
-    its entries (slot pairs, int) over den, read off the canonical column
-    assignment: columns 0..k-1 carry the upper labels, k..k+l-1 the lower
-    ones, the rest are tau columns.  ``product`` maps a sorted tuple of
-    factor ids (see extract_all_symbols) to the product of those factors."""
+    one (sorted columns, int over den) pair per column orbit.  It sums the
+    canonical column assignment (columns 0..k-1 carry the upper labels,
+    k..k+l-1 the lower ones, the rest are tau columns) over every ordering
+    of every orbit: each orbit splits once into each distinct (upper, lower,
+    tau) sub-multiset, whose orderings the three block counts multiply out.
+    ``blocks`` holds the _label_block results of upper and of lower blocks
+    and the _tau_block results, each cached by block, and ``product`` maps a
+    sorted tuple of factor ids (see extract_all_symbols) to the product of
+    those factors."""
     n = m.n
-    INF = n + 1
-    W = n + 2
-    labels = range(1, n + 1)
+    uppers, lowers, taus = blocks
     # (-1)^l times the number of ordered assignments, d!/(d-k-l)!, over k! l!
     scale = (-1) ** l * comb(d, k + l) * comb(k + l, k)
     weights = {}  # (upper labels, lower labels) -> {product key: summed int}
-    for slots, w in entries:
-        up, dn, tau = slots[:k], slots[k : k + l], slots[k + l :]
-        # the cone values kill a label column: B = inf upper, A = 0 lower
-        if any(B == INF for B, _ in up) or any(A == 0 for _, A in dn):
-            continue
-        # the non-unit position factors X_up[A] (A != 0) and X_dn[B] (B != inf)
-        base = [A for _, A in up + tau if A] + [W + B for B, _ in dn + tau if B != INF]
-        # a dual-slot value 0 (upper) or inf (lower) admits every label, with
-        # the factor Y_dn[a][0] (resp. Y_up[b][inf]); a boundary value pins the
-        # label with a unit factor.  Only sorted label tuples are components.
-        for a_key in itertools.product(*(labels if B == 0 else (B,) for B, _ in up)):
-            if any(x > y for x, y in zip(a_key, a_key[1:])):
+    for cols, w in orbits:
+        for up in dict.fromkeys(itertools.combinations(cols, k)):
+            ups = uppers[up]
+            if not ups:
                 continue
-            ys = [2 * W + a for a, (B, _) in zip(a_key, up) if B == 0]
-            for b_key in itertools.product(*(labels if A == INF else (A,) for _, A in dn)):
-                if any(x > y for x, y in zip(b_key, b_key[1:])):
+            rest = _without(cols, up)
+            for dn in dict.fromkeys(itertools.combinations(rest, l)):
+                dns = lowers[dn]
+                if not dns:
                     continue
-                zs = [3 * W + b for b, (_, A) in zip(b_key, dn) if A == INF]
-                key = tuple(sorted(base + ys + zs))
-                acc = weights.setdefault((a_key, b_key), {})
-                acc[key] = acc.get(key, 0) + w
+                tau_ids, tau_count = taus[_without(rest, dn)]
+                for a_key, up_ids, up_count in ups:
+                    for b_key, dn_ids, dn_count in dns:
+                        key = tuple(sorted(up_ids + dn_ids + tau_ids))
+                        acc = weights.setdefault((a_key, b_key), {})
+                        acc[key] = acc.get(key, 0) + w * tau_count * up_count * dn_count
     out = {}
     for a_key in label_keys(n, k):
         for b_key in label_keys(n, l):
@@ -117,8 +199,14 @@ def _extract_symbols(m: BoundaryModel, entries, den: int, d: int, k: int, l: int
     return SymbolTensor(n, k, l, m.ring, out)
 
 
+def _check_dimension(m: BoundaryModel, T: SparseTensor):
+    if T.N != m.n + 2:
+        raise ValueError("tensor dimension does not match the model")
+
+
 def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> SymbolTensor:
     """Direct per-component transcription of the extraction; test oracle."""
+    _check_dimension(m, T)
     d = T.k
     if k + l > d:
         raise ValueError("need k + l <= d")
@@ -173,16 +261,23 @@ def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
     0..k-1 upper, k..k+l-1 lower, the rest tau, whose factors commute), so
     the sum is d!/(d-k-l)! times the canonical sum for the column
     symmetrization Sym T.  T is symmetrized once, only when it is not
-    column-symmetric; each (k, l) then sums integer weights per (sorted
-    label keys, frame product), and a product cache shared by all (k, l)
-    multiplies each distinct product (a sorted tuple of factor ids) and each
-    of its prefixes once.  _extract_symbols_reference, the direct
-    transcription over all ordered assignments, is the test oracle.
+    column-symmetric, and Sym T is read at one entry per column orbit, the
+    one with sorted columns.  Each (k, l) sums integer weights per (sorted
+    label keys, frame product) over the orbits (see _extract_symbols); the
+    block counts are cached per block of columns, and a product cache shared
+    by all (k, l) multiplies each distinct product (a sorted tuple of factor
+    ids) and each of its prefixes once.  _extract_symbols_reference, the
+    direct transcription over all ordered assignments, is the test oracle.
     """
+    _check_dimension(m, T)
     d = T.k
     S = T if T.is_symmetric() else T.symmetrized()
     den, ints = S.integer_entries()
-    entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
+    orbits = []
+    for (B, A), w in ints.items():
+        cols = tuple(zip(B, A))
+        if all(x <= y for x, y in zip(cols, cols[1:])):
+            orbits.append((cols, w))
     fr = frame_fields(m)
     W = m.n + 2
     # factor ids, W = n + 2: A -> X_up[A], W + B -> X_dn[B], 2W + a -> Y_dn[a][0]
@@ -199,8 +294,13 @@ def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
             p = products[key] = product(key[:-1]) * factors[key[-1]]
         return p
 
+    blocks = (
+        _Cache(lambda cols: _label_block(m.n, cols, True)),
+        _Cache(lambda cols: _label_block(m.n, cols, False)),
+        _Cache(lambda cols: _tau_block(m.n, cols)),
+    )
     return {
-        (k, l): _extract_symbols(m, entries, den, d, k, l, product)
+        (k, l): _extract_symbols(m, orbits, den, d, k, l, product, blocks)
         for k in range(d + 1)
         for l in range(d + 1 - k)
     }
@@ -491,6 +591,66 @@ def verify_prop1(m: BoundaryModel, d: int, s: int):
         check_bgg(m, top, d, s),
         check_symbol_recursions(m, symbols, d),
     )))
+
+
+def _suite_prop1(params, rep: VerificationReport):
+    n = 3 if params.get("n") is None else params["n"]
+    if params.get("d") is None or params.get("s") is None:
+        cases = [(2, 1), (3, 1), (4, 2)]
+    else:
+        cases = [(params["d"], params["s"])]
+    m = BoundaryModel(n)
+    for (d, s) in cases:
+        for label, failures in verify_prop1(m, d, s):
+            rep.check(f"(d,s)=({d},{s}): {label}", failures)
+    domain = [(s, i) for s in range(1, 9) for i in range(s + 1)]
+    rep.check("a^s_{1,i} = 1 for s <= 8",
+              CaseResults([f"s={s} i={i}: a = {a}" for s, i in domain if (a := a_coeff(s, 1, i)) != 1], len(domain)))
+    rep.add("a^1_{1,1} = 1", a_coeff(1, 1, 1) == 1)
+    rep.check("Pascal identity for s <= 8", pascal_identity_check(8))
+    rep.check("|det a^s| = 1 for s <= 8",
+              CaseResults([f"s={s}: det {det}" for s in range(1, 9) if abs(det := a_matrix_det(s)) != 1], 8))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# the symbols suite
+
+
+def _suite_symbols(params, rep: VerificationReport):
+    d = 3 if params.get("d") is None else params["d"]
+    ns = [2, 3] if params.get("n") is None else [params["n"]]
+    rng = random.Random(rep.seed)
+    for n in ns:
+        m = BoundaryModel(n)
+        # upper values {1, n+1} and lower values {0, 2} are disjoint for
+        # n >= 2, so the symmetrized draw is totally trace-free
+        T = SparseTensor.random(d, n + 2, rng, 2, upper=(1, n + 1), lower=(0, 2)).symmetrized()
+        rep.check(f"n={n}: recursions for seeded trace-free column-symmetric tensor",
+                  check_symbol_recursions(m, extract_all_symbols(m, T), T.k))
+        three_column_skew_checks(rep, m, rng)
+    return rep
+
+
+def three_column_skew_checks(rep: VerificationReport, m: BoundaryModel, rng):
+    """Skew vanishing (el2): a seeded column-symmetric d=3 tensor, alternated
+    over its three upper slots, induces identically zero symbols on model m."""
+    n = m.n
+    T = SparseTensor.random(3, n + 2, rng, 2, density=0.05).symmetrized()
+    Tsk = T.skew_slots([0, 1, 2], upper=True)
+    if not Tsk:
+        rep.add(f"n={n}: skew tensor nonzero", False, "degenerate seed")
+        return
+    syms = extract_all_symbols(m, Tsk)
+    zero = CaseResults([f"symbol {key} nonzero" for key, s in syms.items() if s], len(syms))
+    rep.check(f"n={n}: three-column-skew tensor induces identically zero symbols", zero)
+    # T is column-symmetric, so the lower skew of Tsk is Tsk itself and the
+    # symbols just extracted are those of the double skew
+    Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
+    differs = [] if Tdb == Tsk else ["double skew differs from the upper skew"]
+    asymmetric = [] if Tdb.is_symmetric() else ["double skew not column-symmetric"]
+    rep.check(f"n={n}: double-skew (column-symmetric) tensor also induces zero",
+              CaseResults(differs + zero + asymmetric, zero.cases))
 
 
 def symmetry_space_dim(d: int, n: int):

@@ -7,19 +7,32 @@ never stored.  A tensor of V^(x)k alone has empty lower tuples.
 
 Permutations are tuples of 0-based images (p[i] is where position i is
 sent) and move index positions by result[p(i)] = t[i]; every move is the
-one private action `_moved` of an element {perm: coeff}.  `sl_basis` gives
-sl(N) as one-column tensors V^B_A.  This module loads `classalg` and
-`scalars` only, so both the ambient and the decomposition side can load it
-without loading each other.
+one private action `_moved` of an element {perm: coeff}, except the column
+symmetrization, which averages each column orbit once.  `sl_basis` gives
+sl(N) as one-column tensors V^B_A.  This module loads `scalars` only, so the
+ambient, boundary, symbol and decomposition sides all load it without
+loading each other.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial, lcm
+from operator import itemgetter
 
-from .classalg import invert_perm, perm_sign
 from .scalars import RONE, accumulate, rat
+
+
+def invert_perm(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def perm_sign(p):
+    """(-1)^(number of inversions)."""
+    return -1 if sum(x > y for x, y in itertools.combinations(p, 2)) % 2 else 1
 
 
 def _integers(values: dict):
@@ -91,14 +104,29 @@ class SparseTensor:
                     U[:t] + (U[t + 1], U[t]) + U[t + 2 :],
                     L[:t] + (L[t + 1], L[t]) + L[t + 2 :],
                 )
-                if get(swapped) != v:
+                w = get(swapped)  # shared rationals are equal by identity
+                if w is not v and w != v:
                     return False
         return True
 
     def symmetrized(self) -> "SparseTensor":
-        """Average over simultaneous permutations of the columns."""
-        perms = itertools.permutations(range(self.k))
-        return self._moved(dict.fromkeys(perms, rat(1, factorial(self.k))), upper=True, lower=True)
+        """Average over simultaneous permutations of the columns.  Its value
+        at a key is the mean of the entries on the key's column orbit, so the
+        integer numerators of each orbit are summed once and the mean is
+        written at every distinct ordering of the orbit."""
+        den, values = _integers(self.entries)
+        sums = {}  # sorted columns -> summed numerator
+        for (U, L), v in values.items():
+            cols = tuple(sorted(zip(U, L, strict=True)))
+            sums[cols] = sums.get(cols, 0) + v
+        out = {}
+        for cols, total in sums.items():
+            if total:
+                orderings = dict.fromkeys(itertools.permutations(cols))
+                mean = rat(total, den * len(orderings))
+                for ordered in orderings:
+                    out[tuple(c[0] for c in ordered), tuple(c[1] for c in ordered)] = mean
+        return SparseTensor(self.k, self.N, out)
 
     def integer_entries(self):
         """(den, {key: int}) with each entry the int over den, den the lcm of
@@ -109,19 +137,21 @@ class SparseTensor:
         """sum_p element[p] p, each p moving the upper and/or the lower
         positions.  Entries and coefficients are summed as integer numerators,
         over one common denominator for each, and made rational once per
-        result entry."""
+        distinct result numerator."""
         den, values = _integers(self.entries)
         cden, coeffs = _integers(element)
         out = {}
+        get = out.get
         for p, c in coeffs.items():
-            order = invert_perm(p)
+            # result[p(i)] = t[i] reads t at the inverse; one column has only
+            # the identity, and itemgetter of one index gives no tuple
+            move = itemgetter(*invert_perm(p)) if self.k > 1 else tuple
             for (U, L), v in values.items():
-                key = (
-                    tuple(map(U.__getitem__, order)) if upper else U,
-                    tuple(map(L.__getitem__, order)) if lower else L,
-                )
-                accumulate(out, key, v * c)
-        return SparseTensor(self.k, self.N, {key: rat(s, den * cden) for key, s in out.items()})
+                key = (move(U) if upper else U, move(L) if lower else L)
+                out[key] = get(key, 0) + v * c
+        # one rational per distinct numerator, shared by its entries
+        rationals = {s: rat(s, den * cden) for s in set(out.values()) if s}
+        return SparseTensor(self.k, self.N, {key: rationals[s] for key, s in out.items() if s})
 
     # -- the group algebra on one index group ------------------------------
     def act(self, element, upper) -> "SparseTensor":

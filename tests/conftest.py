@@ -21,7 +21,7 @@ def three_column_skew():
     """The symbols suite's three-column-skew block at n = 2, 3 on Random(17 + n),
     run once per session: its report and wall time."""
     from subsym.boundary import BoundaryModel
-    from subsym.cli import three_column_skew_checks
+    from subsym.symbols import three_column_skew_checks
     from subsym.report import VerificationReport
 
     rep = VerificationReport(suite="symbols", parameters={})

@@ -26,6 +26,14 @@ former `ambient.t_part_operator` and is now the oracle for
 `SparseTensor.skew_slots` (with the former `act` loop inlined) and
 `SparseTensor.symmetrized`, which summed rational entries, kept as
 differential oracles for the versions that replaced them.
+`symmetrized_by_permutations` is the `SparseTensor.symmetrized` that
+followed, the average of all k! column permutations through `_moved`, and
+`extract_all_symbols_by_assignment`, with `_extract_symbols_by_assignment`,
+the `symbols.extract_all_symbols` of that time, which read the symbols off
+every ordered entry of the symmetrized tensor and kept the sorted label
+tuples; they are the oracles for the column-orbit symmetrization and
+extraction (the extraction oracle symmetrizes with its own permutation
+average).
 `build_prop1_tensor_by_placements` is the former
 `symbols.build_prop1_tensor`, which enumerated every column placement of
 every type and every ordered label tuple; it is the oracle for the
@@ -51,8 +59,9 @@ between the two.  They are the differential oracle for that path.
 `perm_sign_by_cycle_walk` is the former `classalg.perm_sign`, which walked the
 cycles a second time, and `mn_character_by_border_strips`, with
 `border_strips`, the former `classalg.mn_character`, which removed border
-strips by walking the rim; they are the differential oracles for the sign
-read off the cycle type and for the beta-number rule.
+strips by walking the rim; they are the differential oracles for
+`tensor.perm_sign`, the parity of the inversions, and for the beta-number
+rule.
 
 `basis_product_convolution_averaged` is the former
 `classalg._basis_product_convolution`, which convolved the averaged class
@@ -94,14 +103,14 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from subsym.ambient import CompositionParts
-from subsym.classalg import class_elements, conjugate_partition, convolve, cycle_type, perm_sign
-from subsym.boundary import tangential_ops
+from subsym.classalg import class_elements, conjugate_partition, convolve, cycle_type
+from subsym.boundary import frame_fields, tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
 from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError
 from subsym.scalars import GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, rat
-from subsym.symbols import SymbolTensor, add_symbols, default_prop1_seed, trace_free_part_vanishes
-from subsym.tensor import SparseTensor
+from subsym.symbols import SymbolTensor, add_symbols, default_prop1_seed, label_keys, trace_free_part_vanishes
+from subsym.tensor import SparseTensor, perm_sign
 from subsym.weyl import WeylOperator
 
 
@@ -630,6 +639,87 @@ def symmetrized_rational(T: SparseTensor) -> SparseTensor:
         for (U, L), v in T.entries.items():
             accumulate(out, (tuple(U[i] for i in order), tuple(L[i] for i in order)), v * norm)
     return SparseTensor(T.k, T.N, out)
+
+
+def symmetrized_by_permutations(T: SparseTensor) -> SparseTensor:
+    """Average over simultaneous permutations of the columns."""
+    perms = itertools.permutations(range(T.k))
+    return T._moved(dict.fromkeys(perms, rat(1, factorial(T.k))), upper=True, lower=True)
+
+
+def _extract_symbols_by_assignment(m, entries, den: int, d: int, k: int, l: int, product) -> SymbolTensor:
+    """The (k, l) symbol of a column-symmetric tensor with d columns, given as
+    its entries (slot pairs, int) over den, read off the canonical column
+    assignment: columns 0..k-1 carry the upper labels, k..k+l-1 the lower
+    ones, the rest are tau columns.  ``product`` maps a sorted tuple of
+    factor ids (see extract_all_symbols) to the product of those factors."""
+    n = m.n
+    INF = n + 1
+    W = n + 2
+    labels = range(1, n + 1)
+    # (-1)^l times the number of ordered assignments, d!/(d-k-l)!, over k! l!
+    scale = (-1) ** l * comb(d, k + l) * comb(k + l, k)
+    weights = {}  # (upper labels, lower labels) -> {product key: summed int}
+    for slots, w in entries:
+        up, dn, tau = slots[:k], slots[k : k + l], slots[k + l :]
+        # the cone values kill a label column: B = inf upper, A = 0 lower
+        if any(B == INF for B, _ in up) or any(A == 0 for _, A in dn):
+            continue
+        # the non-unit position factors X_up[A] (A != 0) and X_dn[B] (B != inf)
+        base = [A for _, A in up + tau if A] + [W + B for B, _ in dn + tau if B != INF]
+        # a dual-slot value 0 (upper) or inf (lower) admits every label, with
+        # the factor Y_dn[a][0] (resp. Y_up[b][inf]); a boundary value pins the
+        # label with a unit factor.  Only sorted label tuples are components.
+        for a_key in itertools.product(*(labels if B == 0 else (B,) for B, _ in up)):
+            if any(x > y for x, y in zip(a_key, a_key[1:])):
+                continue
+            ys = [2 * W + a for a, (B, _) in zip(a_key, up) if B == 0]
+            for b_key in itertools.product(*(labels if A == INF else (A,) for _, A in dn)):
+                if any(x > y for x, y in zip(b_key, b_key[1:])):
+                    continue
+                zs = [3 * W + b for b, (_, A) in zip(b_key, dn) if A == INF]
+                key = tuple(sorted(base + ys + zs))
+                acc = weights.setdefault((a_key, b_key), {})
+                acc[key] = acc.get(key, 0) + w
+    out = {}
+    for a_key in label_keys(n, k):
+        for b_key in label_keys(n, l):
+            acc = weights.get((a_key, b_key), {})
+            keys = [key for key, w in acc.items() if w]
+            comp = LaurentPoly.sum(m.ring, map(product, keys), [scale * acc[key] for key in keys], den)
+            if comp:
+                out[(a_key, b_key)] = comp
+    return SymbolTensor(n, k, l, m.ring, out)
+
+
+def extract_all_symbols_by_assignment(m, T: SparseTensor):
+    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k, summed over
+    every ordered entry of the column symmetrization."""
+    d = T.k
+    S = T if T.is_symmetric() else symmetrized_by_permutations(T)
+    den, ints = S.integer_entries()
+    entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
+    fr = frame_fields(m)
+    W = m.n + 2
+    # factor ids, W = n + 2: A -> X_up[A], W + B -> X_dn[B], 2W + a -> Y_dn[a][0]
+    # = -z(a) and 3W + b -> Y_up[b][inf] = -z_low(b)
+    factors = dict(enumerate(fr.X_up + fr.X_dn))
+    for a in range(1, m.n + 1):
+        factors[2 * W + a] = fr.Y_dn[a][0]
+        factors[3 * W + a] = fr.Y_up[a][W - 1]
+    products = {(): m.ring.one()}
+
+    def product(key):
+        p = products.get(key)
+        if p is None:
+            p = products[key] = product(key[:-1]) * factors[key[-1]]
+        return p
+
+    return {
+        (k, l): _extract_symbols_by_assignment(m, entries, den, d, k, l, product)
+        for k in range(d + 1)
+        for l in range(d + 1 - k)
+    }
 
 
 def build_prop1_tensor_by_placements(m, d: int, s: int, x, seed: SymbolTensor | None = None) -> SparseTensor:

@@ -1,10 +1,10 @@
 """The acceptance battery: one test per criterion, exact tolerances.
 
 Each criterion runs the `subsym verify` suite that states its identities,
-so every identity is written once, in `cli.py`.  A criterion passes when
-its suite passes with the pinned number of checks inside the stated
-runtime budget (generously met on any desk machine; budgets come from the
-build contract).  Each test also prints a pass/fail line through the
+so every identity is written once, in the suite beside its layer.  A
+criterion passes when its suite passes with the pinned number of checks
+inside the stated runtime budget (generously met on any desk machine;
+budgets come from the build contract).  Each test also prints a pass/fail line through the
 terminal-summary hook in conftest.py.  Criterion 10 reads the timed
 three-column-skew fixture of conftest.py, which
 `test_symbols.py::test_skew_three_columns_kills_symbols` shares.

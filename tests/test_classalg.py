@@ -18,11 +18,10 @@ from subsym.classalg import (
     hook_length_dim,
     mn_character,
     partitions,
-    perm_sign,
     z_lambda,
 )
 from subsym.scalars import accumulate, rat
-from subsym.tensor import SparseTensor
+from subsym.tensor import SparseTensor, perm_sign
 from support import (
     basis_product_convolution_averaged,
     mn_character_by_border_strips,

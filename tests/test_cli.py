@@ -659,6 +659,10 @@ REQUEST_DIGESTS = {
     "reduction --n 3 --deg 2": "933a50793f1f7823b093a8f5ff6870b3dcccc8e067a1275fbeb2f255d0688910",
     "composition --n 1": "9ec64ea8b925125184199bde07d7370c503d45b5ab69cc3993096c66b0a22a71",
     "commutation --n 2 --seed 3": "507b7d5dadbe50293c3ed1fe2680141d16d0bc02e46b9b69827a6e5cc2aa4e90",
+    # repeated columns at d = 4 and 5, and four boundary labels
+    "symbols --n 2 --d 5": "7591c3a672b2b2532a8f63c7219504acc36f9e3e785545457e8634c59403ab1f",
+    "symbols --n 3 --d 4": "3bb9edf23e9729d6951fab1cabbe6d67a272f5b6e3b0af9fd0f2a442ed86502b",
+    "symbols --n 4 --d 2": "b24f9b51ad03ceb9d5a69f72456d8a876be15568d037a5a949e19f61c59f2d54",
 }
 
 

@@ -4,8 +4,11 @@ Each suite runs in a fresh interpreter, as a `subsym verify` request does;
 the modules it loads are those in `sys.modules` after the request that were
 not there before `import subsym`.  The class-algebra and tensor suites use
 neither the Laurent ring nor the Weyl algebra nor the ambient, boundary and
-symbol layers, and no suite needs `dataclasses` (which loads `inspect`,
-`ast`, `dis` and `tokenize`).
+symbol layers; the boundary and symbol suites read the ambient model from
+`model` and load neither `ambient` nor `classalg`, and the ambient suites do
+not load `classalg`.  No suite needs `dataclasses` (which loads `inspect`,
+`ast`, `dis` and `tokenize`), and each suite's check lives beside its layer,
+so `cli` compiles no suite body.
 """
 
 import ast
@@ -27,6 +30,13 @@ NOT_FOR_TENSOR_SUITES = {
     "subsym.ambient",
     "subsym.boundary",
     "subsym.symbols",
+}
+NOT_LOADED = {suite: NOT_FOR_TENSOR_SUITES for suite in TENSOR_SUITES} | {
+    "symbols": {"subsym.ambient", "subsym.classalg"},
+    "prop1": {"subsym.ambient", "subsym.classalg"},
+    "reduction": {"subsym.ambient", "subsym.classalg"},
+    "commutation": {"subsym.classalg"},
+    "composition": {"subsym.classalg"},
 }
 
 CHILD = """
@@ -54,6 +64,12 @@ def loaded_by(suite):
 def test_a_request_loads_only_what_its_checks_use(suite):
     code, loaded = loaded_by(suite)
     assert code == 0
-    forbidden = {"dataclasses"} | (NOT_FOR_TENSOR_SUITES if suite in TENSOR_SUITES else set())
+    forbidden = {"dataclasses"} | NOT_LOADED[suite]
     assert not loaded & forbidden, sorted(loaded & forbidden)
     assert {"subsym", "subsym.cli", "subsym.report"} <= loaded
+
+
+def test_cli_defines_no_suite_body():
+    tree = ast.parse((SRC / "subsym" / "cli.py").read_text())
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert not [name for name in defined if name.startswith("_suite_")], defined

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from subsym.ambient import higher_symmetry_op, random_traceless
 from subsym.tensor import SparseTensor
 from subsym.boundary import BoundaryModel, induce, tangential_ops
-from subsym.cli import three_column_skew_checks
 from subsym.report import VerificationReport
 from subsym.rings import LaurentPoly
 from subsym.scalars import rat
 from support import (
     build_prop1_tensor_by_placements,
+    extract_all_symbols_by_assignment,
     check_symbol_recursions_by_form,
     column_symmetric,
     component,
@@ -37,6 +37,7 @@ from subsym.symbols import (
     pascal_identity_check,
     prop1_system,
     symmetry_space_dim,
+    three_column_skew_checks,
     trace_free_part_vanishes,
     type_count,
     verify_prop1,
@@ -656,6 +657,74 @@ def test_extraction_of_a_tensor_equals_that_of_its_symmetrization(d, rnd):
     for k in range(d + 1):
         for l in range(d + 1 - k):
             assert _extract_symbols_reference(m, T, k, l) == _extract_symbols_reference(m, S, k, l)
+
+
+def orbit_draws(n, d, rng):
+    """Draws over C^{n+2} with d columns for the orbit extraction: the
+    symbols suite's dense disjoint draw (repeated columns from d = 2 on),
+    and an unsymmetrized draw over the values 0, 1 and inf on both sides,
+    which free, pin and kill labels of either kind."""
+    three = (0, 1, n + 1)
+    density = (None, None, None, 0.3, 0.03, 0.001)[d]
+    return [
+        SparseTensor.random(d, n + 2, rng, 2, upper=(1, n + 1), lower=(0, 2)).symmetrized(),
+        SparseTensor.random(d, n + 2, rng, 2, upper=three, lower=three, density=density),
+    ]
+
+
+def assert_orbit_extraction_matches(m, T):
+    assert extract_all_symbols(m, T) == extract_all_symbols_by_assignment(m, T)
+
+
+@pytest.mark.parametrize("d", range(6))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_extraction_matches_the_assignment_extraction(n, d):
+    m = BoundaryModel(n)
+    tensors = orbit_draws(n, d, random.Random(10 * n + d))
+    if d >= 2:
+        assert any(len(set(zip(U, L))) < d for U, L in tensors[0].entries)
+    for T in tensors:
+        assert_orbit_extraction_matches(m, T)
+    if n + d <= 5:  # the transcription over all assignments is slow
+        for T in tensors:
+            assert_matches_reference(m, T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_extraction_matches_on_skew_and_prop1_tensors(n):
+    """The symbols suite's three-column skews and the prop1 tensors."""
+    m = BoundaryModel(n)
+    rng = random.Random(50 + n)
+    tensors = [column_symmetric(3, n + 2, rng, density=0.05).skew_slots([0, 1, 2])]
+    tensors += [build_prop1_tensor(m, d, s, prop1_system(d, s)["x"]) for d, s in [(2, 1), (3, 1), (4, 2), (5, 2)]]
+    assert all(tensors)
+    for T in tensors:
+        assert_orbit_extraction_matches(m, T)
+
+
+def test_a_label_count_without_the_free_factorial_fails_the_comparison(monkeypatch):
+    """Mutant control: the orbit extraction with F! dropped from the label
+    count differs from the assignment extraction on the comparison's draws."""
+    import subsym.symbols
+
+    label_count = subsym.symbols._label_count
+    monkeypatch.setattr(subsym.symbols, "_label_count",
+                        lambda free, key, chosen: label_count(free, key, chosen) // factorial(free))
+    m = BoundaryModel(2)
+    with pytest.raises(AssertionError):
+        for d in range(6):
+            for T in orbit_draws(2, d, random.Random(20 + d)):
+                assert_orbit_extraction_matches(m, T)
+
+
+@pytest.mark.parametrize("n, N", [(2, 3), (3, 4), (2, 5), (3, 6)])
+def test_extraction_rejects_a_tensor_of_another_dimension(n, N):
+    m = BoundaryModel(n)
+    T = SparseTensor.random(2, N, random.Random(N), 2, upper=(1, N - 1), lower=(0, 2)).symmetrized()
+    with pytest.raises(ValueError, match="tensor dimension does not match the model"):
+        extract_all_symbols(m, T)
+    with pytest.raises(ValueError, match="tensor dimension does not match the model"):
+        _extract_symbols_reference(m, T, 1, 1)
 
 
 def test_recursions_mixed_signature():

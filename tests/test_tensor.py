@@ -14,16 +14,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsym.classalg import (
-    act_on_tuple,
-    central_idempotent,
-    invert_perm,
-    partitions,
-    perm_sign,
-)
+from subsym.classalg import act_on_tuple, central_idempotent, partitions
 from subsym.ambient import random_traceless
 from subsym.scalars import GR_ZERO, RZERO, gr, rat
-from subsym.tensor import SparseTensor
+from subsym.tensor import SparseTensor, invert_perm, perm_sign
 from support import (
     column_symmetric,
     conjugation_tensor_by_loops,
@@ -35,6 +29,7 @@ from support import (
     random_traceless_by_loop,
     skew_slots_rational,
     standard_tableaux,
+    symmetrized_by_permutations,
     symmetrized_rational,
     young_symmetrizer,
 )
@@ -262,6 +257,25 @@ def test_integer_symmetrization_matches_the_rational_average(data):
     assert sym == symmetrized_rational(T)
     assert sym.is_symmetric() and sym.symmetrized() == sym
     assert T.is_symmetric() == (sym == T)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_orbit_symmetrization_matches_the_permutation_average(d):
+    """Dense draws with repeated columns, rational entries, and an orbit
+    whose entries cancel, against the average of all d! permutations."""
+    rng = random.Random(60 + d)
+    dense = SparseTensor.random(d, 4, rng, 2, upper=(1, 3), lower=(0, 2))
+    sparse = SparseTensor.random(d, 3, rng, 3, density=(None, None, 0.5, 0.2, 0.05, 0.01)[d])
+    cases = [dense, dense.scale(rat(2, 3)) + sparse.scale(rat(-1, 5)), sparse]
+    if d >= 2:
+        first = next(iter(dense.entries))
+        cancel = SparseTensor(d, 4, {first: rat(1, 7)})
+        cases.append(cancel - cancel.permuted(tuple(range(1, d)) + (0,)) + sparse)
+        assert any(len(set(zip(U, L))) < d for U, L in dense.entries)
+    for T in cases:
+        sym = T.symmetrized()
+        assert sym == symmetrized_by_permutations(T)
+        assert sym.is_symmetric()
 
 
 def test_is_symmetric_sees_one_changed_or_missing_entry():
