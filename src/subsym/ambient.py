@@ -16,13 +16,14 @@ import itertools
 import random
 from collections import namedtuple
 from functools import cached_property
+from math import factorial
 
 from . import linalg
 from .model import AmbientModel, ambient_laplacian, dual_quadric, identity, quadric, r_poly
 from .rings import _canonical
 from .report import CaseResults, VerificationReport
 from .scalars import RONE, RZERO, rat
-from .tensor import SparseTensor, sl_basis
+from .tensor import SparseTensor, sl_basis, stabilizer_order
 from .weyl import WeylOperator
 
 COMPOSITION_N = 2  # the composition suite's n when --n is not given
@@ -129,23 +130,29 @@ def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
 
     V must be totally trace-free: every reordering term of the composed
     generators then contracts an upper slot of V with a lower one, so the sum
-    is their product, and it commutes with the Laplacian and with r.
+    is their product, and it commutes with the Laplacian and with r.  Each
+    term is a product over the columns, so every ordering of a column orbit
+    gives the same terms and D_V = D_(Sym V): it is read per orbit from
+    V.column_orbits(), each orbit weighted by its k!/stabilizer_order
+    orderings.
     """
     if V.N != m.N:
         raise ValueError("tensor dimension does not match the model")
     if not V.is_trace_free():
         raise ValueError("tensor is not totally trace-free")
-    den, entries = V.integer_entries()
+    den, orbits = V.column_orbits()
     ring = m.ring
     up = [ring.index[name] for name in m.upper_names]
     dn = [ring.index[name] for name in m.lower_names]
+    orderings = factorial(V.k)
     coeffs = {}  # derivative multi-index -> {exponent: numerator over den}
-    for (B, A), c in entries.items():
-        # side 0 of column i is x^{A_i} d_{B_i}, side 1 is -x_{B_i} d^{A_i}
+    for cols, w in orbits.items():
+        c = w * (orderings // stabilizer_order(cols))
+        # side 0 of column (B, A) is x^A d_B, side 1 is -x_B d^A
         for sides in itertools.product((0, 1), repeat=V.k):
             exp = [0] * ring.arity
             alpha = [0] * ring.arity
-            for lower_side, b, a in zip(sides, B, A):
+            for lower_side, (b, a) in zip(sides, cols):
                 if lower_side:
                     exp[dn[b]] += 1
                     alpha[dn[a]] += 1
@@ -365,9 +372,8 @@ def verify_composition_identity(
 # the commutation and composition suites
 
 
-def _suite_commutation(params, rep: VerificationReport):
-    nmax = 3 if params.get("n") is None else params["n"]
-    for n in range(1, nmax + 1):
+def _suite_commutation(rep: VerificationReport, n=3):
+    for n in range(1, n + 1):
         m = AmbientModel(n)
         lap = ambient_laplacian(m)
         rmul = WeylOperator.mul_by(r_poly(m))
@@ -389,13 +395,9 @@ def _suite_commutation(params, rep: VerificationReport):
     return rep
 
 
-def _suite_composition(params, rep: VerificationReport):
+def _suite_composition(rep: VerificationReport, n=COMPOSITION_N, deg=3, w1=None, w2=None):
     from .boundary import BoundaryModel, admissible_weights, induce, phi_pullback, sublaplacian
 
-    n = COMPOSITION_N if params.get("n") is None else params["n"]
-    deg = 3 if params.get("deg") is None else params["deg"]
-    w1 = params.get("w1")
-    w2 = params.get("w2")
     if w1 is None or w2 is None:
         w1, w2 = admissible_weights(n, n % 2)[-1]  # smallest |w1 - w2|, w1 >= w2
     m = AmbientModel(n)

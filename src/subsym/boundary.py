@@ -264,14 +264,13 @@ def induce(m: BoundaryModel, D: WeylOperator, w1: int, w2: int, F: LaurentPoly) 
     return phi_pullback(m, D.apply(extend(m, F, w1, w2)))
 
 
-def _suite_reduction(params, rep: VerificationReport):
+def _suite_reduction(rep: VerificationReport, n=None, deg=3):
     def sweep(m, w1, w2, deg):
         monomials = list(m.monomials(deg))
         return CaseResults([f"F={F}: residual {res}" for F in monomials
                             if (res := verify_reduction(m, F, w1, w2)) is not None], len(monomials))
 
-    deg = 3 if params.get("deg") is None else params["deg"]
-    ns = [1, 2] if params.get("n") is None else [params["n"]]
+    ns = [1, 2] if n is None else [n]
     for n in ns:
         m = BoundaryModel(n)
         for (w1, w2) in admissible_weights(n, 4):

@@ -331,9 +331,7 @@ def structure_constant_table(k):
 # the classalg suite
 
 
-def _suite_classalg(params, rep: VerificationReport):
-    kmax = 5 if params.get("k") is None else params["k"]
-
+def _suite_classalg(rep: VerificationReport, k=5):
     def worked(name, u, v, expected):  # the worked tables
         product = class_multiply(u, v)
         rep.add(name, product == expected, f"computed {product}")
@@ -347,7 +345,7 @@ def _suite_classalg(params, rep: VerificationReport):
     worked("k=3: x.y = x", x, y, x)
     worked("k=3: y.y = (1+y)/2", y, y, one.scale(rat(1, 2)) + y.scale(rat(1, 2)))
     # oracle equivalence and probability structure
-    for k in range(1, kmax + 1):
+    for k in range(1, k + 1):
         table = structure_constant_table(k)
         rep.check(f"k={k}: enumeration == convolution on all basis pairs", CaseResults(
             [f"k={k} {lam}x{mu}" for (lam, mu), p in table.items()

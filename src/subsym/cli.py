@@ -7,7 +7,8 @@ Usage:
 
 Suites: reduction, commutation, composition, prop1, symbols, classalg,
 commutant, decompose, hwvectors, all.  Every suite prints one line per
-check and exits 0 only if everything passed.  All randomness flows from
+check and exits 0 only if everything passed.  A flag the request does not
+read (--format without --out) is a usage error.  All randomness flows from
 --seed (recorded in the report).  SUBSYM_OUT_DIR sets the default output
 directory of `table`; `verify` writes a report only to --out.
 """
@@ -24,8 +25,9 @@ from .report import VerificationReport, classalg_table_csv, emit, isotypic_table
 
 FLAGS = ("n", "d", "s", "k", "dim", "w1", "w2", "deg", "seed")  # the int flags of `verify`
 
-# suite -> the module that defines its check `_suite_<suite>`, beside the
-# layer it checks; in the order of `verify all`
+# suite -> the module that defines its check `_suite_<suite>(rep, ...)`,
+# beside the layer it checks, in the order of `verify all`; the check's
+# parameters after the report are the flags it reads, with their defaults
 _SUITE_MODULES = {
     "reduction": "boundary",
     "commutation": "ambient",
@@ -40,21 +42,36 @@ _SUITE_MODULES = {
 SUITES = (*_SUITE_MODULES, "all")
 
 
+def _check(name):
+    """The check `_suite_<name>` and the flags it reads."""
+    check = getattr(importlib.import_module(f".{_SUITE_MODULES[name]}", __package__), f"_suite_{name}")
+    return check, check.__code__.co_varnames[1 : check.__code__.co_argcount]
+
+
+def _unread(suite: str, params: dict) -> list:
+    """The given flags of `params` that no check of `suite` reads (every
+    suite reads the seed), as a usage problem; empty when there is none."""
+    names = list(_SUITE_MODULES) if suite == "all" else [suite]
+    read = {"seed"}.union(*(_check(name)[1] for name in names))
+    unread = [f"--{key}" for key, v in params.items() if v is not None and key not in read]
+    return [f"the {suite} suite does not read {', '.join(unread)}"] if unread else []
+
+
 def run(suite: str, params: dict) -> list[VerificationReport]:
-    """Execute one suite (or 'all'); returns the reports."""
+    """Execute one suite (or 'all'); returns the reports.  Each report
+    records the flags its suite reads, and the seed."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if problems := _unread(suite, params):
+        raise ValueError(problems[0])
     names = list(_SUITE_MODULES) if suite == "all" else [suite]
     reports = []
     for name in names:
-        rep = VerificationReport(
-            suite=name,
-            parameters={k: v for k, v in params.items() if v is not None},
-            seed=0 if params.get("seed") is None else params["seed"],
-        )
         start = time.monotonic()
-        module = importlib.import_module(f".{_SUITE_MODULES[name]}", __package__)
-        getattr(module, f"_suite_{name}")(params, rep)
+        check, flags = _check(name)
+        parameters = {key: params[key] for key in ("seed", *flags) if params.get(key) is not None}
+        rep = VerificationReport(suite=name, parameters=parameters, seed=parameters.get("seed", 0))
+        check(rep, **{key: parameters[key] for key in flags if key in parameters})
         rep.elapsed_seconds = time.monotonic() - start
         reports.append(rep)
     return reports
@@ -81,7 +98,9 @@ def _problems(params) -> list:
 
 def _validated(args, parser) -> dict:
     params = {flag: getattr(args, flag) for flag in FLAGS}
-    problems = _problems(params)
+    problems = _problems(params) + _unread(args.suite, params)
+    if args.format is not None and not args.out:
+        problems.append("--format is read only with --out")
     if params.get("d") is not None and params.get("s") is not None:
         if 2 * params["s"] > params["d"]:
             problems.append("need 2s <= d")
@@ -125,7 +144,7 @@ def main(argv=None):
     for flag in FLAGS:
         pv.add_argument(f"--{flag}", type=int, default=None)
     pv.add_argument("--out", default=None, help="write report file(s)")
-    pv.add_argument("--format", choices=("json", "csv"), default="json")
+    pv.add_argument("--format", choices=("json", "csv"), default=None, help="json (the default) or csv")
 
     pt = sub.add_parser("table", help="emit a data table")
     pt.add_argument("kind", choices=("classalg", "isotypic"))
@@ -138,6 +157,8 @@ def main(argv=None):
 
     if args.command == "table":
         problems = _problems({"k": args.k, "dim": args.dim})
+        if args.kind == "classalg" and args.dim is not None:
+            problems.append("table classalg does not read --dim")
         if problems:
             pt.error("invalid parameters: " + "; ".join(problems))
         if args.kind == "isotypic" and args.dim is None:
@@ -163,6 +184,7 @@ def main(argv=None):
     if args.out:
         _writable(args.out, pv)
     reports = run(args.suite, params)
+    fmt = args.format or "json"
     exit_code = 0
     for rep in reports:
         for line in rep.summary_lines():
@@ -180,11 +202,11 @@ def main(argv=None):
             base = args.out
             if len(reports) > 1:
                 root, ext = os.path.splitext(base)
-                path = f"{root}_{rep.suite}{ext or '.' + args.format}"
+                path = f"{root}_{rep.suite}{ext or '.' + fmt}"
             else:
                 path = base
             try:
-                emit(rep, path, args.format)
+                emit(rep, path, fmt)
             except OSError as exc:
                 pv.error(str(exc))
     return exit_code

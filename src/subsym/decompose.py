@@ -33,7 +33,7 @@ from .classalg import (
     partitions,
 )
 from .report import CaseResults, VerificationReport
-from .scalars import accumulate, rat
+from .scalars import RONE, accumulate, rat
 from .tensor import SparseTensor, invert_perm, sl_basis
 
 
@@ -265,10 +265,12 @@ def stable_dim_formula(k, N) -> int:
 
 
 def highest_weight_vector(lam, N):
-    """Pair-symmetrized p_lam(e_lam) (x) eps^lam, as a dict multiset -> coeff.
+    """Pair-symmetrized p_lam(e_lam) (x) eps^lam, as a dict multiset -> coeff:
+    the column orbits of the tensor whose vector factors the idempotent
+    permutes, each the value of the actual pair symmetrization.
 
-    The idempotent permutes the vector factors; the construction requires
-    2*depth(lam) <= N so that the vector and dual index values are disjoint.
+    The construction requires 2*depth(lam) <= N so that the vector and dual
+    index values are disjoint.
     """
     lam = tuple(lam)
     m = len(lam)
@@ -276,15 +278,12 @@ def highest_weight_vector(lam, N):
         raise ValueError("construction needs 2*depth(lambda) <= N")
     U0 = tuple(i for i, part in enumerate(lam) for _ in range(part))
     L0 = tuple(N - 1 - i for i, part in enumerate(lam) for _ in range(part))
-    acc = {}
-    for sigma, c in central_idempotent(lam).items():
-        accumulate(acc, tuple(sorted(zip(act_on_tuple(sigma, U0), L0))), c)
-    # acc is k!/stab times the actual symmetrization; nonzero-ness and weight
-    # are unaffected.
+    image = SparseTensor(len(U0), N, {(U0, L0): RONE}).act(central_idempotent(lam), upper=True)
+    den, orbits = image.column_orbits()
     expected = lambda_plus_dual(lam, N)
-    for M in acc:
+    for M in orbits:
         assert multiset_weight(M, N) == expected
-    return acc
+    return {M: rat(w, den) for M, w in orbits.items()}
 
 
 def skew_vanishing_check(lam, k, N, trials=5, seed=0):
@@ -583,10 +582,10 @@ def seven_pieces_check(N):
 # the commutant, decompose and hwvectors suites
 
 
-def _suite_commutant(params, rep: VerificationReport):
+def _suite_commutant(rep: VerificationReport, k=None, dim=None):
     from .classalg import structure_constant_table
 
-    cases = [(2, 4), (3, 6)] if params.get("k") is None else [(params["k"], params["dim"])]
+    cases = [(2, 4), (3, 6)] if k is None else [(k, dim)]
     for (k, N) in cases:
         table = structure_constant_table(k)
         rep.check(f"(k,N)=({k},{N}): operator products match class-algebra constants on S^k_0",
@@ -607,32 +606,31 @@ def _suite_commutant(params, rep: VerificationReport):
     return rep
 
 
-def _suite_decompose(params, rep: VerificationReport):
-    k = 2 if params.get("k") is None else params["k"]
-    N = 4 if params.get("dim") is None else params["dim"]
+def _suite_decompose(rep: VerificationReport, k=2, dim=4):
+    N = dim
     table = isotypic_table(k, N)
-    dim = trace_free_dimension(k, N)
+    kernel_dim = trace_free_dimension(k, N)
     rep.add(
         f"(k,N)=({k},{N}): isotypic ranks sum to the kernel dimension",
-        sum(table.values()) == dim,
-        f"{table} vs {dim}",
-        cases=dim,
+        sum(table.values()) == kernel_dim,
+        f"{table} vs {kernel_dim}",
+        cases=kernel_dim,
     )
     if (k, N) == (2, 4):
         rep.add("(2,4): ranks are {84, 20} with total 104",
-                table == {(2,): 84, (1, 1): 20} and dim == 104, f"ranks {table}, total {dim}")
+                table == {(2,): 84, (1, 1): 20} and kernel_dim == 104, f"ranks {table}, total {kernel_dim}")
     # below N = 2k the pieces of the deep partitions vanish
     where = "(stable range)" if N >= 2 * k else "where 2*depth(lambda) <= N, 0 elsewhere"
     rep.check(f"(k,N)=({k},{N}): ranks equal Weyl dimensions {where}", CaseResults(
         [f"lambda {lam}: rank {r}, expected {isotypic_dim(lam, N)}" for lam, r in table.items()
          if r != isotypic_dim(lam, N)],
-        dim))
+        kernel_dim))
     closed = stable_dim_formula(k, N)
     rep.add(
         f"(k,N)=({k},{N}): kernel dim equals the closed-form sum",
-        dim == closed,
-        f"{dim} vs {closed}",
-        cases=dim,
+        kernel_dim == closed,
+        f"{kernel_dim} vs {closed}",
+        cases=kernel_dim,
     )
     # number of nonzero components equals p(k) in the stable range, k <= 3
     for kk in range(1, 4):
@@ -644,12 +642,10 @@ def _suite_decompose(params, rep: VerificationReport):
     return rep
 
 
-def _suite_hwvectors(params, rep: VerificationReport):
-    Nmax = 6 if params.get("dim") is None else params["dim"]
-    kmax = 3 if params.get("k") is None else params["k"]
-    domain = [(lam, N) for N in range(2, Nmax + 1) for k in range(1, kmax + 1)
-              for lam in partitions(k) if 2 * len(lam) <= N]
-    rep.check(f"highest-weight vectors nonzero for 2*depth <= N, k <= {kmax}, N <= {Nmax}", CaseResults(
+def _suite_hwvectors(rep: VerificationReport, k=3, dim=6):
+    domain = [(lam, N) for N in range(2, dim + 1) for j in range(1, k + 1)
+              for lam in partitions(j) if 2 * len(lam) <= N]
+    rep.check(f"highest-weight vectors nonzero for 2*depth <= N, k <= {k}, N <= {dim}", CaseResults(
         [f"lambda={lam}, N={N}" for lam, N in domain if not highest_weight_vector(lam, N)], len(domain)))
     for (lam, k, N) in [((2,), 2, 3), ((3,), 3, 4), ((2, 1), 3, 3)]:
         rep.check(f"skew vanishing for lambda={lam} (k={k}, N={N}, 5 seeded tensors)",

@@ -6,11 +6,11 @@ tensors V[k, l] (k upper boundary indices, l lower, p = d-k-l tau slots).
 Extraction contracts the tensor with the cone-adapted frames and pulls back
 along the section, with the (-1)^l prefactors and idempotent (averaged)
 symmetrizations.  Its sum over ordered column assignments is their number
-times one canonical assignment of the column-symmetrized tensor.  That
-tensor is read once per column orbit, at its entry with sorted columns: each
-orbit splits once into every distinct (upper, lower, tau) block of columns,
-and integer counts of the block orderings stand for the ordered entries.
-Each distinct frame product is multiplied once, from a product cache (see
+times one canonical assignment of the column-symmetrized tensor, which is
+read through `SparseTensor.column_orbits`, one integer per column orbit:
+each orbit splits once into every distinct (upper, lower, tau) block of
+columns, and integer counts of the block orderings stand for the ordered
+entries.  Each distinct frame product is multiplied once (see
 extract_all_symbols).  The prop1 and symbols suites close the module.
 
 The symbols in the sigma basis carry the phase (-i)^p, which cancels
@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
-from math import comb, factorial, prod
+from functools import cache, lru_cache
+from math import comb, factorial
 
 from . import linalg
 from .boundary import BoundaryModel, frame_fields, tangential_ops
 from .report import CaseResults, VerificationReport
 from .rings import LaurentPoly
 from .scalars import RONE, accumulate, rat
-from .tensor import SparseTensor
+from .tensor import SparseTensor, stabilizer_order
 
 
 class SymbolTensor:
@@ -76,20 +76,6 @@ def label_keys(n: int, k: int):
     return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
-class _Cache(dict):
-    """A dict that builds the value of a missing key once, by ``build(key)``."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 def _label_count(free: int, key, chosen) -> int:
     """F! prod_x positions_x!/f_x!: the placements of a block's labelled
     columns, F of them free, whose labels read the sorted ``key`` from left
@@ -103,11 +89,6 @@ def _label_count(free: int, key, chosen) -> int:
     for x in set(chosen):
         count //= factorial(chosen.count(x))
     return count
-
-
-def _repeats(cols) -> int:
-    """prod mult!, mult the multiplicities of the distinct columns."""
-    return prod(factorial(cols.count(c)) for c in set(cols))
 
 
 def _label_block(n: int, cols, upper: bool):
@@ -132,7 +113,7 @@ def _label_block(n: int, cols, upper: bool):
         return []
     pinned = [x for x in labels if x != free]
     F = len(labels) - len(pinned)
-    repeats = _repeats(cols)
+    repeats = stabilizer_order(cols)
     out = []
     for chosen in itertools.combinations_with_replacement(range(1, n + 1), F):
         key = tuple(sorted(pinned + list(chosen)))
@@ -145,7 +126,7 @@ def _tau_block(n: int, cols):
     the number of its distinct orderings, p!/prod mult!."""
     INF, W = n + 1, n + 2
     ids = [A for _, A in cols if A] + [W + B for B, _ in cols if B != INF]
-    return ids, factorial(len(cols)) // _repeats(cols)
+    return ids, factorial(len(cols)) // stabilizer_order(cols)
 
 
 def _without(cols, part):
@@ -158,31 +139,30 @@ def _without(cols, part):
 
 def _extract_symbols(m: BoundaryModel, orbits, den: int, d: int, k: int, l: int, product, blocks) -> SymbolTensor:
     """The (k, l) symbol of a column-symmetric tensor with d columns, given as
-    one (sorted columns, int over den) pair per column orbit.  It sums the
+    its column_orbits, {sorted columns: int over den}.  It sums the
     canonical column assignment (columns 0..k-1 carry the upper labels,
     k..k+l-1 the lower ones, the rest are tau columns) over every ordering
     of every orbit: each orbit splits once into each distinct (upper, lower,
     tau) sub-multiset, whose orderings the three block counts multiply out.
-    ``blocks`` holds the _label_block results of upper and of lower blocks
-    and the _tau_block results, each cached by block, and ``product`` maps a
-    sorted tuple of factor ids (see extract_all_symbols) to the product of
-    those factors."""
+    ``blocks`` holds _label_block of upper and of lower blocks and
+    _tau_block, each cached by block, and ``product`` maps a sorted tuple of
+    factor ids (see extract_all_symbols) to the product of those factors."""
     n = m.n
     uppers, lowers, taus = blocks
     # (-1)^l times the number of ordered assignments, d!/(d-k-l)!, over k! l!
     scale = (-1) ** l * comb(d, k + l) * comb(k + l, k)
     weights = {}  # (upper labels, lower labels) -> {product key: summed int}
-    for cols, w in orbits:
+    for cols, w in orbits.items():
         for up in dict.fromkeys(itertools.combinations(cols, k)):
-            ups = uppers[up]
+            ups = uppers(up)
             if not ups:
                 continue
             rest = _without(cols, up)
             for dn in dict.fromkeys(itertools.combinations(rest, l)):
-                dns = lowers[dn]
+                dns = lowers(dn)
                 if not dns:
                     continue
-                tau_ids, tau_count = taus[_without(rest, dn)]
+                tau_ids, tau_count = taus(_without(rest, dn))
                 for a_key, up_ids, up_count in ups:
                     for b_key, dn_ids, dn_count in dns:
                         key = tuple(sorted(up_ids + dn_ids + tau_ids))
@@ -260,24 +240,17 @@ def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
     choice is a column permutation followed by the canonical one (columns
     0..k-1 upper, k..k+l-1 lower, the rest tau, whose factors commute), so
     the sum is d!/(d-k-l)! times the canonical sum for the column
-    symmetrization Sym T.  T is symmetrized once, only when it is not
-    column-symmetric, and Sym T is read at one entry per column orbit, the
-    one with sorted columns.  Each (k, l) sums integer weights per (sorted
-    label keys, frame product) over the orbits (see _extract_symbols); the
-    block counts are cached per block of columns, and a product cache shared
-    by all (k, l) multiplies each distinct product (a sorted tuple of factor
-    ids) and each of its prefixes once.  _extract_symbols_reference, the
-    direct transcription over all ordered assignments, is the test oracle.
+    symmetrization Sym T, read once per column orbit by T.column_orbits().
+    Each (k, l) sums integer weights per (sorted label keys, frame product)
+    over the orbits (see _extract_symbols); the block counts are cached per
+    block of columns, and a product cache shared by all (k, l) multiplies
+    each distinct product (a sorted tuple of factor ids) and each of its
+    prefixes once.  _extract_symbols_reference, the direct transcription
+    over all ordered assignments, is the test oracle.
     """
     _check_dimension(m, T)
     d = T.k
-    S = T if T.is_symmetric() else T.symmetrized()
-    den, ints = S.integer_entries()
-    orbits = []
-    for (B, A), w in ints.items():
-        cols = tuple(zip(B, A))
-        if all(x <= y for x, y in zip(cols, cols[1:])):
-            orbits.append((cols, w))
+    den, orbits = T.column_orbits()
     fr = frame_fields(m)
     W = m.n + 2
     # factor ids, W = n + 2: A -> X_up[A], W + B -> X_dn[B], 2W + a -> Y_dn[a][0]
@@ -286,18 +259,15 @@ def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
     for a in range(1, m.n + 1):
         factors[2 * W + a] = fr.Y_dn[a][0]
         factors[3 * W + a] = fr.Y_up[a][W - 1]
-    products = {(): m.ring.one()}
 
+    @cache
     def product(key):
-        p = products.get(key)
-        if p is None:
-            p = products[key] = product(key[:-1]) * factors[key[-1]]
-        return p
+        return product(key[:-1]) * factors[key[-1]] if key else m.ring.one()
 
     blocks = (
-        _Cache(lambda cols: _label_block(m.n, cols, True)),
-        _Cache(lambda cols: _label_block(m.n, cols, False)),
-        _Cache(lambda cols: _tau_block(m.n, cols)),
+        cache(lambda cols: _label_block(m.n, cols, True)),
+        cache(lambda cols: _label_block(m.n, cols, False)),
+        cache(lambda cols: _tau_block(m.n, cols)),
     )
     return {
         (k, l): _extract_symbols(m, orbits, den, d, k, l, product, blocks)
@@ -593,12 +563,8 @@ def verify_prop1(m: BoundaryModel, d: int, s: int):
     )))
 
 
-def _suite_prop1(params, rep: VerificationReport):
-    n = 3 if params.get("n") is None else params["n"]
-    if params.get("d") is None or params.get("s") is None:
-        cases = [(2, 1), (3, 1), (4, 2)]
-    else:
-        cases = [(params["d"], params["s"])]
+def _suite_prop1(rep: VerificationReport, n=3, d=None, s=None):
+    cases = [(2, 1), (3, 1), (4, 2)] if d is None or s is None else [(d, s)]
     m = BoundaryModel(n)
     for (d, s) in cases:
         for label, failures in verify_prop1(m, d, s):
@@ -617,9 +583,8 @@ def _suite_prop1(params, rep: VerificationReport):
 # the symbols suite
 
 
-def _suite_symbols(params, rep: VerificationReport):
-    d = 3 if params.get("d") is None else params["d"]
-    ns = [2, 3] if params.get("n") is None else [params["n"]]
+def _suite_symbols(rep: VerificationReport, n=None, d=3):
+    ns = [2, 3] if n is None else [n]
     rng = random.Random(rep.seed)
     for n in ns:
         m = BoundaryModel(n)

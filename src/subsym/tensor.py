@@ -7,9 +7,11 @@ never stored.  A tensor of V^(x)k alone has empty lower tuples.
 
 Permutations are tuples of 0-based images (p[i] is where position i is
 sent) and move index positions by result[p(i)] = t[i]; every move is the
-one private action `_moved` of an element {perm: coeff}, except the column
-symmetrization, which averages each column orbit once.  `sl_basis` gives
-sl(N) as one-column tensors V^B_A.  This module loads `scalars` only, so the
+one private action `_moved` of an element {perm: coeff}.  A column-symmetric
+tensor is fixed by one value per column orbit, the multiset of its columns;
+`column_orbits` is the one read of that form, which the symmetrization, the
+symbol extraction, D_V and the highest-weight vectors share.  `sl_basis`
+gives sl(N) as one-column tensors V^B_A.  This module loads `scalars` only, so the
 ambient, boundary, symbol and decomposition sides all load it without
 loading each other.
 """
@@ -17,7 +19,7 @@ loading each other.
 from __future__ import annotations
 
 import itertools
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import itemgetter
 
 from .scalars import RONE, accumulate, rat
@@ -33,6 +35,12 @@ def invert_perm(p):
 def perm_sign(p):
     """(-1)^(number of inversions)."""
     return -1 if sum(x > y for x, y in itertools.combinations(p, 2)) % 2 else 1
+
+
+def stabilizer_order(cols) -> int:
+    """prod mult! over the distinct entries of cols: the permutations fixing
+    cols, which has len(cols)!/stabilizer_order(cols) distinct orderings."""
+    return prod(factorial(cols.count(c)) for c in set(cols))
 
 
 def _integers(values: dict):
@@ -109,29 +117,31 @@ class SparseTensor:
                     return False
         return True
 
-    def symmetrized(self) -> "SparseTensor":
-        """Average over simultaneous permutations of the columns.  Its value
-        at a key is the mean of the entries on the key's column orbit, so the
-        integer numerators of each orbit are summed once and the mean is
-        written at every distinct ordering of the orbit."""
+    def column_orbits(self):
+        """(den, {sorted columns: int}): the column symmetrization Sym T, an int
+        over den at the key of each orbit whose columns (U[i], L[i]) are
+        sorted, orbits where it vanishes left out.  Sym T there is the mean of
+        T over the k!/stabilizer_order orderings, so each orbit's numerators
+        are summed once and scaled by stabilizer_order over den = the entry
+        denominator times k!.  Upper and lower tuples of unequal length raise
+        ValueError."""
         den, values = _integers(self.entries)
         sums = {}  # sorted columns -> summed numerator
         for (U, L), v in values.items():
             cols = tuple(sorted(zip(U, L, strict=True)))
             sums[cols] = sums.get(cols, 0) + v
-        out = {}
-        for cols, total in sums.items():
-            if total:
-                orderings = dict.fromkeys(itertools.permutations(cols))
-                mean = rat(total, den * len(orderings))
-                for ordered in orderings:
-                    out[tuple(c[0] for c in ordered), tuple(c[1] for c in ordered)] = mean
-        return SparseTensor(self.k, self.N, out)
+        return den * factorial(self.k), {cols: s * stabilizer_order(cols) for cols, s in sums.items() if s}
 
-    def integer_entries(self):
-        """(den, {key: int}) with each entry the int over den, den the lcm of
-        the entry denominators."""
-        return _integers(self.entries)
+    def symmetrized(self) -> "SparseTensor":
+        """Average over simultaneous permutations of the columns: each orbit's
+        value of column_orbits, written at every distinct ordering."""
+        den, orbits = self.column_orbits()
+        out = {}
+        for cols, w in orbits.items():
+            mean = rat(w, den)
+            for ordered in dict.fromkeys(itertools.permutations(cols)):
+                out[tuple(c[0] for c in ordered), tuple(c[1] for c in ordered)] = mean
+        return SparseTensor(self.k, self.N, out)
 
     def _moved(self, element, upper, lower) -> "SparseTensor":
         """sum_p element[p] p, each p moving the upper and/or the lower

@@ -34,6 +34,14 @@ every ordered entry of the symmetrized tensor and kept the sorted label
 tuples; they are the oracles for the column-orbit symmetrization and
 extraction (the extraction oracle symmetrizes with its own permutation
 average).
+`symmetrized_by_orbit_means`, `higher_symmetry_op_by_entries` and
+`highest_weight_vector_by_idempotent_terms` are the former
+`SparseTensor.symmetrized`, which wrote each orbit's summed numerators over
+its number of orderings, the former `ambient.higher_symmetry_op`, which
+summed the normal-ordered terms of every ordered entry, and the former
+`decompose.highest_weight_vector`, which accumulated the idempotent's terms
+per pair multiset (k!/stab times the pair symmetrization); they are the
+oracles for the three readers of `SparseTensor.column_orbits`.
 `build_prop1_tensor_by_placements` is the former
 `symbols.build_prop1_tensor`, which enumerated every column placement of
 every type and every ordered label tuple; it is the oracle for the
@@ -103,14 +111,14 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from subsym.ambient import CompositionParts
-from subsym.classalg import class_elements, conjugate_partition, convolve, cycle_type
+from subsym.classalg import act_on_tuple, central_idempotent, class_elements, conjugate_partition, convolve, cycle_type
 from subsym.boundary import frame_fields, tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
 from subsym.linalg import _rational, _reduced
-from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError
+from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError, _canonical
 from subsym.scalars import GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, rat
 from subsym.symbols import SymbolTensor, add_symbols, default_prop1_seed, label_keys, trace_free_part_vanishes
-from subsym.tensor import SparseTensor, perm_sign
+from subsym.tensor import SparseTensor, _integers, perm_sign
 from subsym.weyl import WeylOperator
 
 
@@ -647,6 +655,68 @@ def symmetrized_by_permutations(T: SparseTensor) -> SparseTensor:
     return T._moved(dict.fromkeys(perms, rat(1, factorial(T.k))), upper=True, lower=True)
 
 
+def symmetrized_by_orbit_means(T: SparseTensor) -> SparseTensor:
+    """Average over simultaneous permutations of the columns.  Its value
+    at a key is the mean of the entries on the key's column orbit, so the
+    integer numerators of each orbit are summed once and the mean is
+    written at every distinct ordering of the orbit."""
+    den, values = _integers(T.entries)
+    sums = {}  # sorted columns -> summed numerator
+    for (U, L), v in values.items():
+        cols = tuple(sorted(zip(U, L, strict=True)))
+        sums[cols] = sums.get(cols, 0) + v
+    out = {}
+    for cols, total in sums.items():
+        if total:
+            orderings = dict.fromkeys(itertools.permutations(cols))
+            mean = rat(total, den * len(orderings))
+            for ordered in orderings:
+                out[tuple(c[0] for c in ordered), tuple(c[1] for c in ordered)] = mean
+    return SparseTensor(T.k, T.N, out)
+
+
+def higher_symmetry_op_by_entries(m, V: SparseTensor) -> WeylOperator:
+    """D_V = sum V^B_A prod_i (x^{A_i} d_{B_i} - x_{B_i} d^{A_i}) with every
+    coefficient to the left, summed per derivative multi-index over every
+    ordered entry of V (V totally trace-free)."""
+    den, entries = _integers(V.entries)
+    ring = m.ring
+    up = [ring.index[name] for name in m.upper_names]
+    dn = [ring.index[name] for name in m.lower_names]
+    coeffs = {}  # derivative multi-index -> {exponent: numerator over den}
+    for (B, A), c in entries.items():
+        # side 0 of column i is x^{A_i} d_{B_i}, side 1 is -x_{B_i} d^{A_i}
+        for sides in itertools.product((0, 1), repeat=V.k):
+            exp = [0] * ring.arity
+            alpha = [0] * ring.arity
+            for lower_side, b, a in zip(sides, B, A):
+                if lower_side:
+                    exp[dn[b]] += 1
+                    alpha[dn[a]] += 1
+                else:
+                    exp[up[a]] += 1
+                    alpha[up[b]] += 1
+            cs = coeffs.setdefault(tuple(alpha), {})
+            key = tuple(exp)
+            cs[key] = cs.get(key, 0) + (-c if sum(sides) % 2 else c)
+    return WeylOperator(
+        ring, {alpha: _canonical(ring, {e: c for e, c in cs.items() if c}, den) for alpha, cs in coeffs.items()}
+    )
+
+
+def highest_weight_vector_by_idempotent_terms(lam, N):
+    """p_lam(e_lam) (x) eps^lam accumulated per pair multiset over the terms
+    of the idempotent, as a dict multiset -> coeff: k!/stab times the pair
+    symmetrization at the multiset (2*depth(lam) <= N)."""
+    lam = tuple(lam)
+    U0 = tuple(i for i, part in enumerate(lam) for _ in range(part))
+    L0 = tuple(N - 1 - i for i, part in enumerate(lam) for _ in range(part))
+    acc = {}
+    for sigma, c in central_idempotent(lam).items():
+        accumulate(acc, tuple(sorted(zip(act_on_tuple(sigma, U0), L0))), c)
+    return acc
+
+
 def _extract_symbols_by_assignment(m, entries, den: int, d: int, k: int, l: int, product) -> SymbolTensor:
     """The (k, l) symbol of a column-symmetric tensor with d columns, given as
     its entries (slot pairs, int) over den, read off the canonical column
@@ -697,7 +767,7 @@ def extract_all_symbols_by_assignment(m, T: SparseTensor):
     every ordered entry of the column symmetrization."""
     d = T.k
     S = T if T.is_symmetric() else symmetrized_by_permutations(T)
-    den, ints = S.integer_entries()
+    den, ints = _integers(S.entries)
     entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
     fr = frame_fields(m)
     W = m.n + 2

@@ -36,6 +36,7 @@ from support import (
     dv_bracket_matrix,
     dv_matrix,
     higher_symmetry_op_by_composition,
+    higher_symmetry_op_by_entries,
     mat_mul,
     mat_trace,
     operator_order,
@@ -214,6 +215,25 @@ def test_higher_symmetry_op_matches_the_composed_generators(k):
     m = AmbientModel(k)
     for V in sl_basis(k + 2):
         assert higher_symmetry_op(m, V) == higher_symmetry_op_by_composition(m, V)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_higher_symmetry_op_per_orbit_matches_the_entrywise_build(k):
+    """D_V read per column orbit against the former loop over every ordered
+    entry, at n = 2: a trace-free draw over upper values {1, 3} and lower
+    values {0, 2} (repeated columns from k = 2), its symmetrization, a
+    rational multiple, a column permutation of it (the draw and the
+    permutation are not symmetric from k = 2) and its symmetrization."""
+    m = AmbientModel(2)
+    rng = random.Random(90 + k)
+    T = SparseTensor.random(k, 4, rng, 2, upper=(1, 3), lower=(0, 2))
+    cycle = tuple(range(1, k)) + (0,)
+    cases = [T, T.symmetrized(), T.scale(rat(-3, 7)), T.permuted(cycle), T.permuted(cycle).symmetrized()]
+    if k >= 2:
+        assert not T.is_symmetric() and not T.permuted(cycle).is_symmetric()
+    for V in cases:
+        assert V.is_trace_free()
+        assert higher_symmetry_op(m, V) == higher_symmetry_op_by_entries(m, V)
 
 
 @pytest.mark.parametrize("n", [1, 2])

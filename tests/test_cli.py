@@ -214,9 +214,14 @@ def test_negative_flag_rejected(capsys):
         (["verify", "commutant", "--k", "9", "--dim", "2"], "--k must be between 1 and 8"),
         (["verify", "commutant", "--k", "2"], "needs --k and --dim together"),
         (["table", "classalg", "--k", "9"], "--k must be between 1 and 8"),
+        (["verify", "classalg", "--n", "9", "--deg", "4", "--out", "r.json"],
+         "the classalg suite does not read --n, --deg"),
+        (["table", "classalg", "--k", "3", "--dim", "9"], "table classalg does not read --dim"),
+        (["verify", "prop1", "--format", "csv"], "--format is read only with --out"),
     ],
     ids=["commutant-k0", "commutant-dim0", "decompose-k0", "hwvectors-dim0",
-         "commutant-k9", "commutant-k-without-dim", "table-classalg-k9"],
+         "commutant-k9", "commutant-k-without-dim", "table-classalg-k9",
+         "classalg-unread-n-deg", "table-classalg-unread-dim", "format-without-out"],
 )
 def test_out_of_range_tensor_parameters_are_usage_errors(argv, problem, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -224,6 +229,21 @@ def test_out_of_range_tensor_parameters_are_usage_errors(argv, problem, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and problem in err
+
+
+def test_run_rejects_a_flag_its_suite_does_not_read():
+    with pytest.raises(ValueError, match="the classalg suite does not read --n"):
+        run("classalg", {"n": 9})
+
+
+def test_verify_all_records_only_the_flags_each_suite_reads(tmp_path, capsys):
+    assert main(["verify", "all", "--k", "2", "--dim", "4", "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    parameters = {path.name: json.loads(path.read_text())["parameters"] for path in tmp_path.iterdir()}
+    assert parameters["r_classalg.json"] == {"k": 2, "seed": 0}
+    assert parameters["r_reduction.json"] == {"seed": 0}
+    assert parameters["r_commutant.json"] == {"dim": 4, "k": 2, "seed": 0}
+    assert len(parameters) == len(SUITES) - 1
 
 
 @pytest.mark.parametrize(
@@ -663,6 +683,11 @@ REQUEST_DIGESTS = {
     "symbols --n 2 --d 5": "7591c3a672b2b2532a8f63c7219504acc36f9e3e785545457e8634c59403ab1f",
     "symbols --n 3 --d 4": "3bb9edf23e9729d6951fab1cabbe6d67a272f5b6e3b0af9fd0f2a442ed86502b",
     "symbols --n 4 --d 2": "b24f9b51ad03ceb9d5a69f72456d8a876be15568d037a5a949e19f61c59f2d54",
+    # orbits with heavily repeated columns: six columns of three kinds, the
+    # two-column tensors at n = 3, five columns at n = 3
+    "prop1 --n 3 --d 6 --s 3": "4a710c50a2bbe02c30206aa6878277b74303e0e9a1944f793dc380a8610d8176",
+    "composition --n 3": "55e551a332f3030ba6884a2ab653d7d39844568aed1ee6ca3634dce83c23d11f",
+    "symbols --n 3 --d 5": "f59d0fba7bf8e3d6642658f3abc9fec1b16ef48f2a01595c935465ceed90402a",
 }
 
 

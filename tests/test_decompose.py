@@ -17,7 +17,13 @@ from subsym.classalg import (
     mn_character,
     partitions,
 )
-from support import gather_class_sum, gather_tables, plain_tensor, young_projector_sum
+from support import (
+    gather_class_sum,
+    gather_tables,
+    highest_weight_vector_by_idempotent_terms,
+    plain_tensor,
+    young_projector_sum,
+)
 from subsym.decompose import (
     _class_sum,
     _combine,
@@ -48,7 +54,7 @@ from subsym.decompose import (
 )
 from subsym.linalg import rank
 from subsym.scalars import RZERO, rat
-from subsym.tensor import SparseTensor
+from subsym.tensor import SparseTensor, stabilizer_order
 
 
 def class_product(k):
@@ -613,6 +619,21 @@ def test_hwv_nonzero_in_range():
             for lam in partitions(k):
                 if 2 * len(lam) <= N:
                     assert highest_weight_vector(lam, N), (lam, N)
+
+
+def test_hwv_is_the_pair_symmetrization_of_the_idempotent_terms():
+    # the former accumulation over the idempotent's terms is k!/stab times
+    # the pair symmetrization at each multiset, for every lambda of k <= 4
+    cases = 0
+    for N in range(2, 8):
+        for k in range(1, 5):
+            for lam in partitions(k):
+                if 2 * len(lam) <= N:
+                    new = highest_weight_vector(lam, N)
+                    old = highest_weight_vector_by_idempotent_terms(lam, N)
+                    assert new and {M: v * rat(factorial(k), stabilizer_order(M)) for M, v in new.items()} == old
+                    cases += 1
+    assert cases == 44
 
 
 def test_hwv_rejects_out_of_range():

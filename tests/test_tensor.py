@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from subsym.classalg import act_on_tuple, central_idempotent, partitions
 from subsym.ambient import random_traceless
 from subsym.scalars import GR_ZERO, RZERO, gr, rat
-from subsym.tensor import SparseTensor, invert_perm, perm_sign
+from subsym.tensor import SparseTensor, invert_perm, perm_sign, stabilizer_order
 from support import (
     column_symmetric,
     conjugation_tensor_by_loops,
@@ -29,6 +29,7 @@ from support import (
     random_traceless_by_loop,
     skew_slots_rational,
     standard_tableaux,
+    symmetrized_by_orbit_means,
     symmetrized_by_permutations,
     symmetrized_rational,
     young_symmetrizer,
@@ -276,6 +277,29 @@ def test_orbit_symmetrization_matches_the_permutation_average(d):
         sym = T.symmetrized()
         assert sym == symmetrized_by_permutations(T)
         assert sym.is_symmetric()
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_column_orbits_read_the_permutation_average_at_sorted_keys(k):
+    """column_orbits against the sorted-column entries of the average of all
+    k! permutations, and symmetrized against the former orbit-mean loop, for
+    N = 2..5: a dense draw over two values on each side (repeated columns
+    from k = 2), a sparse draw over all N values, a rational combination and
+    their symmetrizations."""
+    for N in range(2, 6):
+        rng = random.Random(10 * k + N)
+        dense = SparseTensor.random(k, N, rng, 2, upper=(0, 1), lower=(0, N - 1))
+        sparse = SparseTensor.random(k, N, rng, 3, density=min(1, 40 / N ** (2 * k)))
+        mixed = dense.scale(rat(2, 3)) + sparse.scale(rat(-1, 5))
+        if k >= 2:
+            assert any(stabilizer_order(tuple(zip(U, L))) > 1 for U, L in dense.entries)
+        for T in (dense, sparse, mixed, dense.symmetrized(), mixed.symmetrized()):
+            average = symmetrized_by_permutations(T)
+            sorted_keys = {tuple(zip(U, L)): v for (U, L), v in average.entries.items()
+                           if list(zip(U, L)) == sorted(zip(U, L))}
+            den, orbits = T.column_orbits()
+            assert {cols: rat(w, den) for cols, w in orbits.items()} == sorted_keys
+            assert T.symmetrized() == symmetrized_by_orbit_means(T) == average
 
 
 def test_is_symmetric_sees_one_changed_or_missing_entry():
