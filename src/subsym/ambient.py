@@ -23,7 +23,7 @@ from .model import AmbientModel, ambient_laplacian, dual_quadric, identity, quad
 from .rings import _canonical
 from .report import CaseResults, VerificationReport
 from .scalars import RONE, RZERO, rat
-from .tensor import SparseTensor, sl_basis, stabilizer_order
+from .tensor import SparseTensor, _integers, sl_basis, stabilizer_order
 from .weyl import WeylOperator
 
 COMPOSITION_N = 2  # the composition suite's n when --n is not given
@@ -59,21 +59,36 @@ def euler_ops(m: AmbientModel):
 
 
 def _trace(V: SparseTensor):
-    return V.contraction(0, 0).entries.get(((), ()), RZERO)
+    return sum((V.entries.get(((A,), (A,)), RZERO) for A in range(V.N)), RZERO)
 
 
-def _products(V: SparseTensor, W: SparseTensor):
-    """(P, Q, t) of V (x) W: P^D_A = V^X_A W^D_X, Q^B_C = V^B_X W^X_C, t = tr Q."""
-    VW = V.outer(W)
-    P = VW.contraction(0, 1)
-    Q = VW.contraction(1, 0)
-    return P, Q, _trace(Q)
+def _matrices(V: SparseTensor, W: SparseTensor):
+    """(den, v, w): N x N int matrices with V^B_A W^D_C = v[B][A] w[D][C] / den."""
+    (dv, v), (dw, w) = (_integers(X.entries) for X in (V, W))
+    N = range(V.N)
+    return dv * dw, *([[x.get(((B,), (A,)), 0) for A in N] for B in N] for x in (v, w))
+
+
+def _from_matrix(den, M) -> SparseTensor:
+    """The one-column tensor M[B][A] / den."""
+    entries = {((B,), (A,)): c for B, row in enumerate(M) for A, c in enumerate(row)}
+    return SparseTensor.from_integers(1, len(M), den, entries)
+
+
+def _products(v, w):
+    """(P, Q, t) of the matrices v, w of V^B_A, W^B_A: P^D_A = V^X_A W^D_X,
+    Q^B_C = V^B_X W^X_C and t = tr Q, read as v and w are."""
+    N = range(len(v))
+    P = [[sum(v[x][a] * w[d][x] for x in N) for a in N] for d in N]
+    Q = [[sum(v[b][x] * w[x][c] for x in N) for c in N] for b in N]
+    return P, Q, sum(Q[i][i] for i in N)
 
 
 def dv_bracket(V: SparseTensor, W: SparseTensor) -> SparseTensor:
     """M with D_M = [D_V, D_W]; M^B_A = V^C_A W^B_C - V^B_C W^C_A."""
-    P, Q, _ = _products(V, W)
-    return P - Q
+    den, v, w = _matrices(V, W)
+    P, Q, _ = _products(v, w)
+    return _from_matrix(den, [[p - q for p, q in zip(*rows)] for rows in zip(P, Q)])
 
 
 def central_element(m: AmbientModel) -> WeylOperator:
@@ -85,11 +100,11 @@ def central_element(m: AmbientModel) -> WeylOperator:
 
 def central_action_check(m: AmbientModel, w1: int, w2: int, bound=2):
     """E - Ebar scales every bidegree-(w1, w2) monomial by w1 - w2, that is, the
-    central element scales it by i(w1 - w2).  Returns CaseResults of the
-    monomials it does not scale."""
-    op = central_element(m)
+    central element scales it by i(w1 - w2): E - Ebar - (w1 - w2) Id
+    annihilates each.  Returns CaseResults of the monomials it does not scale."""
+    op = central_element(m) - WeylOperator.identity(m.ring).scale(w1 - w2)
     monomials = list(bidegree_monomials(m, w1, w2, bound))
-    return CaseResults([str(f) for f in monomials if op.apply(f) != f.scale(w1 - w2)], len(monomials))
+    return CaseResults([str(f) for f in op.nonvanishing(monomials)], len(monomials))
 
 
 def bidegree_monomials(m: AmbientModel, w1: int, w2: int, bound: int):
@@ -109,8 +124,9 @@ def bidegree_monomials(m: AmbientModel, w1: int, w2: int, bound: int):
             if sum(exps) == total:
                 yield exps
 
+    b_side = list(side(w2, nu - 1))
     for a_exps in side(w1, 0):
-        for b_exps in side(w2, nu - 1):
+        for b_exps in b_side:
             yield m.ring.monomial(
                 {
                     **{m.upper_names[A]: e for A, e in enumerate(a_exps) if e},
@@ -249,37 +265,66 @@ def compose_decompose(
     m: AmbientModel, V: SparseTensor, W: SparseTensor, w1: int, w2: int
 ) -> CompositionParts:
     """Trace decomposition of V (x) W and the induced second/first/zeroth
-    order symmetry data of the composition at weights (w1, w2)."""
+    order symmetry data of the composition at weights (w1, w2).
+
+    Every part is formed as integer numerators over one denominator: V (x) W,
+    P, Q and t over den, U, Utilde and S over den * L, T over den * L * N^2
+    and vw1 over den * M, L and M clearing the denominators of the closed-form
+    coefficients; each tensor is made rational once, one rational per
+    distinct numerator."""
     n, N = m.n, m.N
     if n + w1 + w2 != 0:
         raise ValueError("weights must satisfy n + w1 + w2 = 0")
     if any((X.k, X.N) != (1, N) or not X.is_trace_free() for X in (V, W)):
         raise ValueError(f"V and W must be trace-free one-column tensors over C^{N}")
-    P, Q, t = _products(V, W)
-    c_big = rat(2 * n * n + 8 * n + 4, 2 * n * (n + 2) * (n + 4))
-    c_small = rat(4, 2 * n * (n + 2) * (n + 4))
-    I = identity(N)
-    tI = I.scale(rat(n * n + 4 * n + 6, 2 * n * (n + 1) * (n + 3) * (n + 4)) * t)
-    U = P.scale(c_big) + Q.scale(c_small) - tI
-    Ut = P.scale(c_small) + Q.scale(c_big) - tI
+    den, v, w = _matrices(V, W)
+    P, Q, t = _products(v, w)
+    I = range(N)
+    # U = c_big P + c_small Q - c_id t Id and Utilde = c_small P + c_big Q -
+    # c_id t Id, times L: c_big = (2n^2 + 8n + 4)/(2n(n+2)(n+4)), c_small =
+    # 4/(2n(n+2)(n+4)) and c_id = (n^2 + 4n + 6)/(2n(n+1)(n+3)(n+4))
+    L = 2 * n * (n + 1) * (n + 2) * (n + 3) * (n + 4)
+    big, small = (2 * n * n + 8 * n + 4) * (n + 1) * (n + 3), 4 * (n + 1) * (n + 3)
+    tid = (n * n + 4 * n + 6) * (n + 2) * t
+    U = [[big * P[B][A] + small * Q[B][A] - (tid if B == A else 0) for A in I] for B in I]
+    Ut = [[small * P[B][A] + big * Q[B][A] - (tid if B == A else 0) for A in I] for B in I]
+    S = [[u + ut for u, ut in zip(*rows)] for rows in zip(U, Ut)]
+    trS = sum(S[A][A] for A in I)
     # T = V (x) W - delta^B_C U^D_A - delta^D_A Ut^B_C + (delta^B_A S^D_C
-    # + S^B_A delta^D_C)/N - tr S delta^B_A delta^D_C/N^2, with S = U + Ut
-    S = U + Ut
-    swapped = (I.outer(U) + Ut.outer(I)).act({(1, 0): 1}, upper=False)
-    T = (
-        V.outer(W)
-        - swapped
-        + (I.outer(S) + S.outer(I)).scale(rat(1, N))
-        - I.outer(I).scale(_trace(S) / (N * N))
-    )
+    # + S^B_A delta^D_C)/N - tr S delta^B_A delta^D_C/N^2, times L N^2
+    NN = N * N
+    T = {}
+    for B, A, D, C in itertools.product(I, repeat=4):
+        c = NN * L * v[B][A] * w[D][C]
+        if B == C:
+            c -= NN * U[D][A]
+        if D == A:
+            c -= NN * Ut[B][C]
+        if B == A:
+            c += N * S[D][C]
+        if D == C:
+            c += N * S[B][A]
+            if B == A:
+                c -= trS
+        T[(B, D), (A, C)] = c
+    T = SparseTensor.from_integers(2, N, den * L * NN, T)
+    # vw1 = beta (P + Q - 2t/(n+2) Id) + (P - Q)/2, beta = (n-2)(w1-w2)/(2n(n+4)),
+    # times M
     dw = w1 - w2
-    beta = rat(n - 2, 2 * n * (n + 4)) * dw
-    vw1 = (P + Q - I.scale(rat(2, n + 2) * t)).scale(beta) + (P - Q).scale(rat(1, 2))
+    M = 2 * n * (n + 2) * (n + 4)
+    beta, half, bt = (n - 2) * (n + 2) * dw, n * (n + 2) * (n + 4), 2 * (n - 2) * dw * t
+    vw1 = [
+        [beta * (p + q) + half * (p - q) - (bt if B == A else 0) for A, (p, q) in enumerate(zip(*rows))]
+        for B, rows in enumerate(zip(P, Q))
+    ]
     # Zeroth-order part: exact reduction of the trace-part quadratics gives
     # this closed form (cross-checked by residual fitting at n = 1..4).
     # uncorrected_vw0 keeps the superseded constant for discrepancy reports.
-    vw0 = rat(n, 2 * (n + 1) * (n + 2) * (n + 3)) * (dw * dw - (n + 2) ** 2) * t
-    return CompositionParts(T=T, U=U, Utilde=Ut, vw2=T.symmetrized(), vw1=vw1, vw0=vw0, w1=w1, w2=w2)
+    vw0 = rat(n * (dw * dw - (n + 2) ** 2) * t, 2 * (n + 1) * (n + 2) * (n + 3) * den)
+    return CompositionParts(
+        T=T, U=_from_matrix(den * L, U), Utilde=_from_matrix(den * L, Ut), vw2=T.symmetrized(),
+        vw1=_from_matrix(den * M, vw1), vw0=vw0, w1=w1, w2=w2,
+    )
 
 
 def uncorrected_vw0(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1, w2):
@@ -287,9 +332,10 @@ def uncorrected_vw0(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1, w2):
     only so reports can show the discrepancy."""
     n = m.n
     dw = w1 - w2
-    t = _products(V, W)[2]
+    den, v, w = _matrices(V, W)
+    t = _products(v, w)[2]
     num = (n * n + n + 6) * dw * dw - n * n * (n + 4) * (n * n + 4 * n + 5)
-    return num * t / (n * (n + 1) * (n + 2) * (n + 3) * (n + 4))
+    return rat(num * t, n * (n + 1) * (n + 2) * (n + 3) * (n + 4) * den)
 
 
 def _vw_ops(m: AmbientModel, parts: CompositionParts):
@@ -348,24 +394,20 @@ def verify_composition_identity(
 ):
     """Exact check of the composition identity on every admissible monomial.
 
-    The residual operator D_V o D_W - rhs is formed once and applied to each
-    monomial; by linearity its value is lhs(f) - rhs(f).  ``parts``, formed
-    here when not given, is compose_decompose(m, V, W, w1, w2).  Returns
-    CaseResults of "monomial -> residual" for the monomials that fail, with
-    ``cases`` the number of monomials examined.
+    The residual operator D_V o D_W - rhs is formed once and swept over the
+    monomials in one integer pass (WeylOperator.nonvanishing); by linearity
+    its value is lhs(f) - rhs(f), applied only to the monomials that fail.
+    ``parts``, formed here when not given, is compose_decompose(m, V, W, w1,
+    w2).  Returns CaseResults of "monomial -> residual" for the monomials
+    that fail, with ``cases`` the number of monomials examined.
     """
     if parts is None:
         parts = compose_decompose(m, V, W, w1, w2)
     elif (parts.w1, parts.w2) != (w1, w2):
         raise ValueError(f"parts are at weights ({parts.w1}, {parts.w2}), not ({w1}, {w2})")
     residual = _composed(m, V, W, parts) - composition_rhs_operator(m, parts)
-    bad, cases = [], 0
-    for f in bidegree_monomials(m, w1, w2, degree_bound):
-        cases += 1
-        res = residual.apply(f)
-        if res:
-            bad.append(f"{f} -> {res}")
-    return CaseResults(bad, cases)
+    monomials = list(bidegree_monomials(m, w1, w2, degree_bound))
+    return CaseResults([f"{f} -> {residual.apply(f)}" for f in residual.nonvanishing(monomials)], len(monomials))
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +448,8 @@ def _suite_composition(rep: VerificationReport, n=COMPOSITION_N, deg=3, w1=None,
     pairs = [(random_traceless(n, rng), random_traceless(n, rng)) for _ in range(5)]
     decomposed = [compose_decompose(m, V, W, w1, w2) for V, W in pairs]
     for i, ((V, W), parts) in enumerate(zip(pairs, decomposed)):
-        slots = range(parts.T.k)
         rep.check(f"pair {i}: T totally trace-free", CaseResults(
-            [f"contraction ({p}, {q}) nonzero" for p in slots for q in slots if parts.T.contraction(p, q)],
-            len(slots) ** 2))
+            [f"contraction ({p}, {q}) nonzero" for p, q in parts.T.nonzero_contractions()], parts.T.k ** 2))
         orc = trace_projection_oracle(m, V, W)
         differ = ["the oracle has no unique solution"] if orc is None else [
             f"{x} differs" for x, ours, theirs in (("U", parts.U, orc[0]), ("Utilde", parts.Utilde, orc[1]))

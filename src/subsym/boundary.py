@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from .model import AmbientModel, ambient_laplacian
 from .report import CaseResults, VerificationReport
-from .rings import LaurentPoly, Ring
+from .rings import LaurentPoly, Ring, Substitution
 from .scalars import rat
 from .weyl import WeylOperator
 
@@ -132,13 +132,20 @@ def frame_fields(m: BoundaryModel) -> FrameFields:
 # pullback and extension
 
 
-def phi_pullback(m: BoundaryModel, f: LaurentPoly) -> LaurentPoly:
-    """Substitute the section: x^0 -> 1, x^a -> z^a, x^inf -> -zz/2 + tau,
-    x_0 -> -zz/2 - tau, x_a -> z_a, x_inf -> 1; these images are the
-    position vector X_up and its lowered conjugate X_dn of the frames."""
+@lru_cache(maxsize=32)
+def section(m: BoundaryModel) -> Substitution:
+    """The pullback along the section: x^0 -> 1, x^a -> z^a, x^inf -> -zz/2 +
+    tau, x_0 -> -zz/2 - tau, x_a -> z_a, x_inf -> 1; these images are the
+    position vector X_up and its lowered conjugate X_dn of the frames.  Built
+    once per model, with the powers of its images kept as they are used."""
     fr = frame_fields(m)
     amb = m.ambient
-    return f.substitute(dict(zip(amb.upper_names + amb.lower_names, fr.X_up + fr.X_dn)), m.ring)
+    return Substitution(amb.ring, dict(zip(amb.upper_names + amb.lower_names, fr.X_up + fr.X_dn)), m.ring)
+
+
+def phi_pullback(m: BoundaryModel, f: LaurentPoly) -> LaurentPoly:
+    """Substitute the section (see ``section``)."""
+    return f.substitute(section(m))
 
 
 @lru_cache(maxsize=32)
@@ -158,6 +165,13 @@ def extension_arguments(m: BoundaryModel):
     return images
 
 
+@lru_cache(maxsize=32)
+def extension_map(m: BoundaryModel) -> Substitution:
+    """The substitution of extension_arguments, built once per model, with
+    the powers of its images kept as they are used."""
+    return Substitution(m.ring, extension_arguments(m), m.ambient.ring)
+
+
 def extend(m: BoundaryModel, F: LaurentPoly, w1: int, w2: int) -> LaurentPoly:
     """Canonical rho-independent (w1, w2)-homogeneous extension of F."""
     if not isinstance(w1, int) or not isinstance(w2, int):
@@ -165,7 +179,7 @@ def extend(m: BoundaryModel, F: LaurentPoly, w1: int, w2: int) -> LaurentPoly:
     if F.ring != m.ring:
         raise ValueError("F must live in the boundary ring")
     amb = m.ambient
-    body = F.substitute(extension_arguments(m), amb.ring)
+    body = F.substitute(extension_map(m))
     pref = amb.ring.gen("x0", w1) * amb.ring.gen("x_inf", w2)
     return pref * body
 

@@ -281,49 +281,29 @@ class LaurentPoly:
         return _canonical(ring, {e: c for e, c in out.items() if c}, common * den)
 
     # -- substitution ------------------------------------------------------
-    def substitute(self, images: dict, target: Ring | None = None) -> "LaurentPoly":
-        """Substitute every generator by ``images[name]`` (a poly in ``target``).
+    def substitute(self, images, target: Ring | None = None) -> "LaurentPoly":
+        """Substitute every generator by its image: ``images`` is a
+        :class:`Substitution` from this ring, or the ``{name: image}`` dict
+        (with ``target``) that one is built from for this call.
 
-        Generators absent from ``images`` map to themselves (only possible when
-        the target is the same ring).  A generator carrying a negative exponent
-        must map to an invertible monomial (unit constant or unit multiple of a
-        single invertible generator power); anything else raises ValueError.
+        The numerators of self weight the term products, each a product of
+        the Substitution's kept powers, summed once over self.den.
         """
-        target = target or self.ring
-        full = {}
-        for name in self.ring.names:
-            if name in images:
-                img = images[name]
-                if not isinstance(img, LaurentPoly):
-                    img = target.const(img)
-                if img.ring != target:
-                    raise RingMismatchError(f"image of {name!r} lives in the wrong ring")
-                full[name] = img
-            else:
-                if target != self.ring:
-                    raise UnknownGeneratorError(
-                        f"no image given for generator {name!r} under ring change"
-                    )
-                full[name] = target.gen(name)
-        unknown = set(images) - set(self.ring.names)
-        if unknown:
-            raise UnknownGeneratorError(f"images for unknown generators: {sorted(unknown)}")
-
-        # one power per (generator, exponent); the numerators of self weight
-        # the term products, summed once over self.den
-        names = self.ring.names
-        powers = {}
+        if not isinstance(images, Substitution):
+            images = Substitution(self.ring, images, target)
+        elif self.ring != images.source or target not in (None, images.target):
+            raise RingMismatchError("the substitution maps another ring")
+        power = images.power
+        one = images.target.one()
         terms = []
         for e in self.num:
             term = None
             for i, m in enumerate(e):
                 if m:
-                    p = powers.get((i, m))
-                    if p is None:
-                        p = powers[(i, m)] = full[names[i]] ** m
+                    p = power(i, m)
                     term = p if term is None else term * p
-            terms.append(target.one() if term is None else term)
-        return LaurentPoly.sum(target, terms, self.num.values(), self.den)
+            terms.append(one if term is None else term)
+        return LaurentPoly.sum(images.target, terms, self.num.values(), self.den)
 
     # -- printing -------------------------------------------------------------
     def sorted_terms(self):
@@ -347,6 +327,50 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+class Substitution:
+    """The ring map of ``LaurentPoly.substitute``: every generator of
+    ``source`` to ``images[name]``, a poly in ``target``, checked once here.
+
+    Generators absent from ``images`` map to themselves (only possible when
+    the target is the same ring).  A generator carrying a negative exponent
+    must map to an invertible monomial (unit constant or unit multiple of a
+    single invertible generator power); anything else raises ValueError when
+    that power is asked for.  Each power of an image is computed once and
+    kept, so every polynomial substituted through one Substitution shares
+    them; a power that raises is not kept.
+    """
+
+    __slots__ = ("source", "target", "images", "powers")
+
+    def __init__(self, source: Ring, images: dict, target: Ring | None = None):
+        target = target or source
+        full = []
+        for name in source.names:
+            if name in images:
+                img = images[name]
+                if not isinstance(img, LaurentPoly):
+                    img = target.const(img)
+                if img.ring != target:
+                    raise RingMismatchError(f"image of {name!r} lives in the wrong ring")
+                full.append(img)
+            else:
+                if target != source:
+                    raise UnknownGeneratorError(f"no image given for generator {name!r} under ring change")
+                full.append(target.gen(name))
+        unknown = set(images) - set(source.names)
+        if unknown:
+            raise UnknownGeneratorError(f"images for unknown generators: {sorted(unknown)}")
+        self.source, self.target, self.images = source, target, tuple(full)
+        self.powers = {}  # (generator slot, exponent) -> image power
+
+    def power(self, i: int, m: int) -> LaurentPoly:
+        """The image of generator slot i, to the power m."""
+        p = self.powers.get((i, m))
+        if p is None:
+            p = self.powers[i, m] = self.images[i] ** m
+        return p
 
 
 def _invert_monomial(p: LaurentPoly) -> LaurentPoly:

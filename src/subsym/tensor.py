@@ -159,9 +159,7 @@ class SparseTensor:
             for (U, L), v in values.items():
                 key = (move(U) if upper else U, move(L) if lower else L)
                 out[key] = get(key, 0) + v * c
-        # one rational per distinct numerator, shared by its entries
-        rationals = {s: rat(s, den * cden) for s in set(out.values()) if s}
-        return SparseTensor(self.k, self.N, {key: rationals[s] for key, s in out.items() if s})
+        return SparseTensor.from_integers(self.k, self.N, den * cden, out)
 
     # -- the group algebra on one index group ------------------------------
     def act(self, element, upper) -> "SparseTensor":
@@ -188,11 +186,33 @@ class SparseTensor:
                 accumulate(out, key, v)
         return SparseTensor(self.k - 1, self.N, out)
 
+    def nonzero_contractions(self) -> list:
+        """The slot pairs (p, q), in order, whose contraction of upper slot p
+        against lower slot q is nonzero: every contraction summed at once on
+        the integer numerators of the entries."""
+        _, values = _integers(self.entries)
+        sums = {}  # (p, q, contracted key) -> summed numerator
+        for (U, L), v in values.items():
+            for p, u in enumerate(U):
+                for q, low in enumerate(L):
+                    if u == low:
+                        key = (p, q, U[:p] + U[p + 1 :], L[:q] + L[q + 1 :])
+                        sums[key] = sums.get(key, 0) + v
+        nonzero = {key[:2] for key, s in sums.items() if s}
+        return [(p, q) for p in range(self.k) for q in range(self.k) if (p, q) in nonzero]
+
     def is_trace_free(self) -> bool:
         """Every contraction of an upper with a lower slot vanishes."""
-        return not any(self.contraction(p, q) for p in range(self.k) for q in range(self.k))
+        return not self.nonzero_contractions()
 
     # -- constructors --------------------------------------------------------
+    @staticmethod
+    def from_integers(k, N, den, numerators: dict) -> "SparseTensor":
+        """The tensor with entries numerators[key] / den, zeros left out; one
+        rational per distinct numerator, shared by its entries."""
+        rationals = {s: rat(s, den) for s in set(numerators.values()) if s}
+        return SparseTensor(k, N, {key: rationals[s] for key, s in numerators.items() if s})
+
     @staticmethod
     def random(k, N, rng, bound, upper=None, lower=None, density=None) -> "SparseTensor":
         """Seeded small-integer tensor: a uniform integer in [-bound, bound] at

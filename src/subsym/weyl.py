@@ -13,7 +13,9 @@ negative Laurent exponents too; it is the package's one derivative.  Each
 result is accumulated as ints over one common denominator and reduced once
 per coefficient.  In a commutator the gamma = 0 Leibniz terms
 p q D^(alpha+beta) of the two products are equal, because the coefficient
-ring is commutative, so they are never formed.
+ring is commutative, so they are never formed.  Whether an operator
+annihilates each of many monomials is decided without forming its images:
+``nonvanishing`` evaluates one integer sum per exponent shift.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ def _den(op: "WeylOperator") -> int:
 def _slots(gamma):
     """The (slot, order) pairs of the nonzero entries of gamma."""
     return tuple((i, k) for i, k in enumerate(gamma) if k)
+
+
+def _falling(e, slots) -> int:
+    """falling(e, gamma): the product over the (slot, order) pairs of gamma of
+    e_i (e_i - 1) ... (e_i - k + 1); zero when 0 <= e_i < k, and never zero
+    through negative Laurent exponents."""
+    d = 1
+    for i, k in slots:
+        ei = e[i]
+        for j in range(k):
+            d *= ei - j
+    return d
 
 
 def _add_products(acc: dict, terms, q: LaurentPoly):
@@ -172,6 +186,41 @@ class WeylOperator:
         acc = {}
         _add_products(acc, [(alpha, p.num.items(), common // p.den) for alpha, p in self.terms.items()], f)
         return _canonical(self.ring, {e: c for e, c in acc.items() if c}, common * f.den)
+
+    def nonvanishing(self, monomials) -> list:
+        """The monomials f of `monomials`, in their order, with self(f) != 0.
+
+        Self's terms are grouped once by exponent shift delta = e_p - alpha:
+        self(x^e) = sum_delta Q_delta(e) x^(e + delta) over the common
+        denominator, with the integer Q_delta(e) = sum c falling(e, alpha).
+        Distinct delta give distinct monomials, so self(x^e) = 0 exactly when
+        every Q_delta(e) = 0.  A polynomial that is not one monomial raises
+        ValueError; one from another ring raises RingMismatchError.
+        """
+        common = _den(self)
+        slots = [_slots(alpha) for alpha in self.terms]
+        shifts = {}  # delta -> [(index of alpha, numerator over common)]
+        for j, (alpha, p) in enumerate(self.terms.items()):
+            w = common // p.den
+            for ep, c in p.num.items():
+                shifts.setdefault(tuple(map(sub, ep, alpha)), []).append((j, c * w))
+        groups = list(shifts.values())
+        out = []
+        for f in monomials:
+            if f.ring != self.ring:
+                raise RingMismatchError("operand lives in a different ring")
+            if len(f.num) != 1:
+                raise ValueError(f"not a monomial: {f}")
+            (e,) = f.num
+            falls = [_falling(e, s) for s in slots]
+            for group in groups:
+                q = 0
+                for j, c in group:
+                    q += c * falls[j]
+                if q:
+                    out.append(f)
+                    break
+        return out
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
         """Normal-ordered product: (self∘other)(f) = self(other(f))."""

@@ -442,22 +442,29 @@ def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
     assert bad.cases == len(monomials)
 
 
-def test_composition_check_applies_one_operator_per_monomial(m2, monkeypatch):
+def test_composition_check_sweeps_one_operator_over_every_monomial(m2, monkeypatch):
+    # one residual operator, one sweep over all monomials, and no image formed
+    # on a pass
     monomials = list(bidegree_monomials(m2, -1, -1, 3))
-    applied = []
-    apply = WeylOperator.apply
+    swept, applied = [], []
+    nonvanishing, apply = WeylOperator.nonvanishing, WeylOperator.apply
+
+    def sweep(self, fs):
+        swept.append(list(fs))
+        return nonvanishing(self, swept[-1])
 
     def counting(self, f):
         applied.append(f)
         return apply(self, f)
 
+    monkeypatch.setattr(WeylOperator, "nonvanishing", sweep)
     monkeypatch.setattr(WeylOperator, "apply", counting)
     rng = random.Random(42)
     bad = verify_composition_identity(
         m2, random_traceless(2, rng), random_traceless(2, rng), -1, -1, degree_bound=3
     )
     assert not bad and bad.cases == len(monomials) == 100
-    assert applied == monomials
+    assert swept == [monomials] and applied == []
 
 
 def test_composition_parts_keep_the_operators_of_their_own_pair(m2):
@@ -571,3 +578,30 @@ def test_tensor_path_matches_the_matrix_path(n, monkeypatch):
 
     monkeypatch.setattr(subsym.ambient, "_products", swapped)
     assert _matrix_path_mismatches(n, 50 + n) == {"U", "Utilde", "T", "vw1", "bracket"}
+
+
+def fractional_traceless(n, rng):
+    """Seeded trace-free V^B_A whose entries have denominators 3 and 4 (and
+    N from the trace correction)."""
+    N = n + 2
+    V = SparseTensor(1, N, {((B,), (A,)): rat(rng.randint(-5, 5), rng.choice((1, 3, 4)))
+                            for B in range(N) for A in range(N)})
+    return V - identity(N).scale(V.contraction(0, 0).entries.get(((), ()), RZERO) / N)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_compose_decompose_matches_the_loops(n):
+    # every part of the integer decomposition against the four-index loops,
+    # on pairs with denominators 3 and 4, at every admissible weight
+    m = AmbientModel(n)
+    rng = random.Random(300 + n)
+    for _ in range(2):
+        V, W = fractional_traceless(n, rng), fractional_traceless(n, rng)
+        assert {3, 4} <= {v.denominator for X in (V, W) for ((B,), (A,)), v in X.entries.items() if B != A}
+        for w1, w2 in admissible_weights(n):
+            new = compose_decompose(m, V, W, w1, w2)
+            old = compose_decompose_by_loops(m, TracelessMatrix(dense(V)), TracelessMatrix(dense(W)), w1, w2)
+            assert dense(new.U) == old.U and dense(new.Utilde) == old.Utilde
+            assert new.T == old.T and new.vw2 == old.vw2
+            assert dense(new.vw1) == old.vw1.entries and new.vw0 == old.vw0
+            assert new.T.is_trace_free() and new.T.nonzero_contractions() == []

@@ -19,7 +19,10 @@ from subsym.boundary import (
     extend,
     extension_arguments,
     induce,
+    extension_map,
+    frame_fields,
     phi_pullback,
+    section,
     sublaplacian,
     tangential_op_operational,
     tangential_ops,
@@ -169,6 +172,44 @@ def test_extension_arguments_are_built_once_and_only_read():
         "zb2": -amb.dn(2) * xinf_inv,
         "tau": (amb.up(3) * x0_inv - amb.dn(0) * xinf_inv).scale(rat(1, 2)),
     }
+
+
+def test_substitutions_are_built_once_per_model_and_only_read():
+    # one Substitution per model for the section and for the extension; a
+    # reduction sweep fills their power tables, and a second sweep only reads
+    # them: the same tables, the same power objects
+    m = BoundaryModel(2, (1, -1))
+    subs = section(m), extension_map(m)
+
+    def sweep():
+        for w1, w2 in admissible_weights(2, 2):
+            for F in m.monomials(2):
+                assert verify_reduction(m, F, w1, w2) is None
+
+    sweep()
+    assert (section(m), extension_map(m)) == subs and all(s.powers for s in subs)
+    tables = [dict(s.powers) for s in subs]
+    sweep()
+    for s, table in zip(subs, tables):
+        assert s.powers.keys() == table.keys()
+        assert all(s.powers[key] is p for key, p in table.items())
+        assert all(p == s.images[i] ** k for (i, k), p in table.items())
+    amb = m.ambient
+    fresh = dict(zip(amb.upper_names + amb.lower_names, frame_fields(m).X_up + frame_fields(m).X_dn))
+    assert section.__wrapped__(m).images == subs[0].images == tuple(fresh.values())
+    assert extension_map.__wrapped__(m).images == subs[1].images
+    # the cached section maps ambient polynomials with negative exponents on
+    # x^0 and x_inf as a fresh substitution does
+    rng = random.Random(5)
+    for _ in range(20):
+        f = amb.ring.zero()
+        for _ in range(4):
+            exps = {name: rng.randint(0, 2) for name in amb.ring.names}
+            exps["x0"], exps["x_inf"] = rng.randint(-3, 2), rng.randint(-3, 2)
+            f = f + amb.ring.monomial(exps, rat(rng.randint(-4, 4), rng.randint(1, 3)))
+        assert phi_pullback(m, f) == f.substitute(fresh, m.ring)
+    for F in m.monomials(3):
+        assert F.substitute(subs[1]) == F.substitute(extension_arguments(m), amb.ring)
 
 
 def test_tangential_closed_forms_match_chain_rule(m1):

@@ -688,6 +688,11 @@ REQUEST_DIGESTS = {
     "prop1 --n 3 --d 6 --s 3": "4a710c50a2bbe02c30206aa6878277b74303e0e9a1944f793dc380a8610d8176",
     "composition --n 3": "55e551a332f3030ba6884a2ab653d7d39844568aed1ee6ca3634dce83c23d11f",
     "symbols --n 3 --d 5": "f59d0fba7bf8e3d6642658f3abc9fec1b16ef48f2a01595c935465ceed90402a",
+    # powers of the section and extension images shared across degrees up to
+    # 5, and a composition at w1 != w2, where the first-order coefficient
+    # beta is nonzero (it vanishes at the n = 2 default)
+    "reduction --n 2 --deg 5": "57a344501e51763566ae90f699f3f185b14dc74dd8e16c7c0fc3d58a11dcd3e1",
+    "composition --n 1 --w1 1 --w2 -2": "cdf1264dce37d30b2c610935dec196e81b2b178de214a6d9562549e6c147534f",
 }
 
 

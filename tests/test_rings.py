@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from subsym.rings import LaurentPoly, Ring, RingMismatchError, UnknownGeneratorError
+from subsym.rings import LaurentPoly, Ring, RingMismatchError, Substitution, UnknownGeneratorError
 from subsym.scalars import GR_I, gr, rat
 from subsym.weyl import WeylOperator
 from support import FractionPoly, GaussianRing, to_gaussian
@@ -196,6 +196,47 @@ def test_substitute_matches_gaussian_oracle(tp, k, c, ty):
     images = {"x": TARGET.monomial({"u": k}, c), "y": build(TARGET, "uv", ty)}
     oracle_images = {"x": ORACLE_TARGET.monomial({"u": k}, c), "y": build(ORACLE_TARGET, "uv", ty)}
     assert same(p.substitute(images, TARGET), gp.substitute(oracle_images, ORACLE_TARGET))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(term_lists(), min_size=1, max_size=4), st.integers(-2, 2), rationals.filter(bool), term_lists(min_x=-1))
+def test_one_substitution_equals_a_fresh_one_per_polynomial(tps, k, c, ty):
+    # one Substitution maps polynomials with negative x exponents as a fresh
+    # substitution per polynomial does; each power it keeps is its image's
+    images = {"x": TARGET.monomial({"u": k}, c), "y": build(TARGET, "uv", ty)}
+    sub = Substitution(RING, images, TARGET)
+    for terms in tps:
+        p = build(RING, "xy", terms)
+        assert p.substitute(sub) == p.substitute(images, TARGET)
+    assert all(power == sub.images[i] ** m for (i, m), power in sub.powers.items())
+
+
+def test_substitution_rejects_what_substitute_rejects(R):
+    S = Ring(["z"])
+    with pytest.raises(UnknownGeneratorError):
+        Substitution(R, {"z": R.one()})
+    with pytest.raises(UnknownGeneratorError):
+        Substitution(R, {"x": S.gen("z")}, S)  # no image of y under a ring change
+    with pytest.raises(RingMismatchError):
+        Substitution(R, {"x": S.gen("z")})
+    sub = Substitution(R, {"y": R.gen("x")})
+    for other in (Ring(["x", "y"]).gen("x"), S.gen("z")):
+        with pytest.raises(RingMismatchError):
+            other.substitute(sub)
+    with pytest.raises(RingMismatchError):
+        R.gen("y").substitute(sub, S)
+
+
+def test_a_failed_power_is_not_kept(R):
+    # x -> y + 1 has no inverse: every negative power of x raises, each time,
+    # and leaves the power table without it
+    sub = Substitution(R, {"x": R.gen("y") + 1})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            R.gen("x", -1).substitute(sub)
+        assert (0, -1) not in sub.powers
+    assert (R.gen("x", 2) * R.gen("y")).substitute(sub) == (R.gen("y") + 1) ** 2 * R.gen("y")
+    assert set(sub.powers) == {(0, 2), (1, 1)}
 
 
 SX, SY, SU, SV = sympy.symbols("x y u v")

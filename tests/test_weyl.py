@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsym.rings import Ring
+from subsym.rings import Ring, RingMismatchError
 from subsym.weyl import WeylOperator
 from support import FractionPoly, operator_order, principal_part, weyl_apply, weyl_compose
 
@@ -196,3 +198,87 @@ def test_falling_factorials_through_negative_exponents():
     assert d3.apply(x**-2) == L.monomial({"x": -5}, -24)
     assert d3.apply(x**2) == L.zero()
     assert d3.apply(x**3) == L.const(6)
+
+
+# nonvanishing: the one integer sweep against one apply per monomial -----------
+# Monomials run over L with exponents down to -3 on the Laurent generators and
+# rational coefficients, so the sweep meets negative falling factorials, the
+# zeros at 0 <= e < alpha, and coefficient denominators of every term.
+
+monomial_terms = st.lists(st.tuples(exponents, fractions_.filter(bool)), max_size=12)
+
+
+def monomials_of(terms):
+    return [L.monomial(dict(zip(L.names, e)), c) for e, c in terms]
+
+
+def witnesses(op, fs):
+    return [f"{f} -> {op.apply(f)}" for f in op.nonvanishing(fs)]
+
+
+def applied_witnesses(op, fs):
+    return [f"{f} -> {r}" for f in fs if (r := op.apply(f))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_terms, monomial_terms)
+def test_nonvanishing_matches_apply_per_monomial(ta, tf):
+    op, _ = op_pair(ta)
+    fs = monomials_of(tf)
+    assert op.nonvanishing(fs) == [f for f in fs if op.apply(f)]
+    assert witnesses(op, fs) == applied_witnesses(op, fs)
+
+
+def euler_shift(d):
+    """x d_x + y d_y + z d_z - d: annihilates every monomial of degree d."""
+    return sum(
+        (WeylOperator.mul_by(L.gen(name)).compose(WeylOperator.derivative(L, name)) for name in L.names),
+        WeylOperator.identity(L).scale(-d),
+    )
+
+
+def degree_monomials(d, rng, count=40):
+    """Seeded monomials of degree d with Laurent exponents down to -3 and
+    rational coefficients (denominators up to 4)."""
+    out = []
+    while len(out) < count:
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        if d - x - y >= 0:
+            c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+            out.append(L.monomial({"x": x, "y": y, "z": d - x - y}, c))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nonvanishing_lists_the_failures_of_a_perturbed_operator(seed):
+    # E - d kills every degree-d monomial; a seeded term p D^alpha of order up
+    # to 3 breaks it on some monomials only (those outside 0 <= e < alpha)
+    rng = random.Random(seed)
+    d = rng.randint(0, 3)
+    fs = degree_monomials(d, rng)
+    assert euler_shift(d).nonvanishing(fs) == []
+    alpha = {name: rng.randint(0, 3) for name in L.names}
+    c = Fraction(rng.randint(1, 5), rng.randint(2, 4))
+    p = L.monomial({"x": rng.randint(-2, 2), "y": rng.randint(-2, 2)}, c)
+    op = euler_shift(d) + WeylOperator.term(p, alpha)
+    failing = [f for f in fs if op.apply(f)]
+    assert 0 < len(failing) < len(fs)
+    assert op.nonvanishing(fs) == failing
+    assert witnesses(op, fs) == applied_witnesses(op, fs)
+
+
+def test_nonvanishing_of_the_zero_operator_and_of_no_monomials():
+    fs = degree_monomials(2, random.Random(0))
+    assert WeylOperator.zero(L).nonvanishing(fs) == []
+    assert euler_shift(1).nonvanishing([]) == []
+    assert WeylOperator.identity(L).nonvanishing(fs) == fs
+
+
+def test_nonvanishing_rejects_a_non_monomial_and_another_ring():
+    x, y = L.gen("x"), L.gen("y")
+    with pytest.raises(ValueError):
+        WeylOperator.derivative(L, "x").nonvanishing([x, x + y])
+    with pytest.raises(ValueError):
+        WeylOperator.derivative(L, "x").nonvanishing([L.zero()])
+    with pytest.raises(RingMismatchError):
+        WeylOperator.derivative(L, "x").nonvanishing([R.gen("x")])
