@@ -128,6 +128,30 @@ def frame_fields(m: BoundaryModel) -> FrameFields:
     return FrameFields(m)
 
 
+@lru_cache(maxsize=32)
+def column_factors(m: BoundaryModel):
+    """(L, phi): the boundary ring extended by the label generators u1..un,
+    v1..vn, and for each column (B, A) of an ambient tensor over C^{n+2}
+
+        phi(B, A) = X^A X_B + sum_a u_a Y_a[B] X^A - sum_b v_b Y^b[A] X_B
+
+    in L, read off the frames (X^A = X_up[A], X_B = X_dn[B], Y_a = Y_dn[a],
+    Y^b = Y_up[b]).  A column of a frame product is a tau column, an upper
+    column of label a or a lower one of label b; phi sums the three.  Built
+    once per model; callers only read them."""
+    fr = frame_fields(m)
+    labels = range(1, m.n + 1)
+    L = Ring(m.ring.names + tuple(f"u{a}" for a in labels) + tuple(f"v{b}" for b in labels))
+    lift = Substitution(m.ring, {name: L.gen(name) for name in m.ring.names}, L)
+    X_up = [p.substitute(lift) for p in fr.X_up]
+    X_dn = [p.substitute(lift) for p in fr.X_dn]
+    # sum_a u_a Y_a[B] per B, and sum_b v_b Y^b[A] per A
+    up = [LaurentPoly.sum(L, [L.gen(f"u{a}") * fr.Y_dn[a][B].substitute(lift) for a in labels]) for B in range(m.n + 2)]
+    dn = [LaurentPoly.sum(L, [L.gen(f"v{b}") * fr.Y_up[b][A].substitute(lift) for b in labels]) for A in range(m.n + 2)]
+    cols = itertools.product(range(m.n + 2), repeat=2)
+    return L, {(B, A): X_up[A] * (X_dn[B] + up[B]) - dn[A] * X_dn[B] for B, A in cols}
+
+
 # ---------------------------------------------------------------------------
 # pullback and extension
 
@@ -149,27 +173,20 @@ def phi_pullback(m: BoundaryModel, f: LaurentPoly) -> LaurentPoly:
 
 
 @lru_cache(maxsize=32)
-def extension_arguments(m: BoundaryModel):
-    """Images of the boundary generators used by the canonical extension:
+def extension_map(m: BoundaryModel) -> Substitution:
+    """The images of the boundary generators used by the canonical extension:
     z^a -> x^a/x^0, zb^a -> g_a x_a/x_inf, tau -> (x^inf/x^0 - x_0/x_inf)/2;
-    built once per model, callers only read them."""
+    built once per model, with the powers of its images kept as they are
+    used."""
     amb = m.ambient
-    n = m.n
     x0_inv = amb.ring.gen("x0", -1)
     xinf_low_inv = amb.ring.gen("x_inf", -1)
     images = {}
-    for a in range(1, n + 1):
+    for a in range(1, m.n + 1):
         images[f"z{a}"] = amb.up(a) * x0_inv
         images[f"zb{a}"] = (amb.dn(a) * xinf_low_inv).scale(m.g_diag[a - 1])
-    images["tau"] = (amb.up(n + 1) * x0_inv - amb.dn(0) * xinf_low_inv).scale(rat(1, 2))
-    return images
-
-
-@lru_cache(maxsize=32)
-def extension_map(m: BoundaryModel) -> Substitution:
-    """The substitution of extension_arguments, built once per model, with
-    the powers of its images kept as they are used."""
-    return Substitution(m.ring, extension_arguments(m), m.ambient.ring)
+    images["tau"] = (amb.up(m.n + 1) * x0_inv - amb.dn(0) * xinf_low_inv).scale(rat(1, 2))
+    return Substitution(m.ring, images, amb.ring)
 
 
 def extend(m: BoundaryModel, F: LaurentPoly, w1: int, w2: int) -> LaurentPoly:

@@ -281,20 +281,18 @@ class LaurentPoly:
         return _canonical(ring, {e: c for e, c in out.items() if c}, common * den)
 
     # -- substitution ------------------------------------------------------
-    def substitute(self, images, target: Ring | None = None) -> "LaurentPoly":
-        """Substitute every generator by its image: ``images`` is a
-        :class:`Substitution` from this ring, or the ``{name: image}`` dict
-        (with ``target``) that one is built from for this call.
+    def substitute(self, sub: "Substitution") -> "LaurentPoly":
+        """Substitute every generator by its image under ``sub``, a
+        :class:`Substitution` from this ring; one from another ring raises
+        RingMismatchError.
 
         The numerators of self weight the term products, each a product of
         the Substitution's kept powers, summed once over self.den.
         """
-        if not isinstance(images, Substitution):
-            images = Substitution(self.ring, images, target)
-        elif self.ring != images.source or target not in (None, images.target):
+        if self.ring != sub.source:
             raise RingMismatchError("the substitution maps another ring")
-        power = images.power
-        one = images.target.one()
+        power = sub.power
+        one = sub.target.one()
         terms = []
         for e in self.num:
             term = None
@@ -303,7 +301,7 @@ class LaurentPoly:
                     p = power(i, m)
                     term = p if term is None else term * p
             terms.append(one if term is None else term)
-        return LaurentPoly.sum(images.target, terms, self.num.values(), self.den)
+        return LaurentPoly.sum(sub.target, terms, self.num.values(), self.den)
 
     # -- printing -------------------------------------------------------------
     def sorted_terms(self):

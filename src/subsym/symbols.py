@@ -5,13 +5,12 @@ coefficients in the d_a / d^b / d_tau basis form a family of symbol
 tensors V[k, l] (k upper boundary indices, l lower, p = d-k-l tau slots).
 Extraction contracts the tensor with the cone-adapted frames and pulls back
 along the section, with the (-1)^l prefactors and idempotent (averaged)
-symmetrizations.  Its sum over ordered column assignments is their number
-times one canonical assignment of the column-symmetrized tensor, which is
-read through `SparseTensor.column_orbits`, one integer per column orbit:
-each orbit splits once into every distinct (upper, lower, tau) block of
-columns, and integer counts of the block orderings stand for the ordered
-entries.  Each distinct frame product is multiplied once (see
-extract_all_symbols).  The prop1 and symbols suites close the module.
+symmetrizations.  The contraction is a product over the columns, each an
+upper, a lower or a tau column, so the whole family is the coefficient list
+of one generating polynomial in label generators u_a, v_b: a sum over the
+column orbits of `SparseTensor.column_orbits` of products of the column
+factors of `boundary.column_factors` (see extract_all_symbols).  The prop1
+and symbols suites close the module.
 
 The symbols in the sigma basis carry the phase (-i)^p, which cancels
 against d_sigma^p = i^p d_tau^p; so the tau-basis symbol is i^p times the
@@ -27,13 +26,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cache, lru_cache
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, prod
 
 from . import linalg
-from .boundary import BoundaryModel, frame_fields, tangential_ops
+from .boundary import BoundaryModel, column_factors, frame_fields, tangential_ops
 from .report import CaseResults, VerificationReport
-from .rings import LaurentPoly
+from .rings import LaurentPoly, _canonical
 from .scalars import RONE, accumulate, rat
 from .tensor import SparseTensor, stabilizer_order
 
@@ -74,109 +73,6 @@ class SymbolTensor:
 def label_keys(n: int, k: int):
     """The sorted k-tuples of boundary labels 1..n, the keys of SymbolTensor."""
     return itertools.combinations_with_replacement(range(1, n + 1), k)
-
-
-def _label_count(free: int, key, chosen) -> int:
-    """F! prod_x positions_x!/f_x!: the placements of a block's labelled
-    columns, F of them free, whose labels read the sorted ``key`` from left
-    to right, given the sorted labels ``chosen`` of the free columns; x runs
-    over the labels, positions_x is the count of x in the key and f_x that
-    in ``chosen``.  The pinned columns of label x fill the remaining
-    positions of x."""
-    count = factorial(free)
-    for x in set(key):
-        count *= factorial(key.count(x))
-    for x in set(chosen):
-        count //= factorial(chosen.count(x))
-    return count
-
-
-def _label_block(n: int, cols, upper: bool):
-    """The (sorted label key, factor ids, count) triples of a sorted block of
-    upper (or lower) label columns, summed over its distinct orderings.
-
-    An upper column (B, A) carries the factor X_up[A]; its label is pinned
-    to B when B is a boundary value, free when B = 0 (with the factor
-    Y_dn[x][0] for its label x), and B = inf kills it.  A lower column reads
-    A in the same way, with A = inf free (factor Y_up[x][inf]), A = 0 dead
-    and the factor X_dn[B].  Each composition (f_x) of the F free columns
-    over the labels gives one key, counted by _label_count over the
-    repeated columns of the block."""
-    INF, W = n + 1, n + 2
-    if upper:
-        labels, ids = [B for B, _ in cols], [A for _, A in cols if A]
-        free, dead, offset = 0, INF, 2 * W
-    else:
-        labels, ids = [A for _, A in cols], [W + B for B, _ in cols if B != INF]
-        free, dead, offset = INF, 0, 3 * W
-    if dead in labels:
-        return []
-    pinned = [x for x in labels if x != free]
-    F = len(labels) - len(pinned)
-    repeats = stabilizer_order(cols)
-    out = []
-    for chosen in itertools.combinations_with_replacement(range(1, n + 1), F):
-        key = tuple(sorted(pinned + list(chosen)))
-        out.append((key, ids + [offset + x for x in chosen], _label_count(F, key, chosen) // repeats))
-    return out
-
-
-def _tau_block(n: int, cols):
-    """The factor ids X_up[A] X_dn[B] of a sorted block of tau columns and
-    the number of its distinct orderings, p!/prod mult!."""
-    INF, W = n + 1, n + 2
-    ids = [A for _, A in cols if A] + [W + B for B, _ in cols if B != INF]
-    return ids, factorial(len(cols)) // stabilizer_order(cols)
-
-
-def _without(cols, part):
-    """The sorted columns of ``cols`` left after removing those of ``part``."""
-    rest = list(cols)
-    for c in part:
-        rest.remove(c)
-    return tuple(rest)
-
-
-def _extract_symbols(m: BoundaryModel, orbits, den: int, d: int, k: int, l: int, product, blocks) -> SymbolTensor:
-    """The (k, l) symbol of a column-symmetric tensor with d columns, given as
-    its column_orbits, {sorted columns: int over den}.  It sums the
-    canonical column assignment (columns 0..k-1 carry the upper labels,
-    k..k+l-1 the lower ones, the rest are tau columns) over every ordering
-    of every orbit: each orbit splits once into each distinct (upper, lower,
-    tau) sub-multiset, whose orderings the three block counts multiply out.
-    ``blocks`` holds _label_block of upper and of lower blocks and
-    _tau_block, each cached by block, and ``product`` maps a sorted tuple of
-    factor ids (see extract_all_symbols) to the product of those factors."""
-    n = m.n
-    uppers, lowers, taus = blocks
-    # (-1)^l times the number of ordered assignments, d!/(d-k-l)!, over k! l!
-    scale = (-1) ** l * comb(d, k + l) * comb(k + l, k)
-    weights = {}  # (upper labels, lower labels) -> {product key: summed int}
-    for cols, w in orbits.items():
-        for up in dict.fromkeys(itertools.combinations(cols, k)):
-            ups = uppers(up)
-            if not ups:
-                continue
-            rest = _without(cols, up)
-            for dn in dict.fromkeys(itertools.combinations(rest, l)):
-                dns = lowers(dn)
-                if not dns:
-                    continue
-                tau_ids, tau_count = taus(_without(rest, dn))
-                for a_key, up_ids, up_count in ups:
-                    for b_key, dn_ids, dn_count in dns:
-                        key = tuple(sorted(up_ids + dn_ids + tau_ids))
-                        acc = weights.setdefault((a_key, b_key), {})
-                        acc[key] = acc.get(key, 0) + w * tau_count * up_count * dn_count
-    out = {}
-    for a_key in label_keys(n, k):
-        for b_key in label_keys(n, l):
-            acc = weights.get((a_key, b_key), {})
-            keys = [key for key, w in acc.items() if w]
-            comp = LaurentPoly.sum(m.ring, map(product, keys), [scale * acc[key] for key in keys], den)
-            if comp:
-                out[(a_key, b_key)] = comp
-    return SymbolTensor(n, k, l, m.ring, out)
 
 
 def _check_dimension(m: BoundaryModel, T: SparseTensor):
@@ -235,44 +131,52 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
 def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
     """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k.
 
-    The (k, l) symbol sums the frame products of every entry over the
-    d!/(d-k-l)! ordered choices of k upper and l lower label columns.  Each
-    choice is a column permutation followed by the canonical one (columns
-    0..k-1 upper, k..k+l-1 lower, the rest tau, whose factors commute), so
-    the sum is d!/(d-k-l)! times the canonical sum for the column
-    symmetrization Sym T, read once per column orbit by T.column_orbits().
-    Each (k, l) sums integer weights per (sorted label keys, frame product)
-    over the orbits (see _extract_symbols); the block counts are cached per
-    block of columns, and a product cache shared by all (k, l) multiplies
-    each distinct product (a sorted tuple of factor ids) and each of its
-    prefixes once.  _extract_symbols_reference, the direct transcription
-    over all ordered assignments, is the test oracle.
+    Contracting an entry with the frames is a product over its columns, each
+    a tau, an upper or a lower column, so one polynomial generates every
+    (k, l) symbol: with phi of boundary.column_factors, the label generators
+    u_a marking an upper label a and v_b a lower label b,
+
+        G = sum over the orbits of T.column_orbits() of w d!/stab prod_c phi(c) / den,
+
+    w/den the value of the column symmetrization Sym T on the orbit and
+    d!/stab its number of orderings (a tensor and its symmetrization have
+    the same symbols, the frame factors commuting).  The (k, l) component at
+    the sorted label keys of multi-indices (alpha, beta) is
+    alpha! beta!/(k! l!) times the coefficient of u^alpha v^beta in G: each
+    choice of labelled columns is alpha! beta! of the ordered assignments,
+    and the minus sign of the v terms carries (-1)^l.  G is summed by Horner
+    over the sorted orbit columns, one product per distinct column prefix.
+    _extract_symbols_reference, the direct transcription over all ordered
+    assignments, is the test oracle.
     """
     _check_dimension(m, T)
-    d = T.k
+    d, n, nb = T.k, m.n, len(m.ring.names)
     den, orbits = T.column_orbits()
-    fr = frame_fields(m)
-    W = m.n + 2
-    # factor ids, W = n + 2: A -> X_up[A], W + B -> X_dn[B], 2W + a -> Y_dn[a][0]
-    # = -z(a) and 3W + b -> Y_up[b][inf] = -z_low(b)
-    factors = dict(enumerate(fr.X_up + fr.X_dn))
-    for a in range(1, m.n + 1):
-        factors[2 * W + a] = fr.Y_dn[a][0]
-        factors[3 * W + a] = fr.Y_up[a][W - 1]
+    L, phi = column_factors(m)
+    orbits = sorted((cols, w * factorial(d) // stabilizer_order(cols)) for cols, w in orbits.items())
 
-    @cache
-    def product(key):
-        return product(key[:-1]) * factors[key[-1]] if key else m.ring.one()
+    def horner(orbits, depth):
+        """sum w prod_{c in cols[depth:]} phi(c) over the sorted (cols, w)
+        pairs ``orbits``, which share cols[:depth]: each next column
+        multiplies the sum over its orbits' remaining columns once."""
+        if depth == d - 1:
+            return LaurentPoly.sum(L, [phi[cols[depth]] for cols, _ in orbits], [w for _, w in orbits])
+        groups = itertools.groupby(orbits, key=lambda orbit: orbit[0][depth])
+        return LaurentPoly.sum(L, [phi[c] * horner(list(group), depth + 1) for c, group in groups])
 
-    blocks = (
-        cache(lambda cols: _label_block(m.n, cols, True)),
-        cache(lambda cols: _label_block(m.n, cols, False)),
-        cache(lambda cols: _tau_block(m.n, cols)),
-    )
+    G = horner(orbits, 0) if d else L.const(sum(w for _, w in orbits))
+    parts = {(k, l): {} for k in range(d + 1) for l in range(d + 1 - k)}
+    for e, c in G.num.items():
+        alpha, beta = e[nb : nb + n], e[nb + n :]
+        a_key = tuple(a for a, x in enumerate(alpha, 1) for _ in range(x))
+        b_key = tuple(b for b, x in enumerate(beta, 1) for _ in range(x))
+        comp = parts[len(a_key), len(b_key)].setdefault((a_key, b_key), {})
+        comp[e[:nb]] = c * prod(map(factorial, alpha + beta))
     return {
-        (k, l): _extract_symbols(m, orbits, den, d, k, l, product, blocks)
-        for k in range(d + 1)
-        for l in range(d + 1 - k)
+        (k, l): SymbolTensor(n, k, l, m.ring, {
+            key: _canonical(m.ring, num, G.den * den * factorial(k) * factorial(l)) for key, num in comps.items()
+        })
+        for (k, l), comps in parts.items()
     }
 
 

@@ -33,7 +33,13 @@ the `symbols.extract_all_symbols` of that time, which read the symbols off
 every ordered entry of the symmetrized tensor and kept the sorted label
 tuples; they are the oracles for the column-orbit symmetrization and
 extraction (the extraction oracle symmetrizes with its own permutation
-average).
+average).  `extract_all_symbols_by_blocks`, with `_extract_symbols_by_blocks`
+and its block helpers `_label_block`, `_tau_block`, `_label_count` and
+`_without`, is the extraction that followed, which split each column orbit
+into its distinct (upper, lower, tau) blocks of columns and counted their
+orderings in integers; it is the differential oracle for the generating
+polynomial that replaced it.  Both multiply frame factors by id through
+`_factor_product`.
 `symmetrized_by_orbit_means`, `higher_symmetry_op_by_entries` and
 `highest_weight_vector_by_idempotent_terms` are the former
 `SparseTensor.symmetrized`, which wrote each orbit's summed numerators over
@@ -106,7 +112,7 @@ sparse scatter of `decompose` replaced; both are differential oracles.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add
 
@@ -118,7 +124,7 @@ from subsym.linalg import _rational, _reduced
 from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError, _canonical
 from subsym.scalars import GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, rat
 from subsym.symbols import SymbolTensor, add_symbols, default_prop1_seed, label_keys, trace_free_part_vanishes
-from subsym.tensor import SparseTensor, _integers, perm_sign
+from subsym.tensor import SparseTensor, _integers, perm_sign, stabilizer_order
 from subsym.weyl import WeylOperator
 
 
@@ -722,7 +728,7 @@ def _extract_symbols_by_assignment(m, entries, den: int, d: int, k: int, l: int,
     its entries (slot pairs, int) over den, read off the canonical column
     assignment: columns 0..k-1 carry the upper labels, k..k+l-1 the lower
     ones, the rest are tau columns.  ``product`` maps a sorted tuple of
-    factor ids (see extract_all_symbols) to the product of those factors."""
+    factor ids (see _factor_product) to the product of those factors."""
     n = m.n
     INF = n + 1
     W = n + 2
@@ -762,17 +768,13 @@ def _extract_symbols_by_assignment(m, entries, den: int, d: int, k: int, l: int,
     return SymbolTensor(n, k, l, m.ring, out)
 
 
-def extract_all_symbols_by_assignment(m, T: SparseTensor):
-    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k, summed over
-    every ordered entry of the column symmetrization."""
-    d = T.k
-    S = T if T.is_symmetric() else symmetrized_by_permutations(T)
-    den, ints = _integers(S.entries)
-    entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
+def _factor_product(m):
+    """The product of a sorted tuple of factor ids, each distinct product and
+    each of its prefixes multiplied once.  The factor ids, W = n + 2: A ->
+    X_up[A], W + B -> X_dn[B], 2W + a -> Y_dn[a][0] = -z(a) and 3W + b ->
+    Y_up[b][inf] = -z_low(b)."""
     fr = frame_fields(m)
     W = m.n + 2
-    # factor ids, W = n + 2: A -> X_up[A], W + B -> X_dn[B], 2W + a -> Y_dn[a][0]
-    # = -z(a) and 3W + b -> Y_up[b][inf] = -z_low(b)
     factors = dict(enumerate(fr.X_up + fr.X_dn))
     for a in range(1, m.n + 1):
         factors[2 * W + a] = fr.Y_dn[a][0]
@@ -785,8 +787,142 @@ def extract_all_symbols_by_assignment(m, T: SparseTensor):
             p = products[key] = product(key[:-1]) * factors[key[-1]]
         return p
 
+    return product
+
+
+def extract_all_symbols_by_assignment(m, T: SparseTensor):
+    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k, summed over
+    every ordered entry of the column symmetrization."""
+    d = T.k
+    S = T if T.is_symmetric() else symmetrized_by_permutations(T)
+    den, ints = _integers(S.entries)
+    entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
+    product = _factor_product(m)
     return {
         (k, l): _extract_symbols_by_assignment(m, entries, den, d, k, l, product)
+        for k in range(d + 1)
+        for l in range(d + 1 - k)
+    }
+
+
+def _label_count(free: int, key, chosen) -> int:
+    """F! prod_x positions_x!/f_x!: the placements of a block's labelled
+    columns, F of them free, whose labels read the sorted ``key`` from left
+    to right, given the sorted labels ``chosen`` of the free columns; x runs
+    over the labels, positions_x is the count of x in the key and f_x that
+    in ``chosen``.  The pinned columns of label x fill the remaining
+    positions of x."""
+    count = factorial(free)
+    for x in set(key):
+        count *= factorial(key.count(x))
+    for x in set(chosen):
+        count //= factorial(chosen.count(x))
+    return count
+
+
+def _label_block(n: int, cols, upper: bool):
+    """The (sorted label key, factor ids, count) triples of a sorted block of
+    upper (or lower) label columns, summed over its distinct orderings.
+
+    An upper column (B, A) carries the factor X_up[A]; its label is pinned
+    to B when B is a boundary value, free when B = 0 (with the factor
+    Y_dn[x][0] for its label x), and B = inf kills it.  A lower column reads
+    A in the same way, with A = inf free (factor Y_up[x][inf]), A = 0 dead
+    and the factor X_dn[B].  Each composition (f_x) of the F free columns
+    over the labels gives one key, counted by _label_count over the
+    repeated columns of the block."""
+    INF, W = n + 1, n + 2
+    if upper:
+        labels, ids = [B for B, _ in cols], [A for _, A in cols if A]
+        free, dead, offset = 0, INF, 2 * W
+    else:
+        labels, ids = [A for _, A in cols], [W + B for B, _ in cols if B != INF]
+        free, dead, offset = INF, 0, 3 * W
+    if dead in labels:
+        return []
+    pinned = [x for x in labels if x != free]
+    F = len(labels) - len(pinned)
+    repeats = stabilizer_order(cols)
+    out = []
+    for chosen in itertools.combinations_with_replacement(range(1, n + 1), F):
+        key = tuple(sorted(pinned + list(chosen)))
+        out.append((key, ids + [offset + x for x in chosen], _label_count(F, key, chosen) // repeats))
+    return out
+
+
+def _tau_block(n: int, cols):
+    """The factor ids X_up[A] X_dn[B] of a sorted block of tau columns and
+    the number of its distinct orderings, p!/prod mult!."""
+    INF, W = n + 1, n + 2
+    ids = [A for _, A in cols if A] + [W + B for B, _ in cols if B != INF]
+    return ids, factorial(len(cols)) // stabilizer_order(cols)
+
+
+def _without(cols, part):
+    """The sorted columns of ``cols`` left after removing those of ``part``."""
+    rest = list(cols)
+    for c in part:
+        rest.remove(c)
+    return tuple(rest)
+
+
+def _extract_symbols_by_blocks(m, orbits, den: int, d: int, k: int, l: int, product, blocks) -> SymbolTensor:
+    """The (k, l) symbol of a column-symmetric tensor with d columns, given as
+    its column_orbits, {sorted columns: int over den}.  It sums the
+    canonical column assignment (columns 0..k-1 carry the upper labels,
+    k..k+l-1 the lower ones, the rest are tau columns) over every ordering
+    of every orbit: each orbit splits once into each distinct (upper, lower,
+    tau) sub-multiset, whose orderings the three block counts multiply out.
+    ``blocks`` holds _label_block of upper and of lower blocks and
+    _tau_block, each cached by block, and ``product`` maps a sorted tuple of
+    factor ids (see _factor_product) to the product of those factors."""
+    n = m.n
+    uppers, lowers, taus = blocks
+    # (-1)^l times the number of ordered assignments, d!/(d-k-l)!, over k! l!
+    scale = (-1) ** l * comb(d, k + l) * comb(k + l, k)
+    weights = {}  # (upper labels, lower labels) -> {product key: summed int}
+    for cols, w in orbits.items():
+        for up in dict.fromkeys(itertools.combinations(cols, k)):
+            ups = uppers(up)
+            if not ups:
+                continue
+            rest = _without(cols, up)
+            for dn in dict.fromkeys(itertools.combinations(rest, l)):
+                dns = lowers(dn)
+                if not dns:
+                    continue
+                tau_ids, tau_count = taus(_without(rest, dn))
+                for a_key, up_ids, up_count in ups:
+                    for b_key, dn_ids, dn_count in dns:
+                        key = tuple(sorted(up_ids + dn_ids + tau_ids))
+                        acc = weights.setdefault((a_key, b_key), {})
+                        acc[key] = acc.get(key, 0) + w * tau_count * up_count * dn_count
+    out = {}
+    for a_key in label_keys(n, k):
+        for b_key in label_keys(n, l):
+            acc = weights.get((a_key, b_key), {})
+            keys = [key for key, w in acc.items() if w]
+            comp = LaurentPoly.sum(m.ring, map(product, keys), [scale * acc[key] for key in keys], den)
+            if comp:
+                out[(a_key, b_key)] = comp
+    return SymbolTensor(n, k, l, m.ring, out)
+
+
+def extract_all_symbols_by_blocks(m, T: SparseTensor):
+    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k, read once
+    per column orbit of T.column_orbits(): each orbit splits into its
+    distinct (upper, lower, tau) blocks of columns, whose orderings are
+    counted in integers (see _extract_symbols_by_blocks)."""
+    d = T.k
+    den, orbits = T.column_orbits()
+    product = _factor_product(m)
+    blocks = (
+        cache(lambda cols: _label_block(m.n, cols, True)),
+        cache(lambda cols: _label_block(m.n, cols, False)),
+        cache(lambda cols: _tau_block(m.n, cols)),
+    )
+    return {
+        (k, l): _extract_symbols_by_blocks(m, orbits, den, d, k, l, product, blocks)
         for k in range(d + 1)
         for l in range(d + 1 - k)
     }

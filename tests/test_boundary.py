@@ -17,7 +17,6 @@ from subsym.boundary import (
     FrameFields,
     admissible_weights,
     extend,
-    extension_arguments,
     induce,
     extension_map,
     frame_fields,
@@ -28,6 +27,7 @@ from subsym.boundary import (
     tangential_ops,
     verify_reduction,
 )
+from subsym.rings import Substitution
 from subsym.scalars import rat
 from subsym.weyl import WeylOperator
 from support import bidegree
@@ -154,24 +154,26 @@ def test_extend_rejects_wrong_ring(m1, m2):
 
 
 def test_extension_arguments_are_built_once_and_only_read():
-    # one dict per model; a reduction sweep through it leaves it equal to a
-    # fresh build and to the images its docstring states
+    # one tuple of images per model, in the order of the boundary generators;
+    # a reduction sweep through it leaves it equal to a fresh build and to
+    # the images the docstring of extension_map states
     m = BoundaryModel(2, (1, -1))
-    images = extension_arguments(m)
+    images = extension_map(m).images
     for w1, w2 in admissible_weights(2, 2):
         for F in m.monomials(2):
             assert verify_reduction(m, F, w1, w2) is None
-    assert extension_arguments(m) is images
-    assert images == extension_arguments.__wrapped__(m)
+    assert extension_map(m).images is images
+    assert images == extension_map.__wrapped__(m).images
     amb = m.ambient
     x0_inv, xinf_inv = amb.up(0, -1), amb.dn(3, -1)
-    assert images == {
-        "z1": amb.up(1) * x0_inv,
-        "z2": amb.up(2) * x0_inv,
-        "zb1": amb.dn(1) * xinf_inv,
-        "zb2": -amb.dn(2) * xinf_inv,
-        "tau": (amb.up(3) * x0_inv - amb.dn(0) * xinf_inv).scale(rat(1, 2)),
-    }
+    assert m.ring.names == ("z1", "z2", "zb1", "zb2", "tau")
+    assert images == (
+        amb.up(1) * x0_inv,
+        amb.up(2) * x0_inv,
+        amb.dn(1) * xinf_inv,
+        -amb.dn(2) * xinf_inv,
+        (amb.up(3) * x0_inv - amb.dn(0) * xinf_inv).scale(rat(1, 2)),
+    )
 
 
 def test_substitutions_are_built_once_per_model_and_only_read():
@@ -207,9 +209,9 @@ def test_substitutions_are_built_once_per_model_and_only_read():
             exps = {name: rng.randint(0, 2) for name in amb.ring.names}
             exps["x0"], exps["x_inf"] = rng.randint(-3, 2), rng.randint(-3, 2)
             f = f + amb.ring.monomial(exps, rat(rng.randint(-4, 4), rng.randint(1, 3)))
-        assert phi_pullback(m, f) == f.substitute(fresh, m.ring)
+        assert phi_pullback(m, f) == f.substitute(Substitution(amb.ring, fresh, m.ring))
     for F in m.monomials(3):
-        assert F.substitute(subs[1]) == F.substitute(extension_arguments(m), amb.ring)
+        assert F.substitute(subs[1]) == F.substitute(extension_map.__wrapped__(m))
 
 
 def test_tangential_closed_forms_match_chain_rule(m1):

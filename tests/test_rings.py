@@ -60,14 +60,14 @@ def test_diff_unknown_generator(R):
 def test_substitute_examples(R):
     S = Ring(["z"])
     z = S.gen("z")
-    assert (R.gen("x") ** 2).substitute({"x": z + 1, "y": S.zero()}, S) == z * z + z.scale(2) + 1
-    assert R.gen("x", -1).substitute({"x": R.one()}) == R.one()
-    assert (R.gen("x") * R.gen("y")).substitute({"x": R.zero()}) == R.zero()
+    assert (R.gen("x") ** 2).substitute(Substitution(R, {"x": z + 1, "y": S.zero()}, S)) == z * z + z.scale(2) + 1
+    assert R.gen("x", -1).substitute(Substitution(R, {"x": R.one()})) == R.one()
+    assert (R.gen("x") * R.gen("y")).substitute(Substitution(R, {"x": R.zero()})) == R.zero()
 
 
 def test_substitute_rejects_noninvertible_image(R):
     with pytest.raises(ValueError):
-        R.gen("x", -1).substitute({"x": R.gen("y") + 1})
+        R.gen("x", -1).substitute(Substitution(R, {"x": R.gen("y") + 1}))
 
 
 def test_ring_mismatch(R):
@@ -136,9 +136,9 @@ def test_leibniz(p, q):
 @given(polys(RING), polys(RING))
 def test_substitution_is_ring_hom(p, q):
     S = Ring(["u", "v"], laurent=["u"])
-    images = {"x": S.gen("u", 1), "y": S.gen("v") + 1}
-    assert (p * q).substitute(images, S) == p.substitute(images, S) * q.substitute(images, S)
-    assert (p + q).substitute(images, S) == p.substitute(images, S) + q.substitute(images, S)
+    sub = Substitution(RING, {"x": S.gen("u", 1), "y": S.gen("v") + 1}, S)
+    assert (p * q).substitute(sub) == p.substitute(sub) * q.substitute(sub)
+    assert (p + q).substitute(sub) == p.substitute(sub) + q.substitute(sub)
 
 
 # differential tests: the rational ring against the Gaussian-rational ring it
@@ -195,7 +195,7 @@ def test_substitute_matches_gaussian_oracle(tp, k, c, ty):
     p, gp = both(tp)
     images = {"x": TARGET.monomial({"u": k}, c), "y": build(TARGET, "uv", ty)}
     oracle_images = {"x": ORACLE_TARGET.monomial({"u": k}, c), "y": build(ORACLE_TARGET, "uv", ty)}
-    assert same(p.substitute(images, TARGET), gp.substitute(oracle_images, ORACLE_TARGET))
+    assert same(p.substitute(Substitution(RING, images, TARGET)), gp.substitute(oracle_images, ORACLE_TARGET))
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,7 +207,7 @@ def test_one_substitution_equals_a_fresh_one_per_polynomial(tps, k, c, ty):
     sub = Substitution(RING, images, TARGET)
     for terms in tps:
         p = build(RING, "xy", terms)
-        assert p.substitute(sub) == p.substitute(images, TARGET)
+        assert p.substitute(sub) == p.substitute(Substitution(RING, images, TARGET))
     assert all(power == sub.images[i] ** m for (i, m), power in sub.powers.items())
 
 
@@ -223,8 +223,6 @@ def test_substitution_rejects_what_substitute_rejects(R):
     for other in (Ring(["x", "y"]).gen("x"), S.gen("z")):
         with pytest.raises(RingMismatchError):
             other.substitute(sub)
-    with pytest.raises(RingMismatchError):
-        R.gen("y").substitute(sub, S)
 
 
 def test_a_failed_power_is_not_kept(R):
@@ -264,7 +262,7 @@ def test_mul_diff_substitute_match_sympy(tp, tq, k, c, ty):
     for name, sym in (("x", SX), ("y", SY)):
         assert sympy_equal(to_sympy(d(RING, name)(p), (SX, SY)), sympy.diff(P, sym))
     img_x, img_y = TARGET.monomial({"u": k}, c), build(TARGET, "uv", ty)
-    got = p.substitute({"x": img_x, "y": img_y}, TARGET)
+    got = p.substitute(Substitution(RING, {"x": img_x, "y": img_y}, TARGET))
     want = P.subs({SX: to_sympy(img_x, (SU, SV)), SY: to_sympy(img_y, (SU, SV))}, simultaneous=True)
     assert sympy_equal(to_sympy(got, (SU, SV)), want)
 
@@ -317,7 +315,7 @@ def results(tp, tq, c, k):
         (p.scale(c), fp.scale(c)), (p.scale(3), fp.scale(3)),
         (p ** 0, fp ** 0), (p ** 3, fp ** 3),
         (d(RING, "x")(p), fp.diff("x")), (d(RING, "y")(p), fp.diff("y")),
-        (p.substitute(images, TARGET), fp.substitute(f_images, TARGET)),
+        (p.substitute(Substitution(RING, images, TARGET)), fp.substitute(f_images, TARGET)),
         (LaurentPoly.sum(RING, [p, q, -(p + q)]), FractionPoly.zero(RING)),
         (LaurentPoly.sum(RING, [p, q, p], [2, -1, 3], 6),
          (fp.scale(2) - fq + fp.scale(3)).scale(Fraction(1, 6))),

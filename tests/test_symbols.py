@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from subsym.ambient import higher_symmetry_op, random_traceless
 from subsym.tensor import SparseTensor
-from subsym.boundary import BoundaryModel, induce, tangential_ops
+from subsym.boundary import BoundaryModel, column_factors, induce, tangential_ops
 from subsym.report import VerificationReport
-from subsym.rings import LaurentPoly
+from subsym.rings import LaurentPoly, Substitution
 from subsym.scalars import rat
 from support import (
     build_prop1_tensor_by_placements,
     extract_all_symbols_by_assignment,
+    extract_all_symbols_by_blocks,
     check_symbol_recursions_by_form,
     column_symmetric,
     component,
@@ -673,7 +674,11 @@ def orbit_draws(n, d, rng):
 
 
 def assert_orbit_extraction_matches(m, T):
-    assert extract_all_symbols(m, T) == extract_all_symbols_by_assignment(m, T)
+    """The extraction against the assignment extraction and the block
+    extraction it replaced."""
+    syms = extract_all_symbols(m, T)
+    assert syms == extract_all_symbols_by_assignment(m, T)
+    assert syms == extract_all_symbols_by_blocks(m, T)
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -702,14 +707,30 @@ def test_orbit_extraction_matches_on_skew_and_prop1_tensors(n):
         assert_orbit_extraction_matches(m, T)
 
 
-def test_a_label_count_without_the_free_factorial_fails_the_comparison(monkeypatch):
-    """Mutant control: the orbit extraction with F! dropped from the label
-    count differs from the assignment extraction on the comparison's draws."""
+def unsigned_column_factors(m):
+    """column_factors with +v_b in place of -v_b: the symbols lose (-1)^l."""
+    L, phi = column_factors(m)
+    flip = Substitution(L, {f"v{b}": -L.gen(f"v{b}") for b in range(1, m.n + 1)})
+    return L, {col: p.substitute(flip) for col, p in phi.items()}
+
+
+# name -> (name in subsym.symbols, its stand-in); the extraction's one prod
+# is the alpha! beta! multiplicity of a coefficient
+MUTANTS = {
+    "no multiplicity": ("prod", lambda factors: 1),
+    "unsigned v": ("column_factors", unsigned_column_factors),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_a_perturbed_generating_polynomial_fails_the_comparison(mutant, monkeypatch):
+    """Mutant control: the extraction with the alpha! beta! label
+    multiplicity dropped, or with the v terms of the column factors
+    unsigned, differs from the assignment and block extractions on the
+    comparison's draws."""
     import subsym.symbols
 
-    label_count = subsym.symbols._label_count
-    monkeypatch.setattr(subsym.symbols, "_label_count",
-                        lambda free, key, chosen: label_count(free, key, chosen) // factorial(free))
+    monkeypatch.setattr(subsym.symbols, *MUTANTS[mutant])
     m = BoundaryModel(2)
     with pytest.raises(AssertionError):
         for d in range(6):
