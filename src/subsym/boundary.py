@@ -39,7 +39,7 @@ from functools import lru_cache
 from .model import AmbientModel, ambient_laplacian
 from .report import CaseResults, VerificationReport
 from .rings import LaurentPoly, Ring, Substitution
-from .scalars import rat
+from .scalars import accumulate, rat
 from .weyl import WeylOperator
 
 
@@ -130,8 +130,9 @@ def frame_fields(m: BoundaryModel) -> FrameFields:
 
 @lru_cache(maxsize=32)
 def column_factors(m: BoundaryModel):
-    """(L, phi): the boundary ring extended by the label generators u1..un,
-    v1..vn, and for each column (B, A) of an ambient tensor over C^{n+2}
+    """(lift, phi): the inclusion ``lift`` of the boundary ring into L, the
+    boundary ring extended by the label generators u1..un, v1..vn (L is
+    lift.target), and for each column (B, A) of an ambient tensor over C^{n+2}
 
         phi(B, A) = X^A X_B + sum_a u_a Y_a[B] X^A - sum_b v_b Y^b[A] X_B
 
@@ -149,7 +150,29 @@ def column_factors(m: BoundaryModel):
     up = [LaurentPoly.sum(L, [L.gen(f"u{a}") * fr.Y_dn[a][B].substitute(lift) for a in labels]) for B in range(m.n + 2)]
     dn = [LaurentPoly.sum(L, [L.gen(f"v{b}") * fr.Y_up[b][A].substitute(lift) for b in labels]) for A in range(m.n + 2)]
     cols = itertools.product(range(m.n + 2), repeat=2)
-    return L, {(B, A): X_up[A] * (X_dn[B] + up[B]) - dn[A] * X_dn[B] for B, A in cols}
+    return lift, {(B, A): X_up[A] * (X_dn[B] + up[B]) - dn[A] * X_dn[B] for B, A in cols}
+
+
+@lru_cache(maxsize=32)
+def label_derivatives(m: BoundaryModel):
+    """(sum_a u_a d^a, sum_b v_b d_b): the raised and the holomorphic
+    tangential derivatives of ``tangential_ops``, lifted to the ring L of
+    ``column_factors`` and weighted by the label generators.  On the
+    generating polynomial of a symbol they are its symmetrized derivatives
+    with one more upper, resp. lower, index.  Built once per model."""
+    lift = column_factors(m)[0]
+    L = lift.target
+    pad = (0,) * (L.arity - m.ring.arity)
+    d_hol, d_raised, _ = tangential_ops(m)
+
+    def weighted(ops, kind):
+        terms = {}
+        for a, op in enumerate(ops, 1):
+            for alpha, p in op.terms.items():
+                accumulate(terms, alpha + pad, L.gen(f"{kind}{a}") * p.substitute(lift))
+        return WeylOperator(L, terms)
+
+    return weighted(d_raised, "u"), weighted(d_hol, "v")
 
 
 # ---------------------------------------------------------------------------

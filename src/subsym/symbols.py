@@ -3,76 +3,45 @@
 An ambient tensor with d column pairs induces a boundary operator whose
 coefficients in the d_a / d^b / d_tau basis form a family of symbol
 tensors V[k, l] (k upper boundary indices, l lower, p = d-k-l tau slots).
-Extraction contracts the tensor with the cone-adapted frames and pulls back
-along the section, with the (-1)^l prefactors and idempotent (averaged)
-symmetrizations.  The contraction is a product over the columns, each an
-upper, a lower or a tau column, so the whole family is the coefficient list
-of one generating polynomial in label generators u_a, v_b: a sum over the
-column orbits of `SparseTensor.column_orbits` of products of the column
-factors of `boundary.column_factors` (see extract_all_symbols).  The prop1
-and symbols suites close the module.
+Each symbol is held as its generating polynomial in the label generators
+u_a, v_b of `boundary.column_factors`,
+
+    V[k, l](u; v) = sum over ordered label tuples of
+                    V[k, l]^{a_1..a_k}_{b_1..b_l} u_{a_1}..u_{a_k} v_{b_1}..v_{b_l},
+
+of degree k in the u and l in the v.  Extraction contracts the tensor with
+the cone-adapted frames and pulls back along the section, with the (-1)^l
+prefactors and averaged symmetrizations.  The contraction is a product over
+the columns, each an upper, a lower or a tau column, so the whole family is
+one polynomial, summed over the column orbits of
+`SparseTensor.column_orbits` (see extract_all_symbols).
+
+On generating polynomials the symmetrized derivative with one more upper
+(lower) index is the operator sum_a u_a d^a (sum_b v_b d_b) of
+`boundary.label_derivatives`, and symmetrized delta-insertion is
+multiplication by q = sum_x u_x v_x.  So a symbol is a pure trace, its
+trace-free part zero, exactly when q divides its polynomial: trace-free
+symmetric tensors are the harmonic polynomials.  `trace_remainder` decides
+it.  The prop1 and symbols suites close the module.
 
 The symbols in the sigma basis carry the phase (-i)^p, which cancels
 against d_sigma^p = i^p d_tau^p; so the tau-basis symbol is i^p times the
 sigma-basis one and every recursion is the sigma-form one multiplied by
 i^(p+1): i k S + D S becomes -k S + D S.
-
-The extracted family satisfies the symbol recursions; equations whose right
-side carries an undetermined trace tensor are checked as solvability of the
-delta-insertion linear system (exact left-kernel test).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 from math import comb, factorial, prod
 
 from . import linalg
-from .boundary import BoundaryModel, column_factors, frame_fields, tangential_ops
+from .boundary import BoundaryModel, column_factors, frame_fields, label_derivatives
 from .report import CaseResults, VerificationReport
 from .rings import LaurentPoly, _canonical
-from .scalars import RONE, accumulate, rat
+from .scalars import RONE, rat
 from .tensor import SparseTensor, stabilizer_order
-
-
-class SymbolTensor:
-    """Symmetric family of boundary polynomials indexed by sorted boundary
-    index tuples (k upper, l lower)."""
-
-    __slots__ = ("k", "l", "n", "components", "ring")
-
-    def __init__(self, n, k, l, ring, components=None):
-        self.n = n
-        self.k = k
-        self.l = l
-        self.ring = ring
-        self.components = {key: p for key, p in (components or {}).items() if p}
-
-    def __bool__(self):
-        return bool(self.components)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymbolTensor)
-            and (self.k, self.l) == (other.k, other.l)
-            and self.components == other.components
-        )
-
-    def scale(self, c):
-        return SymbolTensor(
-            self.n, self.k, self.l, self.ring,
-            {key: p.scale(c) for key, p in self.components.items()},
-        )
-
-    def is_constant(self) -> bool:
-        return all(p.is_constant() for p in self.components.values())
-
-
-def label_keys(n: int, k: int):
-    """The sorted k-tuples of boundary labels 1..n, the keys of SymbolTensor."""
-    return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
 def _check_dimension(m: BoundaryModel, T: SparseTensor):
@@ -80,19 +49,22 @@ def _check_dimension(m: BoundaryModel, T: SparseTensor):
         raise ValueError("tensor dimension does not match the model")
 
 
-def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> SymbolTensor:
-    """Direct per-component transcription of the extraction; test oracle."""
+def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int) -> LaurentPoly:
+    """Direct per-component transcription of the extraction; test oracle.
+    Returns the (k, l) generating polynomial: the component at each pair of
+    sorted label keys, of multi-indices (alpha, beta), times its
+    k! l!/(alpha! beta!) orderings u^alpha v^beta."""
     _check_dimension(m, T)
     d = T.k
     if k + l > d:
         raise ValueError("need k + l <= d")
     n = m.n
     fr = frame_fields(m)
-    scale = rat((-1) ** l, factorial(k) * factorial(l))
-    out = {}
+    lift = column_factors(m)[0]
+    terms = []
     cols = range(d)
-    for a_key in label_keys(n, k):
-        for b_key in label_keys(n, l):
+    for a_key in itertools.combinations_with_replacement(range(1, n + 1), k):
+        for b_key in itertools.combinations_with_replacement(range(1, n + 1), l):
             acc = m.ring.zero()
             for icols in itertools.permutations(cols, k):
                 rest = [c for c in cols if c not in icols]
@@ -123,36 +95,35 @@ def _extract_symbols_reference(m: BoundaryModel, T: SparseTensor, k: int, l: int
                         if term is None:
                             term = m.ring.one()
                         acc = acc + term.scale(v)
-            if acc:
-                out[(a_key, b_key)] = acc.scale(scale)
-    return SymbolTensor(n, k, l, m.ring, out)
+            # (-1)^l/(k! l!) times the k! l!/(alpha! beta!) orderings
+            counts = {f"u{a}": a_key.count(a) for a in a_key} | {f"v{b}": b_key.count(b) for b in b_key}
+            label = lift.target.monomial(counts, rat((-1) ** l, prod(map(factorial, counts.values()))))
+            terms.append(acc.substitute(lift) * label)
+    return LaurentPoly.sum(lift.target, terms)
 
 
 def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
-    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k.
-
-    Contracting an entry with the frames is a product over its columns, each
-    a tau, an upper or a lower column, so one polynomial generates every
-    (k, l) symbol: with phi of boundary.column_factors, the label generators
-    u_a marking an upper label a and v_b a lower label b,
+    """dict (k, l) -> the generating polynomial of the (k, l) symbol, for all
+    k + l <= d, d = T.k: the part of degree k in the u and l in the v of
 
         G = sum over the orbits of T.column_orbits() of w d!/stab prod_c phi(c) / den,
 
-    w/den the value of the column symmetrization Sym T on the orbit and
-    d!/stab its number of orderings (a tensor and its symmetrization have
-    the same symbols, the frame factors commuting).  The (k, l) component at
-    the sorted label keys of multi-indices (alpha, beta) is
-    alpha! beta!/(k! l!) times the coefficient of u^alpha v^beta in G: each
-    choice of labelled columns is alpha! beta! of the ordered assignments,
-    and the minus sign of the v terms carries (-1)^l.  G is summed by Horner
-    over the sorted orbit columns, one product per distinct column prefix.
+    phi of boundary.column_factors, w/den the value of the column
+    symmetrization Sym T on the orbit and d!/stab its number of orderings (a
+    tensor and its symmetrization have the same symbols, the frame factors
+    commuting).  Expanding prod_c phi(c) picks a tau, an upper or a lower
+    factor for each column, so every ordered choice of labelled columns adds
+    its contraction times its label generators, and the minus sign of the v
+    terms carries (-1)^l.  G is summed by Horner over the sorted orbit
+    columns, one product per distinct column prefix.
     _extract_symbols_reference, the direct transcription over all ordered
     assignments, is the test oracle.
     """
     _check_dimension(m, T)
-    d, n, nb = T.k, m.n, len(m.ring.names)
+    d, n, nb = T.k, m.n, m.ring.arity
     den, orbits = T.column_orbits()
-    L, phi = column_factors(m)
+    lift, phi = column_factors(m)
+    L = lift.target
     orbits = sorted((cols, w * factorial(d) // stabilizer_order(cols)) for cols, w in orbits.items())
 
     def horner(orbits, depth):
@@ -167,103 +138,37 @@ def extract_all_symbols(m: BoundaryModel, T: SparseTensor):
     G = horner(orbits, 0) if d else L.const(sum(w for _, w in orbits))
     parts = {(k, l): {} for k in range(d + 1) for l in range(d + 1 - k)}
     for e, c in G.num.items():
-        alpha, beta = e[nb : nb + n], e[nb + n :]
-        a_key = tuple(a for a, x in enumerate(alpha, 1) for _ in range(x))
-        b_key = tuple(b for b, x in enumerate(beta, 1) for _ in range(x))
-        comp = parts[len(a_key), len(b_key)].setdefault((a_key, b_key), {})
-        comp[e[:nb]] = c * prod(map(factorial, alpha + beta))
-    return {
-        (k, l): SymbolTensor(n, k, l, m.ring, {
-            key: _canonical(m.ring, num, G.den * den * factorial(k) * factorial(l)) for key, num in comps.items()
-        })
-        for (k, l), comps in parts.items()
-    }
+        parts[sum(e[nb : nb + n]), sum(e[nb + n :])][e] = c
+    return {kl: _canonical(L, num, G.den * den) for kl, num in parts.items()}
 
 
 # ---------------------------------------------------------------------------
-# symmetrized tangential derivatives and trace solvability
+# the trace part and the symbol recursions
 
 
-def sym_derivative(m: BoundaryModel, S: SymbolTensor, upper: bool) -> SymbolTensor:
-    """Idempotent symmetrization of one more tangential derivative: the raised
-    d^a on a new upper index when ``upper``, else d_a on a new lower index,
-    averaged over all indices of that kind."""
-    d_hol, d_raised, _ = tangential_ops(m)
-    ops = d_raised if upper else d_hol
-    k, l = (S.k + 1, S.l) if upper else (S.k, S.l + 1)
-    out = {}
-    for a_key in label_keys(m.n, k):
-        for b_key in label_keys(m.n, l):
-            grown = a_key if upper else b_key
-            terms = []
-            for pos in range(len(grown)):
-                # the remaining labels are sorted, as SymbolTensor keys are
-                rest = grown[:pos] + grown[pos + 1 :]
-                comp = S.components.get((rest, b_key) if upper else (a_key, rest))
-                if comp:
-                    terms.append(ops[grown[pos] - 1].apply(comp))
-            acc = LaurentPoly.sum(m.ring, terms, den=len(grown))
-            if acc:
-                out[(a_key, b_key)] = acc
-    return SymbolTensor(m.n, k, l, m.ring, out)
+def trace_remainder(m: BoundaryModel, P: LaurentPoly) -> LaurentPoly:
+    """The remainder of P, in the ring L of boundary.column_factors, modulo
+    q = sum_x u_x v_x: every u1 v1 rewritten as -(u2 v2 + ... + un vn).
 
-
-def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
-    assert (x.k, x.l) == (y.k, y.l)
-    out = dict(x.components)
-    for key, p in y.components.items():
-        accumulate(out, key, p)
-    return SymbolTensor(x.n, x.k, x.l, x.ring, out)
-
-
-@lru_cache(maxsize=None)
-def _insertion_left_kernel(n: int, k: int, l: int):
-    """Left kernel of the symmetrized delta-insertion map
-    lambda^{(k-1,l-1)} -> delta^{(a}_{(b} lambda^{...)}_{...)}, in the sorted
-    keys of SymbolTensor.  The map symmetrizes its input, so symmetric lambda
-    reach its whole image; up to the factor 1/(k l) the image component
-    (a, b) is sum_x count_a(x) count_b(x) lambda(a - x, b - x).  Rows of the
-    kernel annihilate exactly the image, so 'trace-free part of X vanishes'
-    = all kernel rows kill X."""
-    src = list(itertools.product(label_keys(n, k - 1), label_keys(n, l - 1)))
-    dst = list(itertools.product(label_keys(n, k), label_keys(n, l)))
-    src_index = {key: i for i, key in enumerate(src)}
-    # the transpose of the map: one sparse row per source key, one column per target
-    cols = [{} for _ in src]
-    for i, (a, b) in enumerate(dst):
-        for x in set(a).intersection(b):
-            ia, ib = a.index(x), b.index(x)
-            j = src_index[(a[:ia] + a[ia + 1 :], b[:ib] + b[ib + 1 :])]
-            cols[j][i] = a.count(x) * b.count(x)
-    # each kernel row as integer weights over one denominator: the primitive
-    # integer vector over its entry at its free column, its largest
-    return tuple(
-        (v[max(v)], tuple((dst[i], c) for i, c in sorted(v.items())))
-        for v in linalg.integer_kernel(cols, len(dst))
-    )
-
-
-def trace_free_part_vanishes(m: BoundaryModel, S: SymbolTensor) -> LaurentPoly | None:
-    """None when S = delta-insertion of some lambda (i.e. its trace-free part
-    is zero); otherwise a nonzero witness polynomial.  With no upper or no
-    lower index there is no trace part, and the witness is any component."""
-    if S.k == 0 or S.l == 0:
-        return next(iter(S.components.values()), None)
-    for den, row in _insertion_left_kernel(m.n, S.k, S.l):
-        comps, weights = [], []
-        for key, w in row:
-            comp = S.components.get(key)
-            if comp:
-                comps.append(comp)
-                weights.append(w)
-        acc = LaurentPoly.sum(m.ring, comps, weights, den)
-        if acc:
-            return acc
-    return None
-
-
-# ---------------------------------------------------------------------------
-# the symbol recursions
+    u1 v1 leads q in a lex order with u1 first, and one polynomial is a
+    Groebner basis of its ideal, so the remainder is zero exactly when q
+    divides P, that is when P is a pure trace.  A term with
+    j = min(deg u1, deg v1) trades (u1 v1)^j for (-r)^j, r = u2 v2 + ... +
+    un vn, which holds neither u1 nor v1, so one pass leaves no u1 v1.  With
+    no u or no v in P the remainder is P.
+    """
+    L = P.ring
+    iu, iv = L.index["u1"], L.index["v1"]
+    parts = {}  # j -> numerators of the terms of P with (u1 v1)^j divided out
+    for e, c in P.num.items():
+        j = min(e[iu], e[iv])
+        if j:
+            e = tuple(x - j if i in (iu, iv) else x for i, x in enumerate(e))
+        parts.setdefault(j, {})[e] = c
+    if parts.keys() <= {0}:
+        return P
+    minus_r = -LaurentPoly.sum(L, [L.gen(f"u{x}") * L.gen(f"v{x}") for x in range(2, m.n + 1)])
+    return LaurentPoly.sum(L, [_canonical(L, num, 1) * minus_r**j for j, num in parts.items()], den=P.den)
 
 
 def _recursion_label(k: int, l: int, d: int) -> str:
@@ -278,42 +183,44 @@ def _recursion_label(k: int, l: int, d: int) -> str:
 def check_symbol_recursions(m: BoundaryModel, symbols: dict, d: int):
     """Exact residuals of the symbol recursions for a full family.
 
-    ``symbols`` maps (k, l), k + l <= d, to the extracted SymbolTensor.  For
-    each 1 <= k + l <= d + 1 the trace-free part of
+    ``symbols`` maps (k, l), k + l <= d, to the generating polynomial of the
+    extracted symbol.  For each 1 <= k + l <= d + 1 the trace-free part of
     (l - k) S(k, l) + D^ S(k - 1, l) + D_ S(k, l - 1) vanishes, D^ and D_ the
-    symmetrized raised and lowered derivatives; each term is present only
-    when its symbol exists.  With l = 0 or k = 0 these are the tau
+    label derivatives of boundary.label_derivatives; each term is present
+    only when its symbol exists.  With l = 0 or k = 0 these are the tau
     recursions, and at k + l = d + 1 the top equations.  Returns CaseResults
-    of "equation label: residual" for the equations that fail.
+    of "equation label: remainder" (see trace_remainder) for the equations
+    that fail.
     """
+    up, down = label_derivatives(m)
     bad, cases = [], 0
     for total in range(1, d + 2):
         for k in range(total + 1):
             l = total - k
-            lhs = symbols[(k, l)].scale(l - k) if total <= d else SymbolTensor(m.n, k, l, m.ring)
+            terms = [symbols[(k, l)].scale(l - k)] if total <= d else []
             if k:
-                lhs = add_symbols(lhs, sym_derivative(m, symbols[(k - 1, l)], True))
+                terms.append(up.apply(symbols[(k - 1, l)]))
             if l:
-                lhs = add_symbols(lhs, sym_derivative(m, symbols[(k, l - 1)], False))
-            res = trace_free_part_vanishes(m, lhs)
+                terms.append(down.apply(symbols[(k, l - 1)]))
+            res = trace_remainder(m, LaurentPoly.sum(up.ring, terms))
             cases += 1
-            if res is not None:
+            if res:
                 bad.append(f"{_recursion_label(k, l, d)}: {res}")
     return CaseResults(bad, cases)
 
 
-def check_bgg(m: BoundaryModel, top: SymbolTensor, d: int, s: int):
-    """First BGG equations on the top symbol: the trace-free part of
-    d+1-2s symmetrized raised (resp. lowered) derivatives vanishes.  Returns
-    CaseResults of "equation label: residual" for the equations that fail."""
-    assert top.k == s and top.l == s
+def check_bgg(m: BoundaryModel, top: LaurentPoly, d: int, s: int):
+    """First BGG equations on the generating polynomial ``top`` of the (s, s)
+    symbol: the trace-free part of d+1-2s symmetrized raised (resp. lowered)
+    derivatives vanishes.  Returns CaseResults of "equation label: remainder"
+    for the equations that fail."""
     bad = []
-    for side, upper in (("upper", True), ("lower", False)):
-        D = top
+    for side, D in zip(("upper", "lower"), label_derivatives(m)):
+        P = top
         for _ in range(d + 1 - 2 * s):
-            D = sym_derivative(m, D, upper)
-        res = trace_free_part_vanishes(m, D)
-        if res is not None:
+            P = D.apply(P)
+        res = trace_remainder(m, P)
+        if res:
             bad.append(f"first BGG equation ({side}): {res}")
     return CaseResults(bad, 2)
 
@@ -377,63 +284,23 @@ def prop1_system(d: int, s: int):
     return {"solved": True, "unique": not kern, "x": x}
 
 
-def default_prop1_seed(m: BoundaryModel, s: int) -> SymbolTensor:
-    """Constant seed with all upper labels 1 and all lower labels 2;
-    trace-free by index disjointness (needs n >= 2)."""
+def build_prop1_tensor(m: BoundaryModel, d: int, s: int, x) -> SparseTensor:
+    """Ambient tensor whose nonzero components are the s+1 types, on the
+    seed u1^s v2^s: the constant symbol with every upper label 1 and every
+    lower label 2, trace-free since no label is both (needs n >= 2).  ``x``
+    is the type coefficient list x_1..x_s; x_0 = 1.  The type_count(d, s, i)
+    placements of type i form one orbit of the column permutations, so their
+    sum is type_count times the column symmetrization of the canonical
+    placement: columns 0..i-1 carry both labels, i..s-1 upper labels only,
+    s..2s-i-1 lower labels only, and the rest the cone values B = inf, A = 0.
+    """
     if m.n < 2:
         raise ValueError("the disjoint-index seed needs n >= 2")
-    comp = {((1,) * s, (2,) * s): m.ring.one()} if s else {((), ()): m.ring.one()}
-    return SymbolTensor(m.n, s, s, m.ring, comp)
-
-
-def _seed_is_trace_free(seed: SymbolTensor) -> bool:
-    """Each component (a, b) adds to the contraction at (a - x, b - x) once
-    per label x common to a and b; every contraction sum must vanish."""
-    trace = {}
-    for (a, b), comp in seed.components.items():
-        for x in set(a).intersection(b):
-            ia, ib = a.index(x), b.index(x)
-            accumulate(trace, (a[:ia] + a[ia + 1 :], b[:ib] + b[ib + 1 :]), comp)
-    return not trace
-
-
-def build_prop1_tensor(
-    m: BoundaryModel, d: int, s: int, x, seed: SymbolTensor | None = None
-) -> SparseTensor:
-    """Ambient tensor whose nonzero components are the s+1 types.
-
-    ``seed`` is a constant, symmetric, trace-free boundary symbol with s
-    upper and s lower indices (default: disjoint-index seed).  ``x`` is the
-    type coefficient list x_1..x_s; x_0 = 1.  The type_count(d, s, i)
-    placements of type i form one orbit of the column permutations, and the
-    entries of one placement, every ordering of every seed component, are
-    invariant under its stabilizer.  So their sum is type_count times the
-    column symmetrization of the canonical placement: columns 0..i-1 carry
-    both labels, i..s-1 upper labels only, s..2s-i-1 lower labels only, and
-    the rest the cone values B = inf, A = 0.
-    """
-    if seed is None:
-        seed = default_prop1_seed(m, s)
-    if (seed.k, seed.l) != (s, s):
-        raise ValueError("seed must carry s upper and s lower indices")
-    if not seed.is_constant():
-        raise ValueError("seed must be constant")
-    if not _seed_is_trace_free(seed):
-        raise ValueError("seed is not trace-free")
-    INF = m.n + 1
-    ordered = [
-        (a, b, comp.constant_value())
-        for (a_key, b_key), comp in seed.components.items()
-        for a in set(itertools.permutations(a_key))
-        for b in set(itertools.permutations(b_key))
-    ]
+    B = (1,) * s + (m.n + 1,) * (d - s)
     entries = {}
     for i, xi in enumerate([RONE] + [rat(c) for c in x]):
-        w = type_count(d, s, i) * xi
-        for a, b, v in ordered:
-            B = a + (INF,) * (d - s)
-            A = b[:i] + (0,) * (s - i) + b[i:] + (0,) * (d - 2 * s + i)
-            entries[(B, A)] = w * v
+        A = (2,) * i + (0,) * (s - i) + (2,) * (s - i) + (0,) * (d - 2 * s + i)
+        entries[(B, A)] = type_count(d, s, i) * xi
     return SparseTensor(d, m.n + 2, entries).symmetrized()
 
 
@@ -446,6 +313,12 @@ PROP1_CHECKS = (
 )
 
 
+def _label_tuples(n: int, labels):
+    """The sorted upper and lower label tuples of the label exponents
+    (alpha, beta) of a generating-polynomial term."""
+    return tuple(tuple(a for a, x in enumerate(part, 1) for _ in range(x)) for part in (labels[:n], labels[n:]))
+
+
 def verify_prop1(m: BoundaryModel, d: int, s: int):
     """End-to-end check of the type-based construction; returns one
     (label, CaseResults of failures) pair per check of PROP1_CHECKS."""
@@ -453,11 +326,12 @@ def verify_prop1(m: BoundaryModel, d: int, s: int):
     if not sysres.get("unique"):
         return [(label, CaseResults(["no unique type coefficients"], 1)) for label in PROP1_CHECKS]
     symbols = extract_all_symbols(m, build_prop1_tensor(m, d, s, sysres["x"]))
-    top = symbols[(s, s)]
-    seed_key = ((1,) * s, (2,) * s)
-    top_bad = [f"component {key} off the seed" for key in top.components if key != seed_key]
-    top_bad += [] if top.components.get(seed_key) else ["seed component zero"]
-    top_bad += [] if top.is_constant() else ["not constant"]
+    top, nb = symbols[(s, s)], m.ring.arity
+    (seed,) = top.ring.monomial({"u1": s, "v2": s}).num
+    labels = dict.fromkeys(e[nb:] for e in top.num)
+    top_bad = [f"component {_label_tuples(m.n, e)} off the seed" for e in labels if e != seed[nb:]]
+    top_bad += [] if seed[nb:] in labels else ["seed component zero"]
+    top_bad += [] if all(not any(e[:nb]) for e in top.num) else ["not constant"]
     return list(zip(PROP1_CHECKS, (
         CaseResults([], 1),
         CaseResults([f"symbol ({k}, {k}) nonzero" for k in range(s) if symbols[(k, k)]], s),

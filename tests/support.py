@@ -22,7 +22,8 @@ former `ambient.t_part_operator` and is now the oracle for
 `higher_symmetry_op` at two columns.
 
 `insertion_left_kernel_full_tuples`, `skew_slots_rational` and
-`symmetrized_rational` are the former `symbols._insertion_left_kernel`,
+`symmetrized_rational` are the insertion left kernel over full index
+tuples that `_insertion_left_kernel` replaced, the former
 `SparseTensor.skew_slots` (with the former `act` loop inlined) and
 `SparseTensor.symmetrized`, which summed rational entries, kept as
 differential oracles for the versions that replaced them.
@@ -53,14 +54,25 @@ oracles for the three readers of `SparseTensor.column_orbits`.
 every type and every ordered label tuple; it is the oracle for the
 symmetrization of one canonical placement per type.
 
+`SymbolTensor`, `label_keys`, `sym_derivative`, `add_symbols`,
+`_insertion_left_kernel` and `trace_free_part_vanishes` are the former
+symbol family of `symbols`: each (k, l) symbol as its components at sorted
+label tuples, one more symmetrized derivative component by component, and
+trace-freeness through an integer left kernel of delta-insertion.
+`check_symbol_recursions_by_kernel` and `check_bgg_by_kernel` are the
+former `symbols.check_symbol_recursions` and `symbols.check_bgg` on them.
 `check_symbol_recursions_by_form`, with `sym_derivative_upper` and
-`sym_derivative_lower`, is the former `symbols.check_symbol_recursions`,
-which wrote the recursion out in five forms over two mirrored derivatives
-(only the `SymbolTensor` constructor and the key enumeration follow the
-current type); it is the oracle for the one-formula sweep.
-
-`component` reads a `SymbolTensor` component at label tuples in any order,
-as the former `SymbolTensor.get` did.
+`sym_derivative_lower`, is the `check_symbol_recursions` before those, which
+wrote the recursion out in five forms over two mirrored derivatives.  They
+are the oracles for the label derivatives and the remainder modulo
+q = sum_x u_x v_x that replaced them.  `symbol_tensor` and
+`generating_polynomial` convert one (k, l) symbol between the generating
+polynomial and the `SymbolTensor` (`symbol_tensors` and
+`generating_polynomials` a whole family), both through
+`label_coefficients`; the assignment and block extraction oracles return
+their families through them.  `component` reads the component of a
+generating polynomial at label tuples in any order, as the former
+`SymbolTensor.get` did.
 
 `TracelessMatrix`, the `mat_*` helpers, `sl_basis_matrix`,
 `random_traceless_matrix`, `dv_matrix`, `dv_bracket_matrix` and
@@ -118,12 +130,13 @@ from operator import add
 
 from subsym.ambient import CompositionParts
 from subsym.classalg import act_on_tuple, central_idempotent, class_elements, conjugate_partition, convolve, cycle_type
-from subsym.boundary import frame_fields, tangential_ops
+from subsym.boundary import column_factors, frame_fields, tangential_ops
 from subsym.decompose import _perm_lower_multiset, weight_blocks
-from subsym.linalg import _rational, _reduced
+from subsym.linalg import _rational, _reduced, integer_kernel
+from subsym.report import CaseResults
 from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError, _canonical
 from subsym.scalars import GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, rat
-from subsym.symbols import SymbolTensor, add_symbols, default_prop1_seed, label_keys, trace_free_part_vanishes
+from subsym.symbols import _recursion_label
 from subsym.tensor import SparseTensor, _integers, perm_sign, stabilizer_order
 from subsym.weyl import WeylOperator
 
@@ -791,18 +804,19 @@ def _factor_product(m):
 
 
 def extract_all_symbols_by_assignment(m, T: SparseTensor):
-    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k, summed over
-    every ordered entry of the column symmetrization."""
+    """dict (k, l) -> generating polynomial for all k + l <= d, d = T.k,
+    summed over every ordered entry of the column symmetrization as
+    SymbolTensors and converted by generating_polynomials."""
     d = T.k
     S = T if T.is_symmetric() else symmetrized_by_permutations(T)
     den, ints = _integers(S.entries)
     entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
     product = _factor_product(m)
-    return {
+    return generating_polynomials(m, {
         (k, l): _extract_symbols_by_assignment(m, entries, den, d, k, l, product)
         for k in range(d + 1)
         for l in range(d + 1 - k)
-    }
+    })
 
 
 def _label_count(free: int, key, chosen) -> int:
@@ -909,10 +923,11 @@ def _extract_symbols_by_blocks(m, orbits, den: int, d: int, k: int, l: int, prod
 
 
 def extract_all_symbols_by_blocks(m, T: SparseTensor):
-    """dict (k, l) -> SymbolTensor for all k + l <= d, d = T.k, read once
-    per column orbit of T.column_orbits(): each orbit splits into its
-    distinct (upper, lower, tau) blocks of columns, whose orderings are
-    counted in integers (see _extract_symbols_by_blocks)."""
+    """dict (k, l) -> generating polynomial for all k + l <= d, d = T.k,
+    read once per column orbit of T.column_orbits(): each orbit splits into
+    its distinct (upper, lower, tau) blocks of columns, whose orderings are
+    counted in integers (see _extract_symbols_by_blocks), as SymbolTensors
+    converted by generating_polynomials."""
     d = T.k
     den, orbits = T.column_orbits()
     product = _factor_product(m)
@@ -921,19 +936,21 @@ def extract_all_symbols_by_blocks(m, T: SparseTensor):
         cache(lambda cols: _label_block(m.n, cols, False)),
         cache(lambda cols: _tau_block(m.n, cols)),
     )
-    return {
+    return generating_polynomials(m, {
         (k, l): _extract_symbols_by_blocks(m, orbits, den, d, k, l, product, blocks)
         for k in range(d + 1)
         for l in range(d + 1 - k)
-    }
+    })
 
 
 def build_prop1_tensor_by_placements(m, d: int, s: int, x, seed: SymbolTensor | None = None) -> SparseTensor:
     """The prop1 tensor summed placement by placement: for each type i, each
     choice of i joint, s - i upper-only and s - i lower-only columns, and
-    each ordered label tuple, the seed component times x_i (x_0 = 1)."""
+    each ordered label tuple, the seed component times x_i (x_0 = 1).  The
+    default seed is u1^s v2^s, the one component with every upper label 1
+    and every lower label 2."""
     if seed is None:
-        seed = default_prop1_seed(m, s)
+        seed = SymbolTensor(m.n, s, s, m.ring, {((1,) * s, (2,) * s): m.ring.one()})
     INF = m.n + 1
     coeffs = [RONE] + [rat(c) for c in x]
     entries = {}
@@ -948,7 +965,7 @@ def build_prop1_tensor_by_placements(m, d: int, s: int, x, seed: SymbolTensor | 
                     bcols = sorted(joint + sb)
                     for avals in itertools.product(range(1, m.n + 1), repeat=s):
                         for bvals in itertools.product(range(1, m.n + 1), repeat=s):
-                            val = component(seed, avals, bvals)
+                            val = seed.components.get((tuple(sorted(avals)), tuple(sorted(bvals))))
                             if not val:
                                 continue
                             B = [INF] * d
@@ -959,6 +976,203 @@ def build_prop1_tensor_by_placements(m, d: int, s: int, x, seed: SymbolTensor | 
                                 A[c] = v
                             accumulate(entries, (tuple(B), tuple(A)), coeffs[i] * val.constant_value())
     return SparseTensor(d, m.n + 2, entries)
+
+
+# -- the symbol tensors that the generating polynomials replaced --------------------
+
+
+class SymbolTensor:
+    """Symmetric family of boundary polynomials indexed by sorted boundary
+    index tuples (k upper, l lower)."""
+
+    __slots__ = ("k", "l", "n", "components", "ring")
+
+    def __init__(self, n, k, l, ring, components=None):
+        self.n = n
+        self.k = k
+        self.l = l
+        self.ring = ring
+        self.components = {key: p for key, p in (components or {}).items() if p}
+
+    def __bool__(self):
+        return bool(self.components)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SymbolTensor)
+            and (self.k, self.l) == (other.k, other.l)
+            and self.components == other.components
+        )
+
+    def scale(self, c):
+        return SymbolTensor(
+            self.n, self.k, self.l, self.ring,
+            {key: p.scale(c) for key, p in self.components.items()},
+        )
+
+
+def label_keys(n: int, k: int):
+    """The sorted k-tuples of boundary labels 1..n, the keys of SymbolTensor."""
+    return itertools.combinations_with_replacement(range(1, n + 1), k)
+
+
+def label_coefficients(m, P: LaurentPoly) -> dict:
+    """The generating polynomial P, in the ring L of column_factors, as a
+    dict (alpha, beta) -> boundary polynomial: its coefficient of
+    u^alpha v^beta."""
+    nb = m.ring.arity
+    nums = {}
+    for e, c in P.num.items():
+        nums.setdefault((e[nb : nb + m.n], e[nb + m.n :]), {})[e[:nb]] = c
+    return {labels: _canonical(m.ring, num, P.den) for labels, num in nums.items()}
+
+
+def symbol_tensor(m, P: LaurentPoly, k: int, l: int) -> SymbolTensor:
+    """The SymbolTensor of the (k, l) generating polynomial P: the component
+    at the sorted label keys of (alpha, beta) is alpha! beta!/(k! l!) times
+    the coefficient of u^alpha v^beta, which counts its orderings."""
+    comps = {}
+    for (alpha, beta), coeff in label_coefficients(m, P).items():
+        assert (sum(alpha), sum(beta)) == (k, l), "not of degree (k, l)"
+        key = tuple(tuple(x for x, c in enumerate(part, 1) for _ in range(c)) for part in (alpha, beta))
+        comps[key] = coeff.scale(rat(prod(map(factorial, alpha + beta)), factorial(k) * factorial(l)))
+    return SymbolTensor(m.n, k, l, m.ring, comps)
+
+
+def generating_polynomial(m, S: SymbolTensor) -> LaurentPoly:
+    """The generating polynomial of S in the ring L of column_factors: each
+    component times its k! l!/(alpha! beta!) orderings u^alpha v^beta."""
+    L = column_factors(m)[0].target
+    terms = []
+    for (a_key, b_key), comp in S.components.items():
+        labels = tuple(a_key.count(x) for x in range(1, m.n + 1)) + tuple(b_key.count(x) for x in range(1, m.n + 1))
+        orderings = factorial(S.k) * factorial(S.l) // prod(map(factorial, labels))
+        terms.append(_canonical(L, {e + labels: c * orderings for e, c in comp.num.items()}, comp.den))
+    return LaurentPoly.sum(L, terms)
+
+
+def symbol_tensors(m, family: dict) -> dict:
+    """dict (k, l) -> SymbolTensor of a family of generating polynomials."""
+    return {(k, l): symbol_tensor(m, P, k, l) for (k, l), P in family.items()}
+
+
+def generating_polynomials(m, family: dict) -> dict:
+    """dict (k, l) -> generating polynomial of a family of SymbolTensors."""
+    return {key: generating_polynomial(m, S) for key, S in family.items()}
+
+
+def sym_derivative(m, S: SymbolTensor, upper: bool) -> SymbolTensor:
+    """Idempotent symmetrization of one more tangential derivative: the raised
+    d^a on a new upper index when ``upper``, else d_a on a new lower index,
+    averaged over all indices of that kind."""
+    d_hol, d_raised, _ = tangential_ops(m)
+    ops = d_raised if upper else d_hol
+    k, l = (S.k + 1, S.l) if upper else (S.k, S.l + 1)
+    out = {}
+    for a_key in label_keys(m.n, k):
+        for b_key in label_keys(m.n, l):
+            grown = a_key if upper else b_key
+            terms = []
+            for pos in range(len(grown)):
+                # the remaining labels are sorted, as SymbolTensor keys are
+                rest = grown[:pos] + grown[pos + 1 :]
+                comp = S.components.get((rest, b_key) if upper else (a_key, rest))
+                if comp:
+                    terms.append(ops[grown[pos] - 1].apply(comp))
+            acc = LaurentPoly.sum(m.ring, terms, den=len(grown))
+            if acc:
+                out[(a_key, b_key)] = acc
+    return SymbolTensor(m.n, k, l, m.ring, out)
+
+
+def add_symbols(x: SymbolTensor, y: SymbolTensor) -> SymbolTensor:
+    assert (x.k, x.l) == (y.k, y.l)
+    out = dict(x.components)
+    for key, p in y.components.items():
+        accumulate(out, key, p)
+    return SymbolTensor(x.n, x.k, x.l, x.ring, out)
+
+
+@lru_cache(maxsize=None)
+def _insertion_left_kernel(n: int, k: int, l: int):
+    """Left kernel of the symmetrized delta-insertion map
+    lambda^{(k-1,l-1)} -> delta^{(a}_{(b} lambda^{...)}_{...)}, in the sorted
+    keys of SymbolTensor.  The map symmetrizes its input, so symmetric lambda
+    reach its whole image; up to the factor 1/(k l) the image component
+    (a, b) is sum_x count_a(x) count_b(x) lambda(a - x, b - x).  Rows of the
+    kernel annihilate exactly the image, so 'trace-free part of X vanishes'
+    = all kernel rows kill X."""
+    src = list(itertools.product(label_keys(n, k - 1), label_keys(n, l - 1)))
+    dst = list(itertools.product(label_keys(n, k), label_keys(n, l)))
+    src_index = {key: i for i, key in enumerate(src)}
+    # the transpose of the map: one sparse row per source key, one column per target
+    cols = [{} for _ in src]
+    for i, (a, b) in enumerate(dst):
+        for x in set(a).intersection(b):
+            ia, ib = a.index(x), b.index(x)
+            j = src_index[(a[:ia] + a[ia + 1 :], b[:ib] + b[ib + 1 :])]
+            cols[j][i] = a.count(x) * b.count(x)
+    # each kernel row as integer weights over one denominator: the primitive
+    # integer vector over its entry at its free column, its largest
+    return tuple(
+        (v[max(v)], tuple((dst[i], c) for i, c in sorted(v.items())))
+        for v in integer_kernel(cols, len(dst))
+    )
+
+
+def trace_free_part_vanishes(m, S: SymbolTensor) -> LaurentPoly | None:
+    """None when S = delta-insertion of some lambda (i.e. its trace-free part
+    is zero); otherwise a nonzero witness polynomial.  With no upper or no
+    lower index there is no trace part, and the witness is any component."""
+    if S.k == 0 or S.l == 0:
+        return next(iter(S.components.values()), None)
+    for den, row in _insertion_left_kernel(m.n, S.k, S.l):
+        comps, weights = [], []
+        for key, w in row:
+            comp = S.components.get(key)
+            if comp:
+                comps.append(comp)
+                weights.append(w)
+        acc = LaurentPoly.sum(m.ring, comps, weights, den)
+        if acc:
+            return acc
+    return None
+
+
+def check_symbol_recursions_by_kernel(m, symbols: dict, d: int):
+    """The one-formula sweep over SymbolTensors: for each 1 <= k + l <= d + 1
+    the trace-free part of (l - k) S(k, l) + D^ S(k - 1, l) + D_ S(k, l - 1),
+    through sym_derivative, tested by the insertion left kernel.  Returns
+    CaseResults of "equation label: residual" for the equations that fail."""
+    bad, cases = [], 0
+    for total in range(1, d + 2):
+        for k in range(total + 1):
+            l = total - k
+            lhs = symbols[(k, l)].scale(l - k) if total <= d else SymbolTensor(m.n, k, l, m.ring)
+            if k:
+                lhs = add_symbols(lhs, sym_derivative(m, symbols[(k - 1, l)], True))
+            if l:
+                lhs = add_symbols(lhs, sym_derivative(m, symbols[(k, l - 1)], False))
+            res = trace_free_part_vanishes(m, lhs)
+            cases += 1
+            if res is not None:
+                bad.append(f"{_recursion_label(k, l, d)}: {res}")
+    return CaseResults(bad, cases)
+
+
+def check_bgg_by_kernel(m, top: SymbolTensor, d: int, s: int):
+    """The first BGG equations on a SymbolTensor top symbol, through
+    sym_derivative and the insertion left kernel."""
+    assert top.k == s and top.l == s
+    bad = []
+    for side, upper in (("upper", True), ("lower", False)):
+        D = top
+        for _ in range(d + 1 - 2 * s):
+            D = sym_derivative(m, D, upper)
+        res = trace_free_part_vanishes(m, D)
+        if res is not None:
+            bad.append(f"first BGG equation ({side}): {res}")
+    return CaseResults(bad, 2)
 
 
 # -- the symbol recursions written out form by form --------------------------------
@@ -1174,9 +1388,11 @@ def gather_class_sum(v, tables, perms):
     return [sum(xs) for xs in zip(*([v[i] for i in tables[p]] for p in perms))]
 
 
-def component(S: SymbolTensor, a_tuple, b_tuple):
-    """The component of S at the label tuples, in any order (zero if absent)."""
-    return S.components.get((tuple(sorted(a_tuple)), tuple(sorted(b_tuple))), S.ring.zero())
+def component(m, P: LaurentPoly, a_tuple, b_tuple):
+    """The component at the label tuples, in any order (zero if absent), of
+    the symbol whose generating polynomial is P, read through symbol_tensor."""
+    a, b = tuple(sorted(a_tuple)), tuple(sorted(b_tuple))
+    return symbol_tensor(m, P, len(a), len(b)).components.get((a, b), m.ring.zero())
 
 
 # -- the former dense matrix path of sl(n+2) ---------------------------------------

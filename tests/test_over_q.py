@@ -34,7 +34,7 @@ from subsym.boundary import (
 from subsym.scalars import GR_I, GR_ONE, RONE
 from subsym.symbols import extract_all_symbols
 from subsym.tensor import SparseTensor
-from support import GaussianPoly, GaussianRing, column_symmetric, parse_gr, parse_rat, to_gaussian
+from support import GaussianPoly, GaussianRing, column_symmetric, parse_gr, parse_rat, symbol_tensors, to_gaussian
 
 DATA = json.loads((Path(__file__).parent / "data" / "sigma_form.json").read_text())
 MINUS_I = GR_I * -1
@@ -90,7 +90,7 @@ def test_symbols_match_sigma_form_records(n):
     rec, G = _record(n)
     m = BoundaryModel(n)
     T = SparseTensor(2, n + 2, {(tuple(B), tuple(A)): parse_rat(v) for B, A, v in rec["tensor"]})
-    syms = extract_all_symbols(m, T)
+    syms = symbol_tensors(m, extract_all_symbols(m, T))
     assert sorted(syms) == [(k, l) for k, l, _ in rec["symbols"]]
     compared = 0
     for k, l, comps in rec["symbols"]:
@@ -118,7 +118,7 @@ def test_one_coefficient_field(n):
     F = sum(m.monomials(2), m.ring.zero())
     polys += [extend(m, F, w1, w2), phi_pullback(m, extend(m, F, w1, w2))]
     T = column_symmetric(2, n + 2, rng, density=0.3)
-    polys += [p for S in extract_all_symbols(m, T).values() for p in S.components.values()]
+    polys += list(extract_all_symbols(m, T).values())
     d_hol, d_raised, dtau = tangential_ops(m)
     V, W = random_traceless(n, rng), random_traceless(n, rng)
     ops = [*d_hol, *d_raised, dtau, sublaplacian(m, w1, w2), central_element(amb),

@@ -11,35 +11,43 @@ from subsym.boundary import BoundaryModel, column_factors, induce, tangential_op
 from subsym.report import VerificationReport
 from subsym.rings import LaurentPoly, Substitution
 from subsym.scalars import rat
+from subsym.weyl import WeylOperator
 from support import (
+    SymbolTensor,
+    _insertion_left_kernel,
+    add_symbols,
     build_prop1_tensor_by_placements,
     extract_all_symbols_by_assignment,
     extract_all_symbols_by_blocks,
+    check_bgg_by_kernel,
     check_symbol_recursions_by_form,
+    check_symbol_recursions_by_kernel,
     column_symmetric,
     component,
     disjoint_trace_free,
+    generating_polynomial,
+    generating_polynomials,
     insertion_left_kernel_full_tuples,
+    label_coefficients,
+    label_keys,
     principal_part,
+    symbol_tensors,
+    trace_free_part_vanishes,
 )
 from subsym.symbols import (
     PROP1_CHECKS,
-    SymbolTensor,
-    _insertion_left_kernel,
     a_coeff,
-    add_symbols,
     a_matrix_det,
     build_prop1_tensor,
     check_bgg,
     check_symbol_recursions,
     _extract_symbols_reference,
     extract_all_symbols,
-    label_keys,
     pascal_identity_check,
     prop1_system,
     symmetry_space_dim,
     three_column_skew_checks,
-    trace_free_part_vanishes,
+    trace_remainder,
     type_count,
     verify_prop1,
 )
@@ -125,9 +133,9 @@ def test_d1_symbols_hand_values(m1):
     T = SparseTensor(1, 3, {((0,), (0,)): rat(1), ((2,), (2,)): rat(-1)})
     syms = extract_all_symbols(m1, T)
     # one tau slot: the sigma-form symbol -2 sigma times the phase i, at sigma = -i tau
-    assert component(syms[(0, 0)], (), ()) == m1.tau().scale(-2)
-    assert component(syms[(1, 0)], (1,), ()) == m1.z(1).scale(-1)
-    assert component(syms[(0, 1)], (), (1,)) == m1.z_low(1).scale(-1)
+    assert component(m1, syms[(0, 0)], (), ()) == m1.tau().scale(-2)
+    assert component(m1, syms[(1, 0)], (1,), ()) == m1.z(1).scale(-1)
+    assert component(m1, syms[(0, 1)], (), (1,)) == m1.z_low(1).scale(-1)
 
 
 def test_d1_recursions_for_basis(m1):
@@ -153,10 +161,10 @@ def test_d1_sigma_symbol_matches_induced_constant_term(m2):
     zero_part = induce(m2, dV, w1, w2, m2.ring.one())
     got_tau = induce(m2, dV, w1, w2, m2.tau()) - zero_part * m2.tau()
     d_hol, d_raised, _ = tangential_ops(m2)
-    expected = component(syms[(0, 0)], (), ())
+    expected = component(m2, syms[(0, 0)], (), ())
     for a in range(1, 3):
-        expected = expected + component(syms[(1, 0)], (a,), ()) * d_hol[a - 1].apply(m2.tau())
-        expected = expected + component(syms[(0, 1)], (), (a,)) * d_raised[a - 1].apply(m2.tau())
+        expected = expected + component(m2, syms[(1, 0)], (a,), ()) * d_hol[a - 1].apply(m2.tau())
+        expected = expected + component(m2, syms[(0, 1)], (), (a,)) * d_raised[a - 1].apply(m2.tau())
     assert got_tau == expected
 
 
@@ -181,18 +189,19 @@ def test_perturbed_pure_tau_symbol_fails_only_its_recursion(m2):
     # that has that symbol on its left side can see it
     T = disjoint_trace_free(2, 4, random.Random(3))
     syms = extract_all_symbols(m2, T)
+    L = column_factors(m2)[0].target
     for key, label in [
         ((1, 0), "tau recursion (upper) k=1"),
         ((2, 0), "tau recursion (upper) k=2"),
         ((0, 1), "tau recursion (lower) l=1"),
         ((0, 2), "tau recursion (lower) l=2"),
     ]:
-        S = syms[key]
-        comp = ((1,) * S.k, (2,) * S.l)
-        bumped = dict(S.components)
-        bumped[comp] = component(S, *comp) + m2.ring.one()
+        # the component with upper labels 1 and lower labels 2 is the
+        # coefficient of u1^k v2^l, which has one ordering
+        k, l = key
         bad = dict(syms)
-        bad[key] = SymbolTensor(S.n, S.k, S.l, S.ring, bumped)
+        bad[key] = syms[key] + L.monomial({"u1": k, "v2": l})
+        assert component(m2, bad[key], (1,) * k, (2,) * l) == component(m2, syms[key], (1,) * k, (2,) * l) + 1
         failed = check_symbol_recursions(m2, bad, 2)
         assert [f.split(": ")[0] for f in failed] == [label] and failed.cases == recursion_count(2), key
 
@@ -227,27 +236,68 @@ def recursion_families(n, g_diag, d):
     return m, rng, [extract_all_symbols(m, T) for T in tensors]
 
 
+# the models (n, g_diag) of recursion_families
+RECURSION_MODELS = [(1, None), (2, None), (3, None), (2, (1, -1))]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n, g_diag", [(1, None), (2, None), (3, None), (2, (1, -1))])
+@pytest.mark.parametrize("n, g_diag", RECURSION_MODELS)
 def test_recursion_sweep_matches_the_form_by_form_oracle(n, g_diag, d):
-    # the one-formula sweep and the five hand-written forms examine the same
-    # equations and find the same failures, on extracted families and on the
-    # same families with one random (k, l) component perturbed
+    # the remainder check on the generating polynomials, the former sweep over
+    # SymbolTensors and the five hand-written forms examine the same equations
+    # and fail the same ones, on extracted families and on the same families
+    # with one random (k, l) component perturbed
     m, rng, families = recursion_families(n, g_diag, d)
     for syms in families:
+        tensors = symbol_tensors(m, syms)
+        assert generating_polynomials(m, tensors) == syms
         key = rng.choice(sorted(syms))
         comp = tuple(rng.choice(list(label_keys(n, j))) for j in key)
-        S = syms[key]
+        S = tensors[key]
         bumped = dict(S.components)
-        bumped[comp] = component(S, *comp) + m.ring.const(rng.randint(1, 3)) + (
+        bumped[comp] = S.components.get(comp, m.ring.zero()) + m.ring.const(rng.randint(1, 3)) + (
             m.z(1).scale(rng.randint(-2, 2)) + m.tau().scale(rng.randint(-2, 2)))
-        perturbed = {**syms, key: SymbolTensor(n, *key, m.ring, bumped)}
-        for family in (syms, perturbed):
-            got = check_symbol_recursions(m, family, d)
+        perturbed = {**tensors, key: SymbolTensor(n, *key, m.ring, bumped)}
+        for family in (tensors, perturbed):
+            got = check_symbol_recursions(m, generating_polynomials(m, family), d)
+            former = check_symbol_recursions_by_kernel(m, family, d)
             oracle = check_symbol_recursions_by_form(m, family, d)
-            assert got.cases == len(oracle) == recursion_count(d)
-            assert sorted(got) == sorted(f"{label}: {res}" for label, ok, res in oracle if not ok)
-        assert check_symbol_recursions(m, perturbed, d)
+            assert got.cases == former.cases == len(oracle) == recursion_count(d)
+            labels = sorted(failure.split(": ")[0] for failure in got)
+            assert labels == sorted(failure.split(": ")[0] for failure in former)
+            assert labels == sorted(label for label, ok, _ in oracle if not ok)
+        assert check_symbol_recursions(m, generating_polynomials(m, perturbed), d)
+
+
+def plus_remainder(m, P):
+    """trace_remainder with u1 v1 rewritten as +(u2 v2 + ... + un vn): the
+    remainder conjugated by v1 -> -v1."""
+    L = P.ring
+    flip = Substitution(L, {"v1": -L.gen("v1")})
+    return trace_remainder(m, P.substitute(flip)).substitute(flip)
+
+
+REMAINDER_MUTANTS = {"plus": plus_remainder, "none": lambda m, P: P}
+
+
+@pytest.mark.parametrize("mutant", sorted(REMAINDER_MUTANTS))
+def test_a_wrong_remainder_fails_the_full_support_draws(mutant, monkeypatch):
+    """Mutant control: the disjoint draws have no trace part, so only the
+    full-support column-symmetric draws of recursion_families can see the
+    remainder.  They all pass with it; with u1 v1 rewritten as
+    +(u2 v2 + ...) every draw with n >= 2 fails (at n = 1 the sum is empty
+    and the sign cannot show), and with nothing rewritten every draw but
+    the one at n = d = 1."""
+    import subsym.symbols
+
+    models = [(n, g_diag, d) for n, g_diag in RECURSION_MODELS for d in (1, 2, 3)]
+    draws = {model: recursion_families(*model) for model in models}
+    assert not any(check_symbol_recursions(m, families[0], model[2]) for model, (m, _, families) in draws.items())
+    monkeypatch.setattr(subsym.symbols, "trace_remainder", REMAINDER_MUTANTS[mutant])
+    failed = [model for model, (m, _, families) in draws.items() if check_symbol_recursions(m, families[0], model[2])]
+    expected = {"plus": [model for model in models if model[0] >= 2],
+                "none": [model for model in models if model != (1, None, 1)]}
+    assert failed == expected[mutant]
 
 
 def test_zero_symbols_pass_vacuously(m2):
@@ -325,10 +375,20 @@ def test_el2_elements_induce_zero():
 # -- BGG checks -----------------------------------------------------------------
 
 
+def bgg(m, top, d, s):
+    """check_bgg on the generating polynomial of the SymbolTensor ``top``,
+    which fails the same equations as the former check on ``top``."""
+    got = check_bgg(m, generating_polynomial(m, top), d, s)
+    former = check_bgg_by_kernel(m, top, d, s)
+    assert got.cases == former.cases
+    assert [f.split(": ")[0] for f in got] == [f.split(": ")[0] for f in former]
+    return got
+
+
 def test_bgg_constant_top_symbol(m2):
     comp = {((1,), (2,)): m2.ring.one()}
     top = SymbolTensor(2, 1, 1, m2.ring, comp)
-    res = check_bgg(m2, top, 2, 1)
+    res = bgg(m2, top, 2, 1)
     assert not res and res.cases == 2
 
 
@@ -338,7 +398,7 @@ def test_bgg_sigma_power_degree_bound(m2):
     for d in (1, 2):
         for mdeg in range(0, d + 2):
             top = SymbolTensor(2, 0, 0, m2.ring, {((), ()): m2.tau() ** mdeg})
-            res = check_bgg(m2, top, d, 0)
+            res = bgg(m2, top, d, 0)
             assert res.cases == 2
             if mdeg <= d:
                 assert not res, (d, mdeg)
@@ -346,7 +406,7 @@ def test_bgg_sigma_power_degree_bound(m2):
                 assert res, (d, mdeg)
     # pure holomorphic polynomials die at the first raised derivative
     ok_poly = SymbolTensor(2, 0, 0, m2.ring, {((), ()): m2.z(1) ** 2})
-    assert not check_bgg(m2, ok_poly, 2, 0)
+    assert not bgg(m2, ok_poly, 2, 0)
 
 
 def test_trace_free_part_detects_insertion(m2):
@@ -359,9 +419,31 @@ def test_trace_free_part_detects_insertion(m2):
                 comps[((a,), (b,))] = lam_poly
     S = SymbolTensor(2, 1, 1, m2.ring, comps)
     assert trace_free_part_vanishes(m2, S) is None
+    assert not trace_remainder(m2, generating_polynomial(m2, S))
     # a generic symbol does not
     S2 = SymbolTensor(2, 1, 1, m2.ring, {((1,), (2,)): m2.ring.one()})
     assert trace_free_part_vanishes(m2, S2) is not None
+    assert trace_remainder(m2, generating_polynomial(m2, S2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_remainder_hand_values(n):
+    m = BoundaryModel(n)
+    L = column_factors(m)[0].target
+    u = {x: L.gen(f"u{x}") for x in range(1, n + 1)}
+    v = {x: L.gen(f"v{x}") for x in range(1, n + 1)}
+    r = LaurentPoly.sum(L, [u[x] * v[x] for x in range(2, n + 1)])
+    q = u[1] * v[1] + r
+    z = m.z(1).substitute(column_factors(m)[0])
+    assert trace_remainder(m, u[1] * v[1]) == -r
+    assert trace_remainder(m, (u[1] * v[1]) ** 2 * z) == r * r * z
+    assert trace_remainder(m, u[1] ** 3 * v[1] - v[1] ** 2) == -(u[1] ** 2) * r - v[1] ** 2
+    # no u or no v: the remainder is the polynomial itself
+    assert trace_remainder(m, u[1] ** 2 * z + z) == u[1] ** 2 * z + z
+    # a multiple of q, whose rewritten terms cancel the terms without u1 v1
+    P = q * (u[1] * v[1] + z - r)
+    assert not trace_remainder(m, P)
+    assert trace_remainder(m, P + z * v[1] ** 2) == z * v[1] ** 2
 
 
 # the (k, l) cases of the delta-insertion kernel checked against the
@@ -404,7 +486,7 @@ def random_symbol(m, k, l, rng):
 
 @pytest.mark.parametrize("n, k, l", INSERTION_CASES)
 def test_insertion_kernel_matches_the_full_tuple_kernel(n, k, l, monkeypatch):
-    import subsym.symbols
+    import support
 
     m = BoundaryModel(n)
     rng = random.Random(100 * n + 10 * k + l)
@@ -413,10 +495,13 @@ def test_insertion_kernel_matches_the_full_tuple_kernel(n, k, l, monkeypatch):
     assert insertion
     verdicts = []
     for kernel in (_insertion_left_kernel, insertion_left_kernel_full_tuples):
-        monkeypatch.setattr(subsym.symbols, "_insertion_left_kernel", kernel)
+        monkeypatch.setattr(support, "_insertion_left_kernel", kernel)
         verdicts.append((trace_free_part_vanishes(m, insertion),
                          trace_free_part_vanishes(m, perturbed) is not None))
-    assert verdicts == [(None, True), (None, True)]
+    # the third verdict: the remainder modulo q = sum_x u_x v_x
+    verdicts.append((trace_remainder(m, generating_polynomial(m, insertion)) or None,
+                     bool(trace_remainder(m, generating_polynomial(m, perturbed)))))
+    assert verdicts == [(None, True)] * 3
     # delta-insertion is multiplication by sum_x z_x w_x on bihomogeneous
     # polynomials, so it is injective: the image has dim Sym^(k-1) x Sym^(l-1)
     dim_sym = comb(n + k - 1, k) * comb(n + l - 1, l)
@@ -434,7 +519,7 @@ def test_prop1_s0():
     assert list(T.entries) == [((3,), (0,))]
     syms = extract_all_symbols(m, T)
     # the sigma-form symbol -i times the phase i of its one tau slot
-    assert component(syms[(0, 0)], (), ()) == m.ring.const(1)
+    assert component(m, syms[(0, 0)], (), ()) == m.ring.const(1)
     res = check_bgg(m, syms[(0, 0)], 1, 0)
     assert not res and res.cases == 2
     rec = check_symbol_recursions(m, syms, 1)
@@ -500,85 +585,44 @@ def test_symmetry_space_cross_check_with_isotypic():
 
 
 def test_build_prop1_tensor_general_seed():
-    from subsym.symbols import _seed_is_trace_free, default_prop1_seed
-
     m = BoundaryModel(3)
     res = prop1_system(2, 1)
     # a different constant trace-free seed: off-diagonal components only
     comp = {((1,), (2,)): m.ring.one(), ((2,), (1,)): m.ring.one().scale(-1)}
     seed = SymbolTensor(3, 1, 1, m.ring, comp)
-    assert _seed_is_trace_free(seed)
-    T = build_prop1_tensor(m, 2, 1, res["x"], seed=seed)
-    assert T.is_symmetric()
+    T = build_prop1_tensor_by_placements(m, 2, 1, res["x"], seed=seed)
+    # the seed is trace-free, and so is the tensor built on it
+    assert T.is_symmetric() and T.is_trace_free()
     syms = extract_all_symbols(m, T)
     # the same type coefficients kill the lower diagonal symbols (linearity)
     assert not syms[(0, 0)]
     rec = check_symbol_recursions(m, syms, 2)
     assert not rec and rec.cases == recursion_count(2)
-    # default seed path unchanged
-    Tdef = build_prop1_tensor(m, 2, 1, res["x"])
-    assert Tdef == build_prop1_tensor(m, 2, 1, res["x"], seed=default_prop1_seed(m, 1))
+    # the default seed u1 v2
+    default = SymbolTensor(3, 1, 1, m.ring, {((1,), (2,)): m.ring.one()})
+    assert build_prop1_tensor(m, 2, 1, res["x"]) == build_prop1_tensor_by_placements(m, 2, 1, res["x"], seed=default)
 
 
-def test_build_prop1_rejects_bad_seed():
-    m = BoundaryModel(2)
-    # nonzero trace: single diagonal component
-    bad = SymbolTensor(2, 1, 1, m.ring, {((1,), (1,)): m.ring.one()})
-    with pytest.raises(ValueError):
-        build_prop1_tensor(m, 2, 1, [1], seed=bad)
-    # non-constant seed
-    var = SymbolTensor(2, 1, 1, m.ring, {((1,), (2,)): m.z(1)})
-    with pytest.raises(ValueError):
-        build_prop1_tensor(m, 2, 1, [1], seed=var)
-
-
-def constant_seed(m, s, comps):
-    """The seed with s upper and s lower indices and the given constant components."""
-    return SymbolTensor(m.n, s, s, m.ring, {key: m.ring.const(c) for key, c in comps.items()})
-
-
-@pytest.mark.parametrize(
-    "comps,ok",
-    [
-        # the two diagonal traces cancel
-        ({((1,), (1,)): 1, ((2,), (2,)): -1}, True),
-        ({((1,), (1,)): 1, ((2,), (2,)): 1}, False),
-        # one common label: the trace at ((2,), (3,)) is 1
-        ({((1, 2), (1, 3)): 1}, False),
-        # ((2, 3), (3, 3)) meets ((2,), (3,)) once, through its one common label
-        ({((1, 2), (1, 3)): 1, ((2, 3), (3, 3)): -1, ((1, 1), (2, 3)): 5}, True),
-    ],
-)
-def test_seed_trace_check_reads_the_components(comps, ok):
-    from subsym.symbols import _seed_is_trace_free
+def test_prop1_top_witness_names_the_off_seed_keys(monkeypatch):
+    import subsym.symbols
 
     m = BoundaryModel(3)
-    s = len(next(iter(comps))[0])
-    assert _seed_is_trace_free(constant_seed(m, s, comps)) == ok
+    seed = SymbolTensor(3, 1, 1, m.ring, {((1,), (2,)): m.ring.one(), ((2,), (1,)): m.ring.const(-1)})
+    monkeypatch.setattr(subsym.symbols, "build_prop1_tensor",
+                        lambda m, d, s, x: build_prop1_tensor_by_placements(m, d, s, x, seed=seed))
+    checks = dict(verify_prop1(m, 2, 1))
+    assert list(checks["top symbol is a nonzero seed multiple"]) == ["component ((2,), (1,)) off the seed"]
+    assert [label for label, failures in checks.items() if failures] == ["top symbol is a nonzero seed multiple"]
+    monkeypatch.setattr(subsym.symbols, "build_prop1_tensor", lambda m, d, s, x: SparseTensor(d, m.n + 2))
+    assert list(dict(verify_prop1(m, 2, 1))["top symbol is a nonzero seed multiple"]) == ["seed component zero"]
 
 
 @pytest.mark.parametrize("n,d,s", [(2, 2, 1), (3, 3, 1), (3, 4, 2), (2, 4, 2), (3, 5, 2), (4, 4, 2), (3, 6, 3)])
 def test_prop1_tensor_is_the_sum_over_placements(n, d, s):
     m = BoundaryModel(n)
-    x = prop1_system(d, s)["x"]
-    assert build_prop1_tensor(m, d, s, x) == build_prop1_tensor_by_placements(m, d, s, x)
-
-
-@pytest.mark.parametrize(
-    "d,s,comps",
-    [
-        (3, 1, {
-            ((1,), (2,)): 1, ((2,), (1,)): -1, ((1,), (1,)): rat(1, 2), ((3,), (3,)): rat(-1, 2), ((2,), (3,)): 4,
-        }),
-        (4, 2, {((1, 2), (1, 3)): rat(2, 3), ((2, 3), (3, 3)): rat(-2, 3), ((1, 1), (2, 3)): 5}),
-    ],
-)
-def test_prop1_tensor_is_the_sum_over_placements_for_other_seeds_and_coefficients(d, s, comps):
-    m = BoundaryModel(3)
-    seed = constant_seed(m, s, comps)
     for x in (prop1_system(d, s)["x"], [rat(-3, 7) * (i + 2) for i in range(s)]):
-        T = build_prop1_tensor(m, d, s, x, seed=seed)
-        assert T and T == build_prop1_tensor_by_placements(m, d, s, x, seed=seed)
+        T = build_prop1_tensor(m, d, s, x)
+        assert T and T == build_prop1_tensor_by_placements(m, d, s, x)
 
 
 def random_entries(rng, d, N, count):
@@ -709,23 +753,24 @@ def test_orbit_extraction_matches_on_skew_and_prop1_tensors(n):
 
 def unsigned_column_factors(m):
     """column_factors with +v_b in place of -v_b: the symbols lose (-1)^l."""
-    L, phi = column_factors(m)
+    lift, phi = column_factors(m)
+    L = lift.target
     flip = Substitution(L, {f"v{b}": -L.gen(f"v{b}") for b in range(1, m.n + 1)})
-    return L, {col: p.substitute(flip) for col, p in phi.items()}
+    return lift, {col: p.substitute(flip) for col, p in phi.items()}
 
 
-# name -> (name in subsym.symbols, its stand-in); the extraction's one prod
-# is the alpha! beta! multiplicity of a coefficient
+# name -> (name in subsym.symbols, its stand-in); the extraction's one
+# stabilizer_order gives the d!/stab orderings of a column orbit
 MUTANTS = {
-    "no multiplicity": ("prod", lambda factors: 1),
+    "no multiplicity": ("stabilizer_order", lambda cols: factorial(len(cols))),
     "unsigned v": ("column_factors", unsigned_column_factors),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_a_perturbed_generating_polynomial_fails_the_comparison(mutant, monkeypatch):
-    """Mutant control: the extraction with the alpha! beta! label
-    multiplicity dropped, or with the v terms of the column factors
+    """Mutant control: the extraction with the d!/stab orderings of each
+    column orbit dropped, or with the v terms of the column factors
     unsigned, differs from the assignment and block extractions on the
     comparison's draws."""
     import subsym.symbols
@@ -758,47 +803,28 @@ def test_recursions_mixed_signature():
 
 
 def _symbol_operator(m, syms, d):
-    # assemble sum over (k, l) of V[k,l] components times the contact
-    # derivative monomials; ordering inside each factor group is immaterial
-    # at top order because the components are symmetric
-    from subsym.weyl import WeylOperator
-
+    # sum over the terms c u^alpha v^beta of each (k, l) generating polynomial
+    # of c d_hol^alpha d_raised^beta d_tau^(d-k-l): c already counts the
+    # orderings of the labels, and the order of the factors is immaterial at
+    # top order because the components are symmetric
     d_hol, d_raised, dtau = tangential_ops(m)
     out = WeylOperator.zero(m.ring)
-    for (k, l), S in syms.items():
-        tau_power = d - k - l
-        for (a_key, b_key), coeff in S.components.items():
+    for (k, l), P in syms.items():
+        for (alpha, beta), coeff in label_coefficients(m, P).items():
             op = WeylOperator.mul_by(coeff)
-            for a in a_key:
-                op = op.compose(d_hol[a - 1])
-            for b in b_key:
-                op = op.compose(d_raised[b - 1])
-            for _ in range(tau_power):
+            for ops, exps in ((d_hol, alpha), (d_raised, beta)):
+                for a, e in enumerate(exps):
+                    for _ in range(e):
+                        op = op.compose(ops[a])
+            for _ in range(d - k - l):
                 op = op.compose(dtau)
-            # distinct orderings of a repeated index multiply the count
-            import math
-
-            mult = 1
-            seen = {}
-            for a in a_key:
-                seen[a] = seen.get(a, 0) + 1
-            norm_a = math.factorial(k)
-            for c in seen.values():
-                norm_a //= math.factorial(c)
-            seen = {}
-            for b in b_key:
-                seen[b] = seen.get(b, 0) + 1
-            norm_b = math.factorial(l)
-            for c in seen.values():
-                norm_b //= math.factorial(c)
-            out = out + op.scale(norm_a * norm_b)
+            out = out + op
     return out
 
 
 def test_induced_operator_top_order_equals_symbols():
     # reconstruct the induced boundary operator from its action and compare
     # its leading part with the operator assembled from extracted symbols
-    from subsym.boundary import induce
     from subsym.weyl import from_action
 
     m = BoundaryModel(2)
