@@ -4,15 +4,19 @@ Mixed tensors live in (V (x) V*)^(x)k with dim V = N.  Entries are keyed by a
 pair of multi-indices (U, L): U indexes the vector factors, L the dual
 factors.  Pair-symmetric tensors (invariant under simultaneous permutation of
 the k (u, l) slot pairs) are stored compactly as vectors over the multisets of
-(u, l) pairs of one weight block, sparse and with integer entries; S_k acts
-on them by scattering through the preimage tables of ``_perm_preimages``.
+(u, l) pairs of one weight block, sparse and with integer entries; a class
+sum of S_k acts on them by scattering through one merged table per block and
+class, ``_class_table``.
 
 Everything here commutes with the diagonal torus, so all linear algebra is
 done block-by-block over weight spaces; weights related by relabeling the N
-basis values give isomorphic blocks, and ranks are computed once per orbit.
-That reduction is what keeps the (k, N) = (3, 6) computations at desk scale.
-The commutant, decompose and hwvectors suites, which check this layer, close
-the module.
+basis values give isomorphic blocks, so only the block of each orbit's
+dominant weight is built, and kernels are computed once per orbit.  Isotypic
+ranks are traces read off the reduced kernels, with no elimination; the
+class sums of every kernel vector are formed once, for the commutant checks.
+The decomposition law is also checked with no S_k at all, as weight
+multiplicities (Kostka numbers).  The commutant, decompose and hwvectors
+suites, which check this layer, close the module.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm, prod
 
 from . import linalg
 from .classalg import (
     act_on_tuple,
     central_idempotent,
+    char_dim,
     class_elements,
     class_representative,
     compose_perm,
@@ -33,18 +38,12 @@ from .classalg import (
     partitions,
 )
 from .report import CaseResults, VerificationReport
-from .scalars import RONE, accumulate, rat
+from .scalars import RONE, RZERO, accumulate, rat
 from .tensor import SparseTensor, invert_perm, sl_basis
 
 
 # ---------------------------------------------------------------------------
-# pair-symmetric tensors: multisets and the S_k action on weight blocks
-
-
-def pair_multisets(k, N):
-    """All canonical multisets (sorted tuples) of k pairs over range(N)^2."""
-    pairs = [(u, l) for u in range(N) for l in range(N)]
-    return list(itertools.combinations_with_replacement(pairs, k))
+# pair-symmetric tensors: weight orbits, their blocks and the S_k action
 
 
 def multiset_weight(M, N):
@@ -62,74 +61,70 @@ def _perm_lower_multiset(M, sigma):
 
 
 @lru_cache(maxsize=None)
-def _perm_preimages(k, N, weight):
-    """Preimage lists of the slot permutations on one weight block.
+def weight_orbits(k, N):
+    """Orbits of weights under value relabeling: canonical pattern ->
+    (representative weight, number of weights in the orbit).  A pattern is a
+    partition alpha of some p <= k, zeros, and minus a partition beta of p,
+    len(alpha) + len(beta) <= N (k - p diagonal pairs make up the rest); it is
+    its own representative, and the orbit size is a multinomial."""
+    orbits = {}
+    for p in range(k + 1):
+        for alpha, beta in itertools.product(partitions(p), repeat=2):
+            if len(alpha) + len(beta) <= N:
+                pat = alpha + (0,) * (N - len(alpha) - len(beta)) + tuple(-b for b in reversed(beta))
+                orbits[pat] = (pat, factorial(N) // prod(factorial(pat.count(x)) for x in set(pat)))
+    return orbits
 
-    ``pre[sigma][i]`` lists the block indices j with M_j^sigma = M_i (lower
-    indices permuted), so the pullback j -> v[index of M_j^sigma] of a block
-    vector v is scattered from the support of v.  M -> M^sigma acts on
-    sorted representatives and is not a bijection of the block, so an index
-    may have several preimages or none.  Only the lower group is needed: on
-    a multiset, moving the upper indices by sigma is moving the lower ones
-    by sigma^-1, and the actions used here are class-closed.
+
+@lru_cache(maxsize=None)
+def weight_block(k, N, weight):
+    """The sorted multisets of k pairs over range(N)^2 with the given weight,
+    in order: the positive and the negative entries, both with the same
+    k - p diagonal values added, give the upper and the lower values, and
+    every distinct ordering of the lower values meets the sorted upper ones."""
+    upper = [x for x in range(N) for _ in range(max(weight[x], 0))]
+    lower = [x for x in range(N) for _ in range(max(-weight[x], 0))]
+    out = set()
+    for extra in itertools.combinations_with_replacement(range(N), k - len(upper)):
+        U = sorted(upper + list(extra))
+        out.update(tuple(sorted(zip(U, L))) for L in set(itertools.permutations(lower + list(extra))))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _class_table(k, N, weight, tau):
+    """The class sum K_tau on one weight block, merged over the class:
+    ``table[i]`` holds the pairs (j, m), m the number of sigma in the class
+    with M_j^sigma = M_i (lower indices permuted), so the pullback
+    v -> sum_sigma v[index of M^sigma] of a block vector v is scattered from
+    the support of v.  M -> M^sigma acts on sorted representatives and is not
+    a bijection of the block, so an index may have several preimages or
+    none.  Only the lower group is needed: on a multiset, moving the upper
+    indices by sigma is moving the lower ones by sigma^-1, in the same class.
     """
-    block = weight_blocks(k, N)[weight]
+    block = weight_block(k, N, weight)
     index = {M: j for j, M in enumerate(block)}
-    out = {}
-    for sigma in itertools.permutations(range(k)):
-        pre = [[] for _ in block]
+    table = [{} for _ in block]
+    for sigma in class_elements(k)[tau]:
         for j, M in enumerate(block):
-            pre[index[_perm_lower_multiset(M, sigma)]].append(j)
-        out[sigma] = tuple(map(tuple, pre))
-    return out
+            row = table[index[_perm_lower_multiset(M, sigma)]]
+            row[j] = row.get(j, 0) + 1
+    return tuple(tuple(row.items()) for row in table)
 
 
-def _class_sum(v, pre, perms):
-    """Unnormalised sum over ``perms`` of the pullbacks of the sparse block
-    vector v ({index: value}), as a sparse vector."""
+def _scatter(table, v, c=1):
+    """c K v for the class table of K and the sparse block vector v
+    ({index: value}); entries that cancel to zero are kept."""
     out = {}
-    for p in perms:
-        targets = pre[p]
-        for i, x in v.items():
-            for j in targets[i]:
-                out[j] = out.get(j, 0) + x
-    return {j: x for j, x in out.items() if x}
-
-
-def _combine(terms):
-    """Sum of c * vec over the (c, sparse vector) pairs."""
-    acc = {}
-    for c, vec in terms:
-        for j, x in vec.items():
-            acc[j] = acc.get(j, 0) + c * x
-    return {j: x for j, x in acc.items() if x}
+    for i, x in v.items():
+        x *= c
+        for j, m in table[i]:
+            out[j] = out.get(j, 0) + m * x
+    return out
 
 
 # ---------------------------------------------------------------------------
 # trace-free symmetric subspace, block by block
-
-
-@lru_cache(maxsize=None)
-def weight_blocks(k, N):
-    """dict weight -> tuple of multisets with that weight."""
-    blocks = {}
-    for M in pair_multisets(k, N):
-        blocks.setdefault(multiset_weight(M, N), []).append(M)
-    return {w: tuple(sorted(ms)) for w, ms in blocks.items()}
-
-
-@lru_cache(maxsize=None)
-def weight_orbits(k, N):
-    """Orbits of weights under value relabeling: canonical pattern ->
-    (representative weight, number of weights in the orbit)."""
-    blocks = weight_blocks(k, N)
-    orbits = {}
-    for w in blocks:
-        pat = tuple(sorted(w, reverse=True))
-        if pat not in orbits:
-            orbits[pat] = [w, 0]
-        orbits[pat][1] += 1
-    return {pat: (w, cnt) for pat, (w, cnt) in orbits.items()}
 
 
 def _contraction_columns(M):
@@ -179,7 +174,7 @@ def trace_free_block_kernel(k, N, weight):
     integer vector {block index: int}.  The vectors are shared through the
     cache, so callers only read them.
     """
-    block = weight_blocks(k, N)[weight]
+    block = weight_block(k, N, weight)
     return block, tuple(linalg.integer_kernel(_contraction_matrix(block), len(block)))
 
 
@@ -195,21 +190,37 @@ def _orbit_kernels(k, N):
     return [(w, cnt, kern) for w, cnt in orbits if (kern := trace_free_block_kernel(k, N, w)[1])]
 
 
-def isotypic_rank(lam, k, N) -> int:
-    """Rank of the central idempotent e_lam on the trace-free symmetric space.
-
-    e_lam is the nonzero multiple dim(lam)/k! of sum_mu chi^lam(mu) K_mu, K_mu
-    the unnormalised class sum, so the rank is taken on the integer images
-    of that combination, one kernel vector at a time.
-    """
-    lam = tuple(lam)
-    chars = [(c, elems) for mu, elems in class_elements(k).items() if (c := mn_character(lam, mu))]
-    total = 0
+@lru_cache(maxsize=None)
+def _class_traces(k, N):
+    """{mu: tr(K_mu | S^k_0)}, K_mu the unnormalised class sum, exact.  The
+    reduced kernel vector v_f is positive at its free column f, its largest,
+    where the other kernel vectors are zero, so its coefficient in K_mu v_f
+    is sum_{sigma in mu} v_f[index of M_f^sigma] / v_f[f]; isomorphic blocks
+    count the representative's trace once per weight of its orbit."""
+    classes = class_elements(k)
+    sums = {}  # (mu, v_f[f]) -> integer sum of the orbit-weighted lookups
     for w, cnt, rows in _orbit_kernels(k, N):
-        pre = _perm_preimages(k, N, w)
-        images = [_combine([(c, _class_sum(v, pre, elems)) for c, elems in chars]) for v in rows]
-        total += cnt * linalg.rank(images)
-    return total
+        block = weight_block(k, N, w)
+        index = {M: j for j, M in enumerate(block)}
+        for v in rows:
+            f = max(v)
+            for mu, perms in classes.items():
+                hits = sum(v.get(index[_perm_lower_multiset(block[f], s)], 0) for s in perms)
+                sums[mu, v[f]] = sums.get((mu, v[f]), 0) + cnt * hits
+    traces = dict.fromkeys(classes, RZERO)
+    for (mu, d), n in sums.items():
+        traces[mu] += rat(n, d)
+    return traces
+
+
+def isotypic_rank(lam, k, N):
+    """Rank of the central idempotent e_lam on the trace-free symmetric space:
+    its trace (dim lam / k!) sum_mu chi^lam(mu) tr(K_mu), an int when that is
+    an integer and otherwise the rational itself, never rounded."""
+    lam = tuple(lam)
+    traces = _class_traces(k, N)
+    r = rat(char_dim(lam), factorial(k)) * sum(mn_character(lam, mu) * t for mu, t in traces.items())
+    return r.numerator if r.denominator == 1 else r
 
 
 def isotypic_table(k, N):
@@ -255,9 +266,36 @@ def isotypic_dim(lam, N) -> int:
     return weyl_dim(lambda_plus_dual(lam, N), N) if 2 * len(lam) <= N else 0
 
 
-def stable_dim_formula(k, N) -> int:
-    """sum over partitions of k of isotypic_dim, the dimension of S^k_0 sl(N)."""
-    return sum(isotypic_dim(lam, N) for lam in partitions(k))
+@lru_cache(maxsize=None)
+def kostka(shape, content) -> int:
+    """Number of semistandard tableaux of a shape with a content, both tuples
+    of nonnegative integers: the boxes holding the largest entry form a
+    horizontal strip, so K(shape, content) is the sum of K(nu, content[:-1])
+    over the nu with shape[i+1] <= nu[i] <= shape[i] and |shape| - |nu| =
+    content[-1]."""
+    if not content:
+        return int(not any(shape))
+    size = content[-1]
+    ranges = [range(max(low, top - size), top + 1) for top, low in zip(shape, shape[1:] + (0,))]
+    return sum(kostka(nu, content[:-1]) for nu in itertools.product(*ranges) if sum(shape) - sum(nu) == size)
+
+
+def weight_multiplicity_check(k, N):
+    """The decomposition law as a module statement, with no S_k: for every
+    representative mu of ``weight_orbits`` the trace-free kernel of mu's block
+    has the size of the mu weight space of the sum of V(lambda + lambda*)
+    over lambda |- k with 2*depth(lambda) <= N, sum_lambda K(lambda + lambda*
+    + c, mu + c) with c = k making the entries nonnegative.  Returns
+    CaseResults of the failing weights; ``cases`` counts the orbits."""
+    shapes = [tuple(x + k for x in lambda_plus_dual(lam, N)) for lam in partitions(k) if 2 * len(lam) <= N]
+    orbits = weight_orbits(k, N)
+    bad = []
+    for w, _ in orbits.values():
+        size = len(trace_free_block_kernel(k, N, w)[1])
+        mult = sum(kostka(shape, tuple(x + k for x in w)) for shape in shapes)
+        if size != mult:
+            bad.append(f"weight {w}: kernel {size}, multiplicity {mult}")
+    return CaseResults(bad, len(orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +477,20 @@ def conjugation_lemmas_check(k, N, seed=0, samples=4):
 # commutant multiplication cross-check
 
 
+@lru_cache(maxsize=None)
+def _kernel_class_sums(k, N):
+    """(weight, [{tau: K_tau v} for each kernel vector v]) for every
+    weight-orbit representative with a nonzero trace-free kernel: the class
+    sums of every kernel vector, formed once per (k, N) and shared by the
+    cross-check and the operator rank, which only read them."""
+    out = []
+    for w, _, rows in _orbit_kernels(k, N):
+        tables = {tau: _class_table(k, N, w, tau) for tau in class_elements(k)}
+        sums = [{tau: {j: x for j, x in _scatter(t, v).items() if x} for tau, t in tables.items()} for v in rows]
+        out.append((w, sums))
+    return out
+
+
 def commutant_mult_crosscheck(k, N, class_product):
     """Check op_{lam} o op_{mu} = sum_tau A_tau op_tau on S^k_0, exactly.
 
@@ -449,8 +501,9 @@ def commutant_mult_crosscheck(k, N, class_product):
     With K_tau = |C_tau| op_tau the unnormalised class sums, both sides are
     multiplied by |C_lam||C_mu| and by one common integer D per pair:
     D K_lam K_mu v = sum_tau (D |C_lam||C_mu| A_tau / |C_tau|) K_tau v, an
-    equality of integer vectors on the integer kernel vectors v.  The p(k)
-    class sums of each kernel vector serve all p(k)^2 pairs.
+    equality of integer vectors on the integer kernel vectors v, checked as
+    one integer accumulation of the difference that must come out all zero.
+    The p(k) class sums of each kernel vector serve all p(k)^2 pairs.
     Returns CaseResults of the failing pairs "(lam, mu)", in pair order;
     ``cases`` counts the kernel vectors examined.
     """
@@ -463,15 +516,17 @@ def commutant_mult_crosscheck(k, N, class_product):
         scaled[(lam, mu)] = (D, [(tau, int(c * D)) for tau, c in coeffs.items()])
     bad = set()
     cases = 0
-    for w, _, rows in _orbit_kernels(k, N):
-        pre = _perm_preimages(k, N, w)
-        for v in rows:
+    for w, sums in _kernel_class_sums(k, N):
+        tables = {lam: _class_table(k, N, w, lam) for lam in elems}
+        for K in sums:
             cases += 1
-            K = {tau: _class_sum(v, pre, perms) for tau, perms in elems.items()}
             for (lam, mu), (D, ints) in scaled.items():
                 if (lam, mu) not in bad:
-                    lhs = _combine([(D, _class_sum(K[mu], pre, elems[lam]))])
-                    if lhs != _combine([(c, K[tau]) for tau, c in ints]):
+                    acc = _scatter(tables[lam], K[mu], D)
+                    for tau, c in ints:
+                        for j, x in K[tau].items():
+                            acc[j] = acc.get(j, 0) - c * x
+                    if any(acc.values()):
                         bad.add((lam, mu))
     return CaseResults([str(pair) for pair in scaled if pair in bad], cases)
 
@@ -487,12 +542,11 @@ def basis_operator_rank(k, N):
     """
     flat = {lam: {} for lam in partitions(k)}
     cases = 0
-    for w, _, rows in _orbit_kernels(k, N):
-        pre = _perm_preimages(k, N, w)
-        for v in rows:
+    for _, sums in _kernel_class_sums(k, N):
+        for K in sums:
             cases += 1
-            for lam, elems in class_elements(k).items():
-                flat[lam].update(((cases, j), x) for j, x in _class_sum(v, pre, elems).items())
+            for lam, image in K.items():
+                flat[lam].update(((cases, j), x) for j, x in image.items())
     return linalg.rank(list(flat.values())), cases
 
 
@@ -608,14 +662,10 @@ def _suite_commutant(rep: VerificationReport, k=None, dim=None):
 
 def _suite_decompose(rep: VerificationReport, k=2, dim=4):
     N = dim
+    rep.check(f"(k,N)=({k},{N}): kernel sizes equal the weight multiplicities of the sum of V(lambda + lambda*) "
+              "over 2*depth(lambda) <= N", weight_multiplicity_check(k, N))
     table = isotypic_table(k, N)
     kernel_dim = trace_free_dimension(k, N)
-    rep.add(
-        f"(k,N)=({k},{N}): isotypic ranks sum to the kernel dimension",
-        sum(table.values()) == kernel_dim,
-        f"{table} vs {kernel_dim}",
-        cases=kernel_dim,
-    )
     if (k, N) == (2, 4):
         rep.add("(2,4): ranks are {84, 20} with total 104",
                 table == {(2,): 84, (1, 1): 20} and kernel_dim == 104, f"ranks {table}, total {kernel_dim}")
@@ -625,13 +675,6 @@ def _suite_decompose(rep: VerificationReport, k=2, dim=4):
         [f"lambda {lam}: rank {r}, expected {isotypic_dim(lam, N)}" for lam, r in table.items()
          if r != isotypic_dim(lam, N)],
         kernel_dim))
-    closed = stable_dim_formula(k, N)
-    rep.add(
-        f"(k,N)=({k},{N}): kernel dim equals the closed-form sum",
-        kernel_dim == closed,
-        f"{kernel_dim} vs {closed}",
-        cases=kernel_dim,
-    )
     # number of nonzero components equals p(k) in the stable range, k <= 3
     for kk in range(1, 4):
         nonzero = sum(1 for v in isotypic_table(kk, 2 * kk).values() if v)

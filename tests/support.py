@@ -119,6 +119,14 @@ of `linalg`, which the verifier itself only reads kernels and solutions from.
 ran before its sparse integer routine, and `gather_tables`/`gather_class_sum`
 the dense gather form of the S_k class sums on a weight block that the
 sparse scatter of `decompose` replaced; both are differential oracles.
+`pair_multisets`, `weight_blocks`, `_perm_preimages`, `_class_sum`,
+`_combine` and `isotypic_rank_by_span` are the S_k side of `decompose`
+before the class traces: every multiset sorted into its weight block, one
+preimage list per permutation, and each isotypic rank as the rank of the
+idempotent images of the kernel vectors.  With `weight_orbit_sizes`, the
+orbits read off those blocks, and `stable_dim_formula`, the closed-form sum
+of `isotypic_dim`, they are the oracles for the representative blocks, the
+merged class tables and the traces.
 """
 
 from __future__ import annotations
@@ -129,10 +137,19 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from subsym.ambient import CompositionParts
-from subsym.classalg import act_on_tuple, central_idempotent, class_elements, conjugate_partition, convolve, cycle_type
+from subsym.classalg import (
+    act_on_tuple,
+    central_idempotent,
+    class_elements,
+    conjugate_partition,
+    convolve,
+    cycle_type,
+    mn_character,
+    partitions,
+)
 from subsym.boundary import column_factors, frame_fields, tangential_ops
-from subsym.decompose import _perm_lower_multiset, weight_blocks
-from subsym.linalg import _rational, _reduced, integer_kernel
+from subsym.decompose import _orbit_kernels, _perm_lower_multiset, isotypic_dim, multiset_weight
+from subsym.linalg import _rational, _reduced, integer_kernel, rank
 from subsym.report import CaseResults
 from subsym.rings import LaurentPoly, RingMismatchError, UnknownGeneratorError, _canonical
 from subsym.scalars import GR_ONE, GR_ZERO, RONE, RZERO, GaussianRational, accumulate, gr, rat
@@ -1366,6 +1383,90 @@ def bareiss_solve(rows, b):
     for r, pc in enumerate(pivots):
         x[pc] = m[r][ncols]
     return x, bareiss_kernel(rows, ncols)
+
+
+# -- the S_k side of decompose before the class traces ---------------------------
+
+
+def pair_multisets(k, N):
+    """All canonical multisets (sorted tuples) of k pairs over range(N)^2."""
+    pairs = [(u, l) for u in range(N) for l in range(N)]
+    return list(itertools.combinations_with_replacement(pairs, k))
+
+
+@lru_cache(maxsize=None)
+def weight_blocks(k, N):
+    """dict weight -> tuple of multisets with that weight, every multiset of
+    k pairs sorted into its block."""
+    blocks = {}
+    for M in pair_multisets(k, N):
+        blocks.setdefault(multiset_weight(M, N), []).append(M)
+    return {w: tuple(sorted(ms)) for w, ms in blocks.items()}
+
+
+def weight_orbit_sizes(k, N):
+    """{canonical pattern: number of weights} read off `weight_blocks`."""
+    sizes = {}
+    for w in weight_blocks(k, N):
+        pat = tuple(sorted(w, reverse=True))
+        sizes[pat] = sizes.get(pat, 0) + 1
+    return sizes
+
+
+def stable_dim_formula(k, N) -> int:
+    """sum over partitions of k of isotypic_dim, the dimension of S^k_0 sl(N)."""
+    return sum(isotypic_dim(lam, N) for lam in partitions(k))
+
+
+@lru_cache(maxsize=None)
+def _perm_preimages(k, N, weight):
+    """Preimage lists of the slot permutations on one weight block:
+    ``pre[sigma][i]`` lists the block indices j with M_j^sigma = M_i (lower
+    indices permuted)."""
+    block = weight_blocks(k, N)[weight]
+    index = {M: j for j, M in enumerate(block)}
+    out = {}
+    for sigma in itertools.permutations(range(k)):
+        pre = [[] for _ in block]
+        for j, M in enumerate(block):
+            pre[index[_perm_lower_multiset(M, sigma)]].append(j)
+        out[sigma] = tuple(map(tuple, pre))
+    return out
+
+
+def _class_sum(v, pre, perms):
+    """Unnormalised sum over ``perms`` of the pullbacks of the sparse block
+    vector v ({index: value}), as a sparse vector."""
+    out = {}
+    for p in perms:
+        targets = pre[p]
+        for i, x in v.items():
+            for j in targets[i]:
+                out[j] = out.get(j, 0) + x
+    return {j: x for j, x in out.items() if x}
+
+
+def _combine(terms):
+    """Sum of c * vec over the (c, sparse vector) pairs."""
+    acc = {}
+    for c, vec in terms:
+        for j, x in vec.items():
+            acc[j] = acc.get(j, 0) + c * x
+    return {j: x for j, x in acc.items() if x}
+
+
+def isotypic_rank_by_span(lam, k, N) -> int:
+    """The rank of e_lam on S^k_0 as the rank of its integer images: the
+    nonzero multiple sum_mu chi^lam(mu) K_mu of e_lam applied to every
+    kernel vector through the preimage lists, ranked block by block."""
+    lam = tuple(lam)
+    chars = [(c, elems) for mu, elems in class_elements(k).items() if (c := mn_character(lam, mu))]
+    total = 0
+    for w, cnt, rows in _orbit_kernels(k, N):
+        pre = _perm_preimages(k, N, w)
+        images = [_combine([(c, _class_sum(v, pre, elems)) for c, elems in chars]) for v in rows]
+        total += cnt * rank(images)
+    return total
 
 
 # -- the dense gather class sums that the sparse scatter replaced ----------------

@@ -72,7 +72,7 @@ def test_criterion_7_prop1(record_criterion):
 def test_criterion_8_decomposition_dims(record_criterion):
     finish(record_criterion, 8,
            "isotypic ranks {84,20} sum 104 at (2,4); p(k) components, k <= 3",
-           *verify("decompose"), 8, 180.0)
+           *verify("decompose"), 7, 180.0)
 
 
 def test_criterion_9_highest_weight_vectors(record_criterion):

@@ -252,7 +252,7 @@ def test_verify_all_records_only_the_flags_each_suite_reads(tmp_path, capsys):
         (["verify", "commutant", "--k", "2", "--dim", "1"],
          "(k,N)=(2,1): operator products match class-algebra constants on S^k_0"),
         (["verify", "decompose", "--k", "2", "--dim", "1"],
-         "(k,N)=(2,1): isotypic ranks sum to the kernel dimension"),
+         "(k,N)=(2,1): ranks equal Weyl dimensions where 2*depth(lambda) <= N, 0 elsewhere"),
         (["verify", "hwvectors", "--dim", "1"],
          "highest-weight vectors nonzero for 2*depth <= N, k <= 3, N <= 1"),
     ],
@@ -283,7 +283,8 @@ def test_decompose_checks_the_weyl_law_at_every_dim(k, dim, capsys):
     assert code == 0
     where = "(stable range)" if dim >= 2 * k else "where 2*depth(lambda) <= N, 0 elsewhere"
     assert f"[PASS] decompose: (k,N)=({k},{dim}): ranks equal Weyl dimensions {where}" in out
-    assert f"[PASS] decompose: (k,N)=({k},{dim}): kernel dim equals the closed-form sum" in out
+    law = "kernel sizes equal the weight multiplicities of the sum of V(lambda + lambda*) over 2*depth(lambda) <= N"
+    assert f"[PASS] decompose: (k,N)=({k},{dim}): {law}" in out
 
 
 def test_decompose_weyl_check_fails_on_a_wrong_dimension(monkeypatch, capsys):
@@ -296,9 +297,24 @@ def test_decompose_weyl_check_fails_on_a_wrong_dimension(monkeypatch, capsys):
     assert code == 1
     name = "(k,N)=(3,5): ranks equal Weyl dimensions where 2*depth(lambda) <= N, 0 elsewhere"
     rank = decompose.isotypic_rank((2, 1), 3, 5)
-    assert f"[FAIL] decompose: {name}  witness: lambda (2, 1): rank {rank}, expected {rank + 1}" in out
-    assert any(line.startswith("[FAIL] decompose: (k,N)=(3,5): kernel dim equals the closed-form sum")
-               for line in out)
+    # the weight-multiplicity check does not read isotypic_dim, so it passes
+    assert [line for line in out if line.startswith("[FAIL]")] == [
+        f"[FAIL] decompose: {name}  witness: lambda (2, 1): rank {rank}, expected {rank + 1}"]
+
+
+def test_decompose_weyl_check_shows_a_fractional_rank(monkeypatch, capsys):
+    # a class trace off by one gives the rank of (3,) a sixth more: the rank
+    # is reported as that rational, not rounded
+    import subsym.decompose as decompose
+
+    traces = decompose._class_traces
+    monkeypatch.setattr(decompose, "_class_traces", lambda k, N: {
+        mu: t + (mu == (2, 1)) for mu, t in traces(k, N).items()})
+    assert main(["verify", "decompose", "--k", "3", "--dim", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    name = "(k,N)=(3,5): ranks equal Weyl dimensions where 2*depth(lambda) <= N, 0 elsewhere"
+    expected = decompose.isotypic_dim((3,), 5)
+    assert f"[FAIL] decompose: {name}  witness: lambda (3,): rank {6 * expected + 1}/6, expected {expected}" in out
 
 
 def test_commutant_rank_check_fails_on_a_wrong_rank(monkeypatch, capsys):
@@ -624,8 +640,8 @@ CANONICAL_DIGESTS = {
         "357b6ed533aeb1307a95aa46577e8878275dd90077e050ee1317755305d2ab1a",
     ),
     "decompose": (
-        "3b2ab945fa19d4be7c588f350d1575dc622903032d12c68da4e248f6c1edf2af",
-        "a627f1366d1cd572c7dd623522a2039b1e3ada48a89bb5bd9e136156c86a85c1",
+        "44c52e110c2534573b37ea59582fc16bc0cf31274752fd49b82d1c27c0eb7b27",
+        "4e8bc3c99e698017dced20028592258e247ca98ba52d384d46466f65db36ee4a",
     ),
     "hwvectors": (
         "fd5f6a223125cecbee694fc66a61121388576004b0aa41db69456ecc5089bcc4",
@@ -674,7 +690,7 @@ def test_composition_suite_builds_each_symmetry_operator_once(monkeypatch):
 REQUEST_DIGESTS = {
     "commutant --k 3 --dim 5": "8ab81b65870ba18c970933beae0f0f43bc5c1f4b8ee61a8756bc909666b00235",
     "hwvectors --k 4 --dim 7": "63f4d68caef5bbfb723ee45677e457bdbd1dd0fdd2d90c7ba203763fbc757044",
-    "decompose --k 3 --dim 5": "6562d6bc96599bd26aa462f5385aee3dd3d3ea994f5c23589048a8d166711aa7",
+    "decompose --k 3 --dim 5": "b181bb46408020e8c63b64618948797c24a11eb5d8e2f18aa3fae3a6863ce2ad",
     "prop1 --n 2 --d 4 --s 2": "cb1f57d4874cd4e84e53d789145dca4e1eb64144236b2e1bb3034d8a184967f6",
     "reduction --n 3 --deg 2": "933a50793f1f7823b093a8f5ff6870b3dcccc8e067a1275fbeb2f255d0688910",
     "composition --n 1": "9ec64ea8b925125184199bde07d7370c503d45b5ab69cc3993096c66b0a22a71",

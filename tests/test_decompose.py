@@ -18,17 +18,24 @@ from subsym.classalg import (
     partitions,
 )
 from support import (
+    _class_sum,
+    _perm_preimages,
     gather_class_sum,
     gather_tables,
     highest_weight_vector_by_idempotent_terms,
+    isotypic_rank_by_span,
+    pair_multisets,
     plain_tensor,
+    stable_dim_formula,
+    weight_blocks,
+    weight_orbit_sizes,
     young_projector_sum,
 )
+import subsym.decompose as dec
 from subsym.decompose import (
-    _class_sum,
-    _combine,
+    _class_table,
     _perm_lower_multiset,
-    _perm_preimages,
+    _scatter,
     ad_conjugate,
     apply_c_s,
     basis_operator_rank,
@@ -40,15 +47,15 @@ from subsym.decompose import (
     interchanging_reps,
     isotypic_rank,
     isotypic_table,
+    kostka,
     lambda_plus_dual,
     multiset_weight,
-    pair_multisets,
     seven_pieces_check,
     skew_vanishing_check,
-    stable_dim_formula,
     trace_free_block_kernel,
     trace_free_dimension,
-    weight_blocks,
+    weight_block,
+    weight_multiplicity_check,
     weight_orbits,
     weyl_dim,
 )
@@ -111,15 +118,17 @@ def idempotent_classes(lam):
 
 def block_apply(f, class_coeffs, k, N):
     """sum_mu class_coeffs[mu] K_mu applied to the multiset function f, K_mu the
-    unnormalised class sum, scattered through the preimage tables of each
-    weight block."""
+    unnormalised class sum, scattered through the class table of each weight
+    block."""
     out = {}
     for w in {multiset_weight(M, N) for M in f}:
-        block = weight_blocks(k, N)[w]
-        pre = _perm_preimages(k, N, w)
+        block = weight_block(k, N, w)
         v = {j: f[M] for j, M in enumerate(block) if M in f}
-        img = _combine([(c, _class_sum(v, pre, class_elements(k)[mu])) for mu, c in class_coeffs.items()])
-        out.update((block[j], x) for j, x in img.items())
+        img = {}
+        for mu, c in class_coeffs.items():
+            for j, x in _scatter(_class_table(k, N, w, mu), v, c).items():
+                img[j] = img.get(j, 0) + x
+        out.update((block[j], x) for j, x in img.items() if x)
     return out
 
 
@@ -376,6 +385,90 @@ def test_stable_range_formula_agreement():
     assert trace_free_dimension(2, 5) == stable_dim_formula(2, 5)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_weight_orbits_and_blocks_match_the_sorted_multisets(k):
+    # the orbits built from pairs of partitions have the patterns and sizes
+    # of the orbits of all sorted multisets, each representative's block is
+    # the block of all multisets at its weight, and the dimension is the
+    # closed-form sum of the law
+    for N in range(1, 8):
+        orbits = weight_orbits(k, N)
+        assert {pat: cnt for pat, (_, cnt) in orbits.items()} == weight_orbit_sizes(k, N)
+        blocks = weight_blocks(k, N)
+        for pat, (w, _) in orbits.items():
+            assert w == pat and weight_block(k, N, w) == blocks[w], (k, N, w)
+        assert trace_free_dimension(k, N) == stable_dim_formula(k, N), (k, N)
+
+
+def test_kostka_numbers_sum_to_the_weyl_dimension():
+    # every weight of V(lambda + lambda*) lies in a weight orbit of the
+    # blocks, so the orbit-weighted multiplicities add up to its dimension
+    for k, N in [(1, 3), (2, 4), (3, 4), (3, 6), (4, 5)]:
+        for lam in partitions(k):
+            if 2 * len(lam) <= N:
+                shape = tuple(x + k for x in lambda_plus_dual(lam, N))
+                total = sum(cnt * kostka(shape, tuple(x + k for x in w)) for w, cnt in weight_orbits(k, N).values())
+                assert total == weyl_dim(lambda_plus_dual(lam, N), N), (k, N, lam)
+    assert kostka((2, 1), (1, 1, 1)) == 2 and kostka((2, 1, 0), (0, 1, 2)) == 1
+
+
+@pytest.mark.parametrize("k, N", [(1, 3), (2, 1), (2, 4), (3, 3), (3, 5), (3, 6), (4, 5), (4, 7)])
+def test_kernel_sizes_are_the_weight_multiplicities(k, N):
+    res = weight_multiplicity_check(k, N)
+    assert not res and res.cases == len(weight_orbits(k, N))
+
+
+@pytest.mark.parametrize("k, N", [(2, 4), (3, 5), (4, 5)])
+def test_weight_multiplicities_without_the_symmetric_piece_fail_every_orbit(k, N, monkeypatch):
+    top = tuple(x + k for x in lambda_plus_dual((k,), N))
+    full = dec.kostka
+    monkeypatch.setattr(dec, "kostka", lambda shape, content: 0 if shape == top else full(shape, content))
+    res = weight_multiplicity_check(k, N)
+    assert len(res) == res.cases == len(weight_orbits(k, N))
+
+
+@pytest.fixture
+def fresh_traces():
+    """Traces computed inside the test, and none of its mutants kept."""
+    dec._class_traces.cache_clear()
+    yield
+    dec._class_traces.cache_clear()
+
+
+@pytest.mark.parametrize("k, N", [(3, 6), (4, 5), (4, 6)])
+def test_trace_ranks_equal_the_span_ranks(k, N):
+    for lam in partitions(k):
+        assert isotypic_rank(lam, k, N) == isotypic_rank_by_span(lam, k, N), lam
+
+
+def test_trace_ranks_catch_a_changed_kernel_entry(monkeypatch, fresh_traces):
+    # raise, in one kernel vector v_f, the entry that a transposition moves
+    # M_f to: the transposition trace moves, and so do the ranks, except that
+    # of (2, 1), whose character vanishes on transpositions
+    k, N = 3, 6
+    oracle = {lam: isotypic_rank_by_span(lam, k, N) for lam in partitions(k)}
+    kernels = dec._orbit_kernels(k, N)
+    w, cnt, rows = kernels[-1]
+    block = weight_block(k, N, w)
+    v = dict(rows[0])
+    f = max(v)
+    moved = {_perm_lower_multiset(block[f], s) for s in class_elements(k)[(2, 1)]} - {block[f]}
+    i = block.index(min(moved))
+    v[i] = v.get(i, 0) + 1
+    monkeypatch.setattr(dec, "_orbit_kernels", lambda k, N: kernels[:-1] + [(w, cnt, (v,) + rows[1:])])
+    ranks = isotypic_table(k, N)
+    assert ranks != oracle and ranks[(2, 1)] == oracle[(2, 1)]
+
+
+def test_trace_ranks_catch_a_dropped_permutation(monkeypatch, fresh_traces):
+    k, N = 4, 5
+    oracle = {lam: isotypic_rank_by_span(lam, k, N) for lam in partitions(k)}
+    elems = dict(class_elements(k))
+    elems[(2, 1, 1)] = elems[(2, 1, 1)][1:]
+    monkeypatch.setattr(dec, "class_elements", lambda k: elems)
+    assert isotypic_table(k, N) != oracle
+
+
 def test_basis_elements_killed_by_every_contraction():
     for (k, N) in [(1, 3), (2, 3)]:
         basis = trace_free_symmetric_basis(k, N)
@@ -474,10 +567,11 @@ def kernel_vector_count(k, N):
 
 
 def test_sparse_class_sums_match_the_dense_gather_3_6():
-    # The scatter goes through preimage lists: on sorted representatives
-    # M -> M^sigma is not a bijection of a block, so an inverse-permutation
-    # scatter would be wrong.  Class sums of class sums are what the
-    # commutant cross-check forms, so they are compared too.
+    # The merged class tables scatter through preimages: on sorted
+    # representatives M -> M^sigma is not a bijection of a block, so an
+    # inverse-permutation scatter would be wrong.  Each table row is the
+    # former preimage lists merged over the class, and class sums of class
+    # sums are what the commutant cross-check forms, so they are compared too.
     k, N = 3, 6
     elems = class_elements(k)
     cases, merges = 0, 0
@@ -485,15 +579,20 @@ def test_sparse_class_sums_match_the_dense_gather_3_6():
         block, kern = trace_free_block_kernel(k, N, w)
         pre, tables = _perm_preimages(k, N, w), gather_tables(k, N, w)
         merges += any(len(set(t)) < len(t) for t in tables.values())
+        merged = {tau: _class_table(k, N, w, tau) for tau in elems}
+        for tau, perms in elems.items():
+            for i, row in enumerate(merged[tau]):
+                lists = sorted(j for p in perms for j in pre[p][i])
+                assert sorted(j for j, m in row for _ in range(m)) == lists
         for sparse in kern:
             cases += 1
             dense = [sparse.get(j, 0) for j in range(len(block))]
-            for perms in elems.values():
-                once = _class_sum(sparse, pre, perms)
+            for tau, perms in elems.items():
+                once = _scatter(merged[tau], sparse)
                 ref = gather_class_sum(dense, tables, perms)
                 assert [once.get(j, 0) for j in range(len(block))] == ref
-                assert 0 not in once.values()
-                twice = _class_sum(once, pre, elems[(2, 1)])
+                assert {j: x for j, x in once.items() if x} == _class_sum(sparse, pre, perms)
+                twice = _scatter(merged[(2, 1)], once)
                 assert [twice.get(j, 0) for j in range(len(block))] == gather_class_sum(
                     ref, tables, elems[(2, 1)]
                 )

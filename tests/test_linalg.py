@@ -207,9 +207,9 @@ def test_det_matches_reference(rows):
 
 
 def test_weight_zero_block_3_6():
-    from subsym.decompose import _contraction_matrix, weight_blocks
+    from subsym.decompose import _contraction_matrix, weight_block
 
-    block = weight_blocks(3, 6)[(0,) * 6]
+    block = weight_block(3, 6, (0,) * 6)
     rows = _contraction_matrix(block)
     assert len(rows) == 102 and len(block) == 186
     assert all(type(x) is int and 0 <= j < 186 for r in rows for j, x in r.items())
