@@ -161,7 +161,8 @@ class ClassElement:
         return ClassElement.basis(k, (1,) * k)
 
     def __add__(self, other):
-        assert self.k == other.k
+        if self.k != other.k:
+            raise ValueError("class elements of different k")
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             accumulate(out, lam, c)
@@ -223,7 +224,8 @@ def _basis_product_convolution(k, lam, mu):
 
 def _class_product(u: ClassElement, v: ClassElement, basis_product) -> ClassElement:
     """Bilinear extension of ``basis_product(k, lam, mu)`` -> {tau: coeff}."""
-    assert u.k == v.k
+    if u.k != v.k:
+        raise ValueError("class elements of different k")
     out = {}
     for lam, cu in u.coeffs.items():
         for mu, cv in v.coeffs.items():

@@ -246,7 +246,8 @@ def weyl_dim(weight, N) -> int:
             num *= mu[i] - mu[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"Weyl dimension {rat(num, den)} is not an integer")
     return q
 
 
@@ -320,7 +321,8 @@ def highest_weight_vector(lam, N):
     den, orbits = image.column_orbits()
     expected = lambda_plus_dual(lam, N)
     for M in orbits:
-        assert multiset_weight(M, N) == expected
+        if multiset_weight(M, N) != expected:
+            raise RuntimeError(f"orbit {M} is not of the highest weight {expected}")
     return {M: rat(w, den) for M, w in orbits.items()}
 
 
@@ -333,7 +335,8 @@ def skew_vanishing_check(lam, k, N, trials=5, seed=0):
     returns CaseResults of the failing "trial t, slots s".
     """
     lam = tuple(lam)
-    assert sum(lam) == k
+    if sum(lam) != k:
+        raise ValueError("lambda must be a partition of k")
     depth = len(lam)
     if depth + 1 > k:
         raise ValueError("need depth(lambda)+1 <= k")

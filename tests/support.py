@@ -1,132 +1,70 @@
-"""Test-only helpers: the two coefficient layouts the verifier's Laurent ring
-used before, and polynomial and operator helpers that no `src/` code needs.
+"""Test-only helpers: for each layer of the verifier, the oracles it is
+checked against.  A layer keeps one independent oracle, a direct
+transcription that shares no code path with it, and the version that its
+latest rewrite replaced.  test_src_references.py fails on any definition
+here that no test names.
 
-`GaussianRing`/`GaussianPoly` keep the former `rings.Ring`/`LaurentPoly`
-unchanged in substance (coefficients are `GaussianRational`, generators may
-be relabeled with coefficient conjugation).  They are the differential
-oracle for the rational ring and the sigma-form reference for the tau = i*sigma
-dictionary tests.
+- Laurent ring (`rings`).  Independent: sympy, in test_rings.py.
+  Replaced: `FractionPoly`, the ring as a dict of rationals.  `GaussianRing`
+  and `GaussianPoly`, the ring over Q(i) before it, are also the sigma-form
+  reference of the tau = i*sigma dictionary.
+- Weyl operators (`weyl`).  Replaced: `weyl_apply` and `weyl_compose`, the
+  action and the normal-ordered product on `FractionPoly`.
+- D_V (`ambient.higher_symmetry_op`).  Independent:
+  `higher_symmetry_op_by_composition`, the generators `first_order_generator`
+  composed column by column.  Replaced: `higher_symmetry_op_by_entries`, the
+  normal-ordered terms of every ordered entry.
+- The sl(n+2) products (`ambient.compose_decompose`, `dv_bracket`,
+  `sl_basis`).  Independent and replaced at once: the former dense path,
+  `compose_decompose_by_loops` over four index loops, `dv_bracket_matrix`,
+  `sl_basis_matrix`, `TracelessMatrix` and the `mat_*` helpers; `dense` and
+  `to_tensor` convert between one-column tensors and matrices.
+- The seeded draw (`SparseTensor.random`).  Replaced: the five loops
+  `random_traceless_by_loop`, `random_plain_tensor_by_loop`,
+  `random_column_symmetric_by_loops`, `random_disjoint_trace_free_by_loops`
+  and `conjugation_tensor_by_loops`; they alone pin the seeded inputs.
+  `column_symmetric`, `disjoint_trace_free` and `plain_tensor` are the draws
+  the tests make.
+- Column symmetry and the S_k actions on tensors (`SparseTensor`).
+  Independent: `symmetrized_by_permutations`, the mean of all k!
+  permutations, `skew_slots_rational`, with rational signs, and the
+  transcriptions in test_tensor.py.  Replaced: `symmetrized_by_orbit_means`.
+- Symbol extraction (`symbols.extract_all_symbols`).  Independent:
+  `symbols._extract_symbols_reference`.  Replaced:
+  `extract_all_symbols_by_blocks`, which splits each column orbit into its
+  (upper, lower, tau) blocks and counts their orderings in integers, with
+  `_extract_symbols_by_blocks`, `_label_block`, `_tau_block`, `_label_count`,
+  `_without` and `_factor_product`.  `build_prop1_tensor_by_placements` is
+  the prop1 tensor summed placement by placement.
+- Symbol recursions (`symbols.check_symbol_recursions`, `check_bgg`,
+  `trace_remainder`).  Independent: the delta-insertions summed over full
+  index tuples and the hand values in test_symbols.py.  Replaced: the
+  `SymbolTensor` family at sorted label keys, checked by
+  `check_symbol_recursions_by_kernel` and `check_bgg_by_kernel` through
+  `sym_derivative`, `add_symbols` and the integer left kernel
+  `_insertion_left_kernel` of delta-insertion (`trace_free_part_vanishes`).
+  `symbol_tensor`, `generating_polynomial`, their family forms and
+  `label_coefficients` convert to and from generating polynomials, and
+  `component` reads one component.
+- Exact elimination (`linalg`).  Independent: the dense fraction-free
+  Bareiss elimination, `bareiss_rref`, `bareiss_rank`, `bareiss_det`,
+  `bareiss_kernel` and `bareiss_solve`.  `rref` is read off `linalg`.
+- The S_k side of `decompose`.  Replaced: every multiset sorted into its
+  weight block (`pair_multisets`, `weight_blocks`, `weight_orbit_sizes`),
+  one preimage list per permutation (`_perm_preimages`, `_class_sum`,
+  `_combine`), each isotypic rank as a span rank (`isotypic_rank_by_span`),
+  the dense gather class sums (`gather_tables`, `gather_class_sum`) and
+  `highest_weight_vector_by_idempotent_terms`.  `stable_dim_formula` is the
+  closed-form sum of `isotypic_dim`.
+- The class algebra (`classalg`).  Replaced: `perm_sign_by_cycle_walk`,
+  `mn_character_by_border_strips` with `border_strips`, and
+  `basis_product_convolution_averaged`.  `standard_tableaux`,
+  `young_symmetrizer` and `young_projector_sum` are the Young symmetrizers
+  whose images the central idempotents contain.
 
-`FractionPoly` is the rational `LaurentPoly` as it was before polynomials
-became integer numerators over one denominator: a dict exponent tuple ->
-nonzero backend rational over a `subsym.rings.Ring`.  With `weyl_apply` and
-`weyl_compose`, the former `WeylOperator` action and normal-ordered product
-on such coefficients, it is the differential oracle for the integer layout.
-
-`higher_symmetry_op_by_composition`, with `first_order_generator`, is the
-former `ambient.higher_symmetry_op`, which composed the generators
-x^A d_B - x_B d^A column by column; it is the oracle for the normal-ordered
-symbol sum that replaced it.  `t_part_operator_termwise` writes the quadric of
-a two-column tensor out one operator sum per entry; it was the oracle for the
-former `ambient.t_part_operator` and is now the oracle for
-`higher_symmetry_op` at two columns.
-
-`insertion_left_kernel_full_tuples`, `skew_slots_rational` and
-`symmetrized_rational` are the insertion left kernel over full index
-tuples that `_insertion_left_kernel` replaced, the former
-`SparseTensor.skew_slots` (with the former `act` loop inlined) and
-`SparseTensor.symmetrized`, which summed rational entries, kept as
-differential oracles for the versions that replaced them.
-`symmetrized_by_permutations` is the `SparseTensor.symmetrized` that
-followed, the average of all k! column permutations through `_moved`, and
-`extract_all_symbols_by_assignment`, with `_extract_symbols_by_assignment`,
-the `symbols.extract_all_symbols` of that time, which read the symbols off
-every ordered entry of the symmetrized tensor and kept the sorted label
-tuples; they are the oracles for the column-orbit symmetrization and
-extraction (the extraction oracle symmetrizes with its own permutation
-average).  `extract_all_symbols_by_blocks`, with `_extract_symbols_by_blocks`
-and its block helpers `_label_block`, `_tau_block`, `_label_count` and
-`_without`, is the extraction that followed, which split each column orbit
-into its distinct (upper, lower, tau) blocks of columns and counted their
-orderings in integers; it is the differential oracle for the generating
-polynomial that replaced it.  Both multiply frame factors by id through
-`_factor_product`.
-`symmetrized_by_orbit_means`, `higher_symmetry_op_by_entries` and
-`highest_weight_vector_by_idempotent_terms` are the former
-`SparseTensor.symmetrized`, which wrote each orbit's summed numerators over
-its number of orderings, the former `ambient.higher_symmetry_op`, which
-summed the normal-ordered terms of every ordered entry, and the former
-`decompose.highest_weight_vector`, which accumulated the idempotent's terms
-per pair multiset (k!/stab times the pair symmetrization); they are the
-oracles for the three readers of `SparseTensor.column_orbits`.
-`build_prop1_tensor_by_placements` is the former
-`symbols.build_prop1_tensor`, which enumerated every column placement of
-every type and every ordered label tuple; it is the oracle for the
-symmetrization of one canonical placement per type.
-
-`SymbolTensor`, `label_keys`, `sym_derivative`, `add_symbols`,
-`_insertion_left_kernel` and `trace_free_part_vanishes` are the former
-symbol family of `symbols`: each (k, l) symbol as its components at sorted
-label tuples, one more symmetrized derivative component by component, and
-trace-freeness through an integer left kernel of delta-insertion.
-`check_symbol_recursions_by_kernel` and `check_bgg_by_kernel` are the
-former `symbols.check_symbol_recursions` and `symbols.check_bgg` on them.
-`check_symbol_recursions_by_form`, with `sym_derivative_upper` and
-`sym_derivative_lower`, is the `check_symbol_recursions` before those, which
-wrote the recursion out in five forms over two mirrored derivatives.  They
-are the oracles for the label derivatives and the remainder modulo
-q = sum_x u_x v_x that replaced them.  `symbol_tensor` and
-`generating_polynomial` convert one (k, l) symbol between the generating
-polynomial and the `SymbolTensor` (`symbol_tensors` and
-`generating_polynomials` a whole family), both through
-`label_coefficients`; the assignment and block extraction oracles return
-their families through them.  `component` reads the component of a
-generating polynomial at label tuples in any order, as the former
-`SymbolTensor.get` did.
-
-`TracelessMatrix`, the `mat_*` helpers, `sl_basis_matrix`,
-`random_traceless_matrix`, `dv_matrix`, `dv_bracket_matrix` and
-`compose_decompose_by_loops` are the former dense sl(n+2) path of `ambient`
-(`sl_basis`, `random_traceless`, `dv`, `dv_bracket` and the
-four-index-loop `compose_decompose`), which the
-one-column `SparseTensor` path replaced; `dense` and `to_tensor` convert
-between the two.  They are the differential oracle for that path.
-
-`perm_sign_by_cycle_walk` is the former `classalg.perm_sign`, which walked the
-cycles a second time, and `mn_character_by_border_strips`, with
-`border_strips`, the former `classalg.mn_character`, which removed border
-strips by walking the rim; they are the differential oracles for
-`tensor.perm_sign`, the parity of the inversions, and for the beta-number
-rule.
-
-`basis_product_convolution_averaged` is the former
-`classalg._basis_product_convolution`, which convolved the averaged class
-sums (coefficients 1/|C|) as rationals; it is the differential oracle for the
-integer count of the class-sum convolution that replaced it.
-
-`standard_tableaux`, `young_symmetrizer` and `young_projector_sum` are the
-former Young symmetrizers of `classalg`, which the skew-vanishing check
-applied before it took the central idempotent e_lam; they are the oracle of
-the containment e_lam * Y_lam = Y_lam, which keeps that check's domain.
-
-`random_traceless_by_loop`, `random_plain_tensor_by_loop`,
-`random_column_symmetric_by_loops`, `random_disjoint_trace_free_by_loops` and
-`conjugation_tensor_by_loops` are the five draw loops that
-`SparseTensor.random` replaced: those of `ambient.random_traceless`, the
-former `decompose.random_plain_tensor`, the two former `SparseTensor`
-constructors and the inline loop of `decompose.conjugation_lemmas_check`.
-They are the differential oracle of the one draw.  `column_symmetric`,
-`disjoint_trace_free` and `plain_tensor` are the draws the tests make, built on
-`SparseTensor.random`, and `operator_order` is the former `WeylOperator.order`.
-
-`parse_rat` reads the "p/q" strings of `scalars.rat_str` (the records in
-`data/` are written that way).
-
-`rref` is the reduced row echelon form read off the sparse integer routine
-of `linalg`, which the verifier itself only reads kernels and solutions from.
-`bareiss_rref`, `bareiss_rank`, `bareiss_det`, `bareiss_kernel` and
-`bareiss_solve` are the dense fraction-free Bareiss elimination that `linalg`
-ran before its sparse integer routine, and `gather_tables`/`gather_class_sum`
-the dense gather form of the S_k class sums on a weight block that the
-sparse scatter of `decompose` replaced; both are differential oracles.
-`pair_multisets`, `weight_blocks`, `_perm_preimages`, `_class_sum`,
-`_combine` and `isotypic_rank_by_span` are the S_k side of `decompose`
-before the class traces: every multiset sorted into its weight block, one
-preimage list per permutation, and each isotypic rank as the rank of the
-idempotent images of the kernel vectors.  With `weight_orbit_sizes`, the
-orbits read off those blocks, and `stable_dim_formula`, the closed-form sum
-of `isotypic_dim`, they are the oracles for the representative blocks, the
-merged class tables and the traces.
+`parse_rat` and `parse_gr` read "p/q" strings, `bidegree`, `principal_part`
+and `operator_order` read polynomials and operators, and `to_gaussian`
+carries a rational polynomial into a `GaussianRing`.
 """
 
 from __future__ import annotations
@@ -455,11 +393,6 @@ class FractionPoly:
             exp[ring.index[name]] = e
         return FractionPoly(ring, {tuple(exp): coeff})
 
-    @staticmethod
-    def of(p) -> "FractionPoly":
-        """The same polynomial, from a `LaurentPoly`'s rational terms."""
-        return FractionPoly(p.ring, dict(p.terms))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -581,20 +514,6 @@ def weyl_compose(a: dict, b: dict, ring) -> dict:
     return {idx: p for idx, p in out.items() if p}
 
 
-def t_part_operator_termwise(m, T: SparseTensor) -> WeylOperator:
-    """The quadric operator of T, one operator sum per entry:
-    sum T^{BD}_{AC} (x^A x^C d_B d_D - x^A x_D d_B d^C - x_B x^C d^A d_D
-    + x_B x_D d^A d^C)."""
-    out = WeylOperator.zero(m.ring)
-    for ((B, D), (A, C)), c in T.entries.items():
-        q1 = WeylOperator.term(m.up(A) * m.up(C), {m.upper_names[B]: 1, m.upper_names[D]: 1}) if B != D else WeylOperator.term(m.up(A) * m.up(C), {m.upper_names[B]: 2})
-        q2 = WeylOperator.term(m.up(A) * m.dn(D), {m.upper_names[B]: 1, m.lower_names[C]: 1})
-        q3 = WeylOperator.term(m.dn(B) * m.up(C), {m.lower_names[A]: 1, m.upper_names[D]: 1})
-        q4 = WeylOperator.term(m.dn(B) * m.dn(D), {m.lower_names[A]: 1, m.lower_names[C]: 1}) if A != C else WeylOperator.term(m.dn(B) * m.dn(D), {m.lower_names[A]: 2})
-        out = out + (q1 - q2 - q3 + q4).scale(c)
-    return out
-
-
 def first_order_generator(m, A, B) -> WeylOperator:
     """x^A d_B - x_B d^A."""
     return WeylOperator.mul_by(m.up(A)).compose(m.d_up(B)) - WeylOperator.mul_by(
@@ -618,41 +537,6 @@ def higher_symmetry_op_by_composition(m, V: SparseTensor) -> WeylOperator:
     return out
 
 
-def insertion_left_kernel_full_tuples(n: int, k: int, l: int):
-    """Left kernel of the symmetrized delta-insertion map over full (unsorted)
-    index tuples, each row as (den, ((sorted key, integer weight), ...)); a
-    sorted key repeats once per full tuple that reads it."""
-    src = list(itertools.product(range(1, n + 1), repeat=(k - 1) + (l - 1)))
-    dst = list(itertools.product(range(1, n + 1), repeat=k + l))
-    src_index = {key: i for i, key in enumerate(src)}
-    rows = []
-    norm = rat(1, factorial(k) * factorial(l))
-    for key in dst:
-        a, b = key[:k], key[k:]
-        row = [rat(0)] * len(src)
-        for pa in itertools.permutations(range(k)):
-            for pb in itertools.permutations(range(l)):
-                if a[pa[0]] != b[pb[0]]:
-                    continue
-                rest_a = tuple(a[pa[i]] for i in range(1, k))
-                rest_b = tuple(b[pb[i]] for i in range(1, l))
-                j = src_index[rest_a + rest_b]
-                row[j] = row[j] + norm
-        rows.append(row)
-    cols = [list(col) for col in zip(*rows)]
-    kern = bareiss_kernel(cols, len(dst)) if cols else []
-    out = []
-    for v in kern:
-        nonzero = [(c, key) for c, key in zip(v, dst) if c]
-        den = lcm(*(int(c.denominator) for c, _ in nonzero))
-        out.append((den, tuple(
-            ((tuple(sorted(key[:k])), tuple(sorted(key[k:]))),
-             int(c.numerator) * (den // int(c.denominator)))
-            for c, key in nonzero
-        )))
-    return tuple(out)
-
-
 def skew_slots_rational(T: SparseTensor, slots, upper=True) -> SparseTensor:
     """Antisymmetrization over the given slots, every entry multiplied by the
     rational coefficient sign/len(slots)! of each permutation."""
@@ -672,17 +556,6 @@ def skew_slots_rational(T: SparseTensor, slots, upper=True) -> SparseTensor:
             accumulate(out, key, v * c)
     return SparseTensor(T.k, T.N, out)
 
-
-
-def symmetrized_rational(T: SparseTensor) -> SparseTensor:
-    """The average over simultaneous column permutations, every entry
-    multiplied by the rational 1/k! once per permutation."""
-    norm = rat(1, factorial(T.k))
-    out = {}
-    for order in itertools.permutations(range(T.k)):
-        for (U, L), v in T.entries.items():
-            accumulate(out, (tuple(U[i] for i in order), tuple(L[i] for i in order)), v * norm)
-    return SparseTensor(T.k, T.N, out)
 
 
 def symmetrized_by_permutations(T: SparseTensor) -> SparseTensor:
@@ -753,51 +626,6 @@ def highest_weight_vector_by_idempotent_terms(lam, N):
     return acc
 
 
-def _extract_symbols_by_assignment(m, entries, den: int, d: int, k: int, l: int, product) -> SymbolTensor:
-    """The (k, l) symbol of a column-symmetric tensor with d columns, given as
-    its entries (slot pairs, int) over den, read off the canonical column
-    assignment: columns 0..k-1 carry the upper labels, k..k+l-1 the lower
-    ones, the rest are tau columns.  ``product`` maps a sorted tuple of
-    factor ids (see _factor_product) to the product of those factors."""
-    n = m.n
-    INF = n + 1
-    W = n + 2
-    labels = range(1, n + 1)
-    # (-1)^l times the number of ordered assignments, d!/(d-k-l)!, over k! l!
-    scale = (-1) ** l * comb(d, k + l) * comb(k + l, k)
-    weights = {}  # (upper labels, lower labels) -> {product key: summed int}
-    for slots, w in entries:
-        up, dn, tau = slots[:k], slots[k : k + l], slots[k + l :]
-        # the cone values kill a label column: B = inf upper, A = 0 lower
-        if any(B == INF for B, _ in up) or any(A == 0 for _, A in dn):
-            continue
-        # the non-unit position factors X_up[A] (A != 0) and X_dn[B] (B != inf)
-        base = [A for _, A in up + tau if A] + [W + B for B, _ in dn + tau if B != INF]
-        # a dual-slot value 0 (upper) or inf (lower) admits every label, with
-        # the factor Y_dn[a][0] (resp. Y_up[b][inf]); a boundary value pins the
-        # label with a unit factor.  Only sorted label tuples are components.
-        for a_key in itertools.product(*(labels if B == 0 else (B,) for B, _ in up)):
-            if any(x > y for x, y in zip(a_key, a_key[1:])):
-                continue
-            ys = [2 * W + a for a, (B, _) in zip(a_key, up) if B == 0]
-            for b_key in itertools.product(*(labels if A == INF else (A,) for _, A in dn)):
-                if any(x > y for x, y in zip(b_key, b_key[1:])):
-                    continue
-                zs = [3 * W + b for b, (_, A) in zip(b_key, dn) if A == INF]
-                key = tuple(sorted(base + ys + zs))
-                acc = weights.setdefault((a_key, b_key), {})
-                acc[key] = acc.get(key, 0) + w
-    out = {}
-    for a_key in label_keys(n, k):
-        for b_key in label_keys(n, l):
-            acc = weights.get((a_key, b_key), {})
-            keys = [key for key, w in acc.items() if w]
-            comp = LaurentPoly.sum(m.ring, map(product, keys), [scale * acc[key] for key in keys], den)
-            if comp:
-                out[(a_key, b_key)] = comp
-    return SymbolTensor(n, k, l, m.ring, out)
-
-
 def _factor_product(m):
     """The product of a sorted tuple of factor ids, each distinct product and
     each of its prefixes multiplied once.  The factor ids, W = n + 2: A ->
@@ -818,22 +646,6 @@ def _factor_product(m):
         return p
 
     return product
-
-
-def extract_all_symbols_by_assignment(m, T: SparseTensor):
-    """dict (k, l) -> generating polynomial for all k + l <= d, d = T.k,
-    summed over every ordered entry of the column symmetrization as
-    SymbolTensors and converted by generating_polynomials."""
-    d = T.k
-    S = T if T.is_symmetric() else symmetrized_by_permutations(T)
-    den, ints = _integers(S.entries)
-    entries = [(tuple(zip(B, A)), w) for (B, A), w in ints.items()]
-    product = _factor_product(m)
-    return generating_polynomials(m, {
-        (k, l): _extract_symbols_by_assignment(m, entries, den, d, k, l, product)
-        for k in range(d + 1)
-        for l in range(d + 1 - k)
-    })
 
 
 def _label_count(free: int, key, chosen) -> int:
@@ -1192,93 +1004,6 @@ def check_bgg_by_kernel(m, top: SymbolTensor, d: int, s: int):
     return CaseResults(bad, 2)
 
 
-# -- the symbol recursions written out form by form --------------------------------
-
-
-def sym_derivative_upper(m, S: SymbolTensor) -> SymbolTensor:
-    """Idempotent symmetrization of the raised derivative: one extra upper
-    index, averaged over all k+1 uppers."""
-    _, d_raised, _ = tangential_ops(m)
-    k2 = S.k + 1
-    out = {}
-    for a_key in itertools.combinations_with_replacement(range(1, m.n + 1), k2):
-        for b_key in itertools.combinations_with_replacement(range(1, m.n + 1), S.l):
-            terms = []
-            for pos in range(k2):
-                rest = a_key[:pos] + a_key[pos + 1 :]
-                # rest and b_key are sorted, as SymbolTensor keys are
-                comp = S.components.get((rest, b_key))
-                if comp:
-                    terms.append(d_raised[a_key[pos] - 1].apply(comp))
-            acc = LaurentPoly.sum(m.ring, terms, den=k2)
-            if acc:
-                out[(a_key, b_key)] = acc
-    return SymbolTensor(m.n, k2, S.l, m.ring, out)
-
-
-def sym_derivative_lower(m, S: SymbolTensor) -> SymbolTensor:
-    d_hol, _, _ = tangential_ops(m)
-    l2 = S.l + 1
-    out = {}
-    for a_key in itertools.combinations_with_replacement(range(1, m.n + 1), S.k):
-        for b_key in itertools.combinations_with_replacement(range(1, m.n + 1), l2):
-            terms = []
-            for pos in range(l2):
-                rest = b_key[:pos] + b_key[pos + 1 :]
-                comp = S.components.get((a_key, rest))
-                if comp:
-                    terms.append(d_hol[b_key[pos] - 1].apply(comp))
-            acc = LaurentPoly.sum(m.ring, terms, den=l2)
-            if acc:
-                out[(a_key, b_key)] = acc
-    return SymbolTensor(m.n, S.k, l2, m.ring, out)
-
-
-def check_symbol_recursions_by_form(m, symbols: dict, d: int):
-    """Exact residuals of the rewritten symbol equations for a full family,
-    as (equation label, ok, witness) entries."""
-    results = []
-
-    def record(label, residual):
-        results.append((label, residual is None, None if residual is None else str(residual)))
-
-    # pure-tau recursions, exact (no trace part with k == 0 or l == 0)
-    for k in range(1, d + 1):
-        lhs = add_symbols(symbols[(k, 0)].scale(-k), sym_derivative_upper(m, symbols[(k - 1, 0)]))
-        record(f"tau recursion (upper) k={k}", trace_free_part_vanishes(m, lhs))
-    for l in range(1, d + 1):
-        lhs = add_symbols(symbols[(0, l)].scale(l), sym_derivative_lower(m, symbols[(0, l - 1)]))
-        record(f"tau recursion (lower) l={l}", trace_free_part_vanishes(m, lhs))
-
-    # mixed recursions, trace-free part
-    for k in range(1, d + 1):
-        for l in range(1, d + 1 - k):
-            lhs = add_symbols(
-                add_symbols(
-                    symbols[(k, l)].scale(l - k),
-                    sym_derivative_upper(m, symbols[(k - 1, l)]),
-                ),
-                sym_derivative_lower(m, symbols[(k, l - 1)]),
-            )
-            record(f"mixed recursion k={k} l={l}", trace_free_part_vanishes(m, lhs))
-
-    # top equations (no tau slots left): k + l = d + 1
-    record("top gradient symmetrization (upper)",
-           trace_free_part_vanishes(m, sym_derivative_upper(m, symbols[(d, 0)])))
-    record("top gradient symmetrization (lower)",
-           trace_free_part_vanishes(m, sym_derivative_lower(m, symbols[(0, d)])))
-    for k in range(1, d + 1):
-        l = d + 1 - k
-        if l < 1 or l > d:
-            continue
-        lhs = add_symbols(
-            sym_derivative_upper(m, symbols[(k - 1, l)]),
-            sym_derivative_lower(m, symbols[(k, l - 1)]),
-        )
-        record(f"top mixed equation k={k} l={l}", trace_free_part_vanishes(m, lhs))
-    return results
-
-
 # -- the dense Bareiss elimination that the sparse integer routine replaced ------
 
 
@@ -1538,10 +1263,6 @@ class TracelessMatrix:
             raise ValueError("matrix has nonzero trace")
         self.entries = entries
 
-    @property
-    def dim(self):
-        return len(self.entries)
-
     def __getitem__(self, idx):
         return self.entries[idx]
 
@@ -1574,27 +1295,6 @@ def sl_basis_matrix(N):
         m[i][i] = RONE
         m[i + 1][i + 1] = -RONE
         out.append(TracelessMatrix(m))
-    return out
-
-
-def random_traceless_matrix(n, rng, bound=3):
-    """Seeded small-integer matrix made traceless by subtracting tr/(n+2)."""
-    N = n + 2
-    m = [[rat(rng.randint(-bound, bound)) for _ in range(N)] for _ in range(N)]
-    c = mat_trace(m) / N
-    for i in range(N):
-        m[i][i] = m[i][i] - c
-    return TracelessMatrix(m)
-
-
-def dv_matrix(m, V: TracelessMatrix) -> WeylOperator:
-    """The first-order symmetry generator attached to V in sl(n+2)."""
-    out = WeylOperator.zero(m.ring)
-    for A in range(m.N):
-        for B in range(m.N):
-            c = V[B][A]
-            if c:
-                out = out + first_order_generator(m, A, B).scale(c)
     return out
 
 

@@ -34,16 +34,13 @@ from support import (
     dense,
     disjoint_trace_free,
     dv_bracket_matrix,
-    dv_matrix,
     higher_symmetry_op_by_composition,
     higher_symmetry_op_by_entries,
     mat_mul,
     mat_trace,
     operator_order,
     principal_part,
-    random_traceless_matrix,
     sl_basis_matrix,
-    t_part_operator_termwise,
     to_tensor,
 )
 
@@ -183,7 +180,7 @@ def test_central_action(m1):
 def test_higher_symmetry_d1_reduces_to_dv(m2):
     rng = random.Random(3)
     V = random_traceless(2, rng)
-    assert higher_symmetry_op(m2, V) == dv_matrix(m2, TracelessMatrix(dense(V)))
+    assert higher_symmetry_op(m2, V) == higher_symmetry_op_by_composition(m2, V)
 
 
 def test_higher_symmetry_commutes(m2):
@@ -407,11 +404,11 @@ def test_principal_part_of_composition_is_top_quadratic_form(m2):
     )
     comp = higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
     assert not raw.is_trace_free()
-    assert principal_part(comp, 2) == principal_part(t_part_operator_termwise(m2, raw), 2)
+    assert principal_part(comp, 2) == principal_part(higher_symmetry_op_by_composition(m2, raw), 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_t_part_operator_matches_the_termwise_sum(n):
+def test_t_part_operator_matches_the_composed_generators(n):
     m = AmbientModel(n)
     rng = random.Random(30 + n)
     w1 = (-n + n % 2) // 2
@@ -420,7 +417,7 @@ def test_t_part_operator_matches_the_termwise_sum(n):
         W = random_traceless(n, rng)
         parts = compose_decompose(m, V, W, w1, -n - w1)
         for T in (parts.T, parts.vw2):
-            assert higher_symmetry_op(m, T) == t_part_operator_termwise(m, T)
+            assert higher_symmetry_op(m, T) == higher_symmetry_op_by_composition(m, T)
 
 
 def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
@@ -524,26 +521,22 @@ def test_composition_suite_fails_an_empty_sweep(monkeypatch):
 
 def _matrix_path_mismatches(n, seed):
     """Names of the quantities on which the one-column tensor path differs
-    from the former dense matrix path: the draws of random_traceless, sl_basis,
-    D_V and the bracket over sl_basis, and the parts of compose_decompose on
-    three seeded pairs at every admissible weight."""
+    from the former dense matrix path: sl_basis, the bracket over sl_basis,
+    and the bracket and the parts of compose_decompose on three seeded pairs
+    at every admissible weight."""
     m = AmbientModel(n)
     basis = sl_basis(m.N)
     mats = [TracelessMatrix(dense(V)) for V in basis]
     bad = set()
     if mats != sl_basis_matrix(m.N):
         bad.add("sl_basis")
-    if any(higher_symmetry_op(m, V) != dv_matrix(m, M) for V, M in zip(basis, mats)):
-        bad.add("D_V")
     for V, M in zip(basis, mats):
         if any(dv_bracket(V, W) != to_tensor(dv_bracket_matrix(M, K).entries) for W, K in zip(basis, mats)):
             bad.add("bracket")
-    rng, old_rng = random.Random(seed), random.Random(seed)
+    rng = random.Random(seed)
     for _ in range(3):
         V, W = random_traceless(n, rng), random_traceless(n, rng)
-        Vm, Wm = random_traceless_matrix(n, old_rng), random_traceless_matrix(n, old_rng)
-        if [dense(V), dense(W)] != [Vm.entries, Wm.entries]:
-            bad.add("random_traceless")
+        Vm, Wm = TracelessMatrix(dense(V)), TracelessMatrix(dense(W))
         if dv_bracket(V, W) != to_tensor(dv_bracket_matrix(Vm, Wm).entries):
             bad.add("bracket")
         for w1, w2 in admissible_weights(n):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsym.classalg import (
@@ -72,6 +73,14 @@ def test_identity_class_is_unit():
         for lam in partitions(k):
             u = ClassElement.basis(k, lam)
             assert class_multiply(one, u) == u
+
+
+def test_class_elements_of_different_k_are_rejected():
+    u, v = ClassElement.one(2), ClassElement.one(3)
+    with pytest.raises(ValueError, match="different k"):
+        u + v
+    with pytest.raises(ValueError, match="different k"):
+        class_multiply(u, v)
 
 
 def test_oracle_equivalence_k_le_5():

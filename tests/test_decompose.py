@@ -374,6 +374,12 @@ def test_weyl_dim_rejects_nonmonotone():
         weyl_dim((0, 1, 0, -1), 4)
 
 
+def test_weyl_dim_raises_on_a_fractional_dimension():
+    # a half-integral weight gives (1/2 + 1)/1
+    with pytest.raises(ArithmeticError, match="3/2 is not an integer"):
+        weyl_dim((rat(1, 2), 0), 2)
+
+
 def test_lambda_plus_dual():
     assert lambda_plus_dual((1,), 5) == (1, 0, 0, 0, -1)
     assert lambda_plus_dual((2, 1), 4) == (2, 1, -1, -2)
@@ -418,13 +424,23 @@ def test_kernel_sizes_are_the_weight_multiplicities(k, N):
     assert not res and res.cases == len(weight_orbits(k, N))
 
 
-@pytest.mark.parametrize("k, N", [(2, 4), (3, 5), (4, 5)])
-def test_weight_multiplicities_without_the_symmetric_piece_fail_every_orbit(k, N, monkeypatch):
-    top = tuple(x + k for x in lambda_plus_dual((k,), N))
+@pytest.mark.parametrize("k, N, lam, failed", [
+    (2, 4, (2,), 6), (3, 5, (3,), 14), (4, 5, (4,), 31),
+    (2, 4, (1, 1), 3), (3, 5, (2, 1), 9), (3, 6, (1, 1, 1), 4), (4, 5, (3, 1), 22), (4, 5, (2, 2), 12),
+], ids=str)
+def test_weight_multiplicities_without_one_piece_fail_the_orbits_it_reaches(k, N, lam, failed, monkeypatch):
+    # drop V(lam + lam*) by reading its Kostka numbers as 0.  The symmetric
+    # piece lam = (k) has a weight in every orbit, so every orbit fails; a
+    # piece of the largest depth with 2 depth(lam) <= N misses some orbits,
+    # which still pass
+    admissible = [mu for mu in partitions(k) if 2 * len(mu) <= N]
+    assert lam == (k,) or len(lam) == max(map(len, admissible))
+    top = tuple(x + k for x in lambda_plus_dual(lam, N))
     full = dec.kostka
     monkeypatch.setattr(dec, "kostka", lambda shape, content: 0 if shape == top else full(shape, content))
     res = weight_multiplicity_check(k, N)
-    assert len(res) == res.cases == len(weight_orbits(k, N))
+    assert res.cases == len(weight_orbits(k, N)) and len(res) == failed
+    assert (failed == res.cases) == (lam == (k,))
 
 
 @pytest.fixture
@@ -740,12 +756,23 @@ def test_hwv_rejects_out_of_range():
         highest_weight_vector((1, 1), 3)
 
 
+def test_hwv_raises_on_an_orbit_of_another_weight(monkeypatch):
+    monkeypatch.setattr(dec, "multiset_weight", lambda M, N: (0,) * N)
+    with pytest.raises(RuntimeError, match="not of the highest weight"):
+        highest_weight_vector((1,), 3)
+
+
 def test_skew_vanishing():
     # every trial alternates each (depth + 1)-subset of the k slots
     for lam, N, trials in [((2,), 3, 3), ((2, 1), 3, 5), ((3,), 3, 3)]:
         k = sum(lam)
         res = skew_vanishing_check(lam, k, N, trials=trials)
         assert not res and res.cases == trials * comb(k, len(lam) + 1), lam
+
+
+def test_skew_vanishing_rejects_a_partition_of_another_k():
+    with pytest.raises(ValueError, match="partition of k"):
+        skew_vanishing_check((2, 1), 4, 3)
 
 
 def test_skew_vanishing_needs_depth_plus_one_slots():

@@ -1,6 +1,7 @@
 """`src/` holds what the verifier runs: every public function, class and method
 and every private module-level function and class defined under src/subsym
-is named somewhere else in src/subsym.
+is named somewhere else in src/subsym.  Likewise every such definition of
+tests/support.py is named by a test or by another helper that is.
 
 Code that only the tests reach lives under tests/.  The exceptions are the
 independent oracles kept in src/ by design, which src/ itself never calls, and
@@ -14,7 +15,8 @@ from pathlib import Path
 
 from subsym.cli import _SUITE_MODULES
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "subsym"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "subsym"
 
 ALLOWED = {
     "tangential_op_operational",
@@ -61,6 +63,19 @@ def test_every_public_src_name_is_used_in_src():
     assert not extra, "defined in src/ but named nowhere else in src/: " + ", ".join(extra)
     # the allow-list names only oracles that are still defined and still unused
     assert {name for *_, name in flagged} == ALLOWED
+
+
+def test_src_holds_no_assert_statement():
+    # python -O strips assert statements, and a check must survive it
+    found = [f"{p.name}:{node.lineno}" for p in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(), p.name)) if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/: " + ", ".join(found)
+
+
+def test_every_support_definition_is_named_by_a_test():
+    sources = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
+    flagged = [f"{f}:{line} {name}" for f, line, name in unreferenced(sources) if f == "support.py"]
+    assert not flagged, "defined in tests/support.py but named by no test: " + ", ".join(flagged)
 
 
 def test_checker_flags_an_unreferenced_function():

@@ -17,17 +17,14 @@ from support import (
     _insertion_left_kernel,
     add_symbols,
     build_prop1_tensor_by_placements,
-    extract_all_symbols_by_assignment,
     extract_all_symbols_by_blocks,
     check_bgg_by_kernel,
-    check_symbol_recursions_by_form,
     check_symbol_recursions_by_kernel,
     column_symmetric,
     component,
     disjoint_trace_free,
     generating_polynomial,
     generating_polynomials,
-    insertion_left_kernel_full_tuples,
     label_coefficients,
     label_keys,
     principal_part,
@@ -242,11 +239,11 @@ RECURSION_MODELS = [(1, None), (2, None), (3, None), (2, (1, -1))]
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n, g_diag", RECURSION_MODELS)
-def test_recursion_sweep_matches_the_form_by_form_oracle(n, g_diag, d):
-    # the remainder check on the generating polynomials, the former sweep over
-    # SymbolTensors and the five hand-written forms examine the same equations
-    # and fail the same ones, on extracted families and on the same families
-    # with one random (k, l) component perturbed
+def test_recursion_sweep_matches_the_kernel_sweep(n, g_diag, d):
+    # the remainder check on the generating polynomials and the former sweep
+    # over SymbolTensors examine the same equations and fail the same ones,
+    # on extracted families and on the same families with one random (k, l)
+    # component perturbed
     m, rng, families = recursion_families(n, g_diag, d)
     for syms in families:
         tensors = symbol_tensors(m, syms)
@@ -261,11 +258,8 @@ def test_recursion_sweep_matches_the_form_by_form_oracle(n, g_diag, d):
         for family in (tensors, perturbed):
             got = check_symbol_recursions(m, generating_polynomials(m, family), d)
             former = check_symbol_recursions_by_kernel(m, family, d)
-            oracle = check_symbol_recursions_by_form(m, family, d)
-            assert got.cases == former.cases == len(oracle) == recursion_count(d)
-            labels = sorted(failure.split(": ")[0] for failure in got)
-            assert labels == sorted(failure.split(": ")[0] for failure in former)
-            assert labels == sorted(label for label, ok, _ in oracle if not ok)
+            assert got.cases == former.cases == recursion_count(d)
+            assert sorted(f.split(": ")[0] for f in got) == sorted(f.split(": ")[0] for f in former)
         assert check_symbol_recursions(m, generating_polynomials(m, perturbed), d)
 
 
@@ -447,7 +441,7 @@ def test_trace_remainder_hand_values(n):
 
 
 # the (k, l) cases of the delta-insertion kernel checked against the
-# full-tuple oracle
+# remainder
 INSERTION_CASES = [
     (n, k, l)
     for n in (2, 3)
@@ -485,29 +479,21 @@ def random_symbol(m, k, l, rng):
 
 
 @pytest.mark.parametrize("n, k, l", INSERTION_CASES)
-def test_insertion_kernel_matches_the_full_tuple_kernel(n, k, l, monkeypatch):
-    import support
-
+def test_insertion_kernel_matches_the_remainder(n, k, l):
     m = BoundaryModel(n)
     rng = random.Random(100 * n + 10 * k + l)
     insertion = symmetric_insertion(m, k, l, random_symbol(m, k - 1, l - 1, rng))
     perturbed = add_symbols(insertion, SymbolTensor(n, k, l, m.ring, random_symbol(m, k, l, rng)))
     assert insertion
-    verdicts = []
-    for kernel in (_insertion_left_kernel, insertion_left_kernel_full_tuples):
-        monkeypatch.setattr(support, "_insertion_left_kernel", kernel)
-        verdicts.append((trace_free_part_vanishes(m, insertion),
-                         trace_free_part_vanishes(m, perturbed) is not None))
-    # the third verdict: the remainder modulo q = sum_x u_x v_x
-    verdicts.append((trace_remainder(m, generating_polynomial(m, insertion)) or None,
-                     bool(trace_remainder(m, generating_polynomial(m, perturbed)))))
-    assert verdicts == [(None, True)] * 3
+    # the insertion left kernel and the remainder modulo q = sum_x u_x v_x
+    verdicts = [(trace_free_part_vanishes(m, insertion), trace_free_part_vanishes(m, perturbed) is not None),
+                (trace_remainder(m, generating_polynomial(m, insertion)) or None,
+                 bool(trace_remainder(m, generating_polynomial(m, perturbed))))]
+    assert verdicts == [(None, True)] * 2
     # delta-insertion is multiplication by sum_x z_x w_x on bihomogeneous
     # polynomials, so it is injective: the image has dim Sym^(k-1) x Sym^(l-1)
     dim_sym = comb(n + k - 1, k) * comb(n + l - 1, l)
-    rank_image = n ** (k + l) - len(insertion_left_kernel_full_tuples(n, k, l))
-    assert rank_image == comb(n + k - 2, k - 1) * comb(n + l - 2, l - 1)
-    assert len(_insertion_left_kernel(n, k, l)) == dim_sym - rank_image
+    assert len(_insertion_left_kernel(n, k, l)) == dim_sym - comb(n + k - 2, k - 1) * comb(n + l - 2, l - 1)
 
 
 # -- the type-based construction --------------------------------------------------
@@ -718,16 +704,13 @@ def orbit_draws(n, d, rng):
 
 
 def assert_orbit_extraction_matches(m, T):
-    """The extraction against the assignment extraction and the block
-    extraction it replaced."""
-    syms = extract_all_symbols(m, T)
-    assert syms == extract_all_symbols_by_assignment(m, T)
-    assert syms == extract_all_symbols_by_blocks(m, T)
+    """The extraction against the block extraction it replaced."""
+    assert extract_all_symbols(m, T) == extract_all_symbols_by_blocks(m, T)
 
 
 @pytest.mark.parametrize("d", range(6))
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_orbit_extraction_matches_the_assignment_extraction(n, d):
+def test_orbit_extraction_matches_the_block_extraction(n, d):
     m = BoundaryModel(n)
     tensors = orbit_draws(n, d, random.Random(10 * n + d))
     if d >= 2:
@@ -771,8 +754,7 @@ MUTANTS = {
 def test_a_perturbed_generating_polynomial_fails_the_comparison(mutant, monkeypatch):
     """Mutant control: the extraction with the d!/stab orderings of each
     column orbit dropped, or with the v terms of the column factors
-    unsigned, differs from the assignment and block extractions on the
-    comparison's draws."""
+    unsigned, differs from the block extraction on the comparison's draws."""
     import subsym.symbols
 
     monkeypatch.setattr(subsym.symbols, *MUTANTS[mutant])

@@ -1,23 +1,28 @@
-"""The one sparse tensor type against the two classes it replaced, and its
-one seeded draw against the five loops it replaced.
+"""The one sparse tensor type against its oracles, and its one seeded draw
+against the five loops it replaced.
 
-`OldAmbientTensor` and `OldMixedTensor` are the former ambient column-tensor
-and decomposition mixed-tensor classes, kept here unchanged in substance as
-differential oracles.
+- Sum, scale, contraction, trace-freeness and column symmetry: the direct
+  transcriptions `reference_sum`, `reference_contraction`,
+  `reference_is_trace_free` and `reference_is_symmetric` below.
+- The S_k actions: `reference_act`, a transcription through
+  `act_on_tuple`.
+- Symmetrization: the mean of all k! permutations
+  (`symmetrized_by_permutations`, independent) and the orbit-mean loop it
+  replaced (`symmetrized_by_orbit_means`).
+- Skew: the rational-sign loop `skew_slots_rational`.
 """
 
 import itertools
 import random
 from functools import partial
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsym.classalg import act_on_tuple, central_idempotent, partitions
 from subsym.ambient import random_traceless
-from subsym.scalars import GR_ZERO, RZERO, gr, rat
-from subsym.tensor import SparseTensor, invert_perm, perm_sign, stabilizer_order
+from subsym.scalars import RZERO, rat
+from subsym.tensor import SparseTensor, invert_perm, stabilizer_order
 from support import (
     column_symmetric,
     conjugation_tensor_by_loops,
@@ -31,165 +36,40 @@ from support import (
     standard_tableaux,
     symmetrized_by_orbit_means,
     symmetrized_by_permutations,
-    symmetrized_rational,
     young_symmetrizer,
 )
 
 
-class OldAmbientTensor:
-    """The former ambient tensor V^{B_1..B_d}_{A_1..A_d} (pullback convention)."""
-
-    def __init__(self, d, N, entries=None):
-        self.d = d
-        self.N = N
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        return (self.d, self.N) == (other.d, other.N) and self.entries == other.entries
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, GR_ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return OldAmbientTensor(self.d, self.N, out)
-
-    def scale(self, c):
-        return OldAmbientTensor(self.d, self.N, {k: c * v for k, v in self.entries.items()})
-
-    def column_permuted(self, perm):
-        out = {}
-        for (B, A), v in self.entries.items():
-            key = (
-                tuple(B[perm[i]] for i in range(self.d)),
-                tuple(A[perm[i]] for i in range(self.d)),
-            )
-            out[key] = out.get(key, GR_ZERO) + v
-        return OldAmbientTensor(self.d, self.N, out)
-
-    def is_column_symmetric(self):
-        for t in range(self.d - 1):
-            perm = list(range(self.d))
-            perm[t], perm[t + 1] = perm[t + 1], perm[t]
-            if self.column_permuted(perm) != self:
-                return False
-        return True
-
-    def symmetrize_columns(self):
-        acc = OldAmbientTensor(self.d, self.N, {})
-        for perm in itertools.permutations(range(self.d)):
-            acc = acc + self.column_permuted(perm)
-        return acc.scale(gr(rat(1, factorial(self.d))))
-
-    def skew_slots(self, slots, upper=True):
-        out = {}
-        slots = list(slots)
-        norm = rat(1, factorial(len(slots)))
-        for arr in itertools.permutations(slots):
-            p = list(range(self.d))
-            for s_, a_ in zip(slots, arr):
-                p[s_] = a_
-            sign = perm_sign(tuple(p))
-            for (B, A), v in self.entries.items():
-                if upper:
-                    key = (tuple(B[p[i]] for i in range(self.d)), A)
-                else:
-                    key = (B, tuple(A[p[i]] for i in range(self.d)))
-                s = out.get(key, GR_ZERO) + v * gr(sign * norm)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return OldAmbientTensor(self.d, self.N, out)
-
-    def contraction(self, b_slot, a_slot):
-        out = {}
-        for (B, A), v in self.entries.items():
-            if B[b_slot] != A[a_slot]:
-                continue
-            key = (B[:b_slot] + B[b_slot + 1 :], A[:a_slot] + A[a_slot + 1 :])
-            s = out.get(key, GR_ZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return out
-
-    def is_totally_trace_free(self):
-        return not any(self.contraction(b, a) for b in range(self.d) for a in range(self.d))
+def reference_sum(first, second, c=1):
+    """first + c * second, entry by entry, zeros left out."""
+    out = dict(first)
+    for key, v in second.items():
+        out[key] = out.get(key, RZERO) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
-class OldMixedTensor:
-    """The former mixed tensor of (V (x) V*)^(x)k (act_on_tuple convention)."""
-
-    def __init__(self, k, N, entries=None):
-        self.k = k
-        self.N = N
-        self.entries = {key: v for key, v in (entries or {}).items() if v}
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            s = out.get(key, RZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return OldMixedTensor(self.k, self.N, out)
-
-    def scale(self, c):
-        return OldMixedTensor(self.k, self.N, {key: v * c for key, v in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(rat(-1))
-
-    def pair_symmetrize(self):
-        out = {}
-        norm = rat(1, factorial(self.k))
-        for (U, L), v in self.entries.items():
-            for p in itertools.permutations(range(self.k)):
-                key = (act_on_tuple(p, U), act_on_tuple(p, L))
-                s = out.get(key, RZERO) + v * norm
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return OldMixedTensor(self.k, self.N, out)
-
-    def is_pair_symmetric(self):
-        for (U, L), v in self.entries.items():
-            for t in range(self.k - 1):
-                p = list(range(self.k))
-                p[t], p[t + 1] = p[t + 1], p[t]
-                key = (act_on_tuple(tuple(p), U), act_on_tuple(tuple(p), L))
-                if self.entries.get(key, RZERO) != v:
-                    return False
-        return True
-
-    def contraction(self, up_slot, lo_slot):
-        out = {}
-        for (U, L), v in self.entries.items():
-            if U[up_slot] != L[lo_slot]:
-                continue
+def reference_contraction(entries, up_slot, lo_slot):
+    """The entries of the contraction of upper slot up_slot against lower slot
+    lo_slot, summed per remaining key, zeros left out."""
+    out = {}
+    for (U, L), v in entries.items():
+        if U[up_slot] == L[lo_slot]:
             key = (U[:up_slot] + U[up_slot + 1 :], L[:lo_slot] + L[lo_slot + 1 :])
-            s = out.get(key, RZERO) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return OldMixedTensor(self.k - 1, self.N, out)
+            out[key] = out.get(key, RZERO) + v
+    return {key: v for key, v in out.items() if v}
 
-    def is_trace_free(self):
-        return not any(self.contraction(p, q) for p in range(self.k) for q in range(self.k))
+
+def reference_is_trace_free(entries, k):
+    return not any(reference_contraction(entries, p, q) for p in range(k) for q in range(k))
+
+
+def reference_is_symmetric(entries, k):
+    """Every one of the k! simultaneous column permutations fixes the entries."""
+    entries = {key: v for key, v in entries.items() if v}
+    return all(
+        {(tuple(U[i] for i in p), tuple(L[i] for i in p)): v for (U, L), v in entries.items()} == entries
+        for p in itertools.permutations(range(k))
+    )
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -213,41 +93,35 @@ def tensor_data(draw, k=None, N=None, values=rationals):
     return k, N, entries
 
 
-def triple(data):
-    k, N, entries = data
-    return SparseTensor(k, N, entries), OldAmbientTensor(k, N, entries), OldMixedTensor(k, N, entries)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_arithmetic_matches_both_old_types(data):
+def test_arithmetic_matches_the_entrywise_sum(data):
     k, N, first = data.draw(tensor_data())
     _, _, second = data.draw(tensor_data(k, N))
     c = data.draw(rationals)
-    new, amb, mix = triple((k, N, first))
-    new2, amb2, mix2 = triple((k, N, second))
-    assert (new + new2).entries == (amb + amb2).entries == (mix + mix2).entries
-    assert (new - new2).entries == (mix - mix2).entries
-    assert new.scale(c).entries == amb.scale(c).entries == mix.scale(c).entries
-    assert bool(new) == bool(amb) == bool(mix)
+    new, new2 = SparseTensor(k, N, first), SparseTensor(k, N, second)
+    assert (new + new2).entries == reference_sum(first, second)
+    assert (new - new2).entries == reference_sum(first, second, -1)
+    assert new.scale(c).entries == reference_sum({}, first, c)
+    assert bool(new) == any(first.values())
 
 
 @settings(max_examples=150, deadline=None)
 @given(tensor_data())
-def test_symmetry_and_traces_match_both_old_types(data):
-    new, amb, mix = triple(data)
-    k = new.k
+def test_symmetry_and_traces_match_the_transcriptions(data):
+    k, _, entries = data
+    new = SparseTensor(*data)
     sym = new.symmetrized()
-    assert sym.entries == amb.symmetrize_columns().entries == mix.pair_symmetrize().entries
-    assert new.is_symmetric() == amb.is_column_symmetric() == mix.is_pair_symmetric()
-    assert sym.is_symmetric()
+    assert sym == symmetrized_by_permutations(new)
+    assert new.is_symmetric() == reference_is_symmetric(entries, k)
+    assert sym.is_symmetric() and reference_is_symmetric(sym.entries, k)
     for p in range(k):
         for q in range(k):
             con = new.contraction(p, q)
             assert (con.k, con.N) == (k - 1, new.N)
-            assert con.entries == amb.contraction(p, q) == mix.contraction(p, q).entries
-    assert new.is_trace_free() == amb.is_totally_trace_free() == mix.is_trace_free()
-    assert sym.is_trace_free() == amb.symmetrize_columns().is_totally_trace_free()
+            assert con.entries == reference_contraction(entries, p, q)
+    assert new.is_trace_free() == reference_is_trace_free(entries, k)
+    assert sym.is_trace_free() == reference_is_trace_free(sym.entries, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,7 +129,7 @@ def test_symmetry_and_traces_match_both_old_types(data):
 def test_integer_symmetrization_matches_the_rational_average(data):
     T = SparseTensor(*data)
     sym = T.symmetrized()
-    assert sym == symmetrized_rational(T)
+    assert sym == symmetrized_by_permutations(T)
     assert sym.is_symmetric() and sym.symmetrized() == sym
     assert T.is_symmetric() == (sym == T)
 
@@ -324,15 +198,6 @@ def test_skew_slots_with_integer_signs_match_rational_signs(data):
         assert T.skew_slots(slots, upper) == skew_slots_rational(T, slots, upper)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_skew_slots_match_the_old_ambient_type(data):
-    new, amb, _ = triple(data.draw(tensor_data()))
-    slots = data.draw(st.lists(st.sampled_from(range(new.k)), min_size=1, unique=True))
-    for upper in (True, False):
-        assert new.skew_slots(slots, upper).entries == amb.skew_slots(slots, upper).entries
-
-
 def reference_act(element, T, upper):
     """sum_p element[p] p on one index group, spelled out with act_on_tuple."""
     out = {}
@@ -350,7 +215,7 @@ def test_group_algebra_action_is_act_on_tuple(data):
     # reading the permutation as a pullback, gives a different tensor.  The
     # central idempotents carry rational coefficients, and a single
     # permutation is the one-term element.
-    new, _, _ = triple(data)
+    new = SparseTensor(*data)
     elements = [young_symmetrizer(tab) for tab in standard_tableaux((2, 1))]
     elements += [central_idempotent(lam) for lam in partitions(3)]
     elements += [{p: rat(1)} for p in itertools.permutations(range(3))]
@@ -362,12 +227,14 @@ def test_group_algebra_action_is_act_on_tuple(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_permuted_is_act_on_tuple_on_both_index_groups(data):
-    new, amb, _ = triple(data.draw(tensor_data()))
+    new = SparseTensor(*data.draw(tensor_data()))
     p = tuple(data.draw(st.permutations(range(new.k))))
     expected = {(act_on_tuple(p, U), act_on_tuple(p, L)): v for (U, L), v in new.entries.items()}
     assert new.permuted(p).entries == expected
-    # the old ambient type reads its permutation as a pullback
-    assert new.permuted(p).entries == amb.column_permuted(invert_perm(p)).entries
+    # read as a pullback, the permutation is the inverse of p
+    q = invert_perm(p)
+    pullback = {(tuple(U[i] for i in q), tuple(L[i] for i in q)): v for (U, L), v in new.entries.items()}
+    assert new.permuted(p).entries == pullback
 
 
 def test_outer_product_and_pair_swap():
