@@ -424,23 +424,31 @@ def test_kernel_sizes_are_the_weight_multiplicities(k, N):
     assert not res and res.cases == len(weight_orbits(k, N))
 
 
-@pytest.mark.parametrize("k, N, lam, failed", [
-    (2, 4, (2,), 6), (3, 5, (3,), 14), (4, 5, (4,), 31),
-    (2, 4, (1, 1), 3), (3, 5, (2, 1), 9), (3, 6, (1, 1, 1), 4), (4, 5, (3, 1), 22), (4, 5, (2, 2), 12),
-], ids=str)
-def test_weight_multiplicities_without_one_piece_fail_the_orbits_it_reaches(k, N, lam, failed, monkeypatch):
-    # drop V(lam + lam*) by reading its Kostka numbers as 0.  The symmetric
-    # piece lam = (k) has a weight in every orbit, so every orbit fails; a
-    # piece of the largest depth with 2 depth(lam) <= N misses some orbits,
-    # which still pass
-    admissible = [mu for mu in partitions(k) if 2 * len(mu) <= N]
-    assert lam == (k,) or len(lam) == max(map(len, admissible))
+def _weight_multiplicities_without(lam, k, N, monkeypatch):
+    # drop V(lam + lam*) by reading its Kostka numbers as 0
     top = tuple(x + k for x in lambda_plus_dual(lam, N))
     full = dec.kostka
     monkeypatch.setattr(dec, "kostka", lambda shape, content: 0 if shape == top else full(shape, content))
-    res = weight_multiplicity_check(k, N)
-    assert res.cases == len(weight_orbits(k, N)) and len(res) == failed
-    assert (failed == res.cases) == (lam == (k,))
+    return weight_multiplicity_check(k, N)
+
+
+@pytest.mark.parametrize("k, N", [(2, 4), (3, 5), (4, 5)])
+def test_weight_multiplicities_without_the_symmetric_piece_fail_every_orbit(k, N, monkeypatch):
+    # the symmetric piece lam = (k) has a weight in every orbit
+    res = _weight_multiplicities_without((k,), k, N, monkeypatch)
+    assert len(res) == res.cases == len(weight_orbits(k, N))
+
+
+@pytest.mark.parametrize("k, N, lam, failed", [
+    (2, 4, (1, 1), 3), (3, 5, (2, 1), 9), (3, 6, (1, 1, 1), 4), (4, 5, (3, 1), 22), (4, 5, (2, 2), 12),
+], ids=str)
+def test_weight_multiplicities_without_a_deepest_piece_fail_the_orbits_it_reaches(k, N, lam, failed, monkeypatch):
+    # a piece of the largest depth with 2 depth(lam) <= N misses some orbits,
+    # which still pass
+    admissible = [mu for mu in partitions(k) if 2 * len(mu) <= N]
+    assert len(lam) == max(map(len, admissible))
+    res = _weight_multiplicities_without(lam, k, N, monkeypatch)
+    assert res.cases == len(weight_orbits(k, N)) and len(res) == failed < res.cases
 
 
 @pytest.fixture
