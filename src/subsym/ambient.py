@@ -15,10 +15,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import namedtuple
-from functools import cached_property
 from math import factorial
 
-from . import linalg
 from .model import AmbientModel, ambient_laplacian, dual_quadric, identity, quadric, r_poly
 from .rings import _canonical
 from .report import CaseResults, VerificationReport
@@ -187,16 +185,10 @@ def higher_symmetry_op(m: AmbientModel, V: SparseTensor) -> WeylOperator:
 # composition of two first-order symmetries: trace decomposition + identity
 
 
-class CompositionParts(namedtuple("CompositionParts", "T U Utilde vw2 vw1 vw0 w1 w2")):
-    """T is the raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C))), U^D_A
-    the coefficient of delta^B_C, Utilde^B_C that of delta^D_A, vw2 the
-    column-symmetrized T, then vw1, the rational vw0 and the weights."""
-
-    @cached_property
-    def _ops(self):
-        """D_V o D_W, D_vw2 and D_vw1 once built; immutable parts keep them
-        valid, and parts made by _replace start with none."""
-        return {}
+# T is the raw trace-free part T^{BD}_{AC} (keyed ((B,D),(A,C))), U^D_A the
+# coefficient of delta^B_C, Utilde^B_C that of delta^D_A, then vw1, the
+# rational vw0 and the weights; vw2 is Sym T, never written out (D_vw2 = D_T)
+CompositionParts = namedtuple("CompositionParts", "T U Utilde vw1 vw0 w1 w2")
 
 
 def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):
@@ -207,6 +199,8 @@ def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):
     one-dimensional kernel (Id, -Id), so the gauge pins the solution).  The
     traces of V (x) W are dense matrix products of the entries, formed here.
     """
+    from . import linalg
+
     N = m.N
     nvars = 2 * N * N  # U then Utilde, row-major
 
@@ -261,9 +255,7 @@ def trace_projection_oracle(m: AmbientModel, V: SparseTensor, W: SparseTensor):
     return SparseTensor(1, N, U), SparseTensor(1, N, Ut)
 
 
-def compose_decompose(
-    m: AmbientModel, V: SparseTensor, W: SparseTensor, w1: int, w2: int
-) -> CompositionParts:
+def compose_decompose(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1: int, w2: int) -> CompositionParts:
     """Trace decomposition of V (x) W and the induced second/first/zeroth
     order symmetry data of the composition at weights (w1, w2).
 
@@ -322,8 +314,8 @@ def compose_decompose(
     # uncorrected_vw0 keeps the superseded constant for discrepancy reports.
     vw0 = rat(n * (dw * dw - (n + 2) ** 2) * t, 2 * (n + 1) * (n + 2) * (n + 3) * den)
     return CompositionParts(
-        T=T, U=_from_matrix(den * L, U), Utilde=_from_matrix(den * L, Ut), vw2=T.symmetrized(),
-        vw1=_from_matrix(den * M, vw1), vw0=vw0, w1=w1, w2=w2,
+        T=T, U=_from_matrix(den * L, U), Utilde=_from_matrix(den * L, Ut), vw1=_from_matrix(den * M, vw1),
+        vw0=vw0, w1=w1, w2=w2,
     )
 
 
@@ -338,74 +330,48 @@ def uncorrected_vw0(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1, w2):
     return rat(num * t, n * (n + 1) * (n + 2) * (n + 3) * (n + 4) * den)
 
 
-def _vw_ops(m: AmbientModel, parts: CompositionParts):
-    """(D_vw2, D_vw1), built once and kept on parts."""
-    if "vw" not in parts._ops:
-        parts._ops["vw"] = (higher_symmetry_op(m, parts.vw2), higher_symmetry_op(m, parts.vw1))
-    return parts._ops["vw"]
+def composition_operators(m: AmbientModel, V: SparseTensor, W: SparseTensor, parts: CompositionParts):
+    """(ambient, trivial): the two sides of the composition identity
 
+        D_V o D_W - D_vw2 - D_vw1 = vw0 - (r lap_S + r_S lap),
 
-def _composed(m: AmbientModel, V: SparseTensor, W: SparseTensor, parts: CompositionParts):
-    """D_V o D_W, kept on parts with the V and W it was built from and built
-    again for any other pair."""
-    kept = parts._ops.get("VW")
-    if kept is None or kept[0] != V or kept[1] != W:
-        kept = parts._ops["VW"] = (V, W, higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W)))
-    return kept[2]
-
-
-def composition_rhs_operator(m: AmbientModel, parts: CompositionParts) -> WeylOperator:
-    """Right-hand side of the composition identity D_V o D_W = D_vw2 + D_vw1
-    + vw0 - (r lap_S + r_S lap), with S = U + Ut, r_S its quadric and lap_S
-    its dual quadric, where ``parts`` is compose_decompose(m, V, W, w1, w2).
-
-    Valid only when applied to bihomogeneous functions of bidegree (w1, w2)
-    with n + w1 + w2 = 0.
+    S = U + Utilde, r_S its quadric and lap_S its dual quadric, for parts =
+    compose_decompose(m, V, W, w1, w2).  They agree on bihomogeneous functions
+    of bidegree (w1, w2) with n + w1 + w2 = 0.  D_vw2 is built from T, since
+    D_X = D_(Sym X) reads only the column orbits of X, so T must be totally
+    trace-free (ValueError otherwise).
     """
     S = parts.U + parts.Utilde
-    D_vw2, D_vw1 = _vw_ops(m, parts)
-    return (
-        D_vw2
-        + D_vw1
-        + WeylOperator.identity(m.ring).scale(parts.vw0)
+    ambient = (
+        higher_symmetry_op(m, V).compose(higher_symmetry_op(m, W))
+        - higher_symmetry_op(m, parts.T)
+        - higher_symmetry_op(m, parts.vw1)
+    )
+    trivial = (
+        WeylOperator.identity(m.ring).scale(parts.vw0)
         - WeylOperator.mul_by(r_poly(m)).compose(dual_quadric(m, S))
         - WeylOperator.mul_by(quadric(m, S)).compose(ambient_laplacian(m))
     )
+    return ambient, trivial
 
 
-def composition_ambient_part(
-    m: AmbientModel, V: SparseTensor, W: SparseTensor, parts: CompositionParts
-) -> WeylOperator:
-    """D_V o D_W - D_vw2 - D_vw1 for parts = compose_decompose(m, V, W, w1, w2):
-    the operator the identity equates with vw0 - (r lap_S + r_S lap).  It
-    reads the operators verify_composition_identity keeps on parts."""
-    D_vw2, D_vw1 = _vw_ops(m, parts)
-    return _composed(m, V, W, parts) - D_vw2 - D_vw1
-
-
-def verify_composition_identity(
-    m: AmbientModel,
-    V: SparseTensor,
-    W: SparseTensor,
-    w1: int,
-    w2: int,
-    degree_bound: int = 3,
-    parts: CompositionParts | None = None,
-):
+def verify_composition_identity(m: AmbientModel, V: SparseTensor, W: SparseTensor, w1: int, w2: int,
+                                degree_bound: int = 3, parts: CompositionParts | None = None):
     """Exact check of the composition identity on every admissible monomial.
 
-    The residual operator D_V o D_W - rhs is formed once and swept over the
-    monomials in one integer pass (WeylOperator.nonvanishing); by linearity
-    its value is lhs(f) - rhs(f), applied only to the monomials that fail.
-    ``parts``, formed here when not given, is compose_decompose(m, V, W, w1,
-    w2).  Returns CaseResults of "monomial -> residual" for the monomials
-    that fail, with ``cases`` the number of monomials examined.
+    The difference of the two sides of composition_operators is swept over
+    the monomials in one integer pass (WeylOperator.nonvanishing) and applied
+    only to the monomials that fail.  ``parts``, formed here when not given,
+    is compose_decompose(m, V, W, w1, w2), with T totally trace-free.  Returns
+    CaseResults of "monomial -> residual" for the monomials that fail, with
+    ``cases`` the number of monomials examined.
     """
     if parts is None:
         parts = compose_decompose(m, V, W, w1, w2)
     elif (parts.w1, parts.w2) != (w1, w2):
         raise ValueError(f"parts are at weights ({parts.w1}, {parts.w2}), not ({w1}, {w2})")
-    residual = _composed(m, V, W, parts) - composition_rhs_operator(m, parts)
+    ambient, trivial = composition_operators(m, V, W, parts)
+    residual = ambient - trivial
     monomials = list(bidegree_monomials(m, w1, w2, degree_bound))
     return CaseResults([f"{f} -> {residual.apply(f)}" for f in residual.nonvanishing(monomials)], len(monomials))
 
@@ -447,30 +413,32 @@ def _suite_composition(rep: VerificationReport, n=COMPOSITION_N, deg=3, w1=None,
     rng = random.Random(rep.seed)
     pairs = [(random_traceless(n, rng), random_traceless(n, rng)) for _ in range(5)]
     decomposed = [compose_decompose(m, V, W, w1, w2) for V, W in pairs]
+    broken = CaseResults(["T is not totally trace-free"], 1)  # what a check that reads T records then
     for i, ((V, W), parts) in enumerate(zip(pairs, decomposed)):
-        rep.check(f"pair {i}: T totally trace-free", CaseResults(
-            [f"contraction ({p}, {q}) nonzero" for p, q in parts.T.nonzero_contractions()], parts.T.k ** 2))
+        traces = [f"contraction ({p}, {q}) nonzero" for p, q in parts.T.nonzero_contractions()]
+        rep.check(f"pair {i}: T totally trace-free", CaseResults(traces, parts.T.k ** 2))
         orc = trace_projection_oracle(m, V, W)
         differ = ["the oracle has no unique solution"] if orc is None else [
             f"{x} differs" for x, ours, theirs in (("U", parts.U, orc[0]), ("Utilde", parts.Utilde, orc[1]))
             if ours != theirs]
         rep.add(f"pair {i}: (U, Utilde) match the projection oracle", not differ, "; ".join(differ))
-        rep.check(f"pair {i}: composition identity exact, exponent bound {deg}",
-                  verify_composition_identity(m, V, W, w1, w2, degree_bound=deg, parts=parts))
-    # induced (boundary) decomposition for the first pair, sampled F
+        rep.check(f"pair {i}: composition identity exact, exponent bound {deg}", broken if traces
+                  else verify_composition_identity(m, V, W, w1, w2, degree_bound=deg, parts=parts))
+    # induced (boundary) decomposition for the first pair, sampled F: the
+    # ambient side induces vw0 - r_S Delta_b, r_S the pulled back quadric of
+    # S = U + Utilde
     V, W = pairs[0]
     parts = decomposed[0]
-    # D_V o D_W - D_vw2 - D_vw1 induces vw0 - r_S Delta_b, r_S the pulled
-    # back quadric of S = U + Utilde; its operators are the ones the pair's
-    # composition check built
-    ambient_part = composition_ambient_part(m, V, W, parts)
-    uq = phi_pullback(mb, quadric(m, parts.U + parts.Utilde))
-    delta = sublaplacian(mb, w1, w2)
-    monomials = list(mb.monomials(2))
-    rep.check("induced boundary decomposition (second/first/zeroth + trivial part)", CaseResults(
-        [f"F={F}" for F in monomials
-         if induce(mb, ambient_part, w1, w2, F) != F.scale(parts.vw0) - uq * delta.apply(F)],
-        len(monomials)))
+    induced = broken
+    if parts.T.is_trace_free():
+        ambient = composition_operators(m, V, W, parts)[0]
+        uq = phi_pullback(mb, quadric(m, parts.U + parts.Utilde))
+        delta = sublaplacian(mb, w1, w2)
+        monomials = list(mb.monomials(2))
+        induced = CaseResults([f"F={F}" for F in monomials
+                               if induce(mb, ambient, w1, w2, F) != F.scale(parts.vw0) - uq * delta.apply(F)],
+                              len(monomials))
+    rep.check("induced boundary decomposition (second/first/zeroth + trivial part)", induced)
     if parts.vw0 != uncorrected_vw0(m, V, W, w1, w2):
         rep.note(
             "zeroth-order coefficient is the derived closed form "

@@ -42,6 +42,11 @@ _SUITE_MODULES = {
 SUITES = (*_SUITE_MODULES, "all")
 
 
+def _names(suite: str) -> list:
+    """The suites a request of `suite` runs."""
+    return list(_SUITE_MODULES) if suite == "all" else [suite]
+
+
 def _check(name):
     """The check `_suite_<name>` and the flags it reads."""
     check = getattr(importlib.import_module(f".{_SUITE_MODULES[name]}", __package__), f"_suite_{name}")
@@ -51,8 +56,7 @@ def _check(name):
 def _unread(suite: str, params: dict) -> list:
     """The given flags of `params` that no check of `suite` reads (every
     suite reads the seed), as a usage problem; empty when there is none."""
-    names = list(_SUITE_MODULES) if suite == "all" else [suite]
-    read = {"seed"}.union(*(_check(name)[1] for name in names))
+    read = {"seed"}.union(*(_check(name)[1] for name in _names(suite)))
     unread = [f"--{key}" for key, v in params.items() if v is not None and key not in read]
     return [f"the {suite} suite does not read {', '.join(unread)}"] if unread else []
 
@@ -64,9 +68,8 @@ def run(suite: str, params: dict) -> list[VerificationReport]:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if problems := _unread(suite, params):
         raise ValueError(problems[0])
-    names = list(_SUITE_MODULES) if suite == "all" else [suite]
     reports = []
-    for name in names:
+    for name in _names(suite):
         start = time.monotonic()
         check, flags = _check(name)
         parameters = {key: params[key] for key in ("seed", *flags) if params.get(key) is not None}
@@ -104,22 +107,21 @@ def _validated(args, parser) -> dict:
     if params.get("d") is not None and params.get("s") is not None:
         if 2 * params["s"] > params["d"]:
             problems.append("need 2s <= d")
-    if args.suite in ("commutant", "all") and (args.k is None) != (args.dim is None):
-        problems.append("the commutant suite needs --k and --dim together")
-    if args.suite in ("prop1", "all") and (args.d is None) != (args.s is None):
-        problems.append("the prop1 suite needs --d and --s together")
+    for name in _names(args.suite):
+        # a suite's flags that default to None are given together or not at all
+        check, flags = _check(name)
+        group = [flag for flag, default in zip(flags, check.__defaults__) if default is None]
+        if len(group) > 1 and len({params[flag] is None for flag in group}) > 1:
+            problems.append(f"the {name} suite needs {' and '.join(f'--{flag}' for flag in group)} together")
     for name in ("prop1", "symbols"):
         if args.suite in (name, "all") and args.n is not None and args.n < 2:
             problems.append(f"the {name} suite needs --n at least 2")
-    if args.suite in ("composition", "all"):
-        if (args.w1 is None) != (args.w2 is None):
-            problems.append("the composition suite needs --w1 and --w2 together")
-        elif args.w1 is not None:
-            from .ambient import COMPOSITION_N
+    if args.suite in ("composition", "all") and args.w1 is not None and args.w2 is not None:
+        from .ambient import COMPOSITION_N
 
-            n = COMPOSITION_N if args.n is None else args.n
-            if n + args.w1 + args.w2 != 0:
-                problems.append(f"the composition suite needs n + w1 + w2 = 0 (n = {n})")
+        n = COMPOSITION_N if args.n is None else args.n
+        if n + args.w1 + args.w2 != 0:
+            problems.append(f"the composition suite needs n + w1 + w2 = 0 (n = {n})")
     if problems:
         parser.error("invalid parameters: " + "; ".join(problems))
     return params

@@ -26,7 +26,6 @@ import random
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from . import linalg
 from .classalg import (
     act_on_tuple,
     central_idempotent,
@@ -174,6 +173,8 @@ def trace_free_block_kernel(k, N, weight):
     integer vector {block index: int}.  The vectors are shared through the
     cache, so callers only read them.
     """
+    from . import linalg
+
     block = weight_block(k, N, weight)
     return block, tuple(linalg.integer_kernel(_contraction_matrix(block), len(block)))
 
@@ -306,7 +307,8 @@ def weight_multiplicity_check(k, N):
 def highest_weight_vector(lam, N):
     """Pair-symmetrized p_lam(e_lam) (x) eps^lam, as a dict multiset -> coeff:
     the column orbits of the tensor whose vector factors the idempotent
-    permutes, each the value of the actual pair symmetrization.
+    permutes, each the value of the actual pair symmetrization and of the
+    weight lambda_plus_dual(lam, N) (the hwvectors suite checks it).
 
     The construction requires 2*depth(lam) <= N so that the vector and dual
     index values are disjoint.
@@ -319,10 +321,6 @@ def highest_weight_vector(lam, N):
     L0 = tuple(N - 1 - i for i, part in enumerate(lam) for _ in range(part))
     image = SparseTensor(len(U0), N, {(U0, L0): RONE}).act(central_idempotent(lam), upper=True)
     den, orbits = image.column_orbits()
-    expected = lambda_plus_dual(lam, N)
-    for M in orbits:
-        if multiset_weight(M, N) != expected:
-            raise RuntimeError(f"orbit {M} is not of the highest weight {expected}")
     return {M: rat(w, den) for M, w in orbits.items()}
 
 
@@ -543,6 +541,8 @@ def basis_operator_rank(k, N):
     scale whole operators, so the rank is that of the averaged operators on
     the kernel basis.
     """
+    from . import linalg
+
     flat = {lam: {} for lam in partitions(k)}
     cases = 0
     for _, sums in _kernel_class_sums(k, N):
@@ -567,6 +567,8 @@ def seven_pieces_check(N):
     contraction image of the antisymmetric part.  Returns (pieces, failures),
     failures the CaseResults of the dimension counts that do not hold.
     """
+    from . import linalg
+
     sl = sl_basis(N)
     dim_sl = len(sl)
 
@@ -691,8 +693,13 @@ def _suite_decompose(rep: VerificationReport, k=2, dim=4):
 def _suite_hwvectors(rep: VerificationReport, k=3, dim=6):
     domain = [(lam, N) for N in range(2, dim + 1) for j in range(1, k + 1)
               for lam in partitions(j) if 2 * len(lam) <= N]
-    rep.check(f"highest-weight vectors nonzero for 2*depth <= N, k <= {k}, N <= {dim}", CaseResults(
-        [f"lambda={lam}, N={N}" for lam, N in domain if not highest_weight_vector(lam, N)], len(domain)))
+    bad = []
+    for lam, N in domain:
+        hwv, top = highest_weight_vector(lam, N), lambda_plus_dual(lam, N)
+        off = [f": orbit {M} of weight {w}, not {top}" for M in hwv if (w := multiset_weight(M, N)) != top]
+        if off or not hwv:
+            bad.append(f"lambda={lam}, N={N}{off[0] if off else ''}")
+    rep.check(f"highest-weight vectors nonzero for 2*depth <= N, k <= {k}, N <= {dim}", CaseResults(bad, len(domain)))
     for (lam, k, N) in [((2,), 2, 3), ((3,), 3, 4), ((2, 1), 3, 3)]:
         rep.check(f"skew vanishing for lambda={lam} (k={k}, N={N}, 5 seeded tensors)",
                   skew_vanishing_check(lam, k, N, trials=5, seed=rep.seed))

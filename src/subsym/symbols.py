@@ -36,7 +36,6 @@ import itertools
 import random
 from math import comb, factorial, prod
 
-from . import linalg
 from .boundary import BoundaryModel, column_factors, frame_fields, label_derivatives
 from .report import CaseResults, VerificationReport
 from .rings import LaurentPoly, _canonical
@@ -256,6 +255,8 @@ def pascal_identity_check(s_max: int):
 
 
 def a_matrix_det(s: int):
+    from . import linalg
+
     return linalg.det([[a_coeff(s, r, i) for i in range(1, s + 1)] for r in range(1, s + 1)])
 
 
@@ -270,6 +271,8 @@ def prop1_system(d: int, s: int):
     Returns dict with whether the system is solvable, and if so the
     solution and its uniqueness.
     """
+    from . import linalg
+
     if not (1 <= s and 2 * s <= d):
         raise ValueError("need 1 <= s and 2s <= d")
     rows = []
@@ -366,9 +369,9 @@ def _suite_symbols(rep: VerificationReport, n=None, d=3):
     rng = random.Random(rep.seed)
     for n in ns:
         m = BoundaryModel(n)
-        # upper values {1, n+1} and lower values {0, 2} are disjoint for
-        # n >= 2, so the symmetrized draw is totally trace-free
-        T = SparseTensor.random(d, n + 2, rng, 2, upper=(1, n + 1), lower=(0, 2)).symmetrized()
+        # upper values {1, n+1} and lower values {0, 2} are disjoint for n >= 2, so the
+        # draw and Sym T, which extract_all_symbols reads it as, are totally trace-free
+        T = SparseTensor.random(d, n + 2, rng, 2, upper=(1, n + 1), lower=(0, 2))
         rep.check(f"n={n}: recursions for seeded trace-free column-symmetric tensor",
                   check_symbol_recursions(m, extract_all_symbols(m, T), T.k))
         three_column_skew_checks(rep, m, rng)
@@ -377,17 +380,17 @@ def _suite_symbols(rep: VerificationReport, n=None, d=3):
 
 def three_column_skew_checks(rep: VerificationReport, m: BoundaryModel, rng):
     """Skew vanishing (el2): a seeded column-symmetric d=3 tensor, alternated
-    over its three upper slots, induces identically zero symbols on model m."""
+    over its three upper slots, induces identically zero symbols on model m;
+    the draw is alternated first, which commutes with its symmetrization."""
     n = m.n
-    T = SparseTensor.random(3, n + 2, rng, 2, density=0.05).symmetrized()
-    Tsk = T.skew_slots([0, 1, 2], upper=True)
+    Tsk = SparseTensor.random(3, n + 2, rng, 2, density=0.05).skew_slots([0, 1, 2], upper=True).symmetrized()
     if not Tsk:
         rep.add(f"n={n}: skew tensor nonzero", False, "degenerate seed")
         return
     syms = extract_all_symbols(m, Tsk)
     zero = CaseResults([f"symbol {key} nonzero" for key, s in syms.items() if s], len(syms))
     rep.check(f"n={n}: three-column-skew tensor induces identically zero symbols", zero)
-    # T is column-symmetric, so the lower skew of Tsk is Tsk itself and the
+    # Tsk is column-symmetric, so its lower skew is Tsk itself and the
     # symbols just extracted are those of the double skew
     Tdb = Tsk.skew_slots([0, 1, 2], upper=False)
     differs = [] if Tdb == Tsk else ["double skew differs from the upper skew"]

@@ -1349,9 +1349,7 @@ def compose_decompose_by_loops(m, V: TracelessMatrix, W: TracelessMatrix, w1: in
     M = mat_scale(M, beta)
     M = mat_add(M, mat_add(Q, P, -1), rat(-1, 2))
     vw0 = rat(n, 2 * (n + 1) * (n + 2) * (n + 3)) * (dw * dw - (n + 2) ** 2) * t
-    return CompositionParts(
-        T=T, U=U, Utilde=Ut, vw2=T.symmetrized(), vw1=TracelessMatrix(M), vw0=vw0, w1=w1, w2=w2
-    )
+    return CompositionParts(T=T, U=U, Utilde=Ut, vw1=TracelessMatrix(M), vw0=vw0, w1=w1, w2=w2)
 
 
 def perm_sign_by_cycle_walk(p):

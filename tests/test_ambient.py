@@ -10,7 +10,7 @@ from subsym.ambient import (
     central_action_check,
     central_element,
     compose_decompose,
-    composition_ambient_part,
+    composition_operators,
     dual_quadric,
     dv_bracket,
     euler_ops,
@@ -243,7 +243,7 @@ def test_higher_symmetry_op_matches_the_composed_generators_off_the_integers(n):
     w1 = (-n + n % 2) // 2
     V, W = random_traceless(n, rng), random_traceless(n, rng)
     parts = compose_decompose(m, V, W, w1, -n - w1)
-    for X in (V, W, parts.vw1, parts.vw2):
+    for X in (V, W, parts.vw1, parts.T):
         dens = {int(v.denominator) for v in X.entries.values()}
         assert dens - {1}
         assert higher_symmetry_op(m, X) == higher_symmetry_op_by_composition(m, X)
@@ -256,8 +256,8 @@ def test_compose_decompose_trace_free(m2):
         W = random_traceless(2, rng)
         parts = compose_decompose(m2, V, W, -1, -1)
         assert parts.T.is_trace_free()
-        assert parts.vw2.is_symmetric()
-        assert parts.vw2.is_trace_free()
+        assert parts.T.symmetrized().is_symmetric()
+        assert parts.T.symmetrized().is_trace_free()
 
 
 def test_compose_decompose_n3():
@@ -416,7 +416,7 @@ def test_t_part_operator_matches_the_composed_generators(n):
         V = random_traceless(n, rng)
         W = random_traceless(n, rng)
         parts = compose_decompose(m, V, W, w1, -n - w1)
-        for T in (parts.T, parts.vw2):
+        for T in (parts.T, parts.T.symmetrized()):
             assert higher_symmetry_op(m, T) == higher_symmetry_op_by_composition(m, T)
 
 
@@ -428,13 +428,17 @@ def test_uncorrected_scalar_fails_identity(m2, monkeypatch):
     W = random_traceless(2, rng)
     parts = compose_decompose(m2, V, W, -1, -1)
     shift = WeylOperator.identity(m2.ring).scale(uncorrected_vw0(m2, V, W, -1, -1) - parts.vw0)
-    rhs = subsym.ambient.composition_rhs_operator
-    monkeypatch.setattr(subsym.ambient, "composition_rhs_operator", lambda *args: rhs(*args) + shift)
+    sides = subsym.ambient.composition_operators
+
+    def shifted(*args):
+        ambient, trivial = sides(*args)
+        return ambient, trivial + shift
+
+    monkeypatch.setattr(subsym.ambient, "composition_operators", shifted)
     bad = verify_composition_identity(m2, V, W, -1, -1, degree_bound=2)
-    lhs = higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
-    wrong = subsym.ambient.composition_rhs_operator(m2, parts)
+    ambient, wrong = shifted(m2, V, W, parts)
     monomials = list(bidegree_monomials(m2, -1, -1, 2))
-    expected = [f"{f} -> {res}" for f in monomials if (res := lhs.apply(f) - wrong.apply(f))]
+    expected = [f"{f} -> {res}" for f in monomials if (res := ambient.apply(f) - wrong.apply(f))]
     assert expected and bad == expected
     assert bad.cases == len(monomials)
 
@@ -464,9 +468,9 @@ def test_composition_check_sweeps_one_operator_over_every_monomial(m2, monkeypat
     assert swept == [monomials] and applied == []
 
 
-def test_composition_parts_keep_the_operators_of_their_own_pair(m2):
-    # the parts of (V, W) keep D_V o D_W, D_vw2 and D_vw1 once built; handed
-    # to the check of another pair they do not fit, and the check fails
+def test_composition_parts_of_another_pair_fail_the_identity(m2):
+    # the parts of (V, W) handed to the check of another pair do not fit, and
+    # the check fails; the ambient side is built from V, W and the parts alone
     rng = random.Random(42)
     V, W, X = (random_traceless(2, rng) for _ in range(3))
     parts = compose_decompose(m2, V, W, -1, -1)
@@ -475,15 +479,15 @@ def test_composition_parts_keep_the_operators_of_their_own_pair(m2):
     assert not verify_composition_identity(m2, V, W, -1, -1, degree_bound=2, parts=parts)
     fresh = (
         higher_symmetry_op(m2, V).compose(higher_symmetry_op(m2, W))
-        - higher_symmetry_op(m2, parts.vw2)
+        - higher_symmetry_op(m2, parts.T.symmetrized())
         - higher_symmetry_op(m2, parts.vw1)
     )
-    assert composition_ambient_part(m2, V, W, parts) == fresh
+    assert composition_operators(m2, V, W, parts)[0] == fresh
 
 
-def test_composition_parts_are_immutable_and_replace_starts_empty(m2):
-    # the kept operators stay valid only because no field can change; a copy
-    # with one field replaced is other parts and must build its own
+def test_composition_parts_are_immutable_and_a_replaced_vw0_fails(m2):
+    # no field can change in place; a copy with vw0 + 1 keeps every other
+    # part, and its check fails where the parts' own check passes
     rng = random.Random(42)
     V, W = random_traceless(2, rng), random_traceless(2, rng)
     parts = compose_decompose(m2, V, W, -1, -1)
@@ -491,9 +495,7 @@ def test_composition_parts_are_immutable_and_replace_starts_empty(m2):
         with pytest.raises(AttributeError):
             setattr(parts, name, getattr(parts, name))
     assert not verify_composition_identity(m2, V, W, -1, -1, degree_bound=2, parts=parts)
-    assert set(parts._ops) == {"VW", "vw"}
     control = parts._replace(vw0=parts.vw0 + 1)
-    assert control._ops == {} and set(parts._ops) == {"VW", "vw"}
     assert (control.T, control.vw1, control.w1) == (parts.T, parts.vw1, parts.w1)
     assert verify_composition_identity(m2, V, W, -1, -1, degree_bound=2, parts=control)
 
@@ -548,7 +550,6 @@ def _matrix_path_mismatches(n, seed):
                     ("U", dense(new.U), old.U),
                     ("Utilde", dense(new.Utilde), old.Utilde),
                     ("T", new.T, old.T),
-                    ("vw2", new.vw2, old.vw2),
                     ("vw1", dense(new.vw1), old.vw1.entries),
                     ("vw0", new.vw0, old.vw0),
                 )
@@ -562,7 +563,7 @@ def test_tensor_path_matches_the_matrix_path(n, monkeypatch):
     assert not _matrix_path_mismatches(n, 50 + n)
     # a mutant that swaps the two products P and Q must be told apart; it
     # swaps U and Utilde, which changes T only by a column-antisymmetric term,
-    # so vw2 (and vw0, which reads tr P = tr Q) cannot see it
+    # so Sym T (and vw0, which reads tr P = tr Q) cannot see it
     products = subsym.ambient._products
 
     def swapped(V, W):
@@ -595,6 +596,6 @@ def test_integer_compose_decompose_matches_the_loops(n):
             new = compose_decompose(m, V, W, w1, w2)
             old = compose_decompose_by_loops(m, TracelessMatrix(dense(V)), TracelessMatrix(dense(W)), w1, w2)
             assert dense(new.U) == old.U and dense(new.Utilde) == old.Utilde
-            assert new.T == old.T and new.vw2 == old.vw2
+            assert new.T == old.T
             assert dense(new.vw1) == old.vw1.entries and new.vw0 == old.vw0
             assert new.T.is_trace_free() and new.T.nonzero_contractions() == []

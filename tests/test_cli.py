@@ -358,13 +358,17 @@ def test_check_reads_verdict_witness_and_cases_off_the_failures():
          "needs n + w1 + w2 = 0 (n = 3)"),
         (["verify", "composition", "--w1", "-1"], "needs --w1 and --w2 together"),
         (["verify", "prop1", "--d", "4"], "the prop1 suite needs --d and --s together"),
+        (["verify", "all", "--w2", "-1"], "the composition suite needs --w1 and --w2 together"),
+        (["verify", "all", "--s", "1"], "the prop1 suite needs --d and --s together"),
+        (["verify", "all", "--dim", "4"], "the commutant suite needs --k and --dim together"),
         (["verify", "symbols", "--n", "1"], "the symbols suite needs --n at least 2"),
         (["verify", "prop1", "--n", "1"], "the prop1 suite needs --n at least 2"),
         (["verify", "all", "--n", "1"], "the symbols suite needs --n at least 2"),
     ],
     ids=["reduction-n0", "symbols-d0", "prop1-s0", "reduction-deg0",
          "composition-weights", "composition-weights-n3", "composition-w1-without-w2",
-         "prop1-d-without-s", "symbols-n1", "prop1-n1", "all-n1"],
+         "prop1-d-without-s", "all-w2-without-w1", "all-s-without-d", "all-dim-without-k",
+         "symbols-n1", "prop1-n1", "all-n1"],
 )
 def test_zero_flags_and_bad_weights_are_usage_errors(argv, problem, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -475,6 +479,20 @@ def test_conjugation_lemma_failure_names_the_lemma(monkeypatch):
     assert witnesses == {"Ad-conjugation lemmas (k=2, N=3)": "even lemma s~(2,) sigma=(1, 0)"}
 
 
+def test_hwvectors_reports_an_orbit_off_the_highest_weight(monkeypatch, tmp_path, capsys):
+    # a wrong weight for every multiset fails the check at its first case,
+    # naming lambda, N and the orbit's weight, and the report is written
+    import subsym.decompose as decompose
+
+    monkeypatch.setattr(decompose, "multiset_weight", lambda M, N: (0,) * N)
+    path = tmp_path / "r.json"
+    assert main(["verify", "hwvectors", "--out", str(path)]) == 1
+    capsys.readouterr()
+    witnesses = {c["name"]: c["witness"] for c in json.loads(path.read_text())["checks"] if c["status"] != "pass"}
+    assert witnesses == {"highest-weight vectors nonzero for 2*depth <= N, k <= 3, N <= 6":
+                         "lambda=(1,), N=2: orbit ((0, 1),) of weight (0, 0), not (1, -1)"}
+
+
 def test_hwvector_witness_is_the_first_failing_case(monkeypatch):
     import subsym.decompose as decompose
 
@@ -536,9 +554,10 @@ def test_worked_products_print_the_computed_product(monkeypatch):
     }
 
 
-def test_trace_free_check_names_the_first_nonzero_contraction(monkeypatch):
+def test_trace_free_check_names_the_first_nonzero_contraction(monkeypatch, tmp_path, capsys):
     # one entry with U = (0, 1), L = (1, 0) survives the contractions (0, 1)
-    # and (1, 0) only
+    # and (1, 0) only; the identity and induced checks, which read T, fail on
+    # it, and the request still writes its report
     import subsym.ambient
     from subsym.scalars import rat
     from subsym.tensor import SparseTensor
@@ -550,9 +569,16 @@ def test_trace_free_check_names_the_first_nonzero_contraction(monkeypatch):
         return parts._replace(T=parts.T + SparseTensor(2, m.N, {((0, 1), (1, 0)): rat(1)}))
 
     monkeypatch.setattr(subsym.ambient, "compose_decompose", traced)
-    (rep,) = run("composition", {"seed": 0})
-    witnesses = {c.name: c.witness for c in rep.checks if c.status != "pass"}
-    assert witnesses == {f"pair {i}: T totally trace-free": "contraction (0, 1) nonzero" for i in range(5)}
+    path = tmp_path / "r.json"
+    assert main(["verify", "composition", "--out", str(path)]) == 1
+    capsys.readouterr()
+    witnesses = {c["name"]: c["witness"] for c in json.loads(path.read_text())["checks"] if c["status"] != "pass"}
+    broken = "T is not totally trace-free"
+    assert witnesses == {
+        **{f"pair {i}: T totally trace-free": "contraction (0, 1) nonzero" for i in range(5)},
+        **{f"pair {i}: composition identity exact, exponent bound 3": broken for i in range(5)},
+        "induced boundary decomposition (second/first/zeroth + trivial part)": broken,
+    }
 
 
 @pytest.mark.parametrize("oracle, witness", [
@@ -668,8 +694,9 @@ def test_a_missing_seed_is_seed_0(suite):
 
 
 def test_composition_suite_builds_each_symmetry_operator_once(monkeypatch):
-    # the induced boundary check of pair 0 reads D_V o D_W, D_vw2 and D_vw1
-    # off that pair's composition check instead of building them again
+    # each check builds each operator it reads once: every pair's identity
+    # check D_V, D_W, D_T (= D_vw2) and D_vw1, and the induced boundary check
+    # of pair 0 the same four of pair 0 again
     import subsym.ambient
 
     built = []
@@ -681,8 +708,9 @@ def test_composition_suite_builds_each_symmetry_operator_once(monkeypatch):
 
     monkeypatch.setattr(subsym.ambient, "higher_symmetry_op", spy)
     (rep,) = run("composition", {"seed": 0})
-    assert len(built) == 4 * 5  # V, W, vw2 and vw1 of each of the five pairs
-    assert all(X is not Y for i, X in enumerate(built) for Y in built[:i])
+    assert len(built) == 4 * 5 + 4
+    assert all(X is not Y for i, X in enumerate(built[:20]) for Y in built[:i])
+    assert all(X is Y for X, Y in zip(built[20:], built[:4]))
     assert hashlib.sha256(rep.dumps().encode()).hexdigest() == CANONICAL_DIGESTS["composition"][0]
 
 

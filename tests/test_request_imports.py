@@ -6,9 +6,10 @@ not there before `import subsym`.  The class-algebra and tensor suites use
 neither the Laurent ring nor the Weyl algebra nor the ambient, boundary and
 symbol layers; the boundary and symbol suites read the ambient model from
 `model` and load neither `ambient` nor `classalg`, and the ambient suites do
-not load `classalg`.  No suite needs `dataclasses` (which loads `inspect`,
-`ast`, `dis` and `tokenize`), and each suite's check lives beside its layer,
-so `cli` compiles no suite body.
+not load `classalg`.  `linalg` loads only where an elimination runs, so the
+symbols, commutation and hwvectors suites do not load it.  No suite needs
+`dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`), and each
+suite's check lives beside its layer, so `cli` compiles no suite body.
 """
 
 import ast
@@ -32,10 +33,11 @@ NOT_FOR_TENSOR_SUITES = {
     "subsym.symbols",
 }
 NOT_LOADED = {suite: NOT_FOR_TENSOR_SUITES for suite in TENSOR_SUITES} | {
-    "symbols": {"subsym.ambient", "subsym.classalg"},
+    "hwvectors": NOT_FOR_TENSOR_SUITES | {"subsym.linalg"},
+    "symbols": {"subsym.ambient", "subsym.classalg", "subsym.linalg"},
     "prop1": {"subsym.ambient", "subsym.classalg"},
     "reduction": {"subsym.ambient", "subsym.classalg"},
-    "commutation": {"subsym.classalg"},
+    "commutation": {"subsym.classalg", "subsym.linalg"},
     "composition": {"subsym.classalg"},
 }
 

@@ -198,6 +198,17 @@ def test_skew_slots_with_integer_signs_match_rational_signs(data):
         assert T.skew_slots(slots, upper) == skew_slots_rational(T, slots, upper)
 
 
+@settings(max_examples=150, deadline=None)
+@given(tensor_data())
+def test_alternating_every_slot_commutes_with_the_column_symmetrization(data):
+    # a column permutation conjugates the alternation of all k slots of one
+    # index group into itself, so the symbols suite may skew its draw first
+    T = SparseTensor(*data)
+    slots = list(range(T.k))
+    for upper in (True, False):
+        assert T.symmetrized().skew_slots(slots, upper) == T.skew_slots(slots, upper).symmetrized()
+
+
 def reference_act(element, T, upper):
     """sum_p element[p] p on one index group, spelled out with act_on_tuple."""
     out = {}
